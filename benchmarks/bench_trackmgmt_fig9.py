@@ -44,14 +44,19 @@ def geometry3d():
 
 
 def run_real(geometry3d, spacing, storage, budget):
-    solver = MOCSolver.for_3d(
-        geometry3d, num_azim=4, azim_spacing=spacing, polar_spacing=spacing,
-        num_polar=2, storage=storage, resident_memory_bytes=budget,
-        max_iterations=ITERATIONS, keff_tolerance=1e-12, source_tolerance=1e-12,
-    )
-    start = time.perf_counter()
-    solver.solve()
-    elapsed = time.perf_counter() - start
+    # Fastest of three solves: with regeneration batched, ten iterations at
+    # these scales take a few milliseconds, and a single timing is noisier
+    # than the OTF-vs-Manager difference the shape check looks for.
+    elapsed = float("inf")
+    for _ in range(3):
+        solver = MOCSolver.for_3d(
+            geometry3d, num_azim=4, azim_spacing=spacing, polar_spacing=spacing,
+            num_polar=2, storage=storage, resident_memory_bytes=budget,
+            max_iterations=ITERATIONS, keff_tolerance=1e-12, source_tolerance=1e-12,
+        )
+        start = time.perf_counter()
+        solver.solve()
+        elapsed = min(elapsed, time.perf_counter() - start)
     strategy = solver.storage_strategy
     return elapsed, strategy.resident_memory_bytes(), solver.trackgen.num_tracks_3d
 

@@ -459,6 +459,15 @@ class AntMocApplication:
         polar_spacing = cfg.tracking.polar_spacing
         cache = self._tracking_cache()
         if decomposed:
+            requested = cfg.solver.storage_method
+            if requested != "EXP":
+                self.logger.warning(
+                    "storage strategy override: requested=%r effective='EXP' "
+                    "reason='z-decomposed solves (decomposition.nz=%d) trace "
+                    "every 3D segment up front; solver.storage_method applies "
+                    "to nz=1 only'",
+                    requested, cfg.decomposition.nz,
+                )
             with self._stage(StageName.TRACK_GENERATION.value):
                 solver = ZDecomposedSolver(
                     geometry3d,

@@ -100,20 +100,32 @@ class TrackTopology:
     ) -> "TrackTopology":
         """Build the link tables from a list of linked track objects."""
         num_tracks = len(tracks)
+        uid = np.fromiter((t.uid for t in tracks), dtype=np.int64, count=num_tracks)
+        # One flat column per field, ordered (track, direction), then four
+        # whole-array writes instead of a numpy item store per track end.
+        links = [link for t in tracks for link in (t.link_fwd, t.link_bwd)]
+        ends = 2 * num_tracks
+        linked = np.fromiter((link is not None for link in links), dtype=bool, count=ends)
+        target = np.fromiter(
+            (0 if link is None else link.track for link in links),
+            dtype=np.int64, count=ends,
+        )
+        backward = np.fromiter(
+            (0 if link is None or link.forward else 1 for link in links),
+            dtype=np.int64, count=ends,
+        )
+        iface = np.fromiter(
+            (flag for t in tracks for flag in (t.interface_end, t.interface_start)),
+            dtype=bool, count=ends,
+        )
         next_track = np.zeros((num_tracks, 2), dtype=np.int64)
         next_dir = np.zeros((num_tracks, 2), dtype=np.int64)
         terminal = np.zeros((num_tracks, 2), dtype=bool)
         interface = np.zeros((num_tracks, 2), dtype=bool)
-        for t in tracks:
-            for d, (link, iface) in enumerate(
-                ((t.link_fwd, t.interface_end), (t.link_bwd, t.interface_start))
-            ):
-                if link is None:
-                    terminal[t.uid, d] = True
-                    interface[t.uid, d] = iface
-                else:
-                    next_track[t.uid, d] = link.track
-                    next_dir[t.uid, d] = 0 if link.forward else 1
+        next_track[uid] = target.reshape(num_tracks, 2)
+        next_dir[uid] = backward.reshape(num_tracks, 2)
+        terminal[uid] = ~linked.reshape(num_tracks, 2)
+        interface[uid] = (iface & ~linked).reshape(num_tracks, 2)
         return cls(weights, next_track, next_dir, terminal, interface, inv_sin)
 
 

@@ -6,7 +6,11 @@ from repro.trackmgmt.strategy import (
     OnTheFlyStorage,
     make_strategy,
 )
-from repro.trackmgmt.manager import ManagedStorage, estimate_track_segments
+from repro.trackmgmt.manager import (
+    ManagedStorage,
+    estimate_segments_batch,
+    estimate_track_segments,
+)
 from repro.trackmgmt.ccm_storage import CCMStorage
 
 __all__ = [
@@ -15,6 +19,7 @@ __all__ = [
     "OnTheFlyStorage",
     "ManagedStorage",
     "CCMStorage",
+    "estimate_segments_batch",
     "estimate_track_segments",
     "make_strategy",
 ]

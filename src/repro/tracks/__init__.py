@@ -22,9 +22,10 @@ from repro.tracks.raytrace2d import trace_all, trace_track
 from repro.tracks.stack3d import generate_3d_stacks, Stack3D
 from repro.tracks.raytrace3d import (
     ChainSegments,
+    TrackTable3D,
     build_chain_tables,
     chain_segments,
-    trace_3d_all,
+    trace_3d_batch,
     trace_3d_track,
 )
 from repro.tracks.tracers import get_tracer, register_tracer, resolve_tracer, tracer_names
@@ -45,8 +46,9 @@ __all__ = [
     "generate_3d_stacks",
     "Stack3D",
     "trace_3d_track",
-    "trace_3d_all",
+    "trace_3d_batch",
     "ChainSegments",
+    "TrackTable3D",
     "build_chain_tables",
     "chain_segments",
     "TrackGenerator",

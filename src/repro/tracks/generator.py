@@ -24,9 +24,9 @@ from repro.tracks.chains import Chain, build_chains, link_tracks
 from repro.tracks.raytrace2d import trace_all
 from repro.tracks.raytrace3d import (
     ChainSegments,
+    TrackTable3D,
     build_chain_tables,
-    trace_3d_all,
-    trace_3d_track,
+    trace_3d_batch,
 )
 from repro.tracks.segments import SegmentData
 from repro.tracks.stack3d import Stack3D, generate_3d_stacks, link_3d_stacks
@@ -254,6 +254,7 @@ class TrackGenerator3D(TrackGenerator):
         self._stacks: list[Stack3D] | None = None
         self._chain_tables: dict[int, ChainSegments] | None = None
         self._volumes3d: np.ndarray | None = None
+        self._track_table: TrackTable3D | None = None
         self._sweep_topology3d = None
         self._sweep_plan3d = None
 
@@ -302,6 +303,7 @@ class TrackGenerator3D(TrackGenerator):
             bc_zmax=self.geometry3d.boundary_zmax,
             link=False,
         )
+        self._track_table = None  # describes the previous laydown, if any
         t1 = time.perf_counter()
         timings.stack_seconds += t1 - t0
         link_3d_stacks(
@@ -342,6 +344,42 @@ class TrackGenerator3D(TrackGenerator):
 
     # ------------------------------------------------------- sweep caching
 
+    def track_table(self) -> TrackTable3D:
+        """Cached structure-of-arrays table the batched tracer works on.
+
+        Like the sweep topology it depends only on the stack laydown and
+        the chain tables, so it is built once per generator (a tracking
+        cache hit installs it straight from the archived columns).
+        """
+        if self._track_table is None:
+            tracks = self.tracks3d
+            self._track_table = TrackTable3D(
+                np.array([(t.s0, t.z0, t.s1, t.z1) for t in tracks]),
+                np.array([t.chain for t in tracks], dtype=np.int64),
+                np.array([t.polar for t in tracks], dtype=np.int64),
+                np.array([t.z_spacing for t in tracks]),
+                self.chains,
+                self.chain_tables,
+                self.geometry3d.axial_mesh.z_edges,
+            )
+        return self._track_table
+
+    def _track_weights_3d(self, scale: float) -> np.ndarray:
+        """``scale * w_a * w_p * spacing_a * z_spacing`` for every 3D track.
+
+        The array form, factor for factor, of :meth:`track_weight_3d`
+        (``scale = pi``) and :meth:`track_volume_weight_3d` (``1/2``).
+        """
+        table = self.track_table()
+        a = np.array([c.azim for c in self.chains], dtype=np.int64)[table.chain]
+        return (
+            scale
+            * self.azimuthal.weights[a]
+            * self.polar.weights[table.polar]
+            * self.azimuthal.spacing[a]
+            * table.z_spacing
+        )
+
     def sweep_topology_3d(self):
         """Cached 3D :class:`~repro.solver.backends.plan.TrackTopology`.
 
@@ -350,11 +388,12 @@ class TrackGenerator3D(TrackGenerator):
         construction all reuse one topology.
         """
         if self._sweep_topology3d is None:
+            from repro.constants import FOUR_PI
             from repro.solver.backends.plan import TrackTopology
 
-            tracks = self.tracks3d
-            weights = np.array([self.track_weight_3d(t) for t in tracks])
-            self._sweep_topology3d = TrackTopology.from_tracks(tracks, weights, None)
+            self._sweep_topology3d = TrackTopology.from_tracks(
+                self.tracks3d, self._track_weights_3d(0.25 * FOUR_PI), None
+            )
         return self._sweep_topology3d
 
     def sweep_plan_3d(self, segments: SegmentData):
@@ -379,17 +418,13 @@ class TrackGenerator3D(TrackGenerator):
     # --------------------------------------------------------- segmentation
 
     def trace_track_3d(self, track: Track3D) -> tuple[np.ndarray, np.ndarray]:
-        """On-the-fly segmentation of one 3D track (the OTF kernel)."""
-        return trace_3d_track(
-            track,
-            self.chain_tables[track.chain],
-            self.geometry3d,
-            wrap=self.is_chain_closed(track.chain),
-        )
+        """On-the-fly segmentation of one 3D track: ``(fsr3d_ids, lengths)``."""
+        segments = trace_3d_batch(self.track_table(), np.array([track.uid]))
+        return segments.fsr_ids, segments.lengths
 
     def trace_all_3d(self) -> SegmentData:
         """Explicit segmentation of every 3D track (the EXP path)."""
-        return trace_3d_all(self.tracks3d, self.chains, self.chain_tables, self.geometry3d)
+        return trace_3d_batch(self.track_table())
 
     def track_weight_3d(self, track: Track3D) -> float:
         """Per-traversal sweep weight of a 3D track."""
@@ -411,9 +446,6 @@ class TrackGenerator3D(TrackGenerator):
         """Tracked 3D FSR volumes (computed lazily, cached)."""
         if self._volumes3d is None:
             segs = segments3d if segments3d is not None else self.trace_all_3d()
-            weights = np.empty(segs.num_segments)
-            for t in self.tracks3d:
-                lo, hi = segs.offsets[t.uid], segs.offsets[t.uid + 1]
-                weights[lo:hi] = self.track_volume_weight_3d(t)
+            weights = np.repeat(self._track_weights_3d(0.5), segs.counts())
             self._volumes3d = segs.fsr_path_lengths(self.geometry3d.num_fsrs, weights)
         return self._volumes3d

@@ -212,20 +212,23 @@ def load_tracking(path: str | Path, trackgen) -> None:
         # Same column-wise rebuild; members are hoisted out of the map
         # because NpzFile.__getitem__ decompresses whole members per access.
         szsz = archive["t3_szsz"]
+        t3_chain = archive["t3_chain"]
+        t3_polar = archive["t3_polar"]
+        t3_zspacing = archive["t3_zspacing"]
         t3_flags = archive["t3_flags"] != 0
         n3 = szsz.shape[0]
         trackgen._tracks3d = list(
             map(
                 Track3D,
                 range(n3),
-                archive["t3_chain"].tolist(),
-                archive["t3_polar"].tolist(),
+                t3_chain.tolist(),
+                t3_polar.tolist(),
                 szsz[:, 0].tolist(),
                 szsz[:, 1].tolist(),
                 szsz[:, 2].tolist(),
                 szsz[:, 3].tolist(),
                 archive["t3_theta"].tolist(),
-                archive["t3_zspacing"].tolist(),
+                t3_zspacing.tolist(),
                 _links_from_codes(archive["t3_link_fwd"]),
                 _links_from_codes(archive["t3_link_bwd"]),
                 t3_flags[:, 0].tolist(),
@@ -235,6 +238,17 @@ def load_tracking(path: str | Path, trackgen) -> None:
             )
         )
         trackgen._stacks = []  # stacks are laydown metadata, not needed post-restore
-        from repro.tracks.raytrace3d import build_chain_tables
+        from repro.tracks.raytrace3d import TrackTable3D, build_chain_tables
 
         trackgen._chain_tables = build_chain_tables(chains, tracks, trackgen._segments)
+        # The batched tracer's table, straight from the archived columns
+        # (no second pass over the Track3D objects just built).
+        trackgen._track_table = TrackTable3D(
+            szsz,
+            t3_chain,
+            t3_polar,
+            t3_zspacing,
+            chains,
+            trackgen._chain_tables,
+            trackgen.geometry3d.axial_mesh.z_edges,
+        )

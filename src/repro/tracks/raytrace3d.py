@@ -7,10 +7,15 @@ families along the track parameter:
 * radial crossings — the chain's concatenated 2D segment boundaries, and
 * axial crossings — the z-planes of the axial mesh,
 
-exactly the two nested loops of the paper's Figure 3(b). Because both
-families are precomputed 1D arrays, the merge is a vectorised
-``searchsorted`` rather than a surface-by-surface walk, mirroring how the
-GPU kernel streams 2D segments.
+exactly the two nested loops of the paper's Figure 3(b). Both families are
+precomputed sorted 1D arrays, so the merge is array work, not a
+surface-by-surface walk, and it is track-parallel the way the GPU kernel
+is: :func:`trace_3d_batch` streams the flattened chain tables and the
+z-planes for every requested track at once (a :class:`TrackTable3D`, a
+handful of numpy passes). Every storage strategy and the z-decomposed
+driver trace through it; :func:`trace_3d_track` is the same merge for one
+track, kept as the single-track API and as the reference the batched
+kernel is tested against, bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 from repro.errors import TrackingError
 from repro.geometry.extruded import ExtrudedGeometry
 from repro.tracks.chains import Chain
-from repro.tracks.segments import SegmentData
+from repro.tracks.segments import SegmentData, csr_ranges, csr_searchsorted
 from repro.tracks.track import Track2D, Track3D
 
 
@@ -240,24 +245,220 @@ def trace_3d_track(
     return fsr3d[keep].astype(np.int64), lengths[keep]
 
 
-def trace_3d_all(
-    tracks3d: list[Track3D],
-    chains: list[Chain],
-    chain_tables: dict[int, ChainSegments],
-    geometry3d: ExtrudedGeometry,
-) -> SegmentData:
-    """Explicitly segment every 3D track (the EXP storage path)."""
-    closed = {c.index: c.closed for c in chains}
-    all_fsrs: list[np.ndarray] = []
-    all_lengths: list[np.ndarray] = []
-    offsets = np.zeros(len(tracks3d) + 1, dtype=np.int64)
-    for i, t in enumerate(tracks3d):
-        fsrs, lengths = trace_3d_track(t, chain_tables[t.chain], geometry3d, wrap=closed[t.chain])
-        all_fsrs.append(fsrs)
-        all_lengths.append(lengths)
-        offsets[i + 1] = offsets[i] + fsrs.size
+# ---------------------------------------------------------------------------
+# Batched kernel: every 3D track (or any subset) in O(1) numpy passes.
+# ---------------------------------------------------------------------------
+
+#: Tracks segmented per kernel pass: the kernel's temporaries (a couple of
+#: hundred bytes per breakpoint) stay a few MB whatever the problem size.
+BLOCK_TRACKS = 2048
+
+
+class TrackTable3D:
+    """Structure-of-arrays view of a generator's 3D tracks and chain tables.
+
+    Per-track columns (``s0 z0 s1 z1 chain polar z_spacing wrap length``)
+    are indexed by track uid; ``length`` is the scalar tracer's
+    ``math.hypot(ds, dz)``, evaluated once here because ``np.hypot`` is
+    not bitwise the same function. The per-chain radial tables are
+    flattened to one CSR pair: chain ``c`` owns
+    ``bounds[bound_ptr[c] : bound_ptr[c + 1]]`` and, having one interval
+    fewer than it has bounds, ``fsrs[bound_ptr[c] - c : bound_ptr[c + 1] - c - 1]``.
+    """
+
+    __slots__ = (
+        "s0", "z0", "s1", "z1", "chain", "polar", "z_spacing", "wrap", "length",
+        "bounds", "fsrs", "bound_ptr", "chain_length", "z_edges",
+    )
+
+    def __init__(
+        self,
+        szsz: np.ndarray,
+        chain: np.ndarray,
+        polar: np.ndarray,
+        z_spacing: np.ndarray,
+        chains: list[Chain],
+        chain_tables: dict[int, ChainSegments],
+        z_edges: np.ndarray,
+    ) -> None:
+        szsz = np.asarray(szsz, dtype=np.float64).reshape(-1, 4)
+        self.s0, self.z0, self.s1, self.z1 = (
+            np.ascontiguousarray(szsz[:, k]) for k in range(4)
+        )
+        self.chain = np.asarray(chain, dtype=np.int64)
+        self.polar = np.asarray(polar, dtype=np.int64)
+        self.z_spacing = np.asarray(z_spacing, dtype=np.float64)
+        self.length = np.array(
+            list(map(math.hypot, (self.s1 - self.s0).tolist(), (self.z1 - self.z0).tolist())),
+            dtype=np.float64,
+        )
+        bad = np.flatnonzero(self.length <= 0.0)
+        if bad.size:
+            raise TrackingError(f"3D track {int(bad[0])} has zero length")
+        tables = [chain_tables[c.index] for c in chains]
+        closed = np.array([c.closed for c in chains], dtype=bool)
+        self.wrap = closed[self.chain]
+        self.bounds = (
+            np.concatenate([t.bounds for t in tables]) if tables else np.empty(0)
+        )
+        self.fsrs = (
+            np.concatenate([t.fsrs for t in tables])
+            if tables
+            else np.empty(0, dtype=np.int32)
+        )
+        self.bound_ptr = np.zeros(len(tables) + 1, dtype=np.int64)
+        np.cumsum([t.bounds.size for t in tables], out=self.bound_ptr[1:])
+        self.chain_length = np.array([t.length for t in tables], dtype=np.float64)
+        self.z_edges = np.asarray(z_edges, dtype=np.float64)
+
+    @property
+    def num_tracks(self) -> int:
+        return int(self.s0.size)
+
+
+def _breaks(
+    rows: np.ndarray,
+    values: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    origin: np.ndarray,
+    delta: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The scalar tracer's mask and ``t = (x - origin) / delta`` over flat
+    candidates; ``lo``/``hi``/``origin``/``delta`` are per-track columns."""
+    keep = (values > lo[rows]) & (values < hi[rows])
+    rows = rows[keep]
+    return rows, (values[keep] - origin[rows]) / delta[rows]
+
+
+def _trace_block(
+    table: TrackTable3D, uids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Segment tracks ``uids``; returns per-track counts, FSR ids, lengths.
+
+    Five passes, each the array form of one step of :func:`trace_3d_track`
+    with its elementwise expressions kept verbatim:
+
+    1. candidate windows — per (track, wrap) a slice of the chain's
+       interior bounds, per track a slice of the interior z-planes. The
+       windows are conservative supersets; they only bound the work;
+    2. exact masks and ``t`` — the scalar comparisons decide membership;
+    3. one ``lexsort`` on (track, t) with exact-equal dedupe, which is
+       ``np.unique`` per track;
+    4. midpoint FSR / layer lookup;
+    5. the minimum-length filter and per-track counts.
+    """
+    n = uids.size
+    s0, z0, s1, z1 = table.s0[uids], table.z0[uids], table.s1[uids], table.z1[uids]
+    ds = s1 - s0
+    dz = z1 - z0
+    chain = table.chain[uids]
+    wrap = table.wrap[uids]
+    length_s = table.chain_length[chain]
+    b_lo = table.bound_ptr[chain]
+    b_hi = table.bound_ptr[chain + 1]
+
+    # 1a. Radial windows. An open chain is the single wrap w = 0, whose
+    # shift w * L = 0.0 leaves the (positive) interior bounds bit-identical.
+    radial = ds > 1e-14
+    first_wrap = np.zeros(n, dtype=np.int64)
+    last_wrap = np.zeros(n, dtype=np.int64)
+    unroll = radial & wrap
+    first_wrap[unroll] = np.floor(s0[unroll] / length_s[unroll]).astype(np.int64)
+    last_wrap[unroll] = np.floor(s1[unroll] / length_s[unroll]).astype(np.int64)
+    w, pair_track = csr_ranges(
+        first_wrap, np.where(radial, last_wrap - first_wrap + 1, 0)
+    )
+    shift = w * length_s[pair_track]
+    # Superset of the exact mask below: the slack dwarfs any rounding in
+    # b + shift, and only ever admits extra candidates for the mask to drop.
+    slack = 1e-6 * (1.0 + np.abs(shift) + length_s[pair_track])
+    interior_lo = b_lo[pair_track] + 1
+    interior_hi = b_hi[pair_track] - 1
+    win_lo = csr_searchsorted(
+        table.bounds, interior_lo, interior_hi, s0[pair_track] - shift - slack
+    )
+    win_hi = csr_searchsorted(
+        table.bounds, interior_lo, interior_hi, s1[pair_track] - shift + slack
+    )
+    pos, cand_pair = csr_ranges(win_lo, win_hi - win_lo)
+    seam = np.flatnonzero(w > first_wrap[pair_track])
+    radial_rows = np.concatenate([pair_track[cand_pair], pair_track[seam]])
+    radial_values = np.concatenate([table.bounds[pos] + shift[cand_pair], shift[seam]])
+
+    # 1b. Axial windows over the interior z-planes.
+    inner = table.z_edges[1:-1]
+    axial = np.abs(dz) > 1e-14
+    up = dz > 0
+    z_lo = np.where(up, z0, z1) + 1e-12
+    z_hi = np.where(up, z1, z0) - 1e-12
+    k_lo = np.searchsorted(inner, z_lo, side="right")
+    k_hi = np.searchsorted(inner, z_hi, side="left")
+    k, axial_rows = csr_ranges(k_lo, np.where(axial, np.maximum(k_hi - k_lo, 0), 0))
+
+    # 2. Exact masks and break fractions, both families.
+    r_rows, r_t = _breaks(radial_rows, radial_values, s0 + 1e-12, s1 - 1e-12, s0, ds)
+    a_rows, a_t = _breaks(axial_rows, inner[k], z_lo, z_hi, z0, dz)
+
+    # 3. Merge with the end points, sort per track, drop exact duplicates.
+    every = np.arange(n, dtype=np.int64)
+    rows = np.concatenate([every, every, r_rows, a_rows])
+    t = np.concatenate([np.zeros(n), np.ones(n), r_t, a_t])
+    order = np.lexsort((t, rows))
+    rows = rows[order]
+    t = t[order]
+    distinct = np.ones(rows.size, dtype=bool)
+    distinct[1:] = (rows[1:] != rows[:-1]) | (t[1:] != t[:-1])
+    rows = rows[distinct]
+    t = t[distinct]
+    left = np.flatnonzero(rows[1:] == rows[:-1])
+    rows = rows[left]
+    t_lo = t[left]
+    t_hi = t[left + 1]
+
+    # 4. Midpoint lookup.
+    mids = 0.5 * (t_lo + t_hi)
+    lengths = (t_hi - t_lo) * table.length[uids][rows]
+    s_mid = s0[rows] + mids * ds[rows]
+    wrapped = np.flatnonzero(wrap[rows])
+    s_mid[wrapped] = np.mod(s_mid[wrapped], length_s[rows[wrapped]])
+    z_mid = z0[rows] + mids * dz[rows]
+    seg_lo = b_lo[rows]
+    seg_hi = b_hi[rows]
+    radial_idx = csr_searchsorted(table.bounds, seg_lo, seg_hi, s_mid) - seg_lo - 1
+    radial_idx = np.clip(radial_idx, 0, seg_hi - seg_lo - 2)
+    radial_fsrs = table.fsrs[seg_lo - chain[rows] + radial_idx].astype(np.int64)
+    num_layers = table.z_edges.size - 1
+    layers = np.searchsorted(table.z_edges, z_mid, side="right") - 1
+    layers = np.clip(layers, 0, num_layers - 1)
+    fsr3d = radial_fsrs * num_layers + layers
+
+    # 5. Minimum-length filter, CSR counts.
+    keep = lengths > 1e-13
+    rows = rows[keep]
+    return np.bincount(rows, minlength=n), fsr3d[keep], lengths[keep]
+
+
+def trace_3d_batch(table: TrackTable3D, uids: np.ndarray | None = None) -> SegmentData:
+    """Segment 3D tracks ``uids`` (default: all) in one flat merge.
+
+    Row ``i`` of the result holds track ``uids[i]``; the arrays are bitwise
+    what :func:`trace_3d_track` returns for each track, concatenated.
+    """
+    if uids is None:
+        uids = np.arange(table.num_tracks, dtype=np.int64)
+    else:
+        uids = np.asarray(uids, dtype=np.int64)
+    blocks = [
+        _trace_block(table, uids[i : i + BLOCK_TRACKS])
+        for i in range(0, uids.size, BLOCK_TRACKS)
+    ]
+    offsets = np.zeros(uids.size + 1, dtype=np.int64)
+    if not blocks:
+        return SegmentData(np.empty(0), np.empty(0, dtype=np.int32), offsets)
+    np.cumsum(np.concatenate([b[0] for b in blocks]), out=offsets[1:])
     return SegmentData(
-        np.concatenate(all_lengths) if all_lengths else np.empty(0),
-        np.concatenate(all_fsrs) if all_fsrs else np.empty(0, dtype=np.int32),
+        np.concatenate([b[2] for b in blocks]),
+        np.concatenate([b[1] for b in blocks]),
         offsets,
     )

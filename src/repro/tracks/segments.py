@@ -95,3 +95,39 @@ class SegmentData:
 
     def __repr__(self) -> str:
         return f"SegmentData(tracks={self.num_tracks}, segments={self.num_segments})"
+
+
+def csr_ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated ``arange(starts[i], starts[i] + counts[i])`` plus the
+    owning row ``i`` of every element."""
+    rows = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    first = np.cumsum(counts) - counts
+    within = np.arange(rows.size, dtype=np.int64) - first[rows]
+    return starts[rows] + within, rows
+
+
+def csr_searchsorted(
+    flat: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    query: np.ndarray,
+    side: str = "right",
+) -> np.ndarray:
+    """Lock-step ``lo + np.searchsorted(flat[lo:hi], query, side)`` per row.
+
+    Every row bisects its own sorted window of ``flat``; all rows advance
+    together, so the cost is ``log2(longest window)`` numpy passes. The
+    insertion point in a sorted window is unique, hence equal to numpy's.
+    """
+    lo = lo.copy()
+    hi = hi.copy()
+    if lo.size == 0:
+        return lo
+    before = np.less_equal if side == "right" else np.less
+    last = flat.size - 1
+    for _ in range(int((hi - lo).max()).bit_length()):
+        mid = (lo + hi) >> 1
+        right = before(flat[np.minimum(mid, last)], query) & (lo < hi)
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(right, hi, mid)
+    return lo

@@ -55,10 +55,25 @@ class TestStorageEquivalence:
         assert strategy.num_temporary > 0
         assert strategy.regenerated_tracks_total > 0
 
+    def test_manager_counts_sweeps_only(self, hetero_geometry_3d):
+        """The volume reference pass at build serves no sweep: after a
+        solve the counter is exactly sweeps x temporaries."""
+        solver, result = solve(hetero_geometry_3d, "MANAGER", budget=800)
+        strategy = solver.storage_strategy
+        assert strategy.sweeps_served == result.num_iterations
+        assert strategy.regenerated_tracks_total == (
+            result.num_iterations * strategy.num_temporary
+        )
+        strategy.reference_segments()
+        assert strategy.regenerated_tracks_total == (
+            result.num_iterations * strategy.num_temporary
+        )
+
     def test_otf_regenerated_everything(self, hetero_geometry_3d):
         solver, result = solve(hetero_geometry_3d, "OTF")
         strategy = solver.storage_strategy
-        # one regeneration per track per sweep (plus the volume reference)
+        # one regeneration per track per sweep; the volume reference pass
+        # serves no sweep and is not counted
         assert strategy.regenerated_tracks_total == (
             result.num_iterations * solver.trackgen.num_tracks_3d
         )

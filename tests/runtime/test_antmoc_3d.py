@@ -52,6 +52,38 @@ class TestDecomposed3D:
         assert result.decomposed
         assert result.comm_bytes > 0
 
+    @staticmethod
+    def _override_warnings(caplog, **overrides):
+        """Run and return the storage-override WARNINGs (the library
+        logger does not propagate, so caplog's handler is attached)."""
+        app = AntMocApplication(config_3d(**overrides))
+        app.logger.addHandler(caplog.handler)
+        try:
+            app.run()
+        finally:
+            app.logger.removeHandler(caplog.handler)
+        return [
+            r.getMessage() for r in caplog.records
+            if r.levelname == "WARNING" and "storage strategy override" in r.getMessage()
+        ]
+
+    def test_ignored_storage_method_is_reported_once(self, caplog):
+        quick = {"max_iterations": 2, "keff_tolerance": 1e-4, "source_tolerance": 1e-3}
+        messages = self._override_warnings(
+            caplog, decomposition={"nz": 2}, solver={**quick, "storage_method": "MANAGER"}
+        )
+        assert len(messages) == 1
+        assert "requested='MANAGER'" in messages[0] and "effective='EXP'" in messages[0]
+
+    def test_no_override_report_when_nothing_is_overridden(self, caplog):
+        quick = {"max_iterations": 2, "keff_tolerance": 1e-4, "source_tolerance": 1e-3}
+        assert not self._override_warnings(
+            caplog, decomposition={"nz": 2}, solver={**quick, "storage_method": "EXP"}
+        )
+        assert not self._override_warnings(
+            caplog, solver={**quick, "storage_method": "MANAGER"}
+        )
+
     @pytest.mark.slow
     def test_z_decomposed_matches_single(self):
         single = AntMocApplication(config_3d(

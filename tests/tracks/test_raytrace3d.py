@@ -6,7 +6,7 @@ import pytest
 from repro.geometry import BoundaryCondition, Geometry, Lattice
 from repro.geometry.extruded import AxialMesh, ExtrudedGeometry
 from repro.geometry.universe import make_homogeneous_universe
-from repro.tracks import TrackGenerator3D, chain_segments
+from repro.tracks import TrackGenerator3D, trace_3d_track
 
 
 @pytest.fixture()
@@ -102,11 +102,14 @@ class TestTrace3D:
     def test_explicit_equals_otf(self, trackgen3d):
         """The EXP path stores exactly what OTF regenerates."""
         explicit = trackgen3d.trace_all_3d()
-        for t in trackgen3d.tracks3d[:30]:
-            fsrs, lengths = trackgen3d.trace_track_3d(t)
+        for t in trackgen3d.tracks3d:
+            fsrs, lengths = trace_3d_track(
+                t, trackgen3d.chain_tables[t.chain], trackgen3d.geometry3d,
+                wrap=trackgen3d.is_chain_closed(t.chain),
+            )
             efsrs, elengths = explicit.track_segments(t.uid)
             np.testing.assert_array_equal(fsrs, efsrs)
-            np.testing.assert_allclose(lengths, elengths)
+            np.testing.assert_array_equal(lengths, elengths)
 
 
 class TestWrappedChains:
