@@ -101,6 +101,11 @@ def test_sweep_quick_ratio_holds():
     base_numpy = next(r for r in base_rows if r["backend"] == "numpy")
     record = _run_quick("bench_sweep_kernel.py")
     numpy_row = next(r for r in record["backends"] if r["backend"] == "numpy")
+    # The kernel's phase split, named as the run report names it, so a
+    # regression of one phase shows in the job log (run with -s).
+    for phase, seconds in numpy_row["kernel_phases"].items():
+        share = seconds / numpy_row["sweep_seconds"]
+        print(f"transport_solving/sweep/{phase}: {seconds * 1e3:.3f} ms ({share:.0%})")
     _check(
         "sweep numpy speedup",
         numpy_row["speedup_vs_reference"],

@@ -18,9 +18,17 @@ Profiles (all c5g7-mini, numpy backend, coarse tracking so the python
 overhead the batch removes is a visible share of the sweep):
 
 - ``c5g7-mini-4s``  — 4 states x 400 iterations (quick; the CI gate:
-  batched wall-clock at most 0.6x the sequential fallback);
+  batched wall-clock at most 0.75x the sequential fallback);
 - ``c5g7-mini-16s`` — 16 states x 200 iterations (full only; the
-  headline floor: at least 2x batched-vs-serial speedup).
+  headline floor: at least 1.8x batched-vs-serial speedup).
+
+The gates divide by the *serial* path, so they move whenever the
+single-state kernel does: the fused lockstep kernel cut the serial side of
+``c5g7-mini-4s`` from 0.84 s to 0.58-0.66 s while the batched side stayed at
+0.32-0.39 s (this profile is per-call-overhead bound), which reads as
+0.44-0.46 -> 0.52-0.57. The record therefore keeps both absolute times
+(``seconds.batched`` / ``seconds.serial``) beside the ratio, and the gates
+are set ~25-30 % above the re-measured fractions: batching must stay a win.
 
 Results merge into ``benchmarks/results/BENCH_scenario.json``. Running
 the module directly with ``--quick`` measures the 4-state profile and
@@ -40,12 +48,13 @@ BENCH_JSON = RESULTS_DIR / "BENCH_scenario.json"
 
 #: CI gate for the quick profile: the batched solve of a 4-state batch
 #: must take at most this fraction of the sequential fallback's wall
-#: clock (a 0.6 fraction is a 1.67x speedup).
-MAX_BATCHED_FRACTION = 0.6
+#: clock (a 0.75 fraction is a 1.33x speedup; measured 0.52-0.57).
+MAX_BATCHED_FRACTION = 0.75
 
-#: Headline floor for the full profile: batching 16 states must at
-#: least halve the wall clock against one-state-at-a-time solves.
-MIN_FULL_SPEEDUP = 2.0
+#: Headline floor for the full profile: batching 16 states must come
+#: close to halving the wall clock against one-state-at-a-time solves
+#: (measured 2.2-2.7x).
+MIN_FULL_SPEEDUP = 1.8
 
 #: Timing repetitions per mode; the best (minimum) wall clock wins, so
 #: a single scheduler hiccup cannot fail a deterministic workload.

@@ -67,6 +67,25 @@ def _report(reporter, record: dict) -> None:
     )
 
 
+def _timed_row(name: str, sweeper, solver, num_segments: int) -> dict:
+    """Solve once and report the sweeper's kernel time over that solve,
+    with its gather / lockstep / reduce split (zeros for a backend that
+    does not split its time)."""
+    before = sweeper.timings.as_dict()
+    result = solver.solve()
+    spent = {k: v - before[k] for k, v in sweeper.timings.as_dict().items()}
+    return {
+        "backend": name,
+        "keff": result.keff,
+        "sweep_seconds": spent["sweep_seconds"],
+        "segments_per_second": 2 * num_segments * ITERATIONS / spent["sweep_seconds"],
+        "setup_seconds": sweeper.timings.setup_seconds,
+        "kernel_phases": {
+            phase: spent[f"{phase}_seconds"] for phase in sweeper.timings.kernel_phases()
+        },
+    }
+
+
 def _finish_record(case: str, num_segments: int, rows: list[dict]) -> dict:
     ref = next(r for r in rows if r["backend"] == "reference")
     for r in rows:
@@ -113,18 +132,7 @@ def test_sweep_kernel_3d_c5g7_coarse(reporter):
         # Warm-up sweep: plan bind + exponential table, outside the timing.
         sweeper.sweep(segments, np.full((terms.num_regions, terms.num_groups), 0.1))
         sweeper.reset_fluxes()
-        before = sweeper.timings.sweep_seconds
-        result = solver.solve()
-        sweep_seconds = sweeper.timings.sweep_seconds - before
-        rows.append(
-            {
-                "backend": name,
-                "keff": result.keff,
-                "sweep_seconds": sweep_seconds,
-                "segments_per_second": 2 * segments.num_segments * ITERATIONS / sweep_seconds,
-                "setup_seconds": sweeper.timings.setup_seconds,
-            }
-        )
+        rows.append(_timed_row(name, sweeper, solver, segments.num_segments))
     record = _finish_record("c5g7-3d-coarse", segments.num_segments, rows)
     _report(reporter, record)
     numpy_row = next(r for r in record["backends"] if r["backend"] == "numpy")
@@ -163,18 +171,7 @@ def run_quick_case() -> dict:
         )
         sweeper.sweep(np.full((terms.num_regions, terms.num_groups), 0.1))
         sweeper.reset_fluxes()
-        before = sweeper.timings.sweep_seconds
-        result = solver.solve()
-        sweep_seconds = sweeper.timings.sweep_seconds - before
-        rows.append(
-            {
-                "backend": name,
-                "keff": result.keff,
-                "sweep_seconds": sweep_seconds,
-                "segments_per_second": 2 * trackgen.num_segments * ITERATIONS / sweep_seconds,
-                "setup_seconds": sweeper.timings.setup_seconds,
-            }
-        )
+        rows.append(_timed_row(name, sweeper, solver, trackgen.num_segments))
     return _finish_record("pin-cell-2d-quick", trackgen.num_segments, rows)
 
 
@@ -222,18 +219,7 @@ def test_sweep_kernel_2d_pin_cell(reporter):
         )
         sweeper.sweep(np.full((terms.num_regions, terms.num_groups), 0.1))
         sweeper.reset_fluxes()
-        before = sweeper.timings.sweep_seconds
-        result = solver.solve()
-        sweep_seconds = sweeper.timings.sweep_seconds - before
-        rows.append(
-            {
-                "backend": name,
-                "keff": result.keff,
-                "sweep_seconds": sweep_seconds,
-                "segments_per_second": 2 * trackgen.num_segments * ITERATIONS / sweep_seconds,
-                "setup_seconds": sweeper.timings.setup_seconds,
-            }
-        )
+        rows.append(_timed_row(name, sweeper, solver, trackgen.num_segments))
     record = _finish_record("pin-cell-2d", trackgen.num_segments, rows)
     _report(reporter, record)
 

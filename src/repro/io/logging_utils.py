@@ -124,8 +124,9 @@ class StageTimer:
 
     def report(self) -> str:
         """Render a per-stage timing table like ANT-MOC's log fragments."""
-        lines = ["stage                          time (s)"]
+        width = max([30, *map(len, self._order)])
+        lines = [f"{'stage':<{width}s} time (s)"]
         for name in self._order:
-            lines.append(f"{name:<30s} {self._durations[name]:10.4f}")
-        lines.append(f"{'TOTAL':<30s} {self.total:10.4f}")
+            lines.append(f"{name:<{width}s} {self._durations[name]:10.4f}")
+        lines.append(f"{'TOTAL':<{width}s} {self.total:10.4f}")
         return "\n".join(lines)

@@ -391,7 +391,7 @@ def _run_single_domain(
             for s in range(num_states)
         ]
         solve_seconds = [batch_seconds] * num_states
-        num_sweeps = sweeper.num_sweeps
+        num_sweeps = sweeper.timings.num_sweeps
     else:
         from repro.solver.solver import MOCSolver
 

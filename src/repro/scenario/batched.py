@@ -10,8 +10,12 @@ over states. Bitwise equality per state is a structural property:
   each state's slice sees exactly the single-state arithmetic, in the
   same order, on the same values;
 * reductions (the polar-weight einsum, the per-FSR bincount, the CMFD
-  current folds) are *looped per state* on contiguous copies using the
+  current folds) are *looped per state* on that state's slice using the
   exact single-state expressions — never summed across the state axis.
+
+The position loop, its buffers and the reduce are the single-state numpy
+kernel's (:func:`~repro.solver.backends.numpy_backend.lockstep` over a
+:class:`~repro.solver.backends.numpy_backend.SweepWorkspace`).
 
 States may converge at different iterations: a converged state freezes
 (its result is snapshotted and its last reduced source is recycled so
@@ -31,11 +35,11 @@ import numpy as np
 from repro.constants import FOUR_PI
 from repro.errors import ScenarioError, SolverError
 from repro.io.logging_utils import get_logger
-from repro.solver.backends.base import tally_from_segments
+from repro.solver.backends import KernelTimings, SweepWorkspace, lockstep
 from repro.solver.backends.plan import MAX_EXPF_ELEMENTS
 from repro.solver.convergence import ConvergenceMonitor
 from repro.solver.expeval import ExponentialEvaluator
-from repro.solver.keff import SolveResult
+from repro.solver.keff import SolveResult, with_kernel_phases
 from repro.solver.source import SourceTerms
 
 
@@ -86,7 +90,6 @@ class BatchedSweep2D:
                     "all scenario states must share the FSR/group layout"
                 )
         self.num_fsrs = num_fsrs
-        self.inv_sin = topology.inv_sin
         self.next_track = topology.next_track
         self.next_dir = topology.next_dir
         self.terminal = topology.terminal
@@ -98,16 +101,18 @@ class BatchedSweep2D:
         #: Per-state CMFD current tallies (None until :meth:`enable_cmfd`).
         self.tallies: list | None = None
         self._capture = None
-        self._tables = self._build_expf_tables()
-        self.num_sweeps = 0
+        self._table = self._build_expf_table()
+        self.timings = KernelTimings()
+        #: Lockstep-kernel buffers; filled at the first sweep.
+        self.workspace = SweepWorkspace()
 
     # ------------------------------------------------------------- setup
 
-    def _build_expf_tables(self):
-        """Per-direction exponential tables with a state axis, built from
-        the exact single-state tau expression per state (bitwise-equal
-        slices), or ``None`` when the widened table would be too large —
-        the kernel then evaluates per position, again per state."""
+    def _build_expf_table(self):
+        """The ``(2, n_seg, S, P, G)`` exponential table: each state's
+        slice is filled by the plan's single-state blockwise build
+        (bitwise-equal slices), or ``None`` when the widened table would be
+        too large — the kernel then evaluates per position, per state."""
         plan = self.plan
         if 2 * self.num_states * plan.expf_elements(self.num_groups) > MAX_EXPF_ELEMENTS:
             get_logger("repro.scenario").info(
@@ -115,18 +120,18 @@ class BatchedSweep2D:
                 "falling back to per-position evaluation", self.num_states,
             )
             return None
-        tables = []
-        for d in (0, 1):
-            per_state = []
-            for terms in self.terms:
-                tau = (
-                    terms.sigma_t_safe[plan.pos_fsr[d]][:, None, :]
-                    * plan.pos_len[d][:, None, None]
-                    * self.inv_sin[None, :, None]
-                )
-                per_state.append(self.evaluator(tau))
-            tables.append(np.stack(per_state, axis=1))  # (n_seg, S, P, G)
-        return tables
+        table = np.empty(
+            (2, plan.num_segments, self.num_states, self.num_polar, self.num_groups)
+        )
+        for s, terms in enumerate(self.terms):
+            plan.fill_pos_expf(table[:, :, s], terms.sigma_t_safe, self.evaluator)
+        return table
+
+    def _expf_at(self, d: int, lo: int, hi: int) -> np.ndarray:
+        block = self.plan.pos_expf_block
+        return np.stack(
+            [block(t.sigma_t_safe, self.evaluator, d, lo, hi) for t in self.terms], axis=1
+        )
 
     def enable_cmfd(self, cell_of_fsr: np.ndarray, exit_dst: np.ndarray) -> None:
         """Attach per-state current tallies plus one widened in-kernel
@@ -159,79 +164,32 @@ class BatchedSweep2D:
         numpy kernel's tally for that state's cross sections.
         """
         plan = self.plan
-        num_states = self.num_states
-        starts = plan.col_starts
         capture = self._capture
         psi = [self.psi_in[:, 0].copy(), self.psi_in[:, 1].copy()]
-        total = np.zeros((self.num_fsrs, num_states, self.num_groups))
-        for d in (0, 1):
-            cur = psi[d][plan.track_order]
-            fsr = plan.pos_fsr[d]
-            table = None if self._tables is None else self._tables[d]
-            # One gather per direction replaces the per-position fancy
-            # index: (S, n_seg, G) -> contiguous (n_seg, S, 1, G).
-            source = np.ascontiguousarray(
-                reduced_stack[:, fsr].transpose(1, 0, 2)
-            )[:, :, None, :]
-            dpsi = np.empty(
-                (plan.num_segments, num_states, self.num_polar, self.num_groups)
-            )
-            for i in range(plan.max_positions):
-                lo, hi = starts[i], starts[i + 1]
-                if lo == hi:
-                    break  # column widths only shrink
-                if table is not None:
-                    e = table[lo:hi]
-                else:
-                    f = fsr[lo:hi]
-                    e = np.stack(
-                        [
-                            self.evaluator(
-                                terms.sigma_t_safe[f][:, None, :]
-                                * plan.pos_len[d][lo:hi, None, None]
-                                * self.inv_sin[None, :, None]
-                            )
-                            for terms in self.terms
-                        ],
-                        axis=1,
-                    )
-                view = cur[: hi - lo]
-                dp = (view - source[lo:hi]) * e
-                view -= dp
-                dpsi[lo:hi] = dp
-                if capture is not None:
-                    rows = capture.rows[d][i]
-                    if rows.size:
-                        capture.out[d][capture.dest[d][i]] = view[rows]
-            psi[d][plan.track_order] = cur
-            # One widened polar contraction + one multi-column bincount:
-            # each (state, group) column reduces in the same element order
-            # as the single-state expression, so the slices stay bitwise.
-            contrib = np.einsum("nspg,np->nsg", dpsi, plan.pos_weights[d])
-            total += tally_from_segments(
-                contrib.reshape(plan.num_segments, num_states * self.num_groups),
-                fsr,
-                self.num_fsrs,
-            ).reshape(self.num_fsrs, num_states, self.num_groups)
-        tallies = [np.ascontiguousarray(total[:, s]) for s in range(num_states)]
+        work = self.workspace.bind(plan, psi[0].shape[1:])
+        start = time.perf_counter()
+        # The hoisted source lookup wants the FSR axis first: (R, S, G).
+        work.load(plan, psi, np.ascontiguousarray(reduced_stack.transpose(1, 0, 2)))
+        gathered = time.perf_counter()
+        lockstep(work, self._table, self._expf_at, capture)
+        work.store(plan, psi)
+        stepped = time.perf_counter()
+        # Reduced per state with the single-state expression, so every
+        # state's tally is bitwise the single-state kernel's.
+        tallies = [work.reduce(plan, self.num_fsrs, s) for s in range(self.num_states)]
+        self.timings.record_sweep(start, time.perf_counter(), (start, gathered, stepped))
         if self.tallies is not None:
             assert capture is not None
             for s, tally in enumerate(self.tallies):
                 for d in (0, 1):
                     tally.capture.out[d][...] = capture.out[d][:, s]
-                tally.accumulate(
-                    [
-                        np.ascontiguousarray(psi[0][:, s]),
-                        np.ascontiguousarray(psi[1][:, s]),
-                    ]
-                )
+                tally.accumulate([np.ascontiguousarray(p[:, s]) for p in psi])
         # Exchange: outgoing flux becomes the linked traversal's incoming.
         new_in = np.zeros_like(self.psi_in)
         for d in (0, 1):
             live = ~self.terminal[:, d]
             new_in[self.next_track[live, d], self.next_dir[live, d]] = psi[d][live]
         self.psi_in = new_in
-        self.num_sweeps += 1
         return tallies
 
     def finalize_state(
@@ -367,6 +325,6 @@ class BatchedKeffSolver:
             # Wall time and phase attribution are batch-wide: the sweep is
             # shared, so per-state attribution would double-count it.
             solve_seconds=time.perf_counter() - start,
-            phase_seconds=dict(phases),
+            phase_seconds=with_kernel_phases(phases, self.sweeper.timings.kernel_phases()),
             cmfd_stats=stats.as_dict() if stats is not None else {},
         )

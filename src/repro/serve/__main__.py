@@ -31,7 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=2,
-        help="solver threads (concurrent solves, default: %(default)s)",
+        help="solver threads: one fresh solve at a time, the rest answer "
+        "cache hits (default: %(default)s)",
     )
     parser.add_argument(
         "--queue-depth",

@@ -6,6 +6,12 @@ network layer does is a thin protocol skin over this class:
 * a fixed pool of solver threads drains the admission-controlled
   :class:`~repro.serve.queue.JobQueue` (priorities, FIFO within
   priority, bounded depth, per-request queue deadline);
+* fresh solves run one at a time behind ``_solve_gate`` while the other
+  threads keep answering report-cache hits. A solve is thousands of small
+  numpy calls and each releases the GIL: two interleaved solves hand it
+  back and forth at every call, which costs more than it overlaps and
+  costs a different amount from run to run (DESIGN.md, "The solve gate").
+  The wait at the gate is accounted to ``serve/queued``;
 * engines and shared-memory arenas stay warm across requests in an
   :class:`~repro.engine.pool.EnginePool`; tracking caches are shared per
   (directory, lock-timeout) so repeated geometry/tracking fingerprints
@@ -65,7 +71,8 @@ _STAGE_STATES = {
 class ServeOptions:
     """Service sizing and policy knobs."""
 
-    #: Solver threads draining the queue (concurrent solves).
+    #: Solver threads draining the queue: one runs the fresh solve (they
+    #: are gated, see the module docstring), the rest answer cache hits.
     solver_threads: int = 2
     #: Admission bound on undispatched requests.
     max_queue_depth: int = DEFAULT_MAX_DEPTH
@@ -100,6 +107,8 @@ class SolveService:
         self.engine_pool = EnginePool()
         self._logger = get_logger("repro.serve")
         self._lock = threading.Lock()
+        #: Held for the length of a fresh solve (module docstring).
+        self._solve_gate = threading.Lock()
         self._jobs: dict[str, SolveJob] = {}
         self._seq = 0
         self._totals = {
@@ -267,15 +276,19 @@ class SolveService:
                 "job %s: report-cache hit for %s", job.job_id, key[:12]
             )
             return
-        try:
-            result = self._run(job)
-        except SOLVE_ERRORS as exc:
+        with self._solve_gate:
+            # The wait for the gate is queueing, not execution.
+            started = time.monotonic()
+            job.queued_seconds = max(0.0, started - job.enqueued_at)
+            try:
+                result = self._run(job)
+            except SOLVE_ERRORS as exc:
+                job.execute_seconds = time.monotonic() - started
+                self._logger.error("job %s failed: %s", job.job_id, exc)
+                job.finish(JobState.FAILED, error=traceback.format_exc())
+                self._bump("failed")
+                return
             job.execute_seconds = time.monotonic() - started
-            self._logger.error("job %s failed: %s", job.job_id, exc)
-            job.finish(JobState.FAILED, error=traceback.format_exc())
-            self._bump("failed")
-            return
-        job.execute_seconds = time.monotonic() - started
         if job.config.scenarios:
             self._finish_batch(job, key, result)
             return

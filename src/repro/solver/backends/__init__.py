@@ -23,7 +23,7 @@ from repro.errors import SolverError
 from repro.io.logging_utils import get_logger
 from repro.solver.backends.base import KernelBackend, KernelTimings, SweepContext
 from repro.solver.backends.numba_backend import NUMBA_IMPORT_ERROR, NumbaSweepBackend
-from repro.solver.backends.numpy_backend import NumpySweepBackend
+from repro.solver.backends.numpy_backend import NumpySweepBackend, SweepWorkspace, lockstep
 from repro.solver.backends.plan import SweepPlan, TrackTopology, build_position_index
 from repro.solver.backends.reference_backend import ReferenceSweepBackend
 
@@ -118,11 +118,13 @@ __all__ = [
     "KernelTimings",
     "SweepContext",
     "SweepPlan",
+    "SweepWorkspace",
     "TrackTopology",
     "available_backends",
     "backend_names",
     "build_position_index",
     "get_backend",
+    "lockstep",
     "register_backend",
     "resolve_backend",
 ]

@@ -10,7 +10,7 @@ maps onto GPU threads).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,6 +34,13 @@ class SweepContext:
     #: the post-segment angular flux of the listed tracks at each position
     #: into its buffers (coarse-face crossings for the CMFD current tally).
     capture: object | None = None
+    #: The calling sweeper's :class:`~repro.solver.backends.numpy_backend.
+    #: SweepWorkspace` (the lockstep kernel's buffers, reused across
+    #: sweeps); ``None`` makes the kernel allocate a throwaway one.
+    workspace: object | None = None
+    #: Set by a kernel that splits its time: clock reads taken before the
+    #: source gather, after it, and after the lockstep loop.
+    marks: tuple[float, float, float] | None = None
 
 
 @dataclass
@@ -41,23 +48,44 @@ class KernelTimings:
     """Per-sweeper attribution of where the time went.
 
     ``setup_seconds`` covers plan (re)builds; ``sweep_seconds`` the kernel
-    itself. Source/finalise time is attributed by the solver loop (see
+    itself, of which ``gather_seconds`` (boundary-flux load + hoisted
+    source lookup), ``lockstep_seconds`` (the per-position loop) and
+    ``reduce_seconds`` (polar contraction + FSR tally) are the phase split
+    — the remainder is the exp-table and workspace build of the first
+    sweep. Source/finalise time is attributed by the solver loop (see
     :class:`~repro.solver.keff.KeffSolver`), so benchmarks can split a
     solve into setup vs. sweep vs. source update.
     """
 
     setup_seconds: float = 0.0
     sweep_seconds: float = 0.0
+    gather_seconds: float = 0.0
+    lockstep_seconds: float = 0.0
+    reduce_seconds: float = 0.0
     num_sweeps: int = 0
     num_plan_builds: int = 0
 
-    def as_dict(self) -> dict:
+    def record_sweep(self, start: float, end: float, marks: tuple | None) -> None:
+        """Account one kernel call timed ``[start, end]``; ``marks`` is the
+        kernel's ``SweepContext.marks`` (``None``: no phase split)."""
+        self.sweep_seconds += end - start
+        self.num_sweeps += 1
+        if marks is not None:
+            entered, gathered, stepped = marks
+            self.gather_seconds += gathered - entered
+            self.lockstep_seconds += stepped - gathered
+            self.reduce_seconds += end - stepped
+
+    def kernel_phases(self) -> dict:
+        """The kernel phase split, keyed as the report rows are named."""
         return {
-            "setup_seconds": self.setup_seconds,
-            "sweep_seconds": self.sweep_seconds,
-            "num_sweeps": self.num_sweeps,
-            "num_plan_builds": self.num_plan_builds,
+            "gather": self.gather_seconds,
+            "lockstep": self.lockstep_seconds,
+            "reduce": self.reduce_seconds,
         }
+
+    def as_dict(self) -> dict:
+        return asdict(self)
 
 
 class KernelBackend:

@@ -28,6 +28,13 @@ from repro.errors import SolverError
 #: cases from materialising a (segments, polar, groups) cube.
 MAX_EXPF_ELEMENTS = 40_000_000
 
+#: Segments per evaluator call while a position-major table is filled.
+#: The evaluator is elementwise, so the block size never shows in the
+#: values; it only bounds the build's temporaries (tau, table indices,
+#: slope/intercept gathers — about five table-sized arrays when evaluated
+#: whole) to a few MB.
+EXPF_BLOCK_SEGMENTS = 8192
+
 
 def build_position_index(offsets: np.ndarray, reverse: bool) -> np.ndarray:
     """CSR offsets -> dense (tracks, max_count) segment-id matrix, -1 padded.
@@ -139,12 +146,13 @@ class SweepPlan:
     seg_fsr / seg_len / offsets:
         C-contiguous SoA segment buffers (int64 / float64 / int64).
     idx_fwd / idx_bwd:
-        Dense position-index matrices (lockstep axis layout).
+        Dense position-index matrices (lockstep axis layout). Built on
+        first access: only the reference backend reads them.
     columns:
         ``columns[d][i] = (rows, sids, fsr)`` — the track rows active at
         lockstep position ``i`` in direction ``d``, their segment ids and
-        the pre-gathered FSR ids. These are the per-sweep fancy-index
-        computations of the seed sweep, hoisted to plan build time.
+        the pre-gathered FSR ids. Built on first access: only the masked
+        2D sweep (L2 angle decomposition) reads them.
     seg_weights:
         Per-segment sweep weights: ``(S,)`` for 3D, ``(S, P)`` for 2D.
     track_order / col_starts / col_counts / pos_fsr / pos_len / pos_weights:
@@ -163,9 +171,9 @@ class SweepPlan:
         "seg_fsr",
         "seg_len",
         "offsets",
-        "idx_fwd",
-        "idx_bwd",
-        "columns",
+        "_idx_fwd",
+        "_idx_bwd",
+        "_columns",
         "seg_weights",
         "max_positions",
         "num_segments",
@@ -192,14 +200,9 @@ class SweepPlan:
         self.seg_len = np.ascontiguousarray(segments.lengths, dtype=np.float64)
         self.seg_fsr = np.ascontiguousarray(segments.fsr_ids, dtype=np.int64)
         self.num_segments = int(self.seg_len.size)
-        self.idx_fwd = build_position_index(self.offsets, reverse=False)
-        self.idx_bwd = build_position_index(self.offsets, reverse=True)
-        self.max_positions = int(self.idx_fwd.shape[1])
-        self.columns = (
-            self._build_columns(self.idx_fwd),
-            self._build_columns(self.idx_bwd),
-        )
+        self._idx_fwd = self._idx_bwd = self._columns = None
         counts = np.diff(self.offsets)
+        self.max_positions = int(counts.max()) if counts.size else 0
         self.seg_weights = np.repeat(topology.weights, counts, axis=0)
         self._build_prefix_layout(counts)
         self._bind_pos_segments()
@@ -238,6 +241,27 @@ class SweepPlan:
         self.pos_fsr = tuple(self.seg_fsr[s] for s in self.pos_order)
         self.pos_len = tuple(self.seg_len[s] for s in self.pos_order)
 
+    @property
+    def idx_fwd(self) -> np.ndarray:
+        if self._idx_fwd is None:
+            self._idx_fwd = build_position_index(self.offsets, reverse=False)
+        return self._idx_fwd
+
+    @property
+    def idx_bwd(self) -> np.ndarray:
+        if self._idx_bwd is None:
+            self._idx_bwd = build_position_index(self.offsets, reverse=True)
+        return self._idx_bwd
+
+    @property
+    def columns(self) -> tuple:
+        if self._columns is None:
+            self._columns = (
+                self._build_columns(self.idx_fwd),
+                self._build_columns(self.idx_bwd),
+            )
+        return self._columns
+
     def _build_columns(self, index: np.ndarray):
         cols = []
         for i in range(index.shape[1]):
@@ -267,13 +291,10 @@ class SweepPlan:
         clone.seg_len = np.ascontiguousarray(segments.lengths, dtype=np.float64)
         clone.seg_fsr = np.ascontiguousarray(segments.fsr_ids, dtype=np.int64)
         clone.num_segments = self.num_segments
-        clone.idx_fwd = self.idx_fwd
-        clone.idx_bwd = self.idx_bwd
+        clone._idx_fwd = self._idx_fwd
+        clone._idx_bwd = self._idx_bwd
+        clone._columns = None
         clone.max_positions = self.max_positions
-        clone.columns = tuple(
-            [(rows, sids, clone.seg_fsr[sids]) for rows, sids, _ in cols]
-            for cols in self.columns
-        )
         clone.seg_weights = self.seg_weights
         clone.track_order = self.track_order
         clone.col_starts = self.col_starts
@@ -322,13 +343,13 @@ class SweepPlan:
         self._expf_cache = (sigma_t, evaluator, expf)
         return expf
 
-    def pos_expf(self, sigma_t: np.ndarray, evaluator) -> tuple | None:
-        """Position-major ``F(tau)`` tables, one per direction.
+    def pos_expf(self, sigma_t: np.ndarray, evaluator) -> np.ndarray | None:
+        """Position-major ``F(tau)`` table ``(2, S, ...)``, direction first.
 
         Same caching and size policy as :meth:`segment_expf` (the guard
-        accounts for holding both directions). The tables line up with
-        ``pos_fsr``/``pos_len``, so the fast kernel reads them as
-        contiguous per-position slices.
+        accounts for holding both directions). ``table[d]`` lines up with
+        ``pos_fsr[d]``/``pos_len[d]``, so the lockstep kernel reads both
+        directions of one position as the slice ``table[:, lo:hi]``.
         """
         cached = self._pos_expf_cache
         if (
@@ -339,20 +360,40 @@ class SweepPlan:
             return cached[2]
         if 2 * self.expf_elements(sigma_t.shape[1]) > MAX_EXPF_ELEMENTS:
             return None
-        tables = []
-        for fsr, length in zip(self.pos_fsr, self.pos_len):
-            if self.topology.is_3d:
-                tau = sigma_t[fsr] * length[:, None]
-            else:
-                tau = (
-                    sigma_t[fsr][:, None, :]
-                    * length[:, None, None]
-                    * self.topology.inv_sin[None, :, None]
-                )
-            tables.append(evaluator(tau))
-        result = tuple(tables)
-        self._pos_expf_cache = (sigma_t, evaluator, result)
-        return result
+        trailing = sigma_t.shape[1:]
+        if not self.topology.is_3d:
+            trailing = (self.topology.num_polar,) + trailing
+        table = np.empty((2, self.num_segments) + trailing)
+        self.fill_pos_expf(table, sigma_t, evaluator)
+        self._pos_expf_cache = (sigma_t, evaluator, table)
+        return table
+
+    def fill_pos_expf(self, out: np.ndarray, sigma_t: np.ndarray, evaluator) -> None:
+        """Write the position-major table into ``out`` ``(2, S, ...)`` in
+        blocks of :data:`EXPF_BLOCK_SEGMENTS` segments (``out`` may be one
+        state's strided slice of a scenario-widened table)."""
+        for d in (0, 1):
+            for lo in range(0, self.num_segments, EXPF_BLOCK_SEGMENTS):
+                hi = min(lo + EXPF_BLOCK_SEGMENTS, self.num_segments)
+                out[d, lo:hi] = self.pos_expf_block(sigma_t, evaluator, d, lo, hi)
+
+    def pos_expf_block(
+        self, sigma_t: np.ndarray, evaluator, d: int, lo: int, hi: int
+    ) -> np.ndarray:
+        """``F(tau)`` of direction ``d``'s position-major segments
+        ``[lo, hi)`` — the one tau expression behind the table blocks and
+        the kernels' per-position fallback."""
+        fsr = self.pos_fsr[d][lo:hi]
+        length = self.pos_len[d][lo:hi]
+        if self.topology.is_3d:
+            tau = sigma_t[fsr] * length[:, None]
+        else:
+            tau = (
+                sigma_t[fsr][:, None, :]
+                * length[:, None, None]
+                * self.topology.inv_sin[None, :, None]
+            )
+        return evaluator(tau)
 
     def __repr__(self) -> str:
         kind = "3d" if self.topology.is_3d else "2d"

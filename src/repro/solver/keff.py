@@ -44,6 +44,18 @@ class SolveResult:
         return terms.fission_rate(self.scalar_flux, volumes)
 
 
+def with_kernel_phases(phases: dict, kernel: dict) -> dict:
+    """``phases`` with a sweeper's kernel split (``KernelTimings.
+    kernel_phases``) as ``sweep/<phase>`` rows right after ``sweep``, the
+    order the stage table prints them in."""
+    rows: dict = {}
+    for name, seconds in phases.items():
+        rows[name] = seconds
+        if name == "sweep":
+            rows.update({f"sweep/{phase}": spent for phase, spent in kernel.items()})
+    return rows
+
+
 class KeffSolver:
     """Generic power iteration over a pluggable transport sweep.
 

@@ -26,7 +26,7 @@ from repro.solver.cmfd import (
     mesh_spec_for_3d,
 )
 from repro.solver.expeval import ExponentialEvaluator
-from repro.solver.keff import KeffSolver, SolveResult
+from repro.solver.keff import KeffSolver, SolveResult, with_kernel_phases
 from repro.solver.source import SourceTerms
 from repro.solver.sweep2d import TransportSweep2D
 from repro.solver.sweep3d import TransportSweep3D
@@ -184,7 +184,15 @@ class MOCSolver:
     # --------------------------------------------------------------- runner
 
     def solve(self, initial_flux: np.ndarray | None = None) -> SolveResult:
-        return self.keff_solver.solve(initial_flux)
+        """Run the power iteration; the kernel's own phase split joins the
+        result as ``sweep/<phase>`` rows nested under ``sweep``."""
+        before = self.sweeper.timings.kernel_phases()
+        result = self.keff_solver.solve(initial_flux)
+        after = self.sweeper.timings.kernel_phases()
+        result.phase_seconds = with_kernel_phases(
+            result.phase_seconds, {phase: after[phase] - before[phase] for phase in after}
+        )
+        return result
 
     def fission_rates(self, result: SolveResult) -> np.ndarray:
         """Per-FSR fission rates, normalised to unit mean over fissile FSRs."""

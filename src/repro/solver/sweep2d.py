@@ -26,6 +26,7 @@ from repro.solver.backends import (
     KernelBackend,
     KernelTimings,
     SweepContext,
+    SweepWorkspace,
     build_position_index,  # noqa: F401  (re-export; historical home)
     resolve_backend,
 )
@@ -49,6 +50,8 @@ class TransportSweep2D:
         self.evaluator = evaluator or ExponentialEvaluator.shared()
         self.backend = resolve_backend(backend)
         self.timings = KernelTimings()
+        #: Lockstep-kernel buffers; filled by the kernel at the first sweep.
+        self.workspace = SweepWorkspace()
         geometry = trackgen.geometry
         if source_terms.num_regions != geometry.num_fsrs:
             raise SolverError(
@@ -65,8 +68,6 @@ class TransportSweep2D:
         self.num_groups = source_terms.num_groups
 
         # Plan views kept as attributes for introspection/compatibility.
-        self.idx_fwd = self.plan.idx_fwd
-        self.idx_bwd = self.plan.idx_bwd
         self.seg_fsr = self.plan.seg_fsr
         self.seg_len = self.plan.seg_len
         self.inv_sin = topology.inv_sin  # (P,)
@@ -129,11 +130,11 @@ class TransportSweep2D:
             num_fsrs=self.terms.num_regions,
             track_mask=track_mask,
             capture=None if self.current_tally is None else self.current_tally.capture,
+            workspace=self.workspace,
         )
         start = time.perf_counter()
         tally = self.backend.sweep2d(self.plan, psi, ctx)
-        self.timings.sweep_seconds += time.perf_counter() - start
-        self.timings.num_sweeps += 1
+        self.timings.record_sweep(start, time.perf_counter(), ctx.marks)
         if self.current_tally is not None:
             # psi now holds each traversal's exit flux: fold captured
             # crossings and track-end exits into the coarse-face currents.

@@ -24,6 +24,7 @@ from repro.solver.backends import (
     KernelTimings,
     SweepContext,
     SweepPlan,
+    SweepWorkspace,
     resolve_backend,
 )
 from repro.solver.expeval import ExponentialEvaluator
@@ -47,6 +48,9 @@ class TransportSweep3D:
         self.evaluator = evaluator or ExponentialEvaluator.shared()
         self.backend = resolve_backend(backend)
         self.timings = KernelTimings()
+        #: Lockstep-kernel buffers; filled by the kernel at the first sweep
+        #: and kept across OTF/MANAGER rebinds of one layout.
+        self.workspace = SweepWorkspace()
         if source_terms.num_regions != trackgen.geometry3d.num_fsrs:
             raise SolverError(
                 f"source terms cover {source_terms.num_regions} regions, "
@@ -66,9 +70,7 @@ class TransportSweep3D:
 
         self.psi_in = np.zeros((self.num_tracks, 2, self.num_groups))
         self.psi_out_last = np.zeros_like(self.psi_in)
-        self._cached_segments: SegmentData | None = None
-        self._idx_fwd: np.ndarray | None = None
-        self._idx_bwd: np.ndarray | None = None
+        self._plan: SweepPlan | None = None
         #: CMFD current tally — either attached pre-built (z-decomposed
         #: drivers, which resolve interface destinations from their Route
         #: tables) or built lazily per plan from a cell map (single-domain
@@ -114,19 +116,12 @@ class TransportSweep3D:
                 f"segment data covers {segments.num_tracks} tracks, "
                 f"sweep has {self.num_tracks}"
             )
-        if segments is not self._cached_segments:
+        if self._plan is None or self._plan.segments is not segments:
             start = time.perf_counter()
-            plan = self.trackgen.sweep_plan_3d(segments)
+            self._plan = self.trackgen.sweep_plan_3d(segments)
             self.timings.setup_seconds += time.perf_counter() - start
             self.timings.num_plan_builds += 1
-            self._cached_segments = segments
-            self._idx_fwd = plan.idx_fwd
-            self._idx_bwd = plan.idx_bwd
-        return self.trackgen.sweep_plan_3d(segments)
-
-    def _indices_for(self, segments: SegmentData) -> tuple[np.ndarray, np.ndarray]:
-        plan = self.plan_for(segments)
-        return plan.idx_fwd, plan.idx_bwd
+        return self._plan
 
     def sweep(self, segments: SegmentData, reduced_source: np.ndarray) -> np.ndarray:
         """One 3D transport sweep; returns the FSR tally ``(R, G)``."""
@@ -139,11 +134,11 @@ class TransportSweep3D:
             evaluator=self.evaluator,
             num_fsrs=self.terms.num_regions,
             capture=None if current_tally is None else current_tally.capture,
+            workspace=self.workspace,
         )
         start = time.perf_counter()
         tally = self.backend.sweep3d(plan, psi, ctx)
-        self.timings.sweep_seconds += time.perf_counter() - start
-        self.timings.num_sweeps += 1
+        self.timings.record_sweep(start, time.perf_counter(), ctx.marks)
         if current_tally is not None:
             # psi now holds each traversal's exit flux: fold captured
             # crossings and track-end exits into the coarse-face currents.

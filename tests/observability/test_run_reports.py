@@ -3,6 +3,7 @@
 import pytest
 
 from repro.observability import RunReport, SCHEMA_VERSION
+from repro.observability.spans import SpanRecorder
 from repro.runtime import AntMocApplication, StageName
 from tests.observability.conftest import mini_2d_config, mini_3d_config
 
@@ -75,3 +76,38 @@ class TestReportEmission:
         assert len(manifest.config_hash) == 64
         if name == "3d-otf":
             assert manifest.storage_method == "OTF"
+
+
+# ------------------------------------------------------ R_REPORT_KERNEL_PHASES
+
+KERNEL_PHASES = ("gather", "lockstep", "reduce")
+
+
+def _scenario_report():
+    from repro.scenario import run_scenario_batch
+    from tests.scenario.conftest import batch_config
+
+    batch = run_scenario_batch(batch_config(), mode="batched")
+    assert batch.batched
+    return batch.states[-1].run_report
+
+
+@pytest.mark.parametrize("case", ["2d-single", "3d-exp", "3d-otf", "scenario-batch"])
+def test_r_report_kernel_phases(case):
+    """DESIGN.md R_REPORT_KERNEL_PHASES: the sweep row of a single-domain
+    or batched numpy solve splits into gather / lockstep / reduce rows that
+    fit inside it, and the span tree still validates."""
+    if case == "scenario-batch":
+        report = _scenario_report()
+    else:
+        report = AntMocApplication(CASES[case]()).run().run_report
+    sweep = f"{StageName.TRANSPORT_SOLVING.value}/sweep"
+    rows = [report.stages[f"{sweep}/{phase}"] for phase in KERNEL_PHASES]
+    assert all(seconds > 0.0 for seconds in rows)
+    assert sum(rows) <= report.stages[sweep]
+    report.validate()
+    recorder = SpanRecorder()
+    recorder.roots = report.spans
+    recorder.validate()
+    node = recorder.find(sweep)
+    assert [child.name for child in node.children] == list(KERNEL_PHASES)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -60,6 +61,62 @@ class TestSolvePath:
     def test_solver_stages_are_untouched_by_annotation(self, service, payload):
         report = service.solve(payload).report.to_dict()
         assert "transport_solving" in report["stages"]
+
+
+class TestSolveGate:
+    """Fresh solves run one at a time; cache hits do not take the gate."""
+
+    def test_fresh_solves_never_overlap(self, service, monkeypatch):
+        run, guard = service._run, threading.Lock()
+        active, seen = [], []
+
+        def counted(job):
+            with guard:
+                active.append(job)
+                seen.append(len(active))
+            try:
+                return run(job)
+            finally:
+                with guard:
+                    active.remove(job)
+
+        monkeypatch.setattr(service, "_run", counted)
+        jobs = []
+        for iterations in (2, 3, 4, 5):
+            request = solve_payload()
+            request["solver"]["max_iterations"] = iterations
+            jobs.append(service.submit(request))
+        assert [job.wait(timeout=60.0) for job in jobs] == [JobState.DONE] * 4
+        assert seen == [1, 1, 1, 1]
+
+    def test_hit_is_answered_while_a_solve_holds_the_gate(self, service, payload, monkeypatch):
+        service.solve(payload)  # cached from here on
+        run = service._run
+        entered, release = threading.Event(), threading.Event()
+
+        def held(job):
+            entered.set()
+            assert release.wait(timeout=60.0)
+            return run(job)
+
+        monkeypatch.setattr(service, "_run", held)
+        slow = solve_payload()
+        slow["solver"]["max_iterations"] = 3
+        first = service.submit(slow)
+        assert entered.wait(timeout=60.0)
+        hit = service.submit(payload)
+        assert hit.wait(timeout=60.0) is JobState.DONE and hit.cache_hit
+        assert not first.done
+        # A second fresh solve waits at the gate, and that wait is queueing.
+        other = solve_payload()
+        other["solver"]["max_iterations"] = 4
+        second = service.submit(other)
+        released_at = time.monotonic()
+        release.set()
+        assert first.wait(timeout=60.0) is JobState.DONE
+        assert second.wait(timeout=60.0) is JobState.DONE
+        assert second.queued_seconds >= released_at - second.enqueued_at
+        assert second.report.to_dict()["stages"]["serve/queued"] == second.queued_seconds
 
 
 class TestJobRegistry:

@@ -213,4 +213,5 @@ class TestTimings:
         assert d["num_sweeps"] == 2
         assert set(d) == {
             "setup_seconds", "sweep_seconds", "num_sweeps", "num_plan_builds",
+            "gather_seconds", "lockstep_seconds", "reduce_seconds",
         }

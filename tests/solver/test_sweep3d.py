@@ -35,19 +35,22 @@ class TestSweep3D:
         q = np.zeros((sweeper3d.terms.num_regions, 2))
         sweeper3d.sweep(segments, q)
         plan_first = sweeper3d.plan_for(segments)
-        idx_first = sweeper3d._idx_fwd
+        assert plan_first is small_trackgen_3d.sweep_plan_3d(segments)
         sweeper3d.sweep(segments, q)
         assert sweeper3d.plan_for(segments) is plan_first
-        assert sweeper3d._idx_fwd is idx_first
+        assert sweeper3d.timings.num_plan_builds == 1
         # A fresh trace of the same geometry shares the per-track layout:
         # the plan is rebound (new object, fresh FSR/length gathers) but
-        # the expensive position-index matrices carry over unchanged.
+        # the prefix-packed layout carries over unchanged, and the index
+        # matrices the numpy kernel never reads were never built.
         other = small_trackgen_3d.trace_all_3d()
         sweeper3d.sweep(other, q)
         plan_other = sweeper3d.plan_for(other)
         assert plan_other is not plan_first
         assert plan_other.segments is other
-        assert plan_other.idx_fwd is plan_first.idx_fwd
+        assert plan_other.pos_order is plan_first.pos_order
+        assert plan_other.col_starts is plan_first.col_starts
+        assert plan_first._idx_fwd is None and plan_other._columns is None
 
     def test_track_count_mismatch_rejected(self, sweeper3d):
         from repro.tracks import SegmentData
