@@ -23,13 +23,11 @@ from repro.engine.base import (
     resolve_engine_timeout,
 )
 from repro.engine.inproc import InprocEngine
-from repro.engine.mp import MpCommunicator, MpEngine
+from repro.engine.mp import MpEngine
 from repro.engine.pool import ArenaPool, EnginePool
 from repro.engine.problem import (
     DecomposedProblem,
     EdgePack,
-    Problem2D,
-    Problem3D,
     RoutePack,
 )
 from repro.engine.registry import (
@@ -61,10 +59,7 @@ __all__ = [
     "ExecutionEngine",
     "FaultSpec",
     "InprocEngine",
-    "MpCommunicator",
     "MpEngine",
-    "Problem2D",
-    "Problem3D",
     "RoutePack",
     "SanitizedAsyncMpEngine",
     "SanitizedMpEngine",

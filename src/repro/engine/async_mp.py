@@ -38,7 +38,6 @@ identical traffic accounting.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 import traceback
 
@@ -52,11 +51,8 @@ from repro.engine.mp import (
 )
 from repro.engine.problem import DecomposedProblem, EdgePack
 from repro.engine.base import EngineResult
-from repro.engine.shm import ShmArena
 from repro.errors import CommunicationError, SolverError
 from repro.io.logging_utils import StageTimer, get_logger
-from repro.solver.cmfd import CmfdStats, apply_engine_cmfd
-from repro.solver.convergence import ConvergenceMonitor
 
 #: Grant-word slots (float64): epoch counter, eigenvalue, normalisation,
 #: stop mode. The parent writes the payload slots first and the epoch
@@ -261,14 +257,7 @@ class AsyncMpEngine(MpEngine):
             delay = min(delay * 2.0, _POLL_MAX)
 
     def solve(self, problem: DecomposedProblem, comm) -> EngineResult:
-        ctx_methods = multiprocessing.get_all_start_methods()
-        if "fork" not in ctx_methods:
-            raise SolverError(
-                "the mp-async engine needs the 'fork' start method (workers "
-                "inherit tracking products and sweep plans); platform offers "
-                f"{ctx_methods}"
-            )
-        ctx = multiprocessing.get_context("fork")
+        ctx = self._fork_context()
         timer = StageTimer()
         D = problem.num_domains
         W = self.resolve_workers(D)
@@ -276,7 +265,6 @@ class AsyncMpEngine(MpEngine):
         pack = EdgePack(problem)
         slot = pack.slot_shape if pack.num_routes else problem.slot_shape
         cmfd = problem.cmfd
-        cmfd_stats = CmfdStats() if cmfd is not None else None
         shapes = {
             "phi": (problem.num_fsrs_total, problem.num_groups),
             "phi_new": (problem.num_fsrs_total, problem.num_groups),
@@ -333,6 +321,14 @@ class AsyncMpEngine(MpEngine):
             grant[_STOP] = float(mode)
             grant[_EPOCH] = float(epoch)
 
+        def current_rows():
+            return [cmfd.domain_rows(currents, d) for d in range(D)]
+
+        def publish(flux, mult):
+            # The parent never touches the flux: workers apply the factors
+            # (and the grant's k) in the normalize phase the grant releases.
+            factors[:] = mult
+
         self._logger.info(
             "%s engine: %d domains over %d workers, %d edges (%s shared)",
             self.name, D, W, pack.num_edges, _fmt_bytes(arena.nbytes),
@@ -342,76 +338,43 @@ class AsyncMpEngine(MpEngine):
                 for proc in procs:
                     proc.start()
                 phi.fill(1.0)
-                production = self._allreduce(problem, comm, phi)
-                if production <= 0.0:
-                    raise SolverError("initial flux produces no fission neutrons")
-                phi /= production
-                keff = 1.0
-                monitor = ConvergenceMonitor(
-                    keff_tolerance=problem.keff_tolerance,
-                    source_tolerance=problem.source_tolerance,
-                )
-                issue(1, keff, 1.0, RUN)
+                # The grant/harvest schedule is this engine's own; its
+                # steps are the shared power iteration's.
+                power = problem.power_iteration(comm, timer, current_rows, publish)
+                power.start([phi])
+                monitor = power.monitors[0]
+                issue(1, power.keff[0], 1.0, RUN)
                 for t in range(problem.max_iterations):
                     self._parent_wait_all(
                         worker_seq, t + 1, queue, procs,
                         f"sweeps of iteration {t}",
                     )
-                    new_production = sum(float(prod[d]) for d in range(D))
-                    comm.allreduce_account()
+                    new_production = comm.allreduce(
+                        [float(prod[d]) for d in range(D)]
+                    )
                     pack.account_iteration(comm.stats)
-                    if new_production <= 0.0:
-                        raise SolverError("fission production vanished")
-                    keff = keff * new_production
+                    power.advance(0, new_production)
                     if cmfd is not None:
-                        # The coarse solve is parent-side work between the
-                        # harvest and the next grant: workers consume the
-                        # published factors (and the grant's k_cmfd) in the
-                        # normalize phase that the grant releases.
-                        with timer.stage("engine_solve/cmfd"):
-                            rows = [
-                                cmfd.domain_rows(currents, d) for d in range(D)
-                            ]
-                            keff, mult, step = apply_engine_cmfd(
-                                cmfd, problem, rows, phi_new, new_production,
-                                keff,
-                            )
-                            factors[:] = mult
-                            cmfd_stats.record(step, 0.0)
+                        # Parent-side work between the harvest and the
+                        # next grant.
+                        power.accelerate(0, phi_new, phi, new_production)
                     last = t + 1 >= problem.max_iterations
-                    issue(t + 2, keff, new_production, FINAL if last else RUN)
+                    issue(t + 2, power.keff[0], new_production, FINAL if last else RUN)
                     self._parent_wait_all(
                         fission_seq, t + 1, queue, procs,
                         f"fission tally of iteration {t}",
                     )
-                    monitor.update(keff, fission.copy())
+                    monitor.update(power.keff[0], fission.copy())
                     if last:
                         break
                     if monitor.converged:
                         # Workers are one speculative sweep ahead; let it
                         # finish and discard it at the next grant wait.
-                        issue(t + 3, keff, new_production, HALT)
+                        issue(t + 3, power.keff[0], new_production, HALT)
                         break
-                scalar_flux = phi.copy()
+                solved = power.results([phi])[0]
                 payloads = self._collect_payloads(queue, procs, W)
-            if cmfd_stats is not None:
-                cmfd_stats.seconds = timer.duration("engine_solve/cmfd")
-            extras = self._merge_arena_counters(self._result_extras(payloads), arena_hit)
-            return EngineResult(
-                keff=keff,
-                scalar_flux=scalar_flux,
-                converged=monitor.converged,
-                num_iterations=monitor.num_iterations,
-                monitor=monitor,
-                solve_seconds=timer.duration("engine_solve"),
-                cmfd_stats=cmfd_stats.as_dict() if cmfd_stats is not None else {},
-                num_workers=W,
-                worker_timers=sorted(
-                    (wid, payload)
-                    for wid, payload in payloads.get("timers", {}).items()
-                ),
-                **extras,
-            )
+            return self._pool_result(solved, comm, timer, payloads, arena_hit, W)
         finally:
             # Unblock any surviving worker: a HALT grant far in the future
             # satisfies every pending grant wait and stops the loop.

@@ -27,10 +27,9 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from repro.errors import ConfigError
-from repro.solver.convergence import ConvergenceMonitor
+from repro.parallel.comm import SimComm
+from repro.solver.power import SolveResult
 
 #: Environment override for the engine wait timeout (seconds). Consulted
 #: when neither the CLI nor the config provides one — the resolution order
@@ -66,15 +65,13 @@ def resolve_engine_timeout(explicit: float | None = None) -> float:
 
 
 @dataclass
-class EngineResult:
-    """Engine-agnostic outcome of a decomposed eigenvalue solve."""
+class EngineResult(SolveResult):
+    """Outcome of a decomposed eigenvalue solve: the power iteration's
+    result (``scalar_flux`` is global ``(R_total, G)``, domain-blocked)
+    plus how the engine ran it and what it moved."""
 
-    keff: float
-    scalar_flux: np.ndarray  # global (R_total, G), domain-blocked
-    converged: bool
-    num_iterations: int
-    monitor: ConvergenceMonitor
-    solve_seconds: float
+    #: Registry name of the engine that produced the result.
+    engine: str = "inproc"
     #: Number of OS processes that executed sweeps (1 for ``inproc``).
     num_workers: int = 1
     #: Per-worker ``(worker_id, stage -> seconds)`` timing payloads.
@@ -85,9 +82,10 @@ class EngineResult:
     #: ``halo_wait_ns``, ``neighbor_stalls`` and ``epochs_overlapped``
     #: summed across workers, fed into the observability CounterSet.
     comm_counters: dict[str, int] = field(default_factory=dict)
-    #: CMFD accelerator bookkeeping (``cmfd_solves``/``cmfd_iterations``/
-    #: ``cmfd_skips``/``cmfd_seconds``); empty dict when CMFD is off.
-    cmfd_stats: dict[str, float] = field(default_factory=dict)
+    #: The communicator's traffic totals when the solve returned.
+    comm_bytes: int = 0
+    comm_messages: int = 0
+    comm_allreduce_calls: int = 0
 
 
 class ExecutionEngine(ABC):
@@ -96,15 +94,29 @@ class ExecutionEngine(ABC):
     #: Registry name; concrete engines override.
     name: str = "?"
 
-    @abstractmethod
-    def create_communicator(self, size: int) -> Any:
-        """Build this engine's communicator over ``size`` ranks.
-
-        The returned object always exposes ``.size`` and ``.stats``
-        (a :class:`~repro.parallel.comm.CommStats`), so the Eq. (7)
-        traffic-accounting tests run unchanged against every engine.
+    def create_communicator(self, size: int) -> SimComm:
+        """The communicator over ``size`` ranks this engine reduces and
+        accounts through. Engines that move the halo through shared
+        memory instead of messages tally the *equivalent* traffic along
+        the route tables, so the Eq. (7) traffic-accounting tests see
+        identical :class:`~repro.parallel.comm.CommStats` from every
+        engine.
         """
+        return SimComm(size)
 
     @abstractmethod
     def solve(self, problem, comm) -> EngineResult:
         """Run the eigenvalue iteration of ``problem`` to convergence."""
+
+    def _result(self, solved: SolveResult, comm, timer, **extras) -> EngineResult:
+        """``solved`` as this engine's result: wall time from the engine's
+        own ``engine_solve`` stage, traffic from ``comm``."""
+        fields = dict(vars(solved), solve_seconds=timer.duration("engine_solve"))
+        return EngineResult(
+            **fields,
+            engine=self.name,
+            comm_bytes=comm.stats.bytes_sent,
+            comm_messages=comm.stats.messages_sent,
+            comm_allreduce_calls=comm.stats.allreduce_calls,
+            **extras,
+        )

@@ -2,11 +2,10 @@
 
 Runs every subdomain sweep sequentially in the calling process and moves
 boundary angular flux through :class:`~repro.parallel.comm.SimComm` — the
-historical behaviour of the decomposed drivers, kept byte-for-byte as the
-equivalence oracle for the real multiprocess engine. One sweep per rank
+equivalence oracle for the real multiprocess engines. One sweep per rank
 per iteration, boundary flux updated at iteration boundaries (the paper's
-Point-Jacobi scheme, Sec. 2.1), eigenvalue updated from a global
-reduction.
+Point-Jacobi scheme, Sec. 2.1); the eigenvalue iteration around them is
+:mod:`repro.solver.power`'s.
 """
 
 from __future__ import annotations
@@ -15,11 +14,8 @@ import numpy as np
 
 from repro.engine.base import EngineResult, ExecutionEngine
 from repro.engine.problem import DecomposedProblem
-from repro.errors import SolverError
 from repro.io.logging_utils import StageTimer
 from repro.parallel.comm import SimComm
-from repro.solver.cmfd import CmfdStats, apply_engine_cmfd
-from repro.solver.convergence import ConvergenceMonitor
 
 
 class InprocEngine(ExecutionEngine):
@@ -27,16 +23,14 @@ class InprocEngine(ExecutionEngine):
 
     name = "inproc"
 
-    def create_communicator(self, size: int) -> SimComm:
-        return SimComm(size)
-
     def _exchange(self, problem: DecomposedProblem, comm: SimComm) -> None:
         """Route every interface slot's outgoing flux via the communicator."""
         for route in problem.routes:
             comm.send(
                 route.src_domain,
                 route.dst_domain,
-                problem.outgoing_flux(route).copy(),
+                problem.sweeper(route.src_domain)
+                .psi_out_last[route.src_track, route.src_dir].copy(),
                 tag=(route.dst_track, route.dst_dir),
             )
         comm.deliver()
@@ -44,69 +38,36 @@ class InprocEngine(ExecutionEngine):
             flux = comm.recv(
                 route.dst_domain, route.src_domain, tag=(route.dst_track, route.dst_dir)
             )
-            problem.set_incoming_flux(route, flux)
+            problem.sweeper(route.dst_domain).set_interface_flux(
+                route.dst_track, route.dst_dir, flux
+            )
 
     def solve(self, problem: DecomposedProblem, comm: SimComm) -> EngineResult:
         timer = StageTimer()
         cmfd = problem.cmfd
-        cmfd_stats = CmfdStats() if cmfd is not None else None
+        ranks = range(problem.num_domains)
+        phi = np.ones((problem.num_fsrs_total, problem.num_groups))
+        swept = np.empty_like(phi)
+
+        def sweep(flux, keff, active):
+            for d in ranks:
+                problem.block(d, swept)[:] = problem.sweep_domain(
+                    d, problem.block(d, flux[0]), keff[0]
+                )
+            self._exchange(problem, comm)
+            return [swept]
+
+        def current_rows():
+            return [problem.sweeper(d).current_tally.take() for d in ranks]
+
+        def prolong(flux, factors):
+            flux *= factors[cmfd.cellmap]
+            for d in ranks:
+                sweeper = problem.sweeper(d)
+                sweeper.current_tally.scale_boundary_flux(sweeper.psi_in, factors)
+
         with timer.stage("engine_solve"):
-            ranks = range(problem.num_domains)
-            phi = np.ones((problem.num_fsrs_total, problem.num_groups))
-            production = comm.allreduce(
-                [problem.production(d, problem.block(d, phi)) for d in ranks]
-            )
-            if production <= 0.0:
-                raise SolverError("initial flux produces no fission neutrons")
-            phi /= production
-            keff = 1.0
-            monitor = ConvergenceMonitor(
-                keff_tolerance=problem.keff_tolerance,
-                source_tolerance=problem.source_tolerance,
-            )
-            for _ in range(problem.max_iterations):
-                phi_new = np.empty_like(phi)
-                for d in ranks:
-                    problem.block(d, phi_new)[:] = problem.sweep_domain(
-                        d, problem.block(d, phi), keff
-                    )
-                self._exchange(problem, comm)
-                new_production = comm.allreduce(
-                    [problem.production(d, problem.block(d, phi_new)) for d in ranks]
-                )
-                if new_production <= 0.0:
-                    raise SolverError("fission production vanished")
-                keff = keff * new_production
-                phi = phi_new / new_production
-                if cmfd is not None:
-                    with timer.stage("engine_solve/cmfd"):
-                        rows = [
-                            problem.sweeper(d).current_tally.take() for d in ranks
-                        ]
-                        keff, factors, step = apply_engine_cmfd(
-                            cmfd, problem, rows, phi_new, new_production, keff
-                        )
-                        phi *= factors[cmfd.cellmap]
-                        for d in ranks:
-                            sweeper = problem.sweeper(d)
-                            sweeper.current_tally.scale_boundary_flux(
-                                sweeper.psi_in, factors
-                            )
-                        cmfd_stats.record(step, 0.0)
-                fission = np.concatenate(
-                    [problem.fission_source(d, problem.block(d, phi)) for d in ranks]
-                )
-                monitor.update(keff, fission)
-                if monitor.converged:
-                    break
-        if cmfd_stats is not None:
-            cmfd_stats.seconds = timer.duration("engine_solve/cmfd")
-        return EngineResult(
-            keff=keff,
-            scalar_flux=phi,
-            converged=monitor.converged,
-            num_iterations=monitor.num_iterations,
-            monitor=monitor,
-            solve_seconds=timer.duration("engine_solve"),
-            cmfd_stats=cmfd_stats.as_dict() if cmfd_stats is not None else {},
-        )
+            solved = problem.power_iteration(
+                comm, timer, current_rows, prolong, sweep
+            ).run([phi])[0]
+        return self._result(solved, comm, timer)

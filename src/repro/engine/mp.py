@@ -12,9 +12,9 @@ iteration runs two barrier phases (the Buffered Synchronous scheme):
    array, and packs outgoing interface flux into the shared halo buffer;
 2. *exchange + reduce* — after the barrier, workers unpack their incoming
    halo slots (a subdomain "only updates its incoming angular flux at the
-   end of a source computation"), while the parent reduces fission
-   production in rank order, updates the eigenvalue, normalises the flux
-   and checks convergence.
+   end of a source computation"), while the parent runs the rest of the
+   shared power iteration (:mod:`repro.solver.power`): rank-ordered
+   production reduce, k update, normalise, CMFD, convergence check.
 
 Reductions happen in exactly the simulator's rank order, halo slots carry
 exactly the simulator's values, and traffic is accounted along the same
@@ -32,16 +32,12 @@ import traceback
 from queue import Empty
 from threading import BrokenBarrierError
 
-import numpy as np
-
 from repro.engine.base import EngineResult, ExecutionEngine, resolve_engine_timeout
 from repro.engine.problem import DecomposedProblem, RoutePack
 from repro.engine.shm import ShmArena
-from repro.errors import CommunicationError, ReproError, SolverError
+from repro.errors import ReproError, SolverError
 from repro.io.logging_utils import StageTimer, get_logger
-from repro.parallel.comm import CommStats, account_allreduce
-from repro.solver.cmfd import CmfdStats, apply_engine_cmfd
-from repro.solver.convergence import ConvergenceMonitor
+from repro.parallel.comm import SimComm
 
 #: Control-word slots (float64): stop flag, current eigenvalue.
 _STOP, _KEFF = 0, 1
@@ -59,26 +55,6 @@ WORKER_ERRORS = (
     OSError,
     RuntimeError,
 )
-
-
-class MpCommunicator:
-    """Traffic accounting for the multiprocess engine.
-
-    The halo moves through shared memory, not messages, but the engine
-    tallies the *equivalent* traffic along the route tables so the Eq. (7)
-    accounting tests see identical :class:`CommStats` across engines.
-    """
-
-    name = "mp"
-
-    def __init__(self, size: int) -> None:
-        if size < 1:
-            raise CommunicationError(f"communicator size must be >= 1 (got {size})")
-        self.size = int(size)
-        self.stats = CommStats()
-
-    def allreduce_account(self) -> None:
-        account_allreduce(self.stats, self.size)
 
 
 def _maybe_pin_worker(wid: int, pin: bool) -> None:
@@ -233,17 +209,6 @@ class MpEngine(ExecutionEngine):
         else:
             self.arena_pool.release(arena)
 
-    def _merge_arena_counters(self, extras: dict, hit: bool) -> dict:
-        """Fold this solve's arena reuse into the result's comm counters
-        (only when pooled — batch runs keep their counter set unchanged)."""
-        if self.arena_pool is None:
-            return extras
-        counters = dict(extras.get("comm_counters") or {})
-        counters["arena_reuse_hits"] = int(hit)
-        counters["arena_reuse_misses"] = int(not hit)
-        extras["comm_counters"] = counters
-        return extras
-
     def _worker_target(self):
         """The function each worker process runs."""
         return _worker_loop
@@ -258,9 +223,6 @@ class MpEngine(ExecutionEngine):
     def _result_extras(self, payloads: dict[str, dict[int, object]]) -> dict:
         """Extra :class:`EngineResult` fields from collected worker payloads."""
         return {}
-
-    def create_communicator(self, size: int) -> MpCommunicator:
-        return MpCommunicator(size)
 
     def resolve_workers(self, num_domains: int) -> int:
         """Worker count: requested (or one per domain), capped by domains."""
@@ -327,14 +289,33 @@ class MpEngine(ExecutionEngine):
         except BrokenBarrierError:
             self._raise_worker_failure(queue, procs)
 
-    def solve(self, problem: DecomposedProblem, comm: MpCommunicator) -> EngineResult:
+    def _fork_context(self):
+        """The ``fork`` multiprocessing context, or a clean refusal."""
         ctx_methods = multiprocessing.get_all_start_methods()
         if "fork" not in ctx_methods:
             raise SolverError(
-                "the mp engine needs the 'fork' start method (workers inherit "
-                f"tracking products and sweep plans); platform offers {ctx_methods}"
+                f"the {self.name} engine needs the 'fork' start method (workers "
+                "inherit tracking products and sweep plans); platform offers "
+                f"{ctx_methods}"
             )
-        ctx = multiprocessing.get_context("fork")
+        return multiprocessing.get_context("fork")
+
+    def _pool_result(self, solved, comm, timer, payloads, arena_hit, num_workers):
+        """The result of a worker-pool solve: ``solved`` plus the workers'
+        end-of-run payloads and this solve's arena reuse."""
+        extras = self._result_extras(payloads)
+        if self.arena_pool is not None:  # batch runs keep their counter set
+            counters = dict(extras.get("comm_counters") or {})
+            counters["arena_reuse_hits"] = int(arena_hit)
+            counters["arena_reuse_misses"] = int(not arena_hit)
+            extras["comm_counters"] = counters
+        return self._result(
+            solved, comm, timer, num_workers=num_workers,
+            worker_timers=sorted(payloads.get("timers", {}).items()), **extras,
+        )
+
+    def solve(self, problem: DecomposedProblem, comm: SimComm) -> EngineResult:
+        ctx = self._fork_context()
         timer = StageTimer()
         D = problem.num_domains
         W = self.resolve_workers(D)
@@ -358,7 +339,6 @@ class MpEngine(ExecutionEngine):
         control = arena["control"]
         currents = arena["currents"] if cmfd is not None else None
         factors = arena["factors"] if cmfd is not None else None
-        cmfd_stats = CmfdStats() if cmfd is not None else None
         barrier = ctx.Barrier(W + 1)
         queue = ctx.Queue()
         owned = [[d for d in range(D) if d % W == w] for w in range(W)]
@@ -374,6 +354,24 @@ class MpEngine(ExecutionEngine):
             )
             for w in range(W)
         ]
+
+        def sweep(flux, keff, active):
+            control[_KEFF] = keff[0]
+            control[_STOP] = 0.0
+            self._wait(barrier, queue, procs)  # release the sweep phase
+            self._wait(barrier, queue, procs)  # sweeps + halo writes done
+            pack.account_iteration(comm.stats)
+            return [phi_new]
+
+        def current_rows():
+            return [cmfd.domain_rows(currents, d) for d in range(D)]
+
+        def prolong(flux, mult):
+            # psi_in is process-private after fork: workers rescale theirs
+            # from the published factors at the start of the next sweep.
+            flux *= mult[cmfd.cellmap]
+            factors[:] = mult
+
         self._logger.info(
             "%s engine: %d domains over %d workers (%s shared)",
             self.name, D, W, _fmt_bytes(arena.nbytes),
@@ -383,69 +381,13 @@ class MpEngine(ExecutionEngine):
                 for proc in procs:
                     proc.start()
                 phi.fill(1.0)
-                production = self._allreduce(problem, comm, phi)
-                if production <= 0.0:
-                    raise SolverError("initial flux produces no fission neutrons")
-                phi /= production
-                keff = 1.0
-                monitor = ConvergenceMonitor(
-                    keff_tolerance=problem.keff_tolerance,
-                    source_tolerance=problem.source_tolerance,
-                )
-                for _ in range(problem.max_iterations):
-                    control[_KEFF] = keff
-                    control[_STOP] = 0.0
-                    self._wait(barrier, queue, procs)  # release the sweep phase
-                    self._wait(barrier, queue, procs)  # sweeps + halo writes done
-                    pack.account_iteration(comm.stats)
-                    new_production = self._allreduce(problem, comm, phi_new)
-                    if new_production <= 0.0:
-                        raise SolverError("fission production vanished")
-                    keff = keff * new_production
-                    np.divide(phi_new, new_production, out=phi)
-                    if cmfd is not None:
-                        with timer.stage("engine_solve/cmfd"):
-                            rows = [
-                                cmfd.domain_rows(currents, d) for d in range(D)
-                            ]
-                            keff, mult, step = apply_engine_cmfd(
-                                cmfd, problem, rows, phi_new, new_production,
-                                keff,
-                            )
-                            phi *= mult[cmfd.cellmap]
-                            factors[:] = mult
-                            cmfd_stats.record(step, 0.0)
-                    fission = np.concatenate(
-                        [
-                            problem.fission_source(d, problem.block(d, phi))
-                            for d in range(D)
-                        ]
-                    )
-                    monitor.update(keff, fission)
-                    if monitor.converged:
-                        break
+                solved = problem.power_iteration(
+                    comm, timer, current_rows, prolong, sweep
+                ).run([phi])[0]
                 control[_STOP] = 1.0
                 self._wait(barrier, queue, procs)  # workers observe stop and exit
-                scalar_flux = phi.copy()
                 payloads = self._collect_payloads(queue, procs, W)
-            if cmfd_stats is not None:
-                cmfd_stats.seconds = timer.duration("engine_solve/cmfd")
-            extras = self._merge_arena_counters(self._result_extras(payloads), arena_hit)
-            return EngineResult(
-                keff=keff,
-                scalar_flux=scalar_flux,
-                converged=monitor.converged,
-                num_iterations=monitor.num_iterations,
-                monitor=monitor,
-                solve_seconds=timer.duration("engine_solve"),
-                num_workers=W,
-                worker_timers=sorted(
-                    (wid, payload)
-                    for wid, payload in payloads.get("timers", {}).items()
-                ),
-                cmfd_stats=cmfd_stats.as_dict() if cmfd_stats is not None else {},
-                **extras,
-            )
+            return self._pool_result(solved, comm, timer, payloads, arena_hit, W)
         finally:
             control[_STOP] = 1.0
             if any(proc.is_alive() for proc in procs):
@@ -458,21 +400,6 @@ class MpEngine(ExecutionEngine):
                     proc.join(timeout=5.0)
             del phi, phi_new, control, currents, factors
             self._release_arena(arena)
-
-    def _allreduce(self, problem: DecomposedProblem, comm: MpCommunicator,
-                   flux: np.ndarray) -> float:
-        """Fission production summed in rank order, with traffic accounting.
-
-        Matches ``SimComm.allreduce`` over the same per-rank list: ``sum``
-        of the contributions in ascending rank order, plus the modelled
-        recursive-doubling byte counts.
-        """
-        values = [
-            problem.production(d, problem.block(d, flux))
-            for d in range(problem.num_domains)
-        ]
-        comm.allreduce_account()
-        return sum(values)
 
     def _collect_payloads(
         self, queue, procs, num_workers: int

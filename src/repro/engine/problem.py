@@ -4,8 +4,10 @@ The execution engines are generic over *what* is being decomposed: a 2D
 lattice geometry (:class:`~repro.parallel.driver.DecomposedSolver`) or a
 3D axial stack (:class:`~repro.parallel.driver3d.ZDecomposedSolver`).
 :class:`DecomposedProblem` is the narrow interface they share — per-domain
-sweeps, flux blocks, reductions, and the interface routing table — so one
-engine implementation serves both drivers.
+sweeps, flux blocks, reductions, the interface routing table and the
+hooks that put an engine's schedule under the one power iteration
+(:mod:`repro.solver.power`) — so one engine implementation serves both
+drivers.
 
 :class:`RoutePack` precompiles the route table into per-domain index
 arrays for vectorised halo packing/unpacking, plus the per-pair traffic
@@ -19,138 +21,115 @@ actually reads.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from collections import Counter
 
 import numpy as np
 
 from repro.errors import DecompositionError
 from repro.parallel.comm import CommStats
+from repro.solver.cmfd import apply_engine_cmfd
+from repro.solver.power import PowerIteration, Transport
 
 
-class DecomposedProblem(ABC):
-    """What an execution engine needs to know about a decomposed solve."""
+class DecomposedProblem:
+    """What an execution engine needs to know about a decomposed solve.
 
-    num_domains: int
-    num_fsrs_total: int
-    num_groups: int
-    routes: tuple
-    max_iterations: int
-    keff_tolerance: float
-    source_tolerance: float
-    #: Global coarse CMFD problem (:class:`~repro.solver.cmfd.CmfdProblem`)
-    #: when the driver enabled acceleration, else ``None``. Engines that
-    #: see one run the coarse solve between sweeps: per-domain current
-    #: tallies (``sweeper(d).current_tally``) reduce in rank order, the
-    #: prolongation multiplies the normalised flux, and each domain's
-    #: stored boundary flux is rescaled — all deterministic, so every
-    #: engine stays bitwise-equal with CMFD on.
-    cmfd = None
+    ``solver.domains`` entries share one attribute surface
+    (:class:`~repro.parallel.domain.DomainSolver` for 2D lattice cuts,
+    :class:`~repro.parallel.driver3d.SlabDomain` for 3D axial slabs), so
+    one adapter serves both drivers.
+    """
 
-    @abstractmethod
+    def __init__(self, solver) -> None:
+        self.domains = solver.domains
+        self.num_domains = len(solver.domains)
+        self.num_fsrs_total = solver.num_fsrs_total
+        self.num_groups = solver.domains[0].terms.num_groups
+        self.routes = tuple(solver.routes)
+        self.max_iterations = solver.max_iterations
+        self.keff_tolerance = solver.keff_tolerance
+        self.source_tolerance = solver.source_tolerance
+        #: Global coarse CMFD problem
+        #: (:class:`~repro.solver.cmfd.CmfdProblem`) when the driver
+        #: enabled acceleration, else ``None``. Engines that see one run
+        #: the coarse solve between sweeps: per-domain current tallies
+        #: (``sweeper(d).current_tally``) reduce in rank order, the
+        #: prolongation multiplies the normalised flux, and each domain's
+        #: stored boundary flux is rescaled — all deterministic, so every
+        #: engine stays bitwise-equal with CMFD on.
+        self.cmfd = solver.cmfd_problem
+
     def block(self, d: int, array: np.ndarray) -> np.ndarray:
         """Domain ``d``'s contiguous slice of a global (R_total, ...) array."""
+        dom = self.domains[d]
+        return array[dom.fsr_offset : dom.fsr_offset + dom.num_fsrs]
 
-    @abstractmethod
     def sweep_domain(self, d: int, phi_block: np.ndarray, keff: float) -> np.ndarray:
         """One local transport sweep; returns the new local scalar flux."""
+        dom = self.domains[d]
+        reduced = dom.terms.reduced_source(phi_block, keff)
+        return dom.finalize(dom.sweep(reduced), reduced)
 
-    @abstractmethod
     def production(self, d: int, phi_block: np.ndarray) -> float:
         """Domain ``d``'s fission-production contribution to the allreduce."""
+        dom = self.domains[d]
+        return dom.terms.fission_production(phi_block, dom.volumes)
 
-    @abstractmethod
+    def total_production(self, flux: np.ndarray) -> float:
+        """Fission production of a global flux, summed in rank order
+        without touching the communicator's accounting."""
+        return sum(
+            self.production(d, self.block(d, flux)) for d in range(self.num_domains)
+        )
+
     def fission_source(self, d: int, phi_block: np.ndarray) -> np.ndarray:
         """Domain ``d``'s per-FSR fission emission density (R_d,)."""
+        return self.domains[d].terms.fission_source(phi_block)
 
-    @abstractmethod
     def sweeper(self, d: int):
         """Domain ``d``'s sweep object (``psi_in`` / ``psi_out_last`` slots)."""
+        return self.domains[d].sweeper
 
     @property
     def slot_shape(self) -> tuple[int, ...]:
         """Trailing shape of one boundary-flux slot (``psi[track, dir]``)."""
         return tuple(self.sweeper(0).psi_in.shape[2:])
 
-    def outgoing_flux(self, route) -> np.ndarray:
-        """The flux that left through ``route``'s source slot last sweep."""
-        return self.sweeper(route.src_domain).psi_out_last[route.src_track, route.src_dir]
+    def power_iteration(
+        self, comm, timer, current_rows, prolong, sweep=None
+    ) -> PowerIteration:
+        """This problem's eigenvalue iteration (one state) over an
+        engine's schedule. Every engine reduces production through
+        ``comm.allreduce`` in rank order, gathers the fission source in
+        rank order and runs the same coarse solve; an engine supplies
+        ``sweep(phi, keff, active)`` (its sweeps plus halo exchange),
+        ``current_rows()`` (the per-domain current tallies of that sweep)
+        and ``prolong(phi, factors)`` (apply the per-cell CMFD multiplier
+        to the flux and the stored boundary flux, or publish it to the
+        workers that own them). An engine that runs its own schedule
+        over the iteration's steps leaves ``sweep`` out. CMFD time lands
+        in ``timer`` as ``engine_solve/cmfd``.
+        """
+        ranks = range(self.num_domains)
 
-    def set_incoming_flux(self, route, flux: np.ndarray) -> None:
-        """Inject received flux into ``route``'s destination slot."""
-        self.sweeper(route.dst_domain).set_interface_flux(
-            route.dst_track, route.dst_dir, flux
+        def accelerate(state, swept, phi, pnorm, keff):
+            keff, factors, step = apply_engine_cmfd(
+                self.cmfd, current_rows(), swept, pnorm, keff, self.total_production
+            )
+            prolong(phi, factors)
+            return keff, step
+
+        transport = Transport(
+            sweep=sweep,
+            production=lambda state, flux: comm.allreduce(
+                [self.production(d, self.block(d, flux)) for d in ranks]
+            ),
+            fission_source=lambda state, phi: np.concatenate(
+                [self.fission_source(d, self.block(d, phi)) for d in ranks]
+            ),
+            accelerate=accelerate if self.cmfd is not None else None,
         )
-
-
-class Problem2D(DecomposedProblem):
-    """Adapter over :class:`~repro.parallel.driver.DecomposedSolver`."""
-
-    def __init__(self, solver) -> None:
-        self._solver = solver
-        self.num_domains = len(solver.domains)
-        self.num_fsrs_total = solver.num_fsrs_total
-        self.num_groups = solver.domains[0].terms.num_groups
-        self.routes = tuple(solver.exchange.routes)
-        self.max_iterations = solver.max_iterations
-        self.keff_tolerance = solver.keff_tolerance
-        self.source_tolerance = solver.source_tolerance
-        self.cmfd = getattr(solver, "cmfd_problem", None)
-
-    def block(self, d: int, array: np.ndarray) -> np.ndarray:
-        dom = self._solver.domains[d]
-        return array[dom.fsr_offset : dom.fsr_offset + dom.num_fsrs]
-
-    def sweep_domain(self, d: int, phi_block: np.ndarray, keff: float) -> np.ndarray:
-        dom = self._solver.domains[d]
-        reduced = dom.terms.reduced_source(phi_block, keff)
-        tally = dom.sweep(reduced)
-        return dom.finalize(tally, reduced)
-
-    def production(self, d: int, phi_block: np.ndarray) -> float:
-        dom = self._solver.domains[d]
-        return dom.terms.fission_production(phi_block, dom.volumes)
-
-    def fission_source(self, d: int, phi_block: np.ndarray) -> np.ndarray:
-        return self._solver.domains[d].terms.fission_source(phi_block)
-
-    def sweeper(self, d: int):
-        return self._solver.domains[d].sweeper
-
-
-class Problem3D(DecomposedProblem):
-    """Adapter over :class:`~repro.parallel.driver3d.ZDecomposedSolver`."""
-
-    def __init__(self, solver) -> None:
-        self._solver = solver
-        self.num_domains = solver.num_domains
-        self.num_fsrs_total = solver.num_fsrs_total
-        self.num_groups = solver.num_groups
-        self.routes = tuple(solver.routes)
-        self.max_iterations = solver.max_iterations
-        self.keff_tolerance = solver.keff_tolerance
-        self.source_tolerance = solver.source_tolerance
-        self.cmfd = getattr(solver, "cmfd_problem", None)
-
-    def block(self, d: int, array: np.ndarray) -> np.ndarray:
-        dom = self._solver.domains[d]
-        return array[dom["fsr_offset"] : dom["fsr_offset"] + dom["geometry"].num_fsrs]
-
-    def sweep_domain(self, d: int, phi_block: np.ndarray, keff: float) -> np.ndarray:
-        dom = self._solver.domains[d]
-        reduced = dom["terms"].reduced_source(phi_block, keff)
-        tally = dom["sweeper"].sweep(dom["segments"], reduced)
-        return dom["sweeper"].finalize_scalar_flux(tally, reduced, dom["volumes"])
-
-    def production(self, d: int, phi_block: np.ndarray) -> float:
-        dom = self._solver.domains[d]
-        return dom["terms"].fission_production(phi_block, dom["volumes"])
-
-    def fission_source(self, d: int, phi_block: np.ndarray) -> np.ndarray:
-        return self._solver.domains[d]["terms"].fission_source(phi_block)
-
-    def sweeper(self, d: int):
-        return self._solver.domains[d]["sweeper"]
+        return PowerIteration(transport, self, timer, cmfd_stage="engine_solve/cmfd")
 
 
 class RoutePack:

@@ -17,8 +17,8 @@ Two layers, matching the reproduction strategy in DESIGN.md:
 from repro.parallel.comm import SimComm, CommStats
 from repro.parallel.domain import DomainSolver
 from repro.parallel.exchange import InterfaceExchange, match_interface_tracks
-from repro.parallel.driver import DecomposedSolver, DecomposedResult
-from repro.parallel.driver3d import ZDecomposedSolver, ZDecomposedResult, Route3D
+from repro.parallel.driver import DecomposedSolver
+from repro.parallel.driver3d import ZDecomposedSolver, SlabDomain, Route3D
 from repro.parallel.timeline import (
     ClusterTransportSimulator,
     SimulationReport,
@@ -32,9 +32,8 @@ __all__ = [
     "InterfaceExchange",
     "match_interface_tracks",
     "DecomposedSolver",
-    "DecomposedResult",
     "ZDecomposedSolver",
-    "ZDecomposedResult",
+    "SlabDomain",
     "Route3D",
     "ClusterTransportSimulator",
     "SimulationReport",

@@ -17,7 +17,7 @@ produce identical results and traffic accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,37 +32,13 @@ from repro.solver.cmfd import (
     bin_fsrs,
     build_coarse_mesh,
     coerce_cmfd,
-    local_exit_destinations,
+    decomposed_cmfd_problem,
     mesh_spec_for,
-    traversal_entry_cells,
 )
-from repro.solver.convergence import ConvergenceMonitor
 from repro.solver.expeval import ExponentialEvaluator
 
-
-@dataclass
-class DecomposedResult:
-    """Outcome of a decomposed k-eigenvalue solve."""
-
-    keff: float
-    scalar_flux: np.ndarray  # global (R_total, G)
-    converged: bool
-    num_iterations: int
-    monitor: ConvergenceMonitor
-    solve_seconds: float
-    comm_bytes: int
-    comm_messages: int
-    comm_allreduce_calls: int = 0
-    engine: str = "inproc"
-    num_workers: int = 1
-    #: Per-worker ``(worker_id, stage -> seconds)`` payloads (``mp`` only).
-    worker_timers: list = field(default_factory=list)
-    #: Race-sanitizer report (``mp-sanitize`` engine only, else ``None``).
-    sanitizer: object = None
-    #: Engine-side comm counters (``mp-async`` only, else empty).
-    comm_counters: dict = field(default_factory=dict)
-    #: CMFD accelerator bookkeeping (empty dict when CMFD is off).
-    cmfd_stats: dict = field(default_factory=dict)
+if TYPE_CHECKING:
+    from repro.engine import EngineResult
 
 
 class DecomposedSolver:
@@ -108,6 +84,7 @@ class DecomposedSolver:
         self.exchange: InterfaceExchange = match_interface_tracks(
             [d.trackgen for d in self.domains]
         )
+        self.routes = self.exchange.routes
         from repro.engine import resolve_engine
 
         self.engine = resolve_engine(
@@ -126,46 +103,14 @@ class DecomposedSolver:
             self._setup_cmfd(options)
 
     def _setup_cmfd(self, options) -> None:
-        """Build the *global* coarse overlay across the decomposition.
-
-        Sub-lattices keep absolute coordinates, so every domain bins its
-        FSRs against the same global mesh spec; bins concatenate in rank
-        order into the global cell map. Interface track ends — locally
-        terminal, hence vacuum to :func:`local_exit_destinations` — are
-        resolved through the route table into the entry cell of the
-        matched remote slot, which is what keeps the per-face net current
-        (and therefore the coarse solve) identical across engines.
-        """
+        """Build the *global* coarse overlay across the decomposition."""
         spec = mesh_spec_for(self.geometry, options)
         mesh = build_coarse_mesh(
             spec, [bin_fsrs(d.geometry, spec) for d in self.domains]
         )
-        cells = [self._local_block(d, mesh.cellmap) for d in self.domains]
-        entries = [
-            traversal_entry_cells(d.sweeper.plan, cells[r])
-            for r, d in enumerate(self.domains)
-        ]
-        exit_dst = [
-            local_exit_destinations(d.sweeper.plan, cells[r])
-            for r, d in enumerate(self.domains)
-        ]
-        for route in self.exchange.routes:
-            exit_dst[route.src_domain][route.src_track, route.src_dir] = entries[
-                route.dst_domain
-            ][route.dst_track, route.dst_dir]
-        for r, dom in enumerate(self.domains):
-            dom.sweeper.enable_cmfd_tally(cells[r], exit_dst[r])
-        self.cmfd_problem = CmfdProblem(
-            mesh,
-            np.concatenate([d.terms.sigma_t for d in self.domains]),
-            np.concatenate([d.terms.sigma_s for d in self.domains]),
-            np.concatenate([d.terms.nu_sigma_f for d in self.domains]),
-            np.concatenate([d.terms.chi for d in self.domains]),
-            self.volumes,
-            options,
-        )
-        self.cmfd_problem.finalize_pairs(
-            [d.sweeper.current_tally.pairs for d in self.domains]
+        self.cmfd_problem = decomposed_cmfd_problem(
+            self.domains, self.routes, mesh,
+            [d.sweeper.plan for d in self.domains], self.volumes, options,
         )
 
     @property
@@ -175,27 +120,10 @@ class DecomposedSolver:
     def _local_block(self, dom: DomainSolver, global_array: np.ndarray) -> np.ndarray:
         return global_array[dom.fsr_offset : dom.fsr_offset + dom.num_fsrs]
 
-    def solve(self) -> DecomposedResult:
-        from repro.engine import Problem2D
+    def solve(self) -> EngineResult:
+        from repro.engine import DecomposedProblem
 
-        result = self.engine.solve(Problem2D(self), self.comm)
-        return DecomposedResult(
-            keff=result.keff,
-            scalar_flux=result.scalar_flux,
-            converged=result.converged,
-            num_iterations=result.num_iterations,
-            monitor=result.monitor,
-            solve_seconds=result.solve_seconds,
-            comm_bytes=self.comm.stats.bytes_sent,
-            comm_messages=self.comm.stats.messages_sent,
-            comm_allreduce_calls=self.comm.stats.allreduce_calls,
-            engine=self.engine.name,
-            num_workers=result.num_workers,
-            worker_timers=result.worker_timers,
-            sanitizer=result.sanitizer,
-            comm_counters=result.comm_counters,
-            cmfd_stats=result.cmfd_stats,
-        )
+        return self.engine.solve(DecomposedProblem(self), self.comm)
 
     def rebind_materials(self, materials_for) -> None:
         """Re-point every domain at a new per-FSR material list while
@@ -227,7 +155,7 @@ class DecomposedSolver:
         if self.cmfd_problem is not None:
             self._setup_cmfd(self.cmfd_problem.options)
 
-    def fission_rates(self, result: DecomposedResult) -> np.ndarray:
+    def fission_rates(self, result: EngineResult) -> np.ndarray:
         """Global per-FSR fission rates, unit mean over fissile FSRs."""
         rates = np.concatenate(
             [

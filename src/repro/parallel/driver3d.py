@@ -18,7 +18,8 @@ length and polar spacing, not the slab height).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,19 +29,20 @@ from repro.geometry.extruded import AxialMesh, ExtrudedGeometry
 from repro.geometry.geometry import BoundaryCondition
 from repro.solver.cmfd import (
     CmfdProblem,
-    CurrentTally,
     bin_fsrs_3d,
     build_coarse_mesh,
     coerce_cmfd,
-    local_exit_destinations,
+    decomposed_cmfd_problem,
     mesh_spec_for_3d,
-    traversal_entry_cells,
 )
-from repro.solver.convergence import ConvergenceMonitor
 from repro.solver.expeval import ExponentialEvaluator
 from repro.solver.source import SourceTerms
 from repro.solver.sweep3d import TransportSweep3D
 from repro.tracks.generator import TrackGenerator, TrackGenerator3D
+from repro.tracks.segments import SegmentData
+
+if TYPE_CHECKING:
+    from repro.engine import EngineResult
 
 
 @dataclass(frozen=True)
@@ -56,28 +58,29 @@ class Route3D:
 
 
 @dataclass
-class ZDecomposedResult:
-    """Outcome of a z-decomposed 3D eigenvalue solve."""
+class SlabDomain:
+    """One z-slab's share of the problem, with the attribute surface of
+    :class:`~repro.parallel.domain.DomainSolver` (what the engines read)
+    plus the slab's explicitly stored 3D ``segments``."""
 
-    keff: float
-    scalar_flux: np.ndarray  # (total 3D FSRs, groups), domain-blocked
-    converged: bool
-    num_iterations: int
-    monitor: ConvergenceMonitor
-    solve_seconds: float
-    comm_bytes: int
-    comm_messages: int
-    comm_allreduce_calls: int = 0
-    engine: str = "inproc"
-    num_workers: int = 1
-    #: Per-worker ``(worker_id, stage -> seconds)`` payloads (``mp`` only).
-    worker_timers: list = field(default_factory=list)
-    #: Race-sanitizer report (``mp-sanitize`` engine only, else ``None``).
-    sanitizer: object = None
-    #: Engine-side comm counters (``mp-async`` only, else empty).
-    comm_counters: dict = field(default_factory=dict)
-    #: CMFD accelerator bookkeeping (empty dict when CMFD is off).
-    cmfd_stats: dict = field(default_factory=dict)
+    geometry: ExtrudedGeometry
+    trackgen: TrackGenerator3D
+    terms: SourceTerms
+    sweeper: TransportSweep3D
+    segments: SegmentData
+    volumes: np.ndarray
+    fsr_offset: int
+
+    @property
+    def num_fsrs(self) -> int:
+        return self.geometry.num_fsrs
+
+    def sweep(self, reduced_source_local: np.ndarray) -> np.ndarray:
+        """One local sweep; returns the local delta-psi tally."""
+        return self.sweeper.sweep(self.segments, reduced_source_local)
+
+    def finalize(self, tally: np.ndarray, reduced_source_local: np.ndarray) -> np.ndarray:
+        return self.sweeper.finalize_scalar_flux(tally, reduced_source_local, self.volumes)
 
 
 def _slab_meshes(mesh: AxialMesh, num_domains: int) -> list[AxialMesh]:
@@ -133,7 +136,7 @@ class ZDecomposedSolver:
         self.radial = radial
         evaluator = evaluator or ExponentialEvaluator.shared()
 
-        self.domains: list[dict] = []
+        self.domains: list[SlabDomain] = []
         nz_global = geometry3d.num_layers
         offset = 0
         for d in range(num_domains):
@@ -166,19 +169,11 @@ class ZDecomposedSolver:
             segments = trackgen.trace_all_3d()
             volumes = trackgen.fsr_volumes_3d(segments)
             self.domains.append(
-                dict(
-                    geometry=slab_geom,
-                    trackgen=trackgen,
-                    terms=terms,
-                    sweeper=sweeper,
-                    segments=segments,
-                    volumes=volumes,
-                    fsr_offset=offset,
-                )
+                SlabDomain(slab_geom, trackgen, terms, sweeper, segments, volumes, offset)
             )
             offset += slab_geom.num_fsrs
         self.num_fsrs_total = offset
-        self.num_groups = self.domains[0]["terms"].num_groups
+        self.num_groups = self.domains[0].terms.num_groups
         self.routes = self._match_interfaces()
         from repro.engine import resolve_engine
 
@@ -189,8 +184,8 @@ class ZDecomposedSolver:
         self.keff_tolerance = keff_tolerance
         self.source_tolerance = source_tolerance
         self.max_iterations = int(max_iterations)
-        self.volumes = np.concatenate([d["volumes"] for d in self.domains])
-        if not any(np.any(d["terms"].nu_sigma_f > 0) for d in self.domains):
+        self.volumes = np.concatenate([d.volumes for d in self.domains])
+        if not any(np.any(d.terms.nu_sigma_f > 0) for d in self.domains):
             raise SolverError("no fissile region in any z-domain")
         self.cmfd_problem: CmfdProblem | None = None
         options = coerce_cmfd(cmfd)
@@ -198,48 +193,17 @@ class ZDecomposedSolver:
             self._setup_cmfd(options)
 
     def _setup_cmfd(self, options) -> None:
-        """Global coarse overlay across the z-slabs.
-
-        Slab axial meshes carry absolute z, so each slab bins its 3D FSRs
-        straight into the global coarse grid; slab interface track ends
-        resolve to the entry cell of the matched remote slot through the
-        :class:`Route3D` table. Tallies are attached pre-built — the
-        z-decomposed driver traces its segments once, so the plan is fixed
-        for the whole solve.
-        """
+        """Global coarse overlay across the z-slabs (slab axial meshes
+        carry absolute z). The driver traces its segments once, so each
+        slab's plan is fixed for the whole solve."""
         spec = mesh_spec_for_3d(self.geometry3d, options)
         mesh = build_coarse_mesh(
-            spec, [bin_fsrs_3d(d["geometry"], spec) for d in self.domains]
+            spec, [bin_fsrs_3d(d.geometry, spec) for d in self.domains]
         )
-        cells = [
-            self._local_block(r, mesh.cellmap) for r in range(self.num_domains)
-        ]
-        plans = [d["sweeper"].plan_for(d["segments"]) for d in self.domains]
-        entries = [
-            traversal_entry_cells(plan, cell) for plan, cell in zip(plans, cells)
-        ]
-        exit_dst = [
-            local_exit_destinations(plan, cell) for plan, cell in zip(plans, cells)
-        ]
-        for route in self.routes:
-            exit_dst[route.src_domain][route.src_track, route.src_dir] = entries[
-                route.dst_domain
-            ][route.dst_track, route.dst_dir]
-        for r, dom in enumerate(self.domains):
-            dom["sweeper"].attach_cmfd_tally(
-                CurrentTally(plans[r], cells[r], exit_dst[r], self.num_groups)
-            )
-        self.cmfd_problem = CmfdProblem(
-            mesh,
-            np.concatenate([d["terms"].sigma_t for d in self.domains]),
-            np.concatenate([d["terms"].sigma_s for d in self.domains]),
-            np.concatenate([d["terms"].nu_sigma_f for d in self.domains]),
-            np.concatenate([d["terms"].chi for d in self.domains]),
-            self.volumes,
-            options,
-        )
-        self.cmfd_problem.finalize_pairs(
-            [d["sweeper"].current_tally.pairs for d in self.domains]
+        self.cmfd_problem = decomposed_cmfd_problem(
+            self.domains, self.routes, mesh,
+            [d.sweeper.plan_for(d.segments) for d in self.domains],
+            self.volumes, options,
         )
 
     def _global_layer_map(self, layer_offset: int):
@@ -262,9 +226,9 @@ class ZDecomposedSolver:
         """Pair interface exits with neighbour entries at shared z-planes."""
         routes: list[Route3D] = []
         for d in range(self.num_domains - 1):
-            lower = self.domains[d]["trackgen"]
-            upper = self.domains[d + 1]["trackgen"]
-            plane = self.domains[d]["geometry"].axial_mesh.zmax
+            lower = self.domains[d].trackgen
+            upper = self.domains[d + 1].trackgen
+            plane = self.domains[d].geometry.axial_mesh.zmax
             chains = {c.index: c.length for c in lower.chains}
 
             def key(chain, polar, s, ds_sign, dz_sign, length):
@@ -331,28 +295,7 @@ class ZDecomposedSolver:
 
     # --------------------------------------------------------------- solve
 
-    def _local_block(self, d: int, array: np.ndarray) -> np.ndarray:
-        dom = self.domains[d]
-        return array[dom["fsr_offset"] : dom["fsr_offset"] + dom["geometry"].num_fsrs]
+    def solve(self) -> EngineResult:
+        from repro.engine import DecomposedProblem
 
-    def solve(self) -> ZDecomposedResult:
-        from repro.engine import Problem3D
-
-        result = self.engine.solve(Problem3D(self), self.comm)
-        return ZDecomposedResult(
-            keff=result.keff,
-            scalar_flux=result.scalar_flux,
-            converged=result.converged,
-            num_iterations=result.num_iterations,
-            monitor=result.monitor,
-            solve_seconds=result.solve_seconds,
-            comm_bytes=self.comm.stats.bytes_sent,
-            comm_messages=self.comm.stats.messages_sent,
-            comm_allreduce_calls=self.comm.stats.allreduce_calls,
-            engine=self.engine.name,
-            num_workers=result.num_workers,
-            worker_timers=result.worker_timers,
-            sanitizer=result.sanitizer,
-            comm_counters=result.comm_counters,
-            cmfd_stats=result.cmfd_stats,
-        )
+        return self.engine.solve(DecomposedProblem(self), self.comm)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from repro.geometry.geometry import Geometry
 from repro.io.config import RunConfig, load_config
 from repro.io.logging_utils import StageTimer, get_logger
 from repro.observability import Observation, RunManifest, RunReport
-from repro.parallel.driver import DecomposedResult, DecomposedSolver
+from repro.parallel.driver import DecomposedSolver
 from repro.runtime.output import ascii_heatmap, pin_power_map, write_fission_rates_csv, write_vtk_structured_points
 from repro.runtime.stages import PipelineState, StageName
 from repro.solver.cmfd import resolve_cmfd_enabled
@@ -31,6 +31,9 @@ from repro.solver.keff import SolveResult
 from repro.solver.solver import MOCSolver
 from repro.tracks.cache import resolve_cache
 from repro.materials.c5g7 import c5g7_library
+
+if TYPE_CHECKING:
+    from repro.engine import EngineResult
 
 #: Registry of geometry builders addressable from config files. The mini
 #: variants keep full material heterogeneity at test-friendly sizes. 3D
@@ -361,7 +364,7 @@ class AntMocApplication:
                 cache_enabled=cache is not None,
             )
             with self._stage(StageName.TRANSPORT_SOLVING.value):
-                result: DecomposedResult | SolveResult = solver.solve()
+                result: EngineResult | SolveResult = solver.solve()
                 self.pipeline.complete(StageName.TRANSPORT_SOLVING, result)
             self._record_worker_timers(result)
             self._count_comm(solver.comm.stats)
@@ -491,7 +494,7 @@ class AntMocApplication:
                 )
                 self.pipeline.complete(StageName.TRACK_GENERATION, solver)
             self._record_tracking_phases(
-                [solver.radial.timings] + [d["trackgen"].timings for d in solver.domains],
+                [solver.radial.timings] + [d.trackgen.timings for d in solver.domains],
                 cache_enabled=cache is not None,
             )
             with self._stage(StageName.TRANSPORT_SOLVING.value):
@@ -506,16 +509,16 @@ class AntMocApplication:
                 num_domains=solver.num_domains,
                 tracks_2d=solver.radial.num_tracks,
                 segments_2d=solver.radial.num_segments,
-                tracks_3d=sum(d["trackgen"].num_tracks_3d for d in solver.domains),
-                segments_3d=sum(d["segments"].num_segments for d in solver.domains),
+                tracks_3d=sum(d.trackgen.num_tracks_3d for d in solver.domains),
+                segments_3d=sum(d.segments.num_segments for d in solver.domains),
             )
             comm_bytes = result.comm_bytes
             flux = result.scalar_flux
             rates = np.concatenate(
                 [
-                    dom["terms"].fission_rate(
-                        flux[dom["fsr_offset"] : dom["fsr_offset"] + dom["geometry"].num_fsrs],
-                        dom["volumes"],
+                    dom.terms.fission_rate(
+                        flux[dom.fsr_offset : dom.fsr_offset + dom.num_fsrs],
+                        dom.volumes,
                     )
                     for dom in solver.domains
                 ]

@@ -1,4 +1,4 @@
-"""Scenario-axis batched 2D sweep and multi-state power iteration.
+"""Scenario-axis batched 2D sweep and its multi-state eigenvalue solve.
 
 One wider vectorized kernel sweeps all states of a batch at once: the
 numpy backend's position-major lockstep loop gains a state axis ``S``
@@ -18,9 +18,9 @@ kernel's (:func:`~repro.solver.backends.numpy_backend.lockstep` over a
 :class:`~repro.solver.backends.numpy_backend.SweepWorkspace`).
 
 States may converge at different iterations: a converged state freezes
-(its result is snapshotted and its last reduced source is recycled so
-the widened kernel keeps a valid input) while the remaining states sweep
-on. CMFD acceleration reuses :class:`~repro.solver.cmfd.CmfdAccelerator`
+(the shared loop stops touching it and its last reduced source is
+recycled so the widened kernel keeps a valid input) while the remaining
+states sweep on. CMFD acceleration reuses :class:`~repro.solver.cmfd.CmfdAccelerator`
 unchanged through a per-state sweeper view; each state owns its
 :class:`~repro.solver.cmfd.CurrentTally` (values) while all states share
 the tally *layout* and one widened in-kernel capture.
@@ -37,9 +37,9 @@ from repro.errors import ScenarioError, SolverError
 from repro.io.logging_utils import get_logger
 from repro.solver.backends import KernelTimings, SweepWorkspace, lockstep
 from repro.solver.backends.plan import MAX_EXPF_ELEMENTS
-from repro.solver.convergence import ConvergenceMonitor
 from repro.solver.expeval import ExponentialEvaluator
-from repro.solver.keff import SolveResult, with_kernel_phases
+from repro.solver.keff import with_kernel_phases
+from repro.solver.power import SolveResult, solve_local
 from repro.solver.source import SourceTerms
 
 
@@ -210,11 +210,8 @@ class BatchedSweep2D:
 
 
 class BatchedKeffSolver:
-    """Power iteration over all states of one batch simultaneously.
-
-    Replicates :class:`~repro.solver.keff.KeffSolver.solve` per state —
-    same normalisation, same update order, same accelerator hook, same
-    convergence monitoring — with the transport sweep amortised across
+    """All states of one batch through :mod:`repro.solver.power` at once:
+    ``S`` states, one domain, with the transport sweep amortised across
     states through :class:`BatchedSweep2D`.
     """
 
@@ -244,87 +241,19 @@ class BatchedKeffSolver:
 
     def solve(self) -> list[SolveResult]:
         """Iterate until every state converges (or max iterations)."""
-        start = time.perf_counter()
         sweeper = self.sweeper
-        num_states = sweeper.num_states
-        volumes = self.volumes
-        phi: list[np.ndarray] = []
-        keff = [1.0] * num_states
-        monitors = []
-        for s in range(num_states):
-            terms = self.terms[s]
-            p = np.ones((terms.num_regions, terms.num_groups))
-            production = terms.fission_production(p, volumes)
-            if production <= 0.0:
-                raise SolverError("initial flux produces no fission neutrons")
-            p /= production
-            phi.append(p)
-            monitors.append(
-                ConvergenceMonitor(
-                    keff_tolerance=self.keff_tolerance,
-                    source_tolerance=self.source_tolerance,
-                )
-            )
-        phases = {"source": 0.0, "sweep": 0.0, "finalize": 0.0}
-        reduced: list[np.ndarray | None] = [None] * num_states
-        frozen: list[SolveResult | None] = [None] * num_states
-        active = set(range(num_states))
-        for _ in range(self.max_iterations):
-            t0 = time.perf_counter()
-            for s in active:
-                reduced[s] = self.terms[s].reduced_source(phi[s], keff[s])
-            # Frozen states recycle their last reduced source: the widened
-            # kernel still needs a valid input for every state, and their
-            # results were snapshotted at convergence.
-            reduced_stack = np.stack(reduced, axis=0)
-            t1 = time.perf_counter()
-            tallies = sweeper.sweep(reduced_stack)
-            t2 = time.perf_counter()
-            phases["source"] += t1 - t0
-            phases["sweep"] += t2 - t1
-            for s in sorted(active):
-                terms = self.terms[s]
-                t3 = time.perf_counter()
-                phi_new = sweeper.finalize_state(s, tallies[s], reduced[s], volumes)
-                phases["finalize"] += time.perf_counter() - t3
-                new_production = terms.fission_production(phi_new, volumes)
-                if new_production <= 0.0:
-                    raise SolverError("fission production vanished during iteration")
-                keff[s] = keff[s] * new_production
-                phi[s] = phi_new / new_production
-                if self.accelerators[s] is not None:
-                    keff[s] = self.accelerators[s].apply(phi_new, phi[s], keff[s])
-                monitors[s].update(keff[s], terms.fission_source(phi[s]))
-                if monitors[s].converged:
-                    frozen[s] = self._snapshot(s, phi[s], keff[s], monitors[s], start, phases)
-            active -= {s for s in active if frozen[s] is not None}
-            if not active:
-                break
-        results: list[SolveResult] = []
-        for s in range(num_states):
-            if frozen[s] is not None:
-                results.append(frozen[s])
-                continue
-            get_logger("repro.scenario").warning(
-                "scenario state %d stopped unconverged after %d iterations "
-                "(max_iterations=%d)", s, monitors[s].num_iterations, self.max_iterations,
-            )
-            results.append(self._snapshot(s, phi[s], keff[s], monitors[s], start, phases))
-        return results
-
-    def _snapshot(
-        self, state: int, phi: np.ndarray, keff: float, monitor, start: float, phases: dict
-    ) -> SolveResult:
-        stats = getattr(self.accelerators[state], "stats", None)
-        return SolveResult(
-            keff=keff,
-            scalar_flux=phi.copy(),
-            converged=monitor.converged,
-            num_iterations=monitor.num_iterations,
-            monitor=monitor,
-            # Wall time and phase attribution are batch-wide: the sweep is
-            # shared, so per-state attribution would double-count it.
-            solve_seconds=time.perf_counter() - start,
-            phase_seconds=with_kernel_phases(phases, self.sweeper.timings.kernel_phases()),
-            cmfd_stats=stats.as_dict() if stats is not None else {},
+        results = solve_local(
+            self.terms,
+            self.volumes,
+            lambda reduced: sweeper.sweep(np.stack(reduced, axis=0)),
+            lambda state, tally, reduced: sweeper.finalize_state(
+                state, tally, reduced, self.volumes
+            ),
+            self.accelerators,
+            [np.ones((t.num_regions, t.num_groups)) for t in self.terms],
+            self,
         )
+        kernel = sweeper.timings.kernel_phases()
+        for result in results:
+            result.phase_seconds = with_kernel_phases(result.phase_seconds, kernel)
+        return results

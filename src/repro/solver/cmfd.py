@@ -34,7 +34,6 @@ Key structural properties, relied on throughout:
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -897,38 +896,73 @@ class CmfdProblem:
         return CmfdStep(k, factors, iterations, False)
 
 
+def decomposed_cmfd_problem(
+    domains, routes, mesh: CoarseMesh, plans, volumes: np.ndarray, options: CmfdOptions
+) -> CmfdProblem:
+    """The *global* coarse problem across a decomposition (2D lattice
+    cuts or 3D z-slabs), with one current tally attached per domain.
+
+    Subdomains keep absolute coordinates, so ``mesh`` bins every domain's
+    FSRs against the same global spec, concatenated in rank order.
+    Interface track ends — locally terminal, hence vacuum to
+    :func:`local_exit_destinations` — are resolved through the route table
+    into the entry cell of the matched remote slot, which is what keeps
+    the per-face net current (and therefore the coarse solve) identical
+    across engines. ``plans`` holds each domain's sweep plan; the tallies
+    are built once, so the plans must stay fixed for the whole solve.
+    """
+    cells = [mesh.cellmap[d.fsr_offset : d.fsr_offset + d.num_fsrs] for d in domains]
+    entries = [traversal_entry_cells(plan, cell) for plan, cell in zip(plans, cells)]
+    exit_dst = [local_exit_destinations(plan, cell) for plan, cell in zip(plans, cells)]
+    for route in routes:
+        exit_dst[route.src_domain][route.src_track, route.src_dir] = entries[
+            route.dst_domain
+        ][route.dst_track, route.dst_dir]
+    terms = [d.terms for d in domains]
+    for dom, plan, cell, dst in zip(domains, plans, cells, exit_dst):
+        dom.sweeper.current_tally = CurrentTally(plan, cell, dst, terms[0].num_groups)
+    problem = CmfdProblem(
+        mesh,
+        np.concatenate([t.sigma_t for t in terms]),
+        np.concatenate([t.sigma_s for t in terms]),
+        np.concatenate([t.nu_sigma_f for t in terms]),
+        np.concatenate([t.chi for t in terms]),
+        volumes,
+        options,
+    )
+    problem.finalize_pairs([d.sweeper.current_tally.pairs for d in domains])
+    return problem
+
+
 # -------------------------------------------------------------- application
 
 
 def apply_engine_cmfd(
     cmfd: CmfdProblem,
-    problem,
     currents_rows: list[np.ndarray],
     phi_new: np.ndarray,
     pnorm: float,
     keff: float,
+    production,
 ) -> tuple[float, np.ndarray, CmfdStep]:
-    """Parent-side CMFD step shared by all engines.
+    """The CMFD step every solve path shares (one row list per domain; a
+    single-domain solve passes one).
 
     Reduces the per-domain currents in rank order, solves the coarse
     problem from the *raw* swept flux, renormalises the prolongation so
-    the accelerated flux keeps unit fission production (the production is
-    itself a rank-ordered per-domain sum), and returns the coarse
-    eigenvalue plus the per-*cell* multiplier: callers apply it to the
-    normalised flux (``phi *= multiplier[cmfd.cellmap]``) and to each
-    domain's stored boundary flux
-    (``tally.scale_boundary_flux(psi_in, multiplier)``). When CMFD is
-    disabled none of this runs — the unaccelerated path stays
+    the accelerated flux keeps unit fission production (``production`` is
+    the caller's rank-ordered, *unaccounted* reduction of a global flux),
+    and returns the coarse eigenvalue plus the per-*cell* multiplier:
+    callers apply it to the normalised flux
+    (``phi *= multiplier[cmfd.cellmap]``) and to each domain's stored
+    boundary flux (``tally.scale_boundary_flux(psi_in, multiplier)``).
+    When CMFD is disabled none of this runs — the unaccelerated path stays
     bitwise-identical to previous releases.
     """
     step = cmfd.solve(phi_new, cmfd.reduce(currents_rows), keff)
-    factor_fsr = step.factors[cmfd.cellmap]
-    values = []
-    for d in range(problem.num_domains):
-        block = problem.block(d, phi_new) / pnorm
-        block *= problem.block(d, factor_fsr)
-        values.append(problem.production(d, block))
-    scale = sum(values)
+    prolonged = phi_new / pnorm
+    prolonged *= step.factors[cmfd.cellmap]
+    scale = production(prolonged)
     if not scale > 0.0:
         raise SolverError("CMFD prolongation lost all fission production")
     multiplier = step.factors / scale
@@ -937,34 +971,30 @@ def apply_engine_cmfd(
 
 
 class CmfdAccelerator:
-    """The :class:`~repro.solver.keff.KeffSolver` ``accelerator`` hook for
-    single-domain solves (2D and all 3D storage strategies)."""
+    """The ``accelerator`` hook of single-domain solves (2D and all 3D
+    storage strategies): :func:`apply_engine_cmfd` over one domain."""
 
     def __init__(self, problem: CmfdProblem, sweeper, terms, volumes) -> None:
         self.problem = problem
         self.sweeper = sweeper
         self.terms = terms
         self.volumes = volumes
-        self.stats = CmfdStats()
 
-    def apply(self, phi_new: np.ndarray, phi: np.ndarray, keff: float) -> float:
-        """Run one coarse solve and prolong onto ``phi`` in place; returns
-        the eigenvalue to continue the power iteration with."""
-        start = time.perf_counter()
+    def apply(
+        self, phi_new: np.ndarray, phi: np.ndarray, pnorm: float, keff: float
+    ) -> tuple[float, CmfdStep]:
+        """Run one coarse solve from the raw swept flux ``phi_new`` and
+        prolong onto ``phi = phi_new / pnorm`` in place; returns the
+        eigenvalue to continue the power iteration with."""
         tally = self.sweeper.current_tally
         if tally is None:
             raise SolverError("CMFD accelerator ran before any tallying sweep")
         if self.problem.pairs is None:
             self.problem.finalize_pairs([tally.pairs])
-        step = self.problem.solve(
-            phi_new, self.problem.reduce([tally.take()]), keff
+        keff, multiplier, step = apply_engine_cmfd(
+            self.problem, [tally.take()], phi_new, pnorm, keff,
+            lambda flux: self.terms.fission_production(flux, self.volumes),
         )
-        factor_fsr = step.factors[self.problem.cellmap]
-        scale = self.terms.fission_production(phi * factor_fsr, self.volumes)
-        if not scale > 0.0:
-            raise SolverError("CMFD prolongation lost all fission production")
-        cell_multiplier = step.factors / scale
-        phi *= cell_multiplier[self.problem.cellmap]
-        tally.scale_boundary_flux(self.sweeper.psi_in, cell_multiplier)
-        self.stats.record(step, time.perf_counter() - start)
-        return step.keff if step.keff is not None else keff
+        phi *= multiplier[self.problem.cellmap]
+        tally.scale_boundary_flux(self.sweeper.psi_in, multiplier)
+        return keff, step

@@ -79,11 +79,6 @@ class TransportSweep3D:
         self._cmfd_cells: np.ndarray | None = None
         self._cmfd_tally_plan = None
 
-    def attach_cmfd_tally(self, tally) -> None:
-        """Attach a pre-built :class:`~repro.solver.cmfd.CurrentTally`."""
-        self.current_tally = tally
-        self._cmfd_cells = None
-
     def enable_cmfd_tally(self, cell_of_fsr: np.ndarray) -> None:
         """Tally coarse currents lazily over whatever plan each sweep
         uses; track-end destinations come from the local link tables

@@ -15,7 +15,7 @@ import signal
 import numpy as np
 import pytest
 
-from repro.engine import AsyncMpEngine, EdgePack, MpEngine, Problem2D, RoutePack
+from repro.engine import AsyncMpEngine, EdgePack, MpEngine, DecomposedProblem, RoutePack
 from repro.errors import SolverError
 from repro.geometry import Geometry, Lattice
 from repro.geometry.universe import make_homogeneous_universe
@@ -49,7 +49,7 @@ class TestEdgePack:
 
     def test_edges_partition_the_routes(self, pin_lattice):
         solver = make_solver(pin_lattice, 2, 2)
-        pack = EdgePack(Problem2D(solver))
+        pack = EdgePack(DecomposedProblem(solver))
         assert pack.num_edges == len(pack.edge_pairs)
         union = np.concatenate(
             [pack.edge_routes(e) for e in range(pack.num_edges)]
@@ -58,14 +58,14 @@ class TestEdgePack:
 
     def test_edge_pairs_are_directed_and_sorted(self, pin_lattice):
         solver = make_solver(pin_lattice, 2, 2)
-        pack = EdgePack(Problem2D(solver))
+        pack = EdgePack(DecomposedProblem(solver))
         assert list(pack.edge_pairs) == sorted(pack.edge_pairs)
         for src, dst in pack.edge_pairs:
             assert src != dst
 
     def test_out_in_edges_consistent(self, pin_lattice):
         solver = make_solver(pin_lattice, 2, 2)
-        problem = Problem2D(solver)
+        problem = DecomposedProblem(solver)
         pack = EdgePack(problem)
         for d in range(problem.num_domains):
             for e in pack.out_edges(d):
@@ -81,7 +81,7 @@ class TestEdgePack:
     def test_inherits_route_accounting(self, pin_lattice):
         """Traffic accounting is the RoutePack's — byte-for-byte."""
         solver = make_solver(pin_lattice, 2, 2)
-        problem = Problem2D(solver)
+        problem = DecomposedProblem(solver)
         assert EdgePack(problem).pair_counts == RoutePack(problem).pair_counts
 
 
@@ -148,7 +148,7 @@ class TestAsyncMechanics:
 class TestAsyncFailures:
     @needs_fork
     def test_worker_exception_surfaces_as_solver_error(self, grid_2x1):
-        class ExplodingProblem(Problem2D):
+        class ExplodingProblem(DecomposedProblem):
             def sweep_domain(self, d, phi_block, keff):
                 if d == 1:
                     raise RuntimeError("injected sweep failure")
@@ -164,7 +164,7 @@ class TestAsyncFailures:
         """SIGKILL mid-epoch leaves no traceback; the grant/harvest poll
         must still name the dead worker and its signal, not time out."""
 
-        class SuicidalProblem(Problem2D):
+        class SuicidalProblem(DecomposedProblem):
             def sweep_domain(self, d, phi_block, keff):
                 if d == 1:
                     os.kill(os.getpid(), signal.SIGKILL)

@@ -182,3 +182,59 @@ class TestCmfdEquivalence:
         fast = solve_2d(pin_lattice, "inproc", cmfd=True)[1]
         assert fast.cmfd_stats and not plain.cmfd_stats
         assert fast.keff != plain.keff
+
+
+class TestOneLoop:
+    """The identities the shared power iteration (``repro.solver.power``)
+    rests on: a single-domain solve is the D = 1 case of a decomposed
+    solve, a single-state solve the S = 1 case of a batch — bitwise."""
+
+    @staticmethod
+    def assert_same_solve(single, other):
+        assert float(other.keff).hex() == float(single.keff).hex()
+        assert other.num_iterations == single.num_iterations
+        np.testing.assert_array_equal(other.scalar_flux, single.scalar_flux)
+
+    @pytest.mark.parametrize("cmfd", [False, True], ids=["plain", "cmfd"])
+    @pytest.mark.parametrize("dims", ["2d", "3d-exp"])
+    def test_single_domain_is_one_domain_decomposed(
+        self, dims, cmfd, pin_lattice, two_group_fissile, two_group_absorber
+    ):
+        from repro.solver import MOCSolver
+
+        if dims == "2d":
+            tracking = dict(num_azim=4, azim_spacing=0.5, num_polar=2, max_iterations=12)
+            single = MOCSolver.for_2d(pin_lattice, cmfd=cmfd, **tracking).solve()
+            decomposed = DecomposedSolver(
+                pin_lattice, 1, 1, engine="inproc", cmfd=cmfd, **tracking
+            ).solve()
+        else:
+            g3 = extruded(
+                two_group_fissile, layers=4, height=8.0,
+                bc_top=BoundaryCondition.VACUUM,
+                layer_material=reflector_layer_map(two_group_absorber, {2, 3}),
+            )
+            tracking = dict(
+                num_azim=4, azim_spacing=0.7, polar_spacing=0.7, num_polar=2,
+                max_iterations=8,
+            )
+            single = MOCSolver.for_3d(g3, storage="EXP", cmfd=cmfd, **tracking).solve()
+            decomposed = ZDecomposedSolver(
+                g3, num_domains=1, engine="inproc", cmfd=cmfd, **tracking
+            ).solve()
+        assert bool(decomposed.cmfd_stats) == cmfd
+        self.assert_same_solve(single, decomposed)
+
+    def test_single_state_is_a_batch_of_one(self, pin_lattice):
+        from repro.scenario import BatchedKeffSolver, BatchedSweep2D
+        from repro.solver import MOCSolver
+
+        limits = dict(keff_tolerance=1e-14, source_tolerance=1e-14, max_iterations=12)
+        solver = MOCSolver.for_2d(
+            pin_lattice, num_azim=4, azim_spacing=0.5, num_polar=2,
+            backend="numpy", **limits,
+        )
+        single = solver.solve()
+        sweeper = BatchedSweep2D(solver.trackgen, [solver.terms])
+        (batched,) = BatchedKeffSolver(sweeper, solver.volumes, **limits).solve()
+        self.assert_same_solve(single, batched)

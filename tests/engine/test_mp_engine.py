@@ -6,7 +6,7 @@ import signal
 
 import pytest
 
-from repro.engine import MpEngine, Problem2D
+from repro.engine import MpEngine, DecomposedProblem
 from repro.errors import CommunicationError, SolverError
 from repro.geometry import Geometry, Lattice
 from repro.geometry.universe import make_homogeneous_universe
@@ -60,7 +60,7 @@ class TestMpMechanics:
         """A sweep crash in a forked worker must reach the parent as a
         SolverError carrying the worker traceback, not a hang."""
 
-        class ExplodingProblem(Problem2D):
+        class ExplodingProblem(DecomposedProblem):
             def sweep_domain(self, d, phi_block, keff):
                 if d == 1:
                     raise RuntimeError("injected sweep failure")
@@ -79,7 +79,7 @@ class TestMpMechanics:
         """When one worker raises, its siblings' barriers break too; the
         original traceback must lead the report, not the teardown noise."""
 
-        class ExplodingProblem(Problem2D):
+        class ExplodingProblem(DecomposedProblem):
             def sweep_domain(self, d, phi_block, keff):
                 if d == 1:
                     raise RuntimeError("injected sweep failure")
@@ -103,7 +103,7 @@ class TestMpMechanics:
         message) must surface as a SolverError naming the dead worker and
         its signal — within the configured timeout, not a hang."""
 
-        class SuicidalProblem(Problem2D):
+        class SuicidalProblem(DecomposedProblem):
             def sweep_domain(self, d, phi_block, keff):
                 if d == 1:
                     os.kill(os.getpid(), signal.SIGKILL)

@@ -85,8 +85,8 @@ class TestHeterogeneousAgreement:
             g3, num_domains=2, num_azim=4, azim_spacing=0.7,
             polar_spacing=0.7, num_polar=2, max_iterations=5,
         )
-        lower_materials = {m.name for m in solver.domains[0]["geometry"].fsr_materials}
-        upper_materials = {m.name for m in solver.domains[1]["geometry"].fsr_materials}
+        lower_materials = {m.name for m in solver.domains[0].geometry.fsr_materials}
+        upper_materials = {m.name for m in solver.domains[1].geometry.fsr_materials}
         assert lower_materials == {two_group_fissile.name}
         assert upper_materials == {two_group_absorber.name}
 

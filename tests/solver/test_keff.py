@@ -1,11 +1,55 @@
 """Tests for the power-iteration driver (with a mock sweep)."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro.constants import FOUR_PI
 from repro.errors import SolverError
 from repro.solver import KeffSolver, SourceTerms
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="mp engines require the fork start method",
+)
+
+#: Every solve path that runs the shared power iteration -> its state count.
+SOLVE_PATHS = [
+    pytest.param("2d", 1, id="2d"),
+    pytest.param("3d-exp", 1, id="3d-exp"),
+    pytest.param("inproc", 1, id="inproc-2x1"),
+    pytest.param("mp", 1, id="mp", marks=needs_fork),
+    pytest.param("mp-async", 1, id="mp-async", marks=needs_fork),
+    pytest.param("batch", 2, id="batch-2"),
+]
+
+
+def build_path(path, material, geometry_3d, **limits):
+    """A zero-argument solve over ``path`` on a tiny homogeneous problem."""
+    from repro.geometry import Geometry, Lattice
+    from repro.geometry.universe import make_homogeneous_universe
+    from repro.parallel import DecomposedSolver
+    from repro.scenario import BatchedKeffSolver, BatchedSweep2D
+    from repro.solver import MOCSolver
+    from repro.tracks import TrackGenerator
+
+    u = make_homogeneous_universe(material)
+    tracking = dict(num_azim=4, azim_spacing=0.5, num_polar=2)
+    if path == "2d":
+        return MOCSolver.for_2d(Geometry(Lattice([[u]], 1.5, 1.5)), **tracking, **limits).solve
+    if path == "3d-exp":
+        return MOCSolver.for_3d(
+            geometry_3d, num_azim=4, azim_spacing=0.8, polar_spacing=0.8,
+            num_polar=2, storage="EXP", **limits,
+        ).solve
+    if path == "batch":
+        trackgen = TrackGenerator(Geometry(Lattice([[u]], 1.5, 1.5)), **tracking).generate()
+        sweeper = BatchedSweep2D(trackgen, [SourceTerms([material]), SourceTerms([material])])
+        return BatchedKeffSolver(sweeper, trackgen.fsr_volumes, **limits).solve
+    return DecomposedSolver(
+        Geometry(Lattice([[u, u]], 1.5, 1.5)), 2, 1, **tracking, engine=path, **limits
+    ).solve
 
 
 @pytest.fixture()
@@ -77,16 +121,16 @@ class TestPowerIteration:
 
     @staticmethod
     def _solve_captured(solver, caplog):
-        """Run a solve with caplog's handler attached to the library
-        logger (it does not propagate to root, so ``at_level`` alone sees
-        nothing)."""
+        """Run a solve (a solver, or a bare ``solve`` callable) with
+        caplog's handler attached to the library logger (it does not
+        propagate to root, so ``at_level`` alone sees nothing)."""
         import logging
 
         logger = logging.getLogger("repro.solver")
         logger.addHandler(caplog.handler)
         try:
             with caplog.at_level("WARNING", logger="repro.solver"):
-                return solver.solve()
+                return getattr(solver, "solve", solver)()
         finally:
             logger.removeHandler(caplog.handler)
 
@@ -111,6 +155,44 @@ class TestPowerIteration:
         assert "max_iterations=5" in warning
         assert "keff_change=" in warning
         assert "source_residual=" in warning
+
+    @pytest.mark.parametrize("path, num_states", SOLVE_PATHS)
+    def test_exhaustion_warns_once_on_every_path(
+        self, path, num_states, two_group_fissile, small_geometry_3d, caplog
+    ):
+        """The same structured WARNING, once per solve (once per state in
+        a batch, naming the state), whichever caller ran the loop."""
+        solve = build_path(
+            path, two_group_fissile, small_geometry_3d,
+            keff_tolerance=1e-14, source_tolerance=1e-14, max_iterations=3,
+        )
+        result = self._solve_captured(solve, caplog)
+        results = result if isinstance(result, list) else [result]
+        assert len(results) == num_states
+        assert not any(r.converged for r in results)
+        warnings = [
+            r.getMessage() for r in caplog.records if "unconverged" in r.getMessage()
+        ]
+        assert len(warnings) == num_states
+        for state, warning in enumerate(warnings):
+            assert "3 iterations" in warning
+            assert "max_iterations=3" in warning
+            assert "keff_change=" in warning and "(tol 1.0e-14)" in warning
+            assert "source_residual=" in warning
+            assert (f"state {state}" in warning) == (num_states > 1)
+
+    @pytest.mark.parametrize("path, num_states", SOLVE_PATHS)
+    def test_converged_paths_stay_silent(
+        self, path, num_states, two_group_fissile, small_geometry_3d, caplog
+    ):
+        solve = build_path(
+            path, two_group_fissile, small_geometry_3d,
+            keff_tolerance=1e-4, source_tolerance=1e-3, max_iterations=300,
+        )
+        result = self._solve_captured(solve, caplog)
+        results = result if isinstance(result, list) else [result]
+        assert all(r.converged for r in results)
+        assert not [r for r in caplog.records if "unconverged" in r.getMessage()]
 
     def test_converged_solve_does_not_warn(self, terms, caplog):
         sweep, finalize = infinite_medium_sweep(terms)
