@@ -1,7 +1,7 @@
 """Registry-hygiene checker: pluggable components fail fast, by name.
 
 Backends, engines, tracers and checkers are all selected through string
-registries (``register_engine("mp", ...)``, ``--backend=numba``). The
+registries (``register_engine("mp", ...)``, ``--backend=numpy``). The
 registry contract the equivalence suite leans on: registration keys are
 literal constants (grep-able, stable across refactors), every registrable
 class declares its ``name`` as a string-literal class attribute, and

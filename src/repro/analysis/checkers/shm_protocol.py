@@ -3,9 +3,10 @@ statically on every control-flow path.
 
 The dynamic sanitizer (``mp-sanitize``/``mp-async-sanitize``) observes the
 barrier/epoch/seqlock protocol on the schedules that happen to execute;
-this checker is its static twin, running the same ordering rules over the
-statement-level CFGs of :mod:`repro.engine.mp`, :mod:`~repro.engine.async_mp`,
-:mod:`~repro.engine.shm` and :mod:`~repro.engine.sanitize`. Four rules:
+this checker is its static counterpart, running the same ordering rules
+over the statement-level CFGs of the same text — the worker loops and
+parent schedules of :mod:`repro.engine.mp` and
+:mod:`~repro.engine.async_mp` — plus :mod:`~repro.engine.shm`. Four rules:
 
 * ``shm-bump-before-payload`` — a seqlock publish (``edge_seq[e] = t+1``,
   ``grant[_EPOCH] = ...``) must be preceded by its payload write (the halo
@@ -15,8 +16,7 @@ statement-level CFGs of :mod:`repro.engine.mp`, :mod:`~repro.engine.async_mp`,
 * ``shm-missing-barrier`` — in barrier-phased functions, no halo read may
   be reachable from a halo write without an intervening ``barrier.wait``
   (or a local wrapper that performs one); a *may* analysis finds the racy
-  path. The sanitizer's deliberate fault-injection race carries a
-  rationale'd suppression.
+  path.
 * ``shm-overlapping-write`` — inside a worker loop (any function taking a
   ``wid`` parameter), every write to a worker-shared arena field must be
   partitioned by the worker's ownership: the statically-derivable target
@@ -57,7 +57,6 @@ SCOPE_MODULES = frozenset(
         "repro.engine.mp",
         "repro.engine.async_mp",
         "repro.engine.shm",
-        "repro.engine.sanitize",
     }
 )
 
@@ -153,29 +152,17 @@ def _target_writes(target: ast.expr, fmap: _FieldMap) -> Iterator[_Access]:
 
 
 def _call_accesses(call: ast.Call, fmap: _FieldMap) -> Iterator[_Access]:
-    """Accesses performed by one call: TrackedField get/set, fill, out=."""
+    """Accesses performed by one call: ``field.fill(...)``, ``out=field``."""
     func = call.func
-    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+    if (
+        isinstance(func, ast.Attribute)
+        and isinstance(func.value, ast.Name)
+        and func.attr == "fill"
+    ):
         field = fmap.field_of(func.value.id)
         if field is not None:
-            if func.attr == "set" and call.args:
-                yield _Access(
-                    field=field,
-                    node=call,
-                    names=_load_names(call.args[0]),
-                    is_write=True,
-                )
-                return
-            if func.attr == "get":
-                yield _Access(
-                    field=field, node=call, names=frozenset(), is_write=False
-                )
-                return
-            if func.attr == "fill":
-                yield _Access(
-                    field=field, node=call, names=frozenset(), is_write=True
-                )
-                return
+            yield _Access(field=field, node=call, names=frozenset(), is_write=True)
+            return
     for kw in call.keywords:
         if kw.arg == "out" and isinstance(kw.value, ast.Name):
             field = fmap.field_of(kw.value.id)

@@ -2,11 +2,10 @@
 
 The shm-protocol checker needs two name-level questions answered:
 
-* **which locals alias shm-arena fields** — ``phi = fields["phi"]``,
-  ``halo_flat = halo.reshape(...)``, ``t_halo = TrackedField("halo",
-  ...)`` all bind a local name to (a view of) a shared array; the
-  reaching-definitions scan maps every such binding back to the arena
-  field it aliases (:func:`arena_handles`);
+* **which locals alias shm-arena fields** — ``phi = fields["phi"]`` and
+  ``flat = phi.ravel()`` both bind a local name to (a view of) a shared
+  array; the reaching-definitions scan maps every such binding back to
+  the arena field it aliases (:func:`arena_handles`);
 * **which locals are derived from worker-ownership roots** — ``idx,
   tracks, dirs = pack.outgoing(d)`` makes ``idx`` a worker-partitioned
   index because ``d`` iterates the worker's ``owned`` list; the
@@ -208,9 +207,6 @@ def arena_handles(
       views positionally: ``phi``, ``halo``, ``control``, ...);
     * ``x = fields["phi"]`` / ``x = arena["phi"]`` subscripts of an
       arena mapping (or ``.get("phi")`` calls on one);
-    * ``t = TrackedField("halo", <expr>, log)`` sanitizer wrappers — the
-      declared name wins because the wrapped expression may be a reshaped
-      view;
     * ``y = x.reshape(...)`` / ``y = x[...]`` views of a known handle.
     """
     known = set(field_names or ())
@@ -274,19 +270,7 @@ def _handle_of(
             and value.func.attr in ("reshape", "view", "ravel", "transpose")
         ):
             return handles[owner.id]
-    # TrackedField("halo", expr, log)
     if isinstance(value, ast.Call):
-        func = value.func
-        name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else ""
-        )
-        if (
-            name == "TrackedField"
-            and value.args
-            and isinstance(value.args[0], ast.Constant)
-            and isinstance(value.args[0].value, str)
-        ):
-            return str(value.args[0].value)
         # problem.block(d, phi) and friends: a helper taking exactly one
         # handle argument returns a view of (or into) that handle.
         handle_args = [

@@ -109,7 +109,7 @@ def _add_override_arguments(parser: argparse.ArgumentParser) -> None:
         "--backend",
         choices=SWEEP_BACKENDS,
         help="Sweep-kernel backend, overriding the config's solver.sweep_backend "
-        "('auto' uses numba when installed, else numpy).",
+        "('auto' is numpy).",
     )
     parser.add_argument(
         "--tracer",

@@ -40,12 +40,16 @@ from __future__ import annotations
 
 import time
 import traceback
+from functools import partial
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from repro.engine.mp import (
     WORKER_ERRORS,
+    Field,
     MpEngine,
+    WorkerView,
     _fmt_bytes,
     _maybe_pin_worker,
 )
@@ -68,7 +72,8 @@ RUN, FINAL, HALT = 0, 1, 2
 _POLL_MIN, _POLL_MAX = 1e-5, 1e-3
 
 
-def _wait_value(array, index, threshold, timeout, desc):
+def _wait_value(array: Field, index: int, threshold: int, timeout: float,
+                desc: str) -> bool:
     """Poll ``array[index] >= threshold``; True if it blocked at all."""
     if array[index] >= threshold:
         return False
@@ -88,7 +93,11 @@ def _wait_value(array, index, threshold, timeout, desc):
     return True
 
 
-def _async_worker_loop(problem, pack, wid, owned, fields, queue, timeout, pin):
+def _async_worker_loop(problem: DecomposedProblem, pack: EdgePack, wid: int,
+                       owned: list[int], fields: Mapping[str, Field],
+                       wait: Callable[[Field, int, int, float, str], bool],
+                       queue: Any, timeout: float, pin: bool,
+                       view: WorkerView) -> None:
     """Worker body: grant-gated sweeps with per-edge mailbox waits.
 
     Local iteration ``t`` consumes grant ``t+1``, normalises the previous
@@ -99,23 +108,28 @@ def _async_worker_loop(problem, pack, wid, owned, fields, queue, timeout, pin):
     ``worker_seq``. The stop mode is checked *before* the normalise
     (``HALT``: a speculative iteration whose results must not clobber the
     converged flux) and after it (``FINAL``: normalise-only last grant).
+
+    As in :func:`repro.engine.mp._worker_loop`, ``view`` (the engine's
+    ``_worker_view``) decides what the loop subscripts and which ``wait``
+    (:func:`_wait_value` as shipped) it blocks in.
     """
     timer = StageTimer()
-    halo = fields["halo"]
-    phi, phi_new = fields["phi"], fields["phi_new"]
-    fission, prod = fields["fission"], fields["prod"]
-    edge_seq, grant = fields["edge_seq"], fields["grant"]
-    worker_seq, fission_seq = fields["worker_seq"], fields["fission_seq"]
     cmfd = problem.cmfd
-    currents, factors = fields.get("currents"), fields.get("factors")
     stalls = 0
     overlapped = 0
     try:
         _maybe_pin_worker(wid, pin)
+        fields, wait, report = view(fields, wait)
+        halo = fields["halo"]
+        phi, phi_new = fields["phi"], fields["phi_new"]
+        fission, prod = fields["fission"], fields["prod"]
+        edge_seq, grant = fields["edge_seq"], fields["grant"]
+        worker_seq, fission_seq = fields["worker_seq"], fields["fission_seq"]
+        currents, factors = fields.get("currents"), fields.get("factors")
         t = 0
         while True:
             with timer.stage("worker_grant_wait"):
-                _wait_value(grant, _EPOCH, t + 1, timeout, f"grant {t + 1}")
+                wait(grant, _EPOCH, t + 1, timeout, f"grant {t + 1}")
             mode = int(grant[_STOP])
             keff = float(grant[_KEFF])
             pnorm = float(grant[_PNORM])
@@ -124,26 +138,26 @@ def _async_worker_loop(problem, pack, wid, owned, fields, queue, timeout, pin):
             if t > 0:
                 with timer.stage("worker_normalize"):
                     for d in owned:
-                        block = problem.block(d, phi)
-                        np.divide(problem.block(d, phi_new), pnorm, out=block)
+                        rows = problem.rows(d)
+                        block = phi_new[rows] / pnorm
                         if cmfd is not None:
                             # CMFD prolongation: same divide-then-multiply
                             # element order as the inproc reference, so the
                             # flux stays bitwise equal with acceleration on.
                             block *= factors[problem.block(d, cmfd.cellmap)]
-                        problem.block(d, fission)[:] = problem.fission_source(
-                            d, block
-                        )
+                        phi[rows] = block
+                        fission[rows] = problem.fission_source(d, block)
                 fission_seq[wid] = t
             if mode == FINAL:
                 break
             iteration_stalled = False
             for d in owned:
+                rows = problem.rows(d)
                 if t > 0:
                     for e in pack.in_edges(d):
                         if edge_seq[e] < t:
                             with timer.stage("worker_halo_wait"):
-                                _wait_value(
+                                wait(
                                     edge_seq, e, t, timeout,
                                     f"edge {pack.edge_pairs[e]} epoch {t}",
                                 )
@@ -152,7 +166,7 @@ def _async_worker_loop(problem, pack, wid, owned, fields, queue, timeout, pin):
                         with timer.stage("worker_exchange"):
                             tracks, dirs = pack.edge_target(e)
                             problem.sweeper(d).psi_in[tracks, dirs] = halo[
-                                (t - 1) % 2, pack.edge_routes(e)
+                                pack.edge_slots(e, (t - 1) % 2)
                             ]
                     if cmfd is not None:
                         # Rescale the stored boundary flux by the grant's
@@ -166,9 +180,7 @@ def _async_worker_loop(problem, pack, wid, owned, fields, queue, timeout, pin):
                                 sweeper.psi_in, factors
                             )
                 with timer.stage("worker_sweep"):
-                    problem.block(d, phi_new)[:] = problem.sweep_domain(
-                        d, problem.block(d, phi), keff
-                    )
+                    phi_new[rows] = problem.sweep_domain(d, phi[rows], keff)
                     if cmfd is not None:
                         # Publish before worker_seq: the parent reads the
                         # coarse tallies only after every worker_seq >= t+1,
@@ -179,31 +191,24 @@ def _async_worker_loop(problem, pack, wid, owned, fields, queue, timeout, pin):
                         ).current_tally.take()
                     for e in pack.out_edges(d):
                         tracks, dirs = pack.edge_source(e)
-                        halo[t % 2, pack.edge_routes(e)] = problem.sweeper(
+                        halo[pack.edge_slots(e, t % 2)] = problem.sweeper(
                             d
                         ).psi_out_last[tracks, dirs]
                         edge_seq[e] = t + 1  # publish after the payload
             with timer.stage("worker_sweep"):
                 for d in owned:
-                    prod[d] = problem.production(d, problem.block(d, phi_new))
+                    prod[d] = problem.production(d, phi_new[problem.rows(d)])
             if t > 0 and not iteration_stalled:
                 overlapped += 1
             worker_seq[wid] = t + 1
             t += 1
-        queue.put(
-            (
-                "commx",
-                wid,
-                {
-                    "halo_wait_ns": int(
-                        round(timer.duration("worker_halo_wait") * 1e9)
-                    ),
-                    "neighbor_stalls": stalls,
-                    "epochs_overlapped": overlapped,
-                },
-            )
-        )
-        queue.put(("timers", wid, timer.as_dict()))
+        report["commx"] = {
+            "halo_wait_ns": int(round(timer.duration("worker_halo_wait") * 1e9)),
+            "neighbor_stalls": stalls,
+            "epochs_overlapped": overlapped,
+        }
+        report["timers"] = timer.as_dict()
+        queue.put(("done", wid, report))
     except WORKER_ERRORS as exc:
         get_logger("repro.engine.async_mp").error(
             "async worker %d failed: %s", wid, exc
@@ -217,23 +222,19 @@ class AsyncMpEngine(MpEngine):
 
     Inherits the worker-pool mechanics of :class:`MpEngine` (fork checks,
     worker resolution, payload collection, failure surfacing, the
-    sanitizer subclass hooks) and replaces the barrier-phased ``solve``
-    with the grant/harvest protocol described in the module docstring.
+    subclass hooks) and replaces the barrier-phased ``solve`` with the
+    grant/harvest protocol described in the module docstring.
     """
 
     name = "mp-async"
 
-    #: Each worker enqueues ("commx", ...) then ("timers", ...).
-    _messages_per_worker = 2
-
-    def _worker_target(self):
-        return _async_worker_loop
-
-    def _result_extras(self, payloads: dict[str, dict[int, object]]) -> dict:
+    def _result_extras(
+        self, payloads: dict[str, dict[int, Any]], num_workers: int
+    ) -> dict[str, Any]:
         totals = {"halo_wait_ns": 0, "neighbor_stalls": 0, "epochs_overlapped": 0}
         for counters in payloads.get("commx", {}).values():
             for name in totals:
-                totals[name] += int(counters[name])  # type: ignore[index]
+                totals[name] += int(counters[name])
         return {"comm_counters": totals}
 
     def _parent_wait_all(self, array, threshold: int, queue, procs,
@@ -268,7 +269,7 @@ class AsyncMpEngine(MpEngine):
         shapes = {
             "phi": (problem.num_fsrs_total, problem.num_groups),
             "phi_new": (problem.num_fsrs_total, problem.num_groups),
-            "halo": (2, max(pack.num_routes, 1)) + tuple(slot),
+            "halo": (2 * pack.num_slots,) + tuple(slot),
             "fission": (problem.num_fsrs_total,),
             "prod": (D,),
             "edge_seq": (max(pack.num_edges, 1),),
@@ -286,28 +287,15 @@ class AsyncMpEngine(MpEngine):
         grant = arena["grant"]
         currents = arena["currents"] if cmfd is not None else None
         factors = arena["factors"] if cmfd is not None else None
-        fields = {
-            "phi": phi,
-            "phi_new": phi_new,
-            "halo": arena["halo"],
-            "fission": fission,
-            "prod": prod,
-            "edge_seq": arena["edge_seq"],
-            "worker_seq": worker_seq,
-            "fission_seq": fission_seq,
-            "grant": grant,
-        }
-        if cmfd is not None:
-            fields["currents"] = currents
-            fields["factors"] = factors
+        fields = {name: arena[name] for name in shapes}
         queue = ctx.Queue()
         owned = [[d for d in range(D) if d % W == w] for w in range(W)]
         procs = [
             ctx.Process(
-                target=self._worker_target(),
-                args=(problem, pack, w, owned[w], fields, queue, self.timeout,
-                      self.pin_workers)
-                + self._worker_extra_args(w),
+                target=_async_worker_loop,
+                args=(problem, pack, w, owned[w], fields, _wait_value, queue,
+                      self.timeout, self.pin_workers,
+                      partial(self._worker_view, W, w)),
                 daemon=True,
                 name=f"repro-{self.name}-worker-{w}",
             )

@@ -76,11 +76,12 @@ class EngineResult(SolveResult):
     num_workers: int = 1
     #: Per-worker ``(worker_id, stage -> seconds)`` timing payloads.
     worker_timers: list[tuple[int, dict[str, float]]] = field(default_factory=list)
-    #: Race-sanitizer report (``mp-sanitize`` engine only, else ``None``).
+    #: Race-sanitizer report (``*-sanitize`` engines only, else ``None``).
     sanitizer: Any = None
-    #: Engine-side communication counters (``mp-async`` only): totals of
-    #: ``halo_wait_ns``, ``neighbor_stalls`` and ``epochs_overlapped``
-    #: summed across workers, fed into the observability CounterSet.
+    #: Engine-side counters fed into the observability CounterSet:
+    #: ``mp-async``'s ``halo_wait_ns``, ``neighbor_stalls`` and
+    #: ``epochs_overlapped`` summed across workers; the sanitized engines'
+    #: ``sanitizer_events`` / ``sanitizer_findings``.
     comm_counters: dict[str, int] = field(default_factory=dict)
     #: The communicator's traffic totals when the solve returned.
     comm_bytes: int = 0

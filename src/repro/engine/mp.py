@@ -29,8 +29,10 @@ import os
 import signal
 import time
 import traceback
+from functools import partial
 from queue import Empty
 from threading import BrokenBarrierError
+from typing import Any, Callable, Mapping, Protocol
 
 from repro.engine.base import EngineResult, ExecutionEngine, resolve_engine_timeout
 from repro.engine.problem import DecomposedProblem, RoutePack
@@ -43,7 +45,7 @@ from repro.parallel.comm import SimComm
 _STOP, _KEFF = 0, 1
 
 #: What a sweep can realistically throw in a worker: library errors, a
-#: broken/aborted barrier, numpy shape/value problems, or OS-level faults.
+#: broken/aborted barrier, numpy shape/value problems, or OS-level failures.
 #: Deliberately not ``Exception`` — a programming error (``TypeError``,
 #: ``AttributeError``) should crash the worker loudly, not be repackaged.
 WORKER_ERRORS = (
@@ -112,9 +114,43 @@ def _abort_barrier(barrier, wid: int) -> None:
         )
 
 
-def _worker_loop(problem, pack, wid, owned, phi, phi_new, halo, control,
-                 barrier, queue, timeout, pin, currents, factors):
+class Field(Protocol):
+    """What a worker loop subscripts: an ndarray, or something that
+    subscripts like one."""
+
+    @property
+    def shape(self) -> tuple[int, ...]: ...
+
+    def __getitem__(self, key: Any) -> Any: ...
+
+    def __setitem__(self, key: Any, value: Any) -> None: ...
+
+
+class PhaseBarrier(Protocol):
+    """What a barrier-phased worker loop waits through."""
+
+    def wait(self, timeout: float | None = None) -> int: ...
+
+    def abort(self) -> None: ...
+
+
+#: ``MpEngine._worker_view`` with the worker bound: (fields, sync) ->
+#: (fields, sync, report).
+WorkerView = Callable[
+    [Mapping[str, Field], Any], tuple[Mapping[str, Field], Any, dict[str, Any]]
+]
+
+
+def _worker_loop(problem: DecomposedProblem, pack: RoutePack, wid: int,
+                 owned: list[int], fields: Mapping[str, Field],
+                 barrier: PhaseBarrier, queue: Any, timeout: float, pin: bool,
+                 view: WorkerView) -> None:
     """Worker body: barrier-phased sweep/exchange until the stop flag.
+
+    The loop subscripts and waits through whatever ``view`` (the engine's
+    :meth:`MpEngine._worker_view`) returns for its ``fields`` and
+    ``barrier``, and sends ``view``'s report dict back with its timers as
+    the one end-of-run message.
 
     With CMFD on, a worker's sweep phase also rescales its domains' stored
     boundary flux by the previous iteration's prolongation factors (the
@@ -128,6 +164,10 @@ def _worker_loop(problem, pack, wid, owned, phi, phi_new, halo, control,
     iteration = 0
     try:
         _maybe_pin_worker(wid, pin)
+        fields, barrier, report = view(fields, barrier)
+        phi, phi_new = fields["phi"], fields["phi_new"]
+        halo, control = fields["halo"], fields["control"]
+        currents, factors = fields.get("currents"), fields.get("factors")
         while True:
             barrier.wait(timeout)
             if control[_STOP]:
@@ -136,13 +176,12 @@ def _worker_loop(problem, pack, wid, owned, phi, phi_new, halo, control,
             with timer.stage("worker_sweep"):
                 for d in owned:
                     sweeper = problem.sweeper(d)
+                    rows = problem.rows(d)
                     if cmfd is not None and iteration > 0:
                         sweeper.current_tally.scale_boundary_flux(
                             sweeper.psi_in, factors
                         )
-                    problem.block(d, phi_new)[:] = problem.sweep_domain(
-                        d, problem.block(d, phi), keff
-                    )
+                    phi_new[rows] = problem.sweep_domain(d, phi[rows], keff)
                     if cmfd is not None:
                         cmfd.domain_rows(currents, d)[:] = (
                             sweeper.current_tally.take()
@@ -157,7 +196,8 @@ def _worker_loop(problem, pack, wid, owned, phi, phi_new, halo, control,
                     if idx.size:
                         problem.sweeper(d).psi_in[tracks, dirs] = halo[idx]
             iteration += 1
-        queue.put(("timers", wid, timer.as_dict()))
+        report["timers"] = timer.as_dict()
+        queue.put(("done", wid, report))
     except WORKER_ERRORS as exc:
         get_logger("repro.engine.mp").error("worker %d failed: %s", wid, exc)
         queue.put(("error", wid, traceback.format_exc()))
@@ -168,18 +208,14 @@ def _worker_loop(problem, pack, wid, owned, phi, phi_new, halo, control,
 class MpEngine(ExecutionEngine):
     """Shared-memory domain-parallel engine over forked worker processes.
 
-    Subclass hooks (used by the race-sanitizing wrapper in
-    :mod:`repro.engine.sanitize`): :meth:`_worker_target` picks the worker
-    body, :meth:`_worker_extra_args` appends per-worker arguments,
-    :meth:`_prepare_solve` runs once the worker count is known,
-    :attr:`_messages_per_worker` sizes the end-of-run queue drain, and
-    :meth:`_result_extras` folds extra payload kinds into the result.
+    Subclass hooks (used by :mod:`repro.engine.sanitize`):
+    :meth:`_prepare_solve` runs in the parent once the worker count is
+    known, :meth:`_worker_view` runs in each worker and decides what its
+    loop subscripts and waits through, and :meth:`_result_extras` folds
+    the workers' end-of-run payloads into the result.
     """
 
     name = "mp"
-
-    #: Messages each healthy worker enqueues at shutdown ("timers", ...).
-    _messages_per_worker = 1
 
     def __init__(
         self,
@@ -209,18 +245,22 @@ class MpEngine(ExecutionEngine):
         else:
             self.arena_pool.release(arena)
 
-    def _worker_target(self):
-        """The function each worker process runs."""
-        return _worker_loop
-
-    def _worker_extra_args(self, wid: int) -> tuple:
-        """Arguments appended to worker ``wid``'s standard argument list."""
-        return ()
-
     def _prepare_solve(self, problem: DecomposedProblem, num_workers: int) -> None:
         """Called once per solve after the worker count is resolved."""
 
-    def _result_extras(self, payloads: dict[str, dict[int, object]]) -> dict:
+    def _worker_view(
+        self, num_workers: int, wid: int, fields: Mapping[str, Field], sync: Any
+    ) -> tuple[Mapping[str, Field], Any, dict[str, Any]]:
+        """Child-side hook: the shared ``fields`` worker ``wid``'s loop
+        subscripts, the ``sync`` primitive it waits through (the barrier,
+        or ``mp-async``'s value wait) and the dict its end-of-run message
+        starts from. The shipped engines hand over the raw arena arrays
+        and the raw primitive."""
+        return fields, sync, {}
+
+    def _result_extras(
+        self, payloads: dict[str, dict[int, Any]], num_workers: int
+    ) -> dict[str, Any]:
         """Extra :class:`EngineResult` fields from collected worker payloads."""
         return {}
 
@@ -245,25 +285,25 @@ class MpEngine(ExecutionEngine):
         """
         deadline = time.monotonic() + window
         reports: dict[int, str] = {}
+
+        def keep(kind: str, wid: int, payload: object) -> None:
+            if kind == "error" and int(wid) not in reports:
+                reports[int(wid)] = str(payload)
+
         while time.monotonic() < deadline:
             try:
-                kind, wid, payload = queue.get(timeout=0.2)
+                keep(*queue.get(timeout=0.2))
             except Empty:
                 if reports:
                     break  # collected the racing siblings too; report now
                 if any(not p.is_alive() and p.exitcode for p in procs):
                     break  # died without a report; nothing more is coming
-                continue
-            if kind == "error":
-                reports.setdefault(int(wid), str(payload))
         # One last sweep: reports enqueued between the checks above.
         while True:
             try:
-                kind, wid, payload = queue.get_nowait()
+                keep(*queue.get_nowait())
             except Empty:
                 break
-            if kind == "error":
-                reports.setdefault(int(wid), str(payload))
         primary = [
             f"worker {wid}:\n{text}"
             for wid, text in sorted(reports.items())
@@ -303,7 +343,7 @@ class MpEngine(ExecutionEngine):
     def _pool_result(self, solved, comm, timer, payloads, arena_hit, num_workers):
         """The result of a worker-pool solve: ``solved`` plus the workers'
         end-of-run payloads and this solve's arena reuse."""
-        extras = self._result_extras(payloads)
+        extras = self._result_extras(payloads, num_workers)
         if self.arena_pool is not None:  # batch runs keep their counter set
             counters = dict(extras.get("comm_counters") or {})
             counters["arena_reuse_hits"] = int(arena_hit)
@@ -335,6 +375,7 @@ class MpEngine(ExecutionEngine):
             )
             shapes["factors"] = (cmfd.num_cells, problem.num_groups)
         arena, arena_hit = self._acquire_arena(shapes)
+        fields = {name: arena[name] for name in shapes}
         phi, phi_new = arena["phi"], arena["phi_new"]
         control = arena["control"]
         currents = arena["currents"] if cmfd is not None else None
@@ -344,11 +385,10 @@ class MpEngine(ExecutionEngine):
         owned = [[d for d in range(D) if d % W == w] for w in range(W)]
         procs = [
             ctx.Process(
-                target=self._worker_target(),
-                args=(problem, pack, w, owned[w], phi, phi_new, arena["halo"],
-                      control, barrier, queue, self.timeout, self.pin_workers,
-                      currents, factors)
-                + self._worker_extra_args(w),
+                target=_worker_loop,
+                args=(problem, pack, w, owned[w], fields, barrier, queue,
+                      self.timeout, self.pin_workers,
+                      partial(self._worker_view, W, w)),
                 daemon=True,
                 name=f"repro-{self.name}-worker-{w}",
             )
@@ -398,20 +438,24 @@ class MpEngine(ExecutionEngine):
                 if proc.is_alive():  # pragma: no cover - crash cleanup
                     proc.terminate()
                     proc.join(timeout=5.0)
-            del phi, phi_new, control, currents, factors
+            del phi, phi_new, control, currents, factors, fields
             self._release_arena(arena)
 
     def _collect_payloads(
         self, queue, procs, num_workers: int
-    ) -> dict[str, dict[int, object]]:
-        """Drain end-of-run worker messages, grouped by payload kind."""
-        payloads: dict[str, dict[int, object]] = {}
-        expected = self._messages_per_worker * num_workers
-        for kind, wid, payload in _drain(queue, 10.0, expected, procs):
+    ) -> dict[str, dict[int, Any]]:
+        """Drain the one end-of-run message of every worker (a dict of
+        payload kinds: ``timers``, ...), regrouped kind -> worker."""
+        reports: dict[int, dict[str, Any]] = {}
+        for kind, wid, report in _drain(queue, 10.0, num_workers, procs):
             if kind == "error":
-                raise SolverError(f"{self.name} engine worker {wid} failed:\n{payload}")
-            payloads.setdefault(kind, {})[wid] = payload
-        return payloads
+                raise SolverError(f"{self.name} engine worker {wid} failed:\n{report}")
+            reports[wid] = report
+        kinds = {name for report in reports.values() for name in report}
+        return {
+            name: {w: r[name] for w, r in reports.items() if name in r}
+            for name in kinds
+        }
 
 
 def _drain(queue, timeout: float, expected: int | None = None, procs=()):

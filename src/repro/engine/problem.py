@@ -59,10 +59,14 @@ class DecomposedProblem:
         #: engine stays bitwise-equal with CMFD on.
         self.cmfd = solver.cmfd_problem
 
+    def rows(self, d: int) -> slice:
+        """Domain ``d``'s contiguous row range in a global (R_total, ...) array."""
+        dom = self.domains[d]
+        return slice(dom.fsr_offset, dom.fsr_offset + dom.num_fsrs)
+
     def block(self, d: int, array: np.ndarray) -> np.ndarray:
         """Domain ``d``'s contiguous slice of a global (R_total, ...) array."""
-        dom = self.domains[d]
-        return array[dom.fsr_offset : dom.fsr_offset + dom.num_fsrs]
+        return array[self.rows(d)]
 
     def sweep_domain(self, d: int, phi_block: np.ndarray, keff: float) -> np.ndarray:
         """One local transport sweep; returns the new local scalar flux."""
@@ -207,6 +211,10 @@ class EdgePack(RoutePack):
     scatter arrays, and per domain the edge ids it produces and consumes.
     Edge ids are assigned in sorted ``(src, dst)`` order so the layout is
     deterministic across processes.
+
+    The mailbox halo is double-buffered as one flat array of
+    ``2 * num_slots`` slots, parity ``p`` of route ``r`` at
+    ``p * num_slots + r`` (:meth:`edge_slots`).
     """
 
     def __init__(self, problem: DecomposedProblem) -> None:
@@ -216,15 +224,18 @@ class EdgePack(RoutePack):
             by_edge.setdefault((r.src_domain, r.dst_domain), []).append(i)
         self.edge_pairs: tuple[tuple[int, int], ...] = tuple(sorted(by_edge))
         self.num_edges = len(self.edge_pairs)
+        #: Slots per halo parity (never zero, so the arena field exists).
+        self.num_slots = max(self.num_routes, 1)
         routes = problem.routes
-        self._edge_routes: list[np.ndarray] = []
+        self._edge_slots: list[tuple[np.ndarray, np.ndarray]] = []
         self._edge_src: list[tuple[np.ndarray, np.ndarray]] = []
         self._edge_dst: list[tuple[np.ndarray, np.ndarray]] = []
         out_edges: dict[int, list[int]] = {}
         in_edges: dict[int, list[int]] = {}
         for e, pair in enumerate(self.edge_pairs):
             idx = by_edge[pair]
-            self._edge_routes.append(np.array(idx, dtype=np.intp))
+            edge_routes = np.array(idx, dtype=np.intp)
+            self._edge_slots.append((edge_routes, edge_routes + self.num_slots))
             self._edge_src.append(
                 (
                     np.array([routes[i].src_track for i in idx], dtype=np.intp),
@@ -251,8 +262,12 @@ class EdgePack(RoutePack):
         return self._in_edges.get(d, ())
 
     def edge_routes(self, e: int) -> np.ndarray:
-        """Halo slot (route) indices carried by edge ``e``."""
-        return self._edge_routes[e]
+        """Route indices carried by edge ``e``."""
+        return self._edge_slots[e][0]
+
+    def edge_slots(self, e: int, parity: int) -> np.ndarray:
+        """Flat halo slots of edge ``e`` in buffer ``parity`` (0 or 1)."""
+        return self._edge_slots[e][parity]
 
     def edge_source(self, e: int) -> tuple[np.ndarray, np.ndarray]:
         """``(tracks, dirs)`` gather indices packing edge ``e``'s slots."""

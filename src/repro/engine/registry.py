@@ -56,30 +56,10 @@ def register_engine(name: str, factory: Callable[..., ExecutionEngine]) -> None:
 register_engine(
     "inproc", lambda workers=None, timeout=None, pin_workers=False: InprocEngine()
 )
-register_engine(
-    "mp",
-    lambda workers=None, timeout=None, pin_workers=False: MpEngine(
-        workers=workers, timeout=timeout, pin_workers=pin_workers
-    ),
-)
-register_engine(
-    "mp-sanitize",
-    lambda workers=None, timeout=None, pin_workers=False: SanitizedMpEngine(
-        workers=workers, timeout=timeout, pin_workers=pin_workers
-    ),
-)
-register_engine(
-    "mp-async",
-    lambda workers=None, timeout=None, pin_workers=False: AsyncMpEngine(
-        workers=workers, timeout=timeout, pin_workers=pin_workers
-    ),
-)
-register_engine(
-    "mp-async-sanitize",
-    lambda workers=None, timeout=None, pin_workers=False: SanitizedAsyncMpEngine(
-        workers=workers, timeout=timeout, pin_workers=pin_workers
-    ),
-)
+register_engine("mp", MpEngine)
+register_engine("mp-sanitize", SanitizedMpEngine)
+register_engine("mp-async", AsyncMpEngine)
+register_engine("mp-async-sanitize", SanitizedAsyncMpEngine)
 
 
 def engine_names() -> tuple[str, ...]:

@@ -1,59 +1,50 @@
-"""Shm barrier-phase race sanitizer: ``--engine=mp-sanitize``.
+"""Shm race sanitizer: ``--engine=mp-sanitize`` / ``mp-async-sanitize``.
 
-The ``mp`` engine's only safety argument used to be "the equivalence
-tests pass". This module turns the barrier protocol itself into a checked
-artifact: :class:`SanitizedMpEngine` runs the *identical* numeric schedule
-as ``mp`` (results stay bitwise equal to ``inproc``), but every shared
-read/write goes through a :class:`TrackedField` that records an
-:class:`AccessEvent` tagged ``(worker, barrier-epoch, array, slice)`` into
-a per-worker :class:`AccessLog`. After the solve, :func:`analyze_events`
-checks two protocol invariants over the merged logs:
+The sanitized engines fork the *shipped* worker loops —
+:func:`repro.engine.mp._worker_loop` and
+:func:`repro.engine.async_mp._async_worker_loop`, the same function
+objects ``mp`` and ``mp-async`` run — and change only what those loops are
+handed. The engines' child-side hook (``_worker_view``) wraps the raw
+arena arrays in :class:`TrackedField` proxies, whose every subscript
+records an :class:`AccessEvent` tagged ``(worker, epoch, array, slice)``
+into a per-worker :class:`AccessLog`, and wraps the wait primitive so the
+epoch follows the protocol. After the solve, :func:`analyze_events`
+checks two invariants over the merged logs:
 
 * **same-epoch overlap** — no two workers may touch overlapping slices of
-  the same shared array within one barrier epoch when either access is a
-  write (the Buffered Synchronous scheme separates producers and
-  consumers by a barrier, so any same-epoch overlap is a race);
-* **published halo reads** — a halo slot read during an exchange phase
-  must have been written during the immediately preceding sweep phase
-  (epoch ``e-1``); reading anything else consumes stale or in-flight data.
+  the same shared array within one epoch when either access is a write;
+* **published halo reads** — a halo slot read in epoch ``e`` must have
+  been written in epoch ``e-1``; reading anything else consumes stale or
+  in-flight data.
 
-Epochs count barrier *passages in program order*, so the verdict is a
-deterministic function of the schedule, not of thread timing — a clean
-run reports zero findings every time, and the seeded fault-injection mode
-(:class:`FaultSpec`), which makes one worker skip the mid-iteration
-barrier and exchange early (with a compensating wait afterwards, so the
-run still terminates), trips both detectors every time.
+Under the barrier protocol the epoch counts barrier *passages in program
+order* (:class:`EpochBarrier`); under the mailbox protocol it is the
+worker's local iteration, set at each grant wait, and the flat
+``parity * num_slots + route`` halo index makes rule 2 exactly the
+mailbox's published-before-read invariant. Either way the verdict is a
+deterministic function of the schedule, not of timing: a clean run
+reports zero findings every time, and findings fail the run
+(:class:`~repro.errors.SanitizerError`).
 
-The same analyzer also audits the ``mp-async`` mailbox protocol
-(:class:`SanitizedAsyncMpEngine`, ``--engine=mp-async-sanitize``): there
-the epoch is the worker's local iteration and halo slots are logged as
-parity-flattened indices, under which rule 2 becomes exactly the
-mailbox's published-before-read invariant — every slot a consumer unpacks
-at iteration ``t`` must have been packed (into the other parity) at
-iteration ``t-1``. The async fault injection unpacks from the *current*
-parity instead, tripping both rules deterministically.
+Fault injection (:class:`FaultSpec`) proves the detectors fire, and lives
+entirely in the injected primitives: the faulted worker's barrier proxy
+returns at once from the mid-iteration wait and waits twice at the next
+one (the exchange runs a phase early, the run still terminates); its
+mailbox halo proxy serves reads from the parity producers are writing,
+and its edge waits return at once. Both trip both rules every time.
 """
 
 from __future__ import annotations
 
-import traceback
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
-from repro.engine import async_mp
-from repro.engine.async_mp import AsyncMpEngine, _wait_value
-from repro.engine.mp import (
-    _STOP,
-    _KEFF,
-    WORKER_ERRORS,
-    MpEngine,
-    _abort_barrier,
-    _maybe_pin_worker,
-)
+from repro.engine.async_mp import AsyncMpEngine
+from repro.engine.mp import Field, MpEngine, PhaseBarrier
 from repro.errors import SanitizerError
-from repro.io.logging_utils import StageTimer, get_logger
+from repro.io.logging_utils import get_logger
 
 
 @dataclass(frozen=True)
@@ -68,15 +59,12 @@ class AccessEvent:
 
 
 class AccessLog:
-    """Per-worker event log; the epoch advances at every barrier passage."""
+    """Per-worker event log, stamped with the worker's current epoch."""
 
     def __init__(self, worker: int) -> None:
         self.worker = int(worker)
         self.epoch = 0
         self.events: list[AccessEvent] = []
-
-    def advance(self) -> None:
-        self.epoch += 1
 
     def record(self, kind: str, array: str, indices: Iterable[int]) -> None:
         self.events.append(
@@ -91,37 +79,82 @@ class AccessLog:
 
 
 class TrackedField:
-    """A shared array view whose accesses are recorded in an AccessLog.
+    """A shared array whose every subscript is recorded in an AccessLog.
 
-    The instrumented worker loop reads/writes shared fields only through
-    these two methods, so the event log is complete by construction for
-    the arrays it wraps.
+    The worker loops touch the fields they are handed only by subscript,
+    so the event log is complete by construction for the arrays wrapped.
     """
 
-    def __init__(self, name: str, array: np.ndarray, log: AccessLog) -> None:
+    def __init__(self, name: str, array: Field, log: AccessLog) -> None:
         self.name = name
         self.array = array
         self.log = log
 
-    def _rows(self, key) -> Iterable[int]:
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.array.shape
+
+    def _rows(self, key: Any) -> Iterable[int]:
         if isinstance(key, slice):
-            return range(*key.indices(self.array.shape[0]))
+            return range(*key.indices(self.shape[0]))
         if isinstance(key, np.ndarray):
             return key.tolist()
         return (int(key),)
 
-    def get(self, key) -> np.ndarray:
+    def __getitem__(self, key: Any) -> Any:
         self.log.record("r", self.name, self._rows(key))
         return self.array[key]
 
-    def set(self, key, value) -> None:
+    def __setitem__(self, key: Any, value: Any) -> None:
         self.log.record("w", self.name, self._rows(key))
         self.array[key] = value
 
 
+class WrongParityHalo(TrackedField):
+    """Mailbox fault injection: during ``epoch``, reads are served from the
+    other halo parity — the buffer producers are writing that iteration."""
+
+    def __init__(self, array: Field, log: AccessLog, epoch: int) -> None:
+        super().__init__("halo", array, log)
+        self.epoch = epoch
+
+    def __getitem__(self, key: Any) -> Any:
+        if self.log.epoch == self.epoch:
+            key = (key + self.shape[0] // 2) % self.shape[0]
+        return super().__getitem__(key)
+
+
+class EpochBarrier:
+    """A worker's barrier; each passage advances its AccessLog's epoch.
+
+    Barrier fault injection: wait number ``skip`` (counted from 0) returns
+    at once, and the next call passes the barrier twice to restore parity.
+    """
+
+    def __init__(
+        self, barrier: PhaseBarrier, log: AccessLog, skip: int | None = None
+    ) -> None:
+        self.barrier = barrier
+        self.log = log
+        self.skip = skip
+        self.calls = 0
+
+    def wait(self, timeout: float | None = None) -> int:
+        call, self.calls = self.calls, self.calls + 1
+        if call == self.skip:
+            return 0
+        for _ in range(2 if call - 1 == self.skip else 1):
+            index = self.barrier.wait(timeout)
+            self.log.epoch += 1
+        return index
+
+    def abort(self) -> None:
+        self.barrier.abort()
+
+
 @dataclass(frozen=True)
 class FaultSpec:
-    """Deterministic barrier-skip fault: which worker, which iteration."""
+    """Deterministic fault site: which worker, which iteration."""
 
     worker: int
     iteration: int = 0
@@ -249,113 +282,15 @@ def analyze_events(
     )
 
 
-def _sanitized_worker_loop(problem, pack, wid, owned, phi, phi_new, halo, control,
-                           barrier, queue, timeout, pin, currents, factors,
-                           fault):
-    """Instrumented twin of ``mp._worker_loop``.
+class _Sanitized:
+    """What the two sanitized engines share: the fault site of a solve,
+    the tracked view of a worker's fields, and the audit of the event
+    logs the workers send back."""
 
-    Performs the *same* numeric operations in the same order (keeping
-    ``mp-sanitize`` bitwise equal to ``inproc``), but routes every shared
-    access through a :class:`TrackedField` and advances the epoch counter
-    at each barrier passage. The CMFD ``currents``/``factors`` fields are
-    deliberately *untracked*: like the control word, they are
-    parent-synchronized single-writer cells (the worker writes its own
-    ``currents`` rows, only the parent writes ``factors``, both separated
-    by barriers), so the barrier rules have nothing to say about them.
-    When ``fault`` names this worker and the current iteration, the
-    mid-iteration barrier is skipped: the exchange runs early (the
-    injected race) and a compensating wait afterwards restores barrier
-    parity so the run still terminates cleanly.
-    """
-    timer = StageTimer()
-    log = AccessLog(wid)
-    t_phi = TrackedField("phi", phi, log)
-    t_phi_new = TrackedField("phi_new", phi_new, log)
-    t_halo = TrackedField("halo", halo, log)
-    t_control = TrackedField("control", control, log)
-    cmfd = problem.cmfd
-    row_index = np.arange(problem.num_fsrs_total)
-    rows = {
-        d: slice(int(problem.block(d, row_index)[0]),
-                 int(problem.block(d, row_index)[-1]) + 1)
-        for d in owned
-    }
-
-    def wait() -> None:
-        barrier.wait(timeout)
-        log.advance()
-
-    try:
-        _maybe_pin_worker(wid, pin)
-        iteration = 0
-        while True:
-            wait()
-            if t_control.get(_STOP):
-                break
-            keff = float(t_control.get(_KEFF))
-            with timer.stage("worker_sweep"):
-                for d in owned:
-                    sweeper = problem.sweeper(d)
-                    if cmfd is not None and iteration > 0:
-                        sweeper.current_tally.scale_boundary_flux(
-                            sweeper.psi_in, factors
-                        )
-                    t_phi_new.set(
-                        rows[d],
-                        problem.sweep_domain(d, t_phi.get(rows[d]), keff),
-                    )
-                    if cmfd is not None:
-                        cmfd.domain_rows(currents, d)[:] = (
-                            sweeper.current_tally.take()
-                        )
-                    idx, tracks, dirs = pack.outgoing(d)
-                    if idx.size:
-                        t_halo.set(idx, sweeper.psi_out_last[tracks, dirs])
-            inject = (
-                fault is not None
-                and fault.worker == wid
-                and fault.iteration == iteration
-            )
-            if not inject:
-                wait()
-            with timer.stage("worker_exchange"):
-                for d in owned:
-                    idx, tracks, dirs = pack.incoming(d)
-                    if idx.size:
-                        # Deliberate fault injection: on the injected
-                        # iteration the barrier before this read is
-                        # skipped so the sanitizer can prove it detects
-                        # the resulting torn halo.
-                        psi = t_halo.get(idx)  # repro: ignore[shm-missing-barrier]
-                        problem.sweeper(d).psi_in[tracks, dirs] = psi
-            if inject:
-                wait()  # compensating wait restores barrier parity
-            iteration += 1
-        queue.put(("events", wid, log.events))
-        queue.put(("timers", wid, timer.as_dict()))
-    except WORKER_ERRORS as exc:
-        get_logger("repro.engine.sanitize").error(
-            "sanitized worker %d failed: %s", wid, exc
-        )
-        queue.put(("error", wid, traceback.format_exc()))
-        _abort_barrier(barrier, wid)
-        raise SystemExit(1)
-
-
-class SanitizedMpEngine(MpEngine):
-    """The ``mp`` engine under the shm race sanitizer.
-
-    Identical schedule and results; every shared access logged and the
-    barrier protocol checked post-solve. The report lands on
-    ``EngineResult.sanitizer`` (and flows through the decomposed drivers'
-    results). ``fault_seed``/``fault`` enable the deliberate barrier-skip
-    used to prove the detector fires; leave both unset for clean audits.
-    """
-
-    name = "mp-sanitize"
-
-    #: Each worker enqueues ("events", ...) then ("timers", ...).
-    _messages_per_worker = 2
+    #: How the engine's fault reads in logs and errors.
+    _fault_kind = ""
+    #: First iteration whose exchange the fault can corrupt.
+    _first_fault_iteration = 0
 
     def __init__(
         self,
@@ -365,270 +300,143 @@ class SanitizedMpEngine(MpEngine):
         fault_seed: int | None = None,
         fault: FaultSpec | None = None,
     ) -> None:
-        super().__init__(workers=workers, timeout=timeout, pin_workers=pin_workers)
+        super().__init__(  # type: ignore[call-arg]
+            workers=workers, timeout=timeout, pin_workers=pin_workers
+        )
         if fault is not None and fault_seed is not None:
             raise SanitizerError("pass either fault or fault_seed, not both")
         self._fault_seed = fault_seed
         self._fault = fault
         self._logger = get_logger("repro.engine.sanitize")
 
-    def _worker_target(self):
-        return _sanitized_worker_loop
+    def _fault_site(self, num_workers: int) -> FaultSpec | None:
+        """The fault of a solve over ``num_workers`` workers: the explicit
+        one, else drawn from the seed for *this* worker count."""
+        if self._fault is not None or self._fault_seed is None:
+            return self._fault
+        seeded = FaultSpec.from_seed(self._fault_seed, num_workers)
+        return FaultSpec(
+            seeded.worker, max(seeded.iteration, self._first_fault_iteration)
+        )
 
-    def _prepare_solve(self, problem, num_workers: int) -> None:
-        if self._fault is None and self._fault_seed is not None:
-            self._fault = FaultSpec.from_seed(self._fault_seed, num_workers)
-        if self._fault is not None:
-            if not 0 <= self._fault.worker < num_workers:
-                raise SanitizerError(
-                    f"fault names worker {self._fault.worker} but only "
-                    f"{num_workers} workers run"
-                )
-            if self._fault.iteration < 0:
-                raise SanitizerError("fault iteration must be >= 0")
-            self._logger.warning(
-                "injecting barrier-skip fault: worker %d, iteration %d",
-                self._fault.worker, self._fault.iteration,
+    def _prepare_solve(self, problem: Any, num_workers: int) -> None:
+        fault = self._fault_site(num_workers)
+        if fault is None:
+            return
+        if not 0 <= fault.worker < num_workers:
+            raise SanitizerError(
+                f"fault names worker {fault.worker} but only "
+                f"{num_workers} workers run"
             )
+        first = self._first_fault_iteration
+        if fault.iteration < first:
+            raise SanitizerError(
+                f"{self._fault_kind} fault iteration must be >= {first}"
+                + (f" (iteration {first - 1} consumes no halo)" if first else "")
+            )
+        self._logger.warning(
+            "injecting %s fault: worker %d, iteration %d",
+            self._fault_kind, fault.worker, fault.iteration,
+        )
 
-    def _worker_extra_args(self, wid: int) -> tuple:
-        return (self._fault,)
+    def _tracked(
+        self, num_workers: int, wid: int, fields: Mapping[str, Field], names: str
+    ) -> tuple[AccessLog, dict[str, Field], FaultSpec | None]:
+        """Worker ``wid``'s log, its fields with ``names`` tracked, and the
+        solve's fault if it is this worker's to commit."""
+        log = AccessLog(wid)
+        tracked = dict(fields)
+        for name in names.split():
+            tracked[name] = TrackedField(name, fields[name], log)
+        fault = self._fault_site(num_workers)
+        mine = fault is not None and fault.worker == wid
+        return log, tracked, fault if mine else None
 
-    def _result_extras(self, payloads: dict[str, dict[int, object]]) -> dict:
-        report = analyze_events(payloads.get("events", {}), fault=self._fault)
+    def _result_extras(
+        self, payloads: dict[str, dict[int, Any]], num_workers: int
+    ) -> dict[str, Any]:
+        extras = super()._result_extras(payloads, num_workers)  # type: ignore[misc]
+        fault = self._fault_site(num_workers)
+        report = analyze_events(payloads.get("events", {}), fault=fault)
         if report.clean:
             self._logger.info(
                 "shm sanitizer clean: %d events, 0 findings", report.num_events
             )
-        else:
-            self._logger.error("shm sanitizer findings:\n%s", report.render())
-        return {"sanitizer": report}
-
-
-def _sanitized_async_worker_loop(problem, pack, wid, owned, fields, queue,
-                                 timeout, pin, fault):
-    """Instrumented twin of ``async_mp._async_worker_loop``.
-
-    Same numeric schedule (``mp-async-sanitize`` stays bitwise equal to
-    ``inproc``), but flux and halo accesses are recorded into an
-    :class:`AccessLog` whose epoch is the worker's *local iteration* —
-    under the mailbox protocol epochs are per-worker program order, not
-    barrier passages. Halo slots are logged as flattened
-    ``parity * num_routes + route`` indices, which maps the double buffer
-    onto the analyzer's existing rules: a clean schedule reads at epoch
-    ``t`` exactly the flat slots written at epoch ``t-1`` (rule 2, the
-    published-before-read invariant) and never overlaps a same-epoch
-    write (rule 1). The grant word, the sequence counters and the CMFD
-    ``currents``/``factors`` fields are *not* tracked: they are the
-    synchronization cells themselves or parent-synchronized single-writer
-    cells (only the parent writes ``factors``; a worker writes only its
-    own ``currents`` rows, both ordered by the grant protocol); their
-    correctness is exactly what rule 2 checks through the halo.
-
-    The injected fault (``fault.worker`` at ``fault.iteration``) skips the
-    per-edge epoch waits and unpacks from the *current* parity — the
-    buffer producers are writing this very iteration — which deterministically
-    trips both detectors.
-    """
-    timer = StageTimer()
-    log = AccessLog(wid)
-    halo = fields["halo"]
-    num_slots = halo.shape[1]
-    halo_flat = halo.reshape((2 * num_slots,) + halo.shape[2:])
-    t_phi = TrackedField("phi", fields["phi"], log)
-    t_phi_new = TrackedField("phi_new", fields["phi_new"], log)
-    t_halo = TrackedField("halo", halo_flat, log)
-    phi, phi_new = fields["phi"], fields["phi_new"]
-    fission, prod = fields["fission"], fields["prod"]
-    edge_seq, grant = fields["edge_seq"], fields["grant"]
-    worker_seq, fission_seq = fields["worker_seq"], fields["fission_seq"]
-    cmfd = problem.cmfd
-    currents, factors = fields.get("currents"), fields.get("factors")
-    row_index = np.arange(problem.num_fsrs_total)
-    rows = {
-        d: slice(int(problem.block(d, row_index)[0]),
-                 int(problem.block(d, row_index)[-1]) + 1)
-        for d in owned
-    }
-    stalls = 0
-    overlapped = 0
-    try:
-        _maybe_pin_worker(wid, pin)
-        t = 0
-        while True:
-            with timer.stage("worker_grant_wait"):
-                _wait_value(grant, async_mp._EPOCH, t + 1, timeout,
-                            f"grant {t + 1}")
-            mode = int(grant[async_mp._STOP])
-            keff = float(grant[async_mp._KEFF])
-            pnorm = float(grant[async_mp._PNORM])
-            if mode == async_mp.HALT:
-                break
-            if t > 0:
-                with timer.stage("worker_normalize"):
-                    for d in owned:
-                        t_phi.set(
-                            rows[d],
-                            np.divide(t_phi_new.get(rows[d]), pnorm),
-                        )
-                        if cmfd is not None:
-                            # Divide-then-multiply, same element order as
-                            # the live async worker — bitwise identical.
-                            t_phi.set(
-                                rows[d],
-                                t_phi.get(rows[d])
-                                * factors[problem.block(d, cmfd.cellmap)],
-                            )
-                        problem.block(d, fission)[:] = problem.fission_source(
-                            d, phi[rows[d]]
-                        )
-                fission_seq[wid] = t
-            if mode == async_mp.FINAL:
-                break
-            inject = (
-                fault is not None
-                and fault.worker == wid
-                and fault.iteration == t
-            )
-            iteration_stalled = False
-            for d in owned:
-                if t > 0:
-                    for e in pack.in_edges(d):
-                        if not inject and edge_seq[e] < t:
-                            with timer.stage("worker_halo_wait"):
-                                _wait_value(
-                                    edge_seq, e, t, timeout,
-                                    f"edge {pack.edge_pairs[e]} epoch {t}",
-                                )
-                            stalls += 1
-                            iteration_stalled = True
-                        parity = t % 2 if inject else (t - 1) % 2
-                        with timer.stage("worker_exchange"):
-                            tracks, dirs = pack.edge_target(e)
-                            flat = parity * num_slots + pack.edge_routes(e)
-                            problem.sweeper(d).psi_in[tracks, dirs] = (
-                                t_halo.get(flat)
-                            )
-                    if cmfd is not None:
-                        with timer.stage("worker_exchange"):
-                            sweeper = problem.sweeper(d)
-                            sweeper.current_tally.scale_boundary_flux(
-                                sweeper.psi_in, factors
-                            )
-                with timer.stage("worker_sweep"):
-                    t_phi_new.set(
-                        rows[d],
-                        problem.sweep_domain(d, t_phi.get(rows[d]), keff),
-                    )
-                    if cmfd is not None:
-                        cmfd.domain_rows(currents, d)[:] = problem.sweeper(
-                            d
-                        ).current_tally.take()
-                    for e in pack.out_edges(d):
-                        tracks, dirs = pack.edge_source(e)
-                        flat = (t % 2) * num_slots + pack.edge_routes(e)
-                        t_halo.set(
-                            flat, problem.sweeper(d).psi_out_last[tracks, dirs]
-                        )
-                        edge_seq[e] = t + 1  # publish after the payload
-            with timer.stage("worker_sweep"):
-                for d in owned:
-                    prod[d] = problem.production(d, phi_new[rows[d]])
-            if t > 0 and not iteration_stalled:
-                overlapped += 1
-            worker_seq[wid] = t + 1
-            log.advance()
-            t += 1
-        queue.put(("events", wid, log.events))
-        queue.put(
-            (
-                "commx",
-                wid,
-                {
-                    "halo_wait_ns": int(
-                        round(timer.duration("worker_halo_wait") * 1e9)
-                    ),
-                    "neighbor_stalls": stalls,
-                    "epochs_overlapped": overlapped,
-                },
-            )
-        )
-        queue.put(("timers", wid, timer.as_dict()))
-    except WORKER_ERRORS as exc:
-        get_logger("repro.engine.sanitize").error(
-            "sanitized async worker %d failed: %s", wid, exc
-        )
-        queue.put(("error", wid, traceback.format_exc()))
-        raise SystemExit(1)
-
-
-class SanitizedAsyncMpEngine(AsyncMpEngine):
-    """The ``mp-async`` engine under the shm race sanitizer.
-
-    Identical grant/mailbox schedule and bitwise-identical results; every
-    flux and halo access is logged with the worker's local iteration as
-    the epoch and checked post-solve by :func:`analyze_events` — rule 2
-    over the parity-flattened halo indices *is* the mailbox protocol's
-    published-before-read invariant. ``fault_seed``/``fault`` inject the
-    deliberate wrong-parity unpack used to prove the detectors fire; the
-    fault iteration must be >= 1 because iteration 0 consumes no halo.
-    """
-
-    name = "mp-async-sanitize"
-
-    #: Each worker enqueues ("events", ...), ("commx", ...), ("timers", ...).
-    _messages_per_worker = 3
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        timeout: float | None = None,
-        pin_workers: bool = False,
-        fault_seed: int | None = None,
-        fault: FaultSpec | None = None,
-    ) -> None:
-        super().__init__(workers=workers, timeout=timeout, pin_workers=pin_workers)
-        if fault is not None and fault_seed is not None:
-            raise SanitizerError("pass either fault or fault_seed, not both")
-        self._fault_seed = fault_seed
-        self._fault = fault
-        self._logger = get_logger("repro.engine.sanitize")
-
-    def _worker_target(self):
-        return _sanitized_async_worker_loop
-
-    def _prepare_solve(self, problem, num_workers: int) -> None:
-        if self._fault is None and self._fault_seed is not None:
-            seeded = FaultSpec.from_seed(self._fault_seed, num_workers)
-            self._fault = FaultSpec(worker=seeded.worker, iteration=1)
-        if self._fault is not None:
-            if not 0 <= self._fault.worker < num_workers:
-                raise SanitizerError(
-                    f"fault names worker {self._fault.worker} but only "
-                    f"{num_workers} workers run"
-                )
-            if self._fault.iteration < 1:
-                raise SanitizerError(
-                    "mailbox fault iteration must be >= 1 "
-                    "(iteration 0 consumes no halo)"
-                )
-            self._logger.warning(
-                "injecting wrong-parity mailbox fault: worker %d, iteration %d",
-                self._fault.worker, self._fault.iteration,
-            )
-
-    def _worker_extra_args(self, wid: int) -> tuple:
-        return (self._fault,)
-
-    def _result_extras(self, payloads: dict[str, dict[int, object]]) -> dict:
-        extras = super()._result_extras(payloads)
-        report = analyze_events(payloads.get("events", {}), fault=self._fault)
-        if report.clean:
-            self._logger.info(
-                "shm sanitizer clean (mailbox protocol): %d events, 0 findings",
-                report.num_events,
-            )
+        elif fault is None:
+            raise SanitizerError(report.render())
         else:
             self._logger.error("shm sanitizer findings:\n%s", report.render())
         extras["sanitizer"] = report
+        extras["comm_counters"] = {
+            **extras.get("comm_counters", {}),
+            "sanitizer_events": report.num_events,
+            "sanitizer_findings": len(report.findings),
+        }
         return extras
+
+
+class SanitizedMpEngine(_Sanitized, MpEngine):
+    """The ``mp`` engine under the shm race sanitizer.
+
+    Same worker loop, schedule and results; flux, halo and control-word
+    accesses are logged and the barrier protocol checked post-solve. The
+    CMFD ``currents``/``factors`` fields are handed over raw: they are
+    parent-synchronized single-writer cells (a worker writes only its own
+    ``currents`` rows, only the parent writes ``factors``, both separated
+    by barriers), so the barrier rules have nothing to say about them.
+    The report lands on ``EngineResult.sanitizer``. ``fault_seed``/
+    ``fault`` make one worker skip the mid-iteration barrier of one
+    iteration; leave both unset for audits.
+    """
+
+    name = "mp-sanitize"
+    _fault_kind = "barrier-skip"
+
+    def _worker_view(
+        self, num_workers: int, wid: int, fields: Mapping[str, Field], sync: Any
+    ) -> tuple[Mapping[str, Field], Any, dict[str, Any]]:
+        log, tracked, fault = self._tracked(
+            num_workers, wid, fields, "phi phi_new halo control"
+        )
+        # The loop waits twice per iteration: 2k is iteration k's release,
+        # 2k + 1 the barrier between its pack and its unpack.
+        skip = None if fault is None else 2 * fault.iteration + 1
+        return tracked, EpochBarrier(sync, log, skip), {"events": log.events}
+
+
+class SanitizedAsyncMpEngine(_Sanitized, AsyncMpEngine):
+    """The ``mp-async`` engine under the shm race sanitizer.
+
+    Same worker loop, grant/mailbox schedule and results; flux and halo
+    accesses are logged with the worker's local iteration as the epoch.
+    The grant word, the sequence counters and the ``fission``/``prod``/
+    CMFD fields are handed over raw: they are the synchronization cells
+    themselves or single-writer cells ordered by the grant protocol, and
+    their correctness is exactly what rule 2 checks through the halo.
+    ``fault_seed``/``fault`` make one worker unpack one iteration from the
+    wrong parity without waiting; that iteration must be >= 1 because
+    iteration 0 consumes no halo.
+    """
+
+    name = "mp-async-sanitize"
+    _fault_kind = "wrong-parity mailbox"
+    _first_fault_iteration = 1
+
+    def _worker_view(
+        self, num_workers: int, wid: int, fields: Mapping[str, Field], sync: Any
+    ) -> tuple[Mapping[str, Field], Any, dict[str, Any]]:
+        grant = fields["grant"]
+        log, tracked, fault = self._tracked(num_workers, wid, fields, "phi phi_new halo")
+        faulted = None if fault is None else fault.iteration
+        if faulted is not None:
+            tracked["halo"] = WrongParityHalo(fields["halo"], log, faulted)
+
+        def wait(array: Field, index: int, threshold: int, timeout: float,
+                 desc: str) -> bool:
+            if array is grant:
+                log.epoch = threshold - 1  # grant t + 1 opens iteration t
+            elif log.epoch == faulted:
+                return False
+            return bool(sync(array, index, threshold, timeout, desc))
+
+        return tracked, wait, {"events": log.events}

@@ -22,8 +22,8 @@ TRACK_STORAGE_METHODS = ("EXP", "OTF", "MANAGER", "CCM")
 #: Axial segmentation algorithms supported for 3D tracks (Sec. 2.1).
 AXIAL_METHODS = ("OTF", "CCM")
 
-#: Sweep-kernel backends (``auto`` resolves to numba when importable).
-SWEEP_BACKENDS = ("auto", "numpy", "numba", "reference")
+#: Sweep-kernel backends (``auto`` resolves to ``numpy``).
+SWEEP_BACKENDS = ("auto", "numpy", "reference")
 
 #: 2D tracers (``auto`` resolves to the wavefront ``batch`` tracer).
 TRACERS = ("auto", "batch", "reference")
@@ -202,7 +202,7 @@ class SolverConfig:
     num_groups: int = 7
     storage_method: str = "MANAGER"
     resident_memory_bytes: int = DEFAULT_RESIDENT_MEMORY_BYTES
-    #: Sweep-kernel backend; ``auto`` means numba when available, else numpy.
+    #: Sweep-kernel backend; ``auto`` (numpy) lets ``REPRO_SWEEP_BACKEND`` apply.
     sweep_backend: str = "auto"
     #: Exponential kernel: interpolation ``table`` or ``exact`` expm1.
     exp_mode: str = "table"

@@ -60,6 +60,14 @@ COUNTER_SCHEMA: dict[str, str] = {
         "first check, i.e. communication fully hidden behind compute "
         "(mp-async engines; an engine property, not a workload term)"
     ),
+    "sanitizer_events": (
+        "shared-memory accesses the shm race sanitizer logged and audited "
+        "(mp-sanitize / mp-async-sanitize; an engine property)"
+    ),
+    "sanitizer_findings": (
+        "protocol violations the shm race sanitizer found (non-zero only "
+        "on a fault-injected run: an unfaulted run with findings fails)"
+    ),
     "scenarios_total": (
         "perturbed states this solve answered (0 for plain single-state "
         "runs; every state report of a batch carries the batch total)"

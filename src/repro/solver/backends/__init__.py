@@ -4,15 +4,13 @@ The transport sweeps dispatch their inner segment loop through one of the
 registered :class:`~repro.solver.backends.base.KernelBackend` objects:
 
 * ``numpy`` — the default vectorised kernel over precompiled sweep plans;
-* ``numba`` — an njit-compiled track-parallel kernel (optional extra);
 * ``reference`` — the seed lockstep loop, kept as equivalence oracle and
   benchmark baseline.
 
 Selection order: explicit argument, then the ``REPRO_SWEEP_BACKEND``
-environment variable, then the solver-config default. ``auto`` picks
-``numba`` when importable, ``numpy`` otherwise; asking for ``numba``
-without numba installed silently degrades to ``numpy`` (logged once) so
-dependency-light installs keep working unchanged.
+environment variable, then the solver-config default. ``auto`` (the
+config default, so the environment variable can apply) means ``numpy``.
+An unknown name is an error; nothing degrades silently.
 """
 
 from __future__ import annotations
@@ -20,9 +18,7 @@ from __future__ import annotations
 import os
 
 from repro.errors import SolverError
-from repro.io.logging_utils import get_logger
 from repro.solver.backends.base import KernelBackend, KernelTimings, SweepContext
-from repro.solver.backends.numba_backend import NUMBA_IMPORT_ERROR, NumbaSweepBackend
 from repro.solver.backends.numpy_backend import NumpySweepBackend, SweepWorkspace, lockstep
 from repro.solver.backends.plan import SweepPlan, TrackTopology, build_position_index
 from repro.solver.backends.reference_backend import ReferenceSweepBackend
@@ -34,7 +30,6 @@ BACKEND_ENV_VAR = "REPRO_SWEEP_BACKEND"
 DEFAULT_BACKEND = "numpy"
 
 _REGISTRY: dict[str, KernelBackend] = {}
-_warned_fallback = False
 
 
 def register_backend(backend: KernelBackend) -> KernelBackend:
@@ -44,7 +39,6 @@ def register_backend(backend: KernelBackend) -> KernelBackend:
 
 
 register_backend(NumpySweepBackend())
-register_backend(NumbaSweepBackend())
 register_backend(ReferenceSweepBackend())
 
 
@@ -68,47 +62,17 @@ def get_backend(name: str) -> KernelBackend:
         ) from None
 
 
-def _warn_fallback(requested: str, resolved: str, reason: str) -> None:
-    """One-time structured fallback notice: which backend actually runs."""
-    global _warned_fallback
-    if _warned_fallback:
-        return
-    _warned_fallback = True
-    get_logger("repro.solver.backends").warning(
-        "sweep backend fallback: requested=%r resolved=%r reason=%r "
-        "(install the numba extra — pip install repro[jit] — or select "
-        "backend='numpy' explicitly to silence this)",
-        requested, resolved, reason,
-    )
-
-
 def resolve_backend(
     requested: str | KernelBackend | None = None,
 ) -> KernelBackend:
-    """Select the sweep kernel: argument > env var > default, with the
-    documented graceful fallback to ``numpy`` when numba is missing.
-
-    Any fallback is announced once per process with the import failure
-    reason, so a benchmark log always records which kernel really ran."""
+    """Select the sweep kernel: argument > env var > default. ``None``,
+    ``""`` and ``"auto"`` all mean "not requested"."""
     if isinstance(requested, KernelBackend):
         return requested
-    name = requested or os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
-    name = name.strip().lower()
+    name = (requested or "auto").strip().lower()
     if name == "auto":
-        if _REGISTRY["numba"].is_available():
-            name = "numba"
-        else:
-            _warn_fallback(
-                "auto", "numpy", NUMBA_IMPORT_ERROR or "numba unavailable"
-            )
-            name = "numpy"
-    backend = get_backend(name)
-    if not backend.is_available():
-        _warn_fallback(
-            name, "numpy", NUMBA_IMPORT_ERROR or f"backend {name!r} unavailable"
-        )
-        backend = _REGISTRY["numpy"]
-    return backend
+        name = os.environ.get(BACKEND_ENV_VAR, "").strip().lower() or "auto"
+    return get_backend(DEFAULT_BACKEND if name == "auto" else name)
 
 
 __all__ = [

@@ -211,7 +211,6 @@ class TestNameLattices:
             "def worker(fields, halo):\n"
             "    phi = fields['phi']\n"
             "    currents = fields.get('currents')\n"
-            "    t_halo = TrackedField('halo', halo.reshape(2, -1), log)\n"
             "    flat = phi.ravel()\n"
             "    block = problem.block(d, phi)\n"
             "    misc = fields['unknown_field']\n"
@@ -222,7 +221,6 @@ class TestNameLattices:
         assert handles["phi"] == "phi"
         assert handles["halo"] == "halo"  # parameter
         assert handles["currents"] == "currents"
-        assert handles["t_halo"] == "halo"  # TrackedField declared name
         assert handles["flat"] == "phi"  # view chain
         assert handles["block"] == "phi"  # single-handle helper call
         assert "misc" not in handles  # not a declared arena field

@@ -4,6 +4,9 @@ Each case takes the *real* engine source, applies one textual mutation
 that reintroduces a protocol bug the engines are carefully written to
 avoid, and asserts the checker flags it — plus the controls: the
 unmutated sources are clean, so every finding on a mutant is signal.
+There is one target per protocol: the sanitized engines run these same
+loops (``tests/engine/test_one_worker_loop.py`` runs one of these mutants
+under the dynamic detector).
 
 The replacements assert the original snippet still exists before
 rewriting, so if the engine code drifts these tests fail loudly at the
@@ -51,14 +54,14 @@ class TestSeqlockMutations:
         # Swap the halo payload write and the edge_seq publish: readers
         # polling edge_seq would consume the previous epoch's buffer.
         old = (
-            "                        halo[t % 2, pack.edge_routes(e)] = problem.sweeper(\n"
+            "                        halo[pack.edge_slots(e, t % 2)] = problem.sweeper(\n"
             "                            d\n"
             "                        ).psi_out_last[tracks, dirs]\n"
             "                        edge_seq[e] = t + 1  # publish after the payload\n"
         )
         new = (
             "                        edge_seq[e] = t + 1\n"
-            "                        halo[t % 2, pack.edge_routes(e)] = problem.sweeper(\n"
+            "                        halo[pack.edge_slots(e, t % 2)] = problem.sweeper(\n"
             "                            d\n"
             "                        ).psi_out_last[tracks, dirs]\n"
         )
@@ -82,24 +85,6 @@ class TestSeqlockMutations:
         )
         mutant = _mutate(_source(ASYNC_MP), old, new)
         assert "shm-bump-before-payload" in _rules(mutant, ASYNC_MP)
-
-    def test_bump_before_payload_in_sanitized_worker(self):
-        # Same swap through the TrackedField wrapper: the checker must
-        # see through t_halo.set(...) to the underlying halo field.
-        old = (
-            "                        t_halo.set(\n"
-            "                            flat, problem.sweeper(d).psi_out_last[tracks, dirs]\n"
-            "                        )\n"
-            "                        edge_seq[e] = t + 1  # publish after the payload\n"
-        )
-        new = (
-            "                        edge_seq[e] = t + 1\n"
-            "                        t_halo.set(\n"
-            "                            flat, problem.sweeper(d).psi_out_last[tracks, dirs]\n"
-            "                        )\n"
-        )
-        mutant = _mutate(_source(SANITIZE), old, new)
-        assert "shm-bump-before-payload" in _rules(mutant, SANITIZE)
 
 
 class TestBarrierMutations:
@@ -128,18 +113,18 @@ class TestOwnershipMutations:
 
     def test_whole_array_flux_write(self):
         # Replace the owned-block store with a whole-array store.
-        old = (
-            "                    problem.block(d, phi_new)[:] = problem.sweep_domain(\n"
-            "                        d, problem.block(d, phi), keff\n"
-            "                    )\n"
-        )
-        new = (
-            "                    phi_new[:] = problem.sweep_domain(\n"
-            "                        d, problem.block(d, phi), keff\n"
-            "                    )\n"
-        )
-        mutant = _mutate(_source(MP), old, new)
-        assert "shm-overlapping-write" in _rules(mutant, MP)
+        old = "phi_new[rows] = problem.sweep_domain(d, phi[rows], keff)\n"
+        new = "phi_new[:] = problem.sweep_domain(d, phi[rows], keff)\n"
+        for rel in (MP, ASYNC_MP):
+            mutant = _mutate(_source(rel), old, new)
+            assert "shm-overlapping-write" in _rules(mutant, rel)
+
+    def test_whole_array_normalised_flux_write(self):
+        # The mailbox worker's normalise stores its own block of phi.
+        old = "                        phi[rows] = block\n"
+        new = "                        phi[:] = block\n"
+        mutant = _mutate(_source(ASYNC_MP), old, new)
+        assert "shm-overlapping-write" in _rules(mutant, ASYNC_MP)
 
     def test_worker_writes_parent_owned_factors(self):
         # Workers may read the CMFD factors but only the parent writes

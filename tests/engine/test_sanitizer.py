@@ -1,6 +1,7 @@
 """The shm race sanitizer: clean audits stay bitwise, injected faults fire.
 
-Four claims pinned here, matching the PR's acceptance criteria:
+Five claims pinned here (that the engines audited are the shipped worker
+loops themselves is ``test_one_worker_loop.py``'s):
 
 1. ``mp-sanitize`` on the 2D pin lattice reports **zero** race events and
    is bitwise identical to ``inproc`` — instrumentation must not perturb
@@ -12,7 +13,9 @@ Four claims pinned here, matching the PR's acceptance criteria:
 4. the same detector proves the *relaxed* mailbox/epoch protocol of
    ``mp-async`` race-free (``mp-async-sanitize`` clean + bitwise), while a
    wrong-parity mailbox fault — reading the halo buffer the producers are
-   currently writing — trips both rules.
+   currently writing — trips both rules;
+5. an audit can fail: findings on a run nobody injected a fault into
+   raise ``SanitizerError``; a seeded fault site is drawn per solve.
 """
 
 import numpy as np
@@ -122,6 +125,41 @@ class TestFaultSpec:
             solve_2d(pin_lattice, engine, workers=2)
 
 
+    def test_seeded_site_is_drawn_per_solve(self, pin_lattice):
+        """One engine, two worker counts: the second solve's site comes
+        from its own worker count, not from the first solve's draw."""
+        assert FaultSpec.from_seed(1234, 4).worker >= 2  # no such worker of 2
+        engine = SanitizedMpEngine(fault_seed=1234)
+        _, four = solve_2d(pin_lattice, engine)
+        engine.workers = 2
+        _, two = solve_2d(pin_lattice, engine)
+        assert four.sanitizer.fault == FaultSpec.from_seed(1234, 4)
+        assert two.sanitizer.fault == FaultSpec.from_seed(1234, 2)
+        assert not four.sanitizer.clean and not two.sanitizer.clean
+
+
+class TestAuditVerdict:
+    """The engines' payload-folding step on hand-built logs — no processes."""
+
+    OVERLAPPING = {
+        0: [ev(0, 1, "w", "phi_new", 0, 1)],
+        1: [ev(1, 1, "w", "phi_new", 1, 2)],
+    }
+
+    @pytest.mark.parametrize("cls", [SanitizedMpEngine, SanitizedAsyncMpEngine])
+    def test_findings_nobody_injected_fail_the_run(self, cls):
+        with pytest.raises(SanitizerError, match="same-epoch-overlap"):
+            cls(workers=2)._result_extras({"events": self.OVERLAPPING}, 2)
+
+    def test_findings_of_an_injected_fault_are_returned(self):
+        engine = SanitizedMpEngine(workers=2, fault=FaultSpec(worker=0))
+        extras = engine._result_extras({"events": self.OVERLAPPING}, 2)
+        assert not extras["sanitizer"].clean
+        assert extras["comm_counters"] == {
+            "sanitizer_events": 2, "sanitizer_findings": 1
+        }
+
+
 class TestRegistry:
     def test_mp_sanitize_resolves_by_name(self):
         engine = resolve_engine("mp-sanitize")
@@ -203,7 +241,7 @@ class TestAsyncCleanAudit:
         assert report.num_events > 0
         assert report.fault is None
         # The instrumented run still reports the protocol counters.
-        assert set(result.comm_counters) == {
+        assert set(result.comm_counters) >= {
             "halo_wait_ns", "neighbor_stalls", "epochs_overlapped"
         }
 

@@ -103,6 +103,12 @@ class TestSolverConfig:
         with pytest.raises(ConfigError, match="storage_method"):
             SolverConfig(storage_method="CACHE").validate()
 
+    def test_sweep_backends(self):
+        for backend in ("auto", "numpy", "reference"):
+            SolverConfig(sweep_backend=backend).validate()
+        with pytest.raises(ConfigError, match="sweep_backend"):
+            SolverConfig(sweep_backend="numba").validate()
+
     def test_tolerances_positive(self):
         with pytest.raises(ConfigError):
             SolverConfig(keff_tolerance=0.0).validate()

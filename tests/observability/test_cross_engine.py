@@ -1,8 +1,9 @@
 """Cross-engine report equivalence: the counters describe the *workload*,
 so every execution engine must report the same numbers for the same
-decomposed solve — only the engine properties (``num_workers`` and the
+decomposed solve — only the engine properties (``num_workers``, the
 mp-async mailbox counters ``halo_wait_ns``/``neighbor_stalls``/
-``epochs_overlapped``) may differ.
+``epochs_overlapped`` and the sanitizer's audit outcome
+``sanitizer_events``/``sanitizer_findings``) may differ.
 """
 
 import pytest
@@ -19,6 +20,8 @@ ENGINE_COUNTERS = (
     "halo_wait_ns",
     "neighbor_stalls",
     "epochs_overlapped",
+    "sanitizer_events",
+    "sanitizer_findings",
 )
 
 
@@ -69,6 +72,16 @@ class TestCrossEngineEquivalence:
         for engine in ("inproc", "mp", "mp-sanitize"):
             others = engine_results[engine].run_report.counters
             assert "epochs_overlapped" not in others, engine
+
+    def test_sanitized_engine_reports_its_audit(self, engine_results):
+        """The audit outcome is readable from the run report alone."""
+        counters = engine_results["mp-sanitize"].run_report.counters
+        assert counters["sanitizer_events"] > 0
+        assert counters["sanitizer_findings"] == 0
+        for engine in ("inproc", "mp", "mp-async"):
+            others = engine_results[engine].run_report.counters
+            assert "sanitizer_events" not in others, engine
+            assert "sanitizer_findings" not in others, engine
 
     def test_mp_engines_report_worker_spans(self, engine_results):
         for engine in ("mp", "mp-sanitize", "mp-async"):

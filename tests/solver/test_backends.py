@@ -3,9 +3,7 @@ cross-backend numerical equivalence.
 
 The equivalence tests pin every registered backend to the ``reference``
 kernel (the seed lockstep loop kept verbatim): identical tallies, boundary
-fluxes and k-eff at fixed iteration counts. Numba-specific cases are
-skipped when the optional extra is not installed — which also exercises
-the documented silent fallback.
+fluxes and k-eff at fixed iteration counts.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from repro.solver import (
     resolve_backend,
 )
 from repro.solver.backends import BACKEND_ENV_VAR, DEFAULT_BACKEND, backend_names
-from repro.solver.backends.numba_backend import NUMBA_AVAILABLE
 from repro.tracks import TrackGenerator
 
 # ---------------------------------------------------------------- registry
@@ -34,18 +31,19 @@ from repro.tracks import TrackGenerator
 class TestRegistry:
     def test_backend_names_include_all(self):
         names = backend_names()
-        for expected in ("auto", "numpy", "numba", "reference"):
-            assert expected in names
+        assert set(names) == {"auto", "numpy", "reference"}
 
     def test_unknown_backend_raises(self):
-        with pytest.raises(SolverError, match="unknown sweep backend"):
-            get_backend("cuda")
+        for name in ("cuda", "numba"):  # numba: pruned, not degraded to numpy
+            with pytest.raises(SolverError, match="unknown sweep backend"):
+                get_backend(name)
+            with pytest.raises(SolverError, match="unknown sweep backend"):
+                resolve_backend(name)
 
     def test_availability_map(self):
         avail = available_backends()
         assert avail["numpy"] is True
         assert avail["reference"] is True
-        assert avail["numba"] is NUMBA_AVAILABLE
 
     def test_resolve_explicit(self):
         assert resolve_backend("reference").name == "reference"
@@ -66,18 +64,7 @@ class TestRegistry:
         assert resolve_backend("numpy").name == "numpy"
 
     def test_auto_selection(self):
-        expected = "numba" if NUMBA_AVAILABLE else "numpy"
-        assert resolve_backend("auto").name == expected
-
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba installed: no fallback")
-    def test_numba_fallback_is_silent(self, small_trackgen, two_group_fissile):
-        """Requesting numba without numba degrades to numpy, not an error."""
-        assert resolve_backend("numba").name == "numpy"
-        terms = SourceTerms([two_group_fissile] * small_trackgen.geometry.num_fsrs)
-        sweeper = TransportSweep2D(small_trackgen, terms, backend="numba")
-        assert sweeper.backend.name == "numpy"
-        tally = sweeper.sweep(np.full((terms.num_regions, 2), 0.2))
-        assert np.isfinite(tally).all()
+        assert resolve_backend("auto").name == "numpy"
 
 
 # ------------------------------------------------------------- plan layout
@@ -124,14 +111,7 @@ def _pair_2d(trackgen, terms, backend):
     )
 
 
-def _backends_to_check():
-    names = ["numpy"]
-    if NUMBA_AVAILABLE:
-        names.append("numba")
-    return names
-
-
-@pytest.mark.parametrize("backend", _backends_to_check())
+@pytest.mark.parametrize("backend", ["numpy"])
 class TestEquivalence:
     def test_sweep2d_tally_and_boundary(self, small_trackgen, two_group_fissile, backend):
         terms = SourceTerms([two_group_fissile] * small_trackgen.geometry.num_fsrs)
