@@ -50,6 +50,11 @@ class DomainSolver:
     def num_fsrs(self) -> int:
         return self.geometry.num_fsrs
 
+    @property
+    def plan(self):
+        """The sweep plan this domain's tallies are laid out over."""
+        return self.sweeper.plan
+
     def sweep(self, reduced_source_local: np.ndarray) -> np.ndarray:
         """One local sweep; returns the local delta-psi tally."""
         return self.sweeper.sweep(reduced_source_local)

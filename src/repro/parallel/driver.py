@@ -17,7 +17,7 @@ produce identical results and traffic accounting.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -27,21 +27,81 @@ from repro.geometry.decomposition import decompose_lattice_geometry
 from repro.geometry.geometry import Geometry
 from repro.parallel.domain import DomainSolver
 from repro.parallel.exchange import InterfaceExchange, match_interface_tracks
-from repro.solver.cmfd import (
-    CmfdProblem,
-    bin_fsrs,
-    build_coarse_mesh,
-    coerce_cmfd,
-    decomposed_cmfd_problem,
-    mesh_spec_for,
-)
+from repro.solver.cmfd import CmfdProblem, coarse_mesh_for, coerce_cmfd, decomposed_cmfd_problem
 from repro.solver.expeval import ExponentialEvaluator
+from repro.solver.keff import SolveResult
+from repro.solver.solver import Workload, unit_fissile_mean
+from repro.tracks.generator import TrackingTimings
 
 if TYPE_CHECKING:
     from repro.engine import EngineResult
 
 
-class DecomposedSolver:
+class DomainDriver:
+    """What the two decomposed drivers share once their domains exist:
+    the execution engine and its communicator, the iteration limits, the
+    global CMFD overlay and the solver surface the run pipeline reads.
+    A subclass lays out ``domains`` (rank order, contiguous global FSR
+    blocks; :class:`~repro.parallel.domain.DomainSolver` and
+    :class:`~repro.parallel.driver3d.SlabDomain` share one attribute
+    surface) and ``routes`` over the undecomposed ``geometry`` in its
+    constructor, then calls :meth:`_finish`.
+    """
+
+    geometry: Any
+    domains: Sequence[Any]
+    routes: Sequence[Any]
+
+    def _finish(
+        self, engine, workers, timeout, pin_workers,
+        keff_tolerance, source_tolerance, max_iterations, cmfd,
+    ) -> None:
+        from repro.engine import resolve_engine
+
+        self.num_fsrs_total = sum(d.num_fsrs for d in self.domains)
+        self.engine = resolve_engine(
+            engine, workers=workers, timeout=timeout, pin_workers=pin_workers
+        )
+        self.comm = self.engine.create_communicator(len(self.domains))
+        self.keff_tolerance = keff_tolerance
+        self.source_tolerance = source_tolerance
+        self.max_iterations = int(max_iterations)
+        self.volumes = np.concatenate([d.volumes for d in self.domains])
+        self._require_fissile()
+        self.cmfd_problem: CmfdProblem | None = None
+        options = coerce_cmfd(cmfd)
+        if options is not None:
+            self._setup_cmfd(options)
+
+    def _require_fissile(self) -> None:
+        if not any(np.any(d.terms.nu_sigma_f > 0) for d in self.domains):
+            raise SolverError("no fissile region in any domain")
+
+    def _setup_cmfd(self, options) -> None:
+        """Build the *global* coarse overlay across the decomposition
+        (subdomains keep absolute coordinates). The tallies are built
+        once, so each domain's sweep plan is fixed for the whole solve."""
+        mesh = coarse_mesh_for(self.geometry, options, [d.geometry for d in self.domains])
+        self.cmfd_problem = decomposed_cmfd_problem(
+            self.domains, self.routes, mesh,
+            [d.plan for d in self.domains], self.volumes, options,
+        )
+
+    @property
+    def num_domains(self) -> int:
+        return len(self.domains)
+
+    def fission_rates(self, result: SolveResult) -> np.ndarray:
+        """Global per-FSR fission rates, unit mean over fissile FSRs."""
+        flux = result.scalar_flux
+        rates = [
+            d.terms.fission_rate(flux[d.fsr_offset : d.fsr_offset + d.num_fsrs], d.volumes)
+            for d in self.domains
+        ]
+        return unit_fissile_mean(np.concatenate(rates))
+
+
+class DecomposedSolver(DomainDriver):
     """Spatially decomposed 2D MOC eigenvalue solver."""
 
     def __init__(
@@ -80,45 +140,27 @@ class DecomposedSolver:
         for dom in self.domains:
             dom.fsr_offset = offset
             offset += dom.num_fsrs
-        self.num_fsrs_total = offset
         self.exchange: InterfaceExchange = match_interface_tracks(
             [d.trackgen for d in self.domains]
         )
         self.routes = self.exchange.routes
-        from repro.engine import resolve_engine
-
-        self.engine = resolve_engine(
-            engine, workers=workers, timeout=timeout, pin_workers=pin_workers
-        )
-        self.comm = self.engine.create_communicator(len(self.domains))
-        self.keff_tolerance = keff_tolerance
-        self.source_tolerance = source_tolerance
-        self.max_iterations = int(max_iterations)
-        self.volumes = np.concatenate([d.volumes for d in self.domains])
-        if not any(np.any(d.terms.nu_sigma_f > 0) for d in self.domains):
-            raise SolverError("no fissile region in any domain")
-        self.cmfd_problem: CmfdProblem | None = None
-        options = coerce_cmfd(cmfd)
-        if options is not None:
-            self._setup_cmfd(options)
-
-    def _setup_cmfd(self, options) -> None:
-        """Build the *global* coarse overlay across the decomposition."""
-        spec = mesh_spec_for(self.geometry, options)
-        mesh = build_coarse_mesh(
-            spec, [bin_fsrs(d.geometry, spec) for d in self.domains]
-        )
-        self.cmfd_problem = decomposed_cmfd_problem(
-            self.domains, self.routes, mesh,
-            [d.sweeper.plan for d in self.domains], self.volumes, options,
+        self._finish(
+            engine, workers, timeout, pin_workers,
+            keff_tolerance, source_tolerance, max_iterations, cmfd,
         )
 
     @property
-    def num_domains(self) -> int:
-        return len(self.domains)
+    def tracking_timings(self) -> list[TrackingTimings]:
+        return [d.trackgen.timings for d in self.domains]
 
-    def _local_block(self, dom: DomainSolver, global_array: np.ndarray) -> np.ndarray:
-        return global_array[dom.fsr_offset : dom.fsr_offset + dom.num_fsrs]
+    @property
+    def workload(self) -> Workload:
+        return Workload(
+            num_fsrs=self.geometry.num_fsrs,
+            num_domains=self.num_domains,
+            tracks_2d=sum(d.trackgen.num_tracks for d in self.domains),
+            segments_2d=sum(d.trackgen.num_segments for d in self.domains),
+        )
 
     def solve(self) -> EngineResult:
         from repro.engine import DecomposedProblem
@@ -150,22 +192,6 @@ class DecomposedSolver:
             dom.sweeper.reset_fluxes()
             if dom.sweeper.current_tally is not None:
                 dom.sweeper.current_tally.reset()
-        if not any(np.any(d.terms.nu_sigma_f > 0) for d in self.domains):
-            raise SolverError("no fissile region in any domain")
+        self._require_fissile()
         if self.cmfd_problem is not None:
             self._setup_cmfd(self.cmfd_problem.options)
-
-    def fission_rates(self, result: EngineResult) -> np.ndarray:
-        """Global per-FSR fission rates, unit mean over fissile FSRs."""
-        rates = np.concatenate(
-            [
-                d.terms.fission_rate(
-                    self._local_block(d, result.scalar_flux), d.volumes
-                )
-                for d in self.domains
-            ]
-        )
-        fissile = rates > 0.0
-        if not fissile.any():
-            raise DecompositionError("no fissile FSR carries a fission rate")
-        return rates / rates[fissile].mean()

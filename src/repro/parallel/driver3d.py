@@ -24,37 +24,25 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.constants import DEFAULT_KEFF_TOL, DEFAULT_SOURCE_TOL
-from repro.errors import DecompositionError, SolverError
+from repro.errors import DecompositionError
 from repro.geometry.extruded import AxialMesh, ExtrudedGeometry
 from repro.geometry.geometry import BoundaryCondition
-from repro.solver.cmfd import (
-    CmfdProblem,
-    bin_fsrs_3d,
-    build_coarse_mesh,
-    coerce_cmfd,
-    decomposed_cmfd_problem,
-    mesh_spec_for_3d,
-)
+from repro.parallel.driver import DomainDriver
+from repro.parallel.exchange import Route
 from repro.solver.expeval import ExponentialEvaluator
+from repro.solver.solver import Workload
 from repro.solver.source import SourceTerms
 from repro.solver.sweep3d import TransportSweep3D
-from repro.tracks.generator import TrackGenerator, TrackGenerator3D
+from repro.tracks.generator import TrackGenerator, TrackGenerator3D, TrackingTimings
 from repro.tracks.segments import SegmentData
 
 if TYPE_CHECKING:
     from repro.engine import EngineResult
 
 
-@dataclass(frozen=True)
-class Route3D:
-    """One interface flux route between 3D (domain, track, direction) slots."""
-
-    src_domain: int
-    src_track: int
-    src_dir: int
-    dst_domain: int
-    dst_track: int
-    dst_dir: int
+#: A z-interface route is the radial drivers' (domain, track, direction)
+#: slot pair; the engines read both through one route table.
+Route3D = Route
 
 
 @dataclass
@@ -74,6 +62,12 @@ class SlabDomain:
     @property
     def num_fsrs(self) -> int:
         return self.geometry.num_fsrs
+
+    @property
+    def plan(self):
+        """The sweep plan over the slab's stored segments (traced once,
+        so fixed for the whole solve)."""
+        return self.sweeper.plan_for(self.segments)
 
     def sweep(self, reduced_source_local: np.ndarray) -> np.ndarray:
         """One local sweep; returns the local delta-psi tally."""
@@ -97,7 +91,7 @@ def _slab_meshes(mesh: AxialMesh, num_domains: int) -> list[AxialMesh]:
     ]
 
 
-class ZDecomposedSolver:
+class ZDecomposedSolver(DomainDriver):
     """Axially decomposed 3D MOC eigenvalue solver over a pluggable engine."""
 
     def __init__(
@@ -123,8 +117,7 @@ class ZDecomposedSolver:
     ) -> None:
         if num_domains < 1:
             raise DecompositionError("need at least one z-domain")
-        self.geometry3d = geometry3d
-        self.num_domains = int(num_domains)
+        self.geometry = geometry3d
         slabs = _slab_meshes(geometry3d.axial_mesh, num_domains)
         layers_per = geometry3d.num_layers // num_domains
 
@@ -137,7 +130,6 @@ class ZDecomposedSolver:
         evaluator = evaluator or ExponentialEvaluator.shared()
 
         self.domains: list[SlabDomain] = []
-        nz_global = geometry3d.num_layers
         offset = 0
         for d in range(num_domains):
             layer_offset = d * layers_per
@@ -172,44 +164,31 @@ class ZDecomposedSolver:
                 SlabDomain(slab_geom, trackgen, terms, sweeper, segments, volumes, offset)
             )
             offset += slab_geom.num_fsrs
-        self.num_fsrs_total = offset
         self.num_groups = self.domains[0].terms.num_groups
         self.routes = self._match_interfaces()
-        from repro.engine import resolve_engine
-
-        self.engine = resolve_engine(
-            engine, workers=workers, timeout=timeout, pin_workers=pin_workers
+        self._finish(
+            engine, workers, timeout, pin_workers,
+            keff_tolerance, source_tolerance, max_iterations, cmfd,
         )
-        self.comm = self.engine.create_communicator(num_domains)
-        self.keff_tolerance = keff_tolerance
-        self.source_tolerance = source_tolerance
-        self.max_iterations = int(max_iterations)
-        self.volumes = np.concatenate([d.volumes for d in self.domains])
-        if not any(np.any(d.terms.nu_sigma_f > 0) for d in self.domains):
-            raise SolverError("no fissile region in any z-domain")
-        self.cmfd_problem: CmfdProblem | None = None
-        options = coerce_cmfd(cmfd)
-        if options is not None:
-            self._setup_cmfd(options)
 
-    def _setup_cmfd(self, options) -> None:
-        """Global coarse overlay across the z-slabs (slab axial meshes
-        carry absolute z). The driver traces its segments once, so each
-        slab's plan is fixed for the whole solve."""
-        spec = mesh_spec_for_3d(self.geometry3d, options)
-        mesh = build_coarse_mesh(
-            spec, [bin_fsrs_3d(d.geometry, spec) for d in self.domains]
-        )
-        self.cmfd_problem = decomposed_cmfd_problem(
-            self.domains, self.routes, mesh,
-            [d.sweeper.plan_for(d.segments) for d in self.domains],
-            self.volumes, options,
+    @property
+    def tracking_timings(self) -> list[TrackingTimings]:
+        return [self.radial.timings] + [d.trackgen.timings for d in self.domains]
+
+    @property
+    def workload(self) -> Workload:
+        return Workload(
+            num_fsrs=self.geometry.num_fsrs,
+            num_domains=self.num_domains,
+            tracks_2d=self.radial.num_tracks,
+            segments_2d=self.radial.num_segments,
+            tracks_3d=sum(d.trackgen.num_tracks_3d for d in self.domains),
+            segments_3d=sum(d.segments.num_segments for d in self.domains),
         )
 
     def _global_layer_map(self, layer_offset: int):
         """Map a slab's local layer to the global extruded material."""
-        geometry3d = self.geometry3d
-        nz = geometry3d.num_layers
+        geometry3d = self.geometry
 
         def mapper(mat, local_layer):
             # ``mat`` is the radial material; look up the global override.

@@ -40,6 +40,7 @@ from repro.solver.backends.plan import MAX_EXPF_ELEMENTS
 from repro.solver.expeval import ExponentialEvaluator
 from repro.solver.keff import with_kernel_phases
 from repro.solver.power import SolveResult, solve_local
+from repro.solver.solver import Workload
 from repro.solver.source import SourceTerms
 
 
@@ -98,7 +99,7 @@ class BatchedSweep2D:
         self.psi_in = np.zeros(
             (self.num_tracks, 2, self.num_states, self.num_polar, self.num_groups)
         )
-        #: Per-state CMFD current tallies (None until :meth:`enable_cmfd`).
+        #: Per-state CMFD current tallies (None until :meth:`enable_cmfd_tally`).
         self.tallies: list | None = None
         self._capture = None
         self._table = self._build_expf_table()
@@ -133,13 +134,14 @@ class BatchedSweep2D:
             [block(t.sigma_t_safe, self.evaluator, d, lo, hi) for t in self.terms], axis=1
         )
 
-    def enable_cmfd(self, cell_of_fsr: np.ndarray, exit_dst: np.ndarray) -> None:
+    def enable_cmfd_tally(self, cell_of_fsr: np.ndarray) -> None:
         """Attach per-state current tallies plus one widened in-kernel
         capture. The tally layout is XS-independent, so every state's
         tally is structurally identical; the kernel writes crossings into
         the widened buffers and the per-state folds copy slices out."""
-        from repro.solver.cmfd import CurrentCapture, CurrentTally
+        from repro.solver.cmfd import CurrentCapture, CurrentTally, local_exit_destinations
 
+        exit_dst = local_exit_destinations(self.plan, cell_of_fsr)
         self.tallies = [
             CurrentTally(self.plan, cell_of_fsr, exit_dst, self.num_groups)
             for _ in range(self.num_states)
@@ -238,6 +240,14 @@ class BatchedKeffSolver:
                 raise SolverError(
                     f"no fissile region present in state {s}; k-eigenvalue undefined"
                 )
+
+    @property
+    def workload(self) -> Workload:
+        """Every state's workload terms: one domain over the shared laydown."""
+        trackgen = self.sweeper.trackgen
+        return Workload(
+            self.sweeper.num_fsrs, 1, trackgen.num_tracks, trackgen.num_segments
+        )
 
     def solve(self) -> list[SolveResult]:
         """Iterate until every state converges (or max iterations)."""

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import SolverError
+from repro.geometry.extruded import ExtrudedGeometry
 from repro.geometry.geometry import Geometry
 from repro.geometry.lattice import Lattice
 
@@ -287,6 +288,18 @@ def build_coarse_mesh(spec: MeshSpec, raw_bins_per_domain: list[np.ndarray]) -> 
     """Compress per-domain raw bins (concatenated in rank order — the
     global FSR ordering) into a dense global :class:`CoarseMesh`."""
     return CoarseMesh(spec, np.concatenate(raw_bins_per_domain))
+
+
+def coarse_mesh_for(geometry, options: CmfdOptions, parts=None) -> CoarseMesh:
+    """The global coarse mesh over ``geometry`` (z-planes included when
+    it is extruded), binned over ``parts`` — its subdomain geometries in
+    rank order; the geometry itself when undecomposed."""
+    parts = [geometry] if parts is None else parts
+    if isinstance(geometry, ExtrudedGeometry):
+        spec = mesh_spec_for_3d(geometry, options)
+        return build_coarse_mesh(spec, [bin_fsrs_3d(part, spec) for part in parts])
+    spec = mesh_spec_for(geometry, options)
+    return build_coarse_mesh(spec, [bin_fsrs(part, spec) for part in parts])
 
 
 # ------------------------------------------------------------ current tally
@@ -998,3 +1011,16 @@ class CmfdAccelerator:
         phi *= multiplier[self.problem.cellmap]
         tally.scale_boundary_flux(self.sweeper.psi_in, multiplier)
         return keff, step
+
+
+def single_domain_accelerator(
+    mesh: CoarseMesh, sweeper, terms, volumes: np.ndarray, options: CmfdOptions
+) -> CmfdAccelerator:
+    """The single-domain CMFD overlay: one state's coarse problem over
+    ``mesh`` behind an accelerator reading ``sweeper``'s current tally
+    (enabled by the caller — a scenario batch enables one widened tally
+    and passes each state's view of it, over one shared ``mesh``)."""
+    problem = CmfdProblem(
+        mesh, terms.sigma_t, terms.sigma_s, terms.nu_sigma_f, terms.chi, volumes, options
+    )
+    return CmfdAccelerator(problem, sweeper, terms, volumes)

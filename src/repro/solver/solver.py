@@ -9,32 +9,76 @@ the track-storage strategies of :mod:`repro.trackmgmt`.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, NamedTuple, Protocol
+
 import numpy as np
 
 from repro.errors import SolverError
 from repro.geometry.extruded import ExtrudedGeometry
 from repro.geometry.geometry import Geometry
-from repro.solver.cmfd import (
-    CmfdAccelerator,
-    CmfdProblem,
-    bin_fsrs,
-    bin_fsrs_3d,
-    build_coarse_mesh,
-    coerce_cmfd,
-    local_exit_destinations,
-    mesh_spec_for,
-    mesh_spec_for_3d,
-)
+from repro.solver.cmfd import coarse_mesh_for, coerce_cmfd, single_domain_accelerator
 from repro.solver.expeval import ExponentialEvaluator
 from repro.solver.keff import KeffSolver, SolveResult, with_kernel_phases
 from repro.solver.source import SourceTerms
 from repro.solver.sweep2d import TransportSweep2D
 from repro.solver.sweep3d import TransportSweep3D
-from repro.tracks.generator import TrackGenerator, TrackGenerator3D
+from repro.tracks.generator import TrackGenerator, TrackGenerator3D, TrackingTimings
+
+if TYPE_CHECKING:
+    from repro.parallel.comm import SimComm
+    from repro.trackmgmt.strategy import StorageStrategy
+
+
+class Workload(NamedTuple):
+    """The paper's workload terms of one built solver, summed over its
+    domains; 3D terms are zero for radial solves."""
+
+    num_fsrs: int
+    num_domains: int
+    tracks_2d: int
+    segments_2d: int
+    tracks_3d: int = 0
+    segments_3d: int = 0
+
+
+class TransportSolver(Protocol):
+    """What the run pipeline asks of a built solver, single-domain or
+    decomposed, 2D or 3D — so nothing downstream of construction
+    branches on the solver's type."""
+
+    @property
+    def comm(self) -> SimComm | None:
+        """The communicator a decomposed solve reduces and accounts
+        through; ``None`` for a single domain."""
+
+    @property
+    def tracking_timings(self) -> list[TrackingTimings]:
+        """One phase breakdown per track generator the solver built."""
+
+    @property
+    def workload(self) -> Workload: ...
+
+    def solve(self) -> SolveResult: ...
+
+    def fission_rates(self, result: SolveResult) -> np.ndarray:
+        """Global per-FSR fission rates, unit mean over fissile FSRs."""
+
+
+def unit_fissile_mean(rates: np.ndarray) -> np.ndarray:
+    """``rates`` normalised to unit mean over the fissile FSRs."""
+    fissile = rates > 0.0
+    if not fissile.any():
+        raise SolverError("no fissile FSR carries a fission rate")
+    return rates / rates[fissile].mean()
 
 
 class MOCSolver:
     """End-to-end MOC eigenvalue solver for a single (undecomposed) domain."""
+
+    #: A single domain exchanges nothing.
+    comm: None = None
+    #: The 3D track-storage strategy (``None`` for a 2D solver).
+    storage_strategy: StorageStrategy | None = None
 
     def __init__(
         self,
@@ -88,31 +132,10 @@ class MOCSolver:
             ).generate()
         terms = SourceTerms(list(geometry.fsr_materials) if materials is None else list(materials))
         sweeper = TransportSweep2D(trackgen, terms, evaluator, backend=backend)
-        volumes = trackgen.fsr_volumes
-        accelerator = None
-        options = coerce_cmfd(cmfd)
-        if options is not None:
-            spec = mesh_spec_for(geometry, options)
-            mesh = build_coarse_mesh(spec, [bin_fsrs(geometry, spec)])
-            sweeper.enable_cmfd_tally(
-                mesh.cellmap, local_exit_destinations(sweeper.plan, mesh.cellmap)
-            )
-            coarse = CmfdProblem(
-                mesh, terms.sigma_t, terms.sigma_s, terms.nu_sigma_f,
-                terms.chi, volumes, options,
-            )
-            accelerator = CmfdAccelerator(coarse, sweeper, terms, volumes)
-        keff_solver = KeffSolver(
-            terms,
-            volumes,
-            sweep=sweeper.sweep,
-            finalize=sweeper.finalize_scalar_flux,
-            keff_tolerance=keff_tolerance,
-            source_tolerance=source_tolerance,
-            max_iterations=max_iterations,
-            accelerator=accelerator,
+        return cls._assemble(
+            geometry, trackgen, terms, sweeper, trackgen.fsr_volumes, sweeper.sweep, cmfd,
+            keff_tolerance, source_tolerance, max_iterations,
         )
-        return cls(terms, volumes, keff_solver, sweeper, trackgen)
 
     @classmethod
     def for_3d(
@@ -149,24 +172,33 @@ class MOCSolver:
         sweeper = TransportSweep3D(trackgen, terms, evaluator, backend=backend)
         strategy = make_strategy(storage, trackgen, resident_memory_bytes=resident_memory_bytes)
         volumes = trackgen.fsr_volumes_3d(strategy.reference_segments())
-        accelerator = None
-        options = coerce_cmfd(cmfd)
-        if options is not None:
-            spec = mesh_spec_for_3d(geometry3d, options)
-            mesh = build_coarse_mesh(spec, [bin_fsrs_3d(geometry3d, spec)])
-            # The tally itself is built lazily per sweep plan: OTF/Manager
-            # strategies regenerate segments, so crossings are rediscovered
-            # from whatever layout each sweep actually uses.
-            sweeper.enable_cmfd_tally(mesh.cellmap)
-            coarse = CmfdProblem(
-                mesh, terms.sigma_t, terms.sigma_s, terms.nu_sigma_f,
-                terms.chi, volumes, options,
-            )
-            accelerator = CmfdAccelerator(coarse, sweeper, terms, volumes)
 
         def sweep(reduced: np.ndarray) -> np.ndarray:
             return strategy.sweep(sweeper, reduced)
 
+        solver = cls._assemble(
+            geometry3d, trackgen, terms, sweeper, volumes, sweep, cmfd,
+            keff_tolerance, source_tolerance, max_iterations,
+        )
+        solver.storage_strategy = strategy
+        return solver
+
+    @classmethod
+    def _assemble(
+        cls, geometry, trackgen, terms, sweeper, volumes, sweep, cmfd,
+        keff_tolerance, source_tolerance, max_iterations,
+    ) -> "MOCSolver":
+        """The tail both builders share: the optional CMFD overlay, then
+        the power iteration over ``sweep``. A 3D sweeper builds its tally
+        lazily per sweep plan — OTF/Manager strategies regenerate
+        segments, so crossings are rediscovered from whatever layout each
+        sweep actually uses."""
+        accelerator = None
+        options = coerce_cmfd(cmfd)
+        if options is not None:
+            mesh = coarse_mesh_for(geometry, options)
+            sweeper.enable_cmfd_tally(mesh.cellmap)
+            accelerator = single_domain_accelerator(mesh, sweeper, terms, volumes, options)
         keff_solver = KeffSolver(
             terms,
             volumes,
@@ -177,9 +209,7 @@ class MOCSolver:
             max_iterations=max_iterations,
             accelerator=accelerator,
         )
-        solver = cls(terms, volumes, keff_solver, sweeper, trackgen)
-        solver.storage_strategy = strategy  # type: ignore[attr-defined]
-        return solver
+        return cls(terms, volumes, keff_solver, sweeper, trackgen)
 
     # --------------------------------------------------------------- runner
 
@@ -196,8 +226,21 @@ class MOCSolver:
 
     def fission_rates(self, result: SolveResult) -> np.ndarray:
         """Per-FSR fission rates, normalised to unit mean over fissile FSRs."""
-        rates = self.terms.fission_rate(result.scalar_flux, self.volumes)
-        fissile = rates > 0.0
-        if not fissile.any():
-            raise SolverError("no fissile FSR carries a fission rate")
-        return rates / rates[fissile].mean()
+        return unit_fissile_mean(self.terms.fission_rate(result.scalar_flux, self.volumes))
+
+    @property
+    def tracking_timings(self) -> list[TrackingTimings]:
+        return [self.trackgen.timings]
+
+    @property
+    def workload(self) -> Workload:
+        radial = Workload(
+            self.terms.num_regions, 1, self.trackgen.num_tracks, self.trackgen.num_segments
+        )
+        strategy = self.storage_strategy
+        if strategy is None:
+            return radial
+        return radial._replace(
+            tracks_3d=strategy.trackgen.num_tracks_3d,
+            segments_3d=strategy.reference_segments().num_segments,
+        )

@@ -84,13 +84,15 @@ class TransportSweep2D:
         #: Optional CMFD coarse-face current tally, attached by the solver.
         self.current_tally = None
 
-    def enable_cmfd_tally(self, cell_of_fsr: np.ndarray, exit_dst: np.ndarray) -> None:
+    def enable_cmfd_tally(self, cell_of_fsr: np.ndarray) -> None:
         """Attach a CMFD current tally over the given FSR -> coarse-cell
-        map and per-traversal-end destination cells."""
-        from repro.solver.cmfd import CurrentTally
+        map; track-end destinations come from the local link tables
+        (single-domain: every non-linked end is vacuum)."""
+        from repro.solver.cmfd import CurrentTally, local_exit_destinations
 
         self.current_tally = CurrentTally(
-            self.plan, cell_of_fsr, exit_dst, self.num_groups
+            self.plan, cell_of_fsr, local_exit_destinations(self.plan, cell_of_fsr),
+            self.num_groups,
         )
 
     def reset_fluxes(self) -> None:

@@ -110,6 +110,39 @@ class TestOutputs:
         AntMocApplication(config).run()
         assert path.exists()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"decomposition": {"nx": 3, "ny": 1}},
+            {
+                "geometry": "c5g7-3d-mini",
+                "tracking": {"num_azim": 4, "azim_spacing": 0.6,
+                             "num_polar": 2, "polar_spacing": 1.0},
+            },
+        ],
+        ids=["2d-decomposed", "3d"],
+    )
+    def test_vtk_request_is_never_dropped_silently(self, tmp_path, caplog, overrides):
+        """A run that cannot render a pin-power map says so, once."""
+        path = tmp_path / "rates.vtk"
+        quick = {"max_iterations": 2, "keff_tolerance": 1e-4, "source_tolerance": 1e-3}
+        app = AntMocApplication(
+            mini_config(output={"vtk_path": str(path)}, solver=quick, **overrides)
+        )
+        # The library logger does not propagate: attach caplog's handler.
+        app.logger.addHandler(caplog.handler)
+        try:
+            app.run()
+        finally:
+            app.logger.removeHandler(caplog.handler)
+        dropped = [r for r in caplog.records if "output dropped" in r.getMessage()]
+        assert len(dropped) == 1 and dropped[0].levelname == "WARNING"
+        assert dropped[0].name == "repro.antmoc"
+        assert f"vtk_path={str(path)!r}" in dropped[0].getMessage()
+        assert "reason='pin-power map is single-domain radial only'" in dropped[0].getMessage()
+        assert "vtk" not in app.pipeline.artifact(StageName.OUTPUT_GENERATION)
+        assert not path.exists()
+
     def test_unknown_geometry_rejected(self):
         config = mini_config(geometry="c5g7-imaginary")
         with pytest.raises(ConfigError, match="unknown geometry"):

@@ -184,6 +184,26 @@ class TestDecomposed:
         for a, b in zip(inproc.states, mp.states):
             assert_states_equal(a, b.keff, b.scalar_flux, b.fission_rates)
 
+    def test_mp_async_state_reports_have_the_single_run_shape(self):
+        """A batch state is recorded by the same calls as a single-state
+        run of the same state: same stage rows (worker ``_sum``/``_max``
+        included), same span roots (``workers`` included), same counters
+        but for the four batch-only ones."""
+        cfg = self.decomposed_config("mp-async")
+        batch = run_scenario_batch(cfg)
+        single = AntMocApplication(dataclasses.replace(cfg, scenarios=())).run().run_report
+        batch_only = {
+            "scenarios_total", "scenarios_batched", "laydowns_shared", "sweeps_batched",
+        }
+        assert any(name.endswith("worker_sweep_max") for name in single.stages)
+        for state in batch.states:
+            report = state.run_report
+            assert set(report.stages) == set(single.stages), state.scenario.name
+            assert {s.name for s in report.spans} == {s.name for s in single.spans}
+            assert set(report.counters.to_dict()) - batch_only == set(
+                single.counters.to_dict()
+            )
+
     def test_rebind_nominal_matches_fresh_solver(self):
         """Rebinding to the unperturbed materials reproduces a freshly
         constructed solver bitwise — rebind adds nothing of its own."""
