@@ -11,7 +11,6 @@ the checkers themselves down to their actual rule logic.
 from __future__ import annotations
 
 import ast
-from typing import Iterator
 
 
 def dotted_name(node: ast.AST) -> str | None:
@@ -54,16 +53,3 @@ def resolve_call(node: ast.Call, aliases: dict[str, str]) -> str | None:
     head, _, rest = name.partition(".")
     expanded = aliases.get(head, head)
     return f"{expanded}.{rest}" if rest else expanded
-
-
-def walk_calls(tree: ast.AST) -> Iterator[ast.Call]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            yield node
-
-
-def body_contains(nodes: list[ast.stmt], kinds: tuple[type, ...]) -> bool:
-    """Whether any statement (recursively) in ``nodes`` is one of ``kinds``."""
-    return any(
-        isinstance(sub, kinds) for stmt in nodes for sub in ast.walk(stmt)
-    )

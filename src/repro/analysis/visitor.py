@@ -30,20 +30,11 @@ Ancestors = Sequence[ast.AST]
 Handler = Callable[[SourceFile, ast.AST, Ancestors], Iterable[Finding]]
 
 _LOOP_TYPES = (ast.For, ast.AsyncFor, ast.While)
-_FUNC_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def in_loop(ancestors: Ancestors) -> bool:
     """Whether any enclosing node is a loop statement."""
     return any(isinstance(a, _LOOP_TYPES) for a in ancestors)
-
-
-def enclosing_function(ancestors: Ancestors) -> ast.AST | None:
-    """The innermost enclosing function definition, if any."""
-    for node in reversed(ancestors):
-        if isinstance(node, _FUNC_TYPES):
-            return node
-    return None
 
 
 class VisitorChecker(Checker):  # repro: ignore[registry-name-constant]

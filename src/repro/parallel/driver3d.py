@@ -202,74 +202,57 @@ class ZDecomposedSolver(DomainDriver):
     # ------------------------------------------------------------ matching
 
     def _match_interfaces(self) -> list[Route3D]:
-        """Pair interface exits with neighbour entries at shared z-planes."""
+        """Pair interface exits with neighbour entries at shared z-planes.
+
+        One keyed join per plane and crossing direction over the two
+        slabs' table columns: each exit slot of the source slab, in uid
+        order, takes the destination slab's entry slot with the same
+        (chain, polar, quantised ``s``, traversal direction).
+        """
+        lengths = np.array([c.length for c in self.radial.chains])
+
+        def slots(domain: int, plane: float, up: bool, exits: bool):
+            """``(uid, direction, key, s)`` per slot of slab ``domain`` whose
+            flux moves ``up`` (or down) and exits (or enters) on ``plane``.
+            Slot ``(t, k)`` is traversal ``k`` (0 forward, 1 backward) of
+            track ``t``: it enters at end ``k`` of ``(s0, z0) -> (s1, z1)``
+            and exits at the other, like the table's ``(T, 2)`` columns."""
+            table = self.domains[domain].trackgen.track_table()
+            end = [1, 0] if exits else [0, 1]
+            s = np.stack([table.s0, table.s1], axis=1)[:, end]
+            z = np.stack([table.z0, table.z1], axis=1)[:, end]
+            going_up = table.z1 > table.z0
+            on = np.stack([going_up, ~going_up], axis=1) == up
+            on &= np.abs(z - plane) < 1e-9 * max(plane, 1.0)
+            if exits:
+                on &= table.interface
+            uid, direction = np.nonzero(on)
+            s, chain = s[uid, direction], table.chain[uid]
+            length = lengths[chain]
+            s_red = np.mod(s, length)
+            s_red[np.abs(s_red - length) < 1e-9 * np.maximum(length, 1.0)] = 0.0
+            cell = np.round(s_red / (length * 1e-9 + 1e-12)).astype(np.int64)
+            direction = direction.tolist()
+            keys = zip(chain.tolist(), table.polar[uid].tolist(), cell.tolist(), direction)
+            return zip(uid.tolist(), direction, keys, s.tolist())
+
         routes: list[Route3D] = []
         for d in range(self.num_domains - 1):
-            lower = self.domains[d].trackgen
-            upper = self.domains[d + 1].trackgen
             plane = self.domains[d].geometry.axial_mesh.zmax
-            chains = {c.index: c.length for c in lower.chains}
-
-            def key(chain, polar, s, ds_sign, dz_sign, length):
-                s_red = s % length
-                if abs(s_red - length) < 1e-9 * max(length, 1.0):
-                    s_red = 0.0
-                return (chain, polar, round(s_red / (length * 1e-9 + 1e-12)), ds_sign, dz_sign)
-
-            # Entry slots of the upper domain at its zmin, and of the
-            # lower domain at its zmax (for downward-moving flux).
-            entries: dict[tuple, tuple[int, int, int]] = {}
-            for t in upper.tracks3d:
-                length = chains[t.chain]
-                if t.going_up and abs(t.z0 - plane) < 1e-9 * max(plane, 1.0):
-                    # forward entry moving (+s, +z)
-                    entries[key(t.chain, t.polar, t.s0, 1, 1, length)] = (d + 1, t.uid, 0)
-                if t.going_up is False and abs(t.z1 - plane) < 1e-9 * max(plane, 1.0):
-                    # backward entry moving (-s, +z)
-                    entries[key(t.chain, t.polar, t.s1, -1, 1, length)] = (d + 1, t.uid, 1)
-            down_entries: dict[tuple, tuple[int, int, int]] = {}
-            for t in lower.tracks3d:
-                length = chains[t.chain]
-                if (not t.going_up) and abs(t.z0 - plane) < 1e-9 * max(plane, 1.0):
-                    down_entries[key(t.chain, t.polar, t.s0, 1, -1, length)] = (d, t.uid, 0)
-                if t.going_up and abs(t.z1 - plane) < 1e-9 * max(plane, 1.0):
-                    down_entries[key(t.chain, t.polar, t.s1, -1, -1, length)] = (d, t.uid, 1)
-
-            # Exits of the lower domain moving up through the plane.
-            for t in lower.tracks3d:
-                length = chains[t.chain]
-                if t.going_up and t.interface_end and abs(t.z1 - plane) < 1e-9 * max(plane, 1.0):
-                    hit = entries.get(key(t.chain, t.polar, t.s1, 1, 1, length))
-                    if hit is None:
+            # Flux moving up leaves slab d for d + 1; moving down, the reverse.
+            for src, dst, up in ((d, d + 1, True), (d + 1, d, False)):
+                entries = {  # of two entries on one key the later uid wins
+                    key: (uid, k) for uid, k, key, _ in slots(dst, plane, up, exits=False)
+                }
+                for uid, k, key, s in slots(src, plane, up, exits=True):
+                    if key not in entries:
+                        what = f"backward track {uid}" if k else f"track {uid}"
+                        if up and not k:
+                            what += f" (chain {key[0]}, polar {key[1]}, s={s:.8g})"
                         raise DecompositionError(
-                            f"z-interface: no upper partner for track {t.uid} "
-                            f"(chain {t.chain}, polar {t.polar}, s={t.s1:.8g})"
+                            f"z-interface: no {'upper' if up else 'lower'} partner for {what}"
                         )
-                    routes.append(Route3D(d, t.uid, 0, *hit))
-                if (not t.going_up) and t.interface_start and abs(t.z0 - plane) < 1e-9 * max(plane, 1.0):
-                    hit = entries.get(key(t.chain, t.polar, t.s0, -1, 1, length))
-                    if hit is None:
-                        raise DecompositionError(
-                            f"z-interface: no upper partner for backward track {t.uid}"
-                        )
-                    routes.append(Route3D(d, t.uid, 1, *hit))
-            # Exits of the upper domain moving down through the plane.
-            for t in upper.tracks3d:
-                length = chains[t.chain]
-                if (not t.going_up) and t.interface_end and abs(t.z1 - plane) < 1e-9 * max(plane, 1.0):
-                    hit = down_entries.get(key(t.chain, t.polar, t.s1, 1, -1, length))
-                    if hit is None:
-                        raise DecompositionError(
-                            f"z-interface: no lower partner for track {t.uid}"
-                        )
-                    routes.append(Route3D(d + 1, t.uid, 0, *hit))
-                if t.going_up and t.interface_start and abs(t.z0 - plane) < 1e-9 * max(plane, 1.0):
-                    hit = down_entries.get(key(t.chain, t.polar, t.s0, -1, -1, length))
-                    if hit is None:
-                        raise DecompositionError(
-                            f"z-interface: no lower partner for backward track {t.uid}"
-                        )
-                    routes.append(Route3D(d + 1, t.uid, 1, *hit))
+                    routes.append(Route3D(src, uid, k, dst, *entries[key]))
         return routes
 
     # --------------------------------------------------------------- solve

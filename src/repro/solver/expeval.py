@@ -126,15 +126,6 @@ class ExponentialEvaluator:
         np.clip(idx, 0, self.num_points - 1, out=idx)
         return self._slope[idx] * tau + self._intercept[idx]
 
-    def interp_table(self) -> tuple[np.ndarray, np.ndarray, float, bool]:
-        """``(slope, intercept, spacing, use_table)`` for fused kernels.
-
-        JIT backends inline the interpolation instead of calling back into
-        Python; ``use_table`` is False in exact mode (kernels then call
-        ``expm1`` directly).
-        """
-        return self._slope, self._intercept, self.spacing, self.mode == "table"
-
     def table_bytes(self) -> int:
         """Device memory the table would occupy (two float64 per point)."""
         return int(self._slope.nbytes + self._intercept.nbytes)

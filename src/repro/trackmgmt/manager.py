@@ -107,8 +107,6 @@ class ManagedStorage(StorageStrategy):
         table = trackgen.track_table()
         estimates = estimate_segments_batch(table)
         costs = estimates.tolist()
-        for t, est in zip(trackgen.tracks3d, costs):
-            t.est_segments = est
         # Greedy selection: largest estimated segment count first.
         budget_segments = self.resident_memory_bytes_budget // BYTES_PER_SEGMENT
         resident_mask = np.zeros(table.num_tracks, dtype=bool)
@@ -152,6 +150,10 @@ class ManagedStorage(StorageStrategy):
     def _assemble(self) -> SegmentData:
         """Merge resident (cached) and temporary (fresh) segmentations."""
         resident = self._resident
+        if not self.num_temporary:
+            # Every row, already in uid order: each sweep gets this one
+            # object, so the sweeper's plan (and exp table) is built once.
+            return resident
         temporary = trace_3d_batch(self.trackgen.track_table(), self._temporary_uids)
         if self._merge is None:
             # Rows of [resident | temporary] in uid order, expanded to a

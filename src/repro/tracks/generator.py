@@ -29,7 +29,7 @@ from repro.tracks.raytrace3d import (
     trace_3d_batch,
 )
 from repro.tracks.segments import SegmentData
-from repro.tracks.stack3d import Stack3D, generate_3d_stacks, link_3d_stacks
+from repro.tracks.stack3d import Stack3D, lay_3d_stacks, link_3d_stacks, track_objects
 from repro.tracks.track import Track2D, Track3D
 
 
@@ -39,8 +39,9 @@ class TrackingTimings:
 
     ``laydown`` covers 2D laydown and linking; ``trace2d`` the radial
     segmentation (and tracked volumes); ``chain`` chain construction plus
-    the per-chain segment tables; ``stack`` the 3D stack laydown; ``link``
-    the 3D stack linking; ``cache`` any tracking-cache probe/store time.
+    the per-chain segment tables (and the 3D track table over them);
+    ``stack`` the 3D stack laydown; ``link`` the 3D stack linking;
+    ``cache`` any tracking-cache probe/store time.
     """
 
     laydown_seconds: float = 0.0
@@ -250,11 +251,10 @@ class TrackGenerator3D(TrackGenerator):
         )
         self.geometry3d = geometry3d
         self.polar_spacing = float(polar_spacing)
-        self._tracks3d: list[Track3D] | None = None
-        self._stacks: list[Stack3D] | None = None
         self._chain_tables: dict[int, ChainSegments] | None = None
         self._volumes3d: np.ndarray | None = None
         self._track_table: TrackTable3D | None = None
+        self._track_objects: tuple[list[Track3D], list[Stack3D]] | None = None
         self._sweep_topology3d = None
         self._sweep_plan3d = None
 
@@ -286,50 +286,57 @@ class TrackGenerator3D(TrackGenerator):
     def generate(self) -> "TrackGenerator3D":
         adopted = self._tracks is not None
         self.timings = TrackingTimings()
+        self._track_objects = None  # a view of the previous laydown, if any
         if self.cache is not None and self._cache_load():
             return self
         if not adopted:
             self._generate_radial()
-        mesh = self.geometry3d.axial_mesh
+        g3, mesh = self.geometry3d, self.geometry3d.axial_mesh
         timings = self.timings
         t0 = time.perf_counter()
-        self._tracks3d, self._stacks = generate_3d_stacks(
-            self.chains,
-            self.polar,
-            self.polar_spacing,
-            mesh.zmin,
-            mesh.zmax,
-            bc_zmin=self.geometry3d.boundary_zmin,
-            bc_zmax=self.geometry3d.boundary_zmax,
-            link=False,
+        laydown = lay_3d_stacks(
+            self.chains, self.polar, self.polar_spacing, mesh.zmin, mesh.zmax
         )
-        self._track_table = None  # describes the previous laydown, if any
         t1 = time.perf_counter()
         timings.stack_seconds += t1 - t0
-        link_3d_stacks(
-            self._tracks3d,
-            self._stacks,
-            self.chains,
-            mesh.zmin,
-            mesh.zmax,
-            bc_zmin=self.geometry3d.boundary_zmin,
-            bc_zmax=self.geometry3d.boundary_zmax,
+        links = link_3d_stacks(
+            laydown, self.chains, mesh.zmin, mesh.zmax, g3.boundary_zmin, g3.boundary_zmax
         )
         t2 = time.perf_counter()
         timings.link_seconds += t2 - t1
         self._chain_tables = build_chain_tables(self.chains, self.tracks, self.segments)
+        self._track_table = TrackTable3D(
+            **laydown, **links, chains=self.chains,
+            chain_tables=self._chain_tables, z_edges=mesh.z_edges,
+        )
         timings.chain_seconds += time.perf_counter() - t2
         if self.cache is not None:
             self._cache_store()
         return self
 
+    def track_table(self) -> TrackTable3D:
+        """The 3D laydown and chain tables: the columns every consumer
+        (tracer, sweep topology, storage strategies, tracking archive,
+        z-interface matching) reads. Built by :meth:`generate`, or
+        installed from the archived columns on a tracking-cache hit.
+        """
+        return self._require("_track_table")
+
+    def _objects(self) -> tuple[list[Track3D], list[Stack3D]]:
+        if self._track_objects is None:
+            self._track_objects = track_objects(self.track_table())
+        return self._track_objects
+
     @property
     def tracks3d(self) -> list[Track3D]:
-        return self._require("_tracks3d")
+        """Object view of the table's tracks, built on first access (for
+        tests, examples and debugging; no solve path reads it)."""
+        return self._objects()[0]
 
     @property
     def stacks(self) -> list[Stack3D]:
-        return self._require("_stacks")
+        """Object view of the table's stacks, built with :attr:`tracks3d`."""
+        return self._objects()[1]
 
     @property
     def chain_tables(self) -> dict[int, ChainSegments]:
@@ -337,32 +344,12 @@ class TrackGenerator3D(TrackGenerator):
 
     @property
     def num_tracks_3d(self) -> int:
-        return len(self.tracks3d)
+        return self.track_table().num_tracks
 
     def is_chain_closed(self, chain_index: int) -> bool:
         return self.chains[chain_index].closed
 
     # ------------------------------------------------------- sweep caching
-
-    def track_table(self) -> TrackTable3D:
-        """Cached structure-of-arrays table the batched tracer works on.
-
-        Like the sweep topology it depends only on the stack laydown and
-        the chain tables, so it is built once per generator (a tracking
-        cache hit installs it straight from the archived columns).
-        """
-        if self._track_table is None:
-            tracks = self.tracks3d
-            self._track_table = TrackTable3D(
-                np.array([(t.s0, t.z0, t.s1, t.z1) for t in tracks]),
-                np.array([t.chain for t in tracks], dtype=np.int64),
-                np.array([t.polar for t in tracks], dtype=np.int64),
-                np.array([t.z_spacing for t in tracks]),
-                self.chains,
-                self.chain_tables,
-                self.geometry3d.axial_mesh.z_edges,
-            )
-        return self._track_table
 
     def _track_weights_3d(self, scale: float) -> np.ndarray:
         """``scale * w_a * w_p * spacing_a * z_spacing`` for every 3D track.
@@ -391,8 +378,14 @@ class TrackGenerator3D(TrackGenerator):
             from repro.constants import FOUR_PI
             from repro.solver.backends.plan import TrackTopology
 
-            self._sweep_topology3d = TrackTopology.from_tracks(
-                self.tracks3d, self._track_weights_3d(0.25 * FOUR_PI), None
+            table = self.track_table()
+            terminal = table.link_uid < 0
+            self._sweep_topology3d = TrackTopology(
+                self._track_weights_3d(0.25 * FOUR_PI),
+                np.maximum(table.link_uid, 0),
+                ~(table.link_fwd | terminal),
+                terminal,
+                table.interface & terminal,
             )
         return self._sweep_topology3d
 

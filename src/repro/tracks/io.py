@@ -3,9 +3,14 @@
 Paper Sec. 2.1: "All 3D tracks are stored along with additional parameters
 on radial sections and could be restored during transport solving" — the
 tracking setup is expensive and reusable across solves. This module
-persists everything stage 3 produces (2D tracks with links, chains, 2D
-segments, 3D stacks) as a single compressed ``.npz`` archive and restores
-it against a compatible geometry.
+persists everything stage 3 produces as a single compressed ``.npz``
+archive and restores it against a compatible geometry: 2D tracks with
+links (``t2_*``), 2D segments (``s2_*``), chains (``chain_*``) and, for a
+3D generator, the laydown exactly as its
+:class:`~repro.tracks.raytrace3d.TrackTable3D` holds it — ``t3_szsz`` plus
+one ``t3_<column>`` member per per-track, link and per-stack column,
+written and read verbatim (no ``Track3D`` object on either side). The
+chain tables are rebuilt from the restored 2D products on load.
 
 The archive is self-describing: a format version plus shape metadata are
 stored and checked on load, so a stale file fails loudly rather than
@@ -21,35 +26,34 @@ import numpy as np
 
 from repro.errors import TrackingError
 from repro.tracks.chains import Chain
+from repro.tracks.raytrace3d import LAYDOWN_COLUMNS, TrackTable3D, build_chain_tables
 from repro.tracks.segments import SegmentData
-from repro.tracks.track import Track2D, Track3D, TrackLink
+from repro.tracks.track import Track2D, TrackLink
 
-FORMAT_VERSION = 1
+#: Version 2 stores the 3D laydown as the :class:`TrackTable3D` columns.
+FORMAT_VERSION = 2
+
+#: Per-track table columns archived as ``t3_<name>`` beside ``t3_szsz``.
+_TABLE_COLUMNS = ("chain", "polar", "z_spacing") + LAYDOWN_COLUMNS
 
 #: Sentinel for "no link" in the serialized link arrays.
 _NO_LINK = -1
 
 
-def _links_to_arrays(items, get_links) -> tuple[np.ndarray, np.ndarray]:
-    """Encode (link_fwd, link_bwd) per item as int32 arrays.
+def _links_to_arrays(tracks: list[Track2D]) -> tuple[np.ndarray, np.ndarray]:
+    """Encode (link_fwd, link_bwd) per 2D track as int64 arrays.
 
     Encoding per slot: ``track * 2 + (0 if forward else 1)``, or -1.
     """
-    fwd = np.full(len(items), _NO_LINK, dtype=np.int64)
-    bwd = np.full(len(items), _NO_LINK, dtype=np.int64)
-    for i, item in enumerate(items):
-        lf, lb = get_links(item)
+    fwd = np.full(len(tracks), _NO_LINK, dtype=np.int64)
+    bwd = np.full(len(tracks), _NO_LINK, dtype=np.int64)
+    for i, t in enumerate(tracks):
+        lf, lb = t.link_fwd, t.link_bwd
         if lf is not None:
             fwd[i] = lf.track * 2 + (0 if lf.forward else 1)
         if lb is not None:
             bwd[i] = lb.track * 2 + (0 if lb.forward else 1)
     return fwd, bwd
-
-
-def _link_from_code(code: int) -> TrackLink | None:
-    if code == _NO_LINK:
-        return None
-    return TrackLink(track=code // 2, forward=(code % 2 == 0))
 
 
 def _links_from_codes(codes: np.ndarray) -> list[TrackLink | None]:
@@ -96,26 +100,12 @@ def save_tracking(path: str | Path, trackgen) -> Path:
             dtype=np.int8,
         ),
     }
-    data["t2_link_fwd"], data["t2_link_bwd"] = _links_to_arrays(
-        tracks, lambda t: (t.link_fwd, t.link_bwd)
-    )
-    if hasattr(trackgen, "tracks3d"):
-        t3 = trackgen.tracks3d
-        data["t3_szsz"] = np.array([[t.s0, t.z0, t.s1, t.z1] for t in t3])
-        data["t3_chain"] = np.array([t.chain for t in t3], dtype=np.int64)
-        data["t3_polar"] = np.array([t.polar for t in t3], dtype=np.int32)
-        data["t3_theta"] = np.array([t.theta for t in t3])
-        data["t3_zspacing"] = np.array([t.z_spacing for t in t3])
-        data["t3_flags"] = np.array(
-            [
-                [t.vacuum_start, t.vacuum_end, t.interface_start, t.interface_end]
-                for t in t3
-            ],
-            dtype=np.int8,
-        )
-        data["t3_link_fwd"], data["t3_link_bwd"] = _links_to_arrays(
-            t3, lambda t: (t.link_fwd, t.link_bwd)
-        )
+    data["t2_link_fwd"], data["t2_link_bwd"] = _links_to_arrays(tracks)
+    if hasattr(trackgen, "track_table"):
+        table = trackgen.track_table()
+        data["t3_szsz"] = table.szsz
+        for name in _TABLE_COLUMNS:
+            data[f"t3_{name}"] = getattr(table, name)
     path = Path(path)
     np.savez_compressed(path, **data)
     return path
@@ -208,47 +198,12 @@ def load_tracking(path: str | Path, trackgen) -> None:
     trackgen._chains = chains
     trackgen._volumes = trackgen._tracked_volumes()
 
-    if "t3_szsz" in archive and hasattr(trackgen, "_tracks3d"):
-        # Same column-wise rebuild; members are hoisted out of the map
-        # because NpzFile.__getitem__ decompresses whole members per access.
-        szsz = archive["t3_szsz"]
-        t3_chain = archive["t3_chain"]
-        t3_polar = archive["t3_polar"]
-        t3_zspacing = archive["t3_zspacing"]
-        t3_flags = archive["t3_flags"] != 0
-        n3 = szsz.shape[0]
-        trackgen._tracks3d = list(
-            map(
-                Track3D,
-                range(n3),
-                t3_chain.tolist(),
-                t3_polar.tolist(),
-                szsz[:, 0].tolist(),
-                szsz[:, 1].tolist(),
-                szsz[:, 2].tolist(),
-                szsz[:, 3].tolist(),
-                archive["t3_theta"].tolist(),
-                t3_zspacing.tolist(),
-                _links_from_codes(archive["t3_link_fwd"]),
-                _links_from_codes(archive["t3_link_bwd"]),
-                t3_flags[:, 0].tolist(),
-                t3_flags[:, 1].tolist(),
-                t3_flags[:, 2].tolist(),
-                t3_flags[:, 3].tolist(),
-            )
-        )
-        trackgen._stacks = []  # stacks are laydown metadata, not needed post-restore
-        from repro.tracks.raytrace3d import TrackTable3D, build_chain_tables
-
+    if "t3_szsz" in archive and hasattr(trackgen, "track_table"):
         trackgen._chain_tables = build_chain_tables(chains, tracks, trackgen._segments)
-        # The batched tracer's table, straight from the archived columns
-        # (no second pass over the Track3D objects just built).
         trackgen._track_table = TrackTable3D(
-            szsz,
-            t3_chain,
-            t3_polar,
-            t3_zspacing,
-            chains,
-            trackgen._chain_tables,
-            trackgen.geometry3d.axial_mesh.z_edges,
+            archive["t3_szsz"],
+            chains=chains,
+            chain_tables=trackgen._chain_tables,
+            z_edges=trackgen.geometry3d.axial_mesh.z_edges,
+            **{name: archive[f"t3_{name}"] for name in _TABLE_COLUMNS},
         )

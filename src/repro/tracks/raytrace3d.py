@@ -11,11 +11,17 @@ exactly the two nested loops of the paper's Figure 3(b). Both families are
 precomputed sorted 1D arrays, so the merge is array work, not a
 surface-by-surface walk, and it is track-parallel the way the GPU kernel
 is: :func:`trace_3d_batch` streams the flattened chain tables and the
-z-planes for every requested track at once (a :class:`TrackTable3D`, a
-handful of numpy passes). Every storage strategy and the z-decomposed
-driver trace through it; :func:`trace_3d_track` is the same merge for one
-track, kept as the single-track API and as the reference the batched
-kernel is tested against, bit for bit.
+z-planes for every requested track at once (a handful of numpy passes).
+Every storage strategy and the z-decomposed driver trace through it;
+:func:`trace_3d_track` is the same merge for one track, kept as the
+single-track API and as the reference the batched kernel is tested
+against, bit for bit.
+
+:class:`TrackTable3D` is what it reads — and the one representation of a
+generator's 3D tracks: the columns :mod:`repro.tracks.stack3d` lays and
+links, plus the chain tables flattened to CSR. The tracer uses the
+end-point, chain and wrap columns; the sweep topology, the tracking
+archive, the storage strategies and z-interface matching read the rest.
 """
 
 from __future__ import annotations
@@ -254,13 +260,24 @@ def trace_3d_track(
 BLOCK_TRACKS = 2048
 
 
+#: Link and stack columns of a laydown (see :mod:`repro.tracks.stack3d`).
+LAYDOWN_COLUMNS = (
+    "link_uid", "link_fwd", "vacuum", "interface",
+    "stack_ptr", "stack_chain", "stack_polar", "stack_theta", "stack_z_spacing",
+    "stack_closed",
+)
+
+
 class TrackTable3D:
-    """Structure-of-arrays view of a generator's 3D tracks and chain tables.
+    """A generator's 3D laydown and chain tables, as flat columns.
 
     Per-track columns (``s0 z0 s1 z1 chain polar z_spacing wrap length``)
     are indexed by track uid; ``length`` is the scalar tracer's
     ``math.hypot(ds, dz)``, evaluated once here because ``np.hypot`` is
-    not bitwise the same function. The per-chain radial tables are
+    not bitwise the same function. :data:`LAYDOWN_COLUMNS` are the
+    ``(T, 2)`` link columns and the per-stack columns, stored as the
+    laydown produced them; a hand-built table may leave them out (the
+    tracer reads none of them). The per-chain radial tables are
     flattened to one CSR pair: chain ``c`` owns
     ``bounds[bound_ptr[c] : bound_ptr[c + 1]]`` and, having one interval
     fewer than it has bounds, ``fsrs[bound_ptr[c] - c : bound_ptr[c + 1] - c - 1]``.
@@ -268,6 +285,7 @@ class TrackTable3D:
 
     __slots__ = (
         "s0", "z0", "s1", "z1", "chain", "polar", "z_spacing", "wrap", "length",
+        *LAYDOWN_COLUMNS,
         "bounds", "fsrs", "bound_ptr", "chain_length", "z_edges",
     )
 
@@ -280,6 +298,7 @@ class TrackTable3D:
         chains: list[Chain],
         chain_tables: dict[int, ChainSegments],
         z_edges: np.ndarray,
+        **laydown: np.ndarray,
     ) -> None:
         szsz = np.asarray(szsz, dtype=np.float64).reshape(-1, 4)
         self.s0, self.z0, self.s1, self.z1 = (
@@ -288,6 +307,10 @@ class TrackTable3D:
         self.chain = np.asarray(chain, dtype=np.int64)
         self.polar = np.asarray(polar, dtype=np.int64)
         self.z_spacing = np.asarray(z_spacing, dtype=np.float64)
+        for name in LAYDOWN_COLUMNS:
+            setattr(self, name, laydown.pop(name, None))
+        if laydown:
+            raise TypeError(f"unknown laydown columns {sorted(laydown)}")
         self.length = np.array(
             list(map(math.hypot, (self.s1 - self.s0).tolist(), (self.z1 - self.z0).tolist())),
             dtype=np.float64,
@@ -314,6 +337,11 @@ class TrackTable3D:
     @property
     def num_tracks(self) -> int:
         return int(self.s0.size)
+
+    @property
+    def szsz(self) -> np.ndarray:
+        """The ``(T, 4)`` end-point array the constructor takes."""
+        return np.column_stack((self.s0, self.z0, self.s1, self.z1))
 
 
 def _breaks(

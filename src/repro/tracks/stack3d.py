@@ -12,20 +12,38 @@ is arc length along the chain's radial path. Two constructions are used:
   stack spacings, so reflected tracks land exactly on other tracks of the
   stack and no flux ever leaves the chain radially.
 
-Every (2D chain, polar index) pair yields one :class:`Stack3D` holding an
-"up" family (``dz > 0``) and its mirrored "down" family; sweeping both
-families in both directions covers the full unit sphere.
+Every (2D chain, polar index) pair yields one stack holding an "up"
+family (``dz > 0``) and its mirrored "down" family, interleaved; sweeping
+both families in both directions covers the full unit sphere.
+
+The laydown is **columns**, never objects. :func:`lay_3d_stacks` returns
+the per-track columns ``szsz chain polar z_spacing`` and the per-stack
+columns ``stack_chain stack_polar stack_theta stack_z_spacing
+stack_closed`` with the CSR ``stack_ptr`` (uids are handed out stack by
+stack, so stack ``i`` owns tracks ``stack_ptr[i]:stack_ptr[i + 1]``, even
+offsets up, odd offsets down); :func:`link_3d_stacks` returns the
+``(T, 2)`` link columns ``link_uid link_fwd vacuum interface`` (column 0
+the forward exit at ``(s1, z1)``, column 1 the backward exit at
+``(s0, z0)``). Both dicts are keyed by the parameter names of
+:class:`~repro.tracks.raytrace3d.TrackTable3D`, which carries them from
+then on. :func:`track_objects` is the one place :class:`Track3D` /
+:class:`Stack3D` objects are built from those columns — a view for tests,
+examples and debugging that no solve path touches.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
+
+import numpy as np
 
 from repro.errors import TrackingError
 from repro.geometry.geometry import BoundaryCondition
 from repro.quadrature.polar import PolarQuadrature
 from repro.tracks.chains import Chain
+from repro.tracks.segments import csr_ranges
 from repro.tracks.track import Track3D, TrackLink
 
 
@@ -40,10 +58,6 @@ class Stack3D:
     closed: bool
     #: Global uids of member tracks (up/down pairs interleaved).
     track_uids: list[int] = field(default_factory=list)
-
-    @property
-    def num_tracks(self) -> int:
-        return len(self.track_uids)
 
 
 def _correct_open(length: float, height: float, alpha: float, spacing: float) -> tuple[int, int, float]:
@@ -67,101 +81,103 @@ def _correct_closed(length: float, height: float, alpha: float, spacing: float) 
     return n_s, k, alpha_eff
 
 
-def _stack_tracks_open(
-    chain: Chain,
-    polar: int,
-    alpha_eff: float,
-    n_s: int,
-    n_z: int,
-    length: float,
+def lay_3d_stacks(
+    chains: list[Chain],
+    polar_quadrature: PolarQuadrature,
+    polar_spacing: float,
     zmin: float,
     zmax: float,
-    next_uid: int,
-) -> tuple[list[Track3D], Stack3D]:
+) -> dict[str, np.ndarray]:
+    """Lay every (chain, polar) stack; returns the laydown columns.
+
+    Polar angles are corrected per chain (chains have different lengths),
+    mirroring how ANT-MOC's axial laydown ties the effective polar angle
+    to the track-chain geometry. The quadrature *weights* stay global.
+
+    The correction and its ``sin`` / ``tan`` are ``math`` scalars per
+    stack (``np.tan`` / ``np.arctan`` are different functions in the last
+    bit); everything per track is then one ragged pass over all stacks at
+    once, each expression a single IEEE operation per element.
+    """
+    if polar_spacing <= 0.0:
+        raise TrackingError(f"polar spacing must be positive (got {polar_spacing})")
+    if zmax <= zmin:
+        raise TrackingError(f"invalid axial extent [{zmin}, {zmax}]")
     height = zmax - zmin
+    alphas = [
+        math.pi / 2.0 - float(math.asin(polar_quadrature.sin_theta[p]))
+        for p in range(polar_quadrature.num_polar_half)
+    ]
+    rows = []
+    for chain in chains:
+        correct = _correct_closed if chain.closed else _correct_open
+        for p, alpha in enumerate(alphas):
+            n_s, n_z, alpha_eff = correct(chain.length, height, alpha, polar_spacing)
+            rows.append((
+                chain.index, p, chain.closed, chain.length, n_s, n_z,
+                alpha_eff, math.sin(alpha_eff), math.tan(alpha_eff),
+            ))
+    # ``n_z`` is the helix advance ``k`` (in stack spacings) on a closed chain.
+    (
+        stack_chain, stack_polar, stack_closed, length, n_s, n_z,
+        alpha_eff, sin_alpha, tan_alpha,
+    ) = (np.array(column) for column in zip(*rows))
     ds = length / n_s
-    dz = height / n_z
-    theta_eff = math.pi / 2.0 - alpha_eff
-    z_spacing = ds * math.sin(alpha_eff)
-    cot = 1.0 / math.tan(alpha_eff)
-    stack = Stack3D(chain.index, polar, theta_eff, z_spacing, closed=False)
-    tracks: list[Track3D] = []
+    stack_z_spacing = ds * sin_alpha
 
-    def clip_up(s_start: float, z_start: float) -> tuple[float, float]:
-        """End point of an up-going track from (s_start, z_start)."""
-        dz_to_right = (length - s_start) / cot  # climb needed to reach s = L
-        dz_to_top = zmax - z_start
-        climb = min(dz_to_right, dz_to_top)
-        return s_start + climb * cot, z_start + climb
+    # Up-track starts: ``n_s`` along the bottom edge, then (open chains
+    # only) ``n_z`` up the ``s = 0`` edge.
+    pairs = n_s + np.where(stack_closed, 0, n_z)
+    i, stack = csr_ranges(np.zeros(pairs.size, dtype=np.int64), pairs)
+    bottom = i < n_s[stack]
+    s0 = np.where(bottom, (i + 0.5) * ds[stack], 0.0)
+    z0 = np.where(bottom, zmin, zmin + ((i - n_s[stack]) + 0.5) * (height / n_z)[stack])
+    # Open chains clip at the right or the top edge, whichever comes first;
+    # closed chains climb the full height while advancing ``k`` spacings.
+    closed = stack_closed[stack]
+    cot = (1.0 / tan_alpha)[stack]
+    climb = np.minimum((length[stack] - s0) / cot, zmax - z0)
+    s1 = np.where(closed, s0 + (n_z * ds)[stack], s0 + climb * cot)
+    z1 = np.where(closed, zmax, z0 + climb)
+    # The down family mirrors the up family through the axial mid-plane.
+    mirror = zmin + zmax
+    szsz = np.empty((2 * i.size, 4))
+    szsz[0::2] = np.column_stack((s0, z0, s1, z1))
+    szsz[1::2] = np.column_stack((
+        s0, np.where(closed, zmax, mirror - z0), s1, np.where(closed, zmin, mirror - z1),
+    ))
 
-    starts: list[tuple[float, float]] = []
-    for i in range(n_s):
-        starts.append(((i + 0.5) * ds, zmin))
-    for j in range(n_z):
-        starts.append((0.0, zmin + (j + 0.5) * dz))
-    for (s0, z0) in starts:
-        s1, z1 = clip_up(s0, z0)
-        up = Track3D(
-            uid=next_uid + len(tracks), chain=chain.index, polar=polar,
-            s0=s0, z0=z0, s1=s1, z1=z1, theta=theta_eff, z_spacing=z_spacing,
-        )
-        tracks.append(up)
-        # Mirror through the axial mid-plane for the down family.
-        down = Track3D(
-            uid=next_uid + len(tracks), chain=chain.index, polar=polar,
-            s0=s0, z0=zmin + zmax - z0, s1=s1, z1=zmin + zmax - z1,
-            theta=math.pi - theta_eff, z_spacing=z_spacing,
-        )
-        tracks.append(down)
-    stack.track_uids = [t.uid for t in tracks]
-    return tracks, stack
-
-
-def _stack_tracks_closed(
-    chain: Chain,
-    polar: int,
-    alpha_eff: float,
-    n_s: int,
-    k: int,
-    length: float,
-    zmin: float,
-    zmax: float,
-    next_uid: int,
-) -> tuple[list[Track3D], Stack3D]:
-    ds = length / n_s
-    theta_eff = math.pi / 2.0 - alpha_eff
-    z_spacing = ds * math.sin(alpha_eff)
-    advance = k * ds
-    stack = Stack3D(chain.index, polar, theta_eff, z_spacing, closed=True)
-    tracks: list[Track3D] = []
-    for i in range(n_s):
-        s0 = (i + 0.5) * ds
-        up = Track3D(
-            uid=next_uid + len(tracks), chain=chain.index, polar=polar,
-            s0=s0, z0=zmin, s1=s0 + advance, z1=zmax,
-            theta=theta_eff, z_spacing=z_spacing,
-        )
-        tracks.append(up)
-        down = Track3D(
-            uid=next_uid + len(tracks), chain=chain.index, polar=polar,
-            s0=s0, z0=zmax, s1=s0 + advance, z1=zmin,
-            theta=math.pi - theta_eff, z_spacing=z_spacing,
-        )
-        tracks.append(down)
-    stack.track_uids = [t.uid for t in tracks]
-    return tracks, stack
+    counts = 2 * pairs
+    stack_ptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=stack_ptr[1:])
+    return {
+        "szsz": szsz,
+        "chain": np.repeat(stack_chain, counts),
+        "polar": np.repeat(stack_polar, counts),
+        "z_spacing": np.repeat(stack_z_spacing, counts),
+        "stack_ptr": stack_ptr,
+        "stack_chain": stack_chain,
+        "stack_polar": stack_polar,
+        "stack_theta": math.pi / 2.0 - alpha_eff,
+        "stack_z_spacing": stack_z_spacing,
+        "stack_closed": stack_closed,
+    }
 
 
 def link_3d_stacks(
-    all_tracks: list[Track3D],
-    stacks: list[Stack3D],
+    laydown: dict[str, np.ndarray],
     chains: list[Chain],
     zmin: float,
     zmax: float,
     bc_zmin: BoundaryCondition = BoundaryCondition.REFLECTIVE,
     bc_zmax: BoundaryCondition = BoundaryCondition.VACUUM,
-) -> None:
+) -> dict[str, np.ndarray]:
     """Link every 3D track's ends (z reflections, chain ends) in one pass.
+
+    Reads the ``szsz`` and ``stack_*`` columns of ``laydown`` and returns
+    the ``(T, 2)`` link columns: ``link_uid`` / ``link_fwd`` say where the
+    flux leaving each end continues (``-1`` / ``False``: nowhere) and
+    ``vacuum`` / ``interface`` flag the ends it leaves the domain through.
 
     Directions in ``(s, z)`` space are characterised by the pair of signs
     ``(ds_sign, dz_sign)``; reflection at a z-plane flips ``dz_sign`` only.
@@ -180,8 +196,6 @@ def link_3d_stacks(
     shadow each other in a hash join, so duplicates are detected and
     reported as a :class:`TrackingError` with the offending uids.
     """
-    import numpy as np
-
     for bc in (bc_zmin, bc_zmax):
         if bc not in (
             BoundaryCondition.VACUUM,
@@ -189,38 +203,25 @@ def link_3d_stacks(
             BoundaryCondition.REFLECTIVE,
         ):
             raise TrackingError(f"unsupported axial boundary condition {bc}")
-    if not stacks:
-        return
-    num_stacks = len(stacks)
     height = zmax - zmin
     z_tol = height * 1e-9
 
-    # Membership order: stack-major, tracks in stack order (uids are global
-    # indices into all_tracks).
-    uid = np.concatenate([np.asarray(st.track_uids, dtype=np.int64) for st in stacks])
-    counts = np.array([len(st.track_uids) for st in stacks], dtype=np.int64)
-    stack_of = np.repeat(np.arange(num_stacks, dtype=np.int64), counts)
-    m = uid.size
-
-    # One pass over the track list, then a fancy-index gather to member
-    # order (cheaper than four per-uid attribute scans).
-    szsz = np.array([(t.s0, t.z0, t.s1, t.z1) for t in all_tracks])
-    member = szsz[uid]
-    s0, z0, s1, z1 = member[:, 0], member[:, 1], member[:, 2], member[:, 3]
+    # Uids are handed out stack by stack, so member order is uid order.
+    s0, z0, s1, z1 = laydown["szsz"].T
+    m = s0.size
+    stack_chain = laydown["stack_chain"]
+    stack_of = np.repeat(
+        np.arange(stack_chain.size, dtype=np.int64), np.diff(laydown["stack_ptr"])
+    )
     dz_sign = np.where(z1 > z0, 1, -1).astype(np.int64)
 
     # Per-stack constants, gathered to membership order.
-    length_st = np.array([chains[st.chain].length for st in stacks])
-    closed_st = np.array([st.closed for st in stacks], dtype=bool)
+    length_st = np.array([c.length for c in chains])[stack_chain]
     quantum_st = np.maximum(length_st, height) * 1e-9
-    starts_ifc_st = np.array(
-        [chains[st.chain].starts_at_interface for st in stacks], dtype=bool
-    )
-    ends_ifc_st = np.array(
-        [chains[st.chain].ends_at_interface for st in stacks], dtype=bool
-    )
+    starts_ifc_st = np.array([c.starts_at_interface for c in chains], dtype=bool)[stack_chain]
+    ends_ifc_st = np.array([c.ends_at_interface for c in chains], dtype=bool)[stack_chain]
     length_m = length_st[stack_of]
-    closed_m = closed_st[stack_of]
+    closed_m = laydown["stack_closed"][stack_of]
     quantum_m = quantum_st[stack_of]
 
     def qkey(
@@ -245,7 +246,7 @@ def link_3d_stacks(
     eds = np.concatenate([np.ones(m, dtype=np.int64), -np.ones(m, dtype=np.int64)])
     edz = np.concatenate([dz_sign, -dz_sign])
     estack = np.concatenate([stack_of, stack_of])
-    entry_uid = np.concatenate([uid, uid])
+    entry_uid = np.tile(np.arange(m), 2)
     entry_forward = np.concatenate([np.ones(m, dtype=bool), np.zeros(m, dtype=bool)])
 
     # Queries: only exits landing on a *reflective* z-plane look up a
@@ -256,8 +257,6 @@ def link_3d_stacks(
     q_z = np.concatenate([z1, z0])
     q_ds = np.concatenate([np.ones(m, dtype=np.int64), -np.ones(m, dtype=np.int64)])
     q_dz = np.concatenate([dz_sign, -dz_sign])
-    q_stack = estack
-    q_member = np.concatenate([np.arange(m), np.arange(m)])
 
     on_zmax = (np.abs(q_z - zmax) < z_tol) & (q_dz > 0)
     on_zmin = (np.abs(q_z - zmin) < z_tol) & (q_dz < 0)
@@ -269,14 +268,14 @@ def link_3d_stacks(
     entry_of_query = np.full(2 * m, -1, dtype=np.int64)
     ref = np.flatnonzero(reflective)
     if ref.size:
-        member_ref = q_member[ref]
+        member_ref = entry_uid[ref]
         rk0, rk1 = qkey(
             q_s[ref], q_z[ref], length_m[member_ref],
             closed_m[member_ref], quantum_m[member_ref],
         )
         rds = q_ds[ref]
         rdz = -q_dz[ref]  # reflection flips dz
-        rstack = q_stack[ref]
+        rstack = estack[ref]
 
         # Rank-compress (stack, k0) over entries plus all candidate probe
         # columns so the full key fits one exact int64.
@@ -303,10 +302,10 @@ def link_3d_stacks(
         dup = np.flatnonzero(sorted_codes[1:] == sorted_codes[:-1])
         if dup.size:
             a, b = entry_uid[order[dup[0]]], entry_uid[order[dup[0] + 1]]
-            st = stacks[int(estack[order[dup[0]]])]
+            st = int(estack[order[dup[0]]])
             raise TrackingError(
-                f"3D tracks {int(a)} and {int(b)} (chain {st.chain}, polar "
-                f"{st.polar}): endpoints quantize to the same linking key; "
+                f"3D tracks {int(a)} and {int(b)} (chain {int(stack_chain[st])}, polar "
+                f"{int(laydown['stack_polar'][st])}): endpoints quantize to the same linking key; "
                 f"stack spacing is below the quantization resolution"
             )
 
@@ -326,7 +325,7 @@ def link_3d_stacks(
         if (found < 0).any():
             j = int(ref[int(np.argmax(found < 0))])
             raise TrackingError(
-                f"3D track {int(uid[q_member[j]])}: no reflective partner at "
+                f"3D track {int(entry_uid[j])}: no reflective partner at "
                 f"(s={q_s[j]:.8g}, z={q_z[j]:.8g}) direction "
                 f"({int(q_ds[j])}, {int(-q_dz[j])})"
             )
@@ -334,9 +333,9 @@ def link_3d_stacks(
 
     # Boundary flags. Radial chain ends (s = 0 or s = L on an open chain)
     # couple through the 2D chain, marked interface/vacuum per chain flags.
-    at_end = q_s > length_m[q_member] / 2.0
+    at_end = q_s > length_m[entry_uid] / 2.0
     radial_ifc = np.where(
-        at_end, ends_ifc_st[q_stack], starts_ifc_st[q_stack]
+        at_end, ends_ifc_st[estack], starts_ifc_st[estack]
     )
     vacuum = np.zeros(2 * m, dtype=bool)
     interface = np.zeros(2 * m, dtype=bool)
@@ -349,20 +348,50 @@ def link_3d_stacks(
             interface[mask] = True
 
     has = entry_of_query >= 0
-    link_uid = np.where(has, entry_uid[entry_of_query], -1)
-    link_fwd_flag = entry_forward[entry_of_query] & has
-    links = [
-        TrackLink(u, bool(f)) if u >= 0 else None
-        for u, f in zip(link_uid.tolist(), link_fwd_flag.tolist())
+    columns = {
+        "link_uid": np.where(has, entry_uid[entry_of_query], -1),
+        "link_fwd": entry_forward[entry_of_query] & has,
+        "vacuum": vacuum,
+        "interface": interface,
+    }
+    # Forward exits fill the first ``m`` slots, backward exits the rest.
+    return {name: column.reshape(2, m).T for name, column in columns.items()}
+
+
+def track_objects(table) -> tuple[list[Track3D], list[Stack3D]]:
+    """:class:`Track3D` / :class:`Stack3D` objects over a laydown's columns.
+
+    ``table`` is anything carrying the columns as attributes (a
+    :class:`~repro.tracks.raytrace3d.TrackTable3D`). This is a *view* for
+    tests, examples and debugging: every production path reads the
+    columns, and the objects are never written back.
+    """
+    ptr = table.stack_ptr.tolist()
+    theta = np.repeat(table.stack_theta, np.diff(table.stack_ptr))
+    # Stacks hold whole up/down pairs, so every odd uid is a mirrored track.
+    theta[1::2] = math.pi - theta[1::2]
+    links = [  # link_fwd, then link_bwd
+        [TrackLink(u, f) if u >= 0 else None for u, f in zip(uid.tolist(), fwd.tolist())]
+        for uid, fwd in zip(table.link_uid.T, table.link_fwd.T)
     ]
-    vac_l = vacuum.tolist()
-    ifc_l = interface.tolist()
-    for i, u in enumerate(uid.tolist()):
-        t = all_tracks[u]
-        t.link_fwd = links[i]
-        t.vacuum_end, t.interface_end = vac_l[i], ifc_l[i]
-        t.link_bwd = links[m + i]
-        t.vacuum_start, t.interface_start = vac_l[m + i], ifc_l[m + i]
+    tracks = [
+        Track3D(*row)
+        for row in zip(
+            range(ptr[-1]), table.chain.tolist(), table.polar.tolist(),
+            *table.szsz.T.tolist(), theta.tolist(), table.z_spacing.tolist(), *links,
+            # column 0 is the (s1, z1) end, column 1 the (s0, z0) start
+            *table.vacuum.T[::-1].tolist(), *table.interface.T[::-1].tolist(),
+        )
+    ]
+    stacks = [
+        Stack3D(*row, list(range(lo, hi)))
+        for *row, lo, hi in zip(
+            table.stack_chain.tolist(), table.stack_polar.tolist(),
+            table.stack_theta.tolist(), table.stack_z_spacing.tolist(),
+            table.stack_closed.tolist(), ptr[:-1], ptr[1:],
+        )
+    ]
+    return tracks, stacks
 
 
 def generate_3d_stacks(
@@ -373,39 +402,14 @@ def generate_3d_stacks(
     zmax: float,
     bc_zmin: BoundaryCondition = BoundaryCondition.REFLECTIVE,
     bc_zmax: BoundaryCondition = BoundaryCondition.VACUUM,
-    link: bool = True,
 ) -> tuple[list[Track3D], list[Stack3D]]:
-    """Generate (and by default link) all 3D tracks per (chain, polar) pair.
+    """Lay and link all 3D stacks; returns the object view ``(tracks, stacks)``.
 
-    Polar angles are corrected per chain (chains have different lengths),
-    mirroring how ANT-MOC's axial laydown ties the effective polar angle
-    to the track-chain geometry. The quadrature *weights* stay global.
-    Pass ``link=False`` to defer linking to :func:`link_3d_stacks` (the
-    track generator does, so the two phases are timed separately).
+    The track generator calls :func:`lay_3d_stacks` and
+    :func:`link_3d_stacks` itself (the two phases are timed separately)
+    and keeps the columns; this is the same laydown for callers that want
+    objects.
     """
-    if polar_spacing <= 0.0:
-        raise TrackingError(f"polar spacing must be positive (got {polar_spacing})")
-    if zmax <= zmin:
-        raise TrackingError(f"invalid axial extent [{zmin}, {zmax}]")
-    height = zmax - zmin
-    all_tracks: list[Track3D] = []
-    stacks: list[Stack3D] = []
-    for chain in chains:
-        for p in range(polar_quadrature.num_polar_half):
-            theta = float(math.asin(polar_quadrature.sin_theta[p]))
-            alpha = math.pi / 2.0 - theta
-            if chain.closed:
-                n_s, k, alpha_eff = _correct_closed(chain.length, height, alpha, polar_spacing)
-                tracks, stack = _stack_tracks_closed(
-                    chain, p, alpha_eff, n_s, k, chain.length, zmin, zmax, len(all_tracks)
-                )
-            else:
-                n_s, n_z, alpha_eff = _correct_open(chain.length, height, alpha, polar_spacing)
-                tracks, stack = _stack_tracks_open(
-                    chain, p, alpha_eff, n_s, n_z, chain.length, zmin, zmax, len(all_tracks)
-                )
-            all_tracks.extend(tracks)
-            stacks.append(stack)
-    if link:
-        link_3d_stacks(all_tracks, stacks, chains, zmin, zmax, bc_zmin, bc_zmax)
-    return all_tracks, stacks
+    laydown = lay_3d_stacks(chains, polar_quadrature, polar_spacing, zmin, zmax)
+    links = link_3d_stacks(laydown, chains, zmin, zmax, bc_zmin, bc_zmax)
+    return track_objects(SimpleNamespace(**laydown, **links))

@@ -108,8 +108,6 @@ class Track3D:
     vacuum_end: bool = False
     interface_start: bool = False
     interface_end: bool = False
-    #: Estimated segment count (set by the manager for ranking, Sec. 4.1).
-    est_segments: int = 0
 
     @property
     def ds(self) -> float:

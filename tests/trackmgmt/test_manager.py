@@ -82,5 +82,22 @@ class TestSweepEquivalence:
         assert mgr.regenerated_tracks_total == 2 * mgr.num_temporary
 
     def test_est_segments_attached_to_tracks(self, small_trackgen_3d):
-        ManagedStorage(small_trackgen_3d, resident_memory_bytes=100)
-        assert all(t.est_segments > 0 for t in small_trackgen_3d.tracks3d)
+        mgr = ManagedStorage(small_trackgen_3d, resident_memory_bytes=100)
+        assert mgr.estimated_segments.shape == (small_trackgen_3d.num_tracks_3d,)
+        assert (mgr.estimated_segments > 0).all()
+
+    def test_all_resident_assembles_once(self, small_trackgen_3d, two_group_fissile):
+        """With nothing to regenerate every sweep gets the same segment
+        object, so the plan (and its exp table) is built once, as for EXP."""
+        terms = SourceTerms([two_group_fissile] * small_trackgen_3d.geometry3d.num_fsrs)
+        q = np.full((terms.num_regions, 2), 0.7)
+        tallies = {}
+        for name, strategy in (
+            ("exp", ExplicitStorage(small_trackgen_3d)),
+            ("mgr", ManagedStorage(small_trackgen_3d, resident_memory_bytes=10**12)),
+        ):
+            sweeper = TransportSweep3D(small_trackgen_3d, terms)
+            tallies[name] = [strategy.sweep(sweeper, q).copy() for _ in range(3)]
+            assert sweeper.timings.num_plan_builds == 1
+            assert strategy.regenerated_tracks_total == 0
+        np.testing.assert_array_equal(tallies["mgr"], tallies["exp"])

@@ -5,7 +5,7 @@ import pytest
 
 from repro.geometry import Geometry, Lattice
 from repro.geometry.universe import make_pin_cell_universe
-from repro.tracks import TrackGenerator, TrackGenerator3D
+from repro.tracks import TrackGenerator, TrackGenerator3D, TrackTable3D
 from repro.tracks.cache import (
     CACHE_DIR_ENV_VAR,
     TrackingCache,
@@ -130,8 +130,36 @@ class TestThreeD:
             restored = warm.chain_tables[index]
             assert np.array_equal(table.fsrs, restored.fsrs)
             assert np.array_equal(table.bounds, restored.bounds)
+        # A hit restores what a miss builds: the whole table (link and
+        # flag columns included) and the stacks derived from it.
+        for name in TrackTable3D.__slots__:
+            np.testing.assert_array_equal(
+                getattr(warm.track_table(), name), getattr(cold.track_table(), name)
+            )
+        assert len(cold.stacks) > 0
+        assert warm.stacks == cold.stacks
         ref = cold.trace_all_3d()
         out = warm.trace_all_3d()
         assert np.array_equal(ref.offsets, out.offsets)
         assert np.array_equal(ref.fsr_ids, out.fsr_ids)
         assert np.array_equal(ref.lengths, out.lengths)
+
+    def test_entry_of_another_archive_format_is_a_miss(
+        self, small_geometry_3d, tmp_path, monkeypatch
+    ):
+        """The format version is part of the key: what a tree with another
+        archive layout stored is never looked up, so never mis-read."""
+        import repro.tracks.cache as cache_module
+
+        def build():
+            return TrackGenerator3D(
+                small_geometry_3d, num_azim=4, azim_spacing=0.8,
+                polar_spacing=0.8, num_polar=2, cache=TrackingCache(tmp_path),
+            ).generate()
+
+        with monkeypatch.context() as older:
+            older.setattr(cache_module, "FORMAT_VERSION", cache_module.FORMAT_VERSION - 1)
+            build()
+        assert not build().timings.cache_hit
+        assert build().timings.cache_hit
+

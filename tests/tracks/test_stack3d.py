@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import TrackingError
@@ -9,8 +10,7 @@ from repro.geometry import BoundaryCondition, Geometry, Lattice
 from repro.geometry.universe import make_homogeneous_universe
 from repro.quadrature import AzimuthalQuadrature, tabuchi_yamamoto
 from repro.tracks import build_chains, generate_3d_stacks, lay_tracks, link_tracks
-from repro.tracks.stack3d import link_3d_stacks
-from repro.tracks.track import Track3D
+from repro.tracks.stack3d import lay_3d_stacks, link_3d_stacks
 
 
 def make_chains(material, boundary=None, w=4.0, h=3.0, num_azim=4, spacing=0.6):
@@ -168,27 +168,17 @@ class TestLinkCollisionDetection:
 
     def test_duplicate_endpoints_raise_with_uids(self, moderator):
         chains, _ = make_chains(moderator)
-        polar = tabuchi_yamamoto(2)
-        tracks3d, stacks = generate_3d_stacks(
-            chains, polar, 0.5, 0.0, 2.0,
-            bc_zmin=BoundaryCondition.REFLECTIVE,
-            bc_zmax=BoundaryCondition.REFLECTIVE,
-            link=False,
-        )
-        original = tracks3d[0]
-        clone = Track3D(
-            uid=len(tracks3d), chain=original.chain, polar=original.polar,
-            s0=original.s0, z0=original.z0, s1=original.s1, z1=original.z1,
-            theta=original.theta, z_spacing=original.z_spacing,
-        )
-        tracks3d.append(clone)
-        stack = next(st for st in stacks if original.uid in st.track_uids)
-        stack.track_uids.append(clone.uid)
+        laydown = lay_3d_stacks(chains, tabuchi_yamamoto(2), 0.5, 0.0, 2.0)
+        # Clone the last stack's first track onto the end of that stack.
+        original = int(laydown["stack_ptr"][-2])
+        clone = int(laydown["stack_ptr"][-1])
+        laydown["szsz"] = np.vstack([laydown["szsz"], laydown["szsz"][original]])
+        laydown["stack_ptr"][-1] += 1
         with pytest.raises(TrackingError, match="same linking key") as excinfo:
             link_3d_stacks(
-                tracks3d, stacks, chains, 0.0, 2.0,
+                laydown, chains, 0.0, 2.0,
                 BoundaryCondition.REFLECTIVE, BoundaryCondition.REFLECTIVE,
             )
         message = str(excinfo.value)
-        assert str(original.uid) in message
-        assert str(clone.uid) in message
+        assert str(original) in message
+        assert str(clone) in message
