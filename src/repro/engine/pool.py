@@ -1,9 +1,10 @@
 """Warm-engine and shared-memory pooling for resident solve processes.
 
 A batch run builds its engine, maps a fresh shared-memory arena, solves
-once and unlinks everything. A long-lived server (:mod:`repro.serve`)
-answers many solve requests from one process, so this module keeps the
-expensive parts resident between requests:
+once and unlinks everything. A long-lived solver process — each solve
+slot of :mod:`repro.serve` (:mod:`repro.serve.slots`) builds one
+:class:`EnginePool` for itself — answers many solve requests, so this
+module keeps the expensive parts resident between requests:
 
 * :class:`ArenaPool` — recycles :class:`~repro.engine.shm.ShmArena`
   segments by field layout. Mapping a segment costs a ``shm_open`` +
@@ -23,8 +24,9 @@ process-private), so workers are per-solve by construction. What survives
 across requests is everything fork makes cheap to rebuild around: the
 engine objects, their configuration, and the shared segments.
 
-Both pools are thread-safe; a server thread per request can acquire
-engines and arenas concurrently.
+Both pools are thread-safe, so threads of one process may acquire
+engines and arenas concurrently; nothing is shared *between* processes —
+two slots each warm their own pools.
 """
 
 from __future__ import annotations

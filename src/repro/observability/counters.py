@@ -101,6 +101,11 @@ COUNTER_SCHEMA: dict[str, str] = {
         "LRU evictions this request caused when its report was stored "
         "(service-only key)"
     ),
+    "serve_slot": (
+        "index of the solve slot (forked solver process) that ran this "
+        "request's fresh solve; absent on a report-cache hit "
+        "(service-only key; match it against the stats op's slots list)"
+    ),
     "arena_reuse_hits": (
         "shared-memory arenas re-mapped from the resident engine pool "
         "instead of being created (an engine property, service-only key)"
@@ -121,6 +126,7 @@ SERVICE_ONLY_COUNTERS = frozenset(
         "report_cache_hits",
         "report_cache_misses",
         "report_cache_evictions",
+        "serve_slot",
         "arena_reuse_hits",
         "arena_reuse_misses",
     }

@@ -14,6 +14,7 @@ import threading
 
 from repro.serve.server import SolveServer
 from repro.serve.service import ServeOptions
+from repro.serve.slots import usable_cpus
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -30,9 +31,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--threads",
         type=int,
-        default=2,
-        help="solver threads: one fresh solve at a time, the rest answer "
-        "cache hits (default: %(default)s)",
+        default=usable_cpus(),
+        help="solve slots: solver threads, each fronting its own forked "
+        "solver process (default: the CPUs this process may run on, "
+        "%(default)s here)",
     )
     parser.add_argument(
         "--queue-depth",

@@ -15,8 +15,10 @@ Transitions outside :data:`JOB_TRANSITIONS` raise
 :class:`~repro.errors.ServeError` — a job can never silently skip a
 lifecycle step or resurrect from a terminal state. ``tracing`` and
 ``sweeping`` are driven by the application's ``stage_hook`` (the
-track-generation and transport-solving pipeline stages), so the service's
-view of a job is the pipeline's view, not a parallel bookkeeping guess.
+track-generation and transport-solving pipeline stages, announced up the
+solve slot's pipe and replayed here by the solver thread), so the
+service's view of a job is the pipeline's view, not a parallel
+bookkeeping guess.
 
 Waiters block on a per-job :class:`threading.Condition`; the terminal
 transition notifies them — there is no polling anywhere in the lifecycle.
@@ -77,7 +79,8 @@ class SolveJob:
     """One solve request moving through the service.
 
     ``timeout`` is the request's *queue* deadline: a job still waiting for
-    a solver thread when it expires is timed out at dequeue. Execution is
+    a solver thread when it expires is timed out at dequeue (a single-flight
+    follower again when its wait for the leading solve ends). Execution is
     never preempted mid-solve — a request that was admitted in time runs
     to completion (the engine's own timeout bounds a wedged solve).
     """

@@ -15,7 +15,8 @@ Requests carry an ``op``:
   results (``keff``/``keff_hex``/``converged``/``num_iterations``), a
   SHA-256 of the flux bytes, and the full report payload.
 * ``ping`` — liveness; echoes the protocol version.
-* ``stats`` — service totals, queue depth, cache and arena pool stats.
+* ``stats`` — service totals, queue depth, cache and arena pool stats,
+  and per solve slot its pid, solves, busy seconds and restarts.
 * ``job`` — ``job_id``; lifecycle summary of a known job.
 * ``shutdown`` — optional ``drain`` (default true). The server responds
   first, then stops.

@@ -5,8 +5,10 @@ in a threading stdlib socket server speaking the JSON-lines protocol of
 :mod:`repro.serve.protocol` over TCP or a Unix-domain socket. Each client
 connection holds one handler thread; a connection may pipeline many
 requests (one per line) and keeps its order. Solver concurrency is bound
-by the *service's* solver threads, not by connection count — a hundred
-clients still share the same admission-controlled queue.
+by the *service's* solve slots, not by connection count — a hundred
+clients still share the same admission-controlled queue. The listener is
+bound before the service forks its slots; a slot drops that inherited
+socket first thing (:mod:`repro.serve.slots`).
 
 Shutdown is graceful by default: the ``shutdown`` op answers first, then
 the service drains its backlog before the listener stops. ``python -m

@@ -1,42 +1,46 @@
-"""The in-process solve service: warm pools, job queue, report reuse.
+"""The in-process solve service: job queue, solve slots, report reuse.
 
 :class:`SolveService` is the heart of ``repro.serve`` — everything the
 network layer does is a thin protocol skin over this class:
 
-* a fixed pool of solver threads drains the admission-controlled
+* a fixed set of solver threads drains the admission-controlled
   :class:`~repro.serve.queue.JobQueue` (priorities, FIFO within
   priority, bounded depth, per-request queue deadline);
-* fresh solves run one at a time behind ``_solve_gate`` while the other
-  threads keep answering report-cache hits. A solve is thousands of small
-  numpy calls and each releases the GIL: two interleaved solves hand it
-  back and forth at every call, which costs more than it overlaps and
-  costs a different amount from run to run (DESIGN.md, "The solve gate").
-  The wait at the gate is accounted to ``serve/queued``;
-* engines and shared-memory arenas stay warm across requests in an
-  :class:`~repro.engine.pool.EnginePool`; tracking caches are shared per
-  (directory, lock-timeout) so repeated geometry/tracking fingerprints
-  skip laydown;
-* a finished solve's pristine report and flux land in the manifest-keyed
+* each solver thread fronts one *solve slot* — a long-lived solver
+  process forked in :meth:`SolveService.start` before any thread exists
+  (:mod:`repro.serve.slots`). A report-cache hit is answered in-thread; a
+  miss goes down the slot's pipe and the thread waits for the answer
+  without holding the GIL, so ``solver_threads`` slots solve on that many
+  cores. Nothing is solved in the server process, and no option selects
+  otherwise (DESIGN.md, "Solve slots");
+* a manifest's first touch is single-flight: requests racing for one key
+  elect a leader under the service lock, the others wait for its
+  terminal transition (that wait is queueing) and are answered as hits;
+* a finished solve comes back in wire form — pristine report payload and
+  flux — and lands in the manifest-keyed
   :class:`~repro.serve.cache.ReportCache`; an exact-manifest repeat is
-  answered from it without sweeping, bitwise-equal to a fresh solve.
+  answered from it without sweeping, bitwise-equal to a fresh solve;
+* a slot that dies mid-job fails that job with a named reason and is
+  respawned; the service stays usable (DESIGN.md, "Fault model").
 
 Served responses are annotated — never the solved truth: the service
 adds the :data:`~repro.observability.counters.SERVICE_ONLY_COUNTERS`,
-``serve/*`` queue-latency stages and a ``serve`` span root to a *copy*
-of the report; the cached payload and all numeric results stay exactly
-what a CLI run of the same config produces.
+``serve/*`` queue-latency stages and a ``serve`` span root to a report
+rebuilt from the payload; the cached payload and all numeric results stay
+exactly what a CLI run of the same config produces.
 """
 
 from __future__ import annotations
 
+import atexit
 import threading
 import time
 import traceback
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.engine.pool import EnginePool
-from repro.errors import AdmissionError, ReproError, ServeError
+from repro.errors import AdmissionError, ServeError
 from repro.io.config import RunConfig, config_from_dict
 from repro.io.logging_utils import get_logger
 from repro.observability.manifest import config_hash
@@ -46,21 +50,16 @@ from repro.runtime.stages import StageName
 from repro.serve.cache import CacheEntry, ReportCache
 from repro.serve.jobs import JobState, SolveJob
 from repro.serve.queue import DEFAULT_MAX_DEPTH, JobQueue
-from repro.tracks.cache import TrackingCache
-
-#: What a solve can realistically raise inside a solver thread. Mirrors
-#: the engine worker policy: programming errors crash loudly instead of
-#: being repackaged as a failed job.
-SOLVE_ERRORS = (
-    ReproError,
-    ArithmeticError,
-    ValueError,
-    IndexError,
-    OSError,
-    RuntimeError,
+from repro.serve.slots import (
+    SOLVE_ERRORS,
+    SlotBody,
+    SlotResult,
+    SolveSlots,
+    run_job,
+    usable_cpus,
 )
 
-#: Pipeline stage -> job lifecycle state announced by the stage hook.
+#: Pipeline stage -> job lifecycle state a slot's announcement replays as.
 _STAGE_STATES = {
     StageName.TRACK_GENERATION.value: JobState.TRACING,
     StageName.TRANSPORT_SOLVING.value: JobState.SWEEPING,
@@ -71,10 +70,11 @@ _STAGE_STATES = {
 class ServeOptions:
     """Service sizing and policy knobs."""
 
-    #: Solver threads draining the queue: one runs the fresh solve (they
-    #: are gated, see the module docstring), the rest answer cache hits.
-    solver_threads: int = 2
-    #: Admission bound on undispatched requests.
+    #: Solve slots: solver threads draining the queue, each fronting its
+    #: own solver process. Defaults to the CPUs the process may run on.
+    solver_threads: int = field(default_factory=usable_cpus)
+    #: Admission bound on undispatched requests (also how many finished
+    #: jobs stay addressable by id).
     max_queue_depth: int = DEFAULT_MAX_DEPTH
     #: LRU capacity of the manifest-keyed report cache (0 disables reuse).
     report_cache_size: int = 32
@@ -97,19 +97,29 @@ class ServeOptions:
 
 
 class SolveService:
-    """A resident solve farm answering config-shaped requests."""
+    """A resident solve farm answering config-shaped requests.
 
-    def __init__(self, options: ServeOptions | None = None) -> None:
+    ``slot_body`` is what a slot runs per job; tests pass a wrapper of
+    :func:`~repro.serve.slots.run_job` to hold or observe a solve inside
+    the forked process.
+    """
+
+    def __init__(
+        self, options: ServeOptions | None = None, slot_body: SlotBody = run_job
+    ) -> None:
         self.options = options or ServeOptions()
         self.options.validate()
         self.queue = JobQueue(self.options.max_queue_depth)
         self.report_cache = ReportCache(self.options.report_cache_size)
-        self.engine_pool = EnginePool()
+        self._slots = SolveSlots(self.options.solver_threads, slot_body)
         self._logger = get_logger("repro.serve")
         self._lock = threading.Lock()
-        #: Held for the length of a fresh solve (module docstring).
-        self._solve_gate = threading.Lock()
+        #: Every non-terminal job plus the ``max_queue_depth`` most
+        #: recently finished ones (``_terminal``, oldest first).
         self._jobs: dict[str, SolveJob] = {}
+        self._terminal: deque[str] = deque()
+        #: Job key -> the job solving it right now (single-flight).
+        self._in_flight: dict[str, SolveJob] = {}
         self._seq = 0
         self._totals = {
             "submitted": 0,
@@ -118,7 +128,6 @@ class SolveService:
             "rejected": 0,
             "timed_out": 0,
         }
-        self._tracking_caches: dict[tuple, TrackingCache] = {}
         self._threads: list[threading.Thread] = []
         self._started = False
         self._closed = False
@@ -131,20 +140,25 @@ class SolveService:
                 return self
             if self._closed:
                 raise ServeError("service already shut down; build a new one")
-            self._threads = [
-                threading.Thread(
-                    target=self._solver_loop,
-                    name=f"repro-serve-solver-{i}",
-                    daemon=True,
-                )
-                for i in range(self.options.solver_threads)
-            ]
             self._started = True
+        # Fork first: the slots must not inherit a running thread's locks.
+        self._slots.start()
+        # Slots are non-daemon: an unclosed service would hang interpreter
+        # exit in multiprocessing's own join of live children.
+        atexit.register(self.close)
+        self._threads = [
+            threading.Thread(
+                target=self._solver_loop,
+                args=(index,),
+                name=f"repro-serve-solver-{index}",
+                daemon=True,
+            )
+            for index in range(self.options.solver_threads)
+        ]
         for thread in self._threads:
             thread.start()
         self._logger.info(
-            "solve service up: %d solver threads, queue depth %d, "
-            "report cache %d",
+            "solve service up: %d solve slots, queue depth %d, report cache %d",
             self.options.solver_threads,
             self.options.max_queue_depth,
             self.options.report_cache_size,
@@ -152,7 +166,8 @@ class SolveService:
         return self
 
     def close(self, drain: bool = True) -> None:
-        """Shut down: ``drain`` finishes the backlog, else it is rejected."""
+        """Shut down: ``drain`` finishes the backlog, else it is rejected.
+        A solve already in a slot finishes either way; then the slots stop."""
         with self._lock:
             if self._closed:
                 return
@@ -163,10 +178,13 @@ class SolveService:
             backlog = self.queue.clear()
             self.queue.close()
             for job in backlog:
-                self._finish_rejected(job, "service shut down before execution")
+                self._finish(
+                    job, JobState.REJECTED, error="service shut down before execution"
+                )
         for thread in self._threads:
             thread.join()
-        self.engine_pool.close()
+        self._slots.close()
+        atexit.unregister(self.close)
         self._logger.info("solve service drained and closed")
 
     def __enter__(self) -> "SolveService":
@@ -204,7 +222,7 @@ class SolveService:
         try:
             self.queue.put(job)
         except AdmissionError as exc:
-            self._finish_rejected(job, str(exc))
+            self._finish(job, JobState.REJECTED, error=str(exc))
         return job
 
     def solve(
@@ -233,85 +251,105 @@ class SolveService:
 
     # ---------------------------------------------------------- execution
 
-    def _solver_loop(self) -> None:
+    def _solver_loop(self, slot: int) -> None:
         while True:
             job = self.queue.take()
             if job is None:  # closed and drained: thread exit signal
                 return
             try:
-                self._execute(job)
+                self._execute(job, slot)
             except SOLVE_ERRORS:  # pragma: no cover - defensive backstop
                 self._logger.exception("job %s escaped _execute", job.job_id)
+                if not job.done:  # waiters and followers must not hang on it
+                    self._finish(job, JobState.FAILED, error=traceback.format_exc())
 
-    def _execute(self, job: SolveJob) -> None:
-        dequeued = time.monotonic()
-        job.queued_seconds = max(0.0, dequeued - job.enqueued_at)
-        deadline = job.deadline
-        if deadline is not None and dequeued > deadline:
-            job.finish(
-                JobState.TIMED_OUT,
-                error=(
-                    f"queued {job.queued_seconds:.3f}s, past the "
-                    f"{job.timeout}s request deadline"
-                ),
-            )
-            self._bump("timed_out")
+    def _execute(self, job: SolveJob, slot: int) -> None:
+        if self._timed_out(job):
             return
         job.transition(JobState.ADMITTED)
         key = self._job_key(job.config)
-        entry = self.report_cache.get(key)
-        started = time.monotonic()
-        if entry is not None:
-            report = entry.report()
-            job.execute_seconds = time.monotonic() - started
-            self._annotate(report, job, hit=True, evictions=0)
-            job.finish(
-                JobState.DONE,
-                report=report,
-                scalar_flux=entry.flux(),
-                cache_hit=True,
-            )
-            self._bump("done")
-            self._logger.info(
-                "job %s: report-cache hit for %s", job.job_id, key[:12]
-            )
-            return
-        with self._solve_gate:
-            # The wait for the gate is queueing, not execution.
-            started = time.monotonic()
-            job.queued_seconds = max(0.0, started - job.enqueued_at)
-            try:
-                result = self._run(job)
-            except SOLVE_ERRORS as exc:
-                job.execute_seconds = time.monotonic() - started
-                self._logger.error("job %s failed: %s", job.job_id, exc)
-                job.finish(JobState.FAILED, error=traceback.format_exc())
-                self._bump("failed")
+        with self._lock:
+            # Lookup and claim are one step: an entry is stored before its
+            # leader leaves the table, so a miss here finds the leader.
+            entry = self.report_cache.get(key)
+            leader = job if entry is not None else self._in_flight.setdefault(key, job)
+        if leader is not job:
+            # Single-flight: wait for the leading solve (queueing, not
+            # execution), then read what it stored. If it stored nothing
+            # (it failed, reuse is off, the entry was evicted) solve anyway.
+            leader.wait()
+            if self._timed_out(job):
                 return
-            job.execute_seconds = time.monotonic() - started
-        if job.config.scenarios:
-            self._finish_batch(job, key, result)
-            return
-        report = result.run_report
-        evictions = 0
-        if report is not None:
-            # Cache the pristine payload before any annotation touches
-            # the report object the response will carry.
-            evictions = self.report_cache.put(
-                key,
-                CacheEntry(
-                    report_payload=report.to_dict(),
-                    scalar_flux=result.scalar_flux.copy(),
-                ),
-            )
-            self._annotate(report, job, hit=False, evictions=evictions)
-        job.finish(
-            JobState.DONE,
-            report=report,
-            scalar_flux=result.scalar_flux,
-            cache_hit=False,
+            entry = self.report_cache.get(key)
+        try:
+            if entry is not None:
+                self._answer_hit(job, key, entry)
+            else:
+                self._solve(job, key, slot)
+        finally:
+            with self._lock:
+                if self._in_flight.get(key) is job:
+                    del self._in_flight[key]
+
+    def _timed_out(self, job: SolveJob) -> bool:
+        """Close the job's queueing interval now; finish it ``timed-out``
+        if that interval outran the request's queue deadline."""
+        now = time.monotonic()
+        job.queued_seconds = max(0.0, now - job.enqueued_at)
+        if job.deadline is None or now <= job.deadline:
+            return False
+        self._finish(
+            job,
+            JobState.TIMED_OUT,
+            error=(
+                f"queued {job.queued_seconds:.3f}s, past the "
+                f"{job.timeout}s request deadline"
+            ),
         )
-        self._bump("done")
+        return True
+
+    def _answer_hit(self, job: SolveJob, key: str, entry: CacheEntry) -> None:
+        started = time.monotonic()
+        report = entry.report()
+        job.execute_seconds = time.monotonic() - started
+        self._annotate(report, job, hit=True, evictions=0)
+        self._finish(
+            job, JobState.DONE, report=report, scalar_flux=entry.flux(), cache_hit=True
+        )
+        self._logger.info("job %s: report-cache hit for %s", job.job_id, key[:12])
+
+    def _solve(self, job: SolveJob, key: str, slot: int) -> None:
+        """Run the job in ``slot``, replaying the slot's stage
+        announcements as lifecycle transitions, and settle the outcome."""
+
+        def on_stage(stage: str) -> None:
+            state = _STAGE_STATES.get(stage)
+            if state is not None and job.state is not state:
+                job.transition(state)
+
+        started = time.monotonic()
+        try:
+            result = self._slots.solve(slot, job.config, on_stage)
+        except ServeError as exc:  # the solve raised, or its slot died
+            job.execute_seconds = time.monotonic() - started
+            self._logger.error("job %s failed: %s", job.job_id, exc)
+            self._finish(job, JobState.FAILED, error=str(exc))
+            return
+        job.execute_seconds = time.monotonic() - started
+        # The pristine entries are cached before any annotation exists;
+        # the response report is rebuilt from the payload like a hit's.
+        evictions = self._store(key, result)
+        first = result.states[0][1]
+        report = first.report()
+        self._annotate(report, job, hit=False, evictions=evictions, slot=slot)
+        self._finish(
+            job, JobState.DONE, report=report, scalar_flux=first.flux(), cache_hit=False
+        )
+        if result.parent_hash is not None:
+            self._logger.info(
+                "job %s: scenario batch of %d state(s) cached under %s",
+                job.job_id, len(result.states), result.parent_hash[:12],
+            )
 
     def _job_key(self, cfg: RunConfig) -> str:
         """Report-cache key of a request. A single-scenario request keys
@@ -323,110 +361,46 @@ class SolveService:
             return state_config_hash(cfg, cfg.scenarios[0])
         return config_hash(cfg.to_dict())
 
-    def _finish_batch(self, job: SolveJob, key: str, result) -> None:
-        """Settle a scenario-batch job: every state's pristine report and
-        flux are cached under the state's perturbation hash (later
-        single-scenario requests hit per state); the batch key carries the
-        first state so an exact-batch repeat is a hit too. The response
-        answers with the first state."""
+    def _store(self, key: str, result: SlotResult) -> int:
+        """Cache a solve; returns the evictions that caused. A scenario
+        batch stores every state under its perturbation hash (later
+        single-scenario requests hit per state); the request key carries
+        the first state — the one the response answers with — so an exact
+        repeat is a hit too."""
         evictions = 0
-        for state in result.states:
-            evictions += self.report_cache.put(
-                state.state_hash,
-                CacheEntry(
-                    report_payload=state.run_report.to_dict(),
-                    scalar_flux=state.scalar_flux.copy(),
-                ),
-            )
-        first = result.states[0]
-        if key != first.state_hash:
-            evictions += self.report_cache.put(
-                key,
-                CacheEntry(
-                    report_payload=first.run_report.to_dict(),
-                    scalar_flux=first.scalar_flux.copy(),
-                ),
-            )
-        report = first.run_report
-        self._annotate(report, job, hit=False, evictions=evictions)
-        job.finish(
-            JobState.DONE,
-            report=report,
-            scalar_flux=first.scalar_flux,
-            cache_hit=False,
-        )
-        self._bump("done")
-        self._logger.info(
-            "job %s: scenario batch of %d state(s) cached under %s",
-            job.job_id, len(result.states), result.parent_hash[:12],
-        )
-
-    def _run(self, job: SolveJob):
-        from repro.runtime.antmoc import AntMocApplication
-
-        cfg = job.config
-
-        def stage_hook(stage: str) -> None:
-            state = _STAGE_STATES.get(stage)
-            if state is not None and job.state is not state:
-                job.transition(state)
-
-        engine = self.engine_pool.get(
-            cfg.decomposition.engine,
-            workers=cfg.decomposition.workers or None,
-            timeout=cfg.decomposition.timeout,
-            pin_workers=cfg.decomposition.pin_workers,
-        )
-        if cfg.scenarios:
-            from repro.scenario import run_scenario_batch
-
-            return run_scenario_batch(
-                cfg,
-                engine=engine,
-                tracking_cache=self._tracking_cache_for(cfg.tracking),
-                stage_hook=stage_hook,
-            )
-        app = AntMocApplication(
-            cfg,
-            engine=engine,
-            tracking_cache=self._tracking_cache_for(cfg.tracking),
-            stage_hook=stage_hook,
-        )
-        return app.run()
-
-    def _tracking_cache_for(self, tracking) -> TrackingCache | None:
-        """One shared cache instance per (dir, lock-timeout) the requests
-        name — honoured by the application only when the request enables
-        caching, so reuse never switches caching on behind a config."""
-        if not tracking.tracking_cache:
-            return None
-        key = (tracking.cache_dir, tracking.cache_lock_timeout)
-        with self._lock:
-            cache = self._tracking_caches.get(key)
-            if cache is None:
-                cache = TrackingCache(
-                    tracking.cache_dir, lock_timeout=tracking.cache_lock_timeout
-                )
-                self._tracking_caches[key] = cache
-            return cache
+        for state_hash, entry in result.states:
+            if state_hash is not None:
+                evictions += self.report_cache.put(state_hash, entry)
+        first_hash, first = result.states[0]
+        if key != first_hash:
+            evictions += self.report_cache.put(key, first)
+        return evictions
 
     # -------------------------------------------------------- annotation
 
     def _annotate(
-        self, report: RunReport, job: SolveJob, hit: bool, evictions: int
+        self,
+        report: RunReport,
+        job: SolveJob,
+        hit: bool,
+        evictions: int,
+        slot: int | None = None,
     ) -> None:
         """Stamp the service-only story onto a response report copy.
 
         Counters record the reuse outcome (zeros included, so a hit/miss
-        is always *visible*, never merely absent); the queue latency
-        lands as ``serve``/``serve/…`` stage rows and a ``serve`` span
-        root. Everything the equivalence suite compares — results,
-        workload counters — is left untouched.
+        is always *visible*, never merely absent) and, for a fresh solve,
+        the slot that ran it; the queue latency lands as ``serve``/
+        ``serve/…`` stage rows and a ``serve`` span root. Everything the
+        equivalence suite compares — results, workload counters — is left
+        untouched.
         """
         report.counters.add("serve_requests", 1)
         report.counters.add("report_cache_hits", 1 if hit else 0)
         report.counters.add("report_cache_misses", 0 if hit else 1)
         report.counters.add("report_cache_evictions", evictions)
+        if slot is not None:
+            report.counters.add("serve_slot", slot)
         total = job.queued_seconds + job.execute_seconds
         report.stages["serve"] = total
         report.stages["serve/queued"] = job.queued_seconds
@@ -444,21 +418,26 @@ class SolveService:
 
     # -------------------------------------------------------------- stats
 
-    def _bump(self, name: str) -> None:
+    def _finish(self, job: SolveJob, state: JobState, **outcome: Any) -> None:
+        """Account for a job's end, bound the registry, then make the
+        terminal transition (last, so a waiter already sees the totals)."""
         with self._lock:
-            self._totals[name] += 1
-
-    def _finish_rejected(self, job: SolveJob, reason: str) -> None:
-        job.finish(JobState.REJECTED, error=reason)
-        self._bump("rejected")
+            self._totals[state.value.replace("-", "_")] += 1
+            self._terminal.append(job.job_id)
+            while len(self._terminal) > self.options.max_queue_depth:
+                del self._jobs[self._terminal.popleft()]
+        job.finish(state, **outcome)
 
     def stats(self) -> dict[str, Any]:
         with self._lock:
             totals = dict(self._totals)
+        slots = self._slots.stats()
+        totals["slot_restarts"] = sum(slot["restarts"] for slot in slots)
         return {
             "totals": totals,
             "queue_depth": len(self.queue),
             "report_cache": self.report_cache.stats(),
-            "arena_pool": self.engine_pool.arena_pool.stats(),
+            "arena_pool": self._slots.arena_pool_stats(),
+            "slots": slots,
             "solver_threads": self.options.solver_threads,
         }
