@@ -9,6 +9,14 @@ is a clean measure of what the state axis amortises: per-sweep python
 overhead, source gathers and tally reductions that the fallback pays
 once per state.
 
+The gated pair is measured with this process pinned to ONE CPU. A batch
+fans its states out over the CPUs it may run on, in both modes, so at
+full affinity the ratio would compare two fan-outs — cores, not the
+state axis; at one CPU each mode is a single inline share. The same
+profile at full affinity is recorded beside it, ungated, as absolute
+seconds (``seconds_all_cpus``), and the record carries the host it was
+taken on (``host``, with the CPUs this process may run on).
+
 Before timing counts, the batched states are checked bitwise-equal
 (k-eff through ``float.hex``) to the sequential oracle — a fast batch
 that diverged from the fallback would be a correctness bug wearing a
@@ -38,10 +46,13 @@ is the entry point used by the scenario-smoke lane.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import time
 from pathlib import Path
 
 from repro.observability.exporters import dump_record, merge_benchmark_record
+from repro.observability.manifest import host_info
 
 RESULTS_DIR = Path(__file__).parent / "results"
 BENCH_JSON = RESULTS_DIR / "BENCH_scenario.json"
@@ -115,12 +126,22 @@ def _batch_config(num_states: int, iterations: int):
 # Record assembly.
 # ---------------------------------------------------------------------------
 
-def measure_profile(name: str) -> dict:
-    """One profile: the batched kernel against the sequential oracle."""
+@contextlib.contextmanager
+def _one_cpu():
+    """Pin this process to one of its CPUs (a batch then runs as a single
+    inline share); the mask is restored on exit."""
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(allowed)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, allowed)
+
+
+def _time_modes(config) -> tuple[dict, dict]:
+    """Best-of-``REPEATS`` wall clock and the last result, per mode."""
     from repro.scenario import run_scenario_batch
 
-    num_states, iterations, max_fraction = PROFILES[name]
-    config = _batch_config(num_states, iterations)
     runs = {}
     results = {}
     for key, mode in (("batched", "batched"), ("serial", "sequential")):
@@ -132,6 +153,16 @@ def measure_profile(name: str) -> dict:
             best = seconds if best is None else min(best, seconds)
             results[key] = batch
         runs[key] = round(best, 3)
+    return runs, results
+
+
+def measure_profile(name: str) -> dict:
+    """One profile: the batched kernel against the sequential oracle."""
+    num_states, iterations, max_fraction = PROFILES[name]
+    config = _batch_config(num_states, iterations)
+    with _one_cpu():
+        runs, results = _time_modes(config)
+    all_cpus, _ = _time_modes(config)
     for batched, serial in zip(results["batched"].states, results["serial"].states):
         if float(batched.keff).hex() != float(serial.keff).hex():
             raise RuntimeError(
@@ -143,6 +174,7 @@ def measure_profile(name: str) -> dict:
         "states": num_states,
         "iterations": iterations,
         "seconds": runs,
+        "seconds_all_cpus": all_cpus,
         "speedup": runs["serial"] / max(runs["batched"], 1e-12),
         "batched_fraction": runs["batched"] / max(runs["serial"], 1e-12),
         "max_fraction": max_fraction,
@@ -154,6 +186,7 @@ def run_case(case: str) -> dict:
     profiles = {name: measure_profile(name) for name in CASES[case]}
     record = {
         "case": case,
+        "host": {**host_info(), "usable_cpus": len(os.sched_getaffinity(0))},
         "profiles": profiles,
         "ratios": {
             "min_speedup": min(p["speedup"] for p in profiles.values()),
@@ -242,8 +275,11 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"{name}: {profile['states']} states, "
                 f"{profile['seconds']['batched']:.2f}s batched vs "
-                f"{profile['seconds']['serial']:.2f}s serial "
-                f"({profile['speedup']:.2f}x)"
+                f"{profile['seconds']['serial']:.2f}s serial on one CPU "
+                f"({profile['speedup']:.2f}x); "
+                f"{profile['seconds_all_cpus']['batched']:.2f}s vs "
+                f"{profile['seconds_all_cpus']['serial']:.2f}s on "
+                f"{record['host']['usable_cpus']}"
             )
     check_record(record)
     return 0

@@ -80,7 +80,11 @@ def build_batch_parser() -> argparse.ArgumentParser:
         prog="python -m repro solve-batch",
         description="Solve every scenario state of a config over ONE shared "
         "track laydown (batched on the numpy backend, per-state sequential "
-        "fallback elsewhere).",
+        "fallback elsewhere). The states of a single-domain batch are "
+        "independent solves and run on one process per CPU this process "
+        "may run on (at most one per state); restrict the CPU affinity, "
+        "e.g. with taskset, to use fewer. Each state's report says which "
+        "share solved it (scenario_shares / scenario_share counters).",
     )
     parser.add_argument(
         "--config",
@@ -91,7 +95,8 @@ def build_batch_parser() -> argparse.ArgumentParser:
         "--serial",
         action="store_true",
         help="Force the per-state sequential fallback (the equivalence "
-        "oracle) even where the widened scenario-axis kernel applies.",
+        "oracle) even where the widened scenario-axis kernel applies; it "
+        "names the kernel, not the process count.",
     )
     parser.add_argument(
         "--report-dir",

@@ -81,8 +81,19 @@ COUNTER_SCHEMA: dict[str, str] = {
         "tracing their own (states_total - 1 when sharing worked)"
     ),
     "sweeps_batched": (
-        "widened multi-state transport sweeps executed (each one replaces "
-        "up to scenarios_total single-state sweeps)"
+        "widened multi-state transport sweeps on the batch's critical "
+        "path — the most any share executed, i.e. the iterations of the "
+        "slowest state, however the states were cut into shares (each one "
+        "replaces one single-state sweep per state of its share)"
+    ),
+    "scenario_shares": (
+        "processes the batch's states were solved on: one per usable CPU, "
+        "at most one per state (absent on a decomposed batch, whose "
+        "states run on engine workers)"
+    ),
+    "scenario_share": (
+        "index of the share (contiguous run of states, one process) that "
+        "solved this state; share 0 is the calling process"
     ),
     "serve_requests": (
         "solve requests this report answers (1 per served request; absent "

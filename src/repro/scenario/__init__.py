@@ -3,7 +3,11 @@
 The public surface:
 
 * :func:`~repro.scenario.batch.run_scenario_batch` — the driver behind
-  the ``solve-batch`` CLI verb and the serve layer's batch jobs;
+  the ``solve-batch`` CLI verb and the serve layer's batch jobs; the
+  states of a single-domain batch are solved side by side, one
+  contiguous share per CPU the process may run on (forked workers plus
+  the caller — sized by the affinity mask alone, see
+  :mod:`repro.scenario.batch`);
 * :func:`~repro.scenario.perturbation.scenario_materials` — derive one
   state's per-FSR material list from declarative perturbations;
 * :func:`~repro.scenario.perturbation.state_config_hash` /

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
+
 import pytest
 
 from tests.observability.conftest import mini_2d_config
@@ -59,3 +62,16 @@ def batch_config(scenarios=None, **overrides):
 @pytest.fixture()
 def four_state_config():
     return batch_config()
+
+
+@contextlib.contextmanager
+def one_cpu_affinity():
+    """Restrict this process to one of its CPUs, so a scenario batch runs
+    as a single share (its fan-out follows the affinity mask); restored
+    on exit."""
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(allowed)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, allowed)

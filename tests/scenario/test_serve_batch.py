@@ -111,3 +111,27 @@ class TestBatchJobs:
         first = local.states[0]
         assert float(job.report.results.keff).hex() == float(first.keff).hex()
         assert np.array_equal(job.scalar_flux, first.scalar_flux)
+
+    def test_served_states_say_which_share_solved_them(self, service):
+        """A solve slot is a non-daemon process, so a batch inside it fans
+        out over the slot's CPUs; every state's cached report — read back
+        through single-state hits — carries how the batch was cut."""
+        import os
+
+        from repro.scenario.batch import _cut_shares
+        from tests.scenario.conftest import FOUR_STATES
+
+        cfg = batch_config(scenarios=FOUR_STATES[:3])
+        assert not service.solve(cfg).cache_hit
+        num_shares = min(3, len(os.sched_getaffinity(0)))
+        expected = [
+            index
+            for index, (lo, hi) in enumerate(_cut_shares(3, num_shares))
+            for _ in range(lo, hi)
+        ]
+        for scenario, share in zip(cfg.scenarios, expected):
+            hit = service.solve(dataclasses.replace(cfg, scenarios=(scenario,)))
+            assert hit.cache_hit, scenario.name
+            counters = hit.report.counters.to_dict()
+            assert counters["scenario_shares"] == num_shares, scenario.name
+            assert counters["scenario_share"] == share, scenario.name
