@@ -1,12 +1,16 @@
 """Fig. 9 — EXP / OTF / Manager time and memory across track scales.
 
-Two reproductions, per DESIGN.md:
+Three reproductions, per DESIGN.md:
 
 * **real measurements** — the actual Python solver runs ten transport
   iterations under each storage strategy at growing (laptop-scale) track
   counts; wall time and resident segment bytes are measured directly.
   Expected shape: EXP fastest / most memory, OTF slowest / least memory,
   Manager between, approaching EXP as its budget covers the problem;
+* **the decomposed row** — the paper ran Fig. 9 on decomposed domains,
+  each rank managing its own tracks inside its own budget: the middle
+  scale again, cut into three z-slabs that each own a storage strategy
+  (the Manager's budget is per slab, as the paper's is per device);
 * **paper-scale simulation** — the cluster timing model replays the same
   comparison at the paper's densities, where EXP hits the 16 GB device
   wall (out-of-memory) while OTF/Manager continue.
@@ -21,12 +25,13 @@ from repro.geometry import BoundaryCondition, Geometry, Lattice
 from repro.geometry.extruded import AxialMesh, ExtrudedGeometry
 from repro.geometry.universe import make_homogeneous_universe
 from repro.materials import c5g7_library
-from repro.parallel import ClusterTransportSimulator
+from repro.parallel import ClusterTransportSimulator, ZDecomposedSolver
 from repro.solver import MOCSolver
 from repro.trackmgmt.strategy import BYTES_PER_SEGMENT
 
 #: Real-measurement sweep: azimuthal/polar spacing per scale step.
 REAL_SCALES = [0.9, 0.7, 0.5, 0.4, 0.3]
+MIDDLE_SCALE = REAL_SCALES[len(REAL_SCALES) // 2]
 ITERATIONS = 10
 
 
@@ -99,6 +104,50 @@ def test_fig9_real_measurements(benchmark, reporter, geometry3d):
         rows, widths=[12, 22, 26],
     )
     assert all(shapes_ok), "storage-strategy ordering violated at some scale"
+
+
+def run_decomposed(geometry3d, storage, budget):
+    """One z-slab per axial layer; returns the fastest of three solves,
+    the resident bytes summed over slabs and the tracks every sweep
+    regenerates (``tracks_3d - tracks_3d_resident``, what the run
+    report's ``tracks_3d_regenerated`` counts per iteration)."""
+    elapsed = float("inf")
+    for _ in range(3):
+        solver = ZDecomposedSolver(
+            geometry3d, num_domains=3, num_azim=4, azim_spacing=MIDDLE_SCALE,
+            polar_spacing=MIDDLE_SCALE, num_polar=2, storage=storage,
+            resident_memory_bytes=budget, max_iterations=ITERATIONS,
+            keff_tolerance=1e-12, source_tolerance=1e-12, engine="inproc",
+        )
+        start = time.perf_counter()
+        solver.solve()
+        elapsed = min(elapsed, time.perf_counter() - start)
+    resident = [d.strategy.resident_memory_bytes() for d in solver.domains]
+    workload = solver.workload
+    return elapsed, resident, workload.tracks_3d - workload.tracks_3d_resident
+
+
+def test_fig9_decomposed_row(reporter, geometry3d):
+    t_exp, m_exp, r_exp = run_decomposed(geometry3d, "EXP", None)
+    budget = min(m_exp) // 2
+    t_otf, m_otf, r_otf = run_decomposed(geometry3d, "OTF", None)
+    t_mgr, m_mgr, r_mgr = run_decomposed(geometry3d, "MANAGER", budget)
+
+    reporter.line("Fig. 9 reproduction (real solver, 3 z-slabs, 10 iterations each)")
+    reporter.line(f"Manager budget {budget} B per slab; columns as EXP/OTF/Manager")
+    reporter.line()
+    reporter.table(
+        ["time s (E/O/M)", "resident B, all slabs (E/O/M)", "regenerated / sweep (E/O/M)"],
+        [[
+            f"{t_exp:.3f}/{t_otf:.3f}/{t_mgr:.3f}",
+            f"{sum(m_exp)}/{sum(m_otf)}/{sum(m_mgr)}",
+            f"{r_exp}/{r_otf}/{r_mgr}",
+        ]],
+        widths=[22, 32, 30],
+    )
+    assert all(slab <= budget for slab in m_mgr)
+    assert sum(m_otf) <= sum(m_mgr) <= sum(m_exp) and t_exp <= t_otf
+    assert r_exp == 0 < r_mgr < r_otf
 
 
 def test_fig9_paper_scale_simulation(benchmark, reporter):

@@ -34,10 +34,10 @@ from repro.solver.power import PowerIteration, Transport
 class DecomposedProblem:
     """What an execution engine needs to know about a decomposed solve.
 
-    ``solver.domains`` entries share one attribute surface
-    (:class:`~repro.parallel.domain.DomainSolver` for 2D lattice cuts,
-    :class:`~repro.parallel.driver3d.SlabDomain` for 3D axial slabs), so
-    one adapter serves both drivers.
+    ``solver.domains`` entries are :class:`~repro.solver.domain.Domain`
+    objects — 2D lattice cuts and 3D axial slabs alike — so one adapter
+    serves both drivers, and a slab's storage strategy regenerates its
+    segments inside whichever worker sweeps it.
     """
 
     def __init__(self, solver) -> None:

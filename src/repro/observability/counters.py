@@ -22,6 +22,15 @@ COUNTER_SCHEMA: dict[str, str] = {
     "tracks_3d": "3D tracks laid down across all domains (0 for 2D solves)",
     "segments_2d": "radial 2D segments traced across all domains",
     "segments_3d": "3D segments traced across all domains (0 for 2D solves)",
+    "tracks_3d_resident": (
+        "3D tracks whose segments stay resident, summed over domains: all "
+        "under EXP / CCM, none under OTF, the manager's resident set under "
+        "MANAGER (extruded solves only)"
+    ),
+    "tracks_3d_regenerated": (
+        "3D tracks re-traced during the solve: (tracks_3d - "
+        "tracks_3d_resident) x transport iterations (extruded solves only)"
+    ),
     "segments_swept": (
         "directional segment traversals summed over transport iterations "
         "(2 directions x swept segments x iterations)"

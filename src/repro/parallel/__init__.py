@@ -3,8 +3,8 @@
 Two layers, matching the reproduction strategy in DESIGN.md:
 
 * a *functional* layer (:mod:`~repro.parallel.comm`,
-  :mod:`~repro.parallel.domain`, :mod:`~repro.parallel.exchange`,
-  :mod:`~repro.parallel.driver`) that actually runs spatially decomposed
+  :mod:`~repro.parallel.exchange`, :mod:`~repro.parallel.driver`,
+  :mod:`~repro.parallel.driver3d`) that actually runs spatially decomposed
   MOC solves — the Jacobi-style boundary-flux exchange of paper
   Sec. 2.1/3.1 — through a pluggable execution engine
   (:mod:`repro.engine`): the in-process deterministic communicator, or
@@ -15,10 +15,9 @@ Two layers, matching the reproduction strategy in DESIGN.md:
 """
 
 from repro.parallel.comm import SimComm, CommStats
-from repro.parallel.domain import DomainSolver
 from repro.parallel.exchange import InterfaceExchange, match_interface_tracks
 from repro.parallel.driver import DecomposedSolver
-from repro.parallel.driver3d import ZDecomposedSolver, SlabDomain, Route3D
+from repro.parallel.driver3d import ZDecomposedSolver, Route3D
 from repro.parallel.timeline import (
     ClusterTransportSimulator,
     SimulationReport,
@@ -28,12 +27,10 @@ from repro.parallel.timeline import (
 __all__ = [
     "SimComm",
     "CommStats",
-    "DomainSolver",
     "InterfaceExchange",
     "match_interface_tracks",
     "DecomposedSolver",
     "ZDecomposedSolver",
-    "SlabDomain",
     "Route3D",
     "ClusterTransportSimulator",
     "SimulationReport",

@@ -25,9 +25,9 @@ from repro.constants import DEFAULT_KEFF_TOL, DEFAULT_SOURCE_TOL
 from repro.errors import DecompositionError, SolverError
 from repro.geometry.decomposition import decompose_lattice_geometry
 from repro.geometry.geometry import Geometry
-from repro.parallel.domain import DomainSolver
 from repro.parallel.exchange import InterfaceExchange, match_interface_tracks
 from repro.solver.cmfd import CmfdProblem, coarse_mesh_for, coerce_cmfd, decomposed_cmfd_problem
+from repro.solver.domain import Domain
 from repro.solver.expeval import ExponentialEvaluator
 from repro.solver.keff import SolveResult
 from repro.solver.solver import Workload, unit_fissile_mean
@@ -41,15 +41,15 @@ class DomainDriver:
     """What the two decomposed drivers share once their domains exist:
     the execution engine and its communicator, the iteration limits, the
     global CMFD overlay and the solver surface the run pipeline reads.
-    A subclass lays out ``domains`` (rank order, contiguous global FSR
-    blocks; :class:`~repro.parallel.domain.DomainSolver` and
-    :class:`~repro.parallel.driver3d.SlabDomain` share one attribute
-    surface) and ``routes`` over the undecomposed ``geometry`` in its
-    constructor, then calls :meth:`_finish`.
+    A subclass builds ``domains`` (rank order, each a
+    :class:`~repro.solver.domain.Domain` that built itself) and ``routes``
+    over the undecomposed ``geometry`` in its constructor, then calls
+    :meth:`_finish`, which lays the domains out as contiguous global FSR
+    blocks.
     """
 
     geometry: Any
-    domains: Sequence[Any]
+    domains: Sequence[Domain]
     routes: Sequence[Any]
 
     def _finish(
@@ -58,7 +58,11 @@ class DomainDriver:
     ) -> None:
         from repro.engine import resolve_engine
 
-        self.num_fsrs_total = sum(d.num_fsrs for d in self.domains)
+        offset = 0
+        for dom in self.domains:
+            dom.fsr_offset = offset
+            offset += dom.num_fsrs
+        self.num_fsrs_total = offset
         self.engine = resolve_engine(
             engine, workers=workers, timeout=timeout, pin_workers=pin_workers
         )
@@ -79,12 +83,11 @@ class DomainDriver:
 
     def _setup_cmfd(self, options) -> None:
         """Build the *global* coarse overlay across the decomposition
-        (subdomains keep absolute coordinates). The tallies are built
-        once, so each domain's sweep plan is fixed for the whole solve."""
+        (subdomains keep absolute coordinates); each domain's current
+        tally is laid out once, over its plan."""
         mesh = coarse_mesh_for(self.geometry, options, [d.geometry for d in self.domains])
         self.cmfd_problem = decomposed_cmfd_problem(
-            self.domains, self.routes, mesh,
-            [d.plan for d in self.domains], self.volumes, options,
+            self.domains, self.routes, mesh, self.volumes, options
         )
 
     @property
@@ -126,20 +129,14 @@ class DecomposedSolver(DomainDriver):
         cmfd=None,
     ) -> None:
         self.geometry = geometry
-        sub_geometries = decompose_lattice_geometry(geometry, domains_x, domains_y)
         evaluator = evaluator or ExponentialEvaluator.shared()
         self.domains = [
-            DomainSolver(
-                rank, sub, num_azim=num_azim, azim_spacing=azim_spacing,
-                num_polar=num_polar, evaluator=evaluator, backend=backend,
-                tracer=tracer, cache=cache,
+            Domain.radial(
+                sub, num_azim=num_azim, azim_spacing=azim_spacing, num_polar=num_polar,
+                tracer=tracer, cache=cache, evaluator=evaluator, backend=backend,
             )
-            for rank, sub in enumerate(sub_geometries)
+            for sub in decompose_lattice_geometry(geometry, domains_x, domains_y)
         ]
-        offset = 0
-        for dom in self.domains:
-            dom.fsr_offset = offset
-            offset += dom.num_fsrs
         self.exchange: InterfaceExchange = match_interface_tracks(
             [d.trackgen for d in self.domains]
         )
@@ -180,12 +177,12 @@ class DecomposedSolver(DomainDriver):
         """
         from repro.solver.source import SourceTerms
 
-        for dom in self.domains:
+        for rank, dom in enumerate(self.domains):
             terms = SourceTerms(list(materials_for(dom.geometry)))
             if terms.num_regions != dom.num_fsrs:
                 raise DecompositionError(
                     f"rebind materials cover {terms.num_regions} regions, "
-                    f"domain {dom.rank} has {dom.num_fsrs} FSRs"
+                    f"domain {rank} has {dom.num_fsrs} FSRs"
                 )
             dom.terms = terms
             dom.sweeper.terms = terms

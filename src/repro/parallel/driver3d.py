@@ -2,8 +2,10 @@
 
 The cuboid decomposition of Sec. 3.2 cuts the reactor in all three axes;
 this driver implements the axial cuts end-to-end with *real* 3D sweeps:
-the extruded geometry is split into stacked z-slabs, each slab runs the
-full 3D MOC machinery over the **shared** radial tracking, and boundary
+the extruded geometry is split into stacked z-slabs, each slab is a
+:class:`~repro.solver.domain.Domain` built over the **shared** radial
+tracking that owns its track-storage strategy (EXP / OTF / MANAGER / CCM,
+the resident budget per slab — the paper's per-device model), and boundary
 angular flux crosses the slab interfaces through the pluggable execution
 engine each iteration (Jacobi, as in the 2D driver) — in-process via the
 simulated communicator, or across real worker processes via shared memory.
@@ -18,7 +20,6 @@ length and polar spacing, not the slab height).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -29,12 +30,10 @@ from repro.geometry.extruded import AxialMesh, ExtrudedGeometry
 from repro.geometry.geometry import BoundaryCondition
 from repro.parallel.driver import DomainDriver
 from repro.parallel.exchange import Route
+from repro.solver.domain import Domain
 from repro.solver.expeval import ExponentialEvaluator
 from repro.solver.solver import Workload
-from repro.solver.source import SourceTerms
-from repro.solver.sweep3d import TransportSweep3D
-from repro.tracks.generator import TrackGenerator, TrackGenerator3D, TrackingTimings
-from repro.tracks.segments import SegmentData
+from repro.tracks.generator import TrackGenerator, TrackingTimings
 
 if TYPE_CHECKING:
     from repro.engine import EngineResult
@@ -43,38 +42,6 @@ if TYPE_CHECKING:
 #: A z-interface route is the radial drivers' (domain, track, direction)
 #: slot pair; the engines read both through one route table.
 Route3D = Route
-
-
-@dataclass
-class SlabDomain:
-    """One z-slab's share of the problem, with the attribute surface of
-    :class:`~repro.parallel.domain.DomainSolver` (what the engines read)
-    plus the slab's explicitly stored 3D ``segments``."""
-
-    geometry: ExtrudedGeometry
-    trackgen: TrackGenerator3D
-    terms: SourceTerms
-    sweeper: TransportSweep3D
-    segments: SegmentData
-    volumes: np.ndarray
-    fsr_offset: int
-
-    @property
-    def num_fsrs(self) -> int:
-        return self.geometry.num_fsrs
-
-    @property
-    def plan(self):
-        """The sweep plan over the slab's stored segments (traced once,
-        so fixed for the whole solve)."""
-        return self.sweeper.plan_for(self.segments)
-
-    def sweep(self, reduced_source_local: np.ndarray) -> np.ndarray:
-        """One local sweep; returns the local delta-psi tally."""
-        return self.sweeper.sweep(self.segments, reduced_source_local)
-
-    def finalize(self, tally: np.ndarray, reduced_source_local: np.ndarray) -> np.ndarray:
-        return self.sweeper.finalize_scalar_flux(tally, reduced_source_local, self.volumes)
 
 
 def _slab_meshes(mesh: AxialMesh, num_domains: int) -> list[AxialMesh]:
@@ -102,6 +69,8 @@ class ZDecomposedSolver(DomainDriver):
         azim_spacing: float = 0.5,
         polar_spacing: float = 0.5,
         num_polar: int = 2,
+        storage: str = "EXP",
+        resident_memory_bytes: int | None = None,
         keff_tolerance: float = DEFAULT_KEFF_TOL,
         source_tolerance: float = DEFAULT_SOURCE_TOL,
         max_iterations: int = 500,
@@ -129,8 +98,7 @@ class ZDecomposedSolver(DomainDriver):
         self.radial = radial
         evaluator = evaluator or ExponentialEvaluator.shared()
 
-        self.domains: list[SlabDomain] = []
-        offset = 0
+        self.domains = []
         for d in range(num_domains):
             layer_offset = d * layers_per
             bc_lo = (
@@ -149,21 +117,14 @@ class ZDecomposedSolver(DomainDriver):
                 boundary_zmax=bc_hi,
                 name=f"{geometry3d.name}-z{d}",
             )
-            trackgen = TrackGenerator3D(
-                slab_geom, num_azim=num_azim, azim_spacing=azim_spacing,
-                polar_spacing=polar_spacing, num_polar=num_polar,
-                tracer=tracer, cache=cache,
-            )
-            trackgen.adopt_radial(radial)
-            trackgen.generate()
-            terms = SourceTerms(list(slab_geom.fsr_materials))
-            sweeper = TransportSweep3D(trackgen, terms, evaluator, backend=backend)
-            segments = trackgen.trace_all_3d()
-            volumes = trackgen.fsr_volumes_3d(segments)
             self.domains.append(
-                SlabDomain(slab_geom, trackgen, terms, sweeper, segments, volumes, offset)
+                Domain.extruded(
+                    slab_geom, num_azim=num_azim, azim_spacing=azim_spacing,
+                    polar_spacing=polar_spacing, num_polar=num_polar, storage=storage,
+                    resident_memory_bytes=resident_memory_bytes, tracer=tracer, cache=cache,
+                    evaluator=evaluator, backend=backend, radial=radial,
+                )
             )
-            offset += slab_geom.num_fsrs
         self.num_groups = self.domains[0].terms.num_groups
         self.routes = self._match_interfaces()
         self._finish(
@@ -182,8 +143,9 @@ class ZDecomposedSolver(DomainDriver):
             num_domains=self.num_domains,
             tracks_2d=self.radial.num_tracks,
             segments_2d=self.radial.num_segments,
-            tracks_3d=sum(d.trackgen.num_tracks_3d for d in self.domains),
-            segments_3d=sum(d.segments.num_segments for d in self.domains),
+            tracks_3d=sum(d.tracks_3d for d in self.domains),
+            segments_3d=sum(d.segments_3d for d in self.domains),
+            tracks_3d_resident=sum(d.tracks_3d_resident for d in self.domains),
         )
 
     def _global_layer_map(self, layer_offset: int):

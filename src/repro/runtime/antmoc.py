@@ -18,7 +18,6 @@ recorders per state.
 
 from __future__ import annotations
 
-import logging
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,10 +63,6 @@ GEOMETRY_BUILDERS: dict[str, Callable[[], Geometry | ExtrudedGeometry]] = {
         ),
     ),
 }
-
-#: :func:`build_solver` logs where the application does; the
-#: application's constructor sets the level.
-_LOG = logging.getLogger("repro.antmoc")
 
 #: Why an output that needs a pin-power map can be refused.
 PIN_POWER_LIMIT = "pin-power map is single-domain radial only"
@@ -167,26 +162,19 @@ def build_solver(
                 "3D geometries decompose axially in this reproduction; "
                 "set decomposition nx = ny = 1 and use nz"
             )
-        tracking["polar_spacing"] = cfg.tracking.polar_spacing
+        # The axial laydown and what each domain keeps of it; the
+        # resident budget is per domain (per z-slab when nz > 1).
+        tracking.update(
+            polar_spacing=cfg.tracking.polar_spacing,
+            storage=cfg.solver.storage_method,
+            resident_memory_bytes=cfg.solver.resident_memory_bytes,
+        )
         if decomposition.nz > 1:
-            if cfg.solver.storage_method != "EXP":
-                _LOG.warning(
-                    "storage strategy override: requested=%r effective='EXP' "
-                    "reason='z-decomposed solves (decomposition.nz=%d) trace "
-                    "every 3D segment up front; solver.storage_method applies "
-                    "to nz=1 only'",
-                    cfg.solver.storage_method, decomposition.nz,
-                )
             return ZDecomposedSolver(
                 geometry, num_domains=decomposition.nz,
                 **tracking, **limits, **sweep, **parallel,
             )
-        return MOCSolver.for_3d(
-            geometry,
-            storage=cfg.solver.storage_method,
-            resident_memory_bytes=cfg.solver.resident_memory_bytes,
-            **tracking, **limits, **sweep,
-        )
+        return MOCSolver.for_3d(geometry, **tracking, **limits, **sweep)
     if decomposition.nx * decomposition.ny > 1:
         return DecomposedSolver(
             geometry, decomposition.nx, decomposition.ny,

@@ -112,7 +112,11 @@ def record_solve(
       iteration, over the dimensionality actually swept (3D segments for
       extruded solves). The counts are derived from tracking products and
       iteration counts only, so every engine reports identical values for
-      the same configuration. The CMFD iteration counters are always
+      the same configuration — including what the storage strategies
+      did: ``tracks_3d_resident`` / ``tracks_3d_regenerated`` (extruded
+      solves only) come from each domain's build-time resident set and
+      the iteration count, never from a worker-side tally (``mp-async``
+      discards a speculative sweep). The CMFD iteration counters are always
       recorded (0 when acceleration is off), so the with/without delta is
       a first-class regression diff.
     """
@@ -131,6 +135,10 @@ def record_solve(
     obs.count("segments_2d", workload.segments_2d)
     obs.count("tracks_3d", workload.tracks_3d)
     obs.count("segments_3d", workload.segments_3d)
+    if workload.tracks_3d:
+        temporary = workload.tracks_3d - workload.tracks_3d_resident
+        obs.count("tracks_3d_resident", workload.tracks_3d_resident)
+        obs.count("tracks_3d_regenerated", temporary * result.num_iterations)
     swept = workload.segments_3d if workload.segments_3d else workload.segments_2d
     obs.count("segments_swept", 2 * swept * result.num_iterations)
     obs.count("fsr_count", workload.num_fsrs)

@@ -910,10 +910,12 @@ class CmfdProblem:
 
 
 def decomposed_cmfd_problem(
-    domains, routes, mesh: CoarseMesh, plans, volumes: np.ndarray, options: CmfdOptions
+    domains, routes, mesh: CoarseMesh, volumes: np.ndarray, options: CmfdOptions
 ) -> CmfdProblem:
     """The *global* coarse problem across a decomposition (2D lattice
-    cuts or 3D z-slabs), with one current tally attached per domain.
+    cuts, 3D z-slabs, or the one domain and no routes of an undecomposed
+    solve), with one current tally attached per domain — the only place a
+    transport sweeper gets one.
 
     Subdomains keep absolute coordinates, so ``mesh`` bins every domain's
     FSRs against the same global spec, concatenated in rank order.
@@ -921,9 +923,12 @@ def decomposed_cmfd_problem(
     :func:`local_exit_destinations` — are resolved through the route table
     into the entry cell of the matched remote slot, which is what keeps
     the per-face net current (and therefore the coarse solve) identical
-    across engines. ``plans`` holds each domain's sweep plan; the tallies
-    are built once, so the plans must stay fixed for the whole solve.
+    across engines. Each tally is laid out once, over its domain's
+    ``plan``: a tally reads only the layout (offsets, FSR ids, track
+    order, topology), which every regenerated segmentation of a storage
+    strategy shares, so it stays valid for the whole solve.
     """
+    plans = [d.plan for d in domains]
     cells = [mesh.cellmap[d.fsr_offset : d.fsr_offset + d.num_fsrs] for d in domains]
     entries = [traversal_entry_cells(plan, cell) for plan, cell in zip(plans, cells)]
     exit_dst = [local_exit_destinations(plan, cell) for plan, cell in zip(plans, cells)]
@@ -1000,10 +1005,6 @@ class CmfdAccelerator:
         prolong onto ``phi = phi_new / pnorm`` in place; returns the
         eigenvalue to continue the power iteration with."""
         tally = self.sweeper.current_tally
-        if tally is None:
-            raise SolverError("CMFD accelerator ran before any tallying sweep")
-        if self.problem.pairs is None:
-            self.problem.finalize_pairs([tally.pairs])
         keff, multiplier, step = apply_engine_cmfd(
             self.problem, [tally.take()], phi_new, pnorm, keff,
             lambda flux: self.terms.fission_production(flux, self.volumes),
@@ -1023,4 +1024,5 @@ def single_domain_accelerator(
     problem = CmfdProblem(
         mesh, terms.sigma_t, terms.sigma_s, terms.nu_sigma_f, terms.chi, volumes, options
     )
+    problem.finalize_pairs([sweeper.current_tally.pairs])
     return CmfdAccelerator(problem, sweeper, terms, volumes)

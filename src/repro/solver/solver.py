@@ -1,10 +1,10 @@
 """High-level MOC solver facade.
 
 :class:`MOCSolver` wires geometry, tracking, source terms, sweep and power
-iteration together — the single entry point most examples use. 2D solves
-run over a :class:`~repro.tracks.generator.TrackGenerator`; 3D solves over
-a :class:`~repro.tracks.generator.TrackGenerator3D` combined with one of
-the track-storage strategies of :mod:`repro.trackmgmt`.
+iteration together — the single entry point most examples use. It is one
+:class:`~repro.solver.domain.Domain` (which builds the tracking, the
+sweeper and, in 3D, one of the track-storage strategies of
+:mod:`repro.trackmgmt`) under the power iteration.
 """
 
 from __future__ import annotations
@@ -16,17 +16,19 @@ import numpy as np
 from repro.errors import SolverError
 from repro.geometry.extruded import ExtrudedGeometry
 from repro.geometry.geometry import Geometry
-from repro.solver.cmfd import coarse_mesh_for, coerce_cmfd, single_domain_accelerator
+from repro.solver.cmfd import (
+    CmfdAccelerator,
+    coarse_mesh_for,
+    coerce_cmfd,
+    decomposed_cmfd_problem,
+)
+from repro.solver.domain import Domain
 from repro.solver.expeval import ExponentialEvaluator
 from repro.solver.keff import KeffSolver, SolveResult, with_kernel_phases
-from repro.solver.source import SourceTerms
-from repro.solver.sweep2d import TransportSweep2D
-from repro.solver.sweep3d import TransportSweep3D
-from repro.tracks.generator import TrackGenerator, TrackGenerator3D, TrackingTimings
+from repro.tracks.generator import TrackGenerator, TrackingTimings
 
 if TYPE_CHECKING:
     from repro.parallel.comm import SimComm
-    from repro.trackmgmt.strategy import StorageStrategy
 
 
 class Workload(NamedTuple):
@@ -39,6 +41,9 @@ class Workload(NamedTuple):
     segments_2d: int
     tracks_3d: int = 0
     segments_3d: int = 0
+    #: 3D tracks whose segments stay resident (the rest are regenerated
+    #: every sweep): all under EXP / CCM, none under OTF.
+    tracks_3d_resident: int = 0
 
 
 class TransportSolver(Protocol):
@@ -77,22 +82,16 @@ class MOCSolver:
 
     #: A single domain exchanges nothing.
     comm: None = None
-    #: The 3D track-storage strategy (``None`` for a 2D solver).
-    storage_strategy: StorageStrategy | None = None
 
-    def __init__(
-        self,
-        terms: SourceTerms,
-        volumes: np.ndarray,
-        keff_solver: KeffSolver,
-        sweeper: TransportSweep2D | TransportSweep3D,
-        trackgen: TrackGenerator,
-    ) -> None:
-        self.terms = terms
-        self.volumes = volumes
+    def __init__(self, domain: Domain, keff_solver: KeffSolver) -> None:
+        self.domain = domain
         self.keff_solver = keff_solver
-        self.sweeper = sweeper
-        self.trackgen = trackgen
+        self.terms = domain.terms
+        self.volumes = domain.volumes
+        self.sweeper = domain.sweeper
+        self.trackgen = domain.trackgen
+        #: The 3D track-storage strategy (``None`` for a 2D solver).
+        self.storage_strategy = domain.strategy
 
     # ------------------------------------------------------------- builders
 
@@ -114,28 +113,15 @@ class MOCSolver:
         trackgen: TrackGenerator | None = None,
         materials=None,
     ) -> "MOCSolver":
-        """Build a 2D solver: tracking, sweep and power iteration.
-
-        ``trackgen`` injects an already-generated track laydown (scenario
-        batches trace once and solve many states over it); ``materials``
-        overrides the per-FSR material list (a perturbed state of the same
-        geometry — tracking-invariant by construction).
-        """
-        if trackgen is None:
-            trackgen = TrackGenerator(
-                geometry,
-                num_azim=num_azim,
-                azim_spacing=azim_spacing,
-                num_polar=num_polar,
-                tracer=tracer,
-                cache=cache,
-            ).generate()
-        terms = SourceTerms(list(geometry.fsr_materials) if materials is None else list(materials))
-        sweeper = TransportSweep2D(trackgen, terms, evaluator, backend=backend)
-        return cls._assemble(
-            geometry, trackgen, terms, sweeper, trackgen.fsr_volumes, sweeper.sweep, cmfd,
-            keff_tolerance, source_tolerance, max_iterations,
+        """Build a 2D solver: one :meth:`Domain.radial
+        <repro.solver.domain.Domain.radial>` (which documents ``trackgen``
+        and ``materials``) under the power iteration."""
+        domain = Domain.radial(
+            geometry, num_azim=num_azim, azim_spacing=azim_spacing, num_polar=num_polar,
+            tracer=tracer, cache=cache, evaluator=evaluator, backend=backend,
+            trackgen=trackgen, materials=materials,
         )
+        return cls._assemble(domain, cmfd, keff_tolerance, source_tolerance, max_iterations)
 
     @classmethod
     def for_3d(
@@ -156,60 +142,42 @@ class MOCSolver:
         cache=None,
         cmfd=None,
     ) -> "MOCSolver":
-        """Build a 3D solver with an EXP/OTF/MANAGER storage strategy."""
-        from repro.trackmgmt import make_strategy
-
-        trackgen = TrackGenerator3D(
-            geometry3d,
-            num_azim=num_azim,
-            azim_spacing=azim_spacing,
-            polar_spacing=polar_spacing,
-            num_polar=num_polar,
-            tracer=tracer,
-            cache=cache,
-        ).generate()
-        terms = SourceTerms(list(geometry3d.fsr_materials))
-        sweeper = TransportSweep3D(trackgen, terms, evaluator, backend=backend)
-        strategy = make_strategy(storage, trackgen, resident_memory_bytes=resident_memory_bytes)
-        volumes = trackgen.fsr_volumes_3d(strategy.reference_segments())
-
-        def sweep(reduced: np.ndarray) -> np.ndarray:
-            return strategy.sweep(sweeper, reduced)
-
-        solver = cls._assemble(
-            geometry3d, trackgen, terms, sweeper, volumes, sweep, cmfd,
-            keff_tolerance, source_tolerance, max_iterations,
+        """Build a 3D solver: one :meth:`Domain.extruded
+        <repro.solver.domain.Domain.extruded>` with an EXP / OTF / MANAGER
+        / CCM storage strategy under the power iteration."""
+        domain = Domain.extruded(
+            geometry3d, num_azim=num_azim, azim_spacing=azim_spacing,
+            polar_spacing=polar_spacing, num_polar=num_polar, storage=storage,
+            resident_memory_bytes=resident_memory_bytes, tracer=tracer, cache=cache,
+            evaluator=evaluator, backend=backend,
         )
-        solver.storage_strategy = strategy
-        return solver
+        return cls._assemble(domain, cmfd, keff_tolerance, source_tolerance, max_iterations)
 
     @classmethod
     def _assemble(
-        cls, geometry, trackgen, terms, sweeper, volumes, sweep, cmfd,
-        keff_tolerance, source_tolerance, max_iterations,
+        cls, domain: Domain, cmfd, keff_tolerance, source_tolerance, max_iterations
     ) -> "MOCSolver":
-        """The tail both builders share: the optional CMFD overlay, then
-        the power iteration over ``sweep``. A 3D sweeper builds its tally
-        lazily per sweep plan — OTF/Manager strategies regenerate
-        segments, so crossings are rediscovered from whatever layout each
-        sweep actually uses."""
+        """The tail both builders share: the optional CMFD overlay — the
+        coarse problem of a one-domain, no-route decomposition, so every
+        track end that is not locally linked is vacuum — then the power
+        iteration over the domain's sweep."""
         accelerator = None
         options = coerce_cmfd(cmfd)
         if options is not None:
-            mesh = coarse_mesh_for(geometry, options)
-            sweeper.enable_cmfd_tally(mesh.cellmap)
-            accelerator = single_domain_accelerator(mesh, sweeper, terms, volumes, options)
+            mesh = coarse_mesh_for(domain.geometry, options)
+            problem = decomposed_cmfd_problem([domain], (), mesh, domain.volumes, options)
+            accelerator = CmfdAccelerator(problem, domain.sweeper, domain.terms, domain.volumes)
         keff_solver = KeffSolver(
-            terms,
-            volumes,
-            sweep=sweep,
-            finalize=sweeper.finalize_scalar_flux,
+            domain.terms,
+            domain.volumes,
+            sweep=domain.sweep,
+            finalize=domain.sweeper.finalize_scalar_flux,
             keff_tolerance=keff_tolerance,
             source_tolerance=source_tolerance,
             max_iterations=max_iterations,
             accelerator=accelerator,
         )
-        return cls(terms, volumes, keff_solver, sweeper, trackgen)
+        return cls(domain, keff_solver)
 
     # --------------------------------------------------------------- runner
 
@@ -234,13 +202,8 @@ class MOCSolver:
 
     @property
     def workload(self) -> Workload:
-        radial = Workload(
-            self.terms.num_regions, 1, self.trackgen.num_tracks, self.trackgen.num_segments
-        )
-        strategy = self.storage_strategy
-        if strategy is None:
-            return radial
-        return radial._replace(
-            tracks_3d=strategy.trackgen.num_tracks_3d,
-            segments_3d=strategy.reference_segments().num_segments,
+        dom = self.domain
+        return Workload(
+            dom.num_fsrs, 1, dom.trackgen.num_tracks, dom.trackgen.num_segments,
+            dom.tracks_3d, dom.segments_3d, dom.tracks_3d_resident,
         )

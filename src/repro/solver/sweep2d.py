@@ -67,11 +67,6 @@ class TransportSweep2D:
         self.num_polar = trackgen.polar.num_polar_half
         self.num_groups = source_terms.num_groups
 
-        # Plan views kept as attributes for introspection/compatibility.
-        self.seg_fsr = self.plan.seg_fsr
-        self.seg_len = self.plan.seg_len
-        self.inv_sin = topology.inv_sin  # (P,)
-        self.weights = topology.weights  # (T, P)
         self.next_track = topology.next_track
         self.next_dir = topology.next_dir
         self.terminal = topology.terminal  # vacuum or interface
@@ -81,19 +76,9 @@ class TransportSweep2D:
         self.psi_in = np.zeros((self.num_tracks, 2, self.num_polar, self.num_groups))
         #: Outgoing flux captured at interface ends during the last sweep.
         self.psi_out_last = np.zeros_like(self.psi_in)
-        #: Optional CMFD coarse-face current tally, attached by the solver.
+        #: Optional CMFD coarse-face current tally, attached by
+        #: :func:`~repro.solver.cmfd.decomposed_cmfd_problem`.
         self.current_tally = None
-
-    def enable_cmfd_tally(self, cell_of_fsr: np.ndarray) -> None:
-        """Attach a CMFD current tally over the given FSR -> coarse-cell
-        map; track-end destinations come from the local link tables
-        (single-domain: every non-linked end is vacuum)."""
-        from repro.solver.cmfd import CurrentTally, local_exit_destinations
-
-        self.current_tally = CurrentTally(
-            self.plan, cell_of_fsr, local_exit_destinations(self.plan, cell_of_fsr),
-            self.num_groups,
-        )
 
     def reset_fluxes(self) -> None:
         self.psi_in.fill(0.0)

@@ -8,7 +8,9 @@ source is pluggable: the EXP strategy passes a cached
 pass freshly (re)generated data each sweep — plans are keyed by segment
 identity, and regenerations that keep the per-track layout reuse the
 previous plan's index matrices and gather lists via
-:meth:`~repro.solver.backends.plan.SweepPlan.rebind`.
+:meth:`~repro.solver.backends.plan.SweepPlan.rebind` — which is also why
+one CMFD current tally, laid out over the owning domain's plan, serves
+every regenerated sweep.
 """
 
 from __future__ import annotations
@@ -71,34 +73,11 @@ class TransportSweep3D:
         self.psi_in = np.zeros((self.num_tracks, 2, self.num_groups))
         self.psi_out_last = np.zeros_like(self.psi_in)
         self._plan: SweepPlan | None = None
-        #: CMFD current tally — either attached pre-built (z-decomposed
-        #: drivers, which resolve interface destinations from their Route
-        #: tables) or built lazily per plan from a cell map (single-domain
-        #: solves, where OTF/Manager strategies regenerate segments).
+        #: Optional CMFD coarse-face current tally, attached by
+        #: :func:`~repro.solver.cmfd.decomposed_cmfd_problem` over the
+        #: owning domain's plan; regenerated segmentations keep that
+        #: plan's layout, so it serves every sweep.
         self.current_tally = None
-        self._cmfd_cells: np.ndarray | None = None
-        self._cmfd_tally_plan = None
-
-    def enable_cmfd_tally(self, cell_of_fsr: np.ndarray) -> None:
-        """Tally coarse currents lazily over whatever plan each sweep
-        uses; track-end destinations come from the local link tables
-        (single-domain: every non-linked end is vacuum)."""
-        self._cmfd_cells = np.asarray(cell_of_fsr, dtype=np.int64)
-
-    def _cmfd_tally_for(self, plan: SweepPlan):
-        if self._cmfd_cells is None:
-            return self.current_tally
-        if self.current_tally is None or plan is not self._cmfd_tally_plan:
-            from repro.solver.cmfd import CurrentTally, local_exit_destinations
-
-            self.current_tally = CurrentTally(
-                plan,
-                self._cmfd_cells,
-                local_exit_destinations(plan, self._cmfd_cells),
-                self.num_groups,
-            )
-            self._cmfd_tally_plan = plan
-        return self.current_tally
 
     def reset_fluxes(self) -> None:
         self.psi_in.fill(0.0)
@@ -121,7 +100,7 @@ class TransportSweep3D:
     def sweep(self, segments: SegmentData, reduced_source: np.ndarray) -> np.ndarray:
         """One 3D transport sweep; returns the FSR tally ``(R, G)``."""
         plan = self.plan_for(segments)
-        current_tally = self._cmfd_tally_for(plan)
+        current_tally = self.current_tally
         psi = [self.psi_in[:, 0].copy(), self.psi_in[:, 1].copy()]
         ctx = SweepContext(
             reduced_source=reduced_source,

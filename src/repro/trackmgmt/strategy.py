@@ -54,6 +54,11 @@ class StorageStrategy(ABC):
     def resident_memory_bytes(self) -> int:
         """Device bytes held resident for segments."""
 
+    @property
+    def num_resident(self) -> int:
+        """3D tracks whose segments no sweep regenerates."""
+        return self.trackgen.num_tracks_3d
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(tracks={self.trackgen.num_tracks_3d})"
 
@@ -82,6 +87,7 @@ class OnTheFlyStorage(StorageStrategy):
     """OTF: segments regenerated from 2D data on every sweep."""
 
     name = "OTF"
+    num_resident = 0
 
     def reference_segments(self) -> SegmentData:
         return self.trackgen.trace_all_3d()

@@ -52,37 +52,28 @@ class TestDecomposed3D:
         assert result.decomposed
         assert result.comm_bytes > 0
 
-    @staticmethod
-    def _override_warnings(caplog, **overrides):
-        """Run and return the storage-override WARNINGs (the library
-        logger does not propagate, so caplog's handler is attached)."""
-        app = AntMocApplication(config_3d(**overrides))
-        app.logger.addHandler(caplog.handler)
-        try:
-            app.run()
-        finally:
-            app.logger.removeHandler(caplog.handler)
-        return [
-            r.getMessage() for r in caplog.records
-            if r.levelname == "WARNING" and "storage strategy override" in r.getMessage()
-        ]
-
-    def test_ignored_storage_method_is_reported_once(self, caplog):
+    def test_decomposed_storage_method_is_honoured(self, caplog):
+        """``solver.storage_method`` means at ``nz = 2`` what it means at
+        ``nz = 1``: nothing is overridden, nothing is warned about, and
+        the answer does not depend on it. (The library logger does not
+        propagate, so caplog's handler is attached.)"""
         quick = {"max_iterations": 2, "keff_tolerance": 1e-4, "source_tolerance": 1e-3}
-        messages = self._override_warnings(
-            caplog, decomposition={"nz": 2}, solver={**quick, "storage_method": "MANAGER"}
-        )
-        assert len(messages) == 1
-        assert "requested='MANAGER'" in messages[0] and "effective='EXP'" in messages[0]
-
-    def test_no_override_report_when_nothing_is_overridden(self, caplog):
-        quick = {"max_iterations": 2, "keff_tolerance": 1e-4, "source_tolerance": 1e-3}
-        assert not self._override_warnings(
-            caplog, decomposition={"nz": 2}, solver={**quick, "storage_method": "EXP"}
-        )
-        assert not self._override_warnings(
-            caplog, solver={**quick, "storage_method": "MANAGER"}
-        )
+        results = {}
+        for storage in ("EXP", "OTF"):
+            app = AntMocApplication(config_3d(
+                decomposition={"nz": 2}, solver={**quick, "storage_method": storage}
+            ))
+            app.logger.addHandler(caplog.handler)
+            try:
+                results[storage] = app.run()
+            finally:
+                app.logger.removeHandler(caplog.handler)
+        assert not [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert results["OTF"].keff.hex() == results["EXP"].keff.hex()
+        counters = {s: r.run_report.counters for s, r in results.items()}
+        assert counters["EXP"]["tracks_3d_regenerated"] == 0
+        assert counters["OTF"]["tracks_3d_resident"] == 0
+        assert counters["OTF"]["tracks_3d_regenerated"] == 2 * counters["OTF"]["tracks_3d"]
 
     @pytest.mark.slow
     def test_z_decomposed_matches_single(self):

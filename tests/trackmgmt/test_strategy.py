@@ -69,3 +69,44 @@ class TestFactory:
     def test_manager_budget_passthrough(self, small_trackgen_3d):
         strategy = make_strategy("MANAGER", small_trackgen_3d, resident_memory_bytes=777)
         assert strategy.resident_memory_bytes_budget == 777
+
+
+class TestWorkloadIsABuildTimeFact:
+    """Reading ``solver.workload`` reports what the build already counted;
+    a regenerating strategy must not re-trace the problem to answer it."""
+
+    @pytest.mark.parametrize("storage", ["OTF", "MANAGER"])
+    def test_reading_workload_traces_nothing(self, small_geometry_3d, monkeypatch, storage):
+        import repro.trackmgmt.manager as manager
+        import repro.tracks.generator as generator
+        from repro.solver import MOCSolver
+        from repro.tracks import raytrace3d
+
+        calls = []
+        batch = raytrace3d.trace_3d_batch
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return batch(*args, **kwargs)
+
+        for module in (raytrace3d, generator, manager):
+            monkeypatch.setattr(module, "trace_3d_batch", spy)
+
+        def solve_then(read):
+            del calls[:]
+            solver = MOCSolver.for_3d(
+                small_geometry_3d, num_azim=4, azim_spacing=0.8, polar_spacing=0.8,
+                num_polar=2, storage=storage, resident_memory_bytes=600, max_iterations=3,
+            )
+            solver.solve()
+            return [read(solver) for _ in range(2)], len(calls)
+
+        _, quiet = solve_then(lambda solver: None)
+        workloads, traced = solve_then(lambda solver: solver.workload)
+        assert traced == quiet
+        assert workloads[0] == workloads[1]
+        assert workloads[0].segments_3d == batch(
+            MOCSolver.for_3d(
+                small_geometry_3d, num_azim=4, azim_spacing=0.8, polar_spacing=0.8, num_polar=2
+            ).trackgen.track_table()
+        ).num_segments
