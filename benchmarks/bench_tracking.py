@@ -119,7 +119,7 @@ def _run_worker(args: argparse.Namespace) -> None:
         "tracer": tracer,
         "seconds": total,
         "cache_hit": bool(trackgen.timings.cache_hit),
-        "t2d": len(trackgen.tracks),
+        "t2d": trackgen.num_tracks,
         "t3d": len(trackgen.tracks3d),
         "num_segments": int(trackgen.segments.num_segments),
         "digest": _product_digest(trackgen),

@@ -171,7 +171,7 @@ class ZDecomposedSolver(DomainDriver):
         order, takes the destination slab's entry slot with the same
         (chain, polar, quantised ``s``, traversal direction).
         """
-        lengths = np.array([c.length for c in self.radial.chains])
+        lengths = self.radial.track_table_2d().chain_length
 
         def slots(domain: int, plane: float, up: bool, exits: bool):
             """``(uid, direction, key, s)`` per slot of slab ``domain`` whose

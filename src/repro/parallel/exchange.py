@@ -10,11 +10,12 @@ through the adjacent domains of MPI").
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import DecompositionError
-from repro.tracks.chains import _PointMatcher
+from repro.tracks.chains import match_entries
 from repro.tracks.generator import TrackGenerator
 
 
@@ -52,52 +53,60 @@ class InterfaceExchange:
         return {(r.src_domain, r.dst_domain) for r in self.routes}
 
 
+def _interface_slots(
+    trackgens: list[TrackGenerator], entering: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(domain, track, traversal)`` and ``(x, y, ux, uy)`` per interface
+    slot, domain by domain in ``(track, traversal)`` order.
+
+    Traversal ``k`` (0 forward, 1 backward) moves along ``+/-u`` and leaves
+    the track through end ``k`` of the table's ``(T, 2)`` columns; it enters
+    through the other end. A slot is listed when the end it leaves through
+    (``entering``: enters through) lies on an interface, with that point.
+    """
+    slots, rays = [], []
+    for dom, tg in enumerate(trackgens):
+        table = tg.track_table_2d()
+        x0, y0, x1, y1 = table.xyxy.T
+        ux, uy = table.direction.T
+        direction = np.stack([[ux, uy], [-ux, -uy]])  # (traversal, xy, track)
+        point = np.stack([[x1, y1], [x0, y0]])
+        on = table.interface
+        if entering:
+            point, on = point[::-1], on[:, ::-1]
+        track, k = np.nonzero(on)
+        slots.append(np.column_stack([np.full(track.size, dom), track, k]))
+        rays.append(np.column_stack([point[k, :, track], direction[k, :, track]]))
+    return np.concatenate(slots), np.concatenate(rays)
+
+
 def match_interface_tracks(trackgens: list[TrackGenerator]) -> InterfaceExchange:
     """Build the routing table over all domains' interface track ends.
 
     Every interface exit must find exactly one entry in a neighbouring
-    domain; a missing partner means the decomposition broke modular ray
-    tracing and raises :class:`~repro.errors.DecompositionError`.
+    domain (one :func:`~repro.tracks.chains.match_entries` join over every
+    domain's track table); a missing partner means the decomposition broke
+    modular ray tracing and raises :class:`~repro.errors.DecompositionError`.
     """
     if not trackgens:
         raise DecompositionError("no domains to match")
     scale = max(max(tg.geometry.width, tg.geometry.height) for tg in trackgens)
-    # Global entry registry: interface entry points of all domains.
-    matcher = _PointMatcher(scale * max(len(trackgens), 1))
-    for dom, tg in enumerate(trackgens):
-        for t in tg.tracks:
-            ux, uy = t.direction
-            if t.interface_start:
-                # Forward traversal enters at the start point.
-                matcher.add(t.x0, t.y0, ux, uy, (dom, t.uid, 0))
-            if t.interface_end:
-                # Backward traversal enters at the end point.
-                matcher.add(t.x1, t.y1, -ux, -uy, (dom, t.uid, 1))
-
-    tol = scale * 1e-6
-    routes: list[Route] = []
-    for dom, tg in enumerate(trackgens):
-        for t in tg.tracks:
-            ux, uy = t.direction
-            if t.interface_end:
-                # Forward exit at the end point, continuing along (ux, uy).
-                hit = matcher.find(t.x1, t.y1, ux, uy, tol)
-                if hit is None:
-                    raise DecompositionError(
-                        f"domain {dom} track {t.uid}: no interface partner at "
-                        f"({t.x1:.8g}, {t.y1:.8g})"
-                    )
-                dst_dom, dst_track, dst_dir = hit  # type: ignore[misc]
-                routes.append(Route(dom, t.uid, 0, dst_dom, dst_track, dst_dir))
-            if t.interface_start:
-                hit = matcher.find(t.x0, t.y0, -ux, -uy, tol)
-                if hit is None:
-                    raise DecompositionError(
-                        f"domain {dom} track {t.uid}: no interface partner at "
-                        f"({t.x0:.8g}, {t.y0:.8g})"
-                    )
-                dst_dom, dst_track, dst_dir = hit  # type: ignore[misc]
-                routes.append(Route(dom, t.uid, 1, dst_dom, dst_track, dst_dir))
+    entry_slots, entry_rays = _interface_slots(trackgens, entering=True)
+    exit_slots, exit_rays = _interface_slots(trackgens, entering=False)
+    best = match_entries(
+        entry_rays, exit_rays,
+        quantum=max(scale * len(trackgens) * 1e-9, 1e-13), tol=scale * 1e-6,
+    )
+    missing = np.flatnonzero(best < 0)
+    if missing.size:
+        dom, track, _ = exit_slots[missing[0]].tolist()
+        x, y = exit_rays[missing[0], :2].tolist()
+        raise DecompositionError(
+            f"domain {dom} track {track}: no interface partner at ({x:.8g}, {y:.8g})"
+        )
+    routes = [
+        Route(*src, *dst) for src, dst in zip(exit_slots.tolist(), entry_slots[best].tolist())
+    ]
     # Sanity: routes must never point a slot at itself.
     for r in routes:
         if (r.src_domain, r.src_track, r.src_dir) == (r.dst_domain, r.dst_track, r.dst_dir):

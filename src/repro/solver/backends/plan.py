@@ -99,41 +99,22 @@ class TrackTopology:
         return self.inv_sin is None
 
     @classmethod
-    def from_tracks(
-        cls,
-        tracks,
-        weights: np.ndarray,
-        inv_sin: np.ndarray | None,
+    def from_links(
+        cls, table, weights: np.ndarray, inv_sin: np.ndarray | None
     ) -> "TrackTopology":
-        """Build the link tables from a list of linked track objects."""
-        num_tracks = len(tracks)
-        uid = np.fromiter((t.uid for t in tracks), dtype=np.int64, count=num_tracks)
-        # One flat column per field, ordered (track, direction), then four
-        # whole-array writes instead of a numpy item store per track end.
-        links = [link for t in tracks for link in (t.link_fwd, t.link_bwd)]
-        ends = 2 * num_tracks
-        linked = np.fromiter((link is not None for link in links), dtype=bool, count=ends)
-        target = np.fromiter(
-            (0 if link is None else link.track for link in links),
-            dtype=np.int64, count=ends,
+        """Build the link tables from a track table's ``(T, 2)`` link
+        columns (``TrackTable2D`` and ``TrackTable3D`` share the
+        convention: column 0 the forward exit, ``link_uid < 0`` where the
+        flux leaves the domain)."""
+        terminal = table.link_uid < 0
+        return cls(
+            weights,
+            np.maximum(table.link_uid, 0),
+            ~(table.link_fwd | terminal),
+            terminal,
+            table.interface & terminal,
+            inv_sin,
         )
-        backward = np.fromiter(
-            (0 if link is None or link.forward else 1 for link in links),
-            dtype=np.int64, count=ends,
-        )
-        iface = np.fromiter(
-            (flag for t in tracks for flag in (t.interface_end, t.interface_start)),
-            dtype=bool, count=ends,
-        )
-        next_track = np.zeros((num_tracks, 2), dtype=np.int64)
-        next_dir = np.zeros((num_tracks, 2), dtype=np.int64)
-        terminal = np.zeros((num_tracks, 2), dtype=bool)
-        interface = np.zeros((num_tracks, 2), dtype=bool)
-        next_track[uid] = target.reshape(num_tracks, 2)
-        next_dir[uid] = backward.reshape(num_tracks, 2)
-        terminal[uid] = ~linked.reshape(num_tracks, 2)
-        interface[uid] = (iface & ~linked).reshape(num_tracks, 2)
-        return cls(weights, next_track, next_dir, terminal, interface, inv_sin)
 
 
 class SweepPlan:

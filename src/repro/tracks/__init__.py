@@ -6,7 +6,8 @@ The pipeline mirrors ANT-MOC's stage 3:
    (modular ray tracing, corrected angles from
    :class:`~repro.quadrature.azimuthal.AzimuthalQuadrature`);
 2. :mod:`~repro.tracks.chains` links tracks across reflective/periodic
-   boundaries into chains;
+   boundaries into chains — both as the columns of one
+   :class:`~repro.tracks.table2d.TrackTable2D`;
 3. :mod:`~repro.tracks.raytrace2d` segments 2D tracks by FSR;
 4. :mod:`~repro.tracks.stack3d` expands 2D chains into 3D track stacks;
 5. :mod:`~repro.tracks.raytrace3d` produces 3D segments either on the fly
@@ -24,10 +25,10 @@ from repro.tracks.raytrace3d import (
     ChainSegments,
     TrackTable3D,
     build_chain_tables,
-    chain_segments,
     trace_3d_batch,
     trace_3d_track,
 )
+from repro.tracks.table2d import TrackTable2D
 from repro.tracks.tracers import get_tracer, register_tracer, resolve_tracer, tracer_names
 from repro.tracks.cache import TrackingCache, resolve_cache
 from repro.tracks.generator import TrackGenerator, TrackGenerator3D, TrackingTimings
@@ -48,9 +49,9 @@ __all__ = [
     "trace_3d_track",
     "trace_3d_batch",
     "ChainSegments",
+    "TrackTable2D",
     "TrackTable3D",
     "build_chain_tables",
-    "chain_segments",
     "TrackGenerator",
     "TrackGenerator3D",
     "TrackingCache",

@@ -3,208 +3,134 @@
 Cyclic track laydown puts every boundary crossing of a track family on a
 shared half-integer grid, so reflective and periodic boundary conditions
 reduce to an exact pairing of track ends. :func:`link_tracks` computes the
-pairing geometrically (with a tolerance-robust point matcher) and
-:func:`build_chains` follows the links into chains — the 1D "unrolled"
+pairing geometrically (one tolerance-robust hash join over all track ends)
+and :func:`build_chains` follows the links into chains — the 1D "unrolled"
 paths over which 3D track stacks are laid (paper Sec. 3.2.1's "2D track
 chain" indexing).
+
+Both read and return **columns**, keyed by the parameter names of
+:class:`~repro.tracks.table2d.TrackTable2D`, which carries them from then
+on: :func:`link_tracks` the ``(T, 2)`` columns ``link_uid link_fwd vacuum
+interface`` (column 0 the forward exit at ``(x1, y1)``, column 1 the
+backward exit at ``(x0, y0)`` — the convention of the 3D laydown),
+:func:`build_chains` the chain CSR. :class:`Chain` is the object view of
+one CSR row.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import TrackingError
-from repro.geometry.geometry import BoundaryCondition, Geometry
-from repro.tracks.track import Track2D, TrackLink
+from repro.geometry.geometry import SIDES, BoundaryCondition, Geometry
 
 #: Quantisation used when matching boundary points, relative to domain size.
 _MATCH_REL_TOL = 1e-9
 
-
-class _PointMatcher:
-    """Matches 4D keys (x, y, ux, uy) with a tolerance, via neighbour bins."""
-
-    def __init__(self, scale: float) -> None:
-        self._quantum = max(scale * _MATCH_REL_TOL, 1e-13)
-        self._bins: dict[tuple[int, int, int, int], list[tuple[float, float, float, float, object]]] = {}
-
-    def _key(self, x: float, y: float, ux: float, uy: float) -> tuple[int, int, int, int]:
-        q = self._quantum
-        return (round(x / q), round(y / q), round(ux / 1e-9), round(uy / 1e-9))
-
-    def add(self, x: float, y: float, ux: float, uy: float, payload: object) -> None:
-        self._bins.setdefault(self._key(x, y, ux, uy), []).append((x, y, ux, uy, payload))
-
-    def find(self, x: float, y: float, ux: float, uy: float, tol: float) -> object | None:
-        kx, ky, kux, kuy = self._key(x, y, ux, uy)
-        best: object | None = None
-        best_d = tol
-        for bx in (kx - 1, kx, kx + 1):
-            for by in (ky - 1, ky, ky + 1):
-                for bux in (kux - 1, kux, kux + 1):
-                    for buy in (kuy - 1, kuy, kuy + 1):
-                        for (px, py, pux, puy, payload) in self._bins.get((bx, by, bux, buy), ()):
-                            if abs(pux - ux) > 1e-7 or abs(puy - uy) > 1e-7:
-                                continue
-                            d = math.hypot(px - x, py - y)
-                            if d <= best_d:
-                                best_d = d
-                                best = payload
-        return best
+#: :func:`match_entries` packs four rank-compressed key dimensions into one
+#: int64 code; the product of their sizes must stay below this.
+MAX_KEY_SPAN = 1 << 62
 
 
-def _mirror(ux: float, uy: float, side: str) -> tuple[float, float]:
-    if side in ("xmin", "xmax"):
-        return -ux, uy
-    return ux, -uy
+def link_tracks(
+    laydown: dict[str, np.ndarray], geometry: Geometry
+) -> dict[str, np.ndarray]:
+    """Pair every track end with the track its flux continues on.
 
-
-#: Boundary side names in the order used by the vectorized linker.
-_SIDE_NAMES = ("xmin", "xmax", "ymin", "ymax")
-
-
-def link_tracks(tracks: list[Track2D], geometry: Geometry) -> None:
-    """Fill the link/vacuum/interface attributes of every track in place.
+    Reads the ``xyxy``, ``direction`` and side columns of ``laydown``
+    (:func:`~repro.tracks.laydown.lay_tracks`) and returns the ``(T, 2)``
+    link columns: ``link_uid`` / ``link_fwd`` say which track the flux
+    leaving each end enters and whether it then runs start-to-end
+    (``-1`` / ``False``: nowhere), ``vacuum`` / ``interface`` flag the ends
+    it leaves the domain through.
 
     Raises :class:`~repro.errors.TrackingError` if a reflective or periodic
     end finds no partner — which indicates a broken cyclic laydown.
-
-    The pairing is computed as one vectorized hash join over all track
-    ends, replicating :class:`_PointMatcher` exactly (same bins, same scan
-    order, same nearest-candidate tie-break); :func:`_link_tracks_scalar`
-    keeps the walker form as a fallback and reference.
     """
-    if not tracks:
-        return
-    n = len(tracks)
+    start, end = laydown["xyxy"][:, :2], laydown["xyxy"][:, 2:]
+    u = laydown["direction"]
+    n = u.shape[0]
     scale = max(geometry.width, geometry.height)
-    tol = scale * 1e-6
-    quantum = max(scale * _MATCH_REL_TOL, 1e-13)
-    width = geometry.width
-    height = geometry.height
 
-    xy0 = np.array([(t.x0, t.y0) for t in tracks])
-    xy1 = np.array([(t.x1, t.y1) for t in tracks])
-    u = np.array([t.direction for t in tracks])
-    uids = np.array([t.uid for t in tracks], dtype=np.int64)
-    side_code = {name: i for i, name in enumerate(_SIDE_NAMES)}
-    side_f = np.array([side_code[t.end_side] for t in tracks], dtype=np.int64)
-    side_b = np.array([side_code[t.start_side] for t in tracks], dtype=np.int64)
+    # Rays ``(x, y, ux, uy)``. Entries: flux enters forward at the start
+    # point, backward at the end; exits: forward at the end point, backward
+    # at the start.
+    entries = np.vstack([np.hstack([start, u]), np.hstack([end, -u])])
+    exits = np.vstack([np.hstack([end, u]), np.hstack([start, -u])])
+    side = np.concatenate([laydown["end_side"], laydown["start_side"]])
 
-    # Entries: flux enters forward at the start point, backward at the end.
-    ex = np.concatenate([xy0[:, 0], xy1[:, 0]])
-    ey = np.concatenate([xy0[:, 1], xy1[:, 1]])
-    eux = np.concatenate([u[:, 0], -u[:, 0]])
-    euy = np.concatenate([u[:, 1], -u[:, 1]])
-    entry_uid = np.concatenate([uids, uids])
-    entry_fwd = np.concatenate(
-        [np.ones(n, dtype=bool), np.zeros(n, dtype=bool)]
-    )
-
-    # Queries: flux exits forward at the end point, backward at the start.
-    qx = np.concatenate([xy1[:, 0], xy0[:, 0]])
-    qy = np.concatenate([xy1[:, 1], xy0[:, 1]])
-    qux = np.concatenate([u[:, 0], -u[:, 0]])
-    quy = np.concatenate([u[:, 1], -u[:, 1]])
-    side = np.concatenate([side_f, side_b])
-
-    bcs = [geometry.boundary.get(name) for name in _SIDE_NAMES]
-    for code in np.unique(side).tolist():
-        bc = bcs[code]
-        if bc is None:
-            raise KeyError(_SIDE_NAMES[code])
-        if bc not in (
-            BoundaryCondition.VACUUM,
-            BoundaryCondition.INTERFACE,
-            BoundaryCondition.REFLECTIVE,
-            BoundaryCondition.PERIODIC,
-        ):  # pragma: no cover - exhaustive over enum
+    bcs = [geometry.boundary[name] for name in SIDES]
+    for bc in bcs:
+        if not isinstance(bc, BoundaryCondition):  # all four members are handled
             raise TrackingError(f"unhandled boundary condition {bc}")
 
     def side_mask(bc: BoundaryCondition) -> np.ndarray:
         return np.array([b is bc for b in bcs], dtype=bool)[side]
 
-    is_vac = side_mask(BoundaryCondition.VACUUM)
-    is_ifc = side_mask(BoundaryCondition.INTERFACE)
     is_ref = side_mask(BoundaryCondition.REFLECTIVE)
     is_per = side_mask(BoundaryCondition.PERIODIC)
     match = is_ref | is_per
 
-    # Matched coordinates: reflective mirrors the direction in the side's
-    # plane; periodic shifts the point across the domain.
-    shift_x = np.array([width, -width, 0.0, 0.0])[side]
-    shift_y = np.array([0.0, 0.0, height, -height])[side]
-    flip = np.array(
-        [[-1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, -1.0]]
-    )[side]
-    mx = np.where(is_per, qx + shift_x, qx)[match]
-    my = np.where(is_per, qy + shift_y, qy)[match]
-    mux = np.where(is_ref, qux * flip[:, 0], qux)[match]
-    muy = np.where(is_ref, quy * flip[:, 1], quy)[match]
+    # What an exit looks for: reflective mirrors the direction in the
+    # side's plane; periodic shifts the point across the domain.
+    width, height = geometry.width, geometry.height
+    shift = np.array([[width, 0.0], [-width, 0.0], [0.0, height], [0.0, -height]])
+    flip = np.array([[-1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, -1.0]])
+    queries = exits.copy()
+    queries[is_per, :2] += shift[side[is_per]]
+    queries[is_ref, 2:] *= flip[side[is_ref]]
 
-    best = _match_entries(
-        ex, ey, eux, euy, mx, my, mux, muy, quantum, tol
+    best = match_entries(
+        entries, queries[match],
+        quantum=max(scale * _MATCH_REL_TOL, 1e-13), tol=scale * 1e-6,
     )
-    if best is None:
-        # Key table would overflow packed int64 codes (pathological
-        # coordinate spread): fall back to the dict-based walker.
-        _link_tracks_scalar(tracks, geometry)
-        return
 
     failed = np.flatnonzero(best < 0)
     if failed.size:
-        # Report the same query the scalar walker would hit first: tracks
-        # in order, forward exit before backward exit.
+        # Report the first failing exit in track order, forward exit
+        # before backward exit.
         q_index = np.flatnonzero(match)[failed]
-        first = q_index[np.argmin(q_index % n * 2 + q_index // n)]
-        j = int(first)
-        t = tracks[j % n]
-        bc = bcs[int(side[j])]
+        j = int(q_index[np.argmin(q_index % n * 2 + q_index // n)])
+        x, y, qux, quy = exits[j].tolist()
         raise TrackingError(
-            f"track {t.uid}: no {bc.value} partner at ({qx[j]:.8g}, {qy[j]:.8g}) "
-            f"side {_SIDE_NAMES[int(side[j])]} direction ({qux[j]:.6g}, {quy[j]:.6g})"
+            f"track {j % n}: no {bcs[int(side[j])].value} partner at ({x:.8g}, {y:.8g}) "
+            f"side {SIDES[int(side[j])]} direction ({qux:.6g}, {quy:.6g})"
         )
 
-    links: list[TrackLink | None] = [None] * (2 * n)
-    match_rows = np.flatnonzero(match).tolist()
-    e_uid = entry_uid[best].tolist()
-    e_fwd = entry_fwd[best].tolist()
-    for row, target, forward in zip(match_rows, e_uid, e_fwd):
-        links[row] = TrackLink(target, forward)
-    vac = is_vac.tolist()
-    ifc = is_ifc.tolist()
-    for i, t in enumerate(tracks):
-        t.link_fwd = links[i]
-        t.vacuum_end = vac[i]
-        t.interface_end = ifc[i]
-        t.link_bwd = links[n + i]
-        t.vacuum_start = vac[n + i]
-        t.interface_start = ifc[n + i]
+    # Entry ``e`` is the forward traversal of track ``e`` for ``e < n``,
+    # else the backward traversal of track ``e - n``.
+    link_uid = np.full(2 * n, -1, dtype=np.int64)
+    link_uid[match] = best % n
+    link_fwd = np.zeros(2 * n, dtype=bool)
+    link_fwd[match] = best < n
+    columns = {
+        "link_uid": link_uid,
+        "link_fwd": link_fwd,
+        "vacuum": side_mask(BoundaryCondition.VACUUM),
+        "interface": side_mask(BoundaryCondition.INTERFACE),
+    }
+    # Forward exits fill the first ``n`` slots, backward exits the rest.
+    return {name: column.reshape(2, n).T for name, column in columns.items()}
 
 
-def _match_entries(
-    ex: np.ndarray,
-    ey: np.ndarray,
-    eux: np.ndarray,
-    euy: np.ndarray,
-    mx: np.ndarray,
-    my: np.ndarray,
-    mux: np.ndarray,
-    muy: np.ndarray,
-    quantum: float,
-    tol: float,
-) -> np.ndarray | None:
+def match_entries(
+    entries: np.ndarray, queries: np.ndarray, quantum: float, tol: float
+) -> np.ndarray:
     """Nearest-entry index per query (or -1), batched.
 
-    Exactly the :meth:`_PointMatcher.find` scan: 4D quantized keys, the
-    3^4 neighbour-bin combinations in nested ``(-1, 0, +1)`` order,
-    direction filter ``|du| <= 1e-7``, nearest candidate by point distance
-    with ``<=`` tie-break (later-scanned candidates win ties). Returns
-    ``None`` when the packed key codes would overflow ``int64``.
+    Entries and queries are rays, rows ``(x, y, ux, uy)``. Both are binned
+    by 4D quantized keys; a query scans the 3^4 neighbour-bin combinations
+    in nested ``(-1, 0, +1)`` order, entries of one bin in index order,
+    keeps those within ``|du| <= 1e-7`` of its direction and takes the
+    nearest by point distance within ``tol``, ``<=`` tie-break
+    (later-scanned candidates win ties). Raises
+    :class:`~repro.errors.TrackingError` when the packed key codes would
+    overflow ``int64`` (:data:`MAX_KEY_SPAN`).
     """
+    ex, ey, eux, euy = entries.T
+    mx, my, mux, muy = queries.T
 
     def keys(x, y, ux, uy):
         kx = np.round(x / quantum).astype(np.int64)
@@ -223,8 +149,12 @@ def _match_entries(
     span = 1
     for s in sizes:
         span *= max(s, 1)
-    if span >= 1 << 62:
-        return None
+    if span >= MAX_KEY_SPAN:
+        raise TrackingError(
+            f"track-end matching needs a key span of {span} "
+            f"({' x '.join(map(str, sizes))} distinct quantized coordinates and "
+            f"directions), at or above the int64 packing limit {MAX_KEY_SPAN}"
+        )
 
     e_code = np.zeros(ex.size, dtype=np.int64)
     for table, size, k in zip(tables, sizes, e_keys):
@@ -291,57 +221,6 @@ def _match_entries(
     return best
 
 
-def _link_tracks_scalar(tracks: list[Track2D], geometry: Geometry) -> None:
-    """Dict-based reference implementation of :func:`link_tracks`."""
-    scale = max(geometry.width, geometry.height)
-    tol = scale * 1e-6
-    entries = _PointMatcher(scale)
-    for t in tracks:
-        ux, uy = t.direction
-        # Entering forward at the start point.
-        entries.add(t.x0, t.y0, ux, uy, TrackLink(t.uid, True))
-        # Entering backward at the end point.
-        entries.add(t.x1, t.y1, -ux, -uy, TrackLink(t.uid, False))
-
-    width = geometry.width
-    height = geometry.height
-
-    def resolve(track: Track2D, x: float, y: float, ux: float, uy: float, side: str) -> tuple[TrackLink | None, bool, bool]:
-        """Return (link, vacuum, interface) for flux exiting at (x, y)."""
-        bc = geometry.boundary[side]
-        if bc is BoundaryCondition.VACUUM:
-            return None, True, False
-        if bc is BoundaryCondition.INTERFACE:
-            return None, False, True
-        if bc is BoundaryCondition.REFLECTIVE:
-            rx, ry = _mirror(ux, uy, side)
-            link = entries.find(x, y, rx, ry, tol)
-        elif bc is BoundaryCondition.PERIODIC:
-            px, py = x, y
-            if side == "xmin":
-                px = x + width
-            elif side == "xmax":
-                px = x - width
-            elif side == "ymin":
-                py = y + height
-            else:
-                py = y - height
-            link = entries.find(px, py, ux, uy, tol)
-        else:  # pragma: no cover - exhaustive over enum
-            raise TrackingError(f"unhandled boundary condition {bc}")
-        if link is None:
-            raise TrackingError(
-                f"track {track.uid}: no {bc.value} partner at ({x:.8g}, {y:.8g}) "
-                f"side {side} direction ({ux:.6g}, {uy:.6g})"
-            )
-        return link, False, False  # type: ignore[return-value]
-
-    for t in tracks:
-        ux, uy = t.direction
-        t.link_fwd, t.vacuum_end, t.interface_end = resolve(t, t.x1, t.y1, ux, uy, t.end_side)
-        t.link_bwd, t.vacuum_start, t.interface_start = resolve(t, t.x0, t.y0, -ux, -uy, t.start_side)
-
-
 @dataclass
 class Chain:
     """A maximal path of linked 2D tracks.
@@ -371,23 +250,39 @@ class Chain:
         return len(self.elements)
 
 
-def build_chains(tracks: list[Track2D]) -> list[Chain]:
-    """Group linked tracks into chains.
+def build_chains(
+    laydown: dict[str, np.ndarray], links: dict[str, np.ndarray]
+) -> dict[str, np.ndarray]:
+    """Group linked tracks into chains; returns the chain CSR columns.
 
     Every (track, direction) traversal belongs to exactly one chain; since
     traversing a chain backward visits the same tracks, each *track*
-    appears in exactly one returned chain. Chains are found by walking
-    backward links to a terminal end (or cycle closure) and then forward.
+    appears in exactly one chain. Chains are found by walking backward
+    links to a terminal end (or cycle closure) and then forward.
+
+    Chain ``c`` owns elements ``chain_ptr[c]:chain_ptr[c + 1]`` of
+    ``el_uid`` / ``el_fwd`` (track and traversal direction, in traversal
+    order) and ``el_offset`` (the arc length at which the element begins:
+    a left-to-right sum of track lengths, as is ``chain_length``).
+    ``chain_azim`` is the smaller of the two complementary azimuthal
+    indices the chain alternates between — they share weight and corrected
+    spacing, so the label determines both; ``chain_iface[c]`` says whether
+    the chain starts / ends on an interface.
     """
-    visited = [False] * len(tracks)
-    chains: list[Chain] = []
+    track_length = laydown["length"].tolist()
+    track_azim = laydown["azim"].tolist()
+    link_uid = links["link_uid"].tolist()
+    link_fwd = links["link_fwd"].tolist()
+    interface = links["interface"].tolist()
+    num_tracks = len(track_length)
+    visited = [False] * num_tracks
 
     def step_forward(uid: int, forward: bool) -> tuple[int, bool] | None:
-        track = tracks[uid]
-        link = track.link_fwd if forward else track.link_bwd
-        if link is None:
+        end = 0 if forward else 1
+        target = link_uid[uid][end]
+        if target < 0:
             return None
-        return link.track, link.forward
+        return target, link_fwd[uid][end]
 
     def step_backward(uid: int, forward: bool) -> tuple[int, bool] | None:
         # The traversal (uid, forward) was entered at its start point; who
@@ -398,7 +293,15 @@ def build_chains(tracks: list[Track2D]) -> list[Chain]:
         p_uid, p_fwd = prev
         return p_uid, not p_fwd
 
-    for seed in range(len(tracks)):
+    chain_ptr = [0]
+    el_uid: list[int] = []
+    el_fwd: list[bool] = []
+    el_offset: list[float] = []
+    chain_length: list[float] = []
+    chain_closed: list[bool] = []
+    chain_azim: list[int] = []
+    chain_iface: list[tuple[bool, bool]] = []
+    for seed in range(num_tracks):
         if visited[seed]:
             continue
         # Walk backward to find the chain head (or detect a cycle).
@@ -415,8 +318,7 @@ def build_chains(tracks: list[Track2D]) -> list[Chain]:
             head = prev
             seen.add(head)
         # Walk forward from the head, collecting elements.
-        elements: list[tuple[int, bool]] = []
-        offsets: list[float] = []
+        first = len(el_uid)
         length = 0.0
         cursor: tuple[int, bool] | None = head
         while cursor is not None:
@@ -424,33 +326,32 @@ def build_chains(tracks: list[Track2D]) -> list[Chain]:
             if visited[uid]:
                 break
             visited[uid] = True
-            elements.append((uid, fwd))
-            offsets.append(length)
-            length += tracks[uid].length
+            el_uid.append(uid)
+            el_fwd.append(fwd)
+            el_offset.append(length)
+            length += track_length[uid]
             cursor = step_forward(uid, fwd)
             if closed and cursor == head:
                 break
-        if not elements:
+        if len(el_uid) == first:
             continue
-        first_uid, first_fwd = elements[0]
-        last_uid, last_fwd = elements[-1]
-        first_track = tracks[first_uid]
-        last_track = tracks[last_uid]
-        azim_indices = {tracks[uid].azim for uid, _ in elements}
-        chains.append(
-            Chain(
-                index=len(chains),
-                elements=elements,
-                closed=closed,
-                offsets=offsets,
-                length=length,
-                azim=min(azim_indices),
-                starts_at_interface=(
-                    first_track.interface_start if first_fwd else first_track.interface_end
-                ),
-                ends_at_interface=(
-                    last_track.interface_end if last_fwd else last_track.interface_start
-                ),
-            )
-        )
-    return chains
+        chain_ptr.append(len(el_uid))
+        chain_length.append(length)
+        chain_closed.append(closed)
+        chain_azim.append(min(track_azim[uid] for uid in el_uid[first:]))
+        # A chain starts where its first element is entered and ends where
+        # its last is left: column 0 is a track's end, column 1 its start.
+        chain_iface.append((
+            interface[el_uid[first]][1 if el_fwd[first] else 0],
+            interface[el_uid[-1]][0 if el_fwd[-1] else 1],
+        ))
+    return {
+        "chain_ptr": np.array(chain_ptr, dtype=np.int64),
+        "el_uid": np.array(el_uid, dtype=np.int64),
+        "el_fwd": np.array(el_fwd, dtype=bool),
+        "el_offset": np.array(el_offset, dtype=np.float64),
+        "chain_length": np.array(chain_length, dtype=np.float64),
+        "chain_closed": np.array(chain_closed, dtype=bool),
+        "chain_azim": np.array(chain_azim, dtype=np.int64),
+        "chain_iface": np.array(chain_iface, dtype=bool).reshape(-1, 2),
+    }

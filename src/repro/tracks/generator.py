@@ -21,15 +21,18 @@ from repro.quadrature.azimuthal import AzimuthalQuadrature
 from repro.quadrature.polar import PolarQuadrature, tabuchi_yamamoto
 from repro.quadrature.product import ProductQuadrature
 from repro.tracks.chains import Chain, build_chains, link_tracks
+from repro.tracks.laydown import lay_tracks
 from repro.tracks.raytrace2d import trace_all
 from repro.tracks.raytrace3d import (
     ChainSegments,
     TrackTable3D,
     build_chain_tables,
+    chain_table_objects,
     trace_3d_batch,
 )
 from repro.tracks.segments import SegmentData
 from repro.tracks.stack3d import Stack3D, lay_3d_stacks, link_3d_stacks, track_objects
+from repro.tracks.table2d import TrackTable2D
 from repro.tracks.track import Track2D, Track3D
 
 
@@ -85,8 +88,7 @@ class TrackGenerator:
         self.tracer = tracer
         self.cache = cache
         self.timings = TrackingTimings()
-        self._tracks: list[Track2D] | None = None
-        self._chains: list[Chain] | None = None
+        self._table2d: TrackTable2D | None = None
         self._segments: SegmentData | None = None
         self._volumes: np.ndarray | None = None
         self._sweep_topology = None
@@ -107,18 +109,16 @@ class TrackGenerator:
         self.timings.cache_seconds += time.perf_counter() - t0
 
     def _generate_radial(self) -> None:
-        from repro.tracks.laydown import lay_tracks
-
         timings = self.timings
         t0 = time.perf_counter()
-        self._tracks = lay_tracks(self.geometry, self.azimuthal)
-        link_tracks(self._tracks, self.geometry)
+        laydown = lay_tracks(self.geometry, self.azimuthal)
+        links = link_tracks(laydown, self.geometry)
         t1 = time.perf_counter()
         timings.laydown_seconds += t1 - t0
-        self._chains = build_chains(self._tracks)
+        self._table2d = TrackTable2D(**laydown, **links, **build_chains(laydown, links))
         t2 = time.perf_counter()
         timings.chain_seconds += t2 - t1
-        self._segments = trace_all(self.geometry, self._tracks, tracer=self.tracer)
+        self._segments = trace_all(self.geometry, self._table2d, tracer=self.tracer)
         self._volumes = self._tracked_volumes()
         timings.trace2d_seconds += time.perf_counter() - t2
 
@@ -138,13 +138,26 @@ class TrackGenerator:
             raise TrackingError("call generate() before accessing tracking products")
         return value
 
+    def track_table_2d(self) -> TrackTable2D:
+        """The radial laydown, its links and its chains: the columns every
+        consumer (tracers, sweep topology, 3D laydown, interface matching,
+        tracking archive) reads. Built by :meth:`generate`, installed from
+        the archived columns on a tracking-cache hit, or shared with the
+        generator :meth:`TrackGenerator3D.adopt_radial` was given.
+        """
+        return self._require("_table2d")
+
     @property
     def tracks(self) -> list[Track2D]:
-        return self._require("_tracks")
+        """Object view of the table's tracks, built on first access (for
+        tests, examples and the reference tracer / sweep; no solve path
+        reads it)."""
+        return self.track_table_2d().tracks
 
     @property
     def chains(self) -> list[Chain]:
-        return self._require("_chains")
+        """Object view of the table's chains, built with :attr:`tracks`."""
+        return self.track_table_2d().chains
 
     @property
     def segments(self) -> SegmentData:
@@ -152,7 +165,7 @@ class TrackGenerator:
 
     @property
     def num_tracks(self) -> int:
-        return len(self.tracks)
+        return self.track_table_2d().num_tracks
 
     @property
     def num_segments(self) -> int:
@@ -168,12 +181,8 @@ class TrackGenerator:
         consistent with the sweep normalisation (exact conservation).
         """
         segments = self.segments
-        weights = np.empty(segments.num_segments)
-        for t in self.tracks:
-            lo, hi = segments.offsets[t.uid], segments.offsets[t.uid + 1]
-            weights[lo:hi] = (
-                self.azimuthal.weights[t.azim] * self.azimuthal.spacing[t.azim]
-            )
+        per_angle = self.azimuthal.weights * self.azimuthal.spacing
+        weights = np.repeat(per_angle[self.track_table_2d().azim], segments.counts())
         return segments.fsr_path_lengths(self.geometry.num_fsrs, weights)
 
     @property
@@ -193,13 +202,11 @@ class TrackGenerator:
         if self._sweep_topology is None:
             from repro.solver.backends.plan import TrackTopology
 
-            azim = np.fromiter(
-                (t.azim for t in self.tracks), dtype=np.int64, count=self.num_tracks
-            )
-            weights = self.quadrature.weights_table()[azim]
-            inv_sin = 1.0 / self.polar.sin_theta
-            self._sweep_topology = TrackTopology.from_tracks(
-                self.tracks, weights, inv_sin
+            table = self.track_table_2d()
+            self._sweep_topology = TrackTopology.from_links(
+                table,
+                self.quadrature.weights_table()[table.azim],
+                1.0 / self.polar.sin_theta,
             )
         return self._sweep_topology
 
@@ -218,12 +225,8 @@ class TrackGenerator:
 
     def segment_angles(self) -> np.ndarray:
         """Azimuthal index per 2D segment (for sweep weight lookups)."""
-        segments = self.segments
-        azim = np.empty(segments.num_segments, dtype=np.int32)
-        for t in self.tracks:
-            lo, hi = segments.offsets[t.uid], segments.offsets[t.uid + 1]
-            azim[lo:hi] = t.azim
-        return azim
+        azim = self.track_table_2d().azim.astype(np.int32)
+        return np.repeat(azim, self.segments.counts())
 
 
 class TrackGenerator3D(TrackGenerator):
@@ -251,7 +254,7 @@ class TrackGenerator3D(TrackGenerator):
         )
         self.geometry3d = geometry3d
         self.polar_spacing = float(polar_spacing)
-        self._chain_tables: dict[int, ChainSegments] | None = None
+        self._chain_tables: dict[int, ChainSegments] | None = None  # a view
         self._volumes3d: np.ndarray | None = None
         self._track_table: TrackTable3D | None = None
         self._track_objects: tuple[list[Track3D], list[Stack3D]] | None = None
@@ -275,8 +278,7 @@ class TrackGenerator3D(TrackGenerator):
             or radial.azimuthal.requested_spacing != self.azimuthal.requested_spacing
         ):
             raise TrackingError("adopt_radial requires identical tracking parameters")
-        self._tracks = radial.tracks
-        self._chains = radial.chains
+        self._table2d = radial.track_table_2d()
         self._segments = radial.segments
         self._volumes = radial.fsr_volumes
         self._sweep_topology = radial._sweep_topology
@@ -284,9 +286,10 @@ class TrackGenerator3D(TrackGenerator):
         return self
 
     def generate(self) -> "TrackGenerator3D":
-        adopted = self._tracks is not None
+        adopted = self._table2d is not None
         self.timings = TrackingTimings()
-        self._track_objects = None  # a view of the previous laydown, if any
+        # Views of the previous laydown, if any.
+        self._track_objects = self._chain_tables = None
         if self.cache is not None and self._cache_load():
             return self
         if not adopted:
@@ -294,20 +297,18 @@ class TrackGenerator3D(TrackGenerator):
         g3, mesh = self.geometry3d, self.geometry3d.axial_mesh
         timings = self.timings
         t0 = time.perf_counter()
-        laydown = lay_3d_stacks(
-            self.chains, self.polar, self.polar_spacing, mesh.zmin, mesh.zmax
-        )
+        radial = self.track_table_2d()
+        laydown = lay_3d_stacks(radial, self.polar, self.polar_spacing, mesh.zmin, mesh.zmax)
         t1 = time.perf_counter()
         timings.stack_seconds += t1 - t0
         links = link_3d_stacks(
-            laydown, self.chains, mesh.zmin, mesh.zmax, g3.boundary_zmin, g3.boundary_zmax
+            laydown, radial, mesh.zmin, mesh.zmax, g3.boundary_zmin, g3.boundary_zmax
         )
         t2 = time.perf_counter()
         timings.link_seconds += t2 - t1
-        self._chain_tables = build_chain_tables(self.chains, self.tracks, self.segments)
         self._track_table = TrackTable3D(
-            **laydown, **links, chains=self.chains,
-            chain_tables=self._chain_tables, z_edges=mesh.z_edges,
+            **laydown, **links, **build_chain_tables(radial, self.segments),
+            chain_closed=radial.chain_closed, z_edges=mesh.z_edges,
         )
         timings.chain_seconds += time.perf_counter() - t2
         if self.cache is not None:
@@ -340,14 +341,21 @@ class TrackGenerator3D(TrackGenerator):
 
     @property
     def chain_tables(self) -> dict[int, ChainSegments]:
-        return self._require("_chain_tables")
+        """Per-chain object view of the table's chain CSR, built on first
+        access (tests, the scalar tracer, CCM classification)."""
+        if self._chain_tables is None:
+            table = self.track_table()
+            self._chain_tables = chain_table_objects(
+                table.bounds, table.fsrs, table.bound_ptr
+            )
+        return self._chain_tables
 
     @property
     def num_tracks_3d(self) -> int:
         return self.track_table().num_tracks
 
     def is_chain_closed(self, chain_index: int) -> bool:
-        return self.chains[chain_index].closed
+        return bool(self.track_table_2d().chain_closed[chain_index])
 
     # ------------------------------------------------------- sweep caching
 
@@ -358,7 +366,7 @@ class TrackGenerator3D(TrackGenerator):
         (``scale = pi``) and :meth:`track_volume_weight_3d` (``1/2``).
         """
         table = self.track_table()
-        a = np.array([c.azim for c in self.chains], dtype=np.int64)[table.chain]
+        a = self.track_table_2d().chain_azim[table.chain]
         return (
             scale
             * self.azimuthal.weights[a]
@@ -378,14 +386,8 @@ class TrackGenerator3D(TrackGenerator):
             from repro.constants import FOUR_PI
             from repro.solver.backends.plan import TrackTopology
 
-            table = self.track_table()
-            terminal = table.link_uid < 0
-            self._sweep_topology3d = TrackTopology(
-                self._track_weights_3d(0.25 * FOUR_PI),
-                np.maximum(table.link_uid, 0),
-                ~(table.link_fwd | terminal),
-                terminal,
-                table.interface & terminal,
+            self._sweep_topology3d = TrackTopology.from_links(
+                self.track_table(), self._track_weights_3d(0.25 * FOUR_PI), None
             )
         return self._sweep_topology3d
 
@@ -421,12 +423,12 @@ class TrackGenerator3D(TrackGenerator):
 
     def track_weight_3d(self, track: Track3D) -> float:
         """Per-traversal sweep weight of a 3D track."""
-        a = self.chains[track.chain].azim
+        a = int(self.track_table_2d().chain_azim[track.chain])
         return self.quadrature.track_weight_3d(a, track.polar, track.z_spacing)
 
     def track_volume_weight_3d(self, track: Track3D) -> float:
         """Volume-tally weight: ``w_a w_p / 2 * spacing_a * z_spacing``."""
-        a = self.chains[track.chain].azim
+        a = self.track_table_2d().chain_azim[track.chain]
         return float(
             0.5
             * self.azimuthal.weights[a]

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.errors import TrackingError
-from repro.geometry.geometry import Geometry
+from repro.geometry.geometry import SIDES, Geometry
 from repro.quadrature.azimuthal import AzimuthalQuadrature
-from repro.tracks.track import Track2D
 
 
 def _chord_end(
@@ -47,10 +48,21 @@ def _chord_end(
     return x + best_t * ux, y + best_t * uy, side
 
 
-def lay_tracks(geometry: Geometry, quadrature: AzimuthalQuadrature) -> list[Track2D]:
+def lay_tracks(
+    geometry: Geometry, quadrature: AzimuthalQuadrature
+) -> dict[str, np.ndarray]:
     """Lay cyclic 2D tracks over the geometry bounding box.
 
-    Tracks are returned grouped by azimuthal index, then by position. For
+    Returns the laydown columns of a
+    :class:`~repro.tracks.table2d.TrackTable2D`, keyed by its parameter
+    names: ``xyxy`` end points, ``phi`` and its ``direction``
+    ``(cos, sin)``, ``azim``, ``index_in_azim``, ``start_side`` /
+    ``end_side`` (indices into :data:`~repro.geometry.geometry.SIDES`)
+    and ``length``. Every float is computed here as a ``math`` scalar —
+    ``np.hypot`` / ``np.cos`` are not bitwise the same functions — so the
+    columns hold exactly what the sweep and the 3D laydown were always fed.
+
+    Tracks are ordered by azimuthal index, then by position. For
     angles in the first quadrant (``phi < pi/2``) tracks start on the
     bottom edge (left portion) and the left edge; second-quadrant angles
     mirror to the bottom-right and right edges. All tracks are directed
@@ -69,7 +81,8 @@ def lay_tracks(geometry: Geometry, quadrature: AzimuthalQuadrature) -> list[Trac
             f"({quadrature.width} x {quadrature.height} vs {width} x {height})"
         )
 
-    tracks: list[Track2D] = []
+    side_code = {name: code for code, name in enumerate(SIDES)}
+    rows = []
     for a in range(quadrature.num_angles):
         phi = float(quadrature.phi[a])
         ux, uy = math.cos(phi), math.sin(phi)
@@ -77,7 +90,6 @@ def lay_tracks(geometry: Geometry, quadrature: AzimuthalQuadrature) -> list[Trac
         ny = int(quadrature.num_y[a])
         dx = width / nx
         dy = height / ny
-        index_in_azim = 0
         starts: list[tuple[float, float, str]] = []
         if ux > 0.0:
             # Bottom edge, then left edge (entering from x = xmin).
@@ -91,20 +103,23 @@ def lay_tracks(geometry: Geometry, quadrature: AzimuthalQuadrature) -> list[Trac
                 starts.append((xmin + (i + 0.5) * dx, ymin, "ymin"))
             for jj in range(ny):
                 starts.append((xmax, ymin + (jj + 0.5) * dy, "xmax"))
-        for (sx, sy, start_side) in starts:
+        for index_in_azim, (sx, sy, start_side) in enumerate(starts):
             ex, ey, end_side = _chord_end(sx, sy, ux, uy, xmin, ymin, xmax, ymax)
-            track = Track2D(
-                uid=len(tracks),
-                azim=a,
-                x0=sx,
-                y0=sy,
-                x1=ex,
-                y1=ey,
-                phi=phi,
-                index_in_azim=index_in_azim,
-                start_side=start_side,
-                end_side=end_side,
-            )
-            tracks.append(track)
-            index_in_azim += 1
-    return tracks
+            rows.append((
+                sx, sy, ex, ey, phi, ux, uy, a, index_in_azim,
+                side_code[start_side], side_code[end_side],
+                math.hypot(ex - sx, ey - sy),
+            ))
+    x0, y0, x1, y1, phis, uxs, uys, azim, index, start, end, length = (
+        np.array(column) for column in zip(*rows)
+    )
+    return {
+        "xyxy": np.column_stack((x0, y0, x1, y1)),
+        "phi": phis,
+        "direction": np.column_stack((uxs, uys)),
+        "azim": azim,
+        "index_in_azim": index,
+        "start_side": start,
+        "end_side": end,
+        "length": length,
+    }

@@ -112,14 +112,18 @@ def trace_track(geometry: Geometry, track: Track2D) -> list[tuple[int, float]]:
     return segments
 
 
-def trace_all_reference(geometry: Geometry, tracks: list[Track2D]) -> SegmentData:
-    """The ``reference`` tracer: scalar :func:`trace_track` per track."""
-    return SegmentData.from_lists([trace_track(geometry, t) for t in tracks])
+def trace_all_reference(geometry: Geometry, table) -> SegmentData:
+    """The ``reference`` tracer: scalar :func:`trace_track` per track of
+    the table's object view."""
+    return SegmentData.from_lists([trace_track(geometry, t) for t in table.tracks])
 
 
-def trace_all_wavefront(geometry: Geometry, tracks: list[Track2D]) -> SegmentData:
+def trace_all_wavefront(geometry: Geometry, table) -> SegmentData:
     """The ``batch`` tracer: advance all unfinished tracks one crossing per
     iteration over the batched geometry kernels.
+
+    Reads the ``xyxy``, ``direction`` and ``length`` columns of ``table``
+    (a :class:`~repro.tracks.table2d.TrackTable2D`; uids are row numbers).
 
     Reproduces :func:`trace_track` step for step — same probes, same
     sliver handling, same merge arithmetic — so its output is bit-identical
@@ -127,19 +131,16 @@ def trace_all_wavefront(geometry: Geometry, tracks: list[Track2D]) -> SegmentDat
     arrays; each iteration issues two batched geometry queries for the
     whole wavefront instead of two scalar queries per track crossing.
     """
-    num = len(tracks)
+    num = table.num_tracks
     if num == 0:
         return SegmentData(
             np.empty(0), np.empty(0, dtype=np.int32), np.zeros(1, dtype=np.int64)
         )
-    x0 = np.array([t.x0 for t in tracks])
-    y0 = np.array([t.y0 for t in tracks])
-    direction = np.array([t.direction for t in tracks])
-    ux, uy = direction[:, 0], direction[:, 1]
-    total = np.array([t.length for t in tracks])
+    x0, y0 = table.xyxy[:, 0], table.xyxy[:, 1]
+    ux, uy = table.direction.T
+    total = table.length
     if (total <= 0.0).any():
-        bad = int(np.argmax(total <= 0.0))
-        raise TrackingError(f"track {tracks[bad].uid} has zero length")
+        raise TrackingError(f"track {int(np.argmax(total <= 0.0))} has zero length")
 
     s = np.zeros(num)
     # The open (not yet closed) segment of each track, merged in place.
@@ -169,9 +170,7 @@ def trace_all_wavefront(geometry: Geometry, tracks: list[Track2D]) -> SegmentDat
     while active.size:
         iterations += 1
         if iterations > _MAX_STEPS:
-            raise TrackingError(
-                f"track {tracks[int(active[0])].uid}: ray tracing did not terminate"
-            )
+            raise TrackingError(f"track {int(active[0])}: ray tracing did not terminate")
         sa = s[active]
         aux, auy = ux[active], uy[active]
         probe = sa + _EDGE_NUDGE
@@ -218,8 +217,7 @@ def trace_all_wavefront(geometry: Geometry, tracks: list[Track2D]) -> SegmentDat
         active = active[total[active] - s[active] > MIN_SEGMENT_LENGTH]
 
     if (cur_fsr < 0).any():
-        bad = int(np.argmax(cur_fsr < 0))
-        raise TrackingError(f"track {tracks[bad].uid}: produced no segments")
+        raise TrackingError(f"track {int(np.argmax(cur_fsr < 0))}: produced no segments")
     cur_len += total - s
     out_track.append(np.arange(num, dtype=np.int64))
     out_fsr.append(cur_fsr)
@@ -235,10 +233,8 @@ def trace_all_wavefront(geometry: Geometry, tracks: list[Track2D]) -> SegmentDat
     )
 
 
-def trace_all(
-    geometry: Geometry, tracks: list[Track2D], tracer: str | None = None
-) -> SegmentData:
-    """Segment every track into a :class:`SegmentData` container.
+def trace_all(geometry: Geometry, table, tracer: str | None = None) -> SegmentData:
+    """Segment every track of ``table`` into a :class:`SegmentData` container.
 
     ``tracer`` selects the implementation through the registry in
     :mod:`repro.tracks.tracers` (argument > ``REPRO_TRACER`` env var >
@@ -246,4 +242,4 @@ def trace_all(
     """
     from repro.tracks.tracers import get_tracer, resolve_tracer
 
-    return get_tracer(resolve_tracer(tracer))(geometry, tracks)
+    return get_tracer(resolve_tracer(tracer))(geometry, table)

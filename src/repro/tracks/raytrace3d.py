@@ -32,9 +32,8 @@ import numpy as np
 
 from repro.errors import TrackingError
 from repro.geometry.extruded import ExtrudedGeometry
-from repro.tracks.chains import Chain
 from repro.tracks.segments import SegmentData, csr_ranges, csr_searchsorted
-from repro.tracks.track import Track2D, Track3D
+from repro.tracks.track import Track3D
 
 
 class ChainSegments:
@@ -66,78 +65,41 @@ class ChainSegments:
         return int(self.fsrs[idx])
 
 
-def chain_segments(
-    chain: Chain, tracks2d: list[Track2D], segments2d: SegmentData
-) -> ChainSegments:
-    """Concatenate a chain's 2D segments into a single ``s``-axis table.
-
-    Fully vectorised: gathers each element's segment range (reversed for
-    backward traversals), accumulates breakpoints with a running ``cumsum``
-    (sequential, so identical to the scalar sum order), and merges adjacent
-    same-FSR intervals with a change mask.
-    """
-    offsets = segments2d.offsets
-    ranges = [
-        np.arange(offsets[uid], offsets[uid + 1])
-        if forward
-        else np.arange(offsets[uid + 1] - 1, offsets[uid] - 1, -1)
-        for uid, forward in chain.elements
-    ]
-    idx = np.concatenate(ranges) if ranges else np.empty(0, dtype=np.int64)
-    fsrs = segments2d.fsr_ids[idx]
-    ends = np.cumsum(segments2d.lengths[idx])
-    if fsrs.size == 0:
-        return ChainSegments(chain.index, np.array([0.0]), np.empty(0, dtype=np.int32))
-    # A run of equal FSRs collapses to one interval ending at its last end.
-    change = np.empty(fsrs.size, dtype=bool)
-    change[0] = True
-    np.not_equal(fsrs[1:], fsrs[:-1], out=change[1:])
-    starts = np.flatnonzero(change)
-    last = np.append(starts[1:] - 1, fsrs.size - 1)
-    bounds = np.concatenate([[0.0], ends[last]])
-    return ChainSegments(chain.index, bounds, fsrs[starts])
-
-
-def build_chain_tables(
-    chains: list[Chain], tracks2d: list[Track2D], segments2d: SegmentData
-) -> dict[int, ChainSegments]:
+def build_chain_tables(radial, segments2d: SegmentData) -> dict[str, np.ndarray]:
     """Radial tables for every chain in one vectorized pass.
 
-    Equivalent to ``{c.index: chain_segments(c, ...) for c in chains}`` but
-    without per-chain numpy call overhead: the gather indices, the running
-    breakpoint sums and the same-FSR run merge are all computed over the
-    concatenation of every chain at once. Breakpoints come from one global
-    ``cumsum`` rebased per chain, which agrees with the per-chain sum to a
-    few ulps of the total tracked length — far below the minimum segment
-    length, and identical for every caller that uses the same segment data.
-    """
-    if not chains:
-        return {}
-    offsets = segments2d.offsets
-    num_chains = len(chains)
-    el_uid = np.array(
-        [uid for c in chains for uid, _ in c.elements], dtype=np.int64
-    )
-    el_fwd = np.array(
-        [fwd for c in chains for _, fwd in c.elements], dtype=bool
-    )
-    el_counts = np.array([len(c.elements) for c in chains], dtype=np.int64)
-    el_chain = np.repeat(np.arange(num_chains, dtype=np.int64), el_counts)
+    ``radial`` carries the chain CSR ``chain_ptr`` / ``el_uid`` /
+    ``el_fwd`` (a :class:`~repro.tracks.table2d.TrackTable2D`). Each
+    chain's 2D segments are concatenated in traversal order (reversed for
+    backward elements) and adjacent same-FSR intervals merged; the gather
+    indices, the running breakpoint sums and the run merge are computed
+    over the concatenation of every chain at once. Breakpoints come from
+    one global ``cumsum`` rebased per chain, which agrees with a per-chain
+    sum to a few ulps of the total tracked length — far below the minimum
+    segment length, and identical for every caller that uses the same
+    segment data.
 
-    empty_fsrs = np.empty(0, dtype=np.int32)
-    zero_bounds = np.array([0.0])
-    if el_uid.size == 0:
-        return {c.index: ChainSegments(c.index, zero_bounds, empty_fsrs) for c in chains}
+    Returns the flat ``bounds`` / ``fsrs`` / ``bound_ptr`` CSR that
+    :class:`TrackTable3D` takes (see there for the layout).
+    """
+    offsets = segments2d.offsets
+    el_uid, el_fwd = radial.el_uid, radial.el_fwd
+    num_chains = radial.chain_ptr.size - 1
+    el_chain = np.repeat(np.arange(num_chains, dtype=np.int64), np.diff(radial.chain_ptr))
 
     el_lo = offsets[el_uid].astype(np.int64)
     el_hi = offsets[el_uid + 1].astype(np.int64)
     el_n = el_hi - el_lo
     total = int(el_n.sum())
-    if total == 0:
-        return {c.index: ChainSegments(c.index, zero_bounds, empty_fsrs) for c in chains}
+    if total == 0:  # every chain is the single bound 0.0
+        return {
+            "bounds": np.zeros(num_chains),
+            "fsrs": np.empty(0, dtype=np.int32),
+            "bound_ptr": np.arange(num_chains + 1, dtype=np.int64),
+        }
 
     # Per-segment gather indices: forward elements walk their range up,
-    # backward elements walk it down (same order as the scalar ranges).
+    # backward elements walk it down.
     base = np.where(el_fwd, el_lo, el_hi - 1)
     step = np.where(el_fwd, 1, -1)
     first = np.concatenate([[0], np.cumsum(el_n)[:-1]])
@@ -161,27 +123,31 @@ def build_chain_tables(
     istart = np.flatnonzero(change)
     ilast = np.append(istart[1:] - 1, total - 1)
     i_chain = seg_chain[istart]
-    i_fsr = fsrs_all[istart].astype(np.int32)
-    i_end = ends[ilast]
     num_intervals = istart.size
 
-    # One flat bounds array holding [0.0, ends...] per chain, so the
-    # per-chain tables below are pure slices.
-    i_lo = np.searchsorted(i_chain, np.arange(num_chains, dtype=np.int64), side="left")
-    i_hi = np.searchsorted(i_chain, np.arange(num_chains, dtype=np.int64), side="right")
-    bounds_all = np.empty(num_intervals + num_chains)
-    bounds_all[i_lo + np.arange(num_chains, dtype=np.int64)] = 0.0
-    bounds_all[np.arange(num_intervals, dtype=np.int64) + i_chain + 1] = i_end
+    # One flat bounds array holding [0.0, ends...] per chain.
+    i_lo = np.searchsorted(i_chain, np.arange(num_chains + 1, dtype=np.int64), side="left")
+    bound_ptr = i_lo + np.arange(num_chains + 1, dtype=np.int64)
+    bounds = np.empty(num_intervals + num_chains)
+    bounds[bound_ptr[:-1]] = 0.0
+    bounds[np.arange(num_intervals, dtype=np.int64) + i_chain + 1] = ends[ilast]
+    return {
+        "bounds": bounds,
+        "fsrs": fsrs_all[istart].astype(np.int32),
+        "bound_ptr": bound_ptr,
+    }
 
-    lo_l = i_lo.tolist()
-    hi_l = i_hi.tolist()
-    tables: dict[int, ChainSegments] = {}
-    for pos, chain in enumerate(chains):
-        lo, hi = lo_l[pos], hi_l[pos]
-        tables[chain.index] = ChainSegments(
-            chain.index, bounds_all[lo + pos : hi + pos + 1], i_fsr[lo:hi]
-        )
-    return tables
+
+def chain_table_objects(
+    bounds: np.ndarray, fsrs: np.ndarray, bound_ptr: np.ndarray
+) -> dict[int, ChainSegments]:
+    """Per-chain :class:`ChainSegments` over the chain-table CSR — a view
+    for tests, the scalar tracer and CCM classification."""
+    ptr = bound_ptr.tolist()
+    return {
+        c: ChainSegments(c, bounds[lo:hi], fsrs[lo - c : hi - c - 1])
+        for c, (lo, hi) in enumerate(zip(ptr, ptr[1:]))
+    }
 
 
 def trace_3d_track(
@@ -295,8 +261,10 @@ class TrackTable3D:
         chain: np.ndarray,
         polar: np.ndarray,
         z_spacing: np.ndarray,
-        chains: list[Chain],
-        chain_tables: dict[int, ChainSegments],
+        chain_closed: np.ndarray,
+        bounds: np.ndarray,
+        fsrs: np.ndarray,
+        bound_ptr: np.ndarray,
         z_edges: np.ndarray,
         **laydown: np.ndarray,
     ) -> None:
@@ -318,20 +286,14 @@ class TrackTable3D:
         bad = np.flatnonzero(self.length <= 0.0)
         if bad.size:
             raise TrackingError(f"3D track {int(bad[0])} has zero length")
-        tables = [chain_tables[c.index] for c in chains]
-        closed = np.array([c.closed for c in chains], dtype=bool)
-        self.wrap = closed[self.chain]
-        self.bounds = (
-            np.concatenate([t.bounds for t in tables]) if tables else np.empty(0)
-        )
-        self.fsrs = (
-            np.concatenate([t.fsrs for t in tables])
-            if tables
-            else np.empty(0, dtype=np.int32)
-        )
-        self.bound_ptr = np.zeros(len(tables) + 1, dtype=np.int64)
-        np.cumsum([t.bounds.size for t in tables], out=self.bound_ptr[1:])
-        self.chain_length = np.array([t.length for t in tables], dtype=np.float64)
+        self.wrap = np.asarray(chain_closed, dtype=bool)[self.chain]
+        self.bounds = np.ascontiguousarray(bounds, dtype=np.float64)
+        self.fsrs = np.ascontiguousarray(fsrs, dtype=np.int32)
+        self.bound_ptr = np.asarray(bound_ptr, dtype=np.int64)
+        if self.bounds.size != self.fsrs.size + self.bound_ptr.size - 1:
+            raise TrackingError("chain bounds/fsrs size mismatch")
+        # A chain's radial length is its last bound.
+        self.chain_length = self.bounds[self.bound_ptr[1:] - 1]
         self.z_edges = np.asarray(z_edges, dtype=np.float64)
 
     @property

@@ -42,9 +42,8 @@ import numpy as np
 from repro.errors import TrackingError
 from repro.geometry.geometry import BoundaryCondition
 from repro.quadrature.polar import PolarQuadrature
-from repro.tracks.chains import Chain
 from repro.tracks.segments import csr_ranges
-from repro.tracks.track import Track3D, TrackLink
+from repro.tracks.track import Track3D, link_objects
 
 
 @dataclass
@@ -82,7 +81,7 @@ def _correct_closed(length: float, height: float, alpha: float, spacing: float) 
 
 
 def lay_3d_stacks(
-    chains: list[Chain],
+    radial,
     polar_quadrature: PolarQuadrature,
     polar_spacing: float,
     zmin: float,
@@ -90,6 +89,8 @@ def lay_3d_stacks(
 ) -> dict[str, np.ndarray]:
     """Lay every (chain, polar) stack; returns the laydown columns.
 
+    ``radial`` carries the chain columns ``chain_length`` /
+    ``chain_closed`` (a :class:`~repro.tracks.table2d.TrackTable2D`).
     Polar angles are corrected per chain (chains have different lengths),
     mirroring how ANT-MOC's axial laydown ties the effective polar angle
     to the track-chain geometry. The quadrature *weights* stay global.
@@ -109,12 +110,13 @@ def lay_3d_stacks(
         for p in range(polar_quadrature.num_polar_half)
     ]
     rows = []
-    for chain in chains:
-        correct = _correct_closed if chain.closed else _correct_open
+    chains = zip(radial.chain_length.tolist(), radial.chain_closed.tolist())
+    for index, (chain_length, chain_closed) in enumerate(chains):
+        correct = _correct_closed if chain_closed else _correct_open
         for p, alpha in enumerate(alphas):
-            n_s, n_z, alpha_eff = correct(chain.length, height, alpha, polar_spacing)
+            n_s, n_z, alpha_eff = correct(chain_length, height, alpha, polar_spacing)
             rows.append((
-                chain.index, p, chain.closed, chain.length, n_s, n_z,
+                index, p, chain_closed, chain_length, n_s, n_z,
                 alpha_eff, math.sin(alpha_eff), math.tan(alpha_eff),
             ))
     # ``n_z`` is the helix advance ``k`` (in stack spacings) on a closed chain.
@@ -166,7 +168,7 @@ def lay_3d_stacks(
 
 def link_3d_stacks(
     laydown: dict[str, np.ndarray],
-    chains: list[Chain],
+    radial,
     zmin: float,
     zmax: float,
     bc_zmin: BoundaryCondition = BoundaryCondition.REFLECTIVE,
@@ -174,7 +176,8 @@ def link_3d_stacks(
 ) -> dict[str, np.ndarray]:
     """Link every 3D track's ends (z reflections, chain ends) in one pass.
 
-    Reads the ``szsz`` and ``stack_*`` columns of ``laydown`` and returns
+    Reads the ``szsz`` and ``stack_*`` columns of ``laydown`` and the
+    ``chain_length`` / ``chain_iface`` columns of ``radial``, and returns
     the ``(T, 2)`` link columns: ``link_uid`` / ``link_fwd`` say where the
     flux leaving each end continues (``-1`` / ``False``: nowhere) and
     ``vacuum`` / ``interface`` flag the ends it leaves the domain through.
@@ -216,10 +219,9 @@ def link_3d_stacks(
     dz_sign = np.where(z1 > z0, 1, -1).astype(np.int64)
 
     # Per-stack constants, gathered to membership order.
-    length_st = np.array([c.length for c in chains])[stack_chain]
+    length_st = radial.chain_length[stack_chain]
     quantum_st = np.maximum(length_st, height) * 1e-9
-    starts_ifc_st = np.array([c.starts_at_interface for c in chains], dtype=bool)[stack_chain]
-    ends_ifc_st = np.array([c.ends_at_interface for c in chains], dtype=bool)[stack_chain]
+    starts_ifc_st, ends_ifc_st = radial.chain_iface[stack_chain].T
     length_m = length_st[stack_of]
     closed_m = laydown["stack_closed"][stack_of]
     quantum_m = quantum_st[stack_of]
@@ -370,10 +372,7 @@ def track_objects(table) -> tuple[list[Track3D], list[Stack3D]]:
     theta = np.repeat(table.stack_theta, np.diff(table.stack_ptr))
     # Stacks hold whole up/down pairs, so every odd uid is a mirrored track.
     theta[1::2] = math.pi - theta[1::2]
-    links = [  # link_fwd, then link_bwd
-        [TrackLink(u, f) if u >= 0 else None for u, f in zip(uid.tolist(), fwd.tolist())]
-        for uid, fwd in zip(table.link_uid.T, table.link_fwd.T)
-    ]
+    links = link_objects(table.link_uid, table.link_fwd)
     tracks = [
         Track3D(*row)
         for row in zip(
@@ -395,7 +394,7 @@ def track_objects(table) -> tuple[list[Track3D], list[Stack3D]]:
 
 
 def generate_3d_stacks(
-    chains: list[Chain],
+    radial,
     polar_quadrature: PolarQuadrature,
     polar_spacing: float,
     zmin: float,
@@ -410,6 +409,6 @@ def generate_3d_stacks(
     and keeps the columns; this is the same laydown for callers that want
     objects.
     """
-    laydown = lay_3d_stacks(chains, polar_quadrature, polar_spacing, zmin, zmax)
-    links = link_3d_stacks(laydown, chains, zmin, zmax, bc_zmin, bc_zmax)
+    laydown = lay_3d_stacks(radial, polar_quadrature, polar_spacing, zmin, zmax)
+    links = link_3d_stacks(laydown, radial, zmin, zmax, bc_zmin, bc_zmax)
     return track_objects(SimpleNamespace(**laydown, **links))

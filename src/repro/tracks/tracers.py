@@ -24,7 +24,7 @@ from repro.errors import TrackingError
 from repro.tracks.raytrace2d import trace_all_reference, trace_all_wavefront
 from repro.tracks.segments import SegmentData
 
-#: Tracer signature: ``(geometry, tracks) -> SegmentData``.
+#: Tracer signature: ``(geometry, TrackTable2D) -> SegmentData``.
 Tracer = Callable[..., SegmentData]
 
 #: Environment override consulted when no tracer is requested explicitly.

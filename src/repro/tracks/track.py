@@ -10,7 +10,7 @@ lets 3D tracks be regenerated on the fly from 2D data).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, slots=True)
@@ -25,6 +25,16 @@ class TrackLink:
 
     track: int
     forward: bool
+
+
+def link_objects(link_uid, link_fwd) -> list[list[TrackLink | None]]:
+    """``[link_fwd, link_bwd]`` object lists over a track table's ``(T, 2)``
+    ``link_uid`` / ``link_fwd`` columns (``None`` where the uid is ``-1``):
+    what both object views hand their track constructors."""
+    return [
+        [TrackLink(u, f) if u >= 0 else None for u, f in zip(uid.tolist(), fwd.tolist())]
+        for uid, fwd in zip(link_uid.T, link_fwd.T)
+    ]
 
 
 @dataclass(slots=True)

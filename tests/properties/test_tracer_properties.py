@@ -8,6 +8,8 @@ every boundary-condition combination. Randomized pin-cell problems probe
 both claims.
 """
 
+import dataclasses
+
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
@@ -17,8 +19,8 @@ from repro.geometry.universe import make_pin_cell_universe
 from repro.materials import Material
 from repro.quadrature import AzimuthalQuadrature
 from repro.tracks import lay_tracks, link_tracks
-from repro.tracks.chains import _link_tracks_scalar
 from repro.tracks.raytrace2d import trace_all_reference, trace_all_wavefront
+from tests.tracks.tracks2d_oracle import link_tracks_scalar, unlinked_table
 
 _FUEL = Material("prop-fuel", sigma_t=[1.0], sigma_s=[[0.2]])
 _WATER = Material("prop-water", sigma_t=[0.5], sigma_s=[[0.3]])
@@ -64,7 +66,7 @@ def laydown(geometry, num_azim, spacing):
 )
 def test_batch_tracer_equals_reference(pitch, radius_fraction, num_rings, num_sectors, num_azim, spacing):
     g = make_geometry(pitch, radius_fraction, num_rings, num_sectors)
-    tracks = laydown(g, num_azim, spacing)
+    tracks = unlinked_table(laydown(g, num_azim, spacing))
     ref = trace_all_reference(g, tracks)
     batch = trace_all_wavefront(g, tracks)
     np.testing.assert_array_equal(ref.offsets, batch.offsets)
@@ -85,8 +87,8 @@ def _link_state(tracks):
 def test_vectorised_linking_equals_scalar(pitch, num_azim, spacing, bc_x, bc_y):
     boundary = {"xmin": bc_x[0], "xmax": bc_x[1], "ymin": bc_y[0], "ymax": bc_y[1]}
     g = make_geometry(pitch, 0.3, 1, 1, boundary=boundary)
-    vec_tracks = laydown(g, num_azim, spacing)
-    ref_tracks = laydown(g, num_azim, spacing)
-    link_tracks(vec_tracks, g)
-    _link_tracks_scalar(ref_tracks, g)
+    columns = laydown(g, num_azim, spacing)
+    vec_tracks = dataclasses.replace(unlinked_table(columns), **link_tracks(columns, g)).tracks
+    ref_tracks = unlinked_table(columns).tracks
+    link_tracks_scalar(ref_tracks, g)
     assert _link_state(vec_tracks) == _link_state(ref_tracks)

@@ -14,7 +14,8 @@ from repro.geometry import BoundaryCondition, Geometry, Lattice
 from repro.geometry.universe import make_homogeneous_universe
 from repro.materials import Material
 from repro.quadrature import AzimuthalQuadrature
-from repro.tracks import build_chains, lay_tracks, link_tracks, trace_all
+from repro.tracks import lay_tracks, trace_all
+from tests.tracks.tracks2d_oracle import radial_table, unlinked_table
 
 _WATER = Material("prop-water", sigma_t=[1.0], sigma_s=[[0.5]])
 
@@ -41,7 +42,7 @@ def build_quadrature(num_azim, width, height, spacing):
 def test_laydown_count_and_boundary(width, height, num_azim, spacing):
     g = make_geometry(width, height)
     quad = build_quadrature(num_azim, g.width, g.height, spacing)
-    tracks = lay_tracks(g, quad)
+    tracks = unlinked_table(lay_tracks(g, quad)).tracks
     assert len(tracks) == quad.total_tracks
     tol = 1e-7 * max(width, height)
     for t in tracks:
@@ -56,7 +57,7 @@ def test_area_coverage_every_angle(width, height, num_azim, spacing):
     """Each azimuthal family tiles the domain area exactly."""
     g = make_geometry(width, height)
     quad = build_quadrature(num_azim, g.width, g.height, spacing)
-    tracks = lay_tracks(g, quad)
+    tracks = unlinked_table(lay_tracks(g, quad)).tracks
     area = width * height
     for a in range(quad.num_angles):
         family = sum(t.length for t in tracks if t.azim == a) * quad.spacing[a]
@@ -71,8 +72,7 @@ def test_reflective_linking_is_permutation(width, height, num_azim, spacing):
     tracking."""
     g = make_geometry(width, height)
     quad = build_quadrature(num_azim, g.width, g.height, spacing)
-    tracks = lay_tracks(g, quad)
-    link_tracks(tracks, g)  # raises on any unmatched end
+    tracks = radial_table(g, quad).tracks  # linking raises on any unmatched end
     slots = set()
     for t in tracks:
         slots.add((t.link_fwd.track, t.link_fwd.forward))
@@ -85,9 +85,8 @@ def test_reflective_linking_is_permutation(width, height, num_azim, spacing):
 def test_chains_partition_tracks(width, height, num_azim, spacing):
     g = make_geometry(width, height)
     quad = build_quadrature(num_azim, g.width, g.height, spacing)
-    tracks = lay_tracks(g, quad)
-    link_tracks(tracks, g)
-    chains = build_chains(tracks)
+    table = radial_table(g, quad)
+    tracks, chains = table.tracks, table.chains
     seen = sorted(uid for c in chains for uid, _ in c.elements)
     assert seen == list(range(len(tracks)))
     assert all(c.closed for c in chains)
@@ -99,8 +98,7 @@ def test_periodic_linking_is_permutation(width, height, num_azim, spacing):
     bc = {s: BoundaryCondition.PERIODIC for s in ("xmin", "xmax", "ymin", "ymax")}
     g = make_geometry(width, height, boundary=bc)
     quad = build_quadrature(num_azim, g.width, g.height, spacing)
-    tracks = lay_tracks(g, quad)
-    link_tracks(tracks, g)
+    tracks = radial_table(g, quad).tracks
     for t in tracks:
         assert t.link_fwd is not None and t.link_bwd is not None
 
@@ -118,8 +116,9 @@ def test_segments_sum_to_chords_in_lattices(width, height, nx, ny, spacing):
     rows = [[u] * nx for _ in range(ny)]
     g = Geometry(Lattice(rows, width / nx, height / ny))
     quad = build_quadrature(4, g.width, g.height, spacing)
-    tracks = lay_tracks(g, quad)
-    segments = trace_all(g, tracks)
+    table = unlinked_table(lay_tracks(g, quad))
+    tracks = table.tracks
+    segments = trace_all(g, table)
     for t in tracks:
         assert abs(segments.track_length(t.uid) - t.length) < 1e-9 * max(t.length, 1.0)
     # tracked total area equals the geometric area

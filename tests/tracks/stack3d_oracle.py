@@ -13,6 +13,7 @@ can be compared with them attribute for attribute
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -153,7 +154,7 @@ def write_back(all_tracks, stacks, link_uid, link_fwd_flag, vacuum, interface) -
 
 def laydown(chains, polar_quadrature, polar_spacing, zmin, zmax, bc_zmin, bc_zmax):
     """Oracle ``(tracks, stacks)``: object laydown, the shipped join on the
-    columns gathered back out of the objects (the gather the parent's
+    columns gathered back out of the objects (the gathers the parent's
     ``link_3d_stacks`` began with), then the object write-back."""
     tracks, stacks = lay_stacks(chains, polar_quadrature, polar_spacing, zmin, zmax)
     gathered = {
@@ -163,7 +164,13 @@ def laydown(chains, polar_quadrature, polar_spacing, zmin, zmax, bc_zmin, bc_zma
         "stack_polar": np.array([st.polar for st in stacks], dtype=np.int64),
         "stack_closed": np.array([st.closed for st in stacks], dtype=bool),
     }
-    links = link_3d_stacks(gathered, chains, zmin, zmax, bc_zmin, bc_zmax)
+    chain_columns = SimpleNamespace(
+        chain_length=np.array([c.length for c in chains]),
+        chain_iface=np.array(
+            [(c.starts_at_interface, c.ends_at_interface) for c in chains], dtype=bool
+        ).reshape(-1, 2),
+    )
+    links = link_3d_stacks(gathered, chain_columns, zmin, zmax, bc_zmin, bc_zmax)
     write_back(tracks, stacks, *(links[name].T.reshape(-1) for name in (
         "link_uid", "link_fwd", "vacuum", "interface")))
     return tracks, stacks

@@ -5,7 +5,7 @@ import pytest
 
 from repro.geometry import Geometry, Lattice
 from repro.geometry.universe import make_pin_cell_universe
-from repro.tracks import TrackGenerator, TrackGenerator3D, TrackTable3D
+from repro.tracks import TrackGenerator, TrackGenerator3D, TrackTable2D, TrackTable3D
 from repro.tracks.cache import (
     CACHE_DIR_ENV_VAR,
     TrackingCache,
@@ -60,6 +60,43 @@ class TestHitAndMiss:
         # The rebuilt entry replaced the corrupt one and is loadable again.
         warm = make_generator(g, cache).generate()
         assert warm.timings.cache_hit
+
+
+class TestHitEqualsFresh:
+    """A restored generator is the generated one: every column of its
+    tables, values and dtypes (format 2 archived no ``index_in_azim`` /
+    side columns, so they came back as ``0`` / ``""``)."""
+
+    @staticmethod
+    def assert_same_columns(hit, fresh, names):
+        for name in names:
+            got, want = getattr(hit, name), getattr(fresh, name)
+            np.testing.assert_array_equal(got, want, err_msg=name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+
+    @pytest.mark.parametrize("three_d", [False, True], ids=["2d", "3d"])
+    def test_tables_equal_column_by_column(self, small_geometry_3d, tmp_path, three_d):
+        def build(cache):
+            if three_d:
+                return TrackGenerator3D(
+                    small_geometry_3d, num_azim=4, azim_spacing=0.8,
+                    polar_spacing=0.8, num_polar=2, cache=cache,
+                ).generate()
+            return make_generator(small_geometry_3d.radial, cache).generate()
+
+        fresh = build(None)
+        assert not build(TrackingCache(tmp_path)).timings.cache_hit
+        hit = build(TrackingCache(tmp_path))
+        assert hit.timings.cache_hit
+        self.assert_same_columns(
+            hit.track_table_2d(), fresh.track_table_2d(), TrackTable2D.columns()
+        )
+        assert fresh.track_table_2d().index_in_azim.any()
+        assert hit.tracks == fresh.tracks and hit.chains == fresh.chains
+        if three_d:
+            self.assert_same_columns(
+                hit.track_table(), fresh.track_table(), TrackTable3D.__slots__
+            )
 
 
 class TestKeying:

@@ -1,20 +1,30 @@
 """Tests for the batched per-chain radial segment tables."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.tracks import build_chain_tables, chain_segments
+from repro.tracks import build_chain_tables
+from repro.tracks.raytrace3d import chain_table_objects
+from tests.tracks.tracks2d_oracle import chain_segments
+
+
+def chain_tables(table, segments):
+    """Per-chain object view of the CSR ``build_chain_tables`` returns."""
+    return chain_table_objects(**build_chain_tables(table, segments))
 
 
 @pytest.fixture()
 def tracking(small_trackgen):
-    return small_trackgen.chains, small_trackgen.tracks, small_trackgen.segments
+    return small_trackgen.track_table_2d(), small_trackgen.tracks, small_trackgen.segments
 
 
 class TestBuildChainTables:
     def test_matches_per_chain_builder(self, tracking):
-        chains, tracks, segments = tracking
-        tables = build_chain_tables(chains, tracks, segments)
+        table, tracks, segments = tracking
+        chains = table.chains
+        tables = chain_tables(table, segments)
         assert sorted(tables) == sorted(c.index for c in chains)
         for chain in chains:
             single = chain_segments(chain, tracks, segments)
@@ -31,19 +41,24 @@ class TestBuildChainTables:
             assert batched.length == pytest.approx(chain.length, rel=1e-12)
 
     def test_bounds_strictly_increasing(self, tracking):
-        chains, tracks, segments = tracking
-        for table in build_chain_tables(chains, tracks, segments).values():
+        radial, _, segments = tracking
+        for table in chain_tables(radial, segments).values():
             assert (np.diff(table.bounds) > 0.0).all()
 
     def test_empty_chain_list(self, tracking):
-        _, tracks, segments = tracking
-        assert build_chain_tables([], tracks, segments) == {}
+        _, _, segments = tracking
+        no_chains = SimpleNamespace(
+            chain_ptr=np.zeros(1, dtype=np.int64),
+            el_uid=np.empty(0, dtype=np.int64),
+            el_fwd=np.empty(0, dtype=bool),
+        )
+        assert chain_tables(no_chains, segments) == {}
 
     def test_pin_cell_tables(self, pin_cell_geometry):
         from repro.tracks import TrackGenerator
 
         trackgen = TrackGenerator(pin_cell_geometry, num_azim=8, azim_spacing=0.2).generate()
-        tables = build_chain_tables(trackgen.chains, trackgen.tracks, trackgen.segments)
+        tables = chain_tables(trackgen.track_table_2d(), trackgen.segments)
         for chain in trackgen.chains:
             single = chain_segments(chain, trackgen.tracks, trackgen.segments)
             np.testing.assert_array_equal(tables[chain.index].fsrs, single.fsrs)

@@ -7,19 +7,21 @@ from repro.geometry import Geometry, Lattice
 from repro.geometry.universe import make_homogeneous_universe, make_pin_cell_universe
 from repro.quadrature import AzimuthalQuadrature
 from repro.tracks import lay_tracks, trace_all, trace_track
+from tests.tracks.tracks2d_oracle import unlinked_table
 
 
 def tracked(geometry, num_azim=8, spacing=0.3):
     quad = AzimuthalQuadrature(num_azim, geometry.width, geometry.height, spacing)
-    return quad, lay_tracks(geometry, quad)
+    return quad, unlinked_table(lay_tracks(geometry, quad))
 
 
 class TestHomogeneous:
     def test_single_segment_per_track(self, moderator):
         u = make_homogeneous_universe(moderator)
         g = Geometry(Lattice([[u]], 4.0, 3.0))
-        _, tracks = tracked(g)
-        segments = trace_all(g, tracks)
+        _, table = tracked(g)
+        tracks = table.tracks
+        segments = trace_all(g, table)
         assert segments.num_segments == len(tracks)
         for t in tracks:
             fsrs, lengths = segments.track_segments(t.uid)
@@ -35,28 +37,31 @@ class TestLatticeOfCells:
         return Geometry(Lattice([[a, b], [b, a]], 1.0, 1.0))
 
     def test_lengths_sum_to_chord(self, checkerboard):
-        _, tracks = tracked(checkerboard, spacing=0.2)
-        segments = trace_all(checkerboard, tracks)
+        _, table = tracked(checkerboard, spacing=0.2)
+        tracks = table.tracks
+        segments = trace_all(checkerboard, table)
         for t in tracks:
             assert segments.track_length(t.uid) == pytest.approx(t.length, rel=1e-12)
 
     def test_segment_fsrs_valid(self, checkerboard):
-        _, tracks = tracked(checkerboard, spacing=0.2)
-        segments = trace_all(checkerboard, tracks)
+        _, table = tracked(checkerboard, spacing=0.2)
+        segments = trace_all(checkerboard, table)
         assert segments.fsr_ids.min() >= 0
         assert segments.fsr_ids.max() < checkerboard.num_fsrs
 
     def test_consecutive_segments_differ_in_fsr(self, checkerboard):
-        _, tracks = tracked(checkerboard, spacing=0.2)
-        segments = trace_all(checkerboard, tracks)
+        _, table = tracked(checkerboard, spacing=0.2)
+        tracks = table.tracks
+        segments = trace_all(checkerboard, table)
         for t in tracks:
             fsrs, _ = segments.track_segments(t.uid)
             assert all(a != b for a, b in zip(fsrs, fsrs[1:]))
 
     def test_midpoints_classified_correctly(self, checkerboard):
         """Re-sample each segment's midpoint; FSR must match."""
-        _, tracks = tracked(checkerboard, spacing=0.25)
-        segments = trace_all(checkerboard, tracks)
+        _, table = tracked(checkerboard, spacing=0.25)
+        tracks = table.tracks
+        segments = trace_all(checkerboard, table)
         for t in tracks[:40]:
             fsrs, lengths = segments.track_segments(t.uid)
             s = 0.0
@@ -75,8 +80,8 @@ class TestPinCell:
     def test_every_fsr_is_hit(self, pin_geometry):
         """With reasonable spacing every FSR has at least one segment
         (the Table 4 requirement 'each FSR has tracks passing through')."""
-        _, tracks = tracked(pin_geometry, num_azim=8, spacing=0.05)
-        segments = trace_all(pin_geometry, tracks)
+        _, table = tracked(pin_geometry, num_azim=8, spacing=0.05)
+        segments = trace_all(pin_geometry, table)
         hit = np.zeros(pin_geometry.num_fsrs, dtype=bool)
         hit[segments.fsr_ids] = True
         assert hit.all()
@@ -96,8 +101,9 @@ class TestPinCell:
 
     def test_fuel_path_length_consistent(self, pin_geometry, uo2):
         """Total tracked fuel path x spacing approximates the fuel area."""
-        quad, tracks = tracked(pin_geometry, num_azim=16, spacing=0.02)
-        segments = trace_all(pin_geometry, tracks)
+        quad, table = tracked(pin_geometry, num_azim=16, spacing=0.02)
+        tracks = table.tracks
+        segments = trace_all(pin_geometry, table)
         weights = np.empty(segments.num_segments)
         for t in tracks:
             lo, hi = segments.offsets[t.uid], segments.offsets[t.uid + 1]

@@ -18,7 +18,6 @@ from repro.geometry.universe import make_homogeneous_universe
 from repro.materials import Material
 from repro.parallel import ZDecomposedSolver
 from repro.solver import MOCSolver
-from repro.solver.backends.plan import TrackTopology
 from repro.trackmgmt.manager import estimate_segments_batch, estimate_track_segments
 from repro.tracks import TrackGenerator, TrackGenerator3D
 from repro.tracks.chains import Chain
@@ -175,7 +174,9 @@ def synthetic(tracks_szsz, bounds, closed, z_edges=(0.0, 0.8, 2.0, 3.0)):
     def table():
         return TrackTable3D(
             np.array(tracks_szsz), np.zeros(len(tracks)), np.zeros(len(tracks)),
-            np.full(len(tracks), 0.1), [chain], tables, g3.axial_mesh.z_edges,
+            np.full(len(tracks), 0.1), chain_closed=[chain.closed],
+            bounds=tables[0].bounds, fsrs=tables[0].fsrs, bound_ptr=[0, len(bounds)],
+            z_edges=g3.axial_mesh.z_edges,
         )
 
     return tracks, [chain], tables, g3, table
@@ -363,7 +364,7 @@ class TestDownstreamLoops:
                 else:
                     next_track[t.uid, d] = link.track
                     next_dir[t.uid, d] = 0 if link.forward else 1
-        topology = TrackTopology.from_tracks(tracks, np.ones(n), None)
+        topology = tg.sweep_topology_3d() if three_d else tg.sweep_topology()
         assert terminal.any() and not terminal.all()
         np.testing.assert_array_equal(topology.next_track, next_track)
         np.testing.assert_array_equal(topology.next_dir, next_dir)

@@ -9,17 +9,17 @@ from repro.errors import TrackingError
 from repro.geometry import BoundaryCondition, Geometry, Lattice
 from repro.geometry.universe import make_homogeneous_universe
 from repro.quadrature import AzimuthalQuadrature, tabuchi_yamamoto
-from repro.tracks import build_chains, generate_3d_stacks, lay_tracks, link_tracks
+from repro.tracks import generate_3d_stacks
 from repro.tracks.stack3d import lay_3d_stacks, link_3d_stacks
+from tests.tracks.tracks2d_oracle import radial_table
 
 
 def make_chains(material, boundary=None, w=4.0, h=3.0, num_azim=4, spacing=0.6):
     u = make_homogeneous_universe(material)
     g = Geometry(Lattice([[u]], w, h), boundary=boundary)
     quad = AzimuthalQuadrature(num_azim, g.width, g.height, spacing)
-    tracks = lay_tracks(g, quad)
-    link_tracks(tracks, g)
-    return build_chains(tracks), tracks
+    table = radial_table(g, quad)  # what the 3D laydown reads the chain columns of
+    return table, table.tracks
 
 
 class TestClosedChainStacks:
@@ -32,7 +32,7 @@ class TestClosedChainStacks:
             bc_zmin=BoundaryCondition.REFLECTIVE,
             bc_zmax=BoundaryCondition.REFLECTIVE,
         )
-        return chains, tracks3d, stacks
+        return chains.chains, tracks3d, stacks
 
     def test_one_stack_per_chain_polar(self, stacks):
         chains, _, stack_list = stacks
@@ -97,7 +97,7 @@ class TestOpenChainStacks:
             bc_zmin=BoundaryCondition.REFLECTIVE,
             bc_zmax=BoundaryCondition.VACUUM,
         )
-        return chains, tracks3d, stacks
+        return chains.chains, tracks3d, stacks
 
     def test_vacuum_top_unlinked(self, open_stacks):
         _, tracks3d, _ = open_stacks

@@ -14,6 +14,7 @@ from repro.tracks import TrackGenerator, lay_tracks
 from repro.tracks.raytrace2d import trace_all, trace_all_reference, trace_all_wavefront
 from repro.tracks.track import Track2D
 from repro.tracks import tracers
+from tests.tracks.tracks2d_oracle import table_of, unlinked_table
 
 
 def make_pin_geometry(uo2, moderator, num_rings=2, num_sectors=4):
@@ -23,7 +24,7 @@ def make_pin_geometry(uo2, moderator, num_rings=2, num_sectors=4):
 
 def tracked(geometry, num_azim=8, spacing=0.2):
     quad = AzimuthalQuadrature(num_azim, geometry.width, geometry.height, spacing)
-    return lay_tracks(geometry, quad)
+    return unlinked_table(lay_tracks(geometry, quad))
 
 
 class TestRegistry:
@@ -41,7 +42,7 @@ class TestRegistry:
         calls = []
 
         def sentinel(geometry, tracks):
-            calls.append(len(tracks))
+            calls.append(tracks.num_tracks)
             return trace_all_reference(geometry, tracks)
 
         tracers.register_tracer("sentinel", sentinel)
@@ -151,7 +152,7 @@ class TestSliverFallback:
     def test_thin_band_is_recorded(self, uo2, moderator):
         g = self.make_geometry(uo2, moderator)
         track = self.diametral_track(g)
-        segments = trace_all_reference(g, [track])
+        segments = trace_all_reference(g, table_of([track]))
         fsrs, lengths = segments.track_segments(0)
         # FSR ids follow cell order: 0=core, 1=thin band, 2=sliver, 3=outside.
         assert 1 in fsrs.tolist(), "quarter-point probe missed the thin FSR"
@@ -162,7 +163,7 @@ class TestSliverFallback:
     def test_batch_matches_reference_on_slivers(self, uo2, moderator):
         g = self.make_geometry(uo2, moderator)
         track = self.diametral_track(g)
-        ref = trace_all_reference(g, [track])
-        batch = trace_all_wavefront(g, [track])
+        ref = trace_all_reference(g, table_of([track]))
+        batch = trace_all_wavefront(g, table_of([track]))
         assert np.array_equal(ref.fsr_ids, batch.fsr_ids)
         assert np.array_equal(ref.lengths, batch.lengths)
