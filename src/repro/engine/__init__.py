@@ -24,7 +24,6 @@ from repro.engine.base import (
 )
 from repro.engine.inproc import InprocEngine
 from repro.engine.mp import MpEngine
-from repro.engine.pool import ArenaPool, EnginePool
 from repro.engine.problem import (
     DecomposedProblem,
     EdgePack,
@@ -50,10 +49,8 @@ __all__ = [
     "DEFAULT_ENGINE",
     "ENGINE_ENV_VAR",
     "ENGINE_TIMEOUT_ENV_VAR",
-    "ArenaPool",
     "AsyncMpEngine",
     "DecomposedProblem",
-    "EnginePool",
     "EdgePack",
     "EngineResult",
     "ExecutionEngine",

@@ -55,6 +55,7 @@ from repro.engine.mp import (
 )
 from repro.engine.problem import DecomposedProblem, EdgePack
 from repro.engine.base import EngineResult
+from repro.engine.shm import ShmArena
 from repro.errors import CommunicationError, SolverError
 from repro.io.logging_utils import StageTimer, get_logger
 
@@ -280,7 +281,7 @@ class AsyncMpEngine(MpEngine):
         if cmfd is not None:
             shapes["currents"] = (max(cmfd.total_pair_rows, 1), problem.num_groups)
             shapes["factors"] = (cmfd.num_cells, problem.num_groups)
-        arena, arena_hit = self._acquire_arena(shapes)
+        arena = ShmArena(shapes)
         phi, phi_new = arena["phi"], arena["phi_new"]
         fission, prod = arena["fission"], arena["prod"]
         worker_seq, fission_seq = arena["worker_seq"], arena["fission_seq"]
@@ -362,7 +363,7 @@ class AsyncMpEngine(MpEngine):
                         break
                 solved = power.results([phi])[0]
                 payloads = self._collect_payloads(queue, procs, W)
-            return self._pool_result(solved, comm, timer, payloads, arena_hit, W)
+            return self._pool_result(solved, comm, timer, payloads, W)
         finally:
             # Unblock any surviving worker: a HALT grant far in the future
             # satisfies every pending grant wait and stops the loop.
@@ -376,4 +377,4 @@ class AsyncMpEngine(MpEngine):
                     proc.join(timeout=5.0)
             del phi, phi_new, fission, prod, worker_seq, fission_seq, grant
             del currents, factors, fields
-            self._release_arena(arena)
+            arena.close(unlink=True)

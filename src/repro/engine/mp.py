@@ -32,7 +32,7 @@ import traceback
 from functools import partial
 from queue import Empty
 from threading import BrokenBarrierError
-from typing import Any, Callable, Mapping, Protocol
+from typing import Any, Callable, Mapping, NoReturn, Protocol
 
 from repro.engine.base import EngineResult, ExecutionEngine, resolve_engine_timeout
 from repro.engine.problem import DecomposedProblem, RoutePack
@@ -98,22 +98,6 @@ def _describe_exit(exitcode: int | None) -> str:
     return f"exit code {exitcode}"
 
 
-def _abort_barrier(barrier, wid: int) -> None:
-    """Break the barrier so siblings and the parent stop waiting.
-
-    Abort can itself fail during teardown (the barrier's lock or
-    semaphore already torn down by a dying sibling); that failure is
-    logged and suppressed — the worker is exiting either way, and the
-    parent's barrier timeout still fires.
-    """
-    try:
-        barrier.abort()
-    except (ValueError, OSError, RuntimeError) as exc:
-        get_logger("repro.engine.mp").warning(
-            "worker %d could not abort the barrier during teardown: %s", wid, exc
-        )
-
-
 class Field(Protocol):
     """What a worker loop subscripts: an ndarray, or something that
     subscripts like one."""
@@ -132,6 +116,78 @@ class PhaseBarrier(Protocol):
     def wait(self, timeout: float | None = None) -> int: ...
 
     def abort(self) -> None: ...
+
+
+#: Barrier state words: arrivals in this generation, generation, broken.
+_ARRIVED, _GENERATION, _BROKEN = 0, 1, 2
+
+#: Seconds between ``alive`` checks of a blocked barrier wait.
+_LIVENESS_SLICE = 0.2
+
+
+class SemaphoreBarrier:
+    """A reusable ``parties``-process barrier that a dead party cannot wedge.
+
+    ``multiprocessing.Barrier`` is a ``threading.Barrier`` over a
+    cross-process ``Condition`` whose ``notify`` waits — with no timeout —
+    for every sleeper to acknowledge its wake-up, so a worker SIGKILLed
+    while asleep in the barrier hangs whoever arrives last, whatever
+    timeout it passed. Here every wait is one timed semaphore operation:
+    arrivals are counted under a lock, the last arrival lets the others
+    through the generation's turnstile (two, alternating, so a fast party
+    can never take a slow one's token), and :meth:`abort` takes no lock, so
+    it cannot fail or block whoever calls it. A wait that times out, or
+    whose ``alive`` check turns false, breaks the barrier for every party.
+    """
+
+    def __init__(self, ctx: Any, parties: int) -> None:
+        self.parties = parties
+        self._lock = ctx.Lock()
+        self._state = ctx.RawArray("q", 3)
+        self._turnstiles = (ctx.Semaphore(0), ctx.Semaphore(0))
+
+    def wait(
+        self, timeout: float | None = None, alive: Callable[[], bool] | None = None
+    ) -> int:
+        """Pass once every party has arrived; ``alive`` is checked every
+        :data:`_LIVENESS_SLICE` seconds while the wait blocks."""
+        state = self._state
+        if not self._lock.acquire(True, timeout):
+            self._break()
+        try:
+            if state[_BROKEN]:
+                raise BrokenBarrierError
+            index = int(state[_ARRIVED])
+            turnstile = self._turnstiles[state[_GENERATION] % 2]
+            state[_ARRIVED] += 1
+            if state[_ARRIVED] == self.parties:
+                state[_ARRIVED] = 0
+                state[_GENERATION] += 1
+                for _ in range(self.parties - 1):
+                    turnstile.release()
+                return index
+        finally:
+            self._lock.release()
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not turnstile.acquire(True, timeout if alive is None else _LIVENESS_SLICE):
+            if alive is None or not alive() or (
+                deadline is not None and time.monotonic() >= deadline
+            ):
+                self._break()
+        if state[_BROKEN]:
+            self._break()
+        return index
+
+    def abort(self) -> None:
+        """Break the barrier: every pending and later wait raises."""
+        self._state[_BROKEN] = 1
+        for turnstile in self._turnstiles:
+            for _ in range(self.parties):
+                turnstile.release()
+
+    def _break(self) -> NoReturn:
+        self.abort()
+        raise BrokenBarrierError
 
 
 #: ``MpEngine._worker_view`` with the worker bound: (fields, sync) ->
@@ -201,7 +257,7 @@ def _worker_loop(problem: DecomposedProblem, pack: RoutePack, wid: int,
     except WORKER_ERRORS as exc:
         get_logger("repro.engine.mp").error("worker %d failed: %s", wid, exc)
         queue.put(("error", wid, traceback.format_exc()))
-        _abort_barrier(barrier, wid)
+        barrier.abort()  # siblings and the parent stop waiting at once
         raise SystemExit(1)
 
 
@@ -226,24 +282,7 @@ class MpEngine(ExecutionEngine):
         self.workers = workers
         self.timeout = resolve_engine_timeout(timeout)
         self.pin_workers = bool(pin_workers)
-        #: Optional :class:`~repro.engine.pool.ArenaPool` recycling the
-        #: shared segments across solves (attached by an EnginePool host;
-        #: ``None`` keeps the batch per-solve map/unlink behaviour).
-        self.arena_pool = None
         self._logger = get_logger("repro.engine.mp")
-
-    def _acquire_arena(self, shapes: dict) -> tuple[ShmArena, bool]:
-        """A zeroed arena for ``shapes``: pooled when a host attached a
-        pool (second element reports a reuse hit), else freshly mapped."""
-        if self.arena_pool is None:
-            return ShmArena(shapes), False
-        return self.arena_pool.acquire(shapes)
-
-    def _release_arena(self, arena: ShmArena) -> None:
-        if self.arena_pool is None:
-            arena.close(unlink=True)
-        else:
-            self.arena_pool.release(arena)
 
     def _prepare_solve(self, problem: DecomposedProblem, num_workers: int) -> None:
         """Called once per solve after the worker count is resolved."""
@@ -324,8 +363,9 @@ class MpEngine(ExecutionEngine):
         raise SolverError(f"{self.name} engine worker failure:\n{detail}")
 
     def _wait(self, barrier, queue, procs) -> None:
+        """The parent's barrier wait; a worker that died breaks it at once."""
         try:
-            barrier.wait(self.timeout)
+            barrier.wait(self.timeout, alive=lambda: not any(p.exitcode for p in procs))
         except BrokenBarrierError:
             self._raise_worker_failure(queue, procs)
 
@@ -340,18 +380,13 @@ class MpEngine(ExecutionEngine):
             )
         return multiprocessing.get_context("fork")
 
-    def _pool_result(self, solved, comm, timer, payloads, arena_hit, num_workers):
+    def _pool_result(self, solved, comm, timer, payloads, num_workers):
         """The result of a worker-pool solve: ``solved`` plus the workers'
-        end-of-run payloads and this solve's arena reuse."""
-        extras = self._result_extras(payloads, num_workers)
-        if self.arena_pool is not None:  # batch runs keep their counter set
-            counters = dict(extras.get("comm_counters") or {})
-            counters["arena_reuse_hits"] = int(arena_hit)
-            counters["arena_reuse_misses"] = int(not arena_hit)
-            extras["comm_counters"] = counters
+        end-of-run payloads."""
         return self._result(
             solved, comm, timer, num_workers=num_workers,
-            worker_timers=sorted(payloads.get("timers", {}).items()), **extras,
+            worker_timers=sorted(payloads.get("timers", {}).items()),
+            **self._result_extras(payloads, num_workers),
         )
 
     def solve(self, problem: DecomposedProblem, comm: SimComm) -> EngineResult:
@@ -374,13 +409,13 @@ class MpEngine(ExecutionEngine):
                 max(cmfd.total_pair_rows, 1), problem.num_groups
             )
             shapes["factors"] = (cmfd.num_cells, problem.num_groups)
-        arena, arena_hit = self._acquire_arena(shapes)
+        arena = ShmArena(shapes)
         fields = {name: arena[name] for name in shapes}
         phi, phi_new = arena["phi"], arena["phi_new"]
         control = arena["control"]
         currents = arena["currents"] if cmfd is not None else None
         factors = arena["factors"] if cmfd is not None else None
-        barrier = ctx.Barrier(W + 1)
+        barrier = SemaphoreBarrier(ctx, W + 1)
         queue = ctx.Queue()
         owned = [[d for d in range(D) if d % W == w] for w in range(W)]
         procs = [
@@ -427,11 +462,10 @@ class MpEngine(ExecutionEngine):
                 control[_STOP] = 1.0
                 self._wait(barrier, queue, procs)  # workers observe stop and exit
                 payloads = self._collect_payloads(queue, procs, W)
-            return self._pool_result(solved, comm, timer, payloads, arena_hit, W)
+            return self._pool_result(solved, comm, timer, payloads, W)
         finally:
             control[_STOP] = 1.0
-            if any(proc.is_alive() for proc in procs):
-                barrier.abort()
+            barrier.abort()  # frees any worker still waiting; lock-free
             for proc in procs:
                 proc.join(timeout=5.0)
             for proc in procs:
@@ -439,7 +473,7 @@ class MpEngine(ExecutionEngine):
                     proc.terminate()
                     proc.join(timeout=5.0)
             del phi, phi_new, control, currents, factors, fields
-            self._release_arena(arena)
+            arena.close(unlink=True)
 
     def _collect_payloads(
         self, queue, procs, num_workers: int

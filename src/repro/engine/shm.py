@@ -44,22 +44,6 @@ class ShmArena:
         return self._views[name]
 
     @property
-    def fields(self) -> dict[str, tuple[int, ...]]:
-        """Field name -> shape, as laid out at construction."""
-        return {name: tuple(view.shape) for name, view in self._views.items()}
-
-    def reset(self) -> None:
-        """Zero every field, restoring the just-constructed state.
-
-        Pooled reuse depends on this: the engines' shared counters
-        (control words, epoch sequences, grants) all start a solve at
-        zero, so a recycled arena must be indistinguishable from a fresh
-        mapping.
-        """
-        for view in self._views.values():
-            view.fill(0.0)
-
-    @property
     def nbytes(self) -> int:
         return self._shm.size
 

@@ -126,20 +126,13 @@ COUNTER_SCHEMA: dict[str, str] = {
         "request's fresh solve; absent on a report-cache hit "
         "(service-only key; match it against the stats op's slots list)"
     ),
-    "arena_reuse_hits": (
-        "shared-memory arenas re-mapped from the resident engine pool "
-        "instead of being created (an engine property, service-only key)"
-    ),
-    "arena_reuse_misses": (
-        "shared-memory arenas created because the pool held no matching "
-        "layout (an engine property, service-only key)"
-    ),
 }
 
-#: Counter names that describe the *service* layer (request reuse, warm
-#: pools), never the solved workload. A served report is bitwise-equal to
-#: the same config solved via the CLI *modulo these keys* — equivalence
-#: comparisons and the report diff's significance rules exclude them.
+#: Counter names that describe the *service* layer (request reuse, the
+#: slot that solved), never the solved workload. A served report is
+#: bitwise-equal to the same config solved via the CLI *modulo these keys*
+#: — equivalence comparisons and the report diff's significance rules
+#: exclude them.
 SERVICE_ONLY_COUNTERS = frozenset(
     {
         "serve_requests",
@@ -147,8 +140,6 @@ SERVICE_ONLY_COUNTERS = frozenset(
         "report_cache_misses",
         "report_cache_evictions",
         "serve_slot",
-        "arena_reuse_hits",
-        "arena_reuse_misses",
     }
 )
 

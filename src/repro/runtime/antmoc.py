@@ -77,15 +77,9 @@ def build_geometry(cfg: RunConfig) -> Geometry | ExtrudedGeometry:
     return GEOMETRY_BUILDERS[cfg.geometry]()
 
 
-def resolve_tracking_cache(
-    cfg: RunConfig, override: TrackingCache | None = None
-) -> TrackingCache | None:
-    """The tracking cache of a run: a host-provided shared ``override``
-    when (and only when) the config enables caching, else one built from
-    the config, else ``None``."""
+def resolve_tracking_cache(cfg: RunConfig) -> TrackingCache | None:
+    """The tracking cache a configuration enables, or ``None``."""
     tracking = cfg.tracking
-    if tracking.tracking_cache and override is not None:
-        return override
     return resolve_cache(
         tracking.tracking_cache,
         tracking.cache_dir,
@@ -132,7 +126,6 @@ def build_solver(
     geometry: Geometry | ExtrudedGeometry,
     *,
     cache: TrackingCache | None,
-    engine: Any = None,
     trackgen: Any = None,
     materials: Sequence[Any] | None = None,
 ) -> TransportSolver:
@@ -141,9 +134,6 @@ def build_solver(
     decomposition grid larger than one domain (``nx * ny`` radially,
     ``nz`` axially) selects the decomposed driver of that dimension.
 
-    ``engine`` is a host-provided warm engine instance used instead of
-    the config's engine name (it flows through
-    :func:`~repro.engine.registry.resolve_engine` unchanged).
     ``trackgen`` and ``materials`` inject an already generated laydown and
     a perturbed per-FSR material list into the single-domain radial
     solver (scenario batches trace once and solve many states).
@@ -151,7 +141,7 @@ def build_solver(
     tracking, limits, sweep = solver_keywords(cfg, cache)
     decomposition = cfg.decomposition
     parallel: dict[str, Any] = dict(
-        engine=engine if engine is not None else decomposition.engine,
+        engine=decomposition.engine,
         workers=decomposition.workers or None,
         timeout=decomposition.timeout,
         pin_workers=decomposition.pin_workers,
@@ -213,32 +203,19 @@ class AntMocRunResult:
 
 
 class AntMocApplication:
-    """One configured ANT-MOC run.
+    """One configured ANT-MOC run — everything it solves, caches and maps
+    comes from ``config``; a solve slot of :mod:`repro.serve` runs exactly
+    this.
 
-    The keyword-only hosting hooks exist for :mod:`repro.serve`, which
-    runs many applications inside one resident process. None of them may
-    change what is solved — the manifest (and therefore the service's
-    reuse keys) is collected from ``config`` alone:
-
-    * ``engine`` — a pre-built :class:`~repro.engine.base.ExecutionEngine`
-      instance used instead of resolving ``decomposition.engine`` by name,
-      so a warm pooled engine (with its shared-memory arenas already
-      mapped) serves the solve.
-    * ``tracking_cache`` — a shared :class:`~repro.tracks.cache.TrackingCache`
-      used instead of building one from the config. Only honoured when the
-      config enables the cache; a host cannot switch caching on for a
-      request that asked for it off.
-    * ``stage_hook`` — called with each stage name as it begins, letting a
-      host mirror pipeline progress (e.g. job lifecycle states) without
-      touching the observation.
+    ``stage_hook`` is called with each stage name as it begins, letting a
+    host mirror pipeline progress (e.g. job lifecycle states) without
+    touching the observation.
     """
 
     def __init__(
         self,
         config: RunConfig,
         *,
-        engine: Any = None,
-        tracking_cache: TrackingCache | None = None,
         stage_hook: Callable[[str], None] | None = None,
     ) -> None:
         self.config = config.validate()
@@ -248,8 +225,6 @@ class AntMocApplication:
         # the observation keeps in lock-step with its span tree.
         self.timer = self.obs.timer
         self.pipeline = PipelineState()
-        self._engine_override = engine
-        self._cache_override = tracking_cache
         self._stage_hook = stage_hook
 
     @contextmanager
@@ -293,9 +268,9 @@ class AntMocApplication:
             self.pipeline.complete(StageName.GEOMETRY_CONSTRUCTION, geometry)
         self.logger.info("geometry %s: %d FSRs", cfg.geometry, geometry.num_fsrs)
 
-        cache = resolve_tracking_cache(cfg, self._cache_override)
+        cache = resolve_tracking_cache(cfg)
         with self._stage(StageName.TRACK_GENERATION.value):
-            solver = build_solver(cfg, geometry, cache=cache, engine=self._engine_override)
+            solver = build_solver(cfg, geometry, cache=cache)
             self.pipeline.complete(StageName.TRACK_GENERATION, solver)
         timings_list = solver.tracking_timings
         cache_hits = record_tracking(self.obs, timings_list, cache_enabled=cache is not None)

@@ -154,22 +154,17 @@ def run_scenario_batch(
     config: RunConfig,
     *,
     mode: str = "auto",
-    engine=None,
-    tracking_cache=None,
     stage_hook: Callable[[str], None] | None = None,
 ) -> BatchRunResult:
     """Solve every scenario state of ``config`` over one track laydown.
 
-    The keyword-only hosting hooks are those of
-    :class:`~repro.runtime.antmoc.AntMocApplication`: ``engine`` injects a
-    warm pooled engine for decomposed states, ``tracking_cache`` a shared
-    cache (honoured only when the config enables caching), ``stage_hook``
-    observes pipeline progress — each stage is announced exactly once for
-    the whole batch, by the calling process. None of them sizes the
-    fan-out of a single-domain batch (module docstring): that follows the
-    CPU affinity and the number of states. Raises — with every forked
-    worker already reaped and no partial result — when a share dies or
-    raises.
+    ``stage_hook`` observes pipeline progress as
+    :class:`~repro.runtime.antmoc.AntMocApplication`'s does — each stage
+    is announced exactly once for the whole batch, by the calling
+    process. Nothing but ``config`` sizes the fan-out of a single-domain
+    batch (module docstring): that follows the CPU affinity and the
+    number of states. Raises — with every forked worker already reaped
+    and no partial result — when a share dies or raises.
     """
     if mode not in BATCH_MODES:
         raise ScenarioError(f"mode must be one of {BATCH_MODES} (got {mode!r})")
@@ -207,7 +202,7 @@ def run_scenario_batch(
             "the widened scenario-axis kernel is single-domain only; "
             "decomposed batches run the per-state sequential path"
         )
-    cache = resolve_tracking_cache(cfg, tracking_cache)
+    cache = resolve_tracking_cache(cfg)
     logger.info(
         "scenario batch: %d state(s) over geometry %s (%s)",
         num_states, cfg.geometry, "decomposed" if decomposed else "single-domain",
@@ -215,7 +210,7 @@ def run_scenario_batch(
 
     if decomposed:
         outcome = _run_decomposed(
-            cfg, geometry, scenarios, library, cache, engine, hook, stage_seconds
+            cfg, geometry, scenarios, library, cache, hook, stage_seconds
         )
     else:
         outcome = _run_single_domain(
@@ -474,10 +469,10 @@ def _fan_out(solve, shares):
                 process.join()
 
 
-def _run_decomposed(cfg, geometry, scenarios, library, cache, engine, hook, stage_seconds):
+def _run_decomposed(cfg, geometry, scenarios, library, cache, hook, stage_seconds):
     t0 = time.perf_counter()
     hook(StageName.TRACK_GENERATION.value)
-    solver = build_solver(cfg, geometry, cache=cache, engine=engine)
+    solver = build_solver(cfg, geometry, cache=cache)
     stage_seconds[StageName.TRACK_GENERATION.value] = time.perf_counter() - t0
 
     hook(StageName.TRANSPORT_SOLVING.value)

@@ -12,22 +12,22 @@ long-lived service, the same shape as an inference server in an ML stack:
   solve.
 * :mod:`repro.serve.slots` — where the solving happens: one long-lived
   forked solver process per solver thread (ANT-MOC's "one rank per
-  device", applied to the farm), each owning its warm engines and pooled
-  shared-memory arenas (:class:`~repro.engine.pool.EnginePool`). The
-  server process admits, answers hits and waits; it never sweeps.
+  device", applied to the farm), each running a job exactly as the CLI
+  runs it (``AntMocApplication`` or ``run_scenario_batch``), so every
+  shared-memory segment lives one solve. The server process admits,
+  answers hits and waits; it never sweeps.
 * :mod:`repro.serve.server` / :mod:`repro.serve.client` — the stdlib
   TCP / Unix-socket JSON-lines protocol over that service
   (``python -m repro.serve`` starts a server).
 
-Reuse-key hierarchy, coarsest savings first: an identical *manifest*
-(:func:`~repro.observability.manifest.config_hash` over the full config)
-returns the cached report and flux with no work at all; an identical
-*geometry + tracking* fingerprint (the PR-2 content-addressed tracking
-cache, shared between slots through the file system) skips track laydown
-but re-sweeps; an identical *arena layout* re-maps a segment the same
-slot already faulted in; everything else pays full price. Service-side
-reuse never changes what is solved — served results are bitwise-equal to
-the CLI modulo the
+Reuse-key hierarchy, two levels, coarsest savings first: an identical
+*manifest* (:func:`~repro.observability.manifest.config_hash` over the
+full config) returns the cached report and flux with no work at all; an
+identical *geometry + tracking* fingerprint (the content-addressed
+tracking cache the config names, shared between slots through the file
+system) skips track laydown but re-sweeps; everything else pays full
+price. Service-side reuse never changes what is solved — served results
+are bitwise-equal to the CLI modulo the
 :data:`~repro.observability.counters.SERVICE_ONLY_COUNTERS`.
 """
 

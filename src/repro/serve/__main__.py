@@ -14,10 +14,11 @@ import threading
 
 from repro.serve.server import SolveServer
 from repro.serve.service import ServeOptions
-from repro.serve.slots import usable_cpus
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The server's flags; every default is :class:`ServeOptions`' own."""
+    defaults = ServeOptions()
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
         description="Persistent ANT-MOC solve service (JSON-lines over TCP/Unix).",
@@ -31,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--threads",
         type=int,
-        default=usable_cpus(),
+        default=defaults.solver_threads,
         help="solve slots: solver threads, each fronting its own forked "
         "solver process (default: the CPUs this process may run on, "
         "%(default)s here)",
@@ -39,34 +40,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--queue-depth",
         type=int,
-        default=64,
+        default=defaults.max_queue_depth,
         help="admission bound on pending requests (default: %(default)s)",
     )
     parser.add_argument(
         "--cache-size",
         type=int,
-        default=32,
+        default=defaults.report_cache_size,
         help="manifest-keyed report cache capacity, 0 disables "
         "(default: %(default)s)",
     )
     parser.add_argument(
         "--timeout",
         type=float,
-        default=None,
+        default=defaults.default_timeout,
         help="default per-request queue deadline in seconds (default: none)",
     )
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    options = ServeOptions(
+def serve_options(args: argparse.Namespace) -> ServeOptions:
+    """The service options parsed flags describe."""
+    return ServeOptions(
         solver_threads=args.threads,
         max_queue_depth=args.queue_depth,
         report_cache_size=args.cache_size,
         default_timeout=args.timeout,
     )
-    server = SolveServer(args.address, options=options)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    server = SolveServer(args.address, options=serve_options(args))
     stop = threading.Event()
     server.on_stop = stop.set  # a protocol 'shutdown' op also exits
     server.start()

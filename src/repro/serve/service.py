@@ -437,7 +437,6 @@ class SolveService:
             "totals": totals,
             "queue_depth": len(self.queue),
             "report_cache": self.report_cache.stats(),
-            "arena_pool": self._slots.arena_pool_stats(),
             "slots": slots,
             "solver_threads": self.options.solver_threads,
         }

@@ -11,23 +11,26 @@ without the GIL — on ``[pipe, process sentinel]`` until the terminal
 message arrives, so N slots solve on N cores while the server process
 only admits, answers hits and waits.
 
-What a slot owns: a warm :class:`~repro.engine.pool.EnginePool` (engine
-instances and the shared-memory :class:`~repro.engine.pool.ArenaPool`,
-closed and unlinked when the slot stops) and nothing else of the server —
-its first act is to drop every inherited socket but its own pipe (sibling
-slots' pipes, the listener, client connections), so pipe EOF reliably
-means "my server is gone" and a killed server leaves nobody holding its
-address. Slots are non-daemon (the ``mp`` engines fork their workers from
-inside one) and ignore SIGINT (a terminal Ctrl-C reaches the whole
-process group; the server drains and stops them).
+What a slot runs: exactly what the CLI runs —
+``AntMocApplication(cfg, stage_hook=…).run()`` or
+``run_scenario_batch(cfg, stage_hook=…)`` — so a served solve maps its
+shared-memory segments when it starts and unlinks them when it ends, as
+every CLI run does. What a slot owns: nothing that outlives a job, and
+nothing of the server — its first act is to drop every inherited socket
+but its own pipe (sibling slots' pipes, the listener, client
+connections), so pipe EOF reliably means "my server is gone" and a killed
+server leaves nobody holding its address. Slots are non-daemon (the
+``mp`` engines fork their workers from inside one) and ignore SIGINT (a
+terminal Ctrl-C reaches the whole process group; the server drains and
+stops them).
 
 What crosses the pipe, down: a ``RunConfig`` per job, ``None`` to stop.
 Up: ``("stage", name)`` for each pipeline stage the run announces, then
-one terminal message — ``("done", SlotResult, arena-pool stats)`` or
-``("failed", traceback text)``. A :class:`SlotResult` is the solve in
-wire form: per solved state the pristine ``RunReport.to_dict()`` payload
-and the flux, as the very :class:`~repro.serve.cache.CacheEntry` a later
-report-cache hit is rebuilt from.
+one terminal message — ``("done", SlotResult)`` or ``("failed",
+traceback text)``. A :class:`SlotResult` is the solve in wire form: per
+solved state the pristine ``RunReport.to_dict()`` payload and the flux,
+as the very :class:`~repro.serve.cache.CacheEntry` a later report-cache
+hit is rebuilt from.
 
 A slot that exits without a terminal message (SIGKILL, a programming
 error escaping the solve) is noticed at once through its sentinel: the
@@ -43,12 +46,11 @@ import signal
 import stat
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection
 from typing import Any, Callable
 
 from repro.engine.mp import _describe_exit
-from repro.engine.pool import EnginePool
 from repro.errors import ReproError, ServeError
 from repro.io.config import RunConfig
 from repro.io.logging_utils import get_logger
@@ -66,11 +68,7 @@ SOLVE_ERRORS = (
     RuntimeError,
 )
 
-#: An arena pool nobody has used yet (``ArenaPool.stats()`` shape).
-_NO_ARENAS = {"hits": 0, "misses": 0, "free": 0}
-
-#: How long a stopped slot gets to unlink its arenas and exit before it
-#: is terminated.
+#: How long a stopped slot gets to exit before it is terminated.
 STOP_TIMEOUT_S = 10.0
 
 
@@ -92,25 +90,17 @@ class SlotResult:
     parent_hash: str | None = None
 
 
-#: A slot body: ``(config, engine_pool, announce_stage) -> SlotResult``.
-SlotBody = Callable[[RunConfig, EnginePool, Callable[[str], None]], SlotResult]
+#: A slot body: ``(config, announce_stage) -> SlotResult``.
+SlotBody = Callable[[RunConfig, Callable[[str], None]], SlotResult]
 
 
-def run_job(
-    cfg: RunConfig, engine_pool: EnginePool, announce: Callable[[str], None]
-) -> SlotResult:
-    """The slot body: one CLI-shaped run (or scenario batch) of ``cfg`` on
-    a warm engine, reduced to its wire form."""
-    engine = engine_pool.get(
-        cfg.decomposition.engine,
-        workers=cfg.decomposition.workers or None,
-        timeout=cfg.decomposition.timeout,
-        pin_workers=cfg.decomposition.pin_workers,
-    )
+def run_job(cfg: RunConfig, announce: Callable[[str], None]) -> SlotResult:
+    """The slot body: the CLI's run (or scenario batch) of ``cfg``,
+    reduced to its wire form."""
     if cfg.scenarios:
         from repro.scenario import run_scenario_batch
 
-        batch = run_scenario_batch(cfg, engine=engine, stage_hook=announce)
+        batch = run_scenario_batch(cfg, stage_hook=announce)
         return SlotResult(
             [
                 (state.state_hash, CacheEntry(state.run_report.to_dict(), state.scalar_flux))
@@ -120,7 +110,7 @@ def run_job(
         )
     from repro.runtime.antmoc import AntMocApplication
 
-    result = AntMocApplication(cfg, engine=engine, stage_hook=announce).run()
+    result = AntMocApplication(cfg, stage_hook=announce).run()
     return SlotResult([(None, CacheEntry(result.run_report.to_dict(), result.scalar_flux))])
 
 
@@ -142,13 +132,12 @@ def _slot_main(index: int, conn: connection.Connection, body: SlotBody) -> None:
     """A slot process: take configs off the pipe until stopped or orphaned.
 
     The first actions are fork-safe by construction (a respawn forks from
-    a process that has threads): signal dispositions, descriptors, then a
-    fresh ``EnginePool`` — no lock of the server's is ever touched.
+    a process that has threads): signal dispositions, then descriptors —
+    no lock of the server's is ever touched.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _drop_inherited_sockets(keep=conn.fileno())
-    engine_pool = EnginePool()
 
     def announce(stage: str) -> None:
         conn.send(("stage", stage))
@@ -159,15 +148,13 @@ def _slot_main(index: int, conn: connection.Connection, body: SlotBody) -> None:
             if cfg is None:
                 return
             try:
-                result = body(cfg, engine_pool, announce)
+                result = body(cfg, announce)
             except SOLVE_ERRORS:
                 conn.send(("failed", traceback.format_exc()))
             else:
-                conn.send(("done", result, engine_pool.arena_pool.stats()))
+                conn.send(("done", result))
     except (EOFError, OSError):
         get_logger("repro.serve").warning("solve slot %d: server is gone, exiting", index)
-    finally:
-        engine_pool.close()
 
 
 @dataclass
@@ -181,7 +168,6 @@ class _Slot:
     solves: int = 0
     busy_seconds: float = 0.0
     restarts: int = 0
-    arena_pool: dict[str, int] = field(default_factory=_NO_ARENAS.copy)
 
 
 class SolveSlots:
@@ -239,13 +225,11 @@ class SolveSlots:
             slot.conn.close()
             slot.process, slot.conn = self._fork(index)
             slot.restarts += 1
-            slot.arena_pool = _NO_ARENAS.copy()
             self._logger.error("solve slot %d died (%s); respawned", index, reason)
             raise ServeError(f"solve slot {index} died ({reason})")
         if message[0] == "failed":
             raise ServeError(message[1])
         slot.solves += 1
-        slot.arena_pool = message[2]
         return message[1]
 
     @staticmethod
@@ -286,14 +270,6 @@ class SolveSlots:
             }
             for slot in self._slots
         ]
-
-    def arena_pool_stats(self) -> dict[str, int]:
-        """The slots' arena pools summed, each as of its last solve."""
-        totals = _NO_ARENAS.copy()
-        for slot in self._slots:
-            for name in totals:
-                totals[name] += slot.arena_pool[name]
-        return totals
 
     def close(self) -> None:
         """Stop every slot (they must be idle): stop message, bounded

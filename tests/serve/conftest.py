@@ -5,6 +5,8 @@ from __future__ import annotations
 import copy
 import multiprocessing
 import os
+import signal
+import threading
 import time
 
 import pytest
@@ -48,11 +50,11 @@ class HeldBody:
         self._began, self._begin = ctx.Pipe(duplex=False)
         self._gate, self._opener = ctx.Pipe(duplex=False)
 
-    def __call__(self, cfg, engine_pool, announce):
+    def __call__(self, cfg, announce):
         self._begin.send(os.getpid())
         if not self._gate.poll(60.0):
             raise RuntimeError("held slot body was never released")
-        return run_job(cfg, engine_pool, announce)
+        return run_job(cfg, announce)
 
     def release(self) -> None:
         if not self._gate.poll(0):
@@ -72,6 +74,54 @@ class HeldBody:
         count = 0
         while self._began.poll(0):
             self._began.recv()
+            count += 1
+        return count
+
+
+class KillFirstEngineWorker:
+    """A slot body that SIGKILLs its slot's first ``repro-mp-worker-*``
+    child once the job starts sweeping, then lets the run end as it will.
+
+    Armed for the first job a slot runs: the flag lives in the forked slot,
+    so that slot's later jobs run :func:`run_job` untouched. The watcher is
+    a thread of the slot process (the engine forks its workers from the
+    slot's main thread); it sends each victim's pid up an inherited simplex
+    pipe (:meth:`killed` counts them) before killing it.
+    """
+
+    def __init__(self) -> None:
+        ctx = multiprocessing.get_context("fork")
+        self._victims, self._report = ctx.Pipe(duplex=False)
+        self._armed = True
+
+    def __call__(self, cfg, announce):
+        def on_stage(stage):
+            announce(stage)
+            if stage == "transport_solving" and self._armed:
+                self._armed = False
+                threading.Thread(target=self._kill_first_worker, daemon=True).start()
+
+        return run_job(cfg, on_stage)
+
+    def _kill_first_worker(self) -> None:
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline:
+            workers = sorted(
+                (child for child in multiprocessing.active_children()
+                 if child.name.startswith("repro-mp-worker-")),
+                key=lambda child: child.name,
+            )
+            if workers:
+                self._report.send(workers[0].pid)
+                os.kill(workers[0].pid, signal.SIGKILL)
+                return
+            time.sleep(0.001)
+
+    def killed(self) -> int:
+        """Drain and count the workers killed since the last call."""
+        count = 0
+        while self._victims.poll(0):
+            self._victims.recv()
             count += 1
         return count
 

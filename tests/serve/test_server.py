@@ -167,3 +167,20 @@ class TestSubprocessServer:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+
+
+class TestCommandLine:
+    def test_flag_defaults_are_the_service_defaults(self):
+        from repro.serve.__main__ import build_parser, serve_options
+
+        assert serve_options(build_parser().parse_args([])) == ServeOptions()
+
+    def test_flags_reach_the_options(self):
+        from repro.serve.__main__ import build_parser, serve_options
+
+        args = build_parser().parse_args(
+            ["--threads", "3", "--queue-depth", "5", "--cache-size", "0", "--timeout", "2.5"]
+        )
+        assert serve_options(args) == ServeOptions(
+            solver_threads=3, max_queue_depth=5, report_cache_size=0, default_timeout=2.5
+        )

@@ -1,14 +1,18 @@
-"""Solve slots: every fresh solve runs in a forked slot process, and a
-dead process — slot or server — has a named, bounded outcome.
+"""Solve slots: every fresh solve runs in a forked slot process exactly as
+the CLI runs it, no shared-memory segment outlives the solve that mapped
+it, and a dead process — slot, engine worker or server — has a named,
+bounded outcome.
 
-The fault tests are the first rows of DESIGN.md's "Fault model" table;
-the hygiene rule of the last one (no process of the server's session, no
+The fault tests are rows of DESIGN.md's "Fault model" table; the hygiene
+rule of the server-death row (no process of the server's session, no
 ``/dev/shm`` segment, two seconds after it is gone) is the e2e harness's
 own (``benchmarks/e2e/ops.py``), asserted here in tier-1.
 """
 
 from __future__ import annotations
 
+import ast
+import inspect
 import multiprocessing
 import os
 import select
@@ -24,11 +28,19 @@ import pytest
 from repro.errors import ServeError
 from repro.io.config import config_from_dict
 from repro.runtime.antmoc import AntMocApplication
+from repro.scenario import run_scenario_batch
 from repro.serve import JobState, ServeClient, ServeOptions, SolveService
+from repro.serve.slots import run_job
 
 from tests.scenario.conftest import batch_config
 
-from .conftest import HeldBody, assert_reaped, solve_payload, wait_until
+from .conftest import (
+    HeldBody,
+    KillFirstEngineWorker,
+    assert_reaped,
+    solve_payload,
+    wait_until,
+)
 from .test_equivalence import needs_fork, strip_service_annotation
 
 pytestmark = needs_fork
@@ -79,14 +91,37 @@ class TestEverySolveGoesThroughASlot:
         with pytest.raises(ServeError, match="'fork' start method"):
             service.start()
 
-    def test_arena_pool_stats_are_summed_over_the_slots(self, service):
-        service.solve(solve_payload(decomposition=MP_DECOMPOSED))
-        other = solve_payload(decomposition=MP_DECOMPOSED)
-        other["solver"]["max_iterations"] = 3
-        service.solve(other)
-        arenas = service.stats()["arena_pool"]
-        # One slot reused its arena, or each slot mapped its own.
-        assert arenas["hits"] + arenas["misses"] == 2 and arenas["free"] >= 1
+    def test_no_segment_outlives_a_served_solve(self, service):
+        for engine in ("mp", "mp-async"):
+            job = service.solve(solve_payload(decomposition={**MP_DECOMPOSED, "engine": engine}))
+            assert not job.cache_hit
+        pids = [slot["pid"] for slot in service.stats()["slots"]]
+        assert live_segments(pids) == set()
+
+
+class TestOneWayIn:
+    """A slot calls what the CLI calls; nothing else can be handed in."""
+
+    def test_entry_points_take_no_hosting_hooks(self):
+        from repro.runtime.antmoc import build_solver
+
+        for entry in (AntMocApplication.__init__, run_scenario_batch, build_solver):
+            hooks = {"engine", "tracking_cache"} & set(inspect.signature(entry).parameters)
+            assert hooks == set(), entry.__qualname__
+
+    def test_the_slot_body_is_the_cli_entry_points(self):
+        tree = ast.parse(inspect.getsource(run_job))
+        entries = [
+            (node.func.id, len(node.args), [kw.arg for kw in node.keywords])
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in {"AntMocApplication", "run_scenario_batch", "build_solver"}
+        ]
+        assert sorted(entries) == [
+            ("AntMocApplication", 1, ["stage_hook"]),
+            ("run_scenario_batch", 1, ["stage_hook"]),
+        ]
 
 
 class TestSlotDeath:
@@ -130,13 +165,36 @@ class TestSlotDeath:
         assert_equals_direct(follower, payload)
 
     def test_a_slot_that_exits_on_its_own_is_named_too(self, payload):
-        def quitter(cfg, engine_pool, announce):
+        def quitter(cfg, announce):
             os._exit(3)
 
         with SolveService(ServeOptions(solver_threads=1), slot_body=quitter) as service:
             job = service.submit(payload)
             assert job.wait(timeout=60.0) is JobState.FAILED
             assert job.error == "solve slot 0 died (exit code 3)"
+
+
+class TestEngineWorkerDeath:
+    def test_killed_engine_worker_fails_the_job_not_the_slot(self):
+        killer = KillFirstEngineWorker()
+        request = solve_payload(decomposition=MP_DECOMPOSED)
+        request["solver"]["max_iterations"] = 200  # ~0.25 s of sweeping to kill into
+        service = SolveService(ServeOptions(solver_threads=1), slot_body=killer).start()
+        try:
+            doomed = service.submit(request)
+            assert doomed.wait(timeout=120.0) is JobState.FAILED
+            assert killer.killed() == 1
+            assert "mp engine worker failure" in doomed.error
+            assert "killed by SIGKILL" in doomed.error
+            assert service.stats()["totals"]["slot_restarts"] == 0
+            # The same slot's next request solves normally, bit for bit.
+            again = service.solve(request)
+            assert not again.cache_hit
+            assert_equals_direct(again, request)
+            pids = [slot["pid"] for slot in service.stats()["slots"]]
+            assert live_segments(pids) == set()
+        finally:
+            service.close()
 
 
 def session_members(session_id: int) -> list[int]:
@@ -160,10 +218,20 @@ def mapped_segments(pids: list[int]) -> set[str]:
     test run's segments are never mistaken for the server's)."""
     names = set()
     for pid in pids:
-        for line in Path("/proc", str(pid), "maps").read_text(encoding="utf-8").splitlines():
+        try:
+            maps = Path("/proc", str(pid), "maps").read_text(encoding="utf-8")
+        except OSError:
+            continue  # exited while we were looking
+        for line in maps.splitlines():
             if "/dev/shm/" in line:
                 names.add(line.rsplit("/dev/shm/", 1)[1].split()[0])
     return names
+
+
+def live_segments(pids: list[int]) -> set[str]:
+    """Segments these processes map that still exist in ``/dev/shm``
+    (mapped but already unlinked: multiprocessing's own heap)."""
+    return mapped_segments(pids) & set(os.listdir("/dev/shm"))
 
 
 def survivors_after(pids: list[int], grace: float) -> list[int]:
@@ -197,17 +265,18 @@ class TestServerDeath:
         try:
             assert proc.stdout.readline().startswith("repro-serve listening on ")
             with ServeClient(f"unix:{tmp_path / 's.sock'}") as client:
-                # Leave a pooled shared-memory arena warm in a slot ...
-                client.solve(solve_payload(decomposition=MP_DECOMPOSED))
-                # ... and put one solve in flight (~0.5 s of sweeping).
-                long_solve = solve_payload()
-                long_solve["solver"]["max_iterations"] = 100
-                job_id = client.solve(long_solve, wait=False)["job_id"]
-                wait_until(lambda: client.job(job_id)["state"] == "sweeping")
+                # Put one mp solve in flight (~0.7 s of sweeping), holding
+                # the segment its engine mapped.
+                long_solve = solve_payload(decomposition=MP_DECOMPOSED)
+                long_solve["solver"]["max_iterations"] = 500
+                client.solve(long_solve, wait=False)
+                # The slot and both engine workers it forked map the segment.
+                wait_until(lambda: len(
+                    [pid for pid in session_members(proc.pid) if live_segments([pid])]
+                ) >= 3)
                 members = session_members(proc.pid)
-                assert len(members) >= 3  # the server and its two slots
-                # (Mapped but already unlinked: multiprocessing's own heap.)
-                segments = mapped_segments(members) & set(os.listdir("/dev/shm"))
+                assert len(members) >= 5  # the server, its two slots, two workers
+                segments = live_segments(members)
                 assert segments
                 proc.kill()
             proc.wait(timeout=60)

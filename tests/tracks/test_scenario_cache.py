@@ -3,10 +3,13 @@
 Perturbations are tracking-invariant by construction, so a whole batch —
 whatever its perturbation set — maps to ONE cache entry: the first batch
 stores once, every later batch (same geometry/tracking, any scenarios)
-hits, and no state ever adds a miss of its own.
+hits, and no state ever adds a miss of its own. Runs share the entry the
+way every run does, through ``tracking.cache_dir``.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,29 +19,26 @@ from repro.tracks.cache import TrackingCache
 from tests.scenario.conftest import batch_config
 
 
-class CountingCache(TrackingCache):
-    """A tracking cache that counts its load/store traffic."""
+@pytest.fixture()
+def traffic(monkeypatch):
+    """Load/store calls on every :class:`TrackingCache` a run builds from
+    its ``cache_dir``."""
+    traffic = SimpleNamespace(loads=0, hits=0, stores=0)
+    load, store = TrackingCache.load, TrackingCache.store
 
-    def __init__(self, directory):
-        super().__init__(directory)
-        self.loads = 0
-        self.hits = 0
-        self.stores = 0
-
-    def load(self, trackgen):
-        self.loads += 1
-        hit = super().load(trackgen)
-        self.hits += int(hit)
+    def counted_load(self, trackgen):
+        traffic.loads += 1
+        hit = load(self, trackgen)
+        traffic.hits += int(hit)
         return hit
 
-    def store(self, trackgen, lock_timeout=None):
-        self.stores += 1
-        return super().store(trackgen, lock_timeout)
+    def counted_store(self, *args, **kwargs):
+        traffic.stores += 1
+        return store(self, *args, **kwargs)
 
-
-@pytest.fixture()
-def cache(tmp_path):
-    return CountingCache(tmp_path)
+    monkeypatch.setattr(TrackingCache, "load", counted_load)
+    monkeypatch.setattr(TrackingCache, "store", counted_store)
+    return traffic
 
 
 def cached_config(tmp_path, **overrides):
@@ -55,19 +55,19 @@ def cached_config(tmp_path, **overrides):
 
 
 class TestScenarioBatchCaching:
-    def test_four_states_one_store_zero_extra_misses(self, tmp_path, cache):
+    def test_four_states_one_store_zero_extra_misses(self, tmp_path, traffic):
         cfg = cached_config(tmp_path)
-        batch = run_scenario_batch(cfg, tracking_cache=cache)
+        batch = run_scenario_batch(cfg)
         assert len(batch.states) == 4
         # One probe (the shared laydown), one store, no hit on cold start.
-        assert (cache.loads, cache.stores, cache.hits) == (1, 1, 0)
+        assert (traffic.loads, traffic.stores, traffic.hits) == (1, 1, 0)
         counters = batch.states[0].run_report.counters.to_dict()
         assert counters["laydowns_shared"] == 3
         assert counters["tracking_cache_misses"] == 1
         assert counters["tracking_cache_hits"] == 0
 
-    def test_second_batch_hits_regardless_of_perturbations(self, tmp_path, cache):
-        run_scenario_batch(cached_config(tmp_path), tracking_cache=cache)
+    def test_second_batch_hits_regardless_of_perturbations(self, tmp_path, traffic):
+        run_scenario_batch(cached_config(tmp_path))
         # A different perturbation set still maps to the same laydown.
         other = cached_config(
             tmp_path,
@@ -77,15 +77,15 @@ class TestScenarioBatchCaching:
                 ]},
             ],
         )
-        batch = run_scenario_batch(other, tracking_cache=cache)
-        assert (cache.loads, cache.stores, cache.hits) == (2, 1, 1)
+        batch = run_scenario_batch(other)
+        assert (traffic.loads, traffic.stores, traffic.hits) == (2, 1, 1)
         counters = batch.states[0].run_report.counters.to_dict()
         assert counters["tracking_cache_hits"] == 1
         assert counters["tracking_cache_misses"] == 0
         # Exactly one entry on disk: perturbed manifests share the key.
         assert len(list(tmp_path.glob("*.npz"))) == 1
 
-    def test_batch_and_plain_run_share_the_entry(self, tmp_path, cache):
+    def test_batch_and_plain_run_share_the_entry(self, tmp_path, traffic):
         """A plain (non-batch) run of the parent config reuses the entry
         a batch stored — and vice versa — because tracking keys never see
         materials or scenarios."""
@@ -94,7 +94,7 @@ class TestScenarioBatchCaching:
         from repro.runtime.antmoc import AntMocApplication
 
         cfg = cached_config(tmp_path)
-        run_scenario_batch(cfg, tracking_cache=cache)
+        run_scenario_batch(cfg)
         plain = dataclasses.replace(cfg, scenarios=())
-        AntMocApplication(plain, tracking_cache=cache).run()
-        assert (cache.loads, cache.stores, cache.hits) == (2, 1, 1)
+        AntMocApplication(plain).run()
+        assert (traffic.loads, traffic.stores, traffic.hits) == (2, 1, 1)
