@@ -46,6 +46,26 @@ CASES = {
             "storage_method": "EXP",
         },
     ),
+    # CMFD on: both run the D-hat limiter on some face-groups, so the
+    # coarse assembly is pinned bitwise including its limited branch.
+    "c5g7-mini-2d-cmfd": lambda: mini_2d_config(
+        solver={
+            "max_iterations": 12,
+            "keff_tolerance": 1e-14,
+            "source_tolerance": 1e-14,
+            "cmfd": True,
+        },
+    ),
+    "c5g7-3d-z2-cmfd": lambda: mini_3d_config(
+        decomposition={"nz": 2},
+        solver={
+            "max_iterations": 8,
+            "keff_tolerance": 1e-14,
+            "source_tolerance": 1e-14,
+            "storage_method": "EXP",
+            "cmfd": True,
+        },
+    ),
 }
 
 #: Scenario-batch goldens: each pins ONE perturbed state of a two-state
