@@ -34,7 +34,7 @@ Key structural properties, relied on throughout:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,37 +189,33 @@ def fsr_points(geometry: Geometry) -> np.ndarray:
     """Representative ``(x, y)`` per radial FSR: the centre of its
     innermost lattice cell.
 
-    Walks each enumerated FSR path accumulating lattice cell centres — the
-    exact inverse of the translations the point queries apply — so every
-    FSR of a pin universe maps to its pin-cell centre (pin resolution).
-    Paths that traverse no lattice fall back to the bounding-box centre.
+    One depth-first descent of the universe tree (the order the geometry
+    enumerated its FSRs in) accumulates lattice cell centres — the exact
+    inverse of the translations the point queries apply — so every FSR of
+    a pin universe maps to its pin-cell centre (pin resolution). FSRs
+    reached through no lattice keep the bounding-box centre.
     """
     points = np.empty((geometry.num_fsrs, 2), dtype=np.float64)
-    fallback = (
+    points[:] = (
         0.5 * (geometry.xmin + geometry.xmax),
         0.5 * (geometry.ymin + geometry.ymax),
     )
-    for path, fsr in geometry._fsr_ids.items():
-        node = geometry.root
-        x = y = 0.0
-        saw_lattice = False
-        for element in path:
-            if isinstance(node, Lattice):
-                _lattice_id, i, j = element
-                cx, cy = node.cell_center(i, j)
-                x += cx
-                y += cy
-                saw_lattice = True
-                node = node.universes[j][i]
-            else:
-                cell = next((c for c in node.cells if c.id == element), None)
-                if cell is None:
-                    raise SolverError(f"FSR path {path} names unknown cell {element}")
-                if cell.is_material_cell:
-                    node = None
-                else:
-                    node = cell.fill
-        points[fsr] = (x, y) if saw_lattice else fallback
+
+    def descend(node, path: tuple, x: float, y: float, in_lattice: bool) -> None:
+        if isinstance(node, Lattice):
+            for j in range(node.ny):
+                for i in range(node.nx):
+                    cx, cy = node.cell_center(i, j)
+                    child = path + ((node.id, i, j),)
+                    descend(node.universes[j][i], child, x + cx, y + cy, True)
+            return
+        for cell in node.cells:
+            if not cell.is_material_cell:
+                descend(cell.fill, path + (cell.id,), x, y, in_lattice)
+            elif in_lattice:
+                points[geometry._fsr_ids[path + (cell.id,)]] = (x, y)
+
+    descend(geometry.root, (), 0.0, 0.0, False)
     return points
 
 
@@ -360,17 +356,13 @@ class CurrentTally:
         seg_cell = np.asarray(cell_of_fsr, dtype=np.int64)[plan.seg_fsr]
 
         # Adjacent-segment boundaries inside one track where the cell changes.
-        if num_segments > 1:
-            not_last = np.ones(num_segments, dtype=bool)
-            last = offsets[1:] - 1
-            not_last[last[counts > 0]] = False
-            crossing = np.nonzero(not_last[:-1] & (seg_cell[:-1] != seg_cell[1:]))[0]
-        else:
-            crossing = np.zeros(0, dtype=np.int64)
         track_of_seg = np.repeat(np.arange(num_tracks, dtype=np.int64), counts)
+        crossing = np.nonzero(
+            (seg_cell[:-1] != seg_cell[1:]) & (track_of_seg[:-1] == track_of_seg[1:])
+        )[0]
         cross_track = track_of_seg[crossing]
         cell_before = seg_cell[crossing]
-        cell_after = seg_cell[crossing + 1] if crossing.size else crossing
+        cell_after = seg_cell[crossing + 1]
 
         # Per-direction internal records: (track, capture position, src, dst).
         # Forward captures fire after traversal position ``s - offsets[t]``;
@@ -378,61 +370,38 @@ class CurrentTally:
         # order, with source/destination swapped.
         pos_fwd = crossing - offsets[cross_track]
         pos_bwd = offsets[cross_track + 1] - 2 - crossing
-        internal = {
-            0: (cross_track, pos_fwd, cell_before, cell_after),
-            1: (cross_track, pos_bwd, cell_after, cell_before),
-        }
-
-        # Track-end exits: last traversal cell -> destination cell (self
-        # pairs — reflective returns into the same cell — are dropped).
+        internal = (
+            (cross_track, pos_fwd, cell_before, cell_after),
+            (cross_track, pos_bwd, cell_after, cell_before),
+        )
         exit_dst = np.asarray(exit_dst, dtype=np.int64)
         if exit_dst.shape != (num_tracks, 2):
             raise SolverError(
                 f"exit_dst shape {exit_dst.shape} != ({num_tracks}, 2)"
             )
         has = counts > 0
-        exits = {}
-        for d in (0, 1):
-            tracks = np.nonzero(has)[0]
-            src = seg_cell[offsets[1:][has] - 1] if d == 0 else seg_cell[offsets[:-1][has]]
-            dst = exit_dst[tracks, d]
-            keep = dst != src
-            exits[d] = (tracks[keep], src[keep], dst[keep])
+        ended = np.nonzero(has)[0]
+        exit_src = (seg_cell[offsets[1:][has] - 1], seg_cell[offsets[:-1][has]])
 
-        # Global-for-this-domain pair table (sorted by (src, dst) via an
-        # encoded key; np.unique keeps everything deterministic).
-        all_src = np.concatenate(
-            [internal[0][2], internal[1][2], exits[0][1], exits[1][1]]
-        )
-        all_dst = np.concatenate(
-            [internal[0][3], internal[1][3], exits[0][2], exits[1][2]]
-        )
-        stride = int(seg_cell.max() + 2) if num_segments else 2
-        keys = all_src * stride + (all_dst + 1)
-        unique_keys = np.unique(keys)
-        self.pairs = np.stack(
-            [unique_keys // stride, unique_keys % stride - 1], axis=1
-        ).astype(np.int64)
-        self.num_pairs = int(unique_keys.size)
-
-        # Capture plan: per direction, crossings ordered by (position,
-        # prefix row) so the kernel writes contiguous slices per position.
+        # Fold layout: [forward crossings | forward exits | backward
+        # crossings | backward exits], so one weight contraction and one
+        # ordered np.add.at fold a sweep in the per-direction order.
+        # Crossings are ordered by (position, prefix row) so the kernel
+        # writes contiguous slices per position; exits (last traversal cell
+        # -> destination cell; self pairs, i.e. reflective returns into the
+        # same cell, dropped) are copied in from the post-sweep ``psi``.
         rank = np.empty(num_tracks, dtype=np.int64)
         rank[plan.track_order] = np.arange(num_tracks, dtype=np.int64)
         rows: list[list[np.ndarray]] = []
         track_rows: list[list[np.ndarray]] = []
         dest: list[list[slice]] = []
-        out: list[np.ndarray] = []
-        self._cap_slots: list[np.ndarray] = []
-        self._cap_weights: list[np.ndarray] = []
-        weights = topology.weights
+        blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         n_crossing_groups = int(plan.max_positions)
         for d in (0, 1):
             track, pos, src, dst = internal[d]
             prow = rank[track]
             order = np.lexsort((prow, pos))
             track, pos, prow = track[order], pos[order], prow[order]
-            slot = np.searchsorted(unique_keys, src[order] * stride + (dst[order] + 1))
             starts = np.searchsorted(pos, np.arange(n_crossing_groups + 1))
             rows.append(
                 [prow[starts[i]:starts[i + 1]] for i in range(n_crossing_groups)]
@@ -443,26 +412,37 @@ class CurrentTally:
             dest.append(
                 [slice(starts[i], starts[i + 1]) for i in range(n_crossing_groups)]
             )
-            if self.is_3d:
-                out.append(np.zeros((track.size, self.num_groups)))
-                self._cap_weights.append(weights[track])
-            else:
-                num_polar = weights.shape[1]
-                out.append(np.zeros((track.size, num_polar, self.num_groups)))
-                self._cap_weights.append(weights[track])
-            self._cap_slots.append(slot)
-        self.capture = CurrentCapture(rows, track_rows, dest, out)
+            exit_to = exit_dst[ended, d]
+            keep = exit_to != exit_src[d]
+            blocks += [
+                (track, src[order], dst[order]),
+                (ended[keep], exit_src[d][keep], exit_to[keep]),
+            ]
+        bounds = np.cumsum([0] + [block[0].size for block in blocks])
+        spans = [slice(bounds[i], bounds[i + 1]) for i in range(len(blocks))]
+        fold_tracks, fold_src, fold_dst = (np.concatenate(c) for c in zip(*blocks))
 
-        self._exit_tracks: list[np.ndarray] = []
-        self._exit_slots: list[np.ndarray] = []
-        self._exit_weights: list[np.ndarray] = []
-        for d in (0, 1):
-            tracks, src, dst = exits[d]
-            self._exit_tracks.append(tracks)
-            self._exit_slots.append(
-                np.searchsorted(unique_keys, src * stride + (dst + 1))
-            )
-            self._exit_weights.append(weights[tracks])
+        # Global-for-this-domain pair table (sorted by (src, dst) via an
+        # encoded key; np.unique keeps everything deterministic).
+        stride = int(seg_cell.max() + 2) if num_segments else 2
+        keys = fold_src * stride + (fold_dst + 1)
+        unique_keys = np.unique(keys)
+        self.pairs = np.stack(
+            [unique_keys // stride, unique_keys % stride - 1], axis=1
+        ).astype(np.int64)
+        self.num_pairs = int(unique_keys.size)
+
+        weights = topology.weights
+        self._fold = np.zeros(
+            (fold_tracks.size,) + weights.shape[1:] + (self.num_groups,)
+        )
+        self._fold_weights = weights[fold_tracks]
+        self._fold_slots = np.searchsorted(unique_keys, keys)
+        self._exit_tracks = (blocks[1][0], blocks[3][0])
+        self._exit_spans = (spans[1], spans[3])
+        self.capture = CurrentCapture(
+            rows, track_rows, dest, [self._fold[spans[0]], self._fold[spans[2]]]
+        )
 
         #: Coarse cell each traversal enters first — used to rescale the
         #: stored boundary angular fluxes after a prolongation so the next
@@ -474,33 +454,23 @@ class CurrentTally:
     def scale_boundary_flux(self, psi_in: np.ndarray, cell_factors: np.ndarray) -> None:
         """Scale the sweeper's stored incoming angular flux ``(T, 2, ...)``
         by each traversal's entry-cell prolongation factor (per group)."""
-        for d in (0, 1):
-            mask = self.entry[:, d] >= 0
-            factor = cell_factors[self.entry[mask, d]]
-            if psi_in.ndim == 4:  # 2D: (T, 2, P, G)
-                psi_in[mask, d] *= factor[:, None, :]
-            else:  # 3D: (T, 2, G)
-                psi_in[mask, d] *= factor
+        entered = self.entry >= 0
+        factor = cell_factors[self.entry[entered]]
+        if psi_in.ndim == 4:  # 2D: (T, 2, P, G)
+            factor = factor[:, None, :]
+        psi_in[entered] *= factor
 
     def accumulate(self, psi: list[np.ndarray]) -> None:
         """Fold one sweep's captured crossings and track-end exits into the
         running per-pair current tally (quadrature weights applied here)."""
-        for d in (0, 1):
-            out = self.capture.out[d]
-            if out.shape[0]:
-                if self.is_3d:
-                    contrib = out * self._cap_weights[d][:, None]
-                else:
-                    contrib = np.einsum("kpg,kp->kg", out, self._cap_weights[d])
-                np.add.at(self._currents, self._cap_slots[d], contrib)
-            tracks = self._exit_tracks[d]
-            if tracks.size:
-                values = psi[d][tracks]
-                if self.is_3d:
-                    contrib = values * self._exit_weights[d][:, None]
-                else:
-                    contrib = np.einsum("kpg,kp->kg", values, self._exit_weights[d])
-                np.add.at(self._currents, self._exit_slots[d], contrib)
+        fold = self._fold
+        fold[self._exit_spans[0]] = psi[0][self._exit_tracks[0]]
+        fold[self._exit_spans[1]] = psi[1][self._exit_tracks[1]]
+        if self.is_3d:  # weighted in place: the next sweep rewrites every row
+            contrib = np.multiply(fold, self._fold_weights[:, None], out=fold)
+        else:
+            contrib = np.einsum("kpg,kp->kg", fold, self._fold_weights)
+        np.add.at(self._currents, self._fold_slots, contrib)
 
     def take(self) -> np.ndarray:
         """Return the accumulated ``(num_pairs, G)`` currents and reset —
@@ -514,53 +484,49 @@ class CurrentTally:
         when a solver is rebound to new cross sections: the layout is
         XS-independent and reused, the accumulated values are not."""
         self._currents[:] = 0.0
-        for out in self.capture.out:
-            out[:] = 0.0
+        self._fold[:] = 0.0
 
 
 def _validate_link_weights(topology) -> None:
     """Linked traversals must carry equal quadrature weights: an entry is
     only balanced by the upstream exit tally if both sides weigh the
     boundary flux identically (the telescoping argument in DESIGN.md)."""
+    live = ~topology.terminal
     weights = topology.weights
-    for d in (0, 1):
-        live = ~topology.terminal[:, d]
-        if not live.any():
-            continue
-        linked = topology.next_track[live, d]
-        if not np.allclose(weights[live], weights[linked], rtol=1e-9, atol=0.0):
-            raise SolverError(
-                "CMFD current tally requires linked tracks to share quadrature "
-                "weights; this track laydown links tracks of unequal weight"
-            )
+    linked = weights[topology.next_track[live]]
+    if not np.allclose(weights[np.nonzero(live)[0]], linked, rtol=1e-9, atol=0.0):
+        raise SolverError(
+            "CMFD current tally requires linked tracks to share quadrature "
+            "weights; this track laydown links tracks of unequal weight"
+        )
 
 
 def traversal_entry_cells(plan, cell_of_fsr: np.ndarray) -> np.ndarray:
     """Coarse cell each traversal *enters* first, ``(T, 2)``; traversals
     with no segments resolve forward through their link chain (vacuum or
-    unresolvable chains give ``-1``)."""
+    unresolvable chains give ``-1``).
+
+    The chase is pointer doubling over the ``2 T`` traversal ends: an end
+    with segments or a terminal link points at itself, any other at its
+    linked end, and ``log2(2 T)`` squarings carry every end to the stop of
+    its chain — the end itself when it has segments.
+    """
     topology = plan.topology
     offsets = plan.offsets
-    counts = np.diff(offsets)
+    has = np.diff(offsets) > 0
     seg_cell = np.asarray(cell_of_fsr, dtype=np.int64)[plan.seg_fsr]
     num_tracks = topology.num_tracks
-    entry = np.full((num_tracks, 2), EXT_CELL, dtype=np.int64)
-    has = counts > 0
-    entry[has, 0] = seg_cell[offsets[:-1][has]]
-    entry[has, 1] = seg_cell[offsets[1:][has] - 1]
-    for t in np.nonzero(~has)[0]:
-        for d in (0, 1):
-            ct, cd = int(t), int(d)
-            for _ in range(2 * num_tracks + 2):
-                if counts[ct] > 0:
-                    entry[t, d] = entry[ct, cd]
-                    break
-                if topology.terminal[ct, cd]:
-                    break
-                ct, cd = int(topology.next_track[ct, cd]), int(topology.next_dir[ct, cd])
-            else:
-                raise SolverError("cycle of zero-segment tracks in CMFD entry chase")
-    return entry
+    own = np.full((num_tracks, 2), EXT_CELL, dtype=np.int64)
+    own[has, 0] = seg_cell[offsets[:-1][has]]
+    own[has, 1] = seg_cell[offsets[1:][has] - 1]
+    stop = (has[:, None] | topology.terminal).ravel()
+    ends = np.arange(2 * num_tracks, dtype=np.int64)
+    succ = np.where(stop, ends, (2 * topology.next_track + topology.next_dir).ravel())
+    for _ in range((2 * num_tracks).bit_length()):
+        succ = succ[succ]
+    if not stop[succ].all():
+        raise SolverError("cycle of zero-segment tracks in CMFD entry chase")
+    return own.ravel()[succ].reshape(num_tracks, 2)
 
 
 def local_exit_destinations(plan, cell_of_fsr: np.ndarray) -> np.ndarray:
@@ -570,10 +536,9 @@ def local_exit_destinations(plan, cell_of_fsr: np.ndarray) -> np.ndarray:
     from their Route tables."""
     topology = plan.topology
     entry = traversal_entry_cells(plan, cell_of_fsr)
+    live = ~topology.terminal
     dst = np.full((topology.num_tracks, 2), EXT_CELL, dtype=np.int64)
-    for d in (0, 1):
-        live = ~topology.terminal[:, d]
-        dst[live, d] = entry[topology.next_track[live, d], topology.next_dir[live, d]]
+    dst[live] = entry[topology.next_track[live], topology.next_dir[live]]
     return dst
 
 
@@ -583,13 +548,15 @@ def local_exit_destinations(plan, cell_of_fsr: np.ndarray) -> np.ndarray:
 @dataclass
 class CmfdStep:
     """Outcome of one coarse solve: the eigenvalue (``None`` when the
-    solve was skipped), per-cell prolongation factors (ones on skip), and
-    the inner iteration count."""
+    solve was skipped), per-cell prolongation factors (ones on skip), the
+    inner iteration count, and how many face-groups the D-hat limiter
+    capped while assembling the operator."""
 
     keff: float | None
     factors: np.ndarray
     inner_iterations: int
     skipped: bool
+    limited: int
 
 
 @dataclass
@@ -599,12 +566,14 @@ class CmfdStats:
     solves: int = 0
     inner_iterations: int = 0
     skips: int = 0
+    limited: int = 0
     seconds: float = 0.0
 
     def record(self, step: CmfdStep, seconds: float) -> None:
         self.solves += 1
         self.inner_iterations += step.inner_iterations
         self.skips += int(step.skipped)
+        self.limited += step.limited
         self.seconds += seconds
 
     def as_dict(self) -> dict:
@@ -612,6 +581,7 @@ class CmfdStats:
             "cmfd_solves": self.solves,
             "cmfd_iterations": self.inner_iterations,
             "cmfd_skips": self.skips,
+            "cmfd_limited": self.limited,
             "cmfd_seconds": self.seconds,
         }
 
@@ -619,7 +589,15 @@ class CmfdStats:
 class CmfdProblem:
     """The global coarse operator: restriction of the fine flux onto the
     mesh, D-hat corrected finite-difference assembly, and the dense
-    eigenvalue solve. Deterministic and numpy-only (scipy-free)."""
+    eigenvalue solve. Deterministic and numpy-only (scipy-free).
+
+    Everything between two sweeps is whole-array code over index arrays
+    built once (here and in :meth:`finalize_pairs`); the one Python loop
+    per solve is the inner power iteration. Every sum keeps a fixed
+    per-element order — ``np.bincount`` and ``np.add.at`` both add a bin's
+    terms in input order — so the results are bitwise those of the
+    per-cell / per-face loops kept in ``tests/solver/cmfd_oracle.py``.
+    """
 
     def __init__(
         self,
@@ -655,40 +633,44 @@ class CmfdProblem:
         self.cell_volumes = np.bincount(
             self.cellmap, weights=self.volumes, minlength=self.num_cells
         )
+        # Restriction of the (R, K) per-FSR rates solve() builds: flat bin
+        # cell * K + k, so one bincount sums every rate of a cell in FSR order.
+        width = self.num_groups * (4 + self.num_groups)
+        self._restrict_index = (
+            self.cellmap[:, None] * width + np.arange(width)
+        ).ravel()
         self.pairs: np.ndarray | None = None
-        self.pair_maps: list[np.ndarray] = []
         self.row_offsets: np.ndarray | None = None
 
     # -- pair registration / reduction ----------------------------------
 
     def finalize_pairs(self, pair_tables: list[np.ndarray]) -> None:
         """Union the per-domain directed-pair tables (rank order) into the
-        global table and precompute the face geometry used at solve time."""
+        global table and precompute the face geometry and the index arrays
+        used at solve time."""
         stride = self.num_cells + 1
         keys = [
             table[:, 0] * stride + (table[:, 1] + 1) for table in pair_tables
         ]
-        unique_keys = (
-            np.unique(np.concatenate(keys)) if keys else np.zeros(0, dtype=np.int64)
-        )
+        stacked = np.concatenate(keys) if keys else np.zeros(0, dtype=np.int64)
+        unique_keys = np.unique(stacked)
         self.pairs = np.stack(
             [unique_keys // stride, unique_keys % stride - 1], axis=1
         ).astype(np.int64)
-        self.pair_maps = [np.searchsorted(unique_keys, k) for k in keys]
         counts = [int(k.size) for k in keys]
         self.row_offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        # Reduction: stacked row r, group g lands in bin pair(r) * G + g.
+        groups = np.arange(self.num_groups)
+        pair_of_row = np.searchsorted(unique_keys, stacked)
+        self._reduce_index = (pair_of_row[:, None] * self.num_groups + groups).ravel()
         self._build_faces(unique_keys, stride)
 
     @staticmethod
-    def _lookup(sorted_keys: np.ndarray, queries: np.ndarray):
-        """Binary-search ``queries`` in ``sorted_keys``: (slots, found)."""
-        slots = np.searchsorted(sorted_keys, queries)
-        clipped = np.minimum(slots, max(sorted_keys.size - 1, 0))
-        if sorted_keys.size:
-            found = sorted_keys[clipped] == queries
-        else:
-            found = np.zeros(queries.size, dtype=bool)
-        return clipped, found
+    def _tallied(sorted_keys: np.ndarray, queries: np.ndarray):
+        """The indices of the ``queries`` present in ``sorted_keys`` and
+        their slots there."""
+        found = np.nonzero(np.isin(queries, sorted_keys))[0]
+        return found, np.searchsorted(sorted_keys, queries[found])
 
     def _build_faces(self, unique_keys: np.ndarray, stride: int) -> None:
         pairs = self.pairs
@@ -699,47 +681,55 @@ class CmfdProblem:
         face_keys = np.unique(a * stride + b)
         self.face_a = (face_keys // stride).astype(np.int64)
         self.face_b = (face_keys % stride).astype(np.int64)
-        self.face_slot_ab, self.face_has_ab = self._lookup(
+        # Net current a -> b: the (a, b) tally minus the (b, a) tally, each
+        # where that direction was tallied at all.
+        self._ab_faces, self._ab_slots = self._tallied(
             unique_keys, self.face_a * stride + (self.face_b + 1)
         )
-        self.face_slot_ba, self.face_has_ba = self._lookup(
+        self._ba_faces, self._ba_slots = self._tallied(
             unique_keys, self.face_b * stride + (self.face_a + 1)
         )
         # Face geometry: area and per-side widths along the adjacency axis.
         # Non-grid-neighbour pairs (periodic wrap, diagonal leaps through a
         # corner) get zero area -> D-tilde = 0; D-hat carries them alone.
-        grid = self.mesh.grid
         widths = self.mesh.widths
-        n_faces = self.face_a.size
-        self.face_area = np.zeros(n_faces)
-        self.face_ha = np.ones(n_faces)
-        self.face_hb = np.ones(n_faces)
-        if n_faces:
-            delta = grid[self.face_b] - grid[self.face_a]
-            manhattan = np.abs(delta).sum(axis=1)
-            axis = np.argmax(np.abs(delta), axis=1)
-            adjacent = manhattan == 1
-            transverse = np.ones(n_faces)
-            for k in range(3):
-                other = axis != k
-                transverse[other] *= widths[self.face_a[other], k]
-            self.face_area[adjacent] = transverse[adjacent]
-            self.face_ha = widths[self.face_a, axis]
-            self.face_hb = widths[self.face_b, axis]
+        delta = self.mesh.grid[self.face_b] - self.mesh.grid[self.face_a]
+        axis = np.argmax(np.abs(delta), axis=1)
+        transverse = np.where(
+            np.arange(3) != axis[:, None], widths[self.face_a], 1.0
+        ).prod(axis=1)
+        self.face_area = np.where(np.abs(delta).sum(axis=1) == 1, transverse, 0.0)
+        self.face_ha = widths[self.face_a, axis]
+        self.face_hb = widths[self.face_b, axis]
         leak = pairs[:, 1] == EXT_CELL
         self.leak_cells = pairs[leak, 0]
         self.leak_slots = np.nonzero(leak)[0]
+        # Flat matrix positions of the coupling terms: face-major, then
+        # aa / ab / bb / ba, then the leak diagonal. np.add.at applies
+        # repeated indices in array order, so every element receives its
+        # terms in the order the per-face loop added them.
+        groups = np.arange(self.num_groups)
+        n = self.num_cells * self.num_groups
+        ga = self.face_a[:, None] * self.num_groups + groups
+        gb = self.face_b[:, None] * self.num_groups + groups
+        gl = self.leak_cells[:, None] * self.num_groups + groups
+        self._couple_index = np.concatenate([
+            np.stack([ga * n + ga, ga * n + gb, gb * n + gb, gb * n + ga], axis=1).ravel(),
+            (gl * n + gl).ravel(),
+        ])
 
     def reduce(self, rows_per_domain: list[np.ndarray]) -> np.ndarray:
         """Rank-ordered reduction of per-domain current tallies onto the
         global pair table — the bitwise-equal analogue of the fission
-        reductions."""
+        reductions (one bincount over the rank-ordered stacked rows)."""
         if self.pairs is None:
             raise SolverError("CmfdProblem.reduce before finalize_pairs")
-        total = np.zeros((self.pairs.shape[0], self.num_groups))
-        for rows, pair_map in zip(rows_per_domain, self.pair_maps):
-            np.add.at(total, pair_map, rows)
-        return total
+        total = np.bincount(
+            self._reduce_index,
+            weights=np.concatenate(rows_per_domain).ravel(),
+            minlength=self.pairs.shape[0] * self.num_groups,
+        )
+        return total.reshape(-1, self.num_groups)
 
     def domain_rows(self, flat: np.ndarray, domain: int) -> np.ndarray:
         """Slice one domain's tally rows out of a stacked (shm) array."""
@@ -755,10 +745,49 @@ class CmfdProblem:
 
     # -- restriction + solve --------------------------------------------
 
-    def _restrict(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.num_cells,) + values.shape[1:])
-        np.add.at(out, self.cellmap, values)
-        return out
+    def _restrict(self, rates: np.ndarray) -> np.ndarray:
+        """Sum the per-FSR rate rows ``(R, K)`` over each coarse cell."""
+        width = rates.shape[1]
+        return np.bincount(
+            self._restrict_index, weights=rates.ravel(), minlength=self.num_cells * width
+        ).reshape(self.num_cells, width)
+
+    def _couplings(
+        self, x0: np.ndarray, diffusion: np.ndarray, currents: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """D-tilde and D-hat per face and group ``(F, G)``, after the flux
+        limiter, and the number of face-groups the limiter capped."""
+        d_a, d_b = diffusion[self.face_a], diffusion[self.face_b]
+        x_a, x_b = x0[self.face_a], x0[self.face_b]
+        area = self.face_area[:, None]
+        h_a, h_b = self.face_ha[:, None], self.face_hb[:, None]
+        d_tilde = 2.0 * d_a * d_b * area / (d_a * h_b + d_b * h_a)
+        net = np.zeros_like(d_tilde)
+        net[self._ab_faces] += currents[self._ab_slots]
+        net[self._ba_faces] -= currents[self._ba_slots]
+        total = x_a + x_b
+        nonzero = total > 0.0
+        d_hat = np.where(
+            nonzero, (d_tilde * (x_a - x_b) - net) / np.where(nonzero, total, 1.0), 0.0
+        )
+        # Flux limiter: far from convergence |D-hat| can exceed D-tilde,
+        # which breaks the diagonal dominance of the coarse operator and
+        # destabilises the acceleration. Where that happens, recompute
+        # the pair with |D-hat| = D-tilde such that the FD face current
+        # still reproduces the tallied current at the restricted flux
+        # (J > 0: D-hat = -D-tilde = -J / 2 x_a; J < 0 symmetric).
+        over = np.abs(d_hat) > d_tilde
+        if over.any():
+            outward = net > 0.0
+            a_on, b_on = x_a > 0.0, x_b > 0.0
+            lim = np.where(
+                outward & a_on,
+                net / np.where(a_on, 2.0 * x_a, 1.0),
+                np.where(~outward & b_on, -net / np.where(b_on, 2.0 * x_b, 1.0), 0.0),
+            )
+            d_tilde = np.where(over, lim, d_tilde)
+            d_hat = np.where(over, np.where(outward, -lim, lim), d_hat)
+        return d_tilde, d_hat, int(np.count_nonzero(over))
 
     def solve(self, phi: np.ndarray, currents: np.ndarray, keff: float) -> CmfdStep:
         """One coarse eigenvalue solve from the (raw, unnormalised) fine
@@ -774,114 +803,78 @@ class CmfdProblem:
         options = self.options
         num_cells, num_groups = self.num_cells, self.num_groups
         weight = phi * self.volumes[:, None]
-        flux = self._restrict(weight)
-        collision = self._restrict(self.sigma_t * weight)
-        production_g = self._restrict(self.nu_sigma_f * weight)
         fine_production = np.einsum("rg,rg->r", self.nu_sigma_f, weight)
-        emission = self._restrict(self.chi * fine_production[:, None])
-        scatter = self._restrict(self.sigma_s * weight[:, :, None])
+        coarse = self._restrict(np.concatenate([
+            weight,
+            self.sigma_t * weight,
+            self.nu_sigma_f * weight,
+            self.chi * fine_production[:, None],
+            (self.sigma_s * weight[:, :, None]).reshape(weight.shape[0], -1),
+        ], axis=1))
+        flux, collision, production_g, emission = (
+            coarse[:, :4 * num_groups].reshape(num_cells, 4, num_groups).transpose(1, 0, 2)
+        )
+        scatter = coarse[:, 4 * num_groups:].reshape(num_cells, num_groups, num_groups)
         volume_safe = np.where(self.cell_volumes > 0.0, self.cell_volumes, 1.0)
         x0 = flux / volume_safe[:, None]
         positive = x0 > 0.0
         inv_x0 = np.where(positive, 1.0, 0.0) / np.where(positive, x0, 1.0)
 
-        # Removal / in-scatter blocks: coefficients are integrated rates
-        # per unit average flux, exact at the restricted solution.
+        # Removal on the diagonal, in-scatter blocks on the cell diagonal:
+        # coefficients are integrated rates per unit average flux, exact at
+        # the restricted solution.
         removal = np.where(positive, collision * inv_x0, self.cell_volumes[:, None])
-        scatter_coef = scatter * inv_x0[:, :, None]
         n = num_cells * num_groups
         matrix = np.zeros((n, n))
-        diagonal = np.arange(n)
-        matrix[diagonal, diagonal] += removal.ravel()
-        for i in range(num_cells):
-            block = slice(i * num_groups, (i + 1) * num_groups)
-            matrix[block, block] -= scatter_coef[i].T
+        matrix.reshape(-1)[:: n + 1] += removal.ravel()
+        cells = np.arange(num_cells)
+        blocks = matrix.reshape(num_cells, num_groups, num_cells, num_groups)
+        blocks[cells, :, cells, :] -= (scatter * inv_x0[:, :, None]).transpose(0, 2, 1)
 
-        # Diffusion coefficients for the D-tilde stabiliser.
-        sigt_bar = np.where(
-            flux > 0.0, collision / np.where(flux > 0.0, flux, 1.0), 1.0
-        )
+        # Face couplings (D-tilde stabiliser from the cell diffusion
+        # coefficients, D-hat correction) and vacuum leakage.
+        has_flux = flux > 0.0
+        sigt_bar = np.where(has_flux, collision / np.where(has_flux, flux, 1.0), 1.0)
         diffusion = 1.0 / (3.0 * np.maximum(sigt_bar, 1e-14))
-
-        group_idx = np.arange(num_groups)
-        for f in range(self.face_a.size):
-            a, b = int(self.face_a[f]), int(self.face_b[f])
-            d_a, d_b = diffusion[a], diffusion[b]
-            area, h_a, h_b = self.face_area[f], self.face_ha[f], self.face_hb[f]
-            d_tilde = 2.0 * d_a * d_b * area / (d_a * h_b + d_b * h_a)
-            net = np.zeros(num_groups)
-            if self.face_has_ab[f]:
-                net += currents[self.face_slot_ab[f]]
-            if self.face_has_ba[f]:
-                net -= currents[self.face_slot_ba[f]]
-            total = x0[a] + x0[b]
-            d_hat = np.where(
-                total > 0.0,
-                (d_tilde * (x0[a] - x0[b]) - net) / np.where(total > 0.0, total, 1.0),
-                0.0,
-            )
-            # Flux limiter: far from convergence |D-hat| can exceed D-tilde,
-            # which breaks the diagonal dominance of the coarse operator and
-            # destabilises the acceleration. Where that happens, recompute
-            # the pair with |D-hat| = D-tilde such that the FD face current
-            # still reproduces the tallied current at the restricted flux
-            # (J > 0: D-hat = -D-tilde = -J / 2 x_a; J < 0 symmetric).
-            over = np.abs(d_hat) > d_tilde
-            if over.any():
-                x_a, x_b = x0[a], x0[b]
-                outward = net > 0.0
-                lim = np.where(
-                    outward & (x_a > 0.0),
-                    net / np.where(x_a > 0.0, 2.0 * x_a, 1.0),
-                    np.where(
-                        ~outward & (x_b > 0.0),
-                        -net / np.where(x_b > 0.0, 2.0 * x_b, 1.0),
-                        0.0,
-                    ),
-                )
-                d_tilde = np.where(over, lim, d_tilde)
-                d_hat = np.where(over, np.where(outward, -lim, lim), d_hat)
-            ga = a * num_groups + group_idx
-            gb = b * num_groups + group_idx
-            matrix[ga, ga] += d_tilde - d_hat
-            matrix[ga, gb] += -(d_tilde + d_hat)
-            matrix[gb, gb] += d_tilde + d_hat
-            matrix[gb, ga] += d_hat - d_tilde
-        for slot, cell in zip(self.leak_slots, self.leak_cells):
-            gi = cell * num_groups + group_idx
-            matrix[gi, gi] += currents[slot] * inv_x0[cell]
+        d_tilde, d_hat, limited = self._couplings(x0, diffusion, currents)
+        coupling = np.concatenate(
+            [d_tilde - d_hat, -(d_tilde + d_hat), d_tilde + d_hat, d_hat - d_tilde], axis=1
+        )
+        leakage = currents[self.leak_slots] * inv_x0[self.leak_cells]
+        np.add.at(
+            matrix.reshape(-1),
+            self._couple_index,
+            np.concatenate([coupling.ravel(), leakage.ravel()]),
+        )
 
         # Fission operator, factored: production per cell then chi split.
         fission_coef = production_g * inv_x0
-        total_emission = production_g.sum(axis=1)
-        chi_bar = np.where(
-            total_emission[:, None] > 0.0,
-            emission / np.where(total_emission[:, None] > 0.0, total_emission[:, None], 1.0),
-            0.0,
-        )
+        total_emission = production_g.sum(axis=1)[:, None]
+        emits = total_emission > 0.0
+        chi_bar = np.where(emits, emission / np.where(emits, total_emission, 1.0), 0.0)
 
         def apply_fission(x: np.ndarray) -> tuple[np.ndarray, float]:
             source = np.einsum("ig,ig->i", fission_coef, x)
             return chi_bar * source[:, None], float(source.sum())
 
-        ones = np.ones((num_cells, num_groups))
+        def skip(iterations: int) -> CmfdStep:
+            return CmfdStep(None, np.ones((num_cells, num_groups)), iterations, True, limited)
+
         x = x0.copy()
         fission, produced = apply_fission(x)
         if not produced > 0.0:
-            return CmfdStep(None, ones, 0, True)
+            return skip(0)
         try:
             inverse = np.linalg.inv(matrix)
         except np.linalg.LinAlgError:
-            return CmfdStep(None, ones, 0, True)
+            return skip(0)
 
         k = float(keff)
-        iterations = 0
-        converged = False
         for iterations in range(1, options.max_inner_iterations + 1):
             y = (inverse @ fission.ravel()).reshape(num_cells, num_groups)
             fission_y, produced_y = apply_fission(y)
             if not np.isfinite(produced_y) or not produced_y > 0.0:
-                return CmfdStep(None, ones, iterations, True)
+                return skip(iterations)
             k_new = produced_y / produced
             x_new = y / k_new
             scale = float(np.abs(x_new).max())
@@ -894,19 +887,18 @@ class CmfdProblem:
             if delta_k < options.tolerance * max(1.0, abs(k)) and (
                 delta_x < options.tolerance
             ):
-                converged = True
                 break
-        if not converged:
-            return CmfdStep(None, ones, iterations, True)
+        else:
+            return skip(iterations)
         if not np.isfinite(k) or not k > 0.0 or not np.all(np.isfinite(x)):
-            return CmfdStep(None, ones, iterations, True)
+            return skip(iterations)
         if np.any(x[positive] <= 0.0):
-            return CmfdStep(None, ones, iterations, True)
+            return skip(iterations)
         factors = np.ones((num_cells, num_groups))
         factors[positive] = 1.0 + options.relaxation * (
             x[positive] / x0[positive] - 1.0
         )
-        return CmfdStep(k, factors, iterations, False)
+        return CmfdStep(k, factors, iterations, False, limited)
 
 
 def decomposed_cmfd_problem(
