@@ -54,6 +54,15 @@ COUNTER_SCHEMA: dict[str, str] = {
         "coarse-mesh inner power iterations summed over CMFD solves "
         "(0 when acceleration is off)"
     ),
+    "cmfd_skips": (
+        "coarse-mesh solves whose acceleration step was skipped (singular "
+        "operator, inner iteration cap, lost positivity): unit factors, the "
+        "transport eigenvalue kept"
+    ),
+    "cmfd_limited": (
+        "face-groups whose D-hat the CMFD flux limiter capped at D-tilde, "
+        "summed over coarse solves"
+    ),
     "num_domains": "spatial subdomains in the decomposition (1 if undecomposed)",
     "num_workers": "OS processes that executed sweeps (1 for inproc)",
     "halo_wait_ns": (

@@ -116,9 +116,10 @@ def record_solve(
       did: ``tracks_3d_resident`` / ``tracks_3d_regenerated`` (extruded
       solves only) come from each domain's build-time resident set and
       the iteration count, never from a worker-side tally (``mp-async``
-      discards a speculative sweep). The CMFD iteration counters are always
-      recorded (0 when acceleration is off), so the with/without delta is
-      a first-class regression diff.
+      discards a speculative sweep). The CMFD counters (solves, inner
+      iterations, skipped steps, limited face-groups) are always recorded
+      (0 when acceleration is off), so the with/without delta is a
+      first-class regression diff.
     """
     parent = StageName.TRANSPORT_SOLVING.value
     for phase, seconds in result.phase_seconds.items():
@@ -149,6 +150,8 @@ def record_solve(
     stats = result.cmfd_stats
     obs.count("cmfd_solves", int(stats.get("cmfd_solves", 0)))
     obs.count("cmfd_iterations", int(stats.get("cmfd_iterations", 0)))
+    obs.count("cmfd_skips", int(stats.get("cmfd_skips", 0)))
+    obs.count("cmfd_limited", int(stats.get("cmfd_limited", 0)))
     cmfd_seconds = float(stats.get("cmfd_seconds", 0.0))
     if cmfd_seconds > 0.0:
         obs.record(f"{parent}/cmfd", cmfd_seconds)
