@@ -2,10 +2,12 @@
 coarse-problem exactness, and the measured sweep-count reduction.
 
 The acceleration tests pin the tentpole claim: the CMFD-accelerated
-power iteration reaches the same eigenvalue in at most a third of the
-transport sweeps on both a leaky 2D lattice and an axially reflected 3D
-stack. Iteration counts are deterministic (the sweeps are bitwise
-reproducible), so the 3x floor is a hard assertion, not a benchmark.
+power iteration converges in at most a third of the transport sweeps on
+both a leaky 2D lattice and an axially reflected 3D stack. Iteration
+counts are deterministic (the sweeps are bitwise reproducible), so the 3x
+floor is a hard assertion, not a benchmark. That it is the *same*
+eigenvalue is the agreement test at the end: the on/off gap must shrink
+in proportion to the convergence tolerance.
 """
 
 import numpy as np
@@ -263,7 +265,6 @@ class TestAcceleration2D:
         plain = solve(None)
         fast = solve(True)
         assert plain.converged and fast.converged
-        assert fast.keff == pytest.approx(plain.keff, abs=5e-6)
         assert 3 * fast.num_iterations <= plain.num_iterations
 
     def test_stats_surface_on_the_result(self, library):
@@ -303,15 +304,14 @@ class TestAcceleration3D:
         plain = solve(None)
         fast = solve(True)
         assert plain.converged and fast.converged
-        assert fast.keff == pytest.approx(plain.keff, abs=5e-6)
         assert 3 * fast.num_iterations <= plain.num_iterations
 
     @pytest.mark.parametrize("storage", ["OTF", "MANAGER"])
     def test_acceleration_survives_storage_strategies(
         self, two_group_fissile, two_group_absorber, storage
     ):
-        """OTF/Manager regenerate segments per sweep; the lazily rebuilt
-        tally must keep the accelerated solve converging to the same k."""
+        """OTF/Manager regenerate segments per sweep; the tally laid out
+        once over the plan must keep the accelerated solve on EXP's bits."""
         g3 = reflected_stack(two_group_fissile, two_group_absorber)
         solver = MOCSolver.for_3d(
             g3, num_azim=4, azim_spacing=0.7, polar_spacing=0.7,
@@ -325,4 +325,39 @@ class TestAcceleration3D:
         ).solve()
         result = solver.solve()
         assert result.converged
-        assert result.keff == pytest.approx(reference.keff, abs=5e-6)
+        assert result.keff == reference.keff
+        assert result.num_iterations == reference.num_iterations
+
+
+# ------------------------------------------- on/off agreement vs tolerance
+
+#: Bound on ``|k_cmfd - k_plain| / keff_tolerance`` (source tolerance 10x).
+#: First measurement: 7.6 (1e-5) and 7.4 (1e-7) on the 2D lattice, 5.7 and
+#: 5.0 on the 3D stack — both solves stop within a fixed multiple of the
+#: tolerance of the same eigenvalue, so the gap shrinks with it.
+AGREEMENT_C = 10.0
+
+
+@pytest.mark.parametrize("tolerance", [1e-5, 1e-7])
+@pytest.mark.parametrize("dims", ["2d", "3d"])
+def test_on_off_agreement_scales_with_tolerance(
+    dims, tolerance, library, two_group_fissile, two_group_absorber
+):
+    def solve(cmfd):
+        limits = dict(
+            keff_tolerance=tolerance, source_tolerance=10 * tolerance,
+            max_iterations=3000, cmfd=cmfd,
+        )
+        if dims == "2d":
+            return MOCSolver.for_2d(
+                leaky_pin_lattice(library), num_azim=4, azim_spacing=0.4,
+                num_polar=2, **limits,
+            ).solve()
+        return MOCSolver.for_3d(
+            reflected_stack(two_group_fissile, two_group_absorber), num_azim=4,
+            azim_spacing=0.7, polar_spacing=0.7, num_polar=2, **limits,
+        ).solve()
+
+    plain, fast = solve(None), solve(True)
+    assert plain.converged and fast.converged
+    assert abs(fast.keff - plain.keff) <= AGREEMENT_C * tolerance
