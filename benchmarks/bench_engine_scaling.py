@@ -111,8 +111,6 @@ def _spawn(workers: int, config: dict, engine: str = "mp",
            pin: bool = False) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("REPRO_ENGINE", None)  # the worker's --worker mode decides
-    env.pop("REPRO_ENGINE_TIMEOUT", None)
     cmd = [
         sys.executable, str(Path(__file__).resolve()),
         "--worker", str(workers),

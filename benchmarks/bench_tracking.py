@@ -135,7 +135,6 @@ def _run_worker(args: argparse.Namespace) -> None:
 def _spawn(mode: str, config: dict, cache_dir: str) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("REPRO_TRACER", None)  # the worker's --worker mode decides
     proc = subprocess.run(
         [
             sys.executable, str(Path(__file__).resolve()),

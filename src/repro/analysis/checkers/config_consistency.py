@@ -77,13 +77,18 @@ def _dataclass_fields(cls: ast.ClassDef) -> list[tuple[str, str | None, int]]:
 
 
 def _section_types(tree: ast.AST) -> dict[str, str]:
-    """The ``_SECTION_TYPES`` literal: section key -> dataclass name."""
+    """The ``_SECTION_TYPES`` literal (plain or annotated assignment):
+    section key -> dataclass name."""
     sections: dict[str, str] = {}
     for node in ast.walk(tree):
-        if not isinstance(node, ast.Assign):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
             continue
-        targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        if "_SECTION_TYPES" not in targets or not isinstance(node.value, ast.Dict):
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+        if "_SECTION_TYPES" not in names or not isinstance(node.value, ast.Dict):
             continue
         for key, value in zip(node.value.keys, node.value.values):
             if (

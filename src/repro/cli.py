@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="Write the schema-versioned run report. SPEC is a format "
         f"({', '.join(REPORT_FORMATS)}), 'format:path', or a bare path whose "
         "suffix picks the format (unknown suffixes mean text). Overrides the "
-        "config's output.report and the REPRO_REPORT environment variable.",
+        "config's output.report.",
     )
     _add_override_arguments(parser)
     parser.add_argument(
@@ -113,21 +113,19 @@ def _add_override_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
         choices=SWEEP_BACKENDS,
-        help="Sweep-kernel backend, overriding the config's solver.sweep_backend "
-        "('auto' is numpy).",
+        help="Sweep-kernel backend, overriding the config's solver.sweep_backend.",
     )
     parser.add_argument(
         "--tracer",
         choices=TRACERS,
-        help="2D tracer, overriding the config's tracking.tracer "
-        "('auto' uses the batched wavefront tracer).",
+        help="2D tracer, overriding the config's tracking.tracer.",
     )
     parser.add_argument(
         "--engine",
         choices=ENGINES,
         help="Execution engine for decomposed solves, overriding the config's "
-        "decomposition.engine ('auto' defers to $REPRO_ENGINE, 'mp' sweeps "
-        "subdomains on real worker processes).",
+        "decomposition.engine ('mp' sweeps subdomains on real worker "
+        "processes).",
     )
     parser.add_argument(
         "--workers",
@@ -140,15 +138,15 @@ def _add_override_arguments(parser: argparse.ArgumentParser) -> None:
         type=float,
         metavar="SECONDS",
         help="Engine wait timeout (barrier phases, mailbox waits), overriding "
-        "the config's decomposition.timeout and $REPRO_ENGINE_TIMEOUT.",
+        "the config's decomposition.timeout.",
     )
     parser.add_argument(
         "--cmfd",
         action=argparse.BooleanOptionalAction,
         default=None,
         help="Enable (--cmfd) or disable (--no-cmfd) CMFD acceleration of "
-        "the eigenvalue iteration, overriding the config's solver.cmfd "
-        "block and the REPRO_CMFD environment variable.",
+        "the eigenvalue iteration, overriding the config's "
+        "solver.cmfd.enabled.",
     )
     parser.add_argument(
         "--tracking-cache",

@@ -17,7 +17,6 @@ traffic, so every accounting test runs unchanged against any of them.
 
 from repro.engine.async_mp import AsyncMpEngine
 from repro.engine.base import (
-    ENGINE_TIMEOUT_ENV_VAR,
     EngineResult,
     ExecutionEngine,
     resolve_engine_timeout,
@@ -31,7 +30,6 @@ from repro.engine.problem import (
 )
 from repro.engine.registry import (
     DEFAULT_ENGINE,
-    ENGINE_ENV_VAR,
     engine_names,
     register_engine,
     resolve_engine,
@@ -47,8 +45,6 @@ from repro.engine.shm import ShmArena
 
 __all__ = [
     "DEFAULT_ENGINE",
-    "ENGINE_ENV_VAR",
-    "ENGINE_TIMEOUT_ENV_VAR",
     "AsyncMpEngine",
     "DecomposedProblem",
     "EdgePack",

@@ -22,43 +22,21 @@ engine-independent by construction.
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.constants import DEFAULT_ENGINE_TIMEOUT
 from repro.errors import ConfigError
 from repro.parallel.comm import SimComm
 from repro.solver.power import SolveResult
 
-#: Environment override for the engine wait timeout (seconds). Consulted
-#: when neither the CLI nor the config provides one — the resolution order
-#: is CLI > config > environment > :data:`DEFAULT_ENGINE_TIMEOUT`.
-ENGINE_TIMEOUT_ENV_VAR = "REPRO_ENGINE_TIMEOUT"
 
-#: Fallback wait timeout (seconds) for barrier phases and mailbox waits.
-DEFAULT_ENGINE_TIMEOUT = 600.0
-
-
-def resolve_engine_timeout(explicit: float | None = None) -> float:
-    """Resolve the engine wait timeout: explicit value > env var > default.
-
-    Both sources are validated the same way — a non-positive or
-    unparseable timeout raises :class:`~repro.errors.ConfigError` rather
-    than silently producing an engine that can never time out.
-    """
-    if explicit is None:
-        raw = os.environ.get(ENGINE_TIMEOUT_ENV_VAR)
-        if raw is None or not raw.strip():
-            return DEFAULT_ENGINE_TIMEOUT
-        try:
-            explicit = float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{ENGINE_TIMEOUT_ENV_VAR} must be a number of seconds "
-                f"(got {raw!r})"
-            ) from None
-    timeout = float(explicit)
+def resolve_engine_timeout(timeout: float = DEFAULT_ENGINE_TIMEOUT) -> float:
+    """The engine wait timeout as seconds; a non-positive timeout raises
+    :class:`~repro.errors.ConfigError` rather than silently producing an
+    engine that can never time out."""
+    timeout = float(timeout)
     if not timeout > 0.0:
         raise ConfigError(f"engine timeout must be positive (got {timeout})")
     return timeout

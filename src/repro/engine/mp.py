@@ -34,6 +34,7 @@ from queue import Empty
 from threading import BrokenBarrierError
 from typing import Any, Callable, Mapping, NoReturn, Protocol
 
+from repro.constants import DEFAULT_ENGINE_TIMEOUT
 from repro.engine.base import EngineResult, ExecutionEngine, resolve_engine_timeout
 from repro.engine.problem import DecomposedProblem, RoutePack
 from repro.engine.shm import ShmArena
@@ -276,7 +277,7 @@ class MpEngine(ExecutionEngine):
     def __init__(
         self,
         workers: int | None = None,
-        timeout: float | None = None,
+        timeout: float = DEFAULT_ENGINE_TIMEOUT,
         pin_workers: bool = False,
     ) -> None:
         self.workers = workers

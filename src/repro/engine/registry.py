@@ -1,24 +1,21 @@
-"""Execution-engine registry and selection policy.
+"""Execution-engine registry and selection.
 
-Mirrors the sweep-backend and tracer registries: engines register by name,
-selection order is explicit argument > ``REPRO_ENGINE`` environment
-variable > default. Unlike the sweep backends there is no silent fallback
-— asking for an engine the platform cannot run (``mp`` without ``fork``)
-fails loudly at solve time, because the execution semantics the user asked
-for (real parallel processes) cannot be substituted quietly.
+Mirrors the sweep-backend and tracer registries: engines register by name
+and are selected by that name alone (the config's
+``decomposition.engine``, default ``inproc``). Unlike the sweep backends
+there is no silent fallback — asking for an engine the platform cannot
+run (``mp`` without ``fork``) fails loudly at solve time, because the
+execution semantics the user asked for (real parallel processes) cannot
+be substituted quietly.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable
 
+from repro.constants import DEFAULT_ENGINE_TIMEOUT
 from repro.engine.async_mp import AsyncMpEngine
-from repro.engine.base import (
-    ENGINE_TIMEOUT_ENV_VAR,
-    ExecutionEngine,
-    resolve_engine_timeout,
-)
+from repro.engine.base import ExecutionEngine, resolve_engine_timeout
 from repro.engine.inproc import InprocEngine
 from repro.engine.mp import MpEngine
 from repro.engine.sanitize import SanitizedAsyncMpEngine, SanitizedMpEngine
@@ -26,18 +23,13 @@ from repro.errors import ConfigError
 
 __all__ = [
     "DEFAULT_ENGINE",
-    "ENGINE_ENV_VAR",
-    "ENGINE_TIMEOUT_ENV_VAR",
     "engine_names",
     "register_engine",
     "resolve_engine",
     "resolve_engine_timeout",
 ]
 
-#: Environment override consulted when no engine is requested explicitly.
-ENGINE_ENV_VAR = "REPRO_ENGINE"
-
-#: Default engine when nothing is configured anywhere.
+#: The engine of a config that names none.
 DEFAULT_ENGINE = "inproc"
 
 _REGISTRY: dict[str, Callable[..., ExecutionEngine]] = {}
@@ -68,24 +60,16 @@ def engine_names() -> tuple[str, ...]:
 
 
 def resolve_engine(
-    requested: str | ExecutionEngine | None = None,
+    requested: str | ExecutionEngine = DEFAULT_ENGINE,
     workers: int | None = None,
-    timeout: float | None = None,
+    timeout: float = DEFAULT_ENGINE_TIMEOUT,
     pin_workers: bool = False,
 ) -> ExecutionEngine:
-    """Select the execution engine: argument > env var > default.
-
-    ``None``, ``""`` and ``"auto"`` all mean "not requested" — the config
-    default is ``auto`` precisely so :data:`ENGINE_ENV_VAR` can apply.
-    ``timeout`` is the already-merged CLI/config value (``None`` lets the
-    engine consult :data:`ENGINE_TIMEOUT_ENV_VAR`, then the default).
-    """
+    """The execution engine registered as ``requested`` (an engine
+    instance passes through), built with the process options."""
     if isinstance(requested, ExecutionEngine):
         return requested
-    if requested is not None and requested.strip().lower() == "auto":
-        requested = None
-    name = requested or os.environ.get(ENGINE_ENV_VAR) or DEFAULT_ENGINE
-    name = name.strip().lower()
+    name = requested.strip().lower()
     try:
         factory = _REGISTRY[name]
     except KeyError:

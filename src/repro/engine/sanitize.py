@@ -41,6 +41,7 @@ from typing import Any, Iterable, Mapping
 
 import numpy as np
 
+from repro.constants import DEFAULT_ENGINE_TIMEOUT
 from repro.engine.async_mp import AsyncMpEngine
 from repro.engine.mp import Field, MpEngine, PhaseBarrier
 from repro.errors import SanitizerError
@@ -295,7 +296,7 @@ class _Sanitized:
     def __init__(
         self,
         workers: int | None = None,
-        timeout: float | None = None,
+        timeout: float = DEFAULT_ENGINE_TIMEOUT,
         pin_workers: bool = False,
         fault_seed: int | None = None,
         fault: FaultSpec | None = None,

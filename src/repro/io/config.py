@@ -4,40 +4,51 @@ The paper's stage (1), "Read Configuration", consumes a YAML file holding
 spatial-decomposition parameters and track-generation parameters (Sec. 3.1).
 :class:`RunConfig` is the validated in-memory form consumed by the five-stage
 pipeline in :mod:`repro.runtime`.
+
+A :class:`RunConfig` is the whole input of a solve: every setting that can
+change a result is one of its fields, CLI flags override fields before the
+config is hashed, and nothing else (no environment variable) is read. A
+run report's ``config_hash`` therefore names what ran.
 """
 
 from __future__ import annotations
 
+import functools
+import typing
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.constants import DEFAULT_KEFF_TOL, DEFAULT_RESIDENT_MEMORY_BYTES, DEFAULT_SOURCE_TOL
+from repro.constants import (
+    DEFAULT_ENGINE_TIMEOUT,
+    DEFAULT_KEFF_TOL,
+    DEFAULT_RESIDENT_MEMORY_BYTES,
+    DEFAULT_SOURCE_TOL,
+    LOCK_STALE_SECONDS,
+)
 from repro.errors import ConfigError
 from repro.io import yamlish
 
 #: Track-storage strategies (paper Sec. 4.1 / Fig. 9).
 TRACK_STORAGE_METHODS = ("EXP", "OTF", "MANAGER", "CCM")
 
-#: Axial segmentation algorithms supported for 3D tracks (Sec. 2.1).
-AXIAL_METHODS = ("OTF", "CCM")
+#: Sweep-kernel backends: the fused ``numpy`` kernel and its ``reference``
+#: oracle.
+SWEEP_BACKENDS = ("numpy", "reference")
 
-#: Sweep-kernel backends (``auto`` resolves to ``numpy``).
-SWEEP_BACKENDS = ("auto", "numpy", "reference")
-
-#: 2D tracers (``auto`` resolves to the wavefront ``batch`` tracer).
-TRACERS = ("auto", "batch", "reference")
+#: 2D tracers: the wavefront ``batch`` tracer and the scalar ``reference``
+#: walker.
+TRACERS = ("batch", "reference")
 
 #: Execution engines for decomposed solves (:mod:`repro.engine`):
-#: ``auto`` defers to ``REPRO_ENGINE`` (default ``inproc``), ``inproc`` is
-#: the deterministic single-process simulator, ``mp`` runs subdomains on
-#: real OS worker processes over shared memory with barrier-phased halo
-#: exchange, ``mp-async`` replaces the barriers with per-edge epoch-tagged
-#: halo mailboxes (dependency-driven, communication overlapped with
-#: compute), and the ``*-sanitize`` variants run the same schedules under
-#: the shm race sanitizer (identical results, every shared access audited
-#: against the protocol).
-ENGINES = ("auto", "inproc", "mp", "mp-sanitize", "mp-async", "mp-async-sanitize")
+#: ``inproc`` is the deterministic single-process simulator, ``mp`` runs
+#: subdomains on real OS worker processes over shared memory with
+#: barrier-phased halo exchange, ``mp-async`` replaces the barriers with
+#: per-edge epoch-tagged halo mailboxes (dependency-driven, communication
+#: overlapped with compute), and the ``*-sanitize`` variants run the same
+#: schedules under the shm race sanitizer (identical results, every shared
+#: access audited against the protocol).
+ENGINES = ("inproc", "mp", "mp-sanitize", "mp-async", "mp-async-sanitize")
 
 #: Exponential-kernel evaluation modes.
 EXP_MODES = ("table", "exact")
@@ -64,18 +75,16 @@ class TrackingConfig:
     num_polar: int = 4
     azim_spacing: float = 0.5
     polar_spacing: float = 0.1
-    axial_method: str = "OTF"
-    #: 2D tracer; ``auto`` means the batched wavefront tracer.
-    tracer: str = "auto"
+    #: 2D tracer (see :data:`TRACERS`).
+    tracer: str = "batch"
     #: Reuse tracking products from the content-addressed cache.
     tracking_cache: bool = False
     #: Cache directory override (default: ``REPRO_CACHE_DIR`` or ``~/.cache/repro``).
     cache_dir: str | None = None
     #: Writer-lock window in seconds for the tracking cache: both the
-    #: stale-break threshold and the store wait budget. ``None`` means the
-    #: built-in default (:data:`repro.tracks.cache.LOCK_STALE_SECONDS`);
-    #: long-lived server processes should raise it.
-    cache_lock_timeout: float | None = None
+    #: stale-break threshold and the store wait budget; long-lived server
+    #: processes should raise it.
+    cache_lock_timeout: float = LOCK_STALE_SECONDS
 
     def validate(self) -> None:
         if self.num_azim < 4 or self.num_azim % 4 != 0:
@@ -89,26 +98,13 @@ class TrackingConfig:
             raise ConfigError(f"azim_spacing must be positive (got {self.azim_spacing})")
         if self.polar_spacing <= 0.0:
             raise ConfigError(f"polar_spacing must be positive (got {self.polar_spacing})")
-        if self.axial_method not in AXIAL_METHODS:
-            raise ConfigError(f"axial_method must be one of {AXIAL_METHODS} (got {self.axial_method!r})")
         if self.tracer not in TRACERS:
             raise ConfigError(f"tracer must be one of {TRACERS} (got {self.tracer!r})")
-        if self.cache_dir is not None and not isinstance(self.cache_dir, str):
-            raise ConfigError(f"cache_dir must be a string path (got {self.cache_dir!r})")
-        if self.cache_lock_timeout is not None:
-            bad_type = not isinstance(self.cache_lock_timeout, (int, float)) or isinstance(
-                self.cache_lock_timeout, bool
+        if not self.cache_lock_timeout > 0:
+            raise ConfigError(
+                "tracking.cache_lock_timeout must be positive "
+                f"(got {self.cache_lock_timeout})"
             )
-            if bad_type:
-                raise ConfigError(
-                    "tracking.cache_lock_timeout must be a number of seconds "
-                    f"(got {self.cache_lock_timeout!r})"
-                )
-            if not self.cache_lock_timeout > 0:
-                raise ConfigError(
-                    "tracking.cache_lock_timeout must be positive "
-                    f"(got {self.cache_lock_timeout})"
-                )
 
 
 @dataclass(frozen=True)
@@ -119,13 +115,11 @@ class DecompositionConfig:
     ny: int = 1
     nz: int = 1
     #: Execution engine for decomposed solves (see :data:`ENGINES`).
-    engine: str = "auto"
+    engine: str = "inproc"
     #: Worker processes for the ``mp`` engine; 0 means one per subdomain.
     workers: int = 0
     #: Engine wait timeout in seconds (barrier phases, mailbox waits).
-    #: ``None`` defers to ``REPRO_ENGINE_TIMEOUT``, then the built-in
-    #: default; the resolution order is CLI > config > env > default.
-    timeout: float | None = None
+    timeout: float = DEFAULT_ENGINE_TIMEOUT
     #: Pin each worker process to one CPU (``os.sched_setaffinity``).
     pin_workers: bool = False
 
@@ -140,47 +134,35 @@ class DecompositionConfig:
             raise ConfigError(f"engine must be one of {ENGINES} (got {self.engine!r})")
         if self.workers < 0:
             raise ConfigError(f"workers must be >= 0 (got {self.workers})")
-        if self.timeout is not None:
-            if not isinstance(self.timeout, (int, float)) or isinstance(self.timeout, bool):
-                raise ConfigError(f"decomposition.timeout must be a number of seconds (got {self.timeout!r})")
-            if not self.timeout > 0:
-                raise ConfigError(f"decomposition.timeout must be positive (got {self.timeout})")
-        if not isinstance(self.pin_workers, bool):
-            raise ConfigError(f"decomposition.pin_workers must be a boolean (got {self.pin_workers!r})")
+        if not self.timeout > 0:
+            raise ConfigError(f"decomposition.timeout must be positive (got {self.timeout})")
 
 
 @dataclass(frozen=True)
 class CmfdConfig:
-    """CMFD acceleration controls (``solver.cmfd`` block).
+    """CMFD acceleration settings (``solver.cmfd`` block) — the one type
+    the solvers take (:func:`repro.solver.cmfd.coerce_cmfd`)."""
 
-    ``enabled`` is tri-state: ``None`` defers to the ``REPRO_CMFD``
-    environment variable (the resolution order is CLI > config > env >
-    off). The remaining fields mirror
-    :class:`~repro.solver.cmfd.CmfdOptions`, which consumes this object
-    duck-typed once the switch resolves to on.
-    """
-
-    enabled: bool | None = None
+    enabled: bool = False
     #: Coarse cells along x/y; 0 means one per root-lattice cell.
     mesh_x: int = 0
     mesh_y: int = 0
     #: Coarse layers along z; 0 means one per global axial layer (3D only).
     mesh_z: int = 0
-    #: Relative tolerance on the coarse eigenvalue iteration.
+    #: Relative tolerance on the coarse eigenvalue and flux iteration.
     tolerance: float = 1.0e-12
     #: Inner power-iteration cap; exhaustion skips the acceleration step.
     max_inner_iterations: int = 20000
-    #: Prolongation under-relaxation factor in (0, 1].
+    #: Prolongation under-relaxation in (0, 1]: factors become
+    #: ``1 + relaxation (f - 1)``. Undamped CMFD overcorrects on optically
+    #: thick coarse cells (the classic period-2 divergence); 0.5 is stable
+    #: on every profile here, including assembly-sized coarse cells.
     relaxation: float = 0.5
 
     def validate(self) -> None:
-        if self.enabled is not None and not isinstance(self.enabled, bool):
-            raise ConfigError(
-                f"solver.cmfd.enabled must be a boolean (got {self.enabled!r})"
-            )
         if min(self.mesh_x, self.mesh_y, self.mesh_z) < 0:
             raise ConfigError("solver.cmfd mesh dimensions must be non-negative")
-        if not isinstance(self.tolerance, (int, float)) or not self.tolerance > 0:
+        if not self.tolerance > 0:
             raise ConfigError(
                 f"solver.cmfd.tolerance must be positive (got {self.tolerance!r})"
             )
@@ -199,11 +181,10 @@ class SolverConfig:
     max_iterations: int = 200
     keff_tolerance: float = DEFAULT_KEFF_TOL
     source_tolerance: float = DEFAULT_SOURCE_TOL
-    num_groups: int = 7
     storage_method: str = "MANAGER"
     resident_memory_bytes: int = DEFAULT_RESIDENT_MEMORY_BYTES
-    #: Sweep-kernel backend; ``auto`` (numpy) lets ``REPRO_SWEEP_BACKEND`` apply.
-    sweep_backend: str = "auto"
+    #: Sweep-kernel backend (see :data:`SWEEP_BACKENDS`).
+    sweep_backend: str = "numpy"
     #: Exponential kernel: interpolation ``table`` or ``exact`` expm1.
     exp_mode: str = "table"
     #: Maximum absolute interpolation error of the exponential table.
@@ -218,8 +199,6 @@ class SolverConfig:
             raise ConfigError(f"max_iterations must be >= 1 (got {self.max_iterations})")
         if self.keff_tolerance <= 0 or self.source_tolerance <= 0:
             raise ConfigError("convergence tolerances must be positive")
-        if self.num_groups < 1:
-            raise ConfigError(f"num_groups must be >= 1 (got {self.num_groups})")
         if self.storage_method not in TRACK_STORAGE_METHODS:
             raise ConfigError(
                 f"storage_method must be one of {TRACK_STORAGE_METHODS} (got {self.storage_method!r})"
@@ -239,37 +218,21 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class LoadBalanceConfig:
-    """Three-level load-mapping switches (Sec. 4.2)."""
-
-    l1_enabled: bool = True
-    l2_enabled: bool = True
-    l3_enabled: bool = True
-    #: Subdomains per node targeted by the L1 decomposition ("about
-    #: tenfold the number of nodes", Sec. 4.2.1).
-    subdomains_per_node: int = 10
-
-    def validate(self) -> None:
-        if self.subdomains_per_node < 1:
-            raise ConfigError("subdomains_per_node must be >= 1")
-
-
-@dataclass(frozen=True)
 class OutputConfig:
     """Stage-5 output controls."""
 
     fission_rates_path: str | None = None
     vtk_path: str | None = None
     log_level: str = "INFO"
-    #: Run-report spec (see :data:`REPORT_FORMATS`); ``None`` defers to the
-    #: ``--report`` CLI flag and the ``REPRO_REPORT`` environment variable.
+    #: Run-report spec (see :data:`REPORT_FORMATS`); ``None`` writes no
+    #: report unless the ``--report`` CLI flag asks for one.
     report: str | None = None
 
     def validate(self) -> None:
         if self.log_level.upper() not in ("DEBUG", "INFO", "WARNING", "ERROR"):
             raise ConfigError(f"unknown log_level {self.log_level!r}")
         if self.report is not None:
-            if not isinstance(self.report, str) or not self.report.strip():
+            if not self.report.strip():
                 raise ConfigError("output.report must be a non-empty spec string")
             head, sep, tail = self.report.partition(":")
             if sep and head in REPORT_FORMATS and not tail:
@@ -311,10 +274,7 @@ class PerturbationConfig:
                 f"{where}: reaction must be one of {PERTURBATION_REACTIONS} "
                 f"(got {self.reaction!r})"
             )
-        bad_factor = not isinstance(self.factor, (int, float)) or isinstance(
-            self.factor, bool
-        )
-        if bad_factor or not self.factor > 0:
+        if not self.factor > 0:
             raise ConfigError(f"{where}: factor must be a positive number (got {self.factor!r})")
         if not isinstance(self.groups, tuple) or not all(
             isinstance(g, int) and not isinstance(g, bool) and g >= 0 for g in self.groups
@@ -361,7 +321,6 @@ class RunConfig:
     tracking: TrackingConfig = field(default_factory=TrackingConfig)
     decomposition: DecompositionConfig = field(default_factory=DecompositionConfig)
     solver: SolverConfig = field(default_factory=SolverConfig)
-    load_balance: LoadBalanceConfig = field(default_factory=LoadBalanceConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
     #: Perturbed states solved by ``solve-batch`` (empty for plain runs).
     scenarios: tuple = ()
@@ -370,7 +329,6 @@ class RunConfig:
         self.tracking.validate()
         self.decomposition.validate()
         self.solver.validate()
-        self.load_balance.validate()
         self.output.validate()
         if not isinstance(self.scenarios, tuple):
             raise ConfigError("scenarios must be a sequence of scenario mappings")
@@ -397,18 +355,33 @@ _SECTION_TYPES: dict[str, type] = {
     "tracking": TrackingConfig,
     "decomposition": DecompositionConfig,
     "solver": SolverConfig,
-    "load_balance": LoadBalanceConfig,
     "output": OutputConfig,
 }
 
 
+#: Each schema dataclass's declared field types, resolved once.
+_declared_types = functools.cache(typing.get_type_hints)
+
+
+def _admits(kind: Any, value: Any) -> bool:
+    """Whether ``value`` is of the declared ``kind``: a ``bool`` is never
+    a number, and an ``int`` is accepted where a ``float`` is declared."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
 def _build_section(cls: type, data: Mapping[str, Any], section: str) -> Any:
-    fields = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
-    unknown = set(data) - fields
+    """``cls`` from ``data``, every value checked against its field's
+    declared type so a mistyped value is refused by its dotted key."""
+    declared = _declared_types(cls)
+    unknown = set(data) - set(declared)
     if unknown:
         raise ConfigError(f"unknown keys in section {section!r}: {sorted(unknown)}")
+    data = dict(data)
     if cls is SolverConfig and "cmfd" in data:
-        data = dict(data)
         cmfd = data["cmfd"]
         if isinstance(cmfd, bool):
             cmfd = {"enabled": cmfd}
@@ -417,6 +390,11 @@ def _build_section(cls: type, data: Mapping[str, Any], section: str) -> Any:
         if not isinstance(cmfd, Mapping):
             raise ConfigError("solver.cmfd must be a mapping or a boolean")
         data["cmfd"] = _build_section(CmfdConfig, cmfd, "solver.cmfd")
+    for key, value in data.items():
+        kinds = typing.get_args(declared[key]) or (declared[key],)
+        if not any(_admits(kind, value) for kind in kinds):
+            names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+            raise ConfigError(f"{section}.{key} must be {names} (got {value!r})")
     return cls(**data)
 
 

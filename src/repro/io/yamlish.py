@@ -1,8 +1,12 @@
 """A small YAML-subset parser for ANT-MOC-style ``config.yaml`` files.
 
 ANT-MOC reads its run parameters from a YAML configuration file (artifact
-appendix: ``newmoc -config="config.yaml"``). PyYAML is not available in this
-offline environment, so we implement the subset those configs actually use:
+appendix: ``newmoc -config="config.yaml"``). This parser, not PyYAML, reads
+them on purpose: PyYAML follows YAML 1.1, where a float needs a dot, so it
+reads ``keff_tolerance: 1e-3`` as the *string* ``'1e-3'`` — which the
+typed config validation then refuses — while here it is the float 0.001.
+Every shipped config parses dict-equal under both. The subset
+implemented is what those configs actually use:
 
 * nested mappings via indentation (spaces only)
 * block sequences (``- item``) of scalars or mappings

@@ -18,13 +18,12 @@ Three exporters register here, obeying the registry-hygiene rules
   lines the CLI has always printed.
 
 Selection is ``--report`` argument > ``output.report`` config field >
-:data:`REPORT_ENV_VAR` environment variable > no report.
+no report.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Any, Mapping
@@ -32,10 +31,6 @@ from typing import Any, Mapping
 from repro.errors import ConfigError, ObservabilityError
 from repro.observability.record import REPORT_KIND, SCHEMA_VERSION, RunReport
 from repro.observability.spans import Span
-
-#: Environment override consulted when neither the CLI nor the config
-#: requests a report.
-REPORT_ENV_VAR = "REPRO_REPORT"
 
 #: Suffix -> format inference for bare-path report specs.
 _SUFFIX_FORMATS = {".json": "json", ".jsonl": "jsonl"}
@@ -270,11 +265,9 @@ def resolve_report_spec(
     cli_value: str | None = None,
     config_value: str | None = None,
 ) -> tuple[str, Path | None] | None:
-    """Selection policy: CLI argument > config field > env var > none."""
-    for candidate in (cli_value, config_value, os.environ.get(REPORT_ENV_VAR)):
-        if candidate:
-            return parse_report_spec(candidate)
-    return None
+    """Selection policy: CLI argument > config field > none."""
+    spec = cli_value or config_value
+    return parse_report_spec(spec) if spec else None
 
 
 def write_report(

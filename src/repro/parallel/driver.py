@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from repro.constants import DEFAULT_KEFF_TOL, DEFAULT_SOURCE_TOL
+from repro.constants import DEFAULT_ENGINE_TIMEOUT, DEFAULT_KEFF_TOL, DEFAULT_SOURCE_TOL
 from repro.errors import DecompositionError, SolverError
 from repro.geometry.decomposition import decompose_lattice_geometry
 from repro.geometry.geometry import Geometry
@@ -122,9 +122,9 @@ class DecomposedSolver(DomainDriver):
         backend: str | None = None,
         tracer: str | None = None,
         cache=None,
-        engine: str | None = None,
+        engine: str = "inproc",
         workers: int | None = None,
-        timeout: float | None = None,
+        timeout: float = DEFAULT_ENGINE_TIMEOUT,
         pin_workers: bool = False,
         cmfd=None,
     ) -> None:

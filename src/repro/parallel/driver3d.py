@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.constants import DEFAULT_KEFF_TOL, DEFAULT_SOURCE_TOL
+from repro.constants import DEFAULT_ENGINE_TIMEOUT, DEFAULT_KEFF_TOL, DEFAULT_SOURCE_TOL
 from repro.errors import DecompositionError
 from repro.geometry.extruded import AxialMesh, ExtrudedGeometry
 from repro.geometry.geometry import BoundaryCondition
@@ -78,9 +78,9 @@ class ZDecomposedSolver(DomainDriver):
         backend: str | None = None,
         tracer: str | None = None,
         cache=None,
-        engine: str | None = None,
+        engine: str = "inproc",
         workers: int | None = None,
-        timeout: float | None = None,
+        timeout: float = DEFAULT_ENGINE_TIMEOUT,
         pin_workers: bool = False,
         cmfd=None,
     ) -> None:

@@ -38,7 +38,6 @@ from repro.parallel.driver3d import ZDecomposedSolver
 from repro.runtime.output import ascii_heatmap, pin_power_map, write_fission_rates_csv, write_vtk_structured_points
 from repro.runtime.recording import record_solve, record_tracking
 from repro.runtime.stages import PipelineState, StageName
-from repro.solver.cmfd import resolve_cmfd_enabled
 from repro.solver.expeval import evaluator_from_config
 from repro.solver.solver import MOCSolver, TransportSolver
 from repro.tracks.cache import TrackingCache, resolve_cache
@@ -94,10 +93,9 @@ def solver_keywords(
     groups every solver kind shares: ``tracking`` (exactly the radial
     :class:`~repro.tracks.generator.TrackGenerator` keywords), iteration
     ``limits``, and ``sweep`` — the one shared exponential evaluator, the
-    kernel backend, and the ``solver.cmfd`` block when the switch resolves
-    to on (CLI override already folded into ``enabled``, then
-    ``REPRO_CMFD``), else ``None`` so the unaccelerated path stays
-    untouched. :func:`build_solver` is the consumer; the widened scenario
+    kernel backend, and the ``solver.cmfd`` block (its ``enabled`` switch
+    decides; :func:`~repro.solver.cmfd.coerce_cmfd`). :func:`build_solver`
+    is the consumer; the widened scenario
     sweep, which it cannot build (``repro.runtime`` does not import
     ``repro.scenario``), reads the same groups."""
     tracking = dict(
@@ -112,11 +110,10 @@ def solver_keywords(
         source_tolerance=cfg.solver.source_tolerance,
         max_iterations=cfg.solver.max_iterations,
     )
-    cmfd = cfg.solver.cmfd
     sweep = dict(
         evaluator=evaluator_from_config(cfg.solver),
         backend=cfg.solver.sweep_backend,
-        cmfd=cmfd if resolve_cmfd_enabled(cmfd.enabled) else None,
+        cmfd=cfg.solver.cmfd,
     )
     return tracking, limits, sweep
 

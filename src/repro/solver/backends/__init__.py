@@ -7,15 +7,12 @@ registered :class:`~repro.solver.backends.base.KernelBackend` objects:
 * ``reference`` — the seed lockstep loop, kept as equivalence oracle and
   benchmark baseline.
 
-Selection order: explicit argument, then the ``REPRO_SWEEP_BACKEND``
-environment variable, then the solver-config default. ``auto`` (the
-config default, so the environment variable can apply) means ``numpy``.
-An unknown name is an error; nothing degrades silently.
+A backend is selected by name alone (the config's
+``solver.sweep_backend``, default ``numpy``). An unknown name is an
+error; nothing degrades silently.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.errors import SolverError
 from repro.solver.backends.base import KernelBackend, KernelTimings, SweepContext
@@ -23,10 +20,7 @@ from repro.solver.backends.numpy_backend import NumpySweepBackend, SweepWorkspac
 from repro.solver.backends.plan import SweepPlan, TrackTopology, build_position_index
 from repro.solver.backends.reference_backend import ReferenceSweepBackend
 
-#: Environment override consulted when no backend is requested explicitly.
-BACKEND_ENV_VAR = "REPRO_SWEEP_BACKEND"
-
-#: Default backend when nothing is configured anywhere.
+#: The backend of a solver built without one.
 DEFAULT_BACKEND = "numpy"
 
 _REGISTRY: dict[str, KernelBackend] = {}
@@ -43,8 +37,8 @@ register_backend(ReferenceSweepBackend())
 
 
 def backend_names() -> tuple[str, ...]:
-    """Registered backend names plus the ``auto`` selector."""
-    return ("auto",) + tuple(sorted(_REGISTRY))
+    """Registered backend names."""
+    return tuple(sorted(_REGISTRY))
 
 
 def available_backends() -> dict[str, bool]:
@@ -65,18 +59,14 @@ def get_backend(name: str) -> KernelBackend:
 def resolve_backend(
     requested: str | KernelBackend | None = None,
 ) -> KernelBackend:
-    """Select the sweep kernel: argument > env var > default. ``None``,
-    ``""`` and ``"auto"`` all mean "not requested"."""
+    """The sweep kernel named ``requested`` (an instance passes through);
+    ``None`` means :data:`DEFAULT_BACKEND`."""
     if isinstance(requested, KernelBackend):
         return requested
-    name = (requested or "auto").strip().lower()
-    if name == "auto":
-        name = os.environ.get(BACKEND_ENV_VAR, "").strip().lower() or "auto"
-    return get_backend(DEFAULT_BACKEND if name == "auto" else name)
+    return get_backend((requested or DEFAULT_BACKEND).strip().lower())
 
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "DEFAULT_BACKEND",
     "KernelBackend",
     "KernelTimings",

@@ -33,7 +33,6 @@ Key structural properties, relied on throughout:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,89 +41,26 @@ from repro.errors import SolverError
 from repro.geometry.extruded import ExtrudedGeometry
 from repro.geometry.geometry import Geometry
 from repro.geometry.lattice import Lattice
-
-#: Environment fallback for enabling CMFD (CLI > config > env > off).
-CMFD_ENV_VAR = "REPRO_CMFD"
-
-_TRUE_WORDS = frozenset({"1", "true", "yes", "on"})
-_FALSE_WORDS = frozenset({"0", "false", "no", "off"})
+from repro.io.config import CmfdConfig
 
 #: Coarse-cell id used for leakage through a vacuum boundary.
 EXT_CELL = -1
 
 
-def resolve_cmfd_enabled(explicit: bool | None) -> bool:
-    """Resolve the CMFD on/off switch: explicit setting wins, then the
-    ``REPRO_CMFD`` environment variable, then off."""
-    if explicit is not None:
-        return bool(explicit)
-    raw = os.environ.get(CMFD_ENV_VAR)
-    if raw is None:
-        return False
-    word = raw.strip().lower()
-    if word in _TRUE_WORDS:
-        return True
-    if word in _FALSE_WORDS:
-        return False
-    raise SolverError(f"unrecognised {CMFD_ENV_VAR}={raw!r} (expected a boolean word)")
-
-
-@dataclass(frozen=True)
-class CmfdOptions:
-    """Resolved CMFD settings (the solver-facing twin of the ``cmfd``
-    config block; ``enabled`` has already been folded away)."""
-
-    #: Coarse cells along x/y; 0 means one per root-lattice cell.
-    mesh_x: int = 0
-    mesh_y: int = 0
-    #: Coarse layers along z; 0 means one per global axial layer (3D only).
-    mesh_z: int = 0
-    #: Relative tolerance on the coarse eigenvalue and flux iteration.
-    tolerance: float = 1.0e-12
-    #: Inner power-iteration cap; exhaustion skips the acceleration step.
-    max_inner_iterations: int = 20000
-    #: Prolongation under-relaxation: factors become ``1 + theta (f - 1)``.
-    #: Undamped CMFD overcorrects on optically thick coarse cells (the
-    #: classic period-2 divergence); 0.5 is stable on every profile here,
-    #: including assembly-sized coarse cells.
-    relaxation: float = 0.5
-
-    def validate(self) -> None:
-        if self.mesh_x < 0 or self.mesh_y < 0 or self.mesh_z < 0:
-            raise SolverError("cmfd mesh dimensions must be non-negative")
-        if not self.tolerance > 0.0:
-            raise SolverError(f"cmfd tolerance must be positive, got {self.tolerance}")
-        if self.max_inner_iterations < 1:
-            raise SolverError("cmfd max_inner_iterations must be at least 1")
-        if not 0.0 < self.relaxation <= 1.0:
-            raise SolverError(
-                f"cmfd relaxation must be in (0, 1], got {self.relaxation}"
-            )
-
-
-def coerce_cmfd(cmfd: object) -> CmfdOptions | None:
-    """Normalise a solver ``cmfd`` argument: ``None``/``False`` -> off,
-    ``True`` -> defaults, :class:`CmfdOptions` (or any duck-typed config
-    object with the same fields) -> those settings."""
-    if cmfd is None or cmfd is False:
-        return None
+def coerce_cmfd(cmfd: CmfdConfig | bool | None) -> CmfdConfig | None:
+    """A solver's ``cmfd`` argument as the validated settings to
+    accelerate with, or ``None`` when off: ``True`` means the defaults, a
+    :class:`~repro.io.config.CmfdConfig` its own ``enabled`` switch."""
     if cmfd is True:
-        return CmfdOptions()
-    if isinstance(cmfd, CmfdOptions):
+        return CmfdConfig(enabled=True)
+    if isinstance(cmfd, CmfdConfig):
+        if not cmfd.enabled:
+            return None
         cmfd.validate()
         return cmfd
-    options = CmfdOptions(
-        mesh_x=int(getattr(cmfd, "mesh_x", 0)),
-        mesh_y=int(getattr(cmfd, "mesh_y", 0)),
-        mesh_z=int(getattr(cmfd, "mesh_z", 0)),
-        tolerance=float(getattr(cmfd, "tolerance", CmfdOptions.tolerance)),
-        max_inner_iterations=int(
-            getattr(cmfd, "max_inner_iterations", CmfdOptions.max_inner_iterations)
-        ),
-        relaxation=float(getattr(cmfd, "relaxation", CmfdOptions.relaxation)),
-    )
-    options.validate()
-    return options
+    if cmfd is None or cmfd is False:
+        return None
+    raise SolverError(f"cmfd must be a CmfdConfig, a boolean or None (got {cmfd!r})")
 
 
 # --------------------------------------------------------------- coarse mesh
@@ -148,7 +84,7 @@ class MeshSpec:
         return 1 if self.z_edges is None else len(self.z_edges) - 1
 
 
-def mesh_spec_for(geometry: Geometry, options: CmfdOptions) -> MeshSpec:
+def mesh_spec_for(geometry: Geometry, options: CmfdConfig) -> MeshSpec:
     """Radial mesh spec: configured ``mesh_x/y`` or one cell per
     root-lattice cell (a single cell for universe-rooted geometries)."""
     root = geometry.root
@@ -170,7 +106,7 @@ def mesh_spec_for(geometry: Geometry, options: CmfdOptions) -> MeshSpec:
     )
 
 
-def mesh_spec_for_3d(geometry3d, options: CmfdOptions) -> MeshSpec:
+def mesh_spec_for_3d(geometry3d, options: CmfdConfig) -> MeshSpec:
     """3D mesh spec: radial spec of the radial geometry plus z-planes —
     configured ``mesh_z`` uniform layers or the global axial mesh edges."""
     radial = mesh_spec_for(geometry3d.radial, options)
@@ -286,7 +222,7 @@ def build_coarse_mesh(spec: MeshSpec, raw_bins_per_domain: list[np.ndarray]) -> 
     return CoarseMesh(spec, np.concatenate(raw_bins_per_domain))
 
 
-def coarse_mesh_for(geometry, options: CmfdOptions, parts=None) -> CoarseMesh:
+def coarse_mesh_for(geometry, options: CmfdConfig, parts=None) -> CoarseMesh:
     """The global coarse mesh over ``geometry`` (z-planes included when
     it is extruded), binned over ``parts`` — its subdomain geometries in
     rank order; the geometry itself when undecomposed."""
@@ -607,9 +543,8 @@ class CmfdProblem:
         nu_sigma_f: np.ndarray,
         chi: np.ndarray,
         volumes: np.ndarray,
-        options: CmfdOptions,
+        options: CmfdConfig,
     ) -> None:
-        options.validate()
         self.mesh = mesh
         self.options = options
         self.cellmap = mesh.cellmap
@@ -902,7 +837,7 @@ class CmfdProblem:
 
 
 def decomposed_cmfd_problem(
-    domains, routes, mesh: CoarseMesh, volumes: np.ndarray, options: CmfdOptions
+    domains, routes, mesh: CoarseMesh, volumes: np.ndarray, options: CmfdConfig
 ) -> CmfdProblem:
     """The *global* coarse problem across a decomposition (2D lattice
     cuts, 3D z-slabs, or the one domain and no routes of an undecomposed
@@ -1007,7 +942,7 @@ class CmfdAccelerator:
 
 
 def single_domain_accelerator(
-    mesh: CoarseMesh, sweeper, terms, volumes: np.ndarray, options: CmfdOptions
+    mesh: CoarseMesh, sweeper, terms, volumes: np.ndarray, options: CmfdConfig
 ) -> CmfdAccelerator:
     """The single-domain CMFD overlay: one state's coarse problem over
     ``mesh`` behind an accelerator reading ``sweeper``'s current tally

@@ -146,11 +146,10 @@ class ExponentialEvaluator:
 def evaluator_from_config(solver_config) -> ExponentialEvaluator:
     """The one shared evaluator a run configuration describes.
 
-    Reads ``exp_mode`` and ``exp_table_max_error`` from a
-    :class:`~repro.io.config.SolverConfig`-shaped object; this is the
+    Reads ``exp_mode`` and ``exp_table_max_error`` of a
+    :class:`~repro.io.config.SolverConfig`; this is the
     single point where table resolution enters the solver stack.
     """
     return ExponentialEvaluator.shared(
-        max_error=getattr(solver_config, "exp_table_max_error", 1.0e-8),
-        mode=getattr(solver_config, "exp_mode", "table"),
+        max_error=solver_config.exp_table_max_error, mode=solver_config.exp_mode
     )

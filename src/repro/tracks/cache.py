@@ -35,6 +35,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro.constants import LOCK_STALE_SECONDS
 from repro.geometry.cell import Cell
 from repro.geometry.lattice import Lattice
 from repro.geometry.region import Complement, Halfspace, Intersection, Region, Union
@@ -147,12 +148,6 @@ def tracking_fingerprint(trackgen) -> str:
     return "|".join(parts)
 
 
-#: Default writer-lock window: a lock older than this is assumed to
-#: belong to a crashed process and is broken. Writing an archive takes
-#: well under a second, but long-lived server processes may hold entries
-#: open far longer — override per cache via ``tracking.cache_lock_timeout``.
-LOCK_STALE_SECONDS = 60.0
-
 _LOCK_POLL_SECONDS = 0.02
 
 
@@ -175,16 +170,19 @@ class TrackingCache:
     ``lock_timeout`` is both the stale-break threshold (a competing lock
     older than this is broken) and the default wait budget of
     :meth:`store` — one window, because breaking a peer's lock before
-    giving up on our own would be incoherent.
+    giving up on our own would be incoherent. A lock older than the
+    window is assumed to belong to a crashed process. Writing an archive
+    takes well under a second, but long-lived server processes may hold
+    entries open far longer — set ``tracking.cache_lock_timeout``.
     """
 
     def __init__(
         self,
         cache_dir: str | Path | None = None,
-        lock_timeout: float | None = None,
+        lock_timeout: float = LOCK_STALE_SECONDS,
     ) -> None:
         self.cache_dir = Path(cache_dir).expanduser() if cache_dir else default_cache_dir()
-        self.lock_timeout = LOCK_STALE_SECONDS if lock_timeout is None else float(lock_timeout)
+        self.lock_timeout = float(lock_timeout)
         if self.lock_timeout <= 0.0:
             raise ValueError(f"lock_timeout must be positive (got {self.lock_timeout})")
         self._logger = get_logger("repro.tracks.cache")
@@ -287,7 +285,7 @@ class TrackingCache:
 def resolve_cache(
     enabled: bool,
     cache_dir: str | Path | None = None,
-    lock_timeout: float | None = None,
+    lock_timeout: float = LOCK_STALE_SECONDS,
 ) -> TrackingCache | None:
     """Config/CLI helper: a :class:`TrackingCache` or ``None`` if disabled."""
     return TrackingCache(cache_dir, lock_timeout=lock_timeout) if enabled else None

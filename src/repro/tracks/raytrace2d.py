@@ -236,9 +236,8 @@ def trace_all_wavefront(geometry: Geometry, table) -> SegmentData:
 def trace_all(geometry: Geometry, table, tracer: str | None = None) -> SegmentData:
     """Segment every track of ``table`` into a :class:`SegmentData` container.
 
-    ``tracer`` selects the implementation through the registry in
-    :mod:`repro.tracks.tracers` (argument > ``REPRO_TRACER`` env var >
-    default); ``None`` follows that selection policy.
+    ``tracer`` names the implementation in the registry of
+    :mod:`repro.tracks.tracers`; ``None`` means its default.
     """
     from repro.tracks.tracers import get_tracer, resolve_tracer
 

@@ -9,15 +9,14 @@ tracer callables:
 * ``reference`` — the seed scalar walker, kept as equivalence oracle and
   benchmark baseline (:func:`~repro.tracks.raytrace2d.trace_all_reference`).
 
-Selection order: explicit argument, then the ``REPRO_TRACER`` environment
-variable, then the tracking-config default. ``auto`` resolves to ``batch``.
-Both tracers implement identical segmentation semantics; their outputs are
-bit-identical (property-tested in ``tests/properties``).
+A tracer is selected by name alone (the config's ``tracking.tracer``,
+default ``batch``). Both tracers implement identical segmentation
+semantics; their outputs are bit-identical (property-tested in
+``tests/properties``).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable
 
 from repro.errors import TrackingError
@@ -27,10 +26,7 @@ from repro.tracks.segments import SegmentData
 #: Tracer signature: ``(geometry, TrackTable2D) -> SegmentData``.
 Tracer = Callable[..., SegmentData]
 
-#: Environment override consulted when no tracer is requested explicitly.
-TRACER_ENV_VAR = "REPRO_TRACER"
-
-#: Default tracer when nothing is configured anywhere.
+#: The tracer of a generator built without one.
 DEFAULT_TRACER = "batch"
 
 _REGISTRY: dict[str, Tracer] = {}
@@ -47,8 +43,8 @@ register_tracer("reference", trace_all_reference)
 
 
 def tracer_names() -> tuple[str, ...]:
-    """Registered tracer names plus the ``auto`` selector."""
-    return ("auto",) + tuple(sorted(_REGISTRY))
+    """Registered tracer names."""
+    return tuple(sorted(_REGISTRY))
 
 
 def get_tracer(name: str) -> Tracer:
@@ -61,16 +57,10 @@ def get_tracer(name: str) -> Tracer:
         ) from None
 
 
-def resolve_tracer(requested: str | None = None, default: str | None = None) -> str:
-    """Select the tracer name: argument > env var > config default.
-
-    ``default`` carries the tracking-config value; the built-in
-    :data:`DEFAULT_TRACER` applies when nothing is configured anywhere.
-    """
-    name = requested or os.environ.get(TRACER_ENV_VAR) or default or DEFAULT_TRACER
-    name = name.strip().lower()
-    if name == "auto":
-        name = DEFAULT_TRACER
+def resolve_tracer(requested: str | None = None) -> str:
+    """The registered tracer name ``requested`` names; ``None`` means
+    :data:`DEFAULT_TRACER`."""
+    name = (requested or DEFAULT_TRACER).strip().lower()
     if name not in _REGISTRY:
         raise TrackingError(
             f"unknown tracer {name!r}; registered: {sorted(_REGISTRY)}"
@@ -80,7 +70,6 @@ def resolve_tracer(requested: str | None = None, default: str | None = None) -> 
 
 __all__ = [
     "DEFAULT_TRACER",
-    "TRACER_ENV_VAR",
     "Tracer",
     "get_tracer",
     "register_tracer",

@@ -6,12 +6,18 @@ the real tree's cleanliness is pinned separately by test_repo_clean.
 """
 
 import textwrap
+from pathlib import Path
 
 import pytest
 
-from repro.analysis.checkers.config_consistency import ConfigConsistencyChecker
+from repro.analysis.checkers.config_consistency import (
+    ConfigConsistencyChecker,
+    _extract_schema,
+)
 from repro.analysis.checkers.counter_schema import CounterSchemaChecker
 from repro.analysis.core import SourceFile
+
+REPO = Path(__file__).resolve().parents[2]
 
 CONFIG_PY = textwrap.dedent(
     '''
@@ -193,6 +199,32 @@ class TestConfigConsistency:
             ConfigConsistencyChecker().check_project(files, tmp_path)
         )
         assert _rules(findings) == ["config-undocumented-env"]
+
+
+class TestRealSchema:
+    """The key rules run on the shipped schema, not only on fixtures: its
+    ``_SECTION_TYPES`` is an annotated assignment, which the extractor
+    once skipped, leaving every key rule silent on this repository."""
+
+    def test_real_config_schema_is_extracted(self, tmp_path):
+        path = REPO / "src" / "repro" / "io" / "config.py"
+        src = SourceFile("src/repro/io/config.py", path.read_text(encoding="utf-8"))
+        schema = _extract_schema(src)
+        assert schema is not None
+        assert {
+            "tracking.tracer",
+            "decomposition.timeout",
+            "solver.cmfd.enabled",
+            "output.report",
+        } <= schema.admissible
+        # Against an empty README every schema key is undocumented.
+        (tmp_path / "README.md").write_text("")
+        undocumented = {
+            f.message.split("'")[1]
+            for f in ConfigConsistencyChecker().check_project([src], tmp_path)
+            if f.rule == "config-undocumented-key"
+        }
+        assert undocumented == {key.dotted for key in schema.keys}
 
 
 COUNTERS_PY = textwrap.dedent(

@@ -2,10 +2,9 @@
 
 import pytest
 
+from repro.constants import DEFAULT_ENGINE_TIMEOUT
 from repro.engine import (
     DEFAULT_ENGINE,
-    ENGINE_ENV_VAR,
-    ENGINE_TIMEOUT_ENV_VAR,
     AsyncMpEngine,
     InprocEngine,
     MpEngine,
@@ -14,34 +13,23 @@ from repro.engine import (
     resolve_engine,
     resolve_engine_timeout,
 )
-from repro.engine.base import DEFAULT_ENGINE_TIMEOUT
 from repro.errors import ConfigError
 
 
 class TestResolution:
-    def test_default_is_inproc(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        assert isinstance(resolve_engine(None), InprocEngine)
+    def test_default_is_inproc(self):
+        assert isinstance(resolve_engine(), InprocEngine)
         assert DEFAULT_ENGINE == "inproc"
 
     def test_explicit_argument(self):
         assert isinstance(resolve_engine("mp"), MpEngine)
         assert isinstance(resolve_engine("inproc"), InprocEngine)
 
-    def test_env_var_consulted(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "mp")
-        assert isinstance(resolve_engine(None), MpEngine)
-
-    def test_auto_means_unset(self, monkeypatch):
-        # The config default is "auto" so the env var can still apply.
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        assert isinstance(resolve_engine("auto"), InprocEngine)
-        monkeypatch.setenv(ENGINE_ENV_VAR, "mp")
-        assert isinstance(resolve_engine(" AUTO "), MpEngine)
-
     def test_argument_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "mp")
+        """``REPRO_ENGINE`` selects nothing: the name alone does."""
+        monkeypatch.setenv("REPRO_ENGINE", "mp")
         assert isinstance(resolve_engine("inproc"), InprocEngine)
+        assert isinstance(resolve_engine(), InprocEngine)
 
     def test_instance_passthrough(self):
         engine = MpEngine(workers=3)
@@ -85,18 +73,14 @@ class TestResolution:
 
 
 class TestTimeoutResolution:
-    """CLI/config (explicit) > $REPRO_ENGINE_TIMEOUT > built-in default."""
+    """The timeout is the config's (or the CLI's) number, else the
+    built-in default; ``REPRO_ENGINE_TIMEOUT`` is read by nothing."""
 
-    def test_default_without_env(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_TIMEOUT_ENV_VAR, raising=False)
+    def test_default_without_env(self):
         assert resolve_engine_timeout() == DEFAULT_ENGINE_TIMEOUT
 
-    def test_env_var_consulted(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_TIMEOUT_ENV_VAR, "123.5")
-        assert resolve_engine_timeout() == 123.5
-
     def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_TIMEOUT_ENV_VAR, "123.5")
+        monkeypatch.setenv("REPRO_ENGINE_TIMEOUT", "123.5")
         assert resolve_engine_timeout(7.0) == 7.0
 
     @pytest.mark.parametrize("bad", [0.0, -1.0])
@@ -104,20 +88,10 @@ class TestTimeoutResolution:
         with pytest.raises(ConfigError, match="must be positive"):
             resolve_engine_timeout(bad)
 
-    def test_non_positive_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_TIMEOUT_ENV_VAR, "-3")
-        with pytest.raises(ConfigError, match="must be positive"):
-            resolve_engine_timeout()
-
-    def test_unparseable_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_TIMEOUT_ENV_VAR, "soon")
-        with pytest.raises(ConfigError, match="number of seconds"):
-            resolve_engine_timeout()
-
     def test_engines_resolve_timeout_at_construction(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_TIMEOUT_ENV_VAR, "55")
-        assert MpEngine().timeout == 55.0
-        assert AsyncMpEngine().timeout == 55.0
+        monkeypatch.setenv("REPRO_ENGINE_TIMEOUT", "55")
+        assert MpEngine().timeout == DEFAULT_ENGINE_TIMEOUT
+        assert AsyncMpEngine().timeout == DEFAULT_ENGINE_TIMEOUT
         assert AsyncMpEngine(timeout=9.0).timeout == 9.0
 
 

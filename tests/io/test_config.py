@@ -1,12 +1,14 @@
 """Tests for the validated run configuration."""
 
+import re
+
 import pytest
 
+from repro.constants import DEFAULT_ENGINE_TIMEOUT, LOCK_STALE_SECONDS
 from repro.errors import ConfigError
 from repro.io.config import (
     CmfdConfig,
     DecompositionConfig,
-    LoadBalanceConfig,
     OutputConfig,
     RunConfig,
     SolverConfig,
@@ -38,10 +40,10 @@ class TestTrackingConfig:
         with pytest.raises(ConfigError):
             TrackingConfig(azim_spacing=-0.1).validate()
 
-    def test_axial_method_whitelist(self):
-        TrackingConfig(axial_method="CCM").validate()
-        with pytest.raises(ConfigError, match="axial_method"):
-            TrackingConfig(axial_method="MAGIC").validate()
+    def test_defaults_are_concrete(self):
+        cfg = TrackingConfig()
+        assert cfg.tracer == "batch"
+        assert cfg.cache_lock_timeout == LOCK_STALE_SECONDS
 
 
 class TestDecompositionConfig:
@@ -54,7 +56,7 @@ class TestDecompositionConfig:
 
     def test_engine_defaults(self):
         cfg = DecompositionConfig()
-        assert cfg.engine == "auto"  # defers to REPRO_ENGINE, then inproc
+        assert cfg.engine == "inproc"
         assert cfg.workers == 0  # one worker per subdomain
 
     def test_engine_whitelist(self):
@@ -70,10 +72,10 @@ class TestDecompositionConfig:
         with pytest.raises(ConfigError, match="workers"):
             DecompositionConfig(workers=-1).validate()
 
-    def test_timeout_defaults_to_unset(self):
+    def test_timeout_default_is_concrete(self):
         cfg = DecompositionConfig()
         cfg.validate()
-        assert cfg.timeout is None
+        assert cfg.timeout == DEFAULT_ENGINE_TIMEOUT
         assert cfg.pin_workers is False
 
     def test_timeout_positive(self):
@@ -87,13 +89,13 @@ class TestDecompositionConfig:
 
     @pytest.mark.parametrize("bad", ["60", True])
     def test_timeout_must_be_a_number(self, bad):
-        with pytest.raises(ConfigError, match="timeout"):
-            DecompositionConfig(timeout=bad).validate()
+        with pytest.raises(ConfigError, match="decomposition.timeout"):
+            config_from_dict({"decomposition": {"timeout": bad}})
 
     def test_pin_workers_must_be_bool(self):
-        DecompositionConfig(pin_workers=True).validate()
+        config_from_dict({"decomposition": {"pin_workers": True}})
         with pytest.raises(ConfigError, match="pin_workers"):
-            DecompositionConfig(pin_workers=1).validate()
+            config_from_dict({"decomposition": {"pin_workers": 1}})
 
 
 class TestSolverConfig:
@@ -104,7 +106,7 @@ class TestSolverConfig:
             SolverConfig(storage_method="CACHE").validate()
 
     def test_sweep_backends(self):
-        for backend in ("auto", "numpy", "reference"):
+        for backend in ("numpy", "reference"):
             SolverConfig(sweep_backend=backend).validate()
         with pytest.raises(ConfigError, match="sweep_backend"):
             SolverConfig(sweep_backend="numba").validate()
@@ -119,9 +121,9 @@ class TestSolverConfig:
 
 
 class TestCmfdConfig:
-    def test_defaults_are_tristate_off(self):
+    def test_defaults_are_off(self):
         cfg = SolverConfig()
-        assert cfg.cmfd.enabled is None  # defer to $REPRO_CMFD, then off
+        assert cfg.cmfd.enabled is False
         cfg.validate()
 
     def test_mapping_block(self):
@@ -169,16 +171,6 @@ class TestCmfdConfig:
             SolverConfig(cmfd=CmfdConfig(relaxation=-0.5)).validate()
 
 
-class TestLoadBalanceConfig:
-    def test_default_subdomains_per_node_is_ten(self):
-        # Sec. 4.2.1: "usually about tenfold the number of nodes".
-        assert LoadBalanceConfig().subdomains_per_node == 10
-
-    def test_positive(self):
-        with pytest.raises(ConfigError):
-            LoadBalanceConfig(subdomains_per_node=0).validate()
-
-
 class TestOutputConfig:
     def test_log_level_whitelist(self):
         OutputConfig(log_level="debug").validate()
@@ -221,6 +213,31 @@ class TestConfigFromDict:
         with pytest.raises(ConfigError):
             config_from_dict([1, 2])  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"tracking": {"axial_method": "OTF"}},
+            {"solver": {"num_groups": 7}},
+            {"load_balance": {"subdomains_per_node": 10}},
+        ],
+        ids=["axial_method", "num_groups", "load_balance"],
+    )
+    def test_removed_keys_are_unknown(self, data):
+        with pytest.raises(ConfigError, match="unknown"):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "section,key",
+        [
+            ("decomposition", "engine"),
+            ("solver", "sweep_backend"),
+            ("tracking", "tracer"),
+        ],
+    )
+    def test_auto_is_not_a_selection(self, section, key):
+        with pytest.raises(ConfigError, match=f"{key} must be one of .*'auto'"):
+            config_from_dict({section: {key: "auto"}})
+
     def test_to_dict_roundtrip_keys(self):
         cfg = config_from_dict({"tracking": {"num_azim": 8}})
         data = cfg.to_dict()
@@ -247,3 +264,44 @@ class TestLoadConfig:
         path.write_text("tracking:\n  num_azim: 6\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+class TestTypedValues:
+    """Every value is checked against its field's declared type, so a
+    mistyped value is refused by its dotted key instead of crashing."""
+
+    @pytest.mark.parametrize(
+        "data,key",
+        [
+            ({"solver": {"keff_tolerance": "1e-3"}}, "solver.keff_tolerance"),
+            ({"solver": {"keff_tolerance": True}}, "solver.keff_tolerance"),
+            ({"solver": {"max_iterations": 2.5}}, "solver.max_iterations"),
+            ({"tracking": {"num_azim": "8"}}, "tracking.num_azim"),
+            ({"tracking": {"tracking_cache": "yes"}}, "tracking.tracking_cache"),
+            ({"decomposition": {"nz": "2"}}, "decomposition.nz"),
+            ({"output": {"log_level": 3}}, "output.log_level"),
+            ({"solver": {"cmfd": {"mesh_x": "3"}}}, "solver.cmfd.mesh_x"),
+            (
+                {"scenarios": [{"name": "s", "perturbations": [
+                    {"kind": "density", "material": "UO2", "factor": "1.1"}
+                ]}]},
+                "scenarios[0].perturbations[0].factor",
+            ),
+        ],
+        ids=[
+            "str-for-float", "bool-for-float", "float-for-int", "str-for-int",
+            "str-for-bool", "str-for-grid", "int-for-str", "nested-cmfd",
+            "scenario-factor",
+        ],
+    )
+    def test_mistyped_value_refused_by_key(self, data, key):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            config_from_dict(data)
+
+    def test_int_accepted_for_float(self):
+        cfg = config_from_dict({"solver": {"keff_tolerance": 1}, "decomposition": {"timeout": 60}})
+        assert cfg.solver.keff_tolerance == 1
+        assert cfg.decomposition.timeout == 60
+
+    def test_optional_string_takes_null(self):
+        assert config_from_dict({"output": {"report": None}}).output.report is None

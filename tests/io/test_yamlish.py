@@ -19,6 +19,13 @@ class TestScalars:
         assert parse_scalar("-1E-3") == -1e-3
         assert parse_scalar(".5") == 0.5
 
+    def test_exponent_without_dot_is_a_float(self):
+        """The reason this parser is kept over PyYAML, which reads YAML
+        1.1's dotless ``1e-3`` as a string."""
+        value = parse_scalar("1e-3")
+        assert type(value) is float
+        assert value == 1e-3
+
     def test_bool(self):
         assert parse_scalar("true") is True
         assert parse_scalar("False") is False

@@ -52,6 +52,6 @@ def manifest():
         geometry="unit-box",
         engine="inproc",
         backend="numpy",
-        tracer="auto",
+        tracer="batch",
         storage_method="EXP",
     )

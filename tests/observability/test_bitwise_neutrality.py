@@ -14,9 +14,8 @@ from tests.observability.conftest import mini_2d_config
 
 
 class TestBitwiseNeutrality:
-    def test_reporting_on_vs_off_identical(self, tmp_path, monkeypatch):
-        # Off: no report requested anywhere.
-        monkeypatch.delenv("REPRO_REPORT", raising=False)
+    def test_reporting_on_vs_off_identical(self, tmp_path):
+        # Off: no report requested.
         plain = AntMocApplication(mini_2d_config()).run()
 
         # On: report requested via config and exported in every format.

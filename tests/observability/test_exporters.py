@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigError, ObservabilityError
 from repro.observability.exporters import (
-    REPORT_ENV_VAR,
     Exporter,
     dump_record,
     exporter_names,
@@ -103,11 +102,11 @@ class TestReportSpec:
             parse_report_spec("json:")
 
     def test_precedence_cli_config_env(self, monkeypatch):
-        monkeypatch.setenv(REPORT_ENV_VAR, "env.jsonl")
+        """The CLI beats the config; the environment ranks below both, and
+        below no report at all: ``REPRO_REPORT`` is never read."""
+        monkeypatch.setenv("REPRO_REPORT", "env.jsonl")
         assert resolve_report_spec("cli.json", "config.log")[0] == "json"
         assert resolve_report_spec(None, "config.log")[0] == "text"
-        assert resolve_report_spec(None, None)[0] == "jsonl"
-        monkeypatch.delenv(REPORT_ENV_VAR)
         assert resolve_report_spec(None, None) is None
 
 

@@ -96,6 +96,17 @@ class TestServeSmoke:
             handle.flush()
             assert b'"ok": true' in handle.readline()
 
+    def test_mistyped_config_is_refused_on_a_live_connection(self, server):
+        """A wrongly typed config value is a ConfigError answered on the
+        wire, not a crash that drops the connection."""
+        payload = solve_payload()
+        payload["solver"]["keff_tolerance"] = "1e-3"
+        with ServeClient(server.address) as client:
+            response = client.request({"op": "solve", "config": payload})
+            assert response["ok"] is False
+            assert "solver.keff_tolerance" in response["error"]
+            assert client.ping()["ok"] is True  # same connection
+
     def test_solve_without_config_is_refused(self, server):
         with ServeClient(server.address) as client:
             response = client.request({"op": "solve"})

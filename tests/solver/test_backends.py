@@ -22,7 +22,7 @@ from repro.solver import (
     get_backend,
     resolve_backend,
 )
-from repro.solver.backends import BACKEND_ENV_VAR, DEFAULT_BACKEND, backend_names
+from repro.solver.backends import DEFAULT_BACKEND, backend_names
 from repro.tracks import TrackGenerator
 
 # ---------------------------------------------------------------- registry
@@ -31,7 +31,7 @@ from repro.tracks import TrackGenerator
 class TestRegistry:
     def test_backend_names_include_all(self):
         names = backend_names()
-        assert set(names) == {"auto", "numpy", "reference"}
+        assert set(names) == {"numpy", "reference"}
 
     def test_unknown_backend_raises(self):
         for name in ("cuda", "numba"):  # numba: pruned, not degraded to numpy
@@ -53,18 +53,19 @@ class TestRegistry:
         backend = get_backend("numpy")
         assert resolve_backend(backend) is backend
 
-    def test_resolve_default(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    def test_resolve_default(self):
         assert resolve_backend(None).name == DEFAULT_BACKEND
 
     def test_resolve_env_var(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "reference")
-        assert resolve_backend(None).name == "reference"
-        # Explicit argument beats the environment.
+        """``REPRO_SWEEP_BACKEND`` selects nothing: the name alone does."""
+        monkeypatch.setenv("REPRO_SWEEP_BACKEND", "reference")
+        assert resolve_backend(None).name == DEFAULT_BACKEND
         assert resolve_backend("numpy").name == "numpy"
 
     def test_auto_selection(self):
-        assert resolve_backend("auto").name == "numpy"
+        """``auto`` is not a backend: a config must name the kernel."""
+        with pytest.raises(SolverError, match="unknown sweep backend"):
+            resolve_backend("auto")
 
 
 # ------------------------------------------------------------- plan layout

@@ -1,4 +1,4 @@
-"""Tests for CMFD acceleration: switch/options, coarse-mesh overlay,
+"""Tests for CMFD acceleration: switch/settings, coarse-mesh overlay,
 coarse-problem exactness, and the measured sweep-count reduction.
 
 The acceleration tests pin the tentpole claim: the CMFD-accelerated
@@ -13,15 +13,14 @@ in proportion to the convergence tolerance.
 import numpy as np
 import pytest
 
-from repro.errors import SolverError
+from repro.errors import ConfigError, SolverError
 from repro.geometry import BoundaryCondition, Geometry, Lattice
 from repro.geometry.extruded import AxialMesh, ExtrudedGeometry, reflector_layer_map
 from repro.geometry.universe import make_homogeneous_universe, make_pin_cell_universe
+from repro.io.config import CmfdConfig, config_from_dict
 from repro.materials import infinite_medium_keff
 from repro.solver import SourceTerms
 from repro.solver.cmfd import (
-    CMFD_ENV_VAR,
-    CmfdOptions,
     CmfdProblem,
     CoarseMesh,
     MeshSpec,
@@ -31,7 +30,6 @@ from repro.solver.cmfd import (
     coerce_cmfd,
     mesh_spec_for,
     mesh_spec_for_3d,
-    resolve_cmfd_enabled,
 )
 from repro.solver.solver import MOCSolver
 
@@ -40,35 +38,34 @@ from repro.solver.solver import MOCSolver
 
 
 class TestSwitch:
+    """The switch is the config's ``solver.cmfd.enabled`` alone: none of
+    the words ``REPRO_CMFD`` once took changes whether a solve accelerates."""
+
     def test_explicit_wins_over_environment(self, monkeypatch):
-        monkeypatch.setenv(CMFD_ENV_VAR, "1")
-        assert resolve_cmfd_enabled(False) is False
-        monkeypatch.setenv(CMFD_ENV_VAR, "0")
-        assert resolve_cmfd_enabled(True) is True
+        monkeypatch.setenv("REPRO_CMFD", "1")
+        assert coerce_cmfd(CmfdConfig(enabled=False)) is None
+        monkeypatch.setenv("REPRO_CMFD", "0")
+        assert coerce_cmfd(CmfdConfig(enabled=True)) == CmfdConfig(enabled=True)
 
     def test_unset_environment_means_off(self, monkeypatch):
-        monkeypatch.delenv(CMFD_ENV_VAR, raising=False)
-        assert resolve_cmfd_enabled(None) is False
+        monkeypatch.delenv("REPRO_CMFD", raising=False)
+        assert coerce_cmfd(config_from_dict({}).solver.cmfd) is None
 
     @pytest.mark.parametrize("word", ["1", "true", "YES", " on "])
     def test_true_words(self, monkeypatch, word):
-        monkeypatch.setenv(CMFD_ENV_VAR, word)
-        assert resolve_cmfd_enabled(None) is True
+        monkeypatch.setenv("REPRO_CMFD", word)
+        assert coerce_cmfd(config_from_dict({}).solver.cmfd) is None
 
     @pytest.mark.parametrize("word", ["0", "false", "No", "off"])
     def test_false_words(self, monkeypatch, word):
-        monkeypatch.setenv(CMFD_ENV_VAR, word)
-        assert resolve_cmfd_enabled(None) is False
-
-    def test_garbage_environment_rejected(self, monkeypatch):
-        monkeypatch.setenv(CMFD_ENV_VAR, "maybe")
-        with pytest.raises(SolverError):
-            resolve_cmfd_enabled(None)
+        monkeypatch.setenv("REPRO_CMFD", word)
+        cmfd = config_from_dict({"solver": {"cmfd": True}}).solver.cmfd
+        assert coerce_cmfd(cmfd) is cmfd
 
 
 class TestOptions:
     def test_defaults_validate(self):
-        CmfdOptions().validate()
+        CmfdConfig().validate()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -82,35 +79,35 @@ class TestOptions:
         ],
     )
     def test_bad_values_rejected(self, kwargs):
-        with pytest.raises(SolverError):
-            CmfdOptions(**kwargs).validate()
+        with pytest.raises(ConfigError):
+            CmfdConfig(**kwargs).validate()
 
     def test_coerce_off(self):
         assert coerce_cmfd(None) is None
         assert coerce_cmfd(False) is None
+        assert coerce_cmfd(CmfdConfig(mesh_x=3)) is None
 
     def test_coerce_true_gives_defaults(self):
-        assert coerce_cmfd(True) == CmfdOptions()
+        assert coerce_cmfd(True) == CmfdConfig(enabled=True)
 
     def test_coerce_passes_options_through(self):
-        options = CmfdOptions(mesh_x=3, relaxation=0.7)
+        options = CmfdConfig(enabled=True, mesh_x=3, relaxation=0.7)
         assert coerce_cmfd(options) is options
 
     def test_coerce_duck_typed_config(self):
-        class Block:
-            mesh_x = 5
-            mesh_y = 2
-            tolerance = 1e-10
+        """Only the config type carries CMFD settings; a look-alike is
+        refused instead of being read field by field with defaults."""
 
-        options = coerce_cmfd(Block())
-        assert options == CmfdOptions(mesh_x=5, mesh_y=2, tolerance=1e-10)
+        class Block:
+            enabled = True
+            mesh_x = 5
+
+        with pytest.raises(SolverError, match="CmfdConfig"):
+            coerce_cmfd(Block())
 
     def test_coerce_validates(self):
-        class Block:
-            relaxation = 2.0
-
-        with pytest.raises(SolverError):
-            coerce_cmfd(Block())
+        with pytest.raises(ConfigError, match="relaxation"):
+            coerce_cmfd(CmfdConfig(enabled=True, relaxation=2.0))
 
 
 # ----------------------------------------------------- coarse-mesh overlay
@@ -120,13 +117,13 @@ class TestMeshOverlay:
     def test_default_mesh_is_one_cell_per_root_lattice_cell(self, uo2, moderator):
         pin = make_pin_cell_universe(0.54, uo2, moderator, num_rings=2, num_sectors=4)
         geometry = Geometry(Lattice([[pin, pin], [pin, pin]], 1.26, 1.26))
-        spec = mesh_spec_for(geometry, CmfdOptions())
+        spec = mesh_spec_for(geometry, CmfdConfig())
         assert (spec.nx, spec.ny, spec.nz) == (2, 2, 1)
         assert spec.hx == pytest.approx(1.26)
         assert spec.hy == pytest.approx(1.26)
 
     def test_configured_mesh_overrides_default(self, reflective_box):
-        spec = mesh_spec_for(reflective_box, CmfdOptions(mesh_x=4, mesh_y=3))
+        spec = mesh_spec_for(reflective_box, CmfdConfig(mesh_x=4, mesh_y=3))
         assert (spec.nx, spec.ny) == (4, 3)
         assert spec.hx == pytest.approx(reflective_box.width / 4)
 
@@ -135,7 +132,7 @@ class TestMeshOverlay:
         the four pins of a 2x2 lattice split the FSRs evenly."""
         pin = make_pin_cell_universe(0.54, uo2, moderator, num_rings=2, num_sectors=4)
         geometry = Geometry(Lattice([[pin, pin], [pin, pin]], 1.26, 1.26))
-        spec = mesh_spec_for(geometry, CmfdOptions())
+        spec = mesh_spec_for(geometry, CmfdConfig())
         mesh = build_coarse_mesh(spec, [bin_fsrs(geometry, spec)])
         assert mesh.num_cells == 4
         assert mesh.cellmap.shape == (geometry.num_fsrs,)
@@ -143,27 +140,27 @@ class TestMeshOverlay:
         assert (counts == geometry.num_fsrs // 4).all()
 
     def test_universe_rooted_geometry_collapses_to_one_cell(self, reflective_box):
-        spec = mesh_spec_for(reflective_box, CmfdOptions())
+        spec = mesh_spec_for(reflective_box, CmfdConfig())
         mesh = build_coarse_mesh(spec, [bin_fsrs(reflective_box, spec)])
         assert mesh.num_cells == 1
         assert (mesh.cellmap == 0).all()
 
     def test_3d_spec_takes_axial_mesh_edges(self, reflective_box):
         g3 = ExtrudedGeometry(reflective_box, AxialMesh.uniform(0.0, 4.0, 4))
-        spec = mesh_spec_for_3d(g3, CmfdOptions())
+        spec = mesh_spec_for_3d(g3, CmfdConfig())
         assert spec.nz == 4
         assert spec.z_edges == pytest.approx((0.0, 1.0, 2.0, 3.0, 4.0))
 
     def test_3d_spec_mesh_z_overrides(self, reflective_box):
         g3 = ExtrudedGeometry(reflective_box, AxialMesh.uniform(0.0, 4.0, 4))
-        spec = mesh_spec_for_3d(g3, CmfdOptions(mesh_z=2))
+        spec = mesh_spec_for_3d(g3, CmfdConfig(mesh_z=2))
         assert spec.nz == 2
         assert spec.z_edges == pytest.approx((0.0, 2.0, 4.0))
 
     def test_3d_binning_is_radial_major(self, reflective_box):
         """fsr3d ordering is radial-major: FSR r, layer l -> r * L + l."""
         g3 = ExtrudedGeometry(reflective_box, AxialMesh.uniform(0.0, 4.0, 4))
-        spec = mesh_spec_for_3d(g3, CmfdOptions())
+        spec = mesh_spec_for_3d(g3, CmfdConfig())
         raw = bin_fsrs_3d(g3, spec)
         layers = g3.axial_mesh.num_layers
         assert raw.shape == (reflective_box.num_fsrs * layers,)
@@ -194,7 +191,7 @@ class TestCoarseProblem:
         mesh = CoarseMesh(spec, np.zeros(2, dtype=np.int64))
         problem = CmfdProblem(
             mesh, terms.sigma_t, terms.sigma_s, terms.nu_sigma_f,
-            terms.chi, np.ones(2), CmfdOptions(),
+            terms.chi, np.ones(2), CmfdConfig(),
         )
         problem.finalize_pairs([np.zeros((0, 2), dtype=np.int64)])
         step = problem.solve(
@@ -214,7 +211,7 @@ class TestCoarseProblem:
         with pytest.raises(SolverError):
             CmfdProblem(
                 mesh, terms.sigma_t, terms.sigma_s, terms.nu_sigma_f,
-                terms.chi, np.ones(1), CmfdOptions(),
+                terms.chi, np.ones(1), CmfdConfig(),
             )
 
 

@@ -22,10 +22,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SolverError
+from repro.io.config import CmfdConfig
 from repro.runtime.antmoc import GEOMETRY_BUILDERS
 from repro.solver.backends import SweepPlan, TrackTopology
 from repro.solver.cmfd import (
-    CmfdOptions,
     CmfdProblem,
     CoarseMesh,
     CurrentTally,
@@ -128,7 +128,7 @@ def problems(draw):
         leaks=draw(st.lists(st.booleans(), min_size=bins, max_size=bins)),
         num_domains=draw(st.integers(1, 3)),
         current_exponent=draw(st.integers(-3, 2)),
-        options=CmfdOptions(
+        options=CmfdConfig(
             tolerance=draw(st.sampled_from([1e-12, 1e-8, 1e-5])),
             max_inner_iterations=draw(st.integers(1, 300)),
             relaxation=draw(st.sampled_from([0.5, 1.0])),
@@ -192,7 +192,7 @@ def test_drawn_problems_reach_every_branch():
             pair_modes=list(rng.integers(0, 4, bins * (bins - 1) // 2)),
             leaks=list(rng.random(bins) < 0.5), num_domains=1 + seed % 3,
             current_exponent=int(rng.integers(-3, 3)),
-            options=CmfdOptions(tolerance=1e-8, max_inner_iterations=300),
+            options=CmfdConfig(tolerance=1e-8, max_inner_iterations=300),
         )
         step, want, _, (problem, phi) = solve_both(params)
         assert_same_step(step, want)

@@ -73,7 +73,7 @@ class TestUnknownEngineKeys:
 
     def test_config_engines_matches_registry(self):
         # Whatever the CLI advertises must actually resolve.
-        assert set(ENGINES) == {"auto", *engine_names()}
+        assert set(ENGINES) == set(engine_names())
         for name in ENGINES:
             assert resolve_engine(name) is not None
 

@@ -90,7 +90,10 @@ class TestConfigPlumbing:
         assert cache.lock_timeout == 2.5
 
     def test_unset_config_value_keeps_the_default(self, tmp_path):
-        cache = resolve_cache(True, str(tmp_path), lock_timeout=None)
+        config = config_from_dict({"tracking": {"tracking_cache": True}})
+        cache = resolve_cache(
+            True, str(tmp_path), lock_timeout=config.tracking.cache_lock_timeout
+        )
         assert cache.lock_timeout == LOCK_STALE_SECONDS
 
     @pytest.mark.parametrize("bad", [0, -3.0, True, "fast"])

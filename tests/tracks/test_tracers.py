@@ -9,6 +9,7 @@ from repro.geometry.cell import Cell
 from repro.geometry.region import Halfspace, Intersection
 from repro.geometry.surfaces import ZCylinder
 from repro.geometry.universe import Universe, make_pin_cell_universe
+from repro.io.config import config_from_dict
 from repro.quadrature import AzimuthalQuadrature
 from repro.tracks import TrackGenerator, lay_tracks
 from repro.tracks.raytrace2d import trace_all, trace_all_reference, trace_all_wavefront
@@ -29,16 +30,13 @@ def tracked(geometry, num_azim=8, spacing=0.2):
 
 class TestRegistry:
     def test_registered_names(self):
-        names = tracers.tracer_names()
-        assert "auto" in names
-        assert "batch" in names
-        assert "reference" in names
+        assert tracers.tracer_names() == ("batch", "reference")
 
     def test_get_unknown_tracer_raises(self):
         with pytest.raises(TrackingError, match="unknown tracer"):
             tracers.get_tracer("does-not-exist")
 
-    def test_register_and_select(self, monkeypatch):
+    def test_register_and_select(self):
         calls = []
 
         def sentinel(geometry, tracks):
@@ -48,35 +46,27 @@ class TestRegistry:
         tracers.register_tracer("sentinel", sentinel)
         try:
             assert tracers.resolve_tracer("sentinel") == "sentinel"
-            monkeypatch.setenv(tracers.TRACER_ENV_VAR, "sentinel")
-            assert tracers.resolve_tracer() == "sentinel"
         finally:
             tracers._REGISTRY.pop("sentinel")
 
 
 class TestSelectionPolicy:
-    def test_default_is_batch(self, monkeypatch):
-        monkeypatch.delenv(tracers.TRACER_ENV_VAR, raising=False)
+    def test_default_is_batch(self):
         assert tracers.resolve_tracer() == "batch"
 
-    def test_auto_resolves_to_batch(self):
-        assert tracers.resolve_tracer("auto") == "batch"
-
     def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(tracers.TRACER_ENV_VAR, "batch")
-        assert tracers.resolve_tracer("reference") == "reference"
+        """``REPRO_TRACER`` selects nothing: the argument alone does."""
+        monkeypatch.setenv("REPRO_TRACER", "reference")
+        assert tracers.resolve_tracer("batch") == "batch"
+        assert tracers.resolve_tracer() == tracers.DEFAULT_TRACER
 
-    def test_env_beats_config_default(self, monkeypatch):
-        monkeypatch.setenv(tracers.TRACER_ENV_VAR, "reference")
-        assert tracers.resolve_tracer(default="batch") == "reference"
-
-    def test_config_default_applies(self, monkeypatch):
-        monkeypatch.delenv(tracers.TRACER_ENV_VAR, raising=False)
-        assert tracers.resolve_tracer(default="reference") == "reference"
+    def test_config_default_applies(self):
+        assert config_from_dict({}).tracking.tracer == tracers.DEFAULT_TRACER
 
     def test_unknown_name_raises(self):
-        with pytest.raises(TrackingError, match="unknown tracer"):
-            tracers.resolve_tracer("walker")
+        for name in ("walker", "auto"):
+            with pytest.raises(TrackingError, match="unknown tracer"):
+                tracers.resolve_tracer(name)
 
 
 class TestCrossTracerEquivalence:
