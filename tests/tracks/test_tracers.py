@@ -64,9 +64,13 @@ class TestSelectionPolicy:
         assert config_from_dict({}).tracking.tracer == tracers.DEFAULT_TRACER
 
     def test_unknown_name_raises(self):
-        for name in ("walker", "auto"):
-            with pytest.raises(TrackingError, match="unknown tracer"):
-                tracers.resolve_tracer(name)
+        with pytest.raises(TrackingError, match="unknown tracer"):
+            tracers.resolve_tracer("walker")
+
+    def test_auto_is_an_unknown_name(self):
+        """``auto`` no longer defers to the default tracer: it names none."""
+        with pytest.raises(TrackingError, match="unknown tracer"):
+            tracers.resolve_tracer("auto")
 
 
 class TestCrossTracerEquivalence:
