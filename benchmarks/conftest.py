@@ -1,9 +1,13 @@
 """Shared benchmark helpers.
 
-Every benchmark module regenerates one of the paper's tables or figures
-(DESIGN.md's experiment index). Besides the pytest-benchmark timing, each
-writes its reproduced rows/series to ``benchmarks/results/<name>.txt`` so
-the data survives output capturing, and prints it for ``-s`` runs.
+Every ``bench_*.py`` module regenerates one of the paper's tables,
+figures or ablations, each a row of DESIGN.md's experiment index
+(``tests/analysis/test_repo_clean.py`` keeps the two in step). Besides
+the pytest-benchmark timing, each writes its reproduced rows/series to
+``benchmarks/results/<name>.txt`` so the data survives output capturing,
+and prints it for ``-s`` runs. A speed claim about this code cites the
+ledger (``benchmarks/e2e``, workloads named in ``BENCHMARK.json``), not
+these timings.
 """
 
 from __future__ import annotations

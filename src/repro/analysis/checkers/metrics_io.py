@@ -13,7 +13,7 @@ One rule:
   ``repro.*`` or ``benchmarks.*`` modules. Run reports go through an
   :class:`~repro.observability.exporters.Exporter`; ad-hoc records
   (benchmark cases, worker stdout protocols) go through
-  ``dump_record``/``write_record``/``merge_benchmark_record``.
+  ``dump_record``/``write_record``.
 
 Exempt by construction: ``repro.observability.exporters`` itself (the
 single door) and ``repro.analysis.*`` (lint output is tooling metadata,
@@ -85,7 +85,7 @@ class MetricsIoChecker(VisitorChecker):
                 src, node, "raw-metrics-dump",
                 f"direct {target}() in {self._module}; write metrics through "
                 "repro.observability.exporters (dump_record / write_record "
-                "/ merge_benchmark_record or an Exporter)",
+                "or an Exporter)",
             )
 
 

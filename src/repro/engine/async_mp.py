@@ -51,7 +51,6 @@ from repro.engine.mp import (
     MpEngine,
     WorkerView,
     _fmt_bytes,
-    _maybe_pin_worker,
 )
 from repro.engine.problem import DecomposedProblem, EdgePack
 from repro.engine.base import EngineResult
@@ -97,7 +96,7 @@ def _wait_value(array: Field, index: int, threshold: int, timeout: float,
 def _async_worker_loop(problem: DecomposedProblem, pack: EdgePack, wid: int,
                        owned: list[int], fields: Mapping[str, Field],
                        wait: Callable[[Field, int, int, float, str], bool],
-                       queue: Any, timeout: float, pin: bool,
+                       queue: Any, timeout: float,
                        view: WorkerView) -> None:
     """Worker body: grant-gated sweeps with per-edge mailbox waits.
 
@@ -119,7 +118,6 @@ def _async_worker_loop(problem: DecomposedProblem, pack: EdgePack, wid: int,
     stalls = 0
     overlapped = 0
     try:
-        _maybe_pin_worker(wid, pin)
         fields, wait, report = view(fields, wait)
         halo = fields["halo"]
         phi, phi_new = fields["phi"], fields["phi_new"]
@@ -295,8 +293,7 @@ class AsyncMpEngine(MpEngine):
             ctx.Process(
                 target=_async_worker_loop,
                 args=(problem, pack, w, owned[w], fields, _wait_value, queue,
-                      self.timeout, self.pin_workers,
-                      partial(self._worker_view, W, w)),
+                      self.timeout, partial(self._worker_view, W, w)),
                 daemon=True,
                 name=f"repro-{self.name}-worker-{w}",
             )

@@ -25,7 +25,6 @@ route tables — so the ``mp`` engine reproduces ``inproc`` results
 from __future__ import annotations
 
 import multiprocessing
-import os
 import signal
 import time
 import traceback
@@ -58,31 +57,6 @@ WORKER_ERRORS = (
     OSError,
     RuntimeError,
 )
-
-
-def _maybe_pin_worker(wid: int, pin: bool) -> None:
-    """Pin this worker process to one CPU of the parent's affinity mask.
-
-    Workers are assigned round-robin over the allowed CPUs, so on a box
-    with at least as many cores as workers each sweep process owns a core
-    and the scheduler stops migrating them mid-iteration. Platforms
-    without ``sched_setaffinity`` (macOS) log and run unpinned — pinning
-    is a performance hint, not a correctness requirement.
-    """
-    if not pin:
-        return
-    logger = get_logger("repro.engine.mp")
-    if not hasattr(os, "sched_setaffinity"):  # pragma: no cover - non-Linux
-        logger.warning("worker %d: CPU pinning unsupported on this platform", wid)
-        return
-    allowed = sorted(os.sched_getaffinity(0))
-    cpu = allowed[wid % len(allowed)]
-    try:
-        os.sched_setaffinity(0, {cpu})
-    except OSError as exc:  # pragma: no cover - exotic cgroup configs
-        logger.warning("worker %d: could not pin to CPU %d: %s", wid, cpu, exc)
-        return
-    logger.info("worker %d pinned to CPU %d", wid, cpu)
 
 
 def _describe_exit(exitcode: int | None) -> str:
@@ -200,7 +174,7 @@ WorkerView = Callable[
 
 def _worker_loop(problem: DecomposedProblem, pack: RoutePack, wid: int,
                  owned: list[int], fields: Mapping[str, Field],
-                 barrier: PhaseBarrier, queue: Any, timeout: float, pin: bool,
+                 barrier: PhaseBarrier, queue: Any, timeout: float,
                  view: WorkerView) -> None:
     """Worker body: barrier-phased sweep/exchange until the stop flag.
 
@@ -220,7 +194,6 @@ def _worker_loop(problem: DecomposedProblem, pack: RoutePack, wid: int,
     cmfd = problem.cmfd
     iteration = 0
     try:
-        _maybe_pin_worker(wid, pin)
         fields, barrier, report = view(fields, barrier)
         phi, phi_new = fields["phi"], fields["phi_new"]
         halo, control = fields["halo"], fields["control"]
@@ -278,11 +251,9 @@ class MpEngine(ExecutionEngine):
         self,
         workers: int | None = None,
         timeout: float = DEFAULT_ENGINE_TIMEOUT,
-        pin_workers: bool = False,
     ) -> None:
         self.workers = workers
         self.timeout = resolve_engine_timeout(timeout)
-        self.pin_workers = bool(pin_workers)
         self._logger = get_logger("repro.engine.mp")
 
     def _prepare_solve(self, problem: DecomposedProblem, num_workers: int) -> None:
@@ -423,8 +394,7 @@ class MpEngine(ExecutionEngine):
             ctx.Process(
                 target=_worker_loop,
                 args=(problem, pack, w, owned[w], fields, barrier, queue,
-                      self.timeout, self.pin_workers,
-                      partial(self._worker_view, W, w)),
+                      self.timeout, partial(self._worker_view, W, w)),
                 daemon=True,
                 name=f"repro-{self.name}-worker-{w}",
             )

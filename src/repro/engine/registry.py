@@ -38,16 +38,14 @@ _REGISTRY: dict[str, Callable[..., ExecutionEngine]] = {}
 def register_engine(name: str, factory: Callable[..., ExecutionEngine]) -> None:
     """Add an engine factory to the registry (last registration wins).
 
-    Factories accept the keyword arguments ``workers``, ``timeout`` and
-    ``pin_workers`` (engines that have no use for one simply ignore it —
-    ``inproc`` has no worker pool to time out or pin).
+    Factories accept the keyword arguments ``workers`` and ``timeout``
+    (engines that have no use for one simply ignore it — ``inproc`` has no
+    worker pool to time out).
     """
     _REGISTRY[name] = factory
 
 
-register_engine(
-    "inproc", lambda workers=None, timeout=None, pin_workers=False: InprocEngine()
-)
+register_engine("inproc", lambda workers=None, timeout=None: InprocEngine())
 register_engine("mp", MpEngine)
 register_engine("mp-sanitize", SanitizedMpEngine)
 register_engine("mp-async", AsyncMpEngine)
@@ -63,7 +61,6 @@ def resolve_engine(
     requested: str | ExecutionEngine = DEFAULT_ENGINE,
     workers: int | None = None,
     timeout: float = DEFAULT_ENGINE_TIMEOUT,
-    pin_workers: bool = False,
 ) -> ExecutionEngine:
     """The execution engine registered as ``requested`` (an engine
     instance passes through), built with the process options."""
@@ -76,4 +73,4 @@ def resolve_engine(
         raise ConfigError(
             f"unknown execution engine {name!r}; registered: {sorted(_REGISTRY)}"
         ) from None
-    return factory(workers=workers, timeout=timeout, pin_workers=pin_workers)
+    return factory(workers=workers, timeout=timeout)

@@ -297,13 +297,10 @@ class _Sanitized:
         self,
         workers: int | None = None,
         timeout: float = DEFAULT_ENGINE_TIMEOUT,
-        pin_workers: bool = False,
         fault_seed: int | None = None,
         fault: FaultSpec | None = None,
     ) -> None:
-        super().__init__(  # type: ignore[call-arg]
-            workers=workers, timeout=timeout, pin_workers=pin_workers
-        )
+        super().__init__(workers=workers, timeout=timeout)  # type: ignore[call-arg]
         if fault is not None and fault_seed is not None:
             raise SanitizerError("pass either fault or fault_seed, not both")
         self._fault_seed = fault_seed

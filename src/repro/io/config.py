@@ -120,8 +120,6 @@ class DecompositionConfig:
     workers: int = 0
     #: Engine wait timeout in seconds (barrier phases, mailbox waits).
     timeout: float = DEFAULT_ENGINE_TIMEOUT
-    #: Pin each worker process to one CPU (``os.sched_setaffinity``).
-    pin_workers: bool = False
 
     @property
     def num_domains(self) -> int:

@@ -67,31 +67,6 @@ def write_record(path: str | Path, record: Mapping[str, Any] | list) -> Path:
     return path
 
 
-def merge_benchmark_record(
-    path: str | Path,
-    case_record: Mapping[str, Any],
-    benchmark: str,
-    key: str = "case",
-) -> Path:
-    """Fold one case record into a ``BENCH_*.json`` accumulator file.
-
-    The accumulator keeps ``{"benchmark": ..., "cases": {case: record}}``;
-    a corrupt existing file is replaced rather than crashing a benchmark
-    run that already paid for its measurements.
-    """
-    path = Path(path)
-    data: dict[str, Any] = {"benchmark": benchmark, "cases": {}}
-    if path.exists():
-        try:
-            loaded = parse_record(path.read_text(encoding="utf-8"))
-            if isinstance(loaded, dict):
-                data = loaded
-        except ObservabilityError:
-            pass
-    data.setdefault("cases", {})[str(case_record[key])] = dict(case_record)
-    return write_record(path, data)
-
-
 # ---------------------------------------------------------------------------
 # Exporters.
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ class DomainDriver:
     routes: Sequence[Any]
 
     def _finish(
-        self, engine, workers, timeout, pin_workers,
+        self, engine, workers, timeout,
         keff_tolerance, source_tolerance, max_iterations, cmfd,
     ) -> None:
         from repro.engine import resolve_engine
@@ -63,9 +63,7 @@ class DomainDriver:
             dom.fsr_offset = offset
             offset += dom.num_fsrs
         self.num_fsrs_total = offset
-        self.engine = resolve_engine(
-            engine, workers=workers, timeout=timeout, pin_workers=pin_workers
-        )
+        self.engine = resolve_engine(engine, workers=workers, timeout=timeout)
         self.comm = self.engine.create_communicator(len(self.domains))
         self.keff_tolerance = keff_tolerance
         self.source_tolerance = source_tolerance
@@ -125,7 +123,6 @@ class DecomposedSolver(DomainDriver):
         engine: str = "inproc",
         workers: int | None = None,
         timeout: float = DEFAULT_ENGINE_TIMEOUT,
-        pin_workers: bool = False,
         cmfd=None,
     ) -> None:
         self.geometry = geometry
@@ -142,7 +139,7 @@ class DecomposedSolver(DomainDriver):
         )
         self.routes = self.exchange.routes
         self._finish(
-            engine, workers, timeout, pin_workers,
+            engine, workers, timeout,
             keff_tolerance, source_tolerance, max_iterations, cmfd,
         )
 

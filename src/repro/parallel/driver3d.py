@@ -81,7 +81,6 @@ class ZDecomposedSolver(DomainDriver):
         engine: str = "inproc",
         workers: int | None = None,
         timeout: float = DEFAULT_ENGINE_TIMEOUT,
-        pin_workers: bool = False,
         cmfd=None,
     ) -> None:
         if num_domains < 1:
@@ -128,7 +127,7 @@ class ZDecomposedSolver(DomainDriver):
         self.num_groups = self.domains[0].terms.num_groups
         self.routes = self._match_interfaces()
         self._finish(
-            engine, workers, timeout, pin_workers,
+            engine, workers, timeout,
             keff_tolerance, source_tolerance, max_iterations, cmfd,
         )
 

@@ -8,14 +8,15 @@ Subcommands:
   differences exist (numeric results, counters, schema version) and ``0``
   when the runs only differ in provenance or timings. ``--rtol``/``--atol``
   relax the k-eff comparison from bitwise to tolerance-based. Plain
-  benchmark records (``BENCH_*.json``) are diffed structurally with the
-  same tolerances.
+  records (the golden records under ``tests/goldens/``) are diffed
+  structurally with the same tolerances.
 
 Examples::
 
     python -m repro.report show run-report.json
     python -m repro.report diff a.json b.json
-    python -m repro.report diff --rtol 1e-9 BENCH_engine.json BENCH_engine.old.json
+    python -m repro.report diff --rtol 1e-9 \\
+        tests/goldens/c5g7-mini-2d.json tests/goldens/c5g7-mini-2d-cmfd.json
 """
 
 from __future__ import annotations

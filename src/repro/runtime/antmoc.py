@@ -141,7 +141,6 @@ def build_solver(
         engine=decomposition.engine,
         workers=decomposition.workers or None,
         timeout=decomposition.timeout,
-        pin_workers=decomposition.pin_workers,
     )
     if isinstance(geometry, ExtrudedGeometry):
         if decomposition.nx * decomposition.ny > 1:

@@ -2,9 +2,9 @@
 
 This backend reproduces the pre-backend sweep loop operation for
 operation: per-position exponential evaluation and a per-position
-``np.add.at`` tally scatter. It exists so that (a) the cross-backend
-equivalence suite has a stable oracle and (b) ``bench_sweep_kernel``
-can measure the rewritten kernels against the exact seed algorithm.
+``np.add.at`` tally scatter. It exists so that the cross-backend
+equivalence suite (``tests/solver/test_backends.py``) has a stable
+oracle, and ``--backend reference`` runs the exact seed algorithm.
 """
 
 from __future__ import annotations

@@ -126,16 +126,6 @@ class TestAsyncMechanics:
         assert result.comm_allreduce_calls == oracle.comm_allreduce_calls
 
     @needs_fork
-    def test_pinned_workers_stay_bitwise(self, grid_2x1):
-        """CPU pinning is a performance hint — numbers must not move."""
-        oracle = make_solver(grid_2x1, engine="inproc").solve()
-        solver = make_solver(grid_2x1, engine="mp-async", workers=2,
-                             pin_workers=True)
-        result = solver.solve()
-        assert result.keff == oracle.keff
-        assert np.array_equal(result.scalar_flux, oracle.scalar_flux)
-
-    @needs_fork
     def test_worker_timers_include_async_stages(self, pin_lattice):
         _, result = solve_2d(pin_lattice, "mp-async", workers=2, max_iterations=6)
         assert [wid for wid, _ in result.worker_timers] == [0, 1]

@@ -61,14 +61,13 @@ class TestResolution:
         )
 
     @pytest.mark.parametrize("name", ["mp", "mp-async"])
-    def test_timeout_and_pinning_forwarded(self, name):
-        engine = resolve_engine(name, workers=2, timeout=42.0, pin_workers=True)
+    def test_timeout_forwarded(self, name):
+        engine = resolve_engine(name, workers=2, timeout=42.0)
         assert engine.workers == 2
         assert engine.timeout == 42.0
-        assert engine.pin_workers is True
 
     def test_inproc_ignores_process_options(self):
-        engine = resolve_engine("inproc", workers=4, timeout=1.0, pin_workers=True)
+        engine = resolve_engine("inproc", workers=4, timeout=1.0)
         assert isinstance(engine, InprocEngine)
 
 

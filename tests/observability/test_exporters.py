@@ -8,7 +8,6 @@ from repro.observability.exporters import (
     dump_record,
     exporter_names,
     load_report,
-    merge_benchmark_record,
     parse_record,
     parse_report_spec,
     read_record,
@@ -38,28 +37,6 @@ class TestRecordPrimitives:
     def test_read_missing_rejected(self, tmp_path):
         with pytest.raises(ObservabilityError, match="cannot read record"):
             read_record(tmp_path / "absent.json")
-
-
-class TestMergeBenchmarkRecord:
-    def test_creates_and_merges(self, tmp_path):
-        path = tmp_path / "BENCH_x.json"
-        merge_benchmark_record(path, {"case": "quick", "v": 1}, benchmark="x")
-        merge_benchmark_record(path, {"case": "full", "v": 2}, benchmark="x")
-        data = read_record(path)
-        assert data["benchmark"] == "x"
-        assert set(data["cases"]) == {"quick", "full"}
-
-    def test_rewrites_same_case(self, tmp_path):
-        path = tmp_path / "BENCH_x.json"
-        merge_benchmark_record(path, {"case": "quick", "v": 1}, benchmark="x")
-        merge_benchmark_record(path, {"case": "quick", "v": 2}, benchmark="x")
-        assert read_record(path)["cases"]["quick"]["v"] == 2
-
-    def test_corrupt_accumulator_replaced(self, tmp_path):
-        path = tmp_path / "BENCH_x.json"
-        path.write_text("{corrupt", encoding="utf-8")
-        merge_benchmark_record(path, {"case": "quick", "v": 1}, benchmark="x")
-        assert read_record(path)["cases"]["quick"]["v"] == 1
 
 
 class TestRegistry:

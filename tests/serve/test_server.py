@@ -1,9 +1,10 @@
 """Socket front door: TCP/Unix round-trips and the serve smoke story.
 
-``TestServeSmoke`` is the CI ``serve-smoke`` lane's payload: start a real
-server, submit three requests of which one repeats an earlier manifest
-exactly, and prove the repeat came from the report cache — hit counters
-visible in the returned report, flux digest identical to the original.
+``TestServeSmoke`` is the serve smoke story: start a real server, submit
+three requests of which one repeats an earlier manifest exactly, and
+prove the repeat came from the report cache — hit counters visible in
+the returned report, flux digest identical to the original — and that
+concurrent clients on their own connections all get their answers.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ServeError
+from repro.errors import ReproError, ServeError
 from repro.serve import ServeClient, ServeOptions, SolveServer, parse_address
 
 from .conftest import solve_payload
@@ -69,6 +70,36 @@ class TestServeSmoke:
         assert r3["keff_hex"] == r1["keff_hex"]
         assert r3["flux_sha256"] == r1["flux_sha256"]
         assert r2["keff_hex"] != r1["keff_hex"]
+
+    def test_concurrent_clients_get_one_answer_per_manifest(self, server):
+        """Three clients on their own connections, two manifests between
+        them: no request fails, each manifest is solved once, and every
+        answer to it carries the same bits."""
+        payloads = [solve_payload(), solve_payload()]
+        payloads[1]["solver"]["max_iterations"] = 3
+        answers, errors = [], []
+
+        def tenant(offset):
+            try:
+                with ServeClient(server.address) as client:
+                    for i in range(4):
+                        index = (offset + i) % 2
+                        answers.append((index, client.solve(payloads[index])))
+            except (ReproError, OSError) as exc:
+                errors.append(repr(exc))
+
+        threads = [threading.Thread(target=tenant, args=(n,)) for n in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+            assert not thread.is_alive()
+        assert not errors
+        assert len(answers) == 12
+        assert sum(not answer["cache_hit"] for _, answer in answers) == 2
+        for index in (0, 1):
+            bits = {(a["keff_hex"], a["flux_sha256"]) for i, a in answers if i == index}
+            assert len(bits) == 1
 
     def test_stats_reflect_the_traffic(self, server):
         with ServeClient(server.address) as client:
@@ -145,7 +176,7 @@ class TestShutdown:
 
 class TestSubprocessServer:
     def test_python_dash_m_repro_serve(self):
-        """The exact shape the CI serve-smoke lane runs."""
+        """The server as an operator starts it: ``python -m repro.serve``."""
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
         proc = subprocess.Popen(
             [
