@@ -179,13 +179,15 @@ class BatchedSweep2D:
         # Reduced per state with the single-state expression, so every
         # state's tally is bitwise the single-state kernel's.
         tallies = [work.reduce(plan, self.num_fsrs, s) for s in range(self.num_states)]
-        self.timings.record_sweep(start, time.perf_counter(), (start, gathered, stepped))
+        swept = time.perf_counter()
+        self.timings.record_sweep(start, swept, (start, gathered, stepped))
         if self.tallies is not None:
             assert capture is not None
             for s, tally in enumerate(self.tallies):
                 for d in (0, 1):
                     tally.capture.out[d][...] = capture.out[d][:, s]
                 tally.accumulate([np.ascontiguousarray(p[:, s]) for p in psi])
+            self.timings.record_fold(swept, time.perf_counter())
         # Exchange: outgoing flux becomes the linked traversal's incoming.
         new_in = np.zeros_like(self.psi_in)
         for d in (0, 1):

@@ -52,7 +52,9 @@ class KernelTimings:
     source lookup), ``lockstep_seconds`` (the per-position loop) and
     ``reduce_seconds`` (polar contraction + FSR tally) are the phase split
     — the remainder is the exp-table and workspace build of the first
-    sweep. Source/finalise time is attributed by the solver loop (see
+    sweep. ``fold_seconds`` is the CMFD current fold the sweeper runs after
+    the kernel returns (no fold, no ``fold`` phase). Source/finalise time
+    is attributed by the solver loop (see
     :class:`~repro.solver.keff.KeffSolver`), so benchmarks can split a
     solve into setup vs. sweep vs. source update.
     """
@@ -62,7 +64,9 @@ class KernelTimings:
     gather_seconds: float = 0.0
     lockstep_seconds: float = 0.0
     reduce_seconds: float = 0.0
+    fold_seconds: float = 0.0
     num_sweeps: int = 0
+    num_folds: int = 0
     num_plan_builds: int = 0
 
     def record_sweep(self, start: float, end: float, marks: tuple | None) -> None:
@@ -76,13 +80,21 @@ class KernelTimings:
             self.lockstep_seconds += stepped - gathered
             self.reduce_seconds += end - stepped
 
+    def record_fold(self, start: float, end: float) -> None:
+        """Account one CMFD current fold timed ``[start, end]``."""
+        self.fold_seconds += end - start
+        self.num_folds += 1
+
     def kernel_phases(self) -> dict:
-        """The kernel phase split, keyed as the report rows are named."""
-        return {
+        """The sweep's phase split, keyed as the report rows are named."""
+        phases = {
             "gather": self.gather_seconds,
             "lockstep": self.lockstep_seconds,
             "reduce": self.reduce_seconds,
         }
+        if self.num_folds:
+            phases["fold"] = self.fold_seconds
+        return phases
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -12,13 +12,16 @@ in the trailing axes of their buffers — ``(P, G)``, ``(G,)``, ``(S, P, G)``.
   advances ``cur[(2, n, ...)]`` with three in-place ufuncs on the ``dpsi``
   slice, which enters holding the hoisted source lookup (one ``np.take``
   per direction per sweep): ``dp = view - dp``, ``dp *= F(tau)`` from the
-  plan's cached table, ``view -= dp``. No step allocates.
+  plan's cached table, ``view -= dp``. A 3D step then weights its slice,
+  still in cache: ``dp *= weights[:n]``, the first ``n`` rows of the
+  workspace's ``(T, G)`` track weights in sorted order (the plan's
+  ``pos_weights[d][lo:hi]``, value for value). No step allocates.
 * **Reduce.** ``dpsi`` then holds every segment's delta-psi: per direction
-  one polar ``einsum`` contracts it to ``(S, G)`` and one ``bincount`` over
-  the flat ``fsr * G + g`` index sums it. ``bincount`` adds a bin's terms
-  in array order — segment order, as the per-group bincount it replaces —
-  so the tally is bitwise unchanged. The widened sweep reduces per state
-  with the single-state expression on ``dpsi[d][:, s]``.
+  one ``bincount`` over the flat ``fsr * G + g`` index sums it, after (2D)
+  one polar ``einsum`` contracts it to ``(S, G)``. ``bincount`` adds a
+  bin's terms in array order — segment order, as the per-group bincount it
+  replaces — so the tally is bitwise unchanged. The widened sweep reduces
+  per state with the single-state expression on ``dpsi[d][:, s]``.
 * **Workspace.** The buffers belong to a :class:`SweepWorkspace` owned by
   the *sweeper* (``SweepContext.workspace``): plans stay immutable and
   shareable between sweepers and threads; buffers are reused across sweeps
@@ -44,9 +47,10 @@ from repro.solver.backends.plan import SweepPlan
 class SweepWorkspace:
     """The lockstep kernel's buffers for one sweeper over one plan layout:
     ``cur (2, T, ...)``, ``dpsi (2, S, ...)``, the pre-sliced step list, the
-    polar contraction's output and the flat tally index."""
+    polar contraction's output (2D) or the sorted track weights (3D) and
+    the flat tally index."""
 
-    __slots__ = ("cur", "dpsi", "contrib", "steps", "flat", "_starts", "_fsr")
+    __slots__ = ("cur", "dpsi", "contrib", "weights", "steps", "flat", "_starts", "_fsr")
 
     def __init__(self) -> None:
         self._starts = self._fsr = None
@@ -58,11 +62,18 @@ class SweepWorkspace:
         if self._starts is not starts or self.dpsi.shape[2:] != trailing:
             self.cur = np.empty((2, plan.topology.num_tracks) + trailing)
             self.dpsi = np.empty((2, plan.num_segments) + trailing)
-            # 3D has no polar axis to contract: it weights dpsi in place.
-            self.contrib = np.empty((plan.num_segments, trailing[-1])) if trailing[:-1] else None
+            # 3D has no polar axis to contract: the lockstep weights dpsi
+            # by the track weights in sorted order instead.
+            self.contrib = self.weights = None
+            if trailing[:-1]:
+                self.contrib = np.empty((plan.num_segments, trailing[-1]))
+            else:
+                weights = plan.topology.weights[plan.track_order, None]
+                self.weights = np.repeat(weights, trailing[-1], axis=1)
             self.flat = np.empty((2, plan.num_segments, trailing[-1]), dtype=np.int64)
             self.steps = [
-                (lo, hi, self.cur[:, : hi - lo], self.dpsi[:, lo:hi])
+                (lo, hi, self.cur[:, : hi - lo], self.dpsi[:, lo:hi],
+                 None if self.weights is None else self.weights[: hi - lo])
                 for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist())
                 if hi > lo  # column widths only shrink
             ]
@@ -97,8 +108,8 @@ class SweepWorkspace:
         tally = np.zeros((num_fsrs, self.dpsi.shape[-1]))
         for d in (0, 1):
             dpsi = self.dpsi[d] if state is None else self.dpsi[d][:, state]
-            if self.contrib is None:
-                contrib = np.multiply(dpsi, plan.pos_weights[d][:, None], out=dpsi)
+            if self.contrib is None:  # 3D: weighted in the lockstep
+                contrib = dpsi
             else:
                 contrib = np.einsum("spg,sp->sg", dpsi, plan.pos_weights[d], out=self.contrib)
             bins = np.bincount(self.flat[d].ravel(), contrib.ravel(), tally.size)
@@ -111,8 +122,9 @@ def lockstep(work: SweepWorkspace, table: np.ndarray | None, expf_at, capture) -
     leaving exit fluxes in ``work.cur`` and per-segment delta-psi in
     ``work.dpsi`` (which enters holding the source lookup). ``table`` is the
     ``(2, S, ...)`` exp table; when it was too large to build,
-    ``expf_at(d, lo, hi)`` evaluates one position's factors instead."""
-    for i, (lo, hi, view, dp) in enumerate(work.steps):
+    ``expf_at(d, lo, hi)`` evaluates one position's factors instead. A 3D
+    step leaves its delta-psi weighted (``weight`` is ``None`` in 2D)."""
+    for i, (lo, hi, view, dp, weight) in enumerate(work.steps):
         np.subtract(view, dp, out=dp)
         if table is not None:
             np.multiply(dp, table[:, lo:hi], out=dp)
@@ -120,6 +132,8 @@ def lockstep(work: SweepWorkspace, table: np.ndarray | None, expf_at, capture) -
             for d in (0, 1):
                 np.multiply(dp[d], expf_at(d, lo, hi), out=dp[d])
         np.subtract(view, dp, out=view)
+        if weight is not None:
+            np.multiply(dp, weight, out=dp)
         if capture is not None:
             for d in (0, 1):
                 rows = capture.rows[d][i]

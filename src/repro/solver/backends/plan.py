@@ -134,9 +134,12 @@ class SweepPlan:
         lockstep position ``i`` in direction ``d``, their segment ids and
         the pre-gathered FSR ids. Built on first access: only the masked
         2D sweep (L2 angle decomposition) reads them.
-    seg_weights:
-        Per-segment sweep weights: ``(S,)`` for 3D, ``(S, P)`` for 2D.
-    track_order / col_starts / col_counts / pos_fsr / pos_len / pos_weights:
+    seg_weights / pos_weights:
+        Per-segment sweep weights — ``(S,)`` for 3D, ``(S, P)`` for 2D — in
+        segment order and per direction in position-major order. Built on
+        first access: only the 2D kernels read them (the 3D lockstep
+        weights each position by its prefix of ``topology.weights``).
+    track_order / col_starts / col_counts / pos_fsr / pos_len:
         The prefix-packed position-major layout: tracks sorted by
         descending segment count make the active set at every lockstep
         position a *prefix* of the sorted order, and segments re-ordered
@@ -155,7 +158,7 @@ class SweepPlan:
         "_idx_fwd",
         "_idx_bwd",
         "_columns",
-        "seg_weights",
+        "_seg_weights",
         "max_positions",
         "num_segments",
         "track_order",
@@ -164,7 +167,7 @@ class SweepPlan:
         "pos_order",
         "pos_fsr",
         "pos_len",
-        "pos_weights",
+        "_pos_weights",
         "_expf_cache",
         "_pos_expf_cache",
     )
@@ -182,9 +185,9 @@ class SweepPlan:
         self.seg_fsr = np.ascontiguousarray(segments.fsr_ids, dtype=np.int64)
         self.num_segments = int(self.seg_len.size)
         self._idx_fwd = self._idx_bwd = self._columns = None
+        self._seg_weights = self._pos_weights = None
         counts = np.diff(self.offsets)
         self.max_positions = int(counts.max()) if counts.size else 0
-        self.seg_weights = np.repeat(topology.weights, counts, axis=0)
         self._build_prefix_layout(counts)
         self._bind_pos_segments()
         self._expf_cache: tuple | None = None
@@ -216,7 +219,6 @@ class SweepPlan:
                     sids[starts[i] : starts[i + 1]] = self.offsets[rows] + i
             pos_order.append(sids)
         self.pos_order = tuple(pos_order)
-        self.pos_weights = tuple(self.seg_weights[s] for s in self.pos_order)
 
     def _bind_pos_segments(self) -> None:
         self.pos_fsr = tuple(self.seg_fsr[s] for s in self.pos_order)
@@ -233,6 +235,19 @@ class SweepPlan:
         if self._idx_bwd is None:
             self._idx_bwd = build_position_index(self.offsets, reverse=True)
         return self._idx_bwd
+
+    @property
+    def seg_weights(self) -> np.ndarray:
+        if self._seg_weights is None:
+            counts = np.diff(self.offsets)
+            self._seg_weights = np.repeat(self.topology.weights, counts, axis=0)
+        return self._seg_weights
+
+    @property
+    def pos_weights(self) -> tuple:
+        if self._pos_weights is None:
+            self._pos_weights = tuple(self.seg_weights[s] for s in self.pos_order)
+        return self._pos_weights
 
     @property
     def columns(self) -> tuple:
@@ -276,12 +291,12 @@ class SweepPlan:
         clone._idx_bwd = self._idx_bwd
         clone._columns = None
         clone.max_positions = self.max_positions
-        clone.seg_weights = self.seg_weights
+        clone._seg_weights = self._seg_weights
         clone.track_order = self.track_order
         clone.col_starts = self.col_starts
         clone.col_counts = self.col_counts
         clone.pos_order = self.pos_order
-        clone.pos_weights = self.pos_weights
+        clone._pos_weights = self._pos_weights
         clone._bind_pos_segments()
         clone._expf_cache = None
         clone._pos_expf_cache = None

@@ -261,7 +261,7 @@ class CurrentCapture:
 
 
 class CurrentTally:
-    """Accumulates net coarse-face currents over the sweeps of one domain.
+    """Net coarse-face currents of the last sweep of one domain.
 
     Faces are *directed coarse-cell pairs* ``(src, dst)`` (``dst == -1``
     for vacuum leakage), discovered from where the cell id changes along
@@ -272,6 +272,12 @@ class CurrentTally:
     build-time link-weight validation guarantees both sides carry the same
     quadrature weight, which is what makes the cell balance telescope
     exactly (DESIGN.md).
+
+    A fold *writes* the sweep's currents — one ordered ``np.bincount``
+    over the flat ``slot * G + g`` index, which adds a bin's terms in fold
+    order onto zero — and :meth:`take` hands that array over. Every solve
+    path takes exactly once per fold, so what it reads is bitwise a
+    running sum of the folds since its last read.
     """
 
     def __init__(
@@ -321,7 +327,7 @@ class CurrentTally:
 
         # Fold layout: [forward crossings | forward exits | backward
         # crossings | backward exits], so one weight contraction and one
-        # ordered np.add.at fold a sweep in the per-direction order.
+        # ordered bincount fold a sweep in the per-direction order.
         # Crossings are ordered by (position, prefix row) so the kernel
         # writes contiguous slices per position; exits (last traversal cell
         # -> destination cell; self pairs, i.e. reflective returns into the
@@ -374,6 +380,9 @@ class CurrentTally:
         )
         self._fold_weights = weights[fold_tracks]
         self._fold_slots = np.searchsorted(unique_keys, keys)
+        #: Flat ``slot * G + g`` fold index, built by the first fold — in a
+        #: forked engine that is the worker sweeping this domain.
+        self._fold_index: np.ndarray | None = None
         self._exit_tracks = (blocks[1][0], blocks[3][0])
         self._exit_spans = (spans[1], spans[3])
         self.capture = CurrentCapture(
@@ -397,8 +406,9 @@ class CurrentTally:
         psi_in[entered] *= factor
 
     def accumulate(self, psi: list[np.ndarray]) -> None:
-        """Fold one sweep's captured crossings and track-end exits into the
-        running per-pair current tally (quadrature weights applied here)."""
+        """Fold one sweep's captured crossings and track-end exits into
+        per-pair currents (quadrature weights applied here); they replace
+        the previous sweep's."""
         fold = self._fold
         fold[self._exit_spans[0]] = psi[0][self._exit_tracks[0]]
         fold[self._exit_spans[1]] = psi[1][self._exit_tracks[1]]
@@ -406,20 +416,22 @@ class CurrentTally:
             contrib = np.multiply(fold, self._fold_weights[:, None], out=fold)
         else:
             contrib = np.einsum("kpg,kp->kg", fold, self._fold_weights)
-        np.add.at(self._currents, self._fold_slots, contrib)
+        pairs, groups = self.num_pairs, self.num_groups
+        if self._fold_index is None:
+            self._fold_index = (self._fold_slots[:, None] * groups + np.arange(groups)).ravel()
+        currents = np.bincount(self._fold_index, contrib.ravel(), pairs * groups)
+        self._currents = currents.reshape(pairs, groups)
 
     def take(self) -> np.ndarray:
-        """Return the accumulated ``(num_pairs, G)`` currents and reset —
-        each CMFD solve consumes exactly the last sweep's currents."""
-        out = self._currents.copy()
-        self._currents[:] = 0.0
-        return out
+        """The last sweep's ``(num_pairs, G)`` currents, handed over: the
+        next fold writes a new array, so the caller may keep this one."""
+        return self._currents
 
     def reset(self) -> None:
         """Zero all tally state (currents and captured crossings) — used
         when a solver is rebound to new cross sections: the layout is
-        XS-independent and reused, the accumulated values are not."""
-        self._currents[:] = 0.0
+        XS-independent and reused, the folded values are not."""
+        self._currents = np.zeros((self.num_pairs, self.num_groups))
         self._fold[:] = 0.0
 
 

@@ -188,7 +188,8 @@ class MOCSolver:
         result = self.keff_solver.solve(initial_flux)
         after = self.sweeper.timings.kernel_phases()
         result.phase_seconds = with_kernel_phases(
-            result.phase_seconds, {phase: after[phase] - before[phase] for phase in after}
+            result.phase_seconds,
+            {phase: after[phase] - before.get(phase, 0.0) for phase in after},
         )
         return result
 

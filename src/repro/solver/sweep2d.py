@@ -121,11 +121,13 @@ class TransportSweep2D:
         )
         start = time.perf_counter()
         tally = self.backend.sweep2d(self.plan, psi, ctx)
-        self.timings.record_sweep(start, time.perf_counter(), ctx.marks)
+        swept = time.perf_counter()
+        self.timings.record_sweep(start, swept, ctx.marks)
         if self.current_tally is not None:
             # psi now holds each traversal's exit flux: fold captured
             # crossings and track-end exits into the coarse-face currents.
             self.current_tally.accumulate(psi)
+            self.timings.record_fold(swept, time.perf_counter())
         # Exchange: outgoing flux becomes the linked traversal's incoming.
         if track_mask is None:
             new_in = np.zeros_like(self.psi_in)

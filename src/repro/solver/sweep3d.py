@@ -112,11 +112,13 @@ class TransportSweep3D:
         )
         start = time.perf_counter()
         tally = self.backend.sweep3d(plan, psi, ctx)
-        self.timings.record_sweep(start, time.perf_counter(), ctx.marks)
+        swept = time.perf_counter()
+        self.timings.record_sweep(start, swept, ctx.marks)
         if current_tally is not None:
             # psi now holds each traversal's exit flux: fold captured
             # crossings and track-end exits into the coarse-face currents.
             current_tally.accumulate(psi)
+            self.timings.record_fold(swept, time.perf_counter())
         new_in = np.zeros_like(self.psi_in)
         for d in (0, 1):
             self.psi_out_last[:, d] = psi[d]

@@ -81,28 +81,39 @@ class TestReportEmission:
 # ------------------------------------------------------ R_REPORT_KERNEL_PHASES
 
 KERNEL_PHASES = ("gather", "lockstep", "reduce")
+CMFD_ON = {"max_iterations": 5, "keff_tolerance": 1e-14, "source_tolerance": 1e-14,
+           "cmfd": {"enabled": True}}
 
 
-def _scenario_report():
+def _scenario_report(**solver):
     from repro.scenario import run_scenario_batch
     from tests.scenario.conftest import batch_config
 
-    batch = run_scenario_batch(batch_config(), mode="batched")
+    batch = run_scenario_batch(batch_config(solver=solver), mode="batched")
     assert batch.batched
     return batch.states[-1].run_report
 
 
-@pytest.mark.parametrize("case", ["2d-single", "3d-exp", "3d-otf", "scenario-batch"])
+@pytest.mark.parametrize(
+    "case",
+    ["2d-single", "3d-exp", "3d-otf", "scenario-batch", "2d-cmfd", "scenario-batch-cmfd"],
+)
 def test_r_report_kernel_phases(case):
     """DESIGN.md R_REPORT_KERNEL_PHASES: the sweep row of a single-domain
-    or batched numpy solve splits into gather / lockstep / reduce rows that
-    fit inside it, and the span tree still validates."""
+    or batched numpy solve splits into gather / lockstep / reduce rows (and
+    a fold row with CMFD on) that fit inside it, and the span tree still
+    validates."""
     if case == "scenario-batch":
         report = _scenario_report()
+    elif case == "scenario-batch-cmfd":
+        report = _scenario_report(**CMFD_ON)
+    elif case == "2d-cmfd":
+        report = AntMocApplication(mini_2d_config(solver=CMFD_ON)).run().run_report
     else:
         report = AntMocApplication(CASES[case]()).run().run_report
+    phases = KERNEL_PHASES + (("fold",) if case.endswith("cmfd") else ())
     sweep = f"{StageName.TRANSPORT_SOLVING.value}/sweep"
-    rows = [report.stages[f"{sweep}/{phase}"] for phase in KERNEL_PHASES]
+    rows = [report.stages[f"{sweep}/{phase}"] for phase in phases]
     assert all(seconds > 0.0 for seconds in rows)
     assert sum(rows) <= report.stages[sweep]
     report.validate()
@@ -110,4 +121,4 @@ def test_r_report_kernel_phases(case):
     recorder.roots = report.spans
     recorder.validate()
     node = recorder.find(sweep)
-    assert [child.name for child in node.children] == list(KERNEL_PHASES)
+    assert [child.name for child in node.children] == list(phases)

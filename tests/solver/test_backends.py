@@ -195,4 +195,6 @@ class TestTimings:
         assert set(d) == {
             "setup_seconds", "sweep_seconds", "num_sweeps", "num_plan_builds",
             "gather_seconds", "lockstep_seconds", "reduce_seconds",
+            "fold_seconds", "num_folds",
         }
+        assert "fold" not in sweeper.timings.kernel_phases()  # no CMFD, no fold

@@ -265,7 +265,7 @@ def test_current_tally_matches_scalar_oracle(counts, num_polar, num_groups, seed
             np.testing.assert_array_equal(got, want)
         assert tally.capture.dest[d] == oracle.capture.dest[d]
     psi_shape = (num_polar, num_groups) if num_polar else (num_groups,)
-    for _ in range(2):  # the second sweep folds onto a non-zero tally
+    for sweep in range(2):
         for d in (0, 1):
             crossed = rng.uniform(0.0, 2.0, oracle.capture.out[d].shape)
             tally.capture.out[d][...] = crossed
@@ -273,7 +273,15 @@ def test_current_tally_matches_scalar_oracle(counts, num_polar, num_groups, seed
         psi = [rng.uniform(0.0, 2.0, (len(counts),) + psi_shape) for _ in (0, 1)]
         tally.accumulate(psi)
         oracle.accumulate(psi)
-    np.testing.assert_array_equal(tally.take(), oracle.take())
+        want = oracle.take()  # the oracle adds onto a zeroed tally
+        if sweep == 0:
+            first, first_want = tally.take(), want
+            np.testing.assert_array_equal(first, first_want)
+    # take() zeroed nothing, and the second fold wrote rather than added:
+    # the tally holds exactly the last sweep's currents, and the array
+    # handed over before it is untouched.
+    np.testing.assert_array_equal(tally.take(), want)
+    np.testing.assert_array_equal(first, first_want)
     psi_in = rng.uniform(0.0, 2.0, (len(counts), 2) + psi_shape)
     want_in = psi_in.copy()
     factors = rng.uniform(0.5, 1.5, (3, num_groups))

@@ -70,3 +70,25 @@ class TestSweep3D:
         sweeper3d.sweep(segments, np.ones((sweeper3d.terms.num_regions, 2)))
         sweeper3d.reset_fluxes()
         assert np.allclose(sweeper3d.psi_in, 0.0)
+
+
+@pytest.mark.parametrize("storage", ["EXP", "MANAGER"])
+def test_numpy_3d_solve_leaves_plan_weights_unbuilt(storage):
+    """The 3D lockstep weights each position by its prefix of the sorted
+    track weights, so a 3D numpy solve (CMFD on: the fold weighs by track
+    too) never builds the plan's per-segment weights; a 2D reader builds
+    them on first access and a rebind carries what was built."""
+    from repro.runtime.antmoc import build_geometry, build_solver
+    from tests.observability.conftest import mini_3d_config
+
+    cfg = mini_3d_config(
+        solver={"max_iterations": 3, "keff_tolerance": 1e-14, "source_tolerance": 1e-14,
+                "storage_method": storage, "cmfd": {"enabled": True}},
+    )
+    solver = build_solver(cfg, build_geometry(cfg), cache=None)
+    solver.solve()
+    plans = [solver.domain.plan, solver.domain.sweeper._plan]
+    assert all(p._seg_weights is None and p._pos_weights is None for p in plans)
+    plan = plans[0]
+    built = plan.pos_weights
+    assert plan.rebind(plan.segments)._pos_weights is built
