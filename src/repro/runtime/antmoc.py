@@ -21,7 +21,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,6 +41,9 @@ from repro.runtime.stages import PipelineState, StageName
 from repro.solver.expeval import evaluator_from_config
 from repro.solver.solver import MOCSolver, TransportSolver
 from repro.tracks.cache import TrackingCache, resolve_cache
+
+if TYPE_CHECKING:
+    from repro.runtime.sweep_split import SplitRecord
 
 #: Registry of geometry builders addressable from config files. The mini
 #: variants keep full material heterogeneity at test-friendly sizes. 3D
@@ -184,6 +187,11 @@ class AntMocRunResult:
     pipeline: PipelineState
     decomposed: bool
     comm_bytes: int = 0
+    #: How the sweeps ran: on one process or two, and why not two. It
+    #: depends on the host (CPU affinity, how the process was started),
+    #: so it stays out of the run report, which a served solve and a CLI
+    #: solve of one config must share.
+    sweep_split: SplitRecord | None = None
     #: Schema-versioned observability record (manifest, counters, spans).
     run_report: RunReport | None = None
 
@@ -192,6 +200,10 @@ class AntMocRunResult:
             f"k-effective : {self.keff:.6f}",
             f"converged   : {self.converged} ({self.num_iterations} iterations)",
             f"decomposed  : {self.decomposed}",
+        ]
+        if self.sweep_split is not None:
+            lines.append(f"sweep       : {self.sweep_split.describe()}")
+        lines += [
             "",
             self.timer.report(),
         ]
@@ -277,8 +289,14 @@ class AntMocApplication:
             )
 
         with self._stage(StageName.TRANSPORT_SOLVING.value):
-            result = solver.solve()
+            # Imported by the stage that uses it: start-up (every run's
+            # setup time) does not pay for it.
+            from repro.runtime.sweep_split import split_sweep
+
+            with split_sweep(solver) as split:
+                result = solver.solve()
             self.pipeline.complete(StageName.TRANSPORT_SOLVING, result)
+        self.logger.info("sweep: %s", split.describe())
         comm = solver.comm
         record_solve(
             self.obs, result, solver.workload, comm.stats if comm is not None else None
@@ -312,6 +330,7 @@ class AntMocApplication:
             pipeline=self.pipeline,
             decomposed=comm is not None,
             comm_bytes=getattr(result, "comm_bytes", 0),
+            sweep_split=split,
             run_report=self.obs.build_report(
                 result.keff, result.converged, result.num_iterations,
                 dominance_ratio=result.monitor.dominance_ratio,

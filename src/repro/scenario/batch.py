@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import multiprocessing
-import os
 import time
 import traceback
 from dataclasses import dataclass, replace as dataclass_replace
@@ -61,6 +60,7 @@ from repro.runtime.antmoc import (
     resolve_tracking_cache,
     solver_keywords,
 )
+from repro.runtime.cpus import cpu_budget
 from repro.runtime.recording import record_solve, record_tracking
 from repro.runtime.stages import StageName
 from repro.scenario.batched import BatchedKeffSolver, BatchedSweep2D
@@ -367,20 +367,10 @@ REAP_TIMEOUT_S = 10.0
 
 
 def _share_count(num_states: int) -> int:
-    """Processes a batch of ``num_states`` independent solves runs on: one
-    per CPU this process may run on, never more than states — and one
-    where it cannot have forked children (no ``fork`` start method, or a
-    daemonic caller)."""
-    if (
-        "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.current_process().daemon
-    ):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:  # pragma: no cover - non-Linux
-        cpus = os.cpu_count() or 1
-    return min(num_states, cpus)
+    """Processes a batch of ``num_states`` independent solves runs on: the
+    process's CPU budget (:func:`~repro.runtime.cpus.cpu_budget`), never
+    more than states."""
+    return min(num_states, cpu_budget().processes)
 
 
 def _cut_shares(num_states: int, num_shares: int) -> list[tuple[int, int]]:

@@ -171,10 +171,13 @@ class BatchedSweep2D:
         work = self.workspace.bind(plan, psi[0].shape[1:])
         start = time.perf_counter()
         # The hoisted source lookup wants the FSR axis first: (R, S, G).
-        work.load(plan, psi, np.ascontiguousarray(reduced_stack.transpose(1, 0, 2)))
+        source = np.ascontiguousarray(reduced_stack.transpose(1, 0, 2))
+        for d in (0, 1):
+            work.load(plan, d, psi[d], source)
         gathered = time.perf_counter()
-        lockstep(work, self._table, self._expf_at, capture)
-        work.store(plan, psi)
+        for d in (0, 1):
+            lockstep(work, d, self._table, self._expf_at, capture)
+            work.store(plan, d, psi[d])
         stepped = time.perf_counter()
         # Reduced per state with the single-state expression, so every
         # state's tally is bitwise the single-state kernel's.

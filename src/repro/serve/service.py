@@ -46,6 +46,7 @@ from repro.io.logging_utils import get_logger
 from repro.observability.manifest import config_hash
 from repro.observability.record import RunReport
 from repro.observability.spans import Span
+from repro.runtime.cpus import cpu_budget
 from repro.runtime.stages import StageName
 from repro.serve.cache import CacheEntry, ReportCache
 from repro.serve.jobs import JobState, SolveJob
@@ -56,7 +57,6 @@ from repro.serve.slots import (
     SlotResult,
     SolveSlots,
     run_job,
-    usable_cpus,
 )
 
 #: Pipeline stage -> job lifecycle state a slot's announcement replays as.
@@ -71,8 +71,9 @@ class ServeOptions:
     """Service sizing and policy knobs."""
 
     #: Solve slots: solver threads draining the queue, each fronting its
-    #: own solver process. Defaults to the CPUs the process may run on.
-    solver_threads: int = field(default_factory=usable_cpus)
+    #: own solver process. Defaults to the process's CPU budget
+    #: (:func:`~repro.runtime.cpus.cpu_budget`).
+    solver_threads: int = field(default_factory=lambda: cpu_budget().processes)
     #: Admission bound on undispatched requests (also how many finished
     #: jobs stay addressable by id).
     max_queue_depth: int = DEFAULT_MAX_DEPTH

@@ -72,14 +72,6 @@ SOLVE_ERRORS = (
 STOP_TIMEOUT_S = 10.0
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the platform
-    has one) — the default number of solve slots."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1  # pragma: no cover - non-Linux
-
-
 @dataclass
 class SlotResult:
     """A finished solve in wire form: ``(state hash, entry)`` per solved

@@ -11,6 +11,7 @@ maps onto GPU threads).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import Any
 
 import numpy as np
 
@@ -38,6 +39,11 @@ class SweepContext:
     #: SweepWorkspace` (the lockstep kernel's buffers, reused across
     #: sweeps); ``None`` makes the kernel allocate a throwaway one.
     workspace: object | None = None
+    #: Another process that sweeps direction 1 (the numpy kernel calls its
+    #: ``release(psi_1, reduced_source)`` before sweeping direction 0 and
+    #: its ``collect(psi_1, capture)`` for direction 1's tally bins);
+    #: ``None`` sweeps both directions here.
+    remote: Any = None
     #: Set by a kernel that splits its time: clock reads taken before the
     #: source gather, after it, and after the lockstep loop.
     marks: tuple[float, float, float] | None = None
@@ -52,8 +58,11 @@ class KernelTimings:
     source lookup), ``lockstep_seconds`` (the per-position loop) and
     ``reduce_seconds`` (polar contraction + FSR tally) are the phase split
     — the remainder is the exp-table and workspace build of the first
-    sweep. ``fold_seconds`` is the CMFD current fold the sweeper runs after
-    the kernel returns (no fold, no ``fold`` phase). Source/finalise time
+    sweep. They are the calling process's clock: when another process
+    sweeps direction 1 (``SweepContext.remote``), the wait for it is part
+    of ``reduce_seconds`` and its own phases are not counted here.
+    ``fold_seconds`` is the CMFD current fold the sweeper runs after the
+    kernel returns (no fold, no ``fold`` phase). Source/finalise time
     is attributed by the solver loop (see
     :class:`~repro.solver.keff.KeffSolver`), so benchmarks can split a
     solve into setup vs. sweep vs. source update.

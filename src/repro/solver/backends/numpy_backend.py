@@ -1,4 +1,4 @@
-"""Default NumPy sweep kernel: one fused lockstep loop over a sweep plan.
+"""Default NumPy sweep kernel: one lockstep loop over a sweep plan.
 
 The plan sorts tracks by descending segment count and lays segments out
 position-major, so the tracks active at lockstep position ``i`` are a
@@ -8,20 +8,31 @@ position loop in ``src/``: the 2D, 3D and scenario-widened sweeps differ
 in the trailing axes of their buffers — ``(P, G)``, ``(G,)``, ``(S, P, G)``.
 
 * **Step** (Algorithm 1: every (track, direction) traversal advances one
-  segment per step). Both directions share ``col_starts``, so one step
-  advances ``cur[(2, n, ...)]`` with three in-place ufuncs on the ``dpsi``
-  slice, which enters holding the hoisted source lookup (one ``np.take``
-  per direction per sweep): ``dp = view - dp``, ``dp *= F(tau)`` from the
-  plan's cached table, ``view -= dp``. A 3D step then weights its slice,
-  still in cache: ``dp *= weights[:n]``, the first ``n`` rows of the
-  workspace's ``(T, G)`` track weights in sorted order (the plan's
-  ``pos_weights[d][lo:hi]``, value for value). No step allocates.
+  segment per step). One call advances one direction: its step list holds
+  the pre-sliced ``cur[d, :n]`` and ``dpsi[d, lo:hi]`` views, and a step is
+  three in-place ufuncs on the ``dpsi`` slice, which enters holding the
+  hoisted source lookup (one ``np.take`` per direction per sweep):
+  ``dp = view - dp``, ``dp *= F(tau)`` from the plan's cached table,
+  ``view -= dp``. A 3D step then weights its slice, still in cache:
+  ``dp *= weights[:n]``, the first ``n`` rows of the workspace's ``(T, G)``
+  track weights in sorted order (the plan's ``pos_weights[d][lo:hi]``,
+  value for value). No step allocates. The sweeps call it for ``d = 0``,
+  then ``d = 1``; every operation is elementwise, so the two directions
+  are independent to the bit.
 * **Reduce.** ``dpsi`` then holds every segment's delta-psi: per direction
-  one ``bincount`` over the flat ``fsr * G + g`` index sums it, after (2D)
-  one polar ``einsum`` contracts it to ``(S, G)``. ``bincount`` adds a
-  bin's terms in array order — segment order, as the per-group bincount it
-  replaces — so the tally is bitwise unchanged. The widened sweep reduces
-  per state with the single-state expression on ``dpsi[d][:, s]``.
+  one ``bincount`` over the flat ``fsr * G + g`` index sums it
+  (:meth:`SweepWorkspace.bins`), after (2D) one polar ``einsum`` contracts
+  it to ``(S, G)``; the tally adds ``bins(0)``, then ``bins(1)``, onto
+  zeros. ``bincount`` adds a bin's terms in array order — segment order,
+  as the per-group bincount it replaces — so the tally is bitwise
+  unchanged. The widened sweep reduces per state with the single-state
+  expression on ``dpsi[d][:, s]``.
+* **Remote backward direction.** ``SweepContext.remote`` hands direction
+  1 to another process (:mod:`repro.runtime.sweep_split`): the kernel
+  releases it before its own gather, sweeps direction 0, and adds the
+  helper's ``bins(1)`` where it would have added its own — the same bits.
+  Every buffer is per direction, so each process can free the other's
+  (:meth:`SweepWorkspace.drop`).
 * **Workspace.** The buffers belong to a :class:`SweepWorkspace` owned by
   the *sweeper* (``SweepContext.workspace``): plans stay immutable and
   shareable between sweepers and threads; buffers are reused across sweeps
@@ -36,6 +47,7 @@ gather columns instead: the prefix property does not survive a mask.
 from __future__ import annotations
 
 import time
+from typing import Callable
 
 import numpy as np
 
@@ -45,10 +57,10 @@ from repro.solver.backends.plan import SweepPlan
 
 
 class SweepWorkspace:
-    """The lockstep kernel's buffers for one sweeper over one plan layout:
-    ``cur (2, T, ...)``, ``dpsi (2, S, ...)``, the pre-sliced step list, the
-    polar contraction's output (2D) or the sorted track weights (3D) and
-    the flat tally index."""
+    """The lockstep kernel's buffers for one sweeper over one plan layout,
+    one of each per direction: ``cur[d] (T, ...)``, ``dpsi[d] (S, ...)``,
+    the pre-sliced step list and the flat tally index; plus the polar
+    contraction's output (2D) or the sorted track weights (3D)."""
 
     __slots__ = ("cur", "dpsi", "contrib", "weights", "steps", "flat", "_starts", "_fsr")
 
@@ -59,23 +71,31 @@ class SweepWorkspace:
         """Allocate on a new layout (``col_starts`` survives ``rebind``) or
         new trailing axes; a rebound plan only refreshes the tally index."""
         starts = plan.col_starts
-        if self._starts is not starts or self.dpsi.shape[2:] != trailing:
-            self.cur = np.empty((2, plan.topology.num_tracks) + trailing)
-            self.dpsi = np.empty((2, plan.num_segments) + trailing)
+        if self._starts is not starts or self.dpsi[0].shape[1:] != trailing:
+            num_tracks, num_segments = plan.topology.num_tracks, plan.num_segments
+            self.cur = [np.empty((num_tracks,) + trailing) for _ in (0, 1)]
+            self.dpsi = [np.empty((num_segments,) + trailing) for _ in (0, 1)]
             # 3D has no polar axis to contract: the lockstep weights dpsi
             # by the track weights in sorted order instead.
             self.contrib = self.weights = None
             if trailing[:-1]:
-                self.contrib = np.empty((plan.num_segments, trailing[-1]))
+                self.contrib = np.empty((num_segments, trailing[-1]))
             else:
                 weights = plan.topology.weights[plan.track_order, None]
                 self.weights = np.repeat(weights, trailing[-1], axis=1)
-            self.flat = np.empty((2, plan.num_segments, trailing[-1]), dtype=np.int64)
-            self.steps = [
-                (lo, hi, self.cur[:, : hi - lo], self.dpsi[:, lo:hi],
-                 None if self.weights is None else self.weights[: hi - lo])
+            self.flat = [np.empty((num_segments, trailing[-1]), dtype=np.int64) for _ in (0, 1)]
+            spans = [
+                (lo, hi)
                 for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist())
                 if hi > lo  # column widths only shrink
+            ]
+            self.steps = [
+                [
+                    (lo, hi, self.cur[d][: hi - lo], self.dpsi[d][lo:hi],
+                     None if self.weights is None else self.weights[: hi - lo])
+                    for lo, hi in spans
+                ]
+                for d in (0, 1)
             ]
             self._starts, self._fsr = starts, None
         if self._fsr is not plan.pos_fsr:
@@ -84,63 +104,83 @@ class SweepWorkspace:
             self._fsr = plan.pos_fsr
         return self
 
-    def load(self, plan: SweepPlan, psi: list[np.ndarray], source: np.ndarray) -> None:
-        """Boundary flux into prefix order and ``source[fsr]`` into ``dpsi``;
-        ``source`` is ``(R, ...)`` without the polar axis, broadcast here.
-        The exp table (or its per-position fallback) indexes ``sigma_t``
-        with the same ids, so ``clip`` never clips: it only skips numpy's
-        defensive copy of ``out``."""
+    def drop(self, d: int) -> None:
+        """Free direction ``d``'s buffers: another process sweeps it from
+        now on, and this workspace is no longer whole — its sweeper binds
+        a fresh one before it sweeps ``d`` here again."""
+        self.cur[d] = self.dpsi[d] = self.flat[d] = None
+        self.steps[d] = []
+
+    def load(self, plan: SweepPlan, d: int, psi: np.ndarray, source: np.ndarray) -> None:
+        """Direction ``d``'s boundary flux ``psi`` into prefix order and
+        ``source[fsr]`` into ``dpsi[d]``; ``source`` is ``(R, ...)`` without
+        the polar axis, broadcast here. The exp table (or its per-position
+        fallback) indexes ``sigma_t`` with the same ids, so ``clip`` never
+        clips: it only skips numpy's defensive copy of ``out``."""
         if self.contrib is not None:
             source = np.broadcast_to(
-                np.expand_dims(source, -2), source.shape[:1] + self.dpsi.shape[2:]
+                np.expand_dims(source, -2), source.shape[:1] + self.dpsi[d].shape[1:]
             )
-        for d in (0, 1):
-            np.take(psi[d], plan.track_order, axis=0, out=self.cur[d], mode="clip")
-            np.take(source, plan.pos_fsr[d], axis=0, out=self.dpsi[d], mode="clip")
+        np.take(psi, plan.track_order, axis=0, out=self.cur[d], mode="clip")
+        np.take(source, plan.pos_fsr[d], axis=0, out=self.dpsi[d], mode="clip")
 
-    def store(self, plan: SweepPlan, psi: list[np.ndarray]) -> None:
-        """Exit fluxes back into track order."""
-        for d in (0, 1):
-            psi[d][plan.track_order] = self.cur[d]
+    def store(self, plan: SweepPlan, d: int, psi: np.ndarray) -> None:
+        """Direction ``d``'s exit fluxes back into track order."""
+        psi[plan.track_order] = self.cur[d]
 
-    def reduce(self, plan: SweepPlan, num_fsrs: int, state: int | None = None) -> np.ndarray:
-        """The ``(R, G)`` tally (of one state of a widened sweep)."""
-        tally = np.zeros((num_fsrs, self.dpsi.shape[-1]))
-        for d in (0, 1):
-            dpsi = self.dpsi[d] if state is None else self.dpsi[d][:, state]
-            if self.contrib is None:  # 3D: weighted in the lockstep
-                contrib = dpsi
-            else:
-                contrib = np.einsum("spg,sp->sg", dpsi, plan.pos_weights[d], out=self.contrib)
-            bins = np.bincount(self.flat[d].ravel(), contrib.ravel(), tally.size)
-            tally += bins.reshape(tally.shape)
+    def bins(
+        self, plan: SweepPlan, d: int, num_fsrs: int, state: int | None = None
+    ) -> np.ndarray:
+        """Direction ``d``'s flat ``(R * G,)`` share of the tally (of one
+        state of a widened sweep)."""
+        dpsi = self.dpsi[d] if state is None else self.dpsi[d][:, state]
+        if self.contrib is None:  # 3D: weighted in the lockstep
+            contrib = dpsi
+        else:
+            contrib = np.einsum("spg,sp->sg", dpsi, plan.pos_weights[d], out=self.contrib)
+        flat = self.flat[d]
+        return np.bincount(flat.ravel(), contrib.ravel(), num_fsrs * flat.shape[-1])
+
+    def reduce(
+        self,
+        plan: SweepPlan,
+        num_fsrs: int,
+        state: int | None = None,
+        backward: Callable[[], np.ndarray] | None = None,
+    ) -> np.ndarray:
+        """The ``(R, G)`` tally (of one state of a widened sweep):
+        ``bins(0)``, then ``bins(1)``, added onto zeros. ``backward``
+        returns direction 1's bins when another process swept it."""
+        tally = np.zeros((num_fsrs, self.flat[0].shape[-1]))
+        tally += self.bins(plan, 0, num_fsrs, state).reshape(tally.shape)
+        far = self.bins(plan, 1, num_fsrs, state) if backward is None else backward()
+        tally += far.reshape(tally.shape)
         return tally
 
 
-def lockstep(work: SweepWorkspace, table: np.ndarray | None, expf_at, capture) -> None:
-    """Advance every (track, direction) traversal one segment per step,
-    leaving exit fluxes in ``work.cur`` and per-segment delta-psi in
-    ``work.dpsi`` (which enters holding the source lookup). ``table`` is the
-    ``(2, S, ...)`` exp table; when it was too large to build,
+def lockstep(
+    work: SweepWorkspace, d: int, table: np.ndarray | None, expf_at, capture
+) -> None:
+    """Advance every traversal of direction ``d`` one segment per step,
+    leaving exit fluxes in ``work.cur[d]`` and per-segment delta-psi in
+    ``work.dpsi[d]`` (which enters holding the source lookup). ``table`` is
+    the ``(2, S, ...)`` exp table; when it was too large to build,
     ``expf_at(d, lo, hi)`` evaluates one position's factors instead. A 3D
     step leaves its delta-psi weighted (``weight`` is ``None`` in 2D)."""
-    for i, (lo, hi, view, dp, weight) in enumerate(work.steps):
+    factors = None if table is None else table[d]
+    rows = dest = out = None
+    if capture is not None:
+        rows, dest, out = capture.rows[d], capture.dest[d], capture.out[d]
+    for i, (lo, hi, view, dp, weight) in enumerate(work.steps[d]):
         np.subtract(view, dp, out=dp)
-        if table is not None:
-            np.multiply(dp, table[:, lo:hi], out=dp)
-        else:
-            for d in (0, 1):
-                np.multiply(dp[d], expf_at(d, lo, hi), out=dp[d])
+        np.multiply(dp, expf_at(d, lo, hi) if factors is None else factors[lo:hi], out=dp)
         np.subtract(view, dp, out=view)
         if weight is not None:
             np.multiply(dp, weight, out=dp)
-        if capture is not None:
-            for d in (0, 1):
-                rows = capture.rows[d][i]
-                if rows.size:
-                    # A crossing after position i implies the track has
-                    # >= i + 2 segments, so its prefix row is in view.
-                    capture.out[d][capture.dest[d][i]] = view[d, rows]
+        if rows is not None and rows[i].size:
+            # A crossing after position i implies the track has >= i + 2
+            # segments, so its prefix row is in view.
+            out[dest[i]] = view[rows[i]]
 
 
 class NumpySweepBackend(KernelBackend):
@@ -161,24 +201,37 @@ class NumpySweepBackend(KernelBackend):
         return self._sweep(plan, psi, ctx)
 
     def _sweep(self, plan: SweepPlan, psi: list[np.ndarray], ctx: SweepContext) -> np.ndarray:
-        """The fused kernel: 2D and 3D differ only in ``psi``'s trailing axes."""
+        """The lockstep kernel: 2D and 3D differ only in ``psi``'s trailing
+        axes. With ``ctx.remote`` set, direction 1 runs on its process."""
         table = plan.pos_expf(ctx.sigma_t, ctx.evaluator)
         work = (ctx.workspace or SweepWorkspace()).bind(plan, psi[0].shape[1:])
+        remote = ctx.remote
+        here = (0, 1) if remote is None else (0,)
         entered = time.perf_counter()
-        work.load(plan, psi, ctx.reduced_source)
+        if remote is not None:
+            remote.release(psi[1], ctx.reduced_source)
+        for d in here:
+            work.load(plan, d, psi[d], ctx.reduced_source)
         gathered = time.perf_counter()
 
         def expf_at(d: int, lo: int, hi: int) -> np.ndarray:
             return plan.pos_expf_block(ctx.sigma_t, ctx.evaluator, d, lo, hi)
 
-        lockstep(work, table, expf_at, ctx.capture)
-        work.store(plan, psi)
+        for d in here:
+            lockstep(work, d, table, expf_at, ctx.capture)
+            work.store(plan, d, psi[d])
         ctx.marks = (entered, gathered, time.perf_counter())
-        return work.reduce(plan, ctx.num_fsrs)
+        if remote is None:
+            return work.reduce(plan, ctx.num_fsrs)
+        return work.reduce(
+            plan, ctx.num_fsrs, backward=lambda: remote.collect(psi[1], ctx.capture)
+        )
 
     def _sweep2d_masked(
         self, plan: SweepPlan, psi: list[np.ndarray], ctx: SweepContext
     ) -> np.ndarray:
+        if ctx.remote is not None:
+            raise SolverError("a masked sweep cannot hand a direction to another process")
         if ctx.capture is not None:
             raise SolverError("CMFD current capture does not support masked sweeps")
         expf = plan.segment_expf(ctx.sigma_t, ctx.evaluator)

@@ -17,6 +17,7 @@ sweep instance over the same tracking products.
 from __future__ import annotations
 
 import time
+from typing import Any
 
 import numpy as np
 
@@ -79,6 +80,10 @@ class TransportSweep2D:
         #: Optional CMFD coarse-face current tally, attached by
         #: :func:`~repro.solver.cmfd.decomposed_cmfd_problem`.
         self.current_tally = None
+        #: The backward-direction helper of a split solve, installed for
+        #: one solve by :func:`~repro.runtime.sweep_split.split_sweep`;
+        #: ``None`` sweeps both directions here.
+        self.split: Any = None
 
     def reset_fluxes(self) -> None:
         self.psi_in.fill(0.0)
@@ -118,6 +123,7 @@ class TransportSweep2D:
             track_mask=track_mask,
             capture=None if self.current_tally is None else self.current_tally.capture,
             workspace=self.workspace,
+            remote=None if self.split is None else self.split.remote(track_mask is not None),
         )
         start = time.perf_counter()
         tally = self.backend.sweep2d(self.plan, psi, ctx)
