@@ -50,13 +50,14 @@ from repro.engine.mp import (
     Field,
     MpEngine,
     WorkerView,
-    _fmt_bytes,
+    fmt_bytes,
 )
 from repro.engine.problem import DecomposedProblem, EdgePack
 from repro.engine.base import EngineResult
 from repro.engine.shm import ShmArena
 from repro.errors import CommunicationError, SolverError
 from repro.io.logging_utils import StageTimer, get_logger
+from repro.runtime.cpus import fork_context, reap, start
 
 #: Grant-word slots (float64): epoch counter, eigenvalue, normalisation,
 #: stop mode. The parent writes the payload slots first and the epoch
@@ -219,9 +220,9 @@ def _async_worker_loop(problem: DecomposedProblem, pack: EdgePack, wid: int,
 class AsyncMpEngine(MpEngine):
     """Mailbox/epoch multiprocess engine (dependency-driven halo exchange).
 
-    Inherits the worker-pool mechanics of :class:`MpEngine` (fork checks,
-    worker resolution, payload collection, failure surfacing, the
-    subclass hooks) and replaces the barrier-phased ``solve`` with the
+    Inherits the worker-pool mechanics of :class:`MpEngine` (worker
+    resolution, payload collection, failure surfacing, the subclass
+    hooks) and replaces the barrier-phased ``solve`` with the
     grant/harvest protocol described in the module docstring.
     """
 
@@ -257,7 +258,7 @@ class AsyncMpEngine(MpEngine):
             delay = min(delay * 2.0, _POLL_MAX)
 
     def solve(self, problem: DecomposedProblem, comm) -> EngineResult:
-        ctx = self._fork_context()
+        ctx = fork_context(SolverError)
         timer = StageTimer()
         D = problem.num_domains
         W = self.resolve_workers(D)
@@ -289,16 +290,7 @@ class AsyncMpEngine(MpEngine):
         fields = {name: arena[name] for name in shapes}
         queue = ctx.Queue()
         owned = [[d for d in range(D) if d % W == w] for w in range(W)]
-        procs = [
-            ctx.Process(
-                target=_async_worker_loop,
-                args=(problem, pack, w, owned[w], fields, _wait_value, queue,
-                      self.timeout, partial(self._worker_view, W, w)),
-                daemon=True,
-                name=f"repro-{self.name}-worker-{w}",
-            )
-            for w in range(W)
-        ]
+        procs: list[Any] = []
 
         def issue(epoch: int, keff: float, pnorm: float, mode: int) -> None:
             # Seqlock publish: payload slots first, epoch counter last.
@@ -317,12 +309,18 @@ class AsyncMpEngine(MpEngine):
 
         self._logger.info(
             "%s engine: %d domains over %d workers, %d edges (%s shared)",
-            self.name, D, W, pack.num_edges, _fmt_bytes(arena.nbytes),
+            self.name, D, W, pack.num_edges, fmt_bytes(arena.nbytes),
         )
         try:
             with timer.stage("engine_solve"):
-                for proc in procs:
-                    proc.start()
+                for w in range(W):
+                    procs.append(start(
+                        target=_async_worker_loop,
+                        args=(problem, pack, w, owned[w], fields, _wait_value, queue,
+                              self.timeout, partial(self._worker_view, W, w)),
+                        name=f"repro-{self.name}-worker-{w}",
+                        daemon=True,
+                    ))
                 phi.fill(1.0)
                 # The grant/harvest schedule is this engine's own; its
                 # steps are the shared power iteration's.
@@ -366,12 +364,7 @@ class AsyncMpEngine(MpEngine):
             # satisfies every pending grant wait and stops the loop.
             issue(int(grant[_EPOCH]) + problem.max_iterations + 2,
                   float(grant[_KEFF]), float(grant[_PNORM]), HALT)
-            for proc in procs:
-                proc.join(timeout=5.0)
-            for proc in procs:
-                if proc.is_alive():  # pragma: no cover - crash cleanup
-                    proc.terminate()
-                    proc.join(timeout=5.0)
+            reap(procs, asked=True)
             del phi, phi_new, fission, prod, worker_seq, fission_seq, grant
             del currents, factors, fields
             arena.close(unlink=True)

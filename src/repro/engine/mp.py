@@ -24,8 +24,6 @@ route tables — so the ``mp`` engine reproduces ``inproc`` results
 
 from __future__ import annotations
 
-import multiprocessing
-import signal
 import time
 import traceback
 from functools import partial
@@ -40,6 +38,7 @@ from repro.engine.shm import ShmArena
 from repro.errors import ReproError, SolverError
 from repro.io.logging_utils import StageTimer, get_logger
 from repro.parallel.comm import SimComm
+from repro.runtime.cpus import GRACE_S, LIVENESS_SLICE_S, died, fork_context, reap, start
 
 #: Control-word slots (float64): stop flag, current eigenvalue.
 _STOP, _KEFF = 0, 1
@@ -57,20 +56,6 @@ WORKER_ERRORS = (
     OSError,
     RuntimeError,
 )
-
-
-def _describe_exit(exitcode: int | None) -> str:
-    """Human-readable form of a ``Process.exitcode``."""
-    if exitcode is None:
-        return "still running"
-    if exitcode < 0:
-        signum = -exitcode
-        try:
-            name = signal.Signals(signum).name
-        except ValueError:
-            name = f"signal {signum}"
-        return f"killed by {name}"
-    return f"exit code {exitcode}"
 
 
 class Field(Protocol):
@@ -95,9 +80,6 @@ class PhaseBarrier(Protocol):
 
 #: Barrier state words: arrivals in this generation, generation, broken.
 _ARRIVED, _GENERATION, _BROKEN = 0, 1, 2
-
-#: Seconds between ``alive`` checks of a blocked barrier wait.
-_LIVENESS_SLICE = 0.2
 
 
 class SemaphoreBarrier:
@@ -125,7 +107,7 @@ class SemaphoreBarrier:
         self, timeout: float | None = None, alive: Callable[[], bool] | None = None
     ) -> int:
         """Pass once every party has arrived; ``alive`` is checked every
-        :data:`_LIVENESS_SLICE` seconds while the wait blocks."""
+        :data:`~repro.runtime.cpus.LIVENESS_SLICE_S` while the wait blocks."""
         state = self._state
         if not self._lock.acquire(True, timeout):
             self._break()
@@ -144,7 +126,7 @@ class SemaphoreBarrier:
         finally:
             self._lock.release()
         deadline = None if timeout is None else time.monotonic() + timeout
-        while not turnstile.acquire(True, timeout if alive is None else _LIVENESS_SLICE):
+        while not turnstile.acquire(True, timeout if alive is None else LIVENESS_SLICE_S):
             if alive is None or not alive() or (
                 deadline is not None and time.monotonic() >= deadline
             ):
@@ -280,7 +262,7 @@ class MpEngine(ExecutionEngine):
         requested = self.workers or num_domains
         return max(1, min(int(requested), num_domains))
 
-    def _raise_worker_failure(self, queue, procs, window: float = 5.0) -> None:
+    def _raise_worker_failure(self, queue, procs, window: float = GRACE_S) -> None:
         """A wait broke: surface the worker error that actually caused it.
 
         The error queue is drained *before* giving up on the window, and a
@@ -303,7 +285,7 @@ class MpEngine(ExecutionEngine):
 
         while time.monotonic() < deadline:
             try:
-                keep(*queue.get(timeout=0.2))
+                keep(*queue.get(timeout=LIVENESS_SLICE_S))
             except Empty:
                 if reports:
                     break  # collected the racing siblings too; report now
@@ -326,7 +308,7 @@ class MpEngine(ExecutionEngine):
             if "BrokenBarrierError" in text
         ]
         silent = [
-            f"worker {wid} died without a report ({_describe_exit(proc.exitcode)})"
+            f"worker {wid} died without a report ({died(proc)})"
             for wid, proc in enumerate(procs)
             if not proc.is_alive() and proc.exitcode and wid not in reports
         ]
@@ -341,17 +323,6 @@ class MpEngine(ExecutionEngine):
         except BrokenBarrierError:
             self._raise_worker_failure(queue, procs)
 
-    def _fork_context(self):
-        """The ``fork`` multiprocessing context, or a clean refusal."""
-        ctx_methods = multiprocessing.get_all_start_methods()
-        if "fork" not in ctx_methods:
-            raise SolverError(
-                f"the {self.name} engine needs the 'fork' start method (workers "
-                "inherit tracking products and sweep plans); platform offers "
-                f"{ctx_methods}"
-            )
-        return multiprocessing.get_context("fork")
-
     def _pool_result(self, solved, comm, timer, payloads, num_workers):
         """The result of a worker-pool solve: ``solved`` plus the workers'
         end-of-run payloads."""
@@ -362,7 +333,7 @@ class MpEngine(ExecutionEngine):
         )
 
     def solve(self, problem: DecomposedProblem, comm: SimComm) -> EngineResult:
-        ctx = self._fork_context()
+        ctx = fork_context(SolverError)
         timer = StageTimer()
         D = problem.num_domains
         W = self.resolve_workers(D)
@@ -390,16 +361,7 @@ class MpEngine(ExecutionEngine):
         barrier = SemaphoreBarrier(ctx, W + 1)
         queue = ctx.Queue()
         owned = [[d for d in range(D) if d % W == w] for w in range(W)]
-        procs = [
-            ctx.Process(
-                target=_worker_loop,
-                args=(problem, pack, w, owned[w], fields, barrier, queue,
-                      self.timeout, partial(self._worker_view, W, w)),
-                daemon=True,
-                name=f"repro-{self.name}-worker-{w}",
-            )
-            for w in range(W)
-        ]
+        procs: list[Any] = []
 
         def sweep(flux, keff, active):
             control[_KEFF] = keff[0]
@@ -420,12 +382,18 @@ class MpEngine(ExecutionEngine):
 
         self._logger.info(
             "%s engine: %d domains over %d workers (%s shared)",
-            self.name, D, W, _fmt_bytes(arena.nbytes),
+            self.name, D, W, fmt_bytes(arena.nbytes),
         )
         try:
             with timer.stage("engine_solve"):
-                for proc in procs:
-                    proc.start()
+                for w in range(W):
+                    procs.append(start(
+                        target=_worker_loop,
+                        args=(problem, pack, w, owned[w], fields, barrier, queue,
+                              self.timeout, partial(self._worker_view, W, w)),
+                        name=f"repro-{self.name}-worker-{w}",
+                        daemon=True,
+                    ))
                 phi.fill(1.0)
                 solved = problem.power_iteration(
                     comm, timer, current_rows, prolong, sweep
@@ -437,12 +405,7 @@ class MpEngine(ExecutionEngine):
         finally:
             control[_STOP] = 1.0
             barrier.abort()  # frees any worker still waiting; lock-free
-            for proc in procs:
-                proc.join(timeout=5.0)
-            for proc in procs:
-                if proc.is_alive():  # pragma: no cover - crash cleanup
-                    proc.terminate()
-                    proc.join(timeout=5.0)
+            reap(procs, asked=True)
             del phi, phi_new, control, currents, factors, fields
             arena.close(unlink=True)
 
@@ -452,7 +415,7 @@ class MpEngine(ExecutionEngine):
         """Drain the one end-of-run message of every worker (a dict of
         payload kinds: ``timers``, ...), regrouped kind -> worker."""
         reports: dict[int, dict[str, Any]] = {}
-        for kind, wid, report in _drain(queue, 10.0, num_workers, procs):
+        for kind, wid, report in _drain(queue, GRACE_S, num_workers, procs):
             if kind == "error":
                 raise SolverError(f"{self.name} engine worker {wid} failed:\n{report}")
             reports[wid] = report
@@ -478,16 +441,16 @@ def _drain(queue, timeout: float, expected: int | None = None, procs=()):
             break
         all_dead = bool(procs) and all(not p.is_alive() for p in procs)
         try:
-            # Capped at 0.2 s so a worker dying mid-wait is noticed on the
-            # next liveness check instead of after the whole window.
-            messages.append(queue.get(timeout=min(remaining, 0.2)))
+            # Capped at one liveness slice, so a worker dying mid-wait is
+            # noticed on the next check instead of after the whole window.
+            messages.append(queue.get(timeout=min(remaining, LIVENESS_SLICE_S)))
         except Empty:
             if all_dead or (expected is None and messages):
                 break
     return messages
 
 
-def _fmt_bytes(n: int) -> str:
+def fmt_bytes(n: int) -> str:
     for unit in ("B", "KiB", "MiB", "GiB"):
         if n < 1024 or unit == "GiB":
             return f"{n:.0f}{unit}" if unit == "B" else f"{n:.1f}{unit}"

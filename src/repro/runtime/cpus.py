@@ -1,23 +1,56 @@
-"""How many processes one process may keep busy: the one CPU budget.
+"""Forked children: how many one process may keep busy, and every
+decision about their lives.
 
-Three parts of the program fork for throughput — the serve farm's solve
+Four parts of the program fork for throughput: the serve farm's solve
 slots (:mod:`repro.serve.slots`), a scenario batch's shares
-(:mod:`repro.scenario.batch`) and a lone 2D solve's backward-direction
-helper (:mod:`repro.runtime.sweep_split`) — and all three size
-themselves with :func:`cpu_budget`. Nothing but the affinity mask and the
-platform sizes it: no flag, config key or environment variable.
+(:mod:`repro.scenario.batch`), the ``mp`` engines' workers
+(:mod:`repro.engine.mp`) and a lone 2D solve's sweep helper
+(:mod:`repro.runtime.sweep_split`). For all four this module decides how
+many (:func:`cpu_budget`, one per CPU of the affinity mask; nothing else
+sizes it), whether this process may fork (:func:`why_no_fork`) and
+whether it is a forked child (:func:`is_forked_child`), how a child
+starts (:func:`start`, on ``multiprocessing``'s ``fork`` context), how
+its death is named (:func:`wait` blocks on ``[pipe, process sentinel]``,
+:func:`died` reaps and names it; :func:`answer` / :func:`receive` for a
+child with one answer) and how children end (:func:`reap`: those asked to
+stop get :data:`GRACE_S`, the rest are killed, all are joined).
+
+**The orphan rule.** A child that serves one solve dies with the thread
+that forked it (``PR_SET_PDEATHSIG``, then a ``getppid`` check for a
+parent already gone), well within one :data:`LIVENESS_SLICE_S`. Solve
+slots keep their pipe-EOF rule instead: a slot is respawned from a solver
+thread that may exit before it. ``multiprocessing`` is imported by the
+first fork, so a CLI run that never forks does not pay for it.
 """
 
 from __future__ import annotations
 
+import functools
 import os
+import signal
 import sys
-from typing import NamedTuple
+import time
+import traceback
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
+
+from repro.errors import ReproError
+from repro.io.logging_utils import get_logger
+
+if TYPE_CHECKING:
+    from multiprocessing.process import BaseProcess
 
 #: Why a budget is one process.
 NO_FORK = "no fork"
 DAEMONIC = "daemonic"
 ONE_CPU = "1 usable CPU"
+
+#: How long children asked to stop get to exit before they are killed.
+GRACE_S = 5.0
+#: The longest a parent's wait on its children (or on a barrier they
+#: share) blocks before it checks that they are alive.
+LIVENESS_SLICE_S = 0.2
+
+_LOG = get_logger("repro.runtime")
 
 
 class CpuBudget(NamedTuple):
@@ -29,22 +62,163 @@ class CpuBudget(NamedTuple):
 
 
 def cpu_budget() -> CpuBudget:
-    """One process per CPU of this process's affinity mask — or one where
-    it cannot have forked children: no ``fork`` (the start method exists
-    where ``os.fork`` does), or a daemonic ``multiprocessing`` process,
-    which it refuses children.
-
-    ``multiprocessing`` is read from ``sys.modules``, never imported: a
-    process it did not start and that never imported it is not its
-    daemon, and a CLI run that never forks should not pay its import.
-    """
-    if not hasattr(os, "fork"):
-        return CpuBudget(1, NO_FORK)
-    mp = sys.modules.get("multiprocessing")
-    if mp is not None and mp.current_process().daemon:
-        return CpuBudget(1, DAEMONIC)
+    """One process per CPU of the affinity mask, or one where this
+    process may not fork."""
+    why = why_no_fork()
+    if why is not None:
+        return CpuBudget(1, why)
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:  # pragma: no cover - non-Linux
         cpus = os.cpu_count() or 1
     return CpuBudget(cpus, ONE_CPU if cpus < 2 else None)
+
+
+def why_no_fork() -> str | None:
+    """Why this process may not fork: no ``fork`` start method, or a
+    daemonic ``multiprocessing`` child. ``multiprocessing`` is read from
+    ``sys.modules``, never imported: a process that never imported it is
+    not its daemon."""
+    mp = sys.modules.get("multiprocessing")
+    if not hasattr(os, "fork") or (mp is not None and "fork" not in mp.get_all_start_methods()):
+        return NO_FORK
+    return DAEMONIC if mp is not None and mp.current_process().daemon else None
+
+
+def is_forked_child() -> bool:
+    """Whether a fork made this process: a slot, a share, an engine
+    worker or a sweep helper."""
+    mp = sys.modules.get("multiprocessing")
+    return mp is not None and mp.parent_process() is not None
+
+
+def fork_context(error: type[Exception]) -> Any:
+    """The ``fork`` context children start on; ``error`` when this
+    process may not fork."""
+    import multiprocessing
+
+    why = why_no_fork()
+    if why is not None:
+        raise error(
+            f"cannot fork ({why}): children need the 'fork' start method; "
+            f"platform offers {multiprocessing.get_all_start_methods()}"
+        )
+    return multiprocessing.get_context("fork")
+
+
+@functools.cache
+def _process_class() -> Any:
+    from multiprocessing.context import ForkProcess
+
+    class ForkedChild(ForkProcess):
+        def __init__(self, orphan_rule: bool, **kwargs: Any) -> None:
+            super().__init__(**kwargs)
+            self.orphan_rule = orphan_rule
+            self.parent = os.getpid()
+
+        def run(self) -> None:
+            if self.orphan_rule:  # SIGKILL when the forking thread exits
+                import ctypes
+
+                prctl = getattr(ctypes.CDLL(None), "prctl", None)
+                if prctl is not None:
+                    prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+                if os.getppid() != self.parent:  # it exited before that
+                    os.kill(os.getpid(), signal.SIGKILL)
+            super().run()
+
+    return ForkedChild
+
+
+def start(
+    target: Callable[..., object],
+    args: tuple[Any, ...],
+    *,
+    name: str,
+    daemon: bool = False,
+    ends: Iterable[Any] = (),
+    orphan_rule: bool = True,
+) -> BaseProcess:
+    """Fork a child running ``target(*args)``, once :func:`cpu_budget` or
+    :func:`fork_context` allowed it. ``ends`` — the child's pipe ends,
+    ``Connection`` objects or file descriptors — are closed here once it
+    holds them, so the parent reads EOF when the child is gone.
+    ``orphan_rule=False`` is for solve slots only."""
+    process: BaseProcess = _process_class()(
+        orphan_rule, target=target, args=args, name=name, daemon=daemon
+    )
+    process.start()
+    for end in ends:
+        if isinstance(end, int):
+            os.close(end)
+        else:
+            end.close()
+    return process
+
+
+def wait(process: BaseProcess, conn: Any) -> bool:
+    """Block until ``conn`` (a ``Connection`` or file descriptor) is
+    readable — ``True`` — or ``process`` has exited."""
+    from multiprocessing import connection
+
+    return conn in connection.wait([conn, process.sentinel])
+
+
+def died(process: BaseProcess) -> str:
+    """Reap ``process`` and say how it ended."""
+    process.join()
+    code = process.exitcode
+    assert code is not None
+    if code >= 0:
+        return f"exit code {code}"
+    try:
+        return f"killed by {signal.Signals(-code).name}"
+    except ValueError:
+        return f"killed by signal {-code}"
+
+
+def reap(processes: Iterable[BaseProcess], asked: bool) -> None:
+    """Join ``processes``: if ``asked`` to stop, they get :data:`GRACE_S`
+    together to exit; whichever has not is killed."""
+    processes = list(processes)
+    deadline = time.monotonic() + (GRACE_S if asked else 0.0)
+    for process in processes:
+        process.join(max(0.0, deadline - time.monotonic()))
+    for process in processes:
+        if process.exitcode is None:
+            process.kill()
+            process.join()
+
+
+def answer(conn: Any, work: Callable[..., object], *args: Any) -> None:
+    """Body of a child with one answer: ``work(*args)``'s outcome, sent up
+    ``conn`` once — a library error as its class and message, anything
+    else as a traceback."""
+    try:
+        message: tuple[Any, ...] = ("done", work(*args))
+    except ReproError as exc:
+        message = ("raised", type(exc), str(exc))
+    except Exception:  # the process boundary: the parent raises it by name
+        _LOG.error("forked child %d crashed", os.getpid())
+        message = ("crashed", traceback.format_exc())
+    conn.send(message)
+    conn.close()
+
+
+def receive(process: BaseProcess, conn: Any, who: str, error: type[Exception]) -> Any:
+    """The answer of a child running :func:`answer`, or a raise naming
+    ``who``: ``error`` saying how it died or carrying its traceback, or
+    its own library error."""
+    message: Any = None
+    if wait(process, conn):
+        try:
+            message = conn.recv()
+        except EOFError:
+            pass  # closed unsent: the child is gone
+    if message is None:
+        raise error(f"{who} died ({died(process)})")
+    if message[0] == "raised":
+        raise message[1](f"{who}: {message[2]}")
+    if message[0] == "crashed":
+        raise error(f"{who} failed:\n{message[1]}")
+    return message[1]

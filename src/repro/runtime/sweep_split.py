@@ -34,34 +34,34 @@ on every exit path. Per sweep the caller publishes the reduced source and
 its direction-1 entry flux into anonymous ``MAP_SHARED`` memory (no
 ``/dev/shm`` name, so nothing can leak), writes one byte down the *go*
 pipe and sweeps direction 0; the helper answers with one byte up the
-*done* pipe. The caller waits on that pipe in timed slices that check the
-helper's exit status, so a dead helper is a
-:class:`~repro.errors.SolverError` that names how it died; the helper
-waits on the go pipe the same way and exits when the caller closes it or
-is gone. The helper lives for one solve and is reaped on every exit path.
-It is a bare ``os.fork``: importing ``multiprocessing`` would cost every
-2D solve start-up time and resident memory, and the helper needs none of
-it; ``mmap``, ``select`` and ``signal`` are imported by a solve that
-forks, not by every run that imports this module.
+*done* pipe. The helper is a child like every other the program forks
+(:mod:`repro.runtime.cpus`): the caller waits on ``[done pipe, helper
+sentinel]``, so a dead helper is a :class:`~repro.errors.SolverError`
+that names how it died at once; the helper exits at the go pipe's EOF,
+dies with its caller (the orphan rule), lives for one solve and is reaped
+on every exit path. ``multiprocessing`` and ``mmap`` are imported by a
+solve that forks, not by every run that imports this module.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 
 from repro.errors import SolverError
 from repro.io.logging_utils import get_logger
-from repro.runtime.cpus import cpu_budget
+from repro.runtime.cpus import cpu_budget, died, is_forked_child, reap, start, wait
 from repro.solver.backends import NumpySweepBackend, SweepWorkspace, lockstep
 from repro.solver.solver import MOCSolver, TransportSolver
 from repro.solver.sweep2d import TransportSweep2D
+
+if TYPE_CHECKING:
+    from multiprocessing.process import BaseProcess
 
 #: Why a solve swept on one process (besides the CPU budget's reasons).
 DECOMPOSED = "decomposed"
@@ -71,11 +71,6 @@ NOT_TOP_LEVEL = "not top-level"
 NO_AFFINITY = "affinity not settable"
 MASKED = "masked"
 ONE_SWEEP = "1 sweep"
-
-#: The longest either side waits before checking that the other is alive.
-LIVENESS_SLICE_S = 1.0
-#: How long a helper told to stop gets to exit before it is killed.
-REAP_TIMEOUT_S = 5.0
 
 _LOG = get_logger("repro.solver")
 
@@ -120,9 +115,7 @@ def why_not_split(solver: TransportSolver) -> str | None:
         return THREE_D
     if not isinstance(solver.sweeper.backend, NumpySweepBackend):
         return BACKEND
-    # A process multiprocessing started has it imported; this one may not.
-    mp = sys.modules.get("multiprocessing")
-    if mp is not None and mp.parent_process() is not None:
+    if is_forked_child():
         return NOT_TOP_LEVEL
     return cpu_budget().why_one
 
@@ -192,12 +185,15 @@ class DirectionSplit:
         self.record = record
         self._sweeps = 0
         self._masked = False
-        self._pid: int | None = None
-        self._status: int | None = None
+        self._helper: BaseProcess | None = None
         self._mask: set[int] | None = None
-        self._go: int | None = None
-        self._done: int | None = None
+        self._pipes: tuple[int, int] | None = None  # go (write end), done (read end)
         self._shared: _Shared | None = None
+
+    @property
+    def _pid(self) -> int | None:
+        """The helper's pid, once it is forked."""
+        return None if self._helper is None else self._helper.pid
 
     def remote(self, masked: bool) -> "DirectionSplit | None":
         """Who sweeps the next sweep's direction 1: the helper (this
@@ -226,35 +222,24 @@ class DirectionSplit:
             return False
         self._mask = mask
         self._shared = _Shared(self.sweeper)
-        go_read, self._go = os.pipe()
-        self._done, done_write = os.pipe()
-        for stream in (sys.stdout, sys.stderr):
-            stream.flush()  # nothing buffered is written twice
-        caller = os.getpid()
-        pid = os.fork()
-        if pid == 0:  # the helper: never returns into the caller's stack
-            code = 1
-            try:
-                _helper_main(self, cpu, go_read, done_write, caller)
-                code = 0
-            except Exception:  # its last words; the caller names the exit
-                _LOG.exception("sweep helper failed")
-            finally:
-                os._exit(code)
-        os.close(go_read)
-        os.close(done_write)
-        self._pid = pid
+        go_read, go = os.pipe()
+        done, done_write = os.pipe()
+        self._pipes = (go, done)
+        self._helper = start(
+            _helper_main, (self, cpu, go_read, done_write),
+            name="repro-sweep-helper", ends=(go_read, done_write),
+        )
         self.sweeper.workspace.drop(1)  # the helper's copy is the live one
         return True
 
     def release(self, psi: np.ndarray, source: np.ndarray) -> None:
         """Publish direction 1's entry flux and the reduced source, and
         let the helper sweep."""
-        assert self._shared is not None and self._go is not None
+        assert self._shared is not None and self._pipes is not None
         np.copyto(self._shared.source, source)
         np.copyto(self._shared.psi, psi)
         try:
-            os.write(self._go, b"\1")
+            os.write(self._pipes[0], b"\1")
         except BrokenPipeError:  # the helper is gone
             raise self._death() from None
 
@@ -262,68 +247,38 @@ class DirectionSplit:
         """Wait for the helper; its exit flux into ``psi``, its captured
         crossings into ``capture``; returns its flat tally bins."""
         assert self._shared is not None
-        start = time.perf_counter()
+        t0 = time.perf_counter()
         self._wait()
-        self.record.wait_seconds += time.perf_counter() - start
+        self.record.wait_seconds += time.perf_counter() - t0
         np.copyto(psi, self._shared.psi)
         if capture is not None:
             np.copyto(capture.out[1], self._shared.crossings)
         return self._shared.bins
 
     def _wait(self) -> None:
-        """One byte up the done pipe, waited for in timed slices. The pipe
-        closes when the helper exits, and every slice checks its exit
-        status, so a dead helper is a :class:`SolverError` naming how it
-        died within one slice."""
-        import select
-
-        assert self._done is not None
-        while True:
-            ready, _, _ = select.select([self._done], [], [], LIVENESS_SLICE_S)
-            if ready and os.read(self._done, 1):
-                return
-            if ready or self._reap(block=False):  # its end closed: it is exiting
-                raise self._death()
-
-    def _reap(self, block: bool) -> bool:
-        """Whether the helper has exited, reaping it on the way."""
-        assert self._pid is not None
-        if self._status is None:
-            pid, status = os.waitpid(self._pid, 0 if block else os.WNOHANG)
-            if pid:
-                self._status = status
-        return self._status is not None
+        """One byte up the done pipe. The pipe closes and the helper's
+        sentinel fires when it exits, so a dead helper is a
+        :class:`SolverError` naming how it died at once."""
+        assert self._helper is not None and self._pipes is not None
+        done = self._pipes[1]
+        if not wait(self._helper, done) or not os.read(done, 1):
+            raise self._death()
 
     def _death(self) -> SolverError:
         """The error naming how the helper died, once it is reaped."""
-        from repro.engine.mp import _describe_exit
-
-        self._reap(block=True)
-        assert self._status is not None
-        how = _describe_exit(os.waitstatus_to_exitcode(self._status))
-        return SolverError(f"sweep helper (pid {self._pid}) died ({how})")
+        assert self._helper is not None
+        return SolverError(f"sweep helper (pid {self._pid}) died ({died(self._helper)})")
 
     def close(self, clean: bool) -> None:
         """Stop and reap the helper — asked to exit after a clean solve,
         killed after a failed one — and restore the caller's mask."""
-        import select
-        import signal
-
         try:
-            if self._go is not None:
-                os.close(self._go)  # the helper's EOF: time to exit
-                self._go = None
-            if self._pid is not None and self._status is None:
-                assert self._done is not None
-                if not clean or not select.select([self._done], [], [], REAP_TIMEOUT_S)[0]:
-                    os.kill(self._pid, signal.SIGKILL)
-                self._reap(block=True)
-            if self._done is not None:
-                os.close(self._done)
-                self._done = None
+            for fd in self._pipes or ():  # the go pipe's EOF: the helper's time to exit
+                os.close(fd)
+            if self._helper is not None:
+                reap([self._helper], asked=clean)
+                self.sweeper.workspace = SweepWorkspace()  # direction 1's went with it
             record = self.record
-            if self._pid is not None:  # direction 1's buffers went with the helper
-                self.sweeper.workspace = SweepWorkspace()
             if self._shared is not None:
                 gather, steps, reduce = self._shared.seconds.tolist()
                 record.helper_gather_seconds = gather
@@ -338,16 +293,14 @@ class DirectionSplit:
                 self._mask = None
 
 
-def _helper_main(split: DirectionSplit, cpu: int, go: int, done: int, caller: int) -> None:
+def _helper_main(split: DirectionSplit, cpu: int, go: int, done: int) -> None:
     """The helper process: sweep direction 1 each time a byte comes down
-    the go pipe; return at the pipe's EOF or when the caller is gone."""
-    import select
+    the go pipe; return at the pipe's EOF."""
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller decides when to stop
-    for fd in (split._go, split._done):  # the caller's ends: EOF must mean it closed them
-        if fd is not None:
-            os.close(fd)
+    for fd in split._pipes or ():  # the caller's ends: EOF must mean it closed them
+        os.close(fd)
     os.sched_setaffinity(0, {cpu})
     sweeper, shared = split.sweeper, split._shared
     assert shared is not None
@@ -361,14 +314,7 @@ def _helper_main(split: DirectionSplit, cpu: int, go: int, done: int, caller: in
     def expf_at(d: int, lo: int, hi: int) -> np.ndarray:
         return plan.pos_expf_block(sigma_t, evaluator, d, lo, hi)
 
-    while True:
-        ready, _, _ = select.select([go], [], [], LIVENESS_SLICE_S)
-        if not ready:
-            if os.getppid() != caller:
-                return
-            continue
-        if not os.read(go, 1):
-            return
+    while os.read(go, 1):
         entered = time.perf_counter()
         work.load(plan, 1, shared.psi, shared.source)
         gathered = time.perf_counter()

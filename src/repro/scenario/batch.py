@@ -40,15 +40,12 @@ from __future__ import annotations
 import functools
 import multiprocessing
 import time
-import traceback
 from dataclasses import dataclass, replace as dataclass_replace
-from multiprocessing import connection
 from typing import Callable
 
 import numpy as np
 
-from repro.engine.mp import _describe_exit
-from repro.errors import ConfigError, ReproError, ScenarioError
+from repro.errors import ConfigError, ScenarioError
 from repro.geometry.extruded import ExtrudedGeometry
 from repro.io.config import RunConfig, ScenarioConfig
 from repro.io.logging_utils import get_logger
@@ -60,7 +57,7 @@ from repro.runtime.antmoc import (
     resolve_tracking_cache,
     solver_keywords,
 )
-from repro.runtime.cpus import cpu_budget
+from repro.runtime.cpus import answer, cpu_budget, reap, receive, start
 from repro.runtime.recording import record_solve, record_tracking
 from repro.runtime.stages import StageName
 from repro.scenario.batched import BatchedKeffSolver, BatchedSweep2D
@@ -361,11 +358,6 @@ def _solve_share(
     return solved, sweeper.timings.num_sweeps
 
 
-#: How long a worker that has delivered its share gets to exit before it
-#: is killed.
-REAP_TIMEOUT_S = 10.0
-
-
 def _share_count(num_states: int) -> int:
     """Processes a batch of ``num_states`` independent solves runs on: the
     process's CPU budget (:func:`~repro.runtime.cpus.cpu_budget`), never
@@ -383,80 +375,36 @@ def _cut_shares(num_states: int, num_shares: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _share_main(conn, solve, lo, hi) -> None:
-    """Body of a forked share worker: solve, send the outcome once, exit.
-    A library error crosses as its class and message, anything else as a
-    traceback; an exit without a message is reported by the caller."""
-    try:
-        message = ("done", solve(lo, hi))
-    except ReproError as exc:
-        message = ("raised", type(exc), str(exc))
-    except Exception:  # the process boundary: the caller raises it by name
-        logger = get_logger("repro.scenario")
-        logger.error("scenario share [%d, %d) crashed", lo, hi)
-        message = ("crashed", traceback.format_exc())
-    conn.send(message)
-    conn.close()
-
-
-def _receive(process, conn, lo, hi):
-    """One worker's ``(solved, sweeps)``; raises, naming the share, when
-    the worker raised or went away. Waiting on the sentinel too is how a
-    worker that died without a word is noticed at once."""
-    share = f"scenario share [{lo}, {hi})"
-    message = None
-    if conn in connection.wait([conn, process.sentinel]):
-        try:
-            message = conn.recv()
-        except EOFError:
-            pass  # closed unsent: the worker is gone
-    if message is None:
-        process.join()
-        raise ScenarioError(f"{share} died ({_describe_exit(process.exitcode)})")
-    if message[0] == "raised":
-        raise message[1](f"{share}: {message[2]}")
-    if message[0] == "crashed":
-        raise ScenarioError(f"{share} failed:\n{message[1]}")
-    return message[1]
-
-
 def _fan_out(solve, shares):
     """``solve(lo, hi)`` for every share: shares 1… on forked workers,
     share 0 here. Returns the outcomes in share order and the seconds the
     caller then waited for its slowest sibling.
 
     The workers are forked *before* the caller solves, so none inherits
-    share 0's tables; each keeps the default signal dispositions and owns
-    nothing that outlives it, so every exit path may simply kill it.
+    share 0's tables; each owns nothing that outlives it, so a failure
+    kills them all, and they die with the caller (the orphan rule).
     """
     if len(shares) == 1:
         return [solve(*shares[0])], 0.0
-    ctx = multiprocessing.get_context("fork")
     workers = []
     delivered = False
     try:
         for lo, hi in shares[1:]:
-            ours, theirs = ctx.Pipe(duplex=False)
-            process = ctx.Process(
-                target=_share_main,
-                args=(theirs, solve, lo, hi),
-                name=f"repro-scenario-share-{lo}-{hi}",
+            ours, theirs = multiprocessing.Pipe(duplex=False)
+            process = start(
+                answer, (theirs, solve, lo, hi),
+                name=f"repro-scenario-share-{lo}-{hi}", ends=(theirs,),
             )
-            process.start()
-            theirs.close()
-            workers.append((process, ours, lo, hi))
+            workers.append((process, ours, f"scenario share [{lo}, {hi})"))
         outcomes = [solve(*shares[0])]
         t0 = time.perf_counter()
-        outcomes.extend(_receive(*worker) for worker in workers)
+        outcomes.extend(receive(*worker, ScenarioError) for worker in workers)
         delivered = True
         return outcomes, time.perf_counter() - t0
     finally:
-        for process, conn, *_ in workers:
+        reap([process for process, *_ in workers], asked=delivered)
+        for _, conn, _ in workers:
             conn.close()
-            process.join(REAP_TIMEOUT_S if delivered else 0)
-            if process.is_alive():
-                process.kill()
-                process.join()
 
 
 def _run_decomposed(cfg, geometry, scenarios, library, cache, hook, stage_seconds):

@@ -18,11 +18,11 @@ shared-memory segments when it starts and unlinks them when it ends, as
 every CLI run does. What a slot owns: nothing that outlives a job, and
 nothing of the server — its first act is to drop every inherited socket
 but its own pipe (sibling slots' pipes, the listener, client
-connections), so pipe EOF reliably means "my server is gone" and a killed
-server leaves nobody holding its address. Slots are non-daemon (the
-``mp`` engines fork their workers from inside one) and ignore SIGINT (a
-terminal Ctrl-C reaches the whole process group; the server drains and
-stops them).
+connections), so pipe EOF reliably means "my server is gone" (a slot,
+respawned from a solver thread, has no orphan rule) and a killed server
+leaves nobody holding its address. Slots are non-daemon (the ``mp``
+engines fork their workers from inside one) and ignore SIGINT (a terminal
+Ctrl-C reaches the whole process group; the server drains and stops them).
 
 What crosses the pipe, down: a ``RunConfig`` per job, ``None`` to stop.
 Up: ``("stage", name)`` for each pipeline stage the run announces, then
@@ -40,7 +40,6 @@ job fails with a named reason and the slot is respawned (DESIGN.md,
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import stat
@@ -50,10 +49,10 @@ from dataclasses import dataclass
 from multiprocessing import connection
 from typing import Any, Callable
 
-from repro.engine.mp import _describe_exit
 from repro.errors import ReproError, ServeError
 from repro.io.config import RunConfig
 from repro.io.logging_utils import get_logger
+from repro.runtime.cpus import died, fork_context, reap, start, wait
 from repro.serve.cache import CacheEntry
 
 #: What a solve can realistically raise inside a slot. Mirrors the engine
@@ -67,10 +66,6 @@ SOLVE_ERRORS = (
     OSError,
     RuntimeError,
 )
-
-#: How long a stopped slot gets to exit before it is terminated.
-STOP_TIMEOUT_S = 10.0
-
 
 @dataclass
 class SlotResult:
@@ -177,22 +172,11 @@ class SolveSlots:
             self._slots.append(_Slot(index, *self._fork(index)))
 
     def _fork(self, index: int) -> tuple[Any, connection.Connection]:
-        methods = multiprocessing.get_all_start_methods()
-        if "fork" not in methods:
-            raise ServeError(
-                "solve slots need the 'fork' start method (a slot inherits the "
-                f"loaded program and its slot body); platform offers {methods}"
-            )
-        ctx = multiprocessing.get_context("fork")
-        ours, theirs = ctx.Pipe()
-        process = ctx.Process(
-            target=_slot_main,
-            args=(index, theirs, self._body),
-            name=f"repro-serve-slot-{index}",
-            daemon=False,
+        ours, theirs = fork_context(ServeError).Pipe()
+        process = start(
+            _slot_main, (index, theirs, self._body),
+            name=f"repro-serve-slot-{index}", ends=(theirs,), orphan_rule=False,
         )
-        process.start()
-        theirs.close()
         return process, ours
 
     def solve(
@@ -212,8 +196,7 @@ class SolveSlots:
         finally:
             slot.busy_seconds += time.monotonic() - started
         if message is None:
-            slot.process.join()
-            reason = _describe_exit(slot.process.exitcode)
+            reason = died(slot.process)
             slot.conn.close()
             slot.process, slot.conn = self._fork(index)
             slot.restarts += 1
@@ -235,8 +218,7 @@ class SolveSlots:
         try:
             slot.conn.send(cfg)
             while True:
-                ready = connection.wait([slot.conn, slot.process.sentinel])
-                if slot.conn not in ready:
+                if not wait(slot.process, slot.conn):
                     return None
                 message = slot.conn.recv()
                 if message[0] != "stage":
@@ -264,21 +246,14 @@ class SolveSlots:
         ]
 
     def close(self) -> None:
-        """Stop every slot (they must be idle): stop message, bounded
-        join, terminate for stragglers. The handles stay, so ``stats``
+        """Stop every slot (they must be idle): stop message, then
+        :func:`~repro.runtime.cpus.reap`. The handles stay, so ``stats``
         still reports what each slot did."""
         for slot in self._slots:
             try:
                 slot.conn.send(None)
             except OSError:
-                pass  # already dead; the join below reaps it
+                pass  # already dead; reaping joins it
+        reap([slot.process for slot in self._slots], asked=True)
         for slot in self._slots:
-            slot.process.join(STOP_TIMEOUT_S)
-            if slot.process.is_alive():
-                self._logger.error(
-                    "solve slot %d ignored stop for %.0fs; terminating",
-                    slot.index, STOP_TIMEOUT_S,
-                )
-                slot.process.terminate()
-                slot.process.join()
             slot.conn.close()

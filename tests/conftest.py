@@ -8,6 +8,8 @@ in minutes; accuracy-focused integration tests live in
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.geometry.extruded import AxialMesh, ExtrudedGeometry
 from repro.geometry.universe import make_homogeneous_universe, make_pin_cell_universe
 from repro.materials import Material, c5g7_library
 from repro.tracks import TrackGenerator, TrackGenerator3D
+from tests.processes import is_resource_tracker, live_children, shm_entries, survivors_after
 
 
 def pytest_addoption(parser):
@@ -25,6 +28,22 @@ def pytest_addoption(parser):
         default=False,
         help="rewrite tests/goldens/*.json from the current solver output "
         "instead of comparing against them",
+    )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def nothing_outlives_the_session():
+    """No ``/dev/shm`` segment created during the session remains, and no
+    child of this process is alive, when the session ends (DESIGN.md,
+    "Fault model"). The resource tracker ``multiprocessing`` starts for
+    shared memory is the one child meant to live that long."""
+    before = shm_entries()
+    yield
+    leaked = sorted(shm_entries() - before)
+    children = [pid for pid in live_children(os.getpid()) if not is_resource_tracker(pid)]
+    alive = survivors_after(children, grace=2.0)
+    assert not leaked and not alive, (
+        f"left behind: /dev/shm segments {leaked}, live child pids {alive}"
     )
 
 

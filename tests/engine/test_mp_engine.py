@@ -15,6 +15,7 @@ from repro.errors import CommunicationError, SolverError
 from repro.geometry import Geometry, Lattice
 from repro.geometry.universe import make_homogeneous_universe
 from repro.parallel import DecomposedSolver
+from tests.processes import killed_caller, live_segments, shm_entries, survivors_after
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -156,6 +157,30 @@ class TestMpMechanics:
             engine.solve(SlowProblem(solver), engine.create_communicator(2))
         assert time.monotonic() - started < 30.0
         killer.join()
+
+    @needs_fork
+    def test_killed_caller_leaves_no_worker_and_no_segment(self):
+        """SIGKILL the caller of a solve mid-sweep: within five seconds
+        neither worker is alive and the arena's ``/dev/shm`` segment is
+        gone — the workers die with their caller (the orphan rule), which
+        lets the resource tracker unlink what the caller left."""
+        script = (
+            "from repro.runtime import AntMocApplication\n"
+            "from tests.observability.conftest import mini_2d_config\n"
+            "AntMocApplication(mini_2d_config(\n"
+            "    solver={'max_iterations': 100000, 'keff_tolerance': 1e-14,\n"
+            "            'source_tolerance': 1e-14},\n"
+            "    decomposition={'nx': 3, 'ny': 3, 'engine': 'mp', 'workers': 2},\n"
+            ")).run()\n"
+        )
+
+        def sweeping(members):  # the caller and both workers map the arena
+            return len([pid for pid in members if live_segments([pid])]) >= 3
+
+        with killed_caller(script, ready=sweeping) as (members, segments):
+            assert segments
+            assert survivors_after(members, grace=5.0) == []
+            assert segments & shm_entries() == set()
 
     def test_fork_requirement_reported(self, grid_2x1, monkeypatch):
         monkeypatch.setattr(

@@ -1,0 +1,69 @@
+"""Keep every forked child's life in one module (``repro.runtime.cpus``).
+
+Forking a process, constructing a ``multiprocessing`` process, waiting
+for or signalling a pid, or killing / terminating a child anywhere else
+in ``src/repro`` is a second lifecycle growing back — with its own grace,
+its own way of naming a death and its own orphans. So is importing a
+``_``-prefixed name from another module, which is how the old copies
+shared their exit-naming helper.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+HOME = "runtime/cpus.py"
+#: Calls that fork, wait for or signal a process by pid.
+PID_CALLS = {"os.fork", "os.forkpty", "os.waitpid", "os.wait", "os.waitid", "os.kill", "os.killpg"}
+#: Methods that end a child.
+ENDINGS = {"kill", "terminate"}
+
+
+def _offences(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    yield node.lineno, f"imports private {node.module}.{alias.name}"
+        elif isinstance(node, ast.Call):
+            func = ast.unparse(node.func)
+            if func in PID_CALLS:
+                yield node.lineno, f"calls {func}"
+            elif func.split(".")[-1].endswith("Process"):
+                yield node.lineno, "constructs a Process"
+            elif isinstance(node.func, ast.Attribute) and node.func.attr in ENDINGS:
+                yield node.lineno, f"calls .{node.func.attr}()"
+
+
+def test_one_child_lifecycle():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel == HOME:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{rel}:{line}: {what}" for line, what in _offences(tree)]
+    assert not found, "\n".join(found)
+
+
+def test_guard_sees_every_way_back():
+    snippets = {
+        "pid = os.fork()": "calls os.fork",
+        "os.waitpid(pid, 0)": "calls os.waitpid",
+        "os.kill(pid, signal.SIGKILL)": "calls os.kill",
+        "ctx.Process(target=body)": "constructs a Process",
+        "multiprocessing.Process(target=body)": "constructs a Process",
+        "child.kill()": "calls .kill()",
+        "proc.terminate()": "calls .terminate()",
+        "from repro.engine.mp import _describe_exit": (
+            "imports private repro.engine.mp._describe_exit"
+        ),
+    }
+    for source, want in snippets.items():
+        assert [what for _, what in _offences(ast.parse(source))] == [want], source
+
+
+def test_the_home_holds_what_it_guards():
+    home = ast.parse((SRC / HOME).read_text(encoding="utf-8"))
+    kinds = {what for _, what in _offences(home)}
+    assert kinds == {"calls os.kill", "calls .kill()"}

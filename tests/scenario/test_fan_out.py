@@ -29,6 +29,7 @@ from repro.scenario import batch as batch_module
 from repro.scenario import run_scenario_batch
 
 from tests.scenario.conftest import FOUR_STATES, batch_config, one_cpu_affinity
+from tests.processes import killed_caller, survivors_after
 from tests.serve.test_equivalence import needs_fork
 
 pytestmark = needs_fork
@@ -404,3 +405,14 @@ class TestFaults:
             run_scenario_batch(batch_config())
         monkeypatch.undo()
         self.assert_recovered(forks[:1], reference)
+
+    def test_a_killed_caller_takes_its_shares_down(self):
+        """SIGKILL the caller mid-solve: within two seconds no share
+        process of its session is alive (the orphan rule)."""
+        script = (
+            "from repro.scenario import run_scenario_batch\n"
+            "from tests.scenario.conftest import batch_config\n"
+            "run_scenario_batch(batch_config(solver={'max_iterations': 100000}))\n"
+        )
+        with killed_caller(script, ready=lambda members: len(members) >= 2) as (members, _):
+            assert survivors_after(members, grace=2.0) == []
