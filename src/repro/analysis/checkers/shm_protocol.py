@@ -6,7 +6,7 @@ barrier/epoch/seqlock protocol on the schedules that happen to execute;
 this checker is its static counterpart, running the same ordering rules
 over the statement-level CFGs of the same text — the worker loops and
 parent schedules of :mod:`repro.engine.mp` and
-:mod:`~repro.engine.async_mp` — plus :mod:`~repro.engine.shm`. Four rules:
+:mod:`~repro.engine.async_mp`. Four rules:
 
 * ``shm-bump-before-payload`` — a seqlock publish (``edge_seq[e] = t+1``,
   ``grant[_EPOCH] = ...``) must be preceded by its payload write (the halo
@@ -56,7 +56,6 @@ SCOPE_MODULES = frozenset(
     {
         "repro.engine.mp",
         "repro.engine.async_mp",
-        "repro.engine.shm",
     }
 )
 

@@ -6,7 +6,7 @@ The communicator/engine layer behind the decomposed drivers
 * ``inproc`` — the deterministic in-process simulator over
   :class:`~repro.parallel.comm.SimComm`, kept as the equivalence oracle;
 * ``mp`` — real OS worker processes sweeping subdomains in parallel,
-  with the halo and the global flux in shared-memory SoA buffers;
+  with the halo and the global flux in shared SoA buffers;
 * ``mp-async`` — the same worker pool under per-edge epoch-tagged halo
   mailboxes (dependency-driven, no global barriers).
 
@@ -41,7 +41,6 @@ from repro.engine.sanitize import (
     SanitizerReport,
     analyze_events,
 )
-from repro.engine.shm import ShmArena
 
 __all__ = [
     "DEFAULT_ENGINE",
@@ -57,7 +56,6 @@ __all__ = [
     "SanitizedAsyncMpEngine",
     "SanitizedMpEngine",
     "SanitizerReport",
-    "ShmArena",
     "analyze_events",
     "engine_names",
     "register_engine",

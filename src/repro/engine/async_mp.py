@@ -54,10 +54,9 @@ from repro.engine.mp import (
 )
 from repro.engine.problem import DecomposedProblem, EdgePack
 from repro.engine.base import EngineResult
-from repro.engine.shm import ShmArena
 from repro.errors import CommunicationError, SolverError
 from repro.io.logging_utils import StageTimer, get_logger
-from repro.runtime.cpus import fork_context, reap, start
+from repro.runtime.cpus import Arena, fork_context, reap, start
 
 #: Grant-word slots (float64): epoch counter, eigenvalue, normalisation,
 #: stop mode. The parent writes the payload slots first and the epoch
@@ -97,7 +96,7 @@ def _wait_value(array: Field, index: int, threshold: int, timeout: float,
 def _async_worker_loop(problem: DecomposedProblem, pack: EdgePack, wid: int,
                        owned: list[int], fields: Mapping[str, Field],
                        wait: Callable[[Field, int, int, float, str], bool],
-                       queue: Any, timeout: float,
+                       answer: Any, timeout: float,
                        view: WorkerView) -> None:
     """Worker body: grant-gated sweeps with per-edge mailbox waits.
 
@@ -208,12 +207,12 @@ def _async_worker_loop(problem: DecomposedProblem, pack: EdgePack, wid: int,
             "epochs_overlapped": overlapped,
         }
         report["timers"] = timer.as_dict()
-        queue.put(("done", wid, report))
+        answer.send(("done", report))
     except WORKER_ERRORS as exc:
         get_logger("repro.engine.async_mp").error(
             "async worker %d failed: %s", wid, exc
         )
-        queue.put(("error", wid, traceback.format_exc()))
+        answer.send(("error", traceback.format_exc()))
         raise SystemExit(1)
 
 
@@ -221,7 +220,7 @@ class AsyncMpEngine(MpEngine):
     """Mailbox/epoch multiprocess engine (dependency-driven halo exchange).
 
     Inherits the worker-pool mechanics of :class:`MpEngine` (worker
-    resolution, payload collection, failure surfacing, the subclass
+    resolution, the workers' answers, failure surfacing, the subclass
     hooks) and replaces the barrier-phased ``solve`` with the
     grant/harvest protocol described in the module docstring.
     """
@@ -237,7 +236,7 @@ class AsyncMpEngine(MpEngine):
                 totals[name] += int(counters[name])
         return {"comm_counters": totals}
 
-    def _parent_wait_all(self, array, threshold: int, queue, procs,
+    def _parent_wait_all(self, array, threshold: int, answers, procs,
                          desc: str) -> None:
         """Poll ``all(array >= threshold)``; a dead worker fails fast."""
         if np.all(array >= threshold):
@@ -251,7 +250,7 @@ class AsyncMpEngine(MpEngine):
                     f"waiting for {desc}"
                 )
             if any((not p.is_alive()) and p.exitcode for p in procs):
-                self._raise_worker_failure(queue, procs)
+                self._raise_worker_failure(self._answers(answers, procs), procs)
             # Same seqlock spin as _wait_value: worker_seq/fission_seq are
             # bare shm counters published without any waitable primitive.
             time.sleep(delay)  # repro: ignore[blocking-sleep]
@@ -280,7 +279,7 @@ class AsyncMpEngine(MpEngine):
         if cmfd is not None:
             shapes["currents"] = (max(cmfd.total_pair_rows, 1), problem.num_groups)
             shapes["factors"] = (cmfd.num_cells, problem.num_groups)
-        arena = ShmArena(shapes)
+        arena = Arena(shapes)
         phi, phi_new = arena["phi"], arena["phi_new"]
         fission, prod = arena["fission"], arena["prod"]
         worker_seq, fission_seq = arena["worker_seq"], arena["fission_seq"]
@@ -288,7 +287,7 @@ class AsyncMpEngine(MpEngine):
         currents = arena["currents"] if cmfd is not None else None
         factors = arena["factors"] if cmfd is not None else None
         fields = {name: arena[name] for name in shapes}
-        queue = ctx.Queue()
+        answers: list[Any] = []
         owned = [[d for d in range(D) if d % W == w] for w in range(W)]
         procs: list[Any] = []
 
@@ -314,12 +313,15 @@ class AsyncMpEngine(MpEngine):
         try:
             with timer.stage("engine_solve"):
                 for w in range(W):
+                    answer, send = ctx.Pipe(duplex=False)
+                    answers.append(answer)
                     procs.append(start(
                         target=_async_worker_loop,
-                        args=(problem, pack, w, owned[w], fields, _wait_value, queue,
+                        args=(problem, pack, w, owned[w], fields, _wait_value, send,
                               self.timeout, partial(self._worker_view, W, w)),
                         name=f"repro-{self.name}-worker-{w}",
                         daemon=True,
+                        ends=(send,),
                     ))
                 phi.fill(1.0)
                 # The grant/harvest schedule is this engine's own; its
@@ -330,7 +332,7 @@ class AsyncMpEngine(MpEngine):
                 issue(1, power.keff[0], 1.0, RUN)
                 for t in range(problem.max_iterations):
                     self._parent_wait_all(
-                        worker_seq, t + 1, queue, procs,
+                        worker_seq, t + 1, answers, procs,
                         f"sweeps of iteration {t}",
                     )
                     new_production = comm.allreduce(
@@ -345,7 +347,7 @@ class AsyncMpEngine(MpEngine):
                     last = t + 1 >= problem.max_iterations
                     issue(t + 2, power.keff[0], new_production, FINAL if last else RUN)
                     self._parent_wait_all(
-                        fission_seq, t + 1, queue, procs,
+                        fission_seq, t + 1, answers, procs,
                         f"fission tally of iteration {t}",
                     )
                     monitor.update(power.keff[0], fission.copy())
@@ -357,7 +359,7 @@ class AsyncMpEngine(MpEngine):
                         issue(t + 3, power.keff[0], new_production, HALT)
                         break
                 solved = power.results([phi])[0]
-                payloads = self._collect_payloads(queue, procs, W)
+                payloads = self._reports(answers, procs)
             return self._pool_result(solved, comm, timer, payloads, W)
         finally:
             # Unblock any surviving worker: a HALT grant far in the future
@@ -365,6 +367,5 @@ class AsyncMpEngine(MpEngine):
             issue(int(grant[_EPOCH]) + problem.max_iterations + 2,
                   float(grant[_KEFF]), float(grant[_PNORM]), HALT)
             reap(procs, asked=True)
-            del phi, phi_new, fission, prod, worker_seq, fission_seq, grant
-            del currents, factors, fields
-            arena.close(unlink=True)
+            for answer in answers:
+                answer.close()

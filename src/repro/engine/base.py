@@ -8,9 +8,9 @@ subdomain sweeps execute and how the halo moves:
 
 * ``inproc`` — the deterministic single-process simulator (the historical
   behaviour, kept as the equivalence oracle);
-* ``mp`` — real OS worker processes over ``multiprocessing.shared_memory``
-  SoA buffers with a barrier-phased halo exchange (the paper's Buffered
-  Synchronous scheme);
+* ``mp`` — real OS worker processes over anonymous shared-memory SoA
+  buffers (:class:`~repro.runtime.cpus.Arena`) with a barrier-phased halo
+  exchange (the paper's Buffered Synchronous scheme);
 * ``mp-async`` — the same worker pool under the dependency-driven mailbox
   protocol: per-edge epoch-tagged halo mailboxes instead of global
   barriers, so a worker only ever waits on its own neighbours.

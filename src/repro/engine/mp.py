@@ -4,8 +4,8 @@ The paper's operating mode is one MPI rank per subdomain sweeping in
 parallel with near-neighbour boundary-flux exchange. This engine is the
 host-side realisation of that scheme: subdomains are assigned round-robin
 to ``fork``-ed OS worker processes, the global scalar flux and the halo
-live in :class:`~repro.engine.shm.ShmArena` SoA buffers, and each
-iteration runs two barrier phases (the Buffered Synchronous scheme):
+live in a :class:`~repro.runtime.cpus.Arena` of shared SoA buffers, and
+each iteration runs two barrier phases (the Buffered Synchronous scheme):
 
 1. *sweep* — every worker sweeps its subdomains from the stored incoming
    boundary flux, writes the new local scalar flux into the shared global
@@ -20,6 +20,10 @@ Reductions happen in exactly the simulator's rank order, halo slots carry
 exactly the simulator's values, and traffic is accounted along the same
 route tables — so the ``mp`` engine reproduces ``inproc`` results
 *bitwise*, while the sweeps really execute on separate cores.
+
+Each worker answers once, up its own one-way pipe: its end-of-run report,
+or the traceback of the error that stopped it (after which it exits
+non-zero, so the parent's liveness checks see it die).
 """
 
 from __future__ import annotations
@@ -27,18 +31,26 @@ from __future__ import annotations
 import time
 import traceback
 from functools import partial
-from queue import Empty
 from threading import BrokenBarrierError
 from typing import Any, Callable, Mapping, NoReturn, Protocol
 
 from repro.constants import DEFAULT_ENGINE_TIMEOUT
 from repro.engine.base import EngineResult, ExecutionEngine, resolve_engine_timeout
 from repro.engine.problem import DecomposedProblem, RoutePack
-from repro.engine.shm import ShmArena
 from repro.errors import ReproError, SolverError
 from repro.io.logging_utils import StageTimer, get_logger
 from repro.parallel.comm import SimComm
-from repro.runtime.cpus import GRACE_S, LIVENESS_SLICE_S, died, fork_context, reap, start
+from repro.runtime.cpus import (
+    GRACE_S,
+    LIVENESS_SLICE_S,
+    Arena,
+    died,
+    fork_context,
+    heard,
+    reap,
+    start,
+    wait,
+)
 
 #: Control-word slots (float64): stop flag, current eigenvalue.
 _STOP, _KEFF = 0, 1
@@ -156,14 +168,14 @@ WorkerView = Callable[
 
 def _worker_loop(problem: DecomposedProblem, pack: RoutePack, wid: int,
                  owned: list[int], fields: Mapping[str, Field],
-                 barrier: PhaseBarrier, queue: Any, timeout: float,
+                 barrier: PhaseBarrier, answer: Any, timeout: float,
                  view: WorkerView) -> None:
     """Worker body: barrier-phased sweep/exchange until the stop flag.
 
     The loop subscripts and waits through whatever ``view`` (the engine's
     :meth:`MpEngine._worker_view`) returns for its ``fields`` and
-    ``barrier``, and sends ``view``'s report dict back with its timers as
-    the one end-of-run message.
+    ``barrier``, and sends ``view``'s report dict with its timers up its
+    ``answer`` pipe as its one answer.
 
     With CMFD on, a worker's sweep phase also rescales its domains' stored
     boundary flux by the previous iteration's prolongation factors (the
@@ -209,10 +221,10 @@ def _worker_loop(problem: DecomposedProblem, pack: RoutePack, wid: int,
                         problem.sweeper(d).psi_in[tracks, dirs] = halo[idx]
             iteration += 1
         report["timers"] = timer.as_dict()
-        queue.put(("done", wid, report))
+        answer.send(("done", report))
     except WORKER_ERRORS as exc:
         get_logger("repro.engine.mp").error("worker %d failed: %s", wid, exc)
-        queue.put(("error", wid, traceback.format_exc()))
+        answer.send(("error", traceback.format_exc()))
         barrier.abort()  # siblings and the parent stop waiting at once
         raise SystemExit(1)
 
@@ -262,66 +274,76 @@ class MpEngine(ExecutionEngine):
         requested = self.workers or num_domains
         return max(1, min(int(requested), num_domains))
 
-    def _raise_worker_failure(self, queue, procs, window: float = GRACE_S) -> None:
-        """A wait broke: surface the worker error that actually caused it.
+    def _answers(self, answers, procs) -> dict[int, Any]:
+        """What the workers answered within :data:`GRACE_S`, by worker: a
+        ``(kind, payload)`` message, or ``None`` for a worker that exited
+        without one.
 
-        The error queue is drained *before* giving up on the window, and a
-        worker that died without enqueueing anything (``SIGKILL``, a hard
-        crash) is identified by its exit status instead of being reported
-        as an anonymous timeout. Tracebacks carrying a real exception are
-        listed ahead of sibling ``BrokenBarrierError`` noise — when one
-        worker raises, its siblings' barriers break too, and the original
-        failure must not be buried under their teardown reports.
-
-        Waiting blocks in the queue's timed ``get`` (the pipe read wakes
-        us the moment a report lands) — never a sleep/poll loop.
+        Each round blocks on the first unheard worker's ``[pipe, sentinel]``
+        for one :data:`LIVENESS_SLICE_S`, then looks at every unheard
+        worker. Once one has failed, a round with no news ends the wait:
+        a sibling still asleep in a wait would only delay the report.
         """
-        deadline = time.monotonic() + window
-        reports: dict[int, str] = {}
-
-        def keep(kind: str, wid: int, payload: object) -> None:
-            if kind == "error" and int(wid) not in reports:
-                reports[int(wid)] = str(payload)
-
-        while time.monotonic() < deadline:
-            try:
-                keep(*queue.get(timeout=LIVENESS_SLICE_S))
-            except Empty:
-                if reports:
-                    break  # collected the racing siblings too; report now
-                if any(not p.is_alive() and p.exitcode for p in procs):
-                    break  # died without a report; nothing more is coming
-        # One last sweep: reports enqueued between the checks above.
-        while True:
-            try:
-                keep(*queue.get_nowait())
-            except Empty:
+        heard_from: dict[int, Any] = {}
+        deadline = time.monotonic() + GRACE_S
+        while len(heard_from) < len(procs) and (left := deadline - time.monotonic()) > 0:
+            pending = [w for w in range(len(procs)) if w not in heard_from]
+            wait(procs[pending[0]], answers[pending[0]], min(left, LIVENESS_SLICE_S))
+            news = False
+            for w in pending:
+                exited = procs[w].exitcode is not None  # first: an answer sent before exit is in
+                if wait(procs[w], answers[w], 0):
+                    heard_from[w], news = heard(answers[w]), True
+                elif exited:
+                    heard_from[w], news = None, True
+            if not news and any(m is None or m[0] != "done" for m in heard_from.values()):
                 break
-        primary = [
-            f"worker {wid}:\n{text}"
-            for wid, text in sorted(reports.items())
-            if "BrokenBarrierError" not in text
-        ]
-        secondary = [
-            f"worker {wid}:\n{text}"
-            for wid, text in sorted(reports.items())
-            if "BrokenBarrierError" in text
-        ]
+        return heard_from
+
+    def _raise_worker_failure(self, heard_from: dict[int, Any], procs) -> NoReturn:
+        """Surface the worker error that actually broke the solve.
+
+        A worker that died without answering (``SIGKILL``, a hard crash)
+        is named by its exit status instead of being reported as an
+        anonymous timeout. Tracebacks carrying a real exception are listed
+        ahead of sibling ``BrokenBarrierError`` noise — when one worker
+        raises, its siblings' barriers break too, and the original failure
+        must not be buried under their teardown reports.
+        """
+        heard_from = dict(sorted(heard_from.items()))
+        errors = {w: str(m[1]) for w, m in heard_from.items() if m is not None and m[0] == "error"}
+        primary = [f"worker {w}:\n{t}" for w, t in errors.items() if "BrokenBarrierError" not in t]
+        secondary = [f"worker {w}:\n{t}" for w, t in errors.items() if "BrokenBarrierError" in t]
         silent = [
-            f"worker {wid} died without a report ({died(proc)})"
-            for wid, proc in enumerate(procs)
-            if not proc.is_alive() and proc.exitcode and wid not in reports
+            f"worker {w} died without a report ({died(procs[w])})"
+            for w, m in heard_from.items()
+            if m is None
         ]
         lines = primary + silent + secondary
         detail = "\n".join(lines) if lines else "worker died without a report"
         raise SolverError(f"{self.name} engine worker failure:\n{detail}")
 
-    def _wait(self, barrier, queue, procs) -> None:
+    def _reports(self, answers, procs) -> dict[str, dict[int, Any]]:
+        """Every worker's end-of-run report (a dict of payload kinds:
+        ``timers``, ...), regrouped kind -> worker."""
+        heard_from = self._answers(answers, procs)
+        if len(heard_from) < len(procs) or any(
+            m is None or m[0] != "done" for m in heard_from.values()
+        ):
+            self._raise_worker_failure(heard_from, procs)
+        reports = {wid: m[1] for wid, m in heard_from.items()}
+        kinds = {name for report in reports.values() for name in report}
+        return {
+            name: {w: r[name] for w, r in reports.items() if name in r}
+            for name in kinds
+        }
+
+    def _wait(self, barrier, answers, procs) -> None:
         """The parent's barrier wait; a worker that died breaks it at once."""
         try:
             barrier.wait(self.timeout, alive=lambda: not any(p.exitcode for p in procs))
         except BrokenBarrierError:
-            self._raise_worker_failure(queue, procs)
+            self._raise_worker_failure(self._answers(answers, procs), procs)
 
     def _pool_result(self, solved, comm, timer, payloads, num_workers):
         """The result of a worker-pool solve: ``solved`` plus the workers'
@@ -352,22 +374,22 @@ class MpEngine(ExecutionEngine):
                 max(cmfd.total_pair_rows, 1), problem.num_groups
             )
             shapes["factors"] = (cmfd.num_cells, problem.num_groups)
-        arena = ShmArena(shapes)
+        arena = Arena(shapes)
         fields = {name: arena[name] for name in shapes}
         phi, phi_new = arena["phi"], arena["phi_new"]
         control = arena["control"]
         currents = arena["currents"] if cmfd is not None else None
         factors = arena["factors"] if cmfd is not None else None
         barrier = SemaphoreBarrier(ctx, W + 1)
-        queue = ctx.Queue()
+        answers: list[Any] = []
         owned = [[d for d in range(D) if d % W == w] for w in range(W)]
         procs: list[Any] = []
 
         def sweep(flux, keff, active):
             control[_KEFF] = keff[0]
             control[_STOP] = 0.0
-            self._wait(barrier, queue, procs)  # release the sweep phase
-            self._wait(barrier, queue, procs)  # sweeps + halo writes done
+            self._wait(barrier, answers, procs)  # release the sweep phase
+            self._wait(barrier, answers, procs)  # sweeps + halo writes done
             pack.account_iteration(comm.stats)
             return [phi_new]
 
@@ -387,67 +409,30 @@ class MpEngine(ExecutionEngine):
         try:
             with timer.stage("engine_solve"):
                 for w in range(W):
+                    answer, send = ctx.Pipe(duplex=False)
+                    answers.append(answer)
                     procs.append(start(
                         target=_worker_loop,
-                        args=(problem, pack, w, owned[w], fields, barrier, queue,
+                        args=(problem, pack, w, owned[w], fields, barrier, send,
                               self.timeout, partial(self._worker_view, W, w)),
                         name=f"repro-{self.name}-worker-{w}",
                         daemon=True,
+                        ends=(send,),
                     ))
                 phi.fill(1.0)
                 solved = problem.power_iteration(
                     comm, timer, current_rows, prolong, sweep
                 ).run([phi])[0]
                 control[_STOP] = 1.0
-                self._wait(barrier, queue, procs)  # workers observe stop and exit
-                payloads = self._collect_payloads(queue, procs, W)
+                self._wait(barrier, answers, procs)  # workers observe stop and exit
+                payloads = self._reports(answers, procs)
             return self._pool_result(solved, comm, timer, payloads, W)
         finally:
             control[_STOP] = 1.0
             barrier.abort()  # frees any worker still waiting; lock-free
             reap(procs, asked=True)
-            del phi, phi_new, control, currents, factors, fields
-            arena.close(unlink=True)
-
-    def _collect_payloads(
-        self, queue, procs, num_workers: int
-    ) -> dict[str, dict[int, Any]]:
-        """Drain the one end-of-run message of every worker (a dict of
-        payload kinds: ``timers``, ...), regrouped kind -> worker."""
-        reports: dict[int, dict[str, Any]] = {}
-        for kind, wid, report in _drain(queue, GRACE_S, num_workers, procs):
-            if kind == "error":
-                raise SolverError(f"{self.name} engine worker {wid} failed:\n{report}")
-            reports[wid] = report
-        kinds = {name for report in reports.values() for name in report}
-        return {
-            name: {w: r[name] for w, r in reports.items() if name in r}
-            for name in kinds
-        }
-
-
-def _drain(queue, timeout: float, expected: int | None = None, procs=()):
-    """Collect queued worker messages, blocking in timed ``get`` calls
-    (the pipe read wakes us the moment a message lands — no poll loop).
-    Stops early once every worker process has exited and a short grace
-    ``get`` (the feeder thread may still be flushing) comes back empty —
-    no message can arrive from a dead sender, so waiting out the window
-    would only delay the failure report."""
-    messages = []
-    deadline = time.monotonic() + timeout
-    while expected is None or len(messages) < expected:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            break
-        all_dead = bool(procs) and all(not p.is_alive() for p in procs)
-        try:
-            # Capped at one liveness slice, so a worker dying mid-wait is
-            # noticed on the next check instead of after the whole window.
-            messages.append(queue.get(timeout=min(remaining, LIVENESS_SLICE_S)))
-        except Empty:
-            if all_dead or (expected is None and messages):
-                break
-    return messages
+            for answer in answers:
+                answer.close()
 
 
 def fmt_bytes(n: int) -> str:

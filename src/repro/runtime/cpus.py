@@ -9,35 +9,42 @@ slots (:mod:`repro.serve.slots`), a scenario batch's shares
 many (:func:`cpu_budget`, one per CPU of the affinity mask; nothing else
 sizes it), whether this process may fork (:func:`why_no_fork`) and
 whether it is a forked child (:func:`is_forked_child`), how a child
-starts (:func:`start`, on ``multiprocessing``'s ``fork`` context), how
-its death is named (:func:`wait` blocks on ``[pipe, process sentinel]``,
-:func:`died` reaps and names it; :func:`answer` / :func:`receive` for a
-child with one answer) and how children end (:func:`reap`: those asked to
-stop get :data:`GRACE_S`, the rest are killed, all are joined).
+starts (:func:`start`, on ``multiprocessing``'s ``fork`` context), how it
+shares arrays with its parent (:class:`Arena`: anonymous shared memory,
+no ``/dev/shm`` name), how its answer is heard and its death named
+(:func:`wait` blocks on ``[pipe, process sentinel]``, :func:`heard` reads
+the one answer, :func:`died` reaps and names a death; :func:`answer` /
+:func:`receive` for a child whose answer is a return value) and how
+children end (:func:`reap`: those asked to stop get :data:`GRACE_S`, the
+rest are killed, all are joined).
 
 **The orphan rule.** A child that serves one solve dies with the thread
 that forked it (``PR_SET_PDEATHSIG``, then a ``getppid`` check for a
 parent already gone), well within one :data:`LIVENESS_SLICE_S`. Solve
 slots keep their pipe-EOF rule instead: a slot is respawned from a solver
 thread that may exit before it. ``multiprocessing`` is imported by the
-first fork, so a CLI run that never forks does not pay for it.
+first fork and ``mmap`` by the first arena, so a CLI run that never forks
+pays for neither.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
 import signal
 import sys
 import time
 import traceback
-from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple
 
-from repro.errors import ReproError
+from repro.errors import CommunicationError, ReproError
 from repro.io.logging_utils import get_logger
 
 if TYPE_CHECKING:
     from multiprocessing.process import BaseProcess
+
+    import numpy as np
 
 #: Why a budget is one process.
 NO_FORK = "no fork"
@@ -49,6 +56,9 @@ GRACE_S = 5.0
 #: The longest a parent's wait on its children (or on a barrier they
 #: share) blocks before it checks that they are alive.
 LIVENESS_SLICE_S = 0.2
+#: Arena field alignment: one x86-64 cache line, so no two fields that
+#: different processes write share one.
+_ALIGN = 64
 
 _LOG = get_logger("repro.runtime")
 
@@ -156,12 +166,59 @@ def start(
     return process
 
 
-def wait(process: BaseProcess, conn: Any) -> bool:
+class Arena:
+    """Named float64 arrays a parent shares with the children it forks.
+
+    One anonymous ``MAP_SHARED`` mapping, carved into fields by name, each
+    aligned to :data:`_ALIGN` bytes and zeroed (the kernel hands out zero
+    pages); a zero-size field takes no room. Children inherit the mapping
+    across ``fork``, so parent and children address the same pages. It
+    has no name, so there is nothing to close, unlink or leak: the memory
+    goes when the last view in the last process does.
+    """
+
+    def __init__(self, fields: Mapping[str, tuple[int, ...]]) -> None:
+        import mmap
+
+        import numpy as np
+
+        if not fields:
+            raise CommunicationError("shared arena needs at least one field")
+        offsets: dict[str, int] = {}
+        cursor = 0
+        for name, shape in fields.items():
+            offsets[name] = cursor
+            cursor += -(-8 * math.prod(shape) // _ALIGN) * _ALIGN
+        self._map = mmap.mmap(-1, max(cursor, _ALIGN))
+        self._views = {
+            name: np.ndarray(shape, np.float64, self._map, offsets[name])
+            for name, shape in fields.items()
+        }
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    @property
+    def nbytes(self) -> int:
+        return len(self._map)
+
+
+def wait(process: BaseProcess, conn: Any, timeout: float | None = None) -> bool:
     """Block until ``conn`` (a ``Connection`` or file descriptor) is
-    readable — ``True`` — or ``process`` has exited."""
+    readable — ``True`` — or ``process`` has exited, or ``timeout``
+    seconds have passed."""
     from multiprocessing import connection
 
-    return conn in connection.wait([conn, process.sentinel])
+    return conn in connection.wait([conn, process.sentinel], timeout)
+
+
+def heard(conn: Any) -> Any:
+    """The one message on ``conn``, once :func:`wait` found it readable;
+    ``None`` when it was closed unsent (its child is gone)."""
+    try:
+        return conn.recv()
+    except EOFError:
+        return None
 
 
 def died(process: BaseProcess) -> str:
@@ -209,12 +266,7 @@ def receive(process: BaseProcess, conn: Any, who: str, error: type[Exception]) -
     """The answer of a child running :func:`answer`, or a raise naming
     ``who``: ``error`` saying how it died or carrying its traceback, or
     its own library error."""
-    message: Any = None
-    if wait(process, conn):
-        try:
-            message = conn.recv()
-        except EOFError:
-            pass  # closed unsent: the child is gone
+    message = heard(conn) if wait(process, conn) else None
     if message is None:
         raise error(f"{who} died ({died(process)})")
     if message[0] == "raised":

@@ -31,10 +31,10 @@ helper is pinned to one CPU of the
 caller's affinity mask and the caller keeps the rest — unpinned, a woken
 helper often lands on its waker's CPU — and the caller's mask is restored
 on every exit path. Per sweep the caller publishes the reduced source and
-its direction-1 entry flux into anonymous ``MAP_SHARED`` memory (no
-``/dev/shm`` name, so nothing can leak), writes one byte down the *go*
-pipe and sweeps direction 0; the helper answers with one byte up the
-*done* pipe. The helper is a child like every other the program forks
+its direction-1 entry flux into a shared
+:class:`~repro.runtime.cpus.Arena`, writes one byte down the *go* pipe
+and sweeps direction 0; the helper answers with one byte up the *done*
+pipe. The helper is a child like every other the program forks
 (:mod:`repro.runtime.cpus`): the caller waits on ``[done pipe, helper
 sentinel]``, so a dead helper is a :class:`~repro.errors.SolverError`
 that names how it died at once; the helper exits at the go pipe's EOF,
@@ -55,7 +55,7 @@ import numpy as np
 
 from repro.errors import SolverError
 from repro.io.logging_utils import get_logger
-from repro.runtime.cpus import cpu_budget, died, is_forked_child, reap, start, wait
+from repro.runtime.cpus import Arena, cpu_budget, died, is_forked_child, reap, start, wait
 from repro.solver.backends import NumpySweepBackend, SweepWorkspace, lockstep
 from repro.solver.solver import MOCSolver, TransportSolver
 from repro.solver.sweep2d import TransportSweep2D
@@ -143,38 +143,6 @@ def split_sweep(solver: TransportSolver) -> Iterator[SplitRecord]:
         split.close(clean)
 
 
-class _Shared:
-    """The float64 arrays caller and helper exchange, in one anonymous
-    shared mapping: the reduced source and direction 1's flux (entry flux
-    in, exit flux out), the helper's tally bins and captured crossings,
-    and its phase seconds."""
-
-    source: np.ndarray
-    psi: np.ndarray
-    bins: np.ndarray
-    crossings: np.ndarray
-    seconds: np.ndarray
-
-    def __init__(self, sweeper: TransportSweep2D) -> None:
-        import mmap
-
-        capture = None if sweeper.current_tally is None else sweeper.current_tally.capture
-        shapes = [
-            (sweeper.terms.num_regions, sweeper.num_groups),
-            sweeper.psi_in[:, 1].shape,
-            (sweeper.terms.num_regions * sweeper.num_groups,),
-            (0,) if capture is None else capture.out[1].shape,
-            (3,),
-        ]
-        sizes = [int(np.prod(shape)) for shape in shapes]
-        self._map = mmap.mmap(-1, 8 * sum(sizes))
-        offsets = np.cumsum([0] + sizes).tolist()
-        self.source, self.psi, self.bins, self.crossings, self.seconds = (
-            np.frombuffer(self._map, np.float64, size, 8 * offset).reshape(shape)
-            for shape, size, offset in zip(shapes, sizes, offsets)
-        )
-
-
 class DirectionSplit:
     """The caller's end of one solve's backward-direction helper: what a
     :class:`~repro.solver.sweep2d.TransportSweep2D` hands its numpy kernel
@@ -188,7 +156,7 @@ class DirectionSplit:
         self._helper: BaseProcess | None = None
         self._mask: set[int] | None = None
         self._pipes: tuple[int, int] | None = None  # go (write end), done (read end)
-        self._shared: _Shared | None = None
+        self._shared: Arena | None = None
 
     @property
     def _pid(self) -> int | None:
@@ -221,7 +189,15 @@ class DirectionSplit:
             _LOG.info("sweep split: %s (%s)", NO_AFFINITY, exc)
             return False
         self._mask = mask
-        self._shared = _Shared(self.sweeper)
+        sweeper = self.sweeper
+        capture = None if sweeper.current_tally is None else sweeper.current_tally.capture
+        self._shared = Arena({  # what caller and helper exchange
+            "source": (sweeper.terms.num_regions, sweeper.num_groups),  # reduced source
+            "psi": sweeper.psi_in[:, 1].shape,  # direction 1's entry flux in, exit flux out
+            "bins": (sweeper.terms.num_regions * sweeper.num_groups,),  # its tally bins
+            "crossings": (0,) if capture is None else capture.out[1].shape,
+            "seconds": (3,),  # its gather / lockstep / reduce phases
+        })
         go_read, go = os.pipe()
         done, done_write = os.pipe()
         self._pipes = (go, done)
@@ -236,8 +212,8 @@ class DirectionSplit:
         """Publish direction 1's entry flux and the reduced source, and
         let the helper sweep."""
         assert self._shared is not None and self._pipes is not None
-        np.copyto(self._shared.source, source)
-        np.copyto(self._shared.psi, psi)
+        np.copyto(self._shared["source"], source)
+        np.copyto(self._shared["psi"], psi)
         try:
             os.write(self._pipes[0], b"\1")
         except BrokenPipeError:  # the helper is gone
@@ -250,10 +226,10 @@ class DirectionSplit:
         t0 = time.perf_counter()
         self._wait()
         self.record.wait_seconds += time.perf_counter() - t0
-        np.copyto(psi, self._shared.psi)
+        np.copyto(psi, self._shared["psi"])
         if capture is not None:
-            np.copyto(capture.out[1], self._shared.crossings)
-        return self._shared.bins
+            np.copyto(capture.out[1], self._shared["crossings"])
+        return self._shared["bins"]
 
     def _wait(self) -> None:
         """One byte up the done pipe. The pipe closes and the helper's
@@ -280,7 +256,7 @@ class DirectionSplit:
                 self.sweeper.workspace = SweepWorkspace()  # direction 1's went with it
             record = self.record
             if self._shared is not None:
-                gather, steps, reduce = self._shared.seconds.tolist()
+                gather, steps, reduce = self._shared["seconds"].tolist()
                 record.helper_gather_seconds = gather
                 record.helper_lockstep_seconds = steps
                 record.helper_reduce_seconds = reduce
@@ -304,6 +280,9 @@ def _helper_main(split: DirectionSplit, cpu: int, go: int, done: int) -> None:
     os.sched_setaffinity(0, {cpu})
     sweeper, shared = split.sweeper, split._shared
     assert shared is not None
+    source, psi, bins, crossings, seconds = (
+        shared[name] for name in ("source", "psi", "bins", "crossings", "seconds")
+    )
     plan, work = sweeper.plan, sweeper.workspace
     work.drop(0)
     sigma_t, evaluator = sweeper.terms.sigma_t_safe, sweeper.evaluator
@@ -316,13 +295,13 @@ def _helper_main(split: DirectionSplit, cpu: int, go: int, done: int) -> None:
 
     while os.read(go, 1):
         entered = time.perf_counter()
-        work.load(plan, 1, shared.psi, shared.source)
+        work.load(plan, 1, psi, source)
         gathered = time.perf_counter()
         lockstep(work, 1, table, expf_at, capture)
-        work.store(plan, 1, shared.psi)
+        work.store(plan, 1, psi)
         stepped = time.perf_counter()
-        shared.bins[...] = work.bins(plan, 1, num_fsrs)
+        bins[...] = work.bins(plan, 1, num_fsrs)
         if capture is not None:
-            shared.crossings[...] = capture.out[1]
-        shared.seconds += (gathered - entered, stepped - gathered, time.perf_counter() - stepped)
+            crossings[...] = capture.out[1]
+        seconds += (gathered - entered, stepped - gathered, time.perf_counter() - stepped)
         os.write(done, b"\1")

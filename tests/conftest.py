@@ -18,7 +18,7 @@ from repro.geometry.extruded import AxialMesh, ExtrudedGeometry
 from repro.geometry.universe import make_homogeneous_universe, make_pin_cell_universe
 from repro.materials import Material, c5g7_library
 from repro.tracks import TrackGenerator, TrackGenerator3D
-from tests.processes import is_resource_tracker, live_children, shm_entries, survivors_after
+from tests.processes import live_children, shm_entries, survivors_after
 
 
 def pytest_addoption(parser):
@@ -35,13 +35,12 @@ def pytest_addoption(parser):
 def nothing_outlives_the_session():
     """No ``/dev/shm`` segment created during the session remains, and no
     child of this process is alive, when the session ends (DESIGN.md,
-    "Fault model"). The resource tracker ``multiprocessing`` starts for
-    shared memory is the one child meant to live that long."""
+    "Fault model"). The program maps no named segment and starts no
+    resource tracker, so every child counts."""
     before = shm_entries()
     yield
     leaked = sorted(shm_entries() - before)
-    children = [pid for pid in live_children(os.getpid()) if not is_resource_tracker(pid)]
-    alive = survivors_after(children, grace=2.0)
+    alive = survivors_after(live_children(os.getpid()), grace=2.0)
     assert not leaked and not alive, (
         f"left behind: /dev/shm segments {leaked}, live child pids {alive}"
     )

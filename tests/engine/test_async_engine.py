@@ -11,6 +11,7 @@ pinning, and failure surfacing when a worker dies mid-epoch.
 import multiprocessing
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from repro.errors import SolverError
 from repro.geometry import Geometry, Lattice
 from repro.geometry.universe import make_homogeneous_universe
 from repro.parallel import DecomposedSolver
+from repro.runtime.cpus import GRACE_S
 from tests.engine.test_equivalence import pin_lattice, solve_2d
 
 __all__ = ["pin_lattice"]  # re-exported fixture
@@ -138,16 +140,25 @@ class TestAsyncMechanics:
 class TestAsyncFailures:
     @needs_fork
     def test_worker_exception_surfaces_as_solver_error(self, grid_2x1):
-        class ExplodingProblem(DecomposedProblem):
-            def sweep_domain(self, d, phi_block, keff):
-                if d == 1:
-                    raise RuntimeError("injected sweep failure")
-                return super().sweep_domain(d, phi_block, keff)
+        """A ``TypeError`` is outside ``WORKER_ERRORS``: that worker dies
+        unreported, and the parent still names it within the grace."""
+        for error, match in (
+            (RuntimeError, "injected sweep failure"),
+            (TypeError, "worker 1 died"),
+        ):
 
-        solver = make_solver(grid_2x1)
-        engine = AsyncMpEngine(workers=2, timeout=30.0)
-        with pytest.raises(SolverError, match="injected sweep failure"):
-            engine.solve(ExplodingProblem(solver), engine.create_communicator(2))
+            class ExplodingProblem(DecomposedProblem):
+                def sweep_domain(self, d, phi_block, keff):
+                    if d == 1:
+                        raise error("injected sweep failure")
+                    return super().sweep_domain(d, phi_block, keff)
+
+            solver = make_solver(grid_2x1)
+            engine = AsyncMpEngine(workers=2, timeout=30.0)
+            started = time.monotonic()
+            with pytest.raises(SolverError, match=match):
+                engine.solve(ExplodingProblem(solver), engine.create_communicator(2))
+            assert time.monotonic() - started < GRACE_S + 2.0
 
     @needs_fork
     def test_killed_worker_identified_promptly(self, grid_2x1):

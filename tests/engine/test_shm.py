@@ -1,11 +1,9 @@
-"""Lifecycle tests for the shared-memory arena backing the mp engines.
+"""The shared arena backing the mp engines and the sweep helper.
 
-The arena is the one object whose misuse leaks kernel resources (a
-``/dev/shm`` segment outliving the run) or corrupts a sibling field
-(mis-computed offsets), so its contract is pinned here in isolation:
-layout and alignment, zero-initialisation, close/unlink ordering,
-idempotent teardown, the ``BufferError`` leak-safe path when an external
-view still pins the mapping, and cross-``fork`` visibility.
+The arena is the one object whose miscomputed offsets would corrupt a
+sibling field, so its contract is pinned here in isolation: layout and
+alignment, zero-initialisation, zero-size fields, no ``/dev/shm`` name,
+and cross-``fork`` visibility.
 """
 
 import multiprocessing
@@ -13,8 +11,9 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.engine import ShmArena
 from repro.errors import CommunicationError
+from repro.runtime.cpus import Arena
+from tests.processes import shm_entries
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -24,96 +23,63 @@ needs_fork = pytest.mark.skipif(
 
 class TestLayout:
     def test_fields_shaped_zeroed_and_aligned(self):
-        arena = ShmArena({"a": (3, 4), "b": (7,)})
-        try:
-            assert arena["a"].shape == (3, 4)
-            assert arena["b"].shape == (7,)
-            assert not arena["a"].any() and not arena["b"].any()
-            for name in ("a", "b"):
-                view = arena[name]
-                assert view.ctypes.data % 64 == 0
-                assert view.dtype == np.float64
-            a = arena["a"]
-            a[1, 2] = 5.0
-            assert arena["a"][1, 2] == 5.0  # views alias one buffer
-        finally:
-            del a
-            arena.close(unlink=True)
+        arena = Arena({"a": (3, 4), "b": (7,)})
+        assert arena["a"].shape == (3, 4)
+        assert arena["b"].shape == (7,)
+        assert not arena["a"].any() and not arena["b"].any()
+        for name in ("a", "b"):
+            view = arena[name]
+            assert view.ctypes.data % 64 == 0
+            assert view.dtype == np.float64
+        a = arena["a"]
+        a[1, 2] = 5.0
+        assert arena["a"][1, 2] == 5.0  # views alias one buffer
 
     def test_fields_do_not_overlap(self):
         """Writing one field to a sentinel leaves every other field zero."""
         fields = {"x": (5,), "y": (2, 3), "z": (1,)}
-        arena = ShmArena(fields)
-        try:
-            for victim in fields:
-                arena[victim].fill(7.0)
-                for other in fields:
-                    if other != victim:
-                        assert not arena[other].any(), (victim, other)
-                arena[victim].fill(0.0)
-        finally:
-            arena.close(unlink=True)
+        arena = Arena(fields)
+        for victim in fields:
+            arena[victim].fill(7.0)
+            for other in fields:
+                if other != victim:
+                    assert not arena[other].any(), (victim, other)
+            arena[victim].fill(0.0)
 
     def test_nbytes_covers_aligned_fields(self):
-        arena = ShmArena({"a": (3,), "b": (1,)})
-        try:
-            # Two fields, each rounded up to a 64-byte cache line.
-            assert arena.nbytes >= 128
-        finally:
-            arena.close(unlink=True)
+        arena = Arena({"a": (3,), "b": (1,)})
+        # Two fields, each rounded up to a 64-byte cache line.
+        assert arena.nbytes >= 128
 
     def test_minimum_one_cache_line(self):
-        """Even a degenerate empty-shape field maps a full segment."""
-        arena = ShmArena({"a": ()})
-        try:
-            assert arena.nbytes >= 64
-            assert arena["a"].shape == ()
-        finally:
-            arena.close(unlink=True)
+        """Even a degenerate empty-shape field maps a full cache line."""
+        arena = Arena({"a": ()})
+        assert arena.nbytes >= 64
+        assert arena["a"].shape == ()
+
+    def test_zero_size_field_takes_no_room(self):
+        """The sweep helper's crossings field is ``(0,)`` with CMFD off."""
+        arena = Arena({"a": (2,), "none": (0,), "b": (3,)})
+        assert arena["none"].shape == (0,)
+        assert arena.nbytes == 128
+        assert arena["b"].ctypes.data - arena["a"].ctypes.data == 64
+        assert Arena({"none": (0,)})["none"].size == 0
 
     def test_unknown_field_rejected(self):
-        arena = ShmArena({"a": (2,)})
-        try:
-            with pytest.raises(KeyError):
-                arena["missing"]
-        finally:
-            arena.close(unlink=True)
+        arena = Arena({"a": (2,)})
+        with pytest.raises(KeyError):
+            arena["missing"]
 
     def test_empty_field_table_rejected(self):
         with pytest.raises(CommunicationError, match="at least one field"):
-            ShmArena({})
+            Arena({})
 
-
-class TestTeardown:
-    def test_double_close_is_safe(self):
-        arena = ShmArena({"a": (2,)})
-        arena.close(unlink=True)
-        arena.close(unlink=True)
-
-    def test_close_without_unlink_then_unlink(self):
-        """Children close without unlinking; the parent unlinks last."""
-        arena = ShmArena({"a": (2,)})
-        arena.close(unlink=False)
-        arena.close(unlink=True)
-
-    def test_pinned_mapping_takes_leak_safe_path(self):
-        """A buffer export pinning the mapping makes the segment's
-        ``close`` raise ``BufferError``; the arena must swallow it (leaking
-        the mapping beats crashing teardown) and still unlink the name."""
-        arena = ShmArena({"a": (4,)})
-        arena["a"][0] = 3.0
-        pin = memoryview(arena._shm.buf)  # export: pins the mapping
-        arena.close(unlink=True)  # must not raise despite the pin
-        # The BufferError path left the mapping alive: the pinned bytes
-        # are still readable and carry the sentinel we wrote.
-        assert np.frombuffer(pin[:8], dtype=np.float64)[0] == 3.0
-        pin.release()
-
-    def test_field_access_after_close_fails(self):
-        arena = ShmArena({"a": (2,)})
-        arena.close(unlink=True)
-        with pytest.raises(KeyError):
-            arena["a"]
+    def test_maps_no_named_segment(self):
+        """Anonymous memory: nothing appears in ``/dev/shm`` to unlink."""
+        before = shm_entries()
+        arena = Arena({"a": (1 << 16,)})
+        arena["a"].fill(1.0)
+        assert shm_entries() == before
 
 
 class TestCrossProcess:
@@ -121,18 +87,14 @@ class TestCrossProcess:
     def test_fork_child_writes_visible_in_parent(self):
         """Forked children address the same physical pages — a child's
         write lands in the parent's view without any message passing."""
-        arena = ShmArena({"shared": (4,)})
-        try:
-            view = arena["shared"]
+        arena = Arena({"shared": (4,)})
+        view = arena["shared"]
 
-            def child():
-                arena["shared"][2] = 42.0
+        def child():
+            arena["shared"][2] = 42.0
 
-            proc = multiprocessing.get_context("fork").Process(target=child)
-            proc.start()
-            proc.join(timeout=30.0)
-            assert proc.exitcode == 0
-            assert view[2] == 42.0
-        finally:
-            del view
-            arena.close(unlink=True)
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=30.0)
+        assert proc.exitcode == 0
+        assert view[2] == 42.0

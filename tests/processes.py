@@ -49,16 +49,6 @@ def live_children(pid: int) -> list[int]:
     return sorted(child for child in found if state(child) not in (None, "Z"))
 
 
-def is_resource_tracker(pid: int) -> bool:
-    """Whether ``pid`` is ``multiprocessing``'s resource tracker, which
-    lives as long as the process that first created shared memory."""
-    try:
-        cmdline = Path(f"/proc/{pid}/cmdline").read_bytes()
-    except OSError:
-        return False
-    return b"multiprocessing.resource_tracker" in cmdline
-
-
 def session_members(session_id: int) -> list[int]:
     """Live (non-zombie) processes of a session."""
     members = []
@@ -115,8 +105,7 @@ def killed_caller(
     """Run ``script`` in a session of its own and SIGKILL it once
     ``ready(members)`` holds for its session's members; yields those
     members and the ``/dev/shm`` segments they mapped. Whatever of the
-    session is left is killed on the way out, its resource tracker last,
-    so that it can unlink what the others left."""
+    session is left is killed on the way out."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]))
     caller = subprocess.Popen(
         [sys.executable, "-c", script], env=env, cwd=ROOT, start_new_session=True
@@ -134,13 +123,6 @@ def killed_caller(
     finally:
         caller.kill()
         caller.wait()
-        left = session_members(caller.pid)
-        trackers = [pid for pid in left if is_resource_tracker(pid)]
-        _kill([pid for pid in left if pid not in trackers])
-        _kill(survivors_after(trackers, grace=2.0))
-
-
-def _kill(pids: list[int]) -> None:
-    for pid in pids:
-        with contextlib.suppress(ProcessLookupError):
-            os.kill(pid, signal.SIGKILL)
+        for pid in session_members(caller.pid):
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
