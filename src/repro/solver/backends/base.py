@@ -44,8 +44,12 @@ class SweepContext:
     #: its ``collect(psi_1, capture)`` for direction 1's tally bins);
     #: ``None`` sweeps both directions here.
     remote: Any = None
-    #: Set by a kernel that splits its time: clock reads taken before the
-    #: source gather, after it, and after the lockstep loop.
+    #: Set by a kernel that splits its time: ``marks[1] - marks[0]`` is
+    #: its gather, ``marks[2] - marks[1]`` its lockstep, and the rest of
+    #: the call its reduce. A 2D kernel runs each phase once and sets the
+    #: clock reads taken before the gather, after it and after the
+    #: lockstep loop; the 3D kernel runs them per direction and sets its
+    #: entry clock plus the summed gather, then lockstep, seconds.
     marks: tuple[float, float, float] | None = None
 
 

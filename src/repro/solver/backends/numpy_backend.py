@@ -16,23 +16,30 @@ in the trailing axes of their buffers — ``(P, G)``, ``(G,)``, ``(S, P, G)``.
   ``view -= dp``. A 3D step then weights its slice, still in cache:
   ``dp *= weights[:n]``, the first ``n`` rows of the workspace's ``(T, G)``
   track weights in sorted order (the plan's ``pos_weights[d][lo:hi]``,
-  value for value). No step allocates. The sweeps call it for ``d = 0``,
-  then ``d = 1``; every operation is elementwise, so the two directions
-  are independent to the bit.
-* **Reduce.** ``dpsi`` then holds every segment's delta-psi: per direction
-  one ``bincount`` over the flat ``fsr * G + g`` index sums it
-  (:meth:`SweepWorkspace.bins`), after (2D) one polar ``einsum`` contracts
-  it to ``(S, G)``; the tally adds ``bins(0)``, then ``bins(1)``, onto
-  zeros. ``bincount`` adds a bin's terms in array order — segment order,
-  as the per-group bincount it replaces — so the tally is bitwise
-  unchanged. The widened sweep reduces per state with the single-state
-  expression on ``dpsi[d][:, s]``.
-* **Remote backward direction.** ``SweepContext.remote`` hands direction
-  1 to another process (:mod:`repro.runtime.sweep_split`): the kernel
-  releases it before its own gather, sweeps direction 0, and adds the
-  helper's ``bins(1)`` where it would have added its own — the same bits.
-  Every buffer is per direction, so each process can free the other's
-  (:meth:`SweepWorkspace.drop`).
+  value for value). No step allocates. Every operation is elementwise, so
+  the two directions are independent to the bit.
+* **Layout.** 2D buffers are segment-major, one set per direction. 3D
+  buffers — ``cur[d]``, ``dpsi``, ``weights`` and the plan's exp table —
+  are group-major (each the transpose of a C-contiguous ``(G, ...)``
+  array): the 3D kernel takes direction 0 through gather, lockstep, store
+  and reduce before direction 1, so one ``dpsi`` serves both, and each
+  group's column is one contiguous run for the loads and the reduce.
+* **Reduce.** ``dpsi`` then holds every segment's delta-psi. 2D: one
+  ``bincount`` per direction over the flat ``fsr * G + g`` index sums it
+  after one polar ``einsum`` contracts it to ``(S, G)``. 3D: one
+  ``bincount`` per group over ``pos_fsr[d]`` (the lockstep left ``dpsi``
+  weighted). Either way it is :meth:`SweepWorkspace.bins`, and the tally
+  adds ``bins(0)``, then ``bins(1)``, onto zeros. ``bincount`` adds a
+  bin's terms in array order — segment order, as the per-group bincount
+  of the pre-fusion kernel — so the tally is bitwise unchanged. The
+  widened sweep reduces per state with the single-state expression on
+  ``dpsi[d][:, s]``.
+* **Remote backward direction** (2D). ``SweepContext.remote`` hands
+  direction 1 to another process (:mod:`repro.runtime.sweep_split`): the
+  kernel releases it before its own gather, sweeps direction 0, and adds
+  the helper's ``bins(1)`` where it would have added its own — the same
+  bits. Every 2D buffer is per direction, so each process can free the
+  other's (:meth:`SweepWorkspace.drop`).
 * **Workspace.** The buffers belong to a :class:`SweepWorkspace` owned by
   the *sweeper* (``SweepContext.workspace``): plans stay immutable and
   shareable between sweepers and threads; buffers are reused across sweeps
@@ -56,11 +63,23 @@ from repro.solver.backends.base import KernelBackend, SweepContext, tally_from_s
 from repro.solver.backends.plan import SweepPlan
 
 
+def _group_major(rows: int, num_groups: int) -> np.ndarray:
+    """A ``(rows, G)`` array whose transpose is C-contiguous: each group's
+    column is one contiguous run."""
+    return np.empty((num_groups, rows)).T
+
+
 class SweepWorkspace:
-    """The lockstep kernel's buffers for one sweeper over one plan layout,
-    one of each per direction: ``cur[d] (T, ...)``, ``dpsi[d] (S, ...)``,
-    the pre-sliced step list and the flat tally index; plus the polar
-    contraction's output (2D) or the sorted track weights (3D)."""
+    """The lockstep kernel's buffers for one sweeper over one plan layout.
+
+    2D (trailing ``(P, G)``, widened ``(S, P, G)``): one of each per
+    direction — ``cur[d] (T, ...)``, ``dpsi[d] (S, ...)``, the pre-sliced
+    step list and the flat tally index ``flat[d]`` — plus the polar
+    contraction's output. 3D (trailing ``(G,)``): group-major ``cur[d]``
+    and sorted track ``weights`` ``(T, G)``, one group-major ``dpsi``
+    ``(S, G)`` serving both directions (``dpsi[0] is dpsi[1]``: the
+    kernel reduces a direction before it sweeps the next), and no flat
+    index (``flat is None``)."""
 
     __slots__ = ("cur", "dpsi", "contrib", "weights", "steps", "flat", "_starts", "_fsr")
 
@@ -69,21 +88,26 @@ class SweepWorkspace:
 
     def bind(self, plan: SweepPlan, trailing: tuple) -> "SweepWorkspace":
         """Allocate on a new layout (``col_starts`` survives ``rebind``) or
-        new trailing axes; a rebound plan only refreshes the tally index."""
+        new trailing axes; a rebound plan only refreshes the 2D tally
+        index."""
         starts = plan.col_starts
         if self._starts is not starts or self.dpsi[0].shape[1:] != trailing:
             num_tracks, num_segments = plan.topology.num_tracks, plan.num_segments
-            self.cur = [np.empty((num_tracks,) + trailing) for _ in (0, 1)]
-            self.dpsi = [np.empty((num_segments,) + trailing) for _ in (0, 1)]
-            # 3D has no polar axis to contract: the lockstep weights dpsi
-            # by the track weights in sorted order instead.
-            self.contrib = self.weights = None
+            num_groups = trailing[-1]
+            self.contrib = self.weights = self.flat = None
             if trailing[:-1]:
-                self.contrib = np.empty((num_segments, trailing[-1]))
+                self.cur = [np.empty((num_tracks,) + trailing) for _ in (0, 1)]
+                self.dpsi = [np.empty((num_segments,) + trailing) for _ in (0, 1)]
+                self.contrib = np.empty((num_segments, num_groups))
+                self.flat = [np.empty((num_segments, num_groups), dtype=np.int64) for _ in (0, 1)]
             else:
-                weights = plan.topology.weights[plan.track_order, None]
-                self.weights = np.repeat(weights, trailing[-1], axis=1)
-            self.flat = [np.empty((num_segments, trailing[-1]), dtype=np.int64) for _ in (0, 1)]
+                # 3D has no polar axis to contract: the lockstep weights
+                # dpsi by the track weights in sorted order instead.
+                self.cur = [_group_major(num_tracks, num_groups) for _ in (0, 1)]
+                dpsi = _group_major(num_segments, num_groups)
+                self.dpsi = [dpsi, dpsi]
+                self.weights = _group_major(num_tracks, num_groups)
+                self.weights.T[...] = plan.topology.weights[plan.track_order]
             spans = [
                 (lo, hi)
                 for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist())
@@ -98,16 +122,16 @@ class SweepWorkspace:
                 for d in (0, 1)
             ]
             self._starts, self._fsr = starts, None
-        if self._fsr is not plan.pos_fsr:
+        if self.flat is not None and self._fsr is not plan.pos_fsr:
             for d, fsr in enumerate(plan.pos_fsr):
                 np.add(fsr[:, None] * trailing[-1], np.arange(trailing[-1]), out=self.flat[d])
             self._fsr = plan.pos_fsr
         return self
 
     def drop(self, d: int) -> None:
-        """Free direction ``d``'s buffers: another process sweeps it from
-        now on, and this workspace is no longer whole — its sweeper binds
-        a fresh one before it sweeps ``d`` here again."""
+        """Free direction ``d``'s 2D buffers: another process sweeps it
+        from now on, and this workspace is no longer whole — its sweeper
+        binds a fresh one before it sweeps ``d`` here again."""
         self.cur[d] = self.dpsi[d] = self.flat[d] = None
         self.steps[d] = []
 
@@ -117,10 +141,13 @@ class SweepWorkspace:
         the polar axis, broadcast here. The exp table (or its per-position
         fallback) indexes ``sigma_t`` with the same ids, so ``clip`` never
         clips: it only skips numpy's defensive copy of ``out``."""
-        if self.contrib is not None:
-            source = np.broadcast_to(
-                np.expand_dims(source, -2), source.shape[:1] + self.dpsi[d].shape[1:]
-            )
+        if self.flat is None:  # 3D: take along the C-contiguous transposes
+            np.take(psi.T, plan.track_order, axis=1, out=self.cur[d].T, mode="clip")
+            np.take(source.T, plan.pos_fsr[d], axis=1, out=self.dpsi[d].T, mode="clip")
+            return
+        source = np.broadcast_to(
+            np.expand_dims(source, -2), source.shape[:1] + self.dpsi[d].shape[1:]
+        )
         np.take(psi, plan.track_order, axis=0, out=self.cur[d], mode="clip")
         np.take(source, plan.pos_fsr[d], axis=0, out=self.dpsi[d], mode="clip")
 
@@ -131,13 +158,14 @@ class SweepWorkspace:
     def bins(
         self, plan: SweepPlan, d: int, num_fsrs: int, state: int | None = None
     ) -> np.ndarray:
-        """Direction ``d``'s flat ``(R * G,)`` share of the tally (of one
-        state of a widened sweep)."""
+        """Direction ``d``'s share of the tally (of one state of a widened
+        sweep): flat ``(R * G,)`` in 2D, ``(R, G)`` in 3D."""
+        if self.flat is None:  # 3D: weighted in the lockstep, one bincount per group
+            fsr = plan.pos_fsr[d]
+            by_group = [np.bincount(fsr, column, num_fsrs) for column in self.dpsi[d].T]
+            return np.stack(by_group, axis=1)
         dpsi = self.dpsi[d] if state is None else self.dpsi[d][:, state]
-        if self.contrib is None:  # 3D: weighted in the lockstep
-            contrib = dpsi
-        else:
-            contrib = np.einsum("spg,sp->sg", dpsi, plan.pos_weights[d], out=self.contrib)
+        contrib = np.einsum("spg,sp->sg", dpsi, plan.pos_weights[d], out=self.contrib)
         flat = self.flat[d]
         return np.bincount(flat.ravel(), contrib.ravel(), num_fsrs * flat.shape[-1])
 
@@ -148,7 +176,7 @@ class SweepWorkspace:
         state: int | None = None,
         backward: Callable[[], np.ndarray] | None = None,
     ) -> np.ndarray:
-        """The ``(R, G)`` tally (of one state of a widened sweep):
+        """The 2D ``(R, G)`` tally (of one state of a widened sweep):
         ``bins(0)``, then ``bins(1)``, added onto zeros. ``backward``
         returns direction 1's bins when another process swept it."""
         tally = np.zeros((num_fsrs, self.flat[0].shape[-1]))
@@ -183,6 +211,32 @@ def lockstep(
             out[dest[i]] = view[rows[i]]
 
 
+def _sweep_in_turn(
+    plan: SweepPlan, psi: list[np.ndarray], ctx: SweepContext, work: SweepWorkspace,
+    table: np.ndarray | None, expf_at,
+) -> np.ndarray:
+    """The 3D kernel: direction 0 through gather, lockstep, store and
+    ``bins(0)``, then direction 1 the same way over the same ``dpsi``; the
+    tally adds ``bins(0)``, then ``bins(1)``, onto zeros. The phases
+    interleave, so ``ctx.marks`` are the entry clock plus the summed
+    gather, then lockstep, seconds."""
+    tally = np.zeros((ctx.num_fsrs, psi[0].shape[-1]))
+    gather = steps = 0.0
+    entered = time.perf_counter()
+    for d in (0, 1):
+        began = time.perf_counter()
+        work.load(plan, d, psi[d], ctx.reduced_source)
+        gathered = time.perf_counter()
+        lockstep(work, d, table, expf_at, ctx.capture)
+        work.store(plan, d, psi[d])
+        stepped = time.perf_counter()
+        gather += gathered - began
+        steps += stepped - gathered
+        tally += work.bins(plan, d, ctx.num_fsrs)
+    ctx.marks = (entered, entered + gather, entered + gather + steps)
+    return tally
+
+
 class NumpySweepBackend(KernelBackend):
     """Vectorised lockstep sweep over precompiled SoA buffers."""
 
@@ -202,9 +256,15 @@ class NumpySweepBackend(KernelBackend):
 
     def _sweep(self, plan: SweepPlan, psi: list[np.ndarray], ctx: SweepContext) -> np.ndarray:
         """The lockstep kernel: 2D and 3D differ only in ``psi``'s trailing
-        axes. With ``ctx.remote`` set, direction 1 runs on its process."""
+        axes. With ``ctx.remote`` set (2D), direction 1 runs on its process."""
         table = plan.pos_expf(ctx.sigma_t, ctx.evaluator)
         work = (ctx.workspace or SweepWorkspace()).bind(plan, psi[0].shape[1:])
+
+        def expf_at(d: int, lo: int, hi: int) -> np.ndarray:
+            return plan.pos_expf_block(ctx.sigma_t, ctx.evaluator, d, lo, hi)
+
+        if work.flat is None:
+            return _sweep_in_turn(plan, psi, ctx, work, table, expf_at)
         remote = ctx.remote
         here = (0, 1) if remote is None else (0,)
         entered = time.perf_counter()
@@ -213,10 +273,6 @@ class NumpySweepBackend(KernelBackend):
         for d in here:
             work.load(plan, d, psi[d], ctx.reduced_source)
         gathered = time.perf_counter()
-
-        def expf_at(d: int, lo: int, hi: int) -> np.ndarray:
-            return plan.pos_expf_block(ctx.sigma_t, ctx.evaluator, d, lo, hi)
-
         for d in here:
             lockstep(work, d, table, expf_at, ctx.capture)
             work.store(plan, d, psi[d])

@@ -345,7 +345,9 @@ class SweepPlan:
         Same caching and size policy as :meth:`segment_expf` (the guard
         accounts for holding both directions). ``table[d]`` lines up with
         ``pos_fsr[d]``/``pos_len[d]``, so the lockstep kernel reads both
-        directions of one position as the slice ``table[:, lo:hi]``.
+        directions of one position as the slice ``table[:, lo:hi]``. A 3D
+        table is group-major (``table[d].T`` is C-contiguous), the layout
+        of the 3D kernel's ``dpsi``.
         """
         cached = self._pos_expf_cache
         if (
@@ -356,10 +358,11 @@ class SweepPlan:
             return cached[2]
         if 2 * self.expf_elements(sigma_t.shape[1]) > MAX_EXPF_ELEMENTS:
             return None
-        trailing = sigma_t.shape[1:]
-        if not self.topology.is_3d:
-            trailing = (self.topology.num_polar,) + trailing
-        table = np.empty((2, self.num_segments) + trailing)
+        if self.topology.is_3d:  # group-major, as the 3D kernel's dpsi
+            table = np.empty((2,) + sigma_t.shape[1:] + (self.num_segments,))
+            table = table.transpose(0, 2, 1)
+        else:
+            table = np.empty((2, self.num_segments, self.topology.num_polar) + sigma_t.shape[1:])
         self.fill_pos_expf(table, sigma_t, evaluator)
         self._pos_expf_cache = (sigma_t, evaluator, table)
         return table

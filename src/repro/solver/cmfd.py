@@ -398,12 +398,14 @@ class CurrentTally:
 
     def scale_boundary_flux(self, psi_in: np.ndarray, cell_factors: np.ndarray) -> None:
         """Scale the sweeper's stored incoming angular flux ``(T, 2, ...)``
-        by each traversal's entry-cell prolongation factor (per group)."""
-        entered = self.entry >= 0
-        factor = cell_factors[self.entry[entered]]
+        by each traversal's entry-cell prolongation factor (per group).
+        An entry of ``-1`` picks the row of ones appended to
+        ``cell_factors``: one dense multiply, and times 1.0 is exact."""
+        factors = np.concatenate([cell_factors, np.ones((1, cell_factors.shape[1]))])
+        factor = np.take(factors, self.entry, axis=0)
         if psi_in.ndim == 4:  # 2D: (T, 2, P, G)
-            factor = factor[:, None, :]
-        psi_in[entered] *= factor
+            factor = factor[:, :, None, :]
+        psi_in *= factor
 
     def accumulate(self, psi: list[np.ndarray]) -> None:
         """Fold one sweep's captured crossings and track-end exits into

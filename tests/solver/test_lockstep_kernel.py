@@ -5,6 +5,8 @@ verbatim as test-only oracles: one position loop per direction, allocating
 expressions, whole-array exp tables, a strided per-group bincount and (for
 the widened sweep) one widened einsum. Every comparison is bitwise
 (``assert_array_equal``) on the tally, the exit ``psi`` and ``capture.out``.
+``test_3d_working_set`` pins the 3D kernel's memory: group-major buffers,
+one ``dpsi`` for both directions and no flat tally index.
 """
 
 import threading
@@ -373,18 +375,38 @@ def _sources(terms, count, seed=0):
     return [rng.uniform(0.05, 0.5, (terms.num_regions, terms.num_groups)) for _ in range(count)]
 
 
-def test_workspace_reused_across_sweeps(small_trackgen, two_group_fissile):
-    terms = _terms_for(small_trackgen, two_group_fissile)
-    sweeper = TransportSweep2D(small_trackgen, terms)
-    oracle = TransportSweep2D(small_trackgen, terms, backend="reference")
+@pytest.mark.parametrize("is_3d", [False, True], ids=["2d", "3d"])
+def test_workspace_reused_across_sweeps(request, two_group_fissile, is_3d):
+    """Buffers survive across sweeps, and the kernel's phase split fits
+    inside its sweep time — also when 3D runs the phases per direction."""
+    if is_3d:
+        trackgen = request.getfixturevalue("small_trackgen_3d")
+        terms = _terms_for(trackgen, two_group_fissile, is_3d=True)
+        segments = trackgen.trace_all_3d()
+        sweeper = TransportSweep3D(trackgen, terms)
+        oracle = TransportSweep3D(trackgen, terms, backend="reference")
+
+        def sweep(target, q):
+            return target.sweep(segments, q)
+
+    else:
+        trackgen = request.getfixturevalue("small_trackgen")
+        terms = _terms_for(trackgen, two_group_fissile)
+        sweeper = TransportSweep2D(trackgen, terms)
+        oracle = TransportSweep2D(trackgen, terms, backend="reference")
+
+        def sweep(target, q):
+            return target.sweep(q)
+
     assert sweeper.workspace._starts is None  # allocated at the first sweep
     for q in _sources(terms, 3):
-        tally = sweeper.sweep(q)
+        tally = sweep(sweeper, q)
         dpsi = sweeper.workspace.dpsi
-        np.testing.assert_allclose(tally, oracle.sweep(q), rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(tally, sweep(oracle, q), rtol=1e-12, atol=1e-14)
     assert sweeper.workspace.dpsi is dpsi
     np.testing.assert_allclose(sweeper.psi_in, oracle.psi_in, rtol=1e-12, atol=1e-14)
     phases = sweeper.timings.kernel_phases()
+    assert set(phases) == {"gather", "lockstep", "reduce"}
     assert all(seconds > 0.0 for seconds in phases.values())
     assert sum(phases.values()) <= sweeper.timings.sweep_seconds
 
@@ -407,6 +429,37 @@ def test_workspace_survives_otf_rebind(small_trackgen_3d, two_group_fissile):
     assert reused.workspace.dpsi is buffers
     assert reused.timings.num_plan_builds == 3
     np.testing.assert_array_equal(reused.psi_in, fresh.psi_in)
+
+
+def _assert_3d_working_set(sweeper, plan):
+    """Group-major buffers, one dpsi for both directions, no flat tally
+    index: table + workspace fit in 3 (S, G) and 3 (T, G) arrays."""
+    work = sweeper.workspace
+    table = plan.pos_expf(sweeper.terms.sigma_t_safe, sweeper.evaluator)
+    assert work.flat is None and work.contrib is None
+    assert work.dpsi[0] is work.dpsi[1]
+    for array in (*work.cur, work.dpsi[0], work.weights, table[0], table[1]):
+        assert array.T.flags.c_contiguous
+    held = (table, *work.cur, work.dpsi[0], work.weights)
+    num_groups = sweeper.num_groups
+    bound = 3 * plan.num_segments * num_groups * 8 + 3 * plan.topology.num_tracks * num_groups * 8
+    assert sum(array.nbytes for array in held) <= bound
+
+
+def test_3d_working_set(small_trackgen_3d, two_group_fissile):
+    """The 3D kernel's memory, after a sweep and after an OTF rebind."""
+    terms = _terms_for(small_trackgen_3d, two_group_fissile, is_3d=True)
+    sweeper = TransportSweep3D(small_trackgen_3d, terms)
+    source = _sources(terms, 1)[0]
+    first = small_trackgen_3d.trace_all_3d()
+    sweeper.sweep(first, source)
+    plan = sweeper.plan_for(first)
+    _assert_3d_working_set(sweeper, plan)
+    regenerated = small_trackgen_3d.trace_all_3d()
+    sweeper.sweep(regenerated, source)
+    rebound = sweeper.plan_for(regenerated)
+    assert rebound is not plan and rebound.col_starts is plan.col_starts
+    _assert_3d_working_set(sweeper, rebound)
 
 
 def _solo(trackgen, terms, sources):
