@@ -36,7 +36,9 @@ COUNTER_SCHEMA: dict[str, str] = {
         "(2 directions x swept segments x iterations)"
     ),
     "tracking_cache_hits": "track generators restored from the tracking cache",
-    "tracking_cache_misses": "track generators built despite an enabled cache",
+    "tracking_cache_misses": (
+        "track generators that looked the tracking cache up and found no entry"
+    ),
     "halo_bytes": (
         "bytes exchanged between ranks: boundary angular flux plus modelled "
         "collective traffic (CommStats.bytes_sent)"

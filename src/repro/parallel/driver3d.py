@@ -120,7 +120,7 @@ class ZDecomposedSolver(DomainDriver):
                 Domain.extruded(
                     slab_geom, num_azim=num_azim, azim_spacing=azim_spacing,
                     polar_spacing=polar_spacing, num_polar=num_polar, storage=storage,
-                    resident_memory_bytes=resident_memory_bytes, tracer=tracer, cache=cache,
+                    resident_memory_bytes=resident_memory_bytes, tracer=tracer,
                     evaluator=evaluator, backend=backend, radial=radial,
                 )
             )

@@ -280,12 +280,13 @@ class AntMocApplication:
         with self._stage(StageName.TRACK_GENERATION.value):
             solver = build_solver(cfg, geometry, cache=cache)
             self.pipeline.complete(StageName.TRACK_GENERATION, solver)
-        timings_list = solver.tracking_timings
-        cache_hits = record_tracking(self.obs, timings_list, cache_enabled=cache is not None)
+        cache_hits, lookups = record_tracking(
+            self.obs, solver.tracking_timings, cache_enabled=cache is not None
+        )
         if cache_hits:
             self.logger.info(
                 "tracking cache: %d of %d generators restored from cache",
-                cache_hits, len(timings_list),
+                cache_hits, lookups,
             )
 
         with self._stage(StageName.TRANSPORT_SOLVING.value):

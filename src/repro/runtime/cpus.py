@@ -16,7 +16,8 @@ no ``/dev/shm`` name), how its answer is heard and its death named
 the one answer, :func:`died` reaps and names a death; :func:`answer` /
 :func:`receive` for a child whose answer is a return value) and how
 children end (:func:`reap`: those asked to stop get :data:`GRACE_S`, the
-rest are killed, all are joined).
+rest are killed, all are joined). :func:`alive` answers whether a process
+named by its ID still exists (the tracking cache's writer locks ask).
 
 **The orphan rule.** A child that serves one solve dies with the thread
 that forked it (``PR_SET_PDEATHSIG``, then a ``getppid`` check for a
@@ -232,6 +233,17 @@ def died(process: BaseProcess) -> str:
         return f"killed by {signal.Signals(-code).name}"
     except ValueError:
         return f"killed by signal {-code}"
+
+
+def alive(pid: int) -> bool:
+    """Whether process ``pid`` exists (an unreaped zombie still does)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # another user's process
+        pass
+    return True
 
 
 def reap(processes: Iterable[BaseProcess], asked: bool) -> None:

@@ -25,30 +25,31 @@ _LOG = logging.getLogger("repro.antmoc")
 
 def record_tracking(
     obs: Observation, timings_list: Sequence[TrackingTimings], cache_enabled: bool
-) -> int:
+) -> tuple[int, int]:
     """Break the track-generation stage down by pipeline phase.
 
     Rows are named ``track_generation/<phase>`` so :class:`StageTimer`
     excludes them from the total (the parent stage already counts this
     time); the observation mirrors them as child spans of the
     ``track_generation`` span. Decomposed runs sum the per-domain
-    breakdowns. With the tracking cache enabled, per-generator
-    hits/misses land in the run report's counters; the hit count is
-    returned.
+    breakdowns. With the tracking cache enabled, the hits and misses of
+    the generators that looked it up (a z-slab adopting the shared radial
+    laydown does not) land in the run report's counters; ``(hits,
+    lookups)`` is returned.
     """
     phases: dict[str, float] = {}
-    cache_hits = 0
     for timings in timings_list:
         for phase, seconds in timings.as_dict().items():
             phases[phase] = phases.get(phase, 0.0) + seconds
-        cache_hits += bool(timings.cache_hit)
     for phase, seconds in phases.items():
         if seconds > 0.0:
             obs.record(f"{StageName.TRACK_GENERATION.value}/{phase}", seconds)
+    hits = sum(t.cache_hit is True for t in timings_list)
+    lookups = sum(t.cache_hit is not None for t in timings_list)
     if cache_enabled:
-        obs.count("tracking_cache_hits", cache_hits)
-        obs.count("tracking_cache_misses", len(timings_list) - cache_hits)
-    return cache_hits
+        obs.count("tracking_cache_hits", hits)
+        obs.count("tracking_cache_misses", lookups - hits)
+    return hits, lookups
 
 
 def _record_worker_timers(obs: Observation, result: SolveResult) -> None:

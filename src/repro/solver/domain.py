@@ -110,10 +110,11 @@ class Domain:
     ) -> "Domain":
         """A 3D domain over an ``EXP`` / ``OTF`` / ``MANAGER`` / ``CCM``
         storage strategy. ``radial`` is a generated radial laydown the 3D
-        generator adopts instead of tracing its own (every z-slab of one
-        decomposition shares one). The volumes and the segment count come
-        from one reference pass that is let go, so a regenerating strategy
-        keeps no second segmentation alive.
+        generator adopts instead of tracing its own or looking it up in
+        ``cache`` (every z-slab of one decomposition shares one). The
+        volumes and the segment count come from one reference pass that is
+        let go, so a regenerating strategy keeps no second segmentation
+        alive.
         """
         # repro.trackmgmt.strategy imports repro.solver.sweep3d.
         from repro.trackmgmt import make_strategy

@@ -1,21 +1,24 @@
 """Content-addressed cache of tracking products.
 
-Tracking setup (laydown, linking, chains, 2D segmentation, 3D stacks) is
+Tracking setup (laydown, linking, chains, 2D segmentation) is
 deterministic in the geometry and the tracking parameters, and the paper
 notes the products "could be restored during transport solving" (Sec. 2.1)
 — so repeated solves and benchmark reruns over the same problem can skip
-stage 3 entirely. This module keys the archives written by
-:mod:`repro.tracks.io` by a SHA-256 fingerprint of everything the products
-depend on:
+the radial pipeline. This module keys the archives written by
+:mod:`repro.tracks.io` — the radial laydown, nothing else — by a SHA-256
+fingerprint of everything that laydown depends on:
 
 * the geometry's *structure* — surface parameters, region trees, cell
   order, lattice layouts, bounds and boundary conditions. Object ids and
   names are deliberately excluded (they are process-global counters), and
   so are materials: tracking never looks at a material, so geometries
   differing only in composition share cache entries;
-* the tracking parameters — azimuthal count and requested spacing, the
-  polar quadrature's angles and weights, and for 3D generators the polar
-  spacing, axial mesh edges and axial boundary conditions;
+* the azimuthal parameters — count and requested spacing. The polar
+  quadrature and a 3D generator's polar spacing, axial mesh and axial
+  boundary conditions are not in the key: the radial laydown never reads
+  them, so a 2D run, a 3D run and a z-decomposed run over one radial
+  geometry share one entry, and each 3D generator builds its own 3D
+  laydown over it;
 * the archive :data:`~repro.tracks.io.FORMAT_VERSION`, so entries
   invalidate themselves when the serialisation changes.
 
@@ -127,28 +130,27 @@ def geometry_fingerprint(geometry) -> str:
 
 
 def tracking_fingerprint(trackgen) -> str:
-    """Full cache-key text for a track generator (2D or 3D)."""
-    parts = [
-        f"format={FORMAT_VERSION}",
-        geometry_fingerprint(trackgen.geometry),
-        f"azim({trackgen.azimuthal.num_azim},{_f(trackgen.azimuthal.requested_spacing)})",
-        "polar("
-        + ",".join(_f(v) for v in trackgen.polar.sin_theta)
-        + ";"
-        + ",".join(_f(v) for v in trackgen.polar.weights)
-        + ")",
-    ]
-    geometry3d = getattr(trackgen, "geometry3d", None)
-    if geometry3d is not None:
-        edges = ",".join(_f(v) for v in geometry3d.axial_mesh.z_edges)
-        parts.append(
-            f"axial(spacing={_f(trackgen.polar_spacing)},edges=[{edges}],"
-            f"bc={geometry3d.boundary_zmin.value}/{geometry3d.boundary_zmax.value})"
-        )
-    return "|".join(parts)
+    """Full cache-key text for a track generator's radial laydown (2D or
+    3D generator alike)."""
+    azim = trackgen.azimuthal
+    return (
+        f"format={FORMAT_VERSION}|{geometry_fingerprint(trackgen.geometry)}"
+        f"|azim({azim.num_azim},{_f(azim.requested_spacing)})"
+    )
 
 
 _LOCK_POLL_SECONDS = 0.02
+
+
+def _holder_alive(lock: Path) -> bool:
+    """False only if ``lock`` names a process that no longer exists; a lock
+    still being written (or already released) is judged by its age."""
+    from repro.runtime.cpus import alive  # the one module that asks after pids
+
+    try:
+        return alive(int(lock.read_text()))
+    except (OSError, ValueError):
+        return True
 
 
 class TrackingCache:
@@ -160,8 +162,9 @@ class TrackingCache:
     Stores are safe under concurrent writers, in three layers: entries are
     content-addressed, so a key that already exists is simply skipped
     (first wins — any two writers of one key hold identical products); a
-    per-key lockfile (``O_CREAT|O_EXCL``, broken when older than
-    :data:`LOCK_STALE_SECONDS`) serialises the writers that do race, so
+    per-key lockfile (``O_CREAT|O_EXCL``, holding the writer's process ID;
+    broken at once when that process no longer exists, else when older
+    than ``lock_timeout``) serialises the writers that do race, so
     the archive is built once, not N times; and the archive is written to
     a temp file then atomically renamed, so even lockless writers — e.g.
     after a lock timeout — can only replace a complete entry with an
@@ -171,7 +174,10 @@ class TrackingCache:
     older than this is broken) and the default wait budget of
     :meth:`store` — one window, because breaking a peer's lock before
     giving up on our own would be incoherent. A lock older than the
-    window is assumed to belong to a crashed process. Writing an archive
+    window is assumed to belong to a crashed process; one naming a process
+    that no longer exists is known to, so a killed writer stalls nobody
+    (a live writer's lock broken by mistake — a process ID from another
+    PID namespace — costs one duplicate write). Writing an archive
     takes well under a second, but long-lived server processes may hold
     entries open far longer — set ``tracking.cache_lock_timeout``.
     """
@@ -197,10 +203,10 @@ class TrackingCache:
     def load(self, trackgen) -> bool:
         """Restore a cached archive into ``trackgen``; False on miss."""
         path = self.path_for(trackgen)
-        if not path.exists():
-            return False
         try:
             load_tracking(path, trackgen)
+        except FileNotFoundError:  # absent, or removed since it was addressed
+            return False
         except Exception as exc:  # corrupt/stale entry: miss, not error
             self._logger.warning("evicting unreadable cache entry %s: %s", path, exc)
             # Writers only ever rename complete archives into place, so an
@@ -233,7 +239,7 @@ class TrackingCache:
                     age = time.time() - lock.stat().st_mtime  # repro: ignore[wall-clock]
                 except OSError:
                     continue  # holder released between open and stat
-                if age > self.lock_timeout:
+                if age > self.lock_timeout or not _holder_alive(lock):
                     self._logger.warning("breaking stale cache lock %s", lock)
                     try:
                         os.unlink(lock)

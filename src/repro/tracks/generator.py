@@ -10,7 +10,7 @@ strategies of Sec. 4.1 choose between.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,9 @@ class TrackingTimings:
     segmentation (and tracked volumes); ``chain`` chain construction plus
     the per-chain segment tables (and the 3D track table over them);
     ``stack`` the 3D stack laydown; ``link`` the 3D stack linking;
-    ``cache`` any tracking-cache probe/store time.
+    ``cache`` any tracking-cache probe/store time. ``cache_hit`` is
+    ``None`` when the generator did not look the cache up (no cache, or a
+    3D generator that adopted its radial laydown).
     """
 
     laydown_seconds: float = 0.0
@@ -53,7 +55,7 @@ class TrackingTimings:
     stack_seconds: float = 0.0
     link_seconds: float = 0.0
     cache_seconds: float = 0.0
-    cache_hit: bool = field(default=False)
+    cache_hit: bool | None = None
 
     def as_dict(self) -> dict[str, float]:
         return {
@@ -96,20 +98,16 @@ class TrackGenerator:
 
     # ------------------------------------------------------------ pipeline
 
-    def _cache_load(self) -> bool:
-        t0 = time.perf_counter()
-        hit = self.cache.load(self)
-        self.timings.cache_seconds += time.perf_counter() - t0
-        self.timings.cache_hit = hit
-        return hit
-
-    def _cache_store(self) -> None:
-        t0 = time.perf_counter()
-        self.cache.store(self)
-        self.timings.cache_seconds += time.perf_counter() - t0
-
-    def _generate_radial(self) -> None:
-        timings = self.timings
+    def generate(self) -> "TrackGenerator":
+        """Run laydown, linking, chain construction and 2D ray tracing, or
+        restore their products from the tracking cache."""
+        self.timings = timings = TrackingTimings()
+        if self.cache is not None:
+            t0 = time.perf_counter()
+            timings.cache_hit = self.cache.load(self)
+            timings.cache_seconds += time.perf_counter() - t0
+            if timings.cache_hit:
+                return self
         t0 = time.perf_counter()
         laydown = lay_tracks(self.geometry, self.azimuthal)
         links = link_tracks(laydown, self.geometry)
@@ -120,16 +118,11 @@ class TrackGenerator:
         timings.chain_seconds += t2 - t1
         self._segments = trace_all(self.geometry, self._table2d, tracer=self.tracer)
         self._volumes = self._tracked_volumes()
-        timings.trace2d_seconds += time.perf_counter() - t2
-
-    def generate(self) -> "TrackGenerator":
-        """Run laydown, linking, chain construction and 2D ray tracing."""
-        self.timings = TrackingTimings()
-        if self.cache is not None and self._cache_load():
-            return self
-        self._generate_radial()
+        t3 = time.perf_counter()
+        timings.trace2d_seconds += t3 - t2
         if self.cache is not None:
-            self._cache_store()
+            self.cache.store(self)
+            timings.cache_seconds += time.perf_counter() - t3
         return self
 
     def _require(self, attr: str):
@@ -286,14 +279,15 @@ class TrackGenerator3D(TrackGenerator):
         return self
 
     def generate(self) -> "TrackGenerator3D":
-        adopted = self._table2d is not None
-        self.timings = TrackingTimings()
+        """Build the 3D laydown over the radial one: the adopted laydown,
+        else :meth:`TrackGenerator.generate`'s (the one path through the
+        tracking cache, which holds radial laydowns only)."""
+        if self._table2d is None:
+            super().generate()
+        else:
+            self.timings = TrackingTimings()
         # Views of the previous laydown, if any.
         self._track_objects = self._chain_tables = None
-        if self.cache is not None and self._cache_load():
-            return self
-        if not adopted:
-            self._generate_radial()
         g3, mesh = self.geometry3d, self.geometry3d.axial_mesh
         timings = self.timings
         t0 = time.perf_counter()
@@ -311,15 +305,12 @@ class TrackGenerator3D(TrackGenerator):
             chain_closed=radial.chain_closed, z_edges=mesh.z_edges,
         )
         timings.chain_seconds += time.perf_counter() - t2
-        if self.cache is not None:
-            self._cache_store()
         return self
 
     def track_table(self) -> TrackTable3D:
         """The 3D laydown and chain tables: the columns every consumer
-        (tracer, sweep topology, storage strategies, tracking archive,
-        z-interface matching) reads. Built by :meth:`generate`, or
-        installed from the archived columns on a tracking-cache hit.
+        (tracer, sweep topology, storage strategies, z-interface
+        matching) reads. Built by :meth:`generate`, cache hit or miss.
         """
         return self._require("_track_table")
 

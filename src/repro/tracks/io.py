@@ -3,16 +3,13 @@
 Paper Sec. 2.1: "All 3D tracks are stored along with additional parameters
 on radial sections and could be restored during transport solving" — the
 tracking setup is expensive and reusable across solves. This module
-persists everything stage 3 produces as a single compressed ``.npz``
-archive and restores it against a compatible geometry. The laydown is
-archived exactly as the generator holds it, written and read verbatim:
-one ``t2_<column>`` member per column of the
-:class:`~repro.tracks.table2d.TrackTable2D` (tracks, links, chain CSR),
-the 2D segments (``s2_*``) and, for a 3D generator, ``t3_szsz`` plus one
-``t3_<column>`` member per per-track, link and per-stack column of the
-:class:`~repro.tracks.raytrace3d.TrackTable3D` — no track or chain object
-on either side. The chain tables are rebuilt from the restored 2D
-products on load.
+persists the radial laydown as a single compressed ``.npz`` archive and
+restores it against a compatible geometry: one ``t2_<column>`` member per
+column of the :class:`~repro.tracks.table2d.TrackTable2D` (tracks, links,
+chain CSR) and the 2D segments (``s2_*``), written and read verbatim — no
+track or chain object on either side. A 3D laydown is not archived: a 3D
+generator rebuilds it from the restored radial laydown and its own polar
+and axial settings.
 
 The archive is self-describing: a format version plus shape metadata are
 stored and checked on load, so a stale file fails loudly rather than
@@ -26,21 +23,18 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import TrackingError
-from repro.tracks.raytrace3d import LAYDOWN_COLUMNS, TrackTable3D, build_chain_tables
 from repro.tracks.segments import SegmentData
 from repro.tracks.table2d import TrackTable2D
 
-#: Version 3 stores the radial laydown as the :class:`TrackTable2D` columns
-#: (version 2 did so for the 3D laydown only).
-FORMAT_VERSION = 3
-
-#: Per-track table columns archived as ``t3_<name>`` beside ``t3_szsz``.
-_TABLE_COLUMNS = ("chain", "polar", "z_spacing") + LAYDOWN_COLUMNS
+#: Version 4 stores the radial laydown only (version 3 also stored the
+#: 3D laydown's columns).
+FORMAT_VERSION = 4
 
 
 def save_tracking(path: str | Path, trackgen) -> Path:
-    """Persist a generated :class:`~repro.tracks.generator.TrackGenerator`
-    (2D or 3D) to ``path`` (``.npz``)."""
+    """Persist the radial laydown of a generated
+    :class:`~repro.tracks.generator.TrackGenerator` (2D or 3D) to ``path``
+    (``.npz``)."""
     radial = trackgen.track_table_2d()
     segments = trackgen.segments
     data: dict[str, np.ndarray] = {
@@ -53,22 +47,17 @@ def save_tracking(path: str | Path, trackgen) -> Path:
     }
     for name in TrackTable2D.columns():
         data[f"t2_{name}"] = getattr(radial, name)
-    if hasattr(trackgen, "track_table"):
-        table = trackgen.track_table()
-        data["t3_szsz"] = table.szsz
-        for name in _TABLE_COLUMNS:
-            data[f"t3_{name}"] = getattr(table, name)
     path = Path(path)
     np.savez_compressed(path, **data)
     return path
 
 
 def load_tracking(path: str | Path, trackgen) -> None:
-    """Restore tracking products into a *non-generated* TrackGenerator.
+    """Restore the radial laydown into a *non-generated* TrackGenerator.
 
     The generator must wrap the same geometry (bounds and FSR count are
-    checked). After loading, the generator behaves as if
-    :meth:`generate` had run — volumes included.
+    checked). After loading, it holds what :meth:`generate`'s radial
+    pipeline builds — tracked volumes included.
     """
     archive = np.load(Path(path))
     version = int(archive["format_version"][0])
@@ -84,23 +73,10 @@ def load_tracking(path: str | Path, trackgen) -> None:
     if int(archive["num_fsrs"][0]) != trackgen.geometry.num_fsrs:
         raise TrackingError("archive FSR count does not match the geometry")
 
-    # A generator that adopted its radial laydown keeps the objects it
-    # shares (every slab of a z-decomposed solve holds the same table).
-    if trackgen._table2d is None:
-        trackgen._table2d = TrackTable2D(
-            **{name: archive[f"t2_{name}"] for name in TrackTable2D.columns()}
-        )
-        trackgen._segments = SegmentData(
-            archive["s2_lengths"], archive["s2_fsr"], archive["s2_offsets"]
-        )
-        trackgen._volumes = trackgen._tracked_volumes()
-
-    if "t3_szsz" in archive and hasattr(trackgen, "track_table"):
-        radial = trackgen._table2d
-        trackgen._track_table = TrackTable3D(
-            archive["t3_szsz"],
-            **build_chain_tables(radial, trackgen._segments),
-            chain_closed=radial.chain_closed,
-            z_edges=trackgen.geometry3d.axial_mesh.z_edges,
-            **{name: archive[f"t3_{name}"] for name in _TABLE_COLUMNS},
-        )
+    trackgen._table2d = TrackTable2D(
+        **{name: archive[f"t2_{name}"] for name in TrackTable2D.columns()}
+    )
+    trackgen._segments = SegmentData(
+        archive["s2_lengths"], archive["s2_fsr"], archive["s2_offsets"]
+    )
+    trackgen._volumes = trackgen._tracked_volumes()

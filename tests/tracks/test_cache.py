@@ -5,6 +5,8 @@ import pytest
 
 from repro.geometry import Geometry, Lattice
 from repro.geometry.universe import make_pin_cell_universe
+from repro.parallel import ZDecomposedSolver
+from repro.solver import MOCSolver
 from repro.tracks import TrackGenerator, TrackGenerator3D, TrackTable2D, TrackTable3D
 from repro.tracks.cache import (
     CACHE_DIR_ENV_VAR,
@@ -120,6 +122,20 @@ class TestKeying:
         b = make_generator(make_pin_geometry(mox87, moderator), cache)
         assert cache.key_for(a) == cache.key_for(b)
 
+    def test_polar_and_axial_settings_do_not_affect_the_key(
+        self, small_geometry_3d, tmp_path
+    ):
+        """The archive is the radial laydown, which reads neither."""
+        cache = TrackingCache(tmp_path)
+        radial = TrackGenerator(
+            small_geometry_3d.radial, num_azim=4, azim_spacing=0.8, num_polar=4
+        )
+        extruded = TrackGenerator3D(
+            small_geometry_3d, num_azim=4, azim_spacing=0.8, polar_spacing=0.3,
+            num_polar=2,
+        )
+        assert cache.key_for(radial) == cache.key_for(extruded)
+
     def test_fingerprint_ignores_names(self, uo2, moderator):
         g1 = make_pin_geometry(uo2, moderator)
         g2 = make_pin_geometry(uo2, moderator)
@@ -200,3 +216,43 @@ class TestThreeD:
         assert not build().timings.cache_hit
         assert build().timings.cache_hit
 
+
+
+class TestOneEntryKind:
+    """A 2D run, a 3D run and a z-decomposed run over one radial geometry
+    share one entry: the radial laydown."""
+
+    @staticmethod
+    def entries(cache):
+        return sorted(cache.cache_dir.glob("tracking-*.npz"))
+
+    def test_2d_then_3d_solve_share_one_entry(self, small_geometry_3d, tmp_path):
+        cache = TrackingCache(tmp_path)
+        flat = MOCSolver.for_2d(
+            small_geometry_3d.radial, num_azim=4, azim_spacing=0.8, num_polar=4,
+            max_iterations=3, cache=cache,
+        )
+        flat.solve()
+        assert flat.trackgen.timings.cache_hit is False
+        assert len(self.entries(cache)) == 1
+        extruded = MOCSolver.for_3d(
+            small_geometry_3d, num_azim=4, azim_spacing=0.8, polar_spacing=0.8,
+            num_polar=2, storage="EXP", max_iterations=3, cache=cache,
+        )
+        extruded.solve()
+        assert extruded.trackgen.timings.cache_hit is True
+        assert self.entries(cache) == [cache.path_for(flat.trackgen)]
+
+    def test_z_decomposed_run_writes_one_entry(self, small_geometry_3d, tmp_path):
+        cache = TrackingCache(tmp_path)
+        solver = ZDecomposedSolver(
+            small_geometry_3d, num_domains=2, num_azim=4, azim_spacing=0.8,
+            polar_spacing=0.8, num_polar=2, max_iterations=3, engine="inproc",
+            cache=cache,
+        )
+        assert self.entries(cache) == [cache.path_for(solver.radial)]
+        warm = TrackGenerator3D(
+            small_geometry_3d, num_azim=4, azim_spacing=0.8, polar_spacing=0.8,
+            num_polar=2, cache=cache,
+        ).generate()
+        assert warm.timings.cache_hit is True

@@ -2,15 +2,22 @@
 
 N forked processes hammer one content-addressed key; the invariants are
 that exactly one valid entry survives, it stays loadable throughout, and
-no temp files or lockfiles are left behind.
+no temp files or lockfiles are left behind. :class:`TestFaults` holds the
+tracking-cache rows of DESIGN.md's fault model: a torn entry under
+concurrent readers, and a killed writer's lock.
 """
 
+import logging
 import multiprocessing
 import os
+import subprocess
+import sys
+import time
 
+import numpy as np
 import pytest
 
-from repro.tracks import TrackGenerator
+from repro.tracks import TrackGenerator, TrackTable2D
 from repro.tracks.cache import TrackingCache
 
 needs_fork = pytest.mark.skipif(
@@ -83,3 +90,103 @@ class TestConcurrentStore:
         assert stored.exists()
         assert lock.exists()  # not ours to remove
         lock.unlink()
+
+
+def _same_laydown(got, want) -> bool:
+    got_table, want_table = got.track_table_2d(), want.track_table_2d()
+    pairs = [
+        (getattr(got_table, name), getattr(want_table, name))
+        for name in TrackTable2D.columns()
+    ] + [
+        (got.segments.lengths, want.segments.lengths),
+        (got.segments.fsr_ids, want.segments.fsr_ids),
+        (got.segments.offsets, want.segments.offsets),
+        (got.fsr_volumes, want.fsr_volumes),
+    ]
+    return all(
+        a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+        for a, b in pairs
+    )
+
+
+def _rewrite(cache, trackgen, seconds):
+    """Writer: drop the entry and store it again, over and over."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        try:
+            os.unlink(cache.path_for(trackgen))
+        except FileNotFoundError:
+            pass
+        cache.store(trackgen)
+    raise SystemExit(0)
+
+
+def _read(cache, fresh, seconds):
+    """Reader: every load is a miss or the fresh laydown, bit for bit, and
+    no entry it opens is unreadable (an eviction would hide a torn one).
+    Exit 0 when that held and at least one load hit."""
+    evictions = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = evictions.append
+    logging.getLogger("repro.tracks.cache").addHandler(handler)
+    hits = 0
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        got = TrackGenerator(fresh.geometry, num_azim=8, azim_spacing=0.5, num_polar=4)
+        if cache.load(got):
+            if not _same_laydown(got, fresh):
+                raise SystemExit(2)
+            hits += 1
+    raise SystemExit(3 if evictions else 0 if hits else 4)
+
+
+class TestFaults:
+    @needs_fork
+    def test_torn_entry_under_concurrent_readers(self, cache, small_trackgen):
+        cache.store(small_trackgen)
+        ctx = multiprocessing.get_context("fork")
+        procs = [
+            ctx.Process(target=_rewrite, args=(cache, small_trackgen, 1.5))
+            for _ in range(2)
+        ] + [
+            ctx.Process(target=_read, args=(cache, small_trackgen, 1.5))
+            for _ in range(3)
+        ]
+        for p in procs:
+            p.start()
+        for p in procs:
+            p.join(timeout=60)
+        assert [p.exitcode for p in procs] == [0] * len(procs)
+        assert [e.name for e in cache.cache_dir.iterdir()] == [
+            cache.path_for(small_trackgen).name
+        ]
+
+    def test_truncated_entry_is_a_miss_deleted_then_rewritten(
+        self, cache, small_trackgen, reflective_box
+    ):
+        path = cache.store(small_trackgen)
+        whole = path.read_bytes()
+        path.write_bytes(whole[: len(whole) // 2])
+
+        def fresh():
+            return TrackGenerator(reflective_box, num_azim=8, azim_spacing=0.5, num_polar=4)
+
+        assert not cache.load(fresh())
+        assert not path.exists()
+        assert cache.store(small_trackgen) == path
+        assert path.read_bytes() == whole
+        hit = fresh()
+        assert cache.load(hit) and _same_laydown(hit, small_trackgen)
+
+    def test_killed_writers_lock_does_not_stall_the_store(self, cache, small_trackgen):
+        """A lock naming a process that has exited is broken at once, not
+        after ``lock_timeout`` (60 s here)."""
+        writer = subprocess.Popen([sys.executable, "-c", ""])
+        writer.wait()
+        lock = cache.path_for(small_trackgen).with_suffix(".lock")
+        cache.cache_dir.mkdir(parents=True)
+        lock.write_text(f"{writer.pid}\n")
+        started = time.monotonic()
+        path = cache.store(small_trackgen)
+        assert time.monotonic() - started < 1.0
+        assert path.exists() and not lock.exists()

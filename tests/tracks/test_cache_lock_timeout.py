@@ -21,10 +21,11 @@ from repro.tracks.cache import LOCK_STALE_SECONDS, TrackingCache, resolve_cache
 
 
 def foreign_lock(cache, trackgen, age=0.0):
-    """Plant a lockfile as a concurrent (or dead) writer would."""
+    """Plant a lockfile as a concurrent writer would (a live process: this
+    one), aged ``age`` seconds as a hung writer's would be."""
     lock = cache.path_for(trackgen).with_suffix(".lock")
     lock.parent.mkdir(parents=True, exist_ok=True)
-    lock.write_text("12345")
+    lock.write_text(f"{os.getpid()}\n")
     if age:
         past = time.time() - age
         os.utime(lock, (past, past))

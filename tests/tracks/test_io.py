@@ -6,7 +6,7 @@ import pytest
 from repro.errors import TrackingError
 from repro.geometry import Geometry, Lattice
 from repro.geometry.universe import make_homogeneous_universe
-from repro.tracks import TrackGenerator, TrackGenerator3D
+from repro.tracks import TrackGenerator
 from repro.tracks.io import load_tracking, save_tracking
 
 
@@ -52,26 +52,6 @@ class TestSaveLoad2D:
         fresh = TrackGenerator(reflective_box, num_azim=8, azim_spacing=0.5, num_polar=4)
         load_tracking(path, fresh)
         assert solve(fresh) == pytest.approx(solve(small_trackgen), abs=1e-14)
-
-
-class TestSaveLoad3D:
-    def test_roundtrip_3d(self, small_geometry_3d, tmp_path, small_trackgen_3d):
-        path = save_tracking(tmp_path / "tracks3d.npz", small_trackgen_3d)
-        fresh = TrackGenerator3D(
-            small_geometry_3d, num_azim=4, azim_spacing=0.8,
-            polar_spacing=0.8, num_polar=2,
-        )
-        load_tracking(path, fresh)
-        assert fresh.num_tracks_3d == small_trackgen_3d.num_tracks_3d
-        for a, b in zip(fresh.tracks3d, small_trackgen_3d.tracks3d):
-            assert a.chain == b.chain and a.polar == b.polar
-            assert a.length == pytest.approx(b.length)
-        # OTF segmentation reproduces bit-for-bit
-        for a, b in zip(fresh.tracks3d[:20], small_trackgen_3d.tracks3d[:20]):
-            fa, la = fresh.trace_track_3d(a)
-            fb, lb = small_trackgen_3d.trace_track_3d(b)
-            np.testing.assert_array_equal(fa, fb)
-            np.testing.assert_allclose(la, lb)
 
 
 class TestValidation:

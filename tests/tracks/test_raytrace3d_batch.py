@@ -300,21 +300,6 @@ class TestSubsets:
             np.testing.assert_array_equal(fsrs, efsrs)
             np.testing.assert_array_equal(lengths, elengths)
 
-    def test_cache_restored_table_is_the_fresh_one(self, tg, tmp_path):
-        from repro.tracks.io import load_tracking, save_tracking
-
-        path = save_tracking(tmp_path / "tracking.npz", tg)
-        restored = TrackGenerator3D(
-            tg.geometry3d, num_azim=8, azim_spacing=0.5, polar_spacing=0.3, num_polar=2
-        )
-        load_tracking(path, restored)
-        assert restored._track_table is not None  # installed from t3_szsz
-        fresh = tg.track_table()
-        for name in TrackTable3D.__slots__:
-            np.testing.assert_array_equal(
-                getattr(restored.track_table(), name), getattr(fresh, name)
-            )
-
 
 # --------------------------------------------- loops the same table replaced
 

@@ -190,6 +190,7 @@ def test_z_decomposed_solve_builds_no_objects(small_geometry_3d, constructions, 
             assert domain.trackgen.track_table_2d() is solver.radial.track_table_2d()
             assert domain.trackgen.segments is solver.radial.segments
             assert domain.trackgen.fsr_volumes is solver.radial.fsr_volumes
-    assert hits == [[False] * 3, [True] * 3]
+    # One lookup per run: the radial generator's; the slabs adopt its laydown.
+    assert hits == [[False, None, None], [True, None, None]]
     assert solver.routes and constructions == []
     assert solver.domains[0].trackgen.tracks is solver.radial.tracks
