@@ -24,9 +24,9 @@ parent schedules of :mod:`repro.engine.mp` and
   and edge loop variables, ``pack.outgoing`` index arrays, block views).
   Two workers' slices then cannot overlap within an epoch.
 * ``shm-untracked-parent-write`` — the untracked arena cells (``control``,
-  ``factors``, ``grant``) are parent-owned single-writer words published
-  in parent-synchronised phases; a worker-side write to any of them is a
-  protocol violation.
+  ``factors``, ``grant``, ``row_offsets``) are parent-owned single-writer
+  words published in parent-synchronised phases; a worker-side write to
+  any of them is a protocol violation.
 
 What stays dynamic: actual index *values* (the checker reasons about
 which names flow into a slice, not arithmetic), cross-process timing, and
@@ -64,11 +64,12 @@ ARENA_FIELDS = frozenset(
     {
         "phi", "phi_new", "halo", "control", "currents", "factors",
         "fission", "prod", "edge_seq", "worker_seq", "fission_seq", "grant",
+        "volumes", "entries", "row_offsets",
     }
 )
 
 #: Parent-owned single-writer cells: workers read, never write.
-PARENT_OWNED = frozenset({"control", "factors", "grant"})
+PARENT_OWNED = frozenset({"control", "factors", "grant", "row_offsets"})
 
 #: Ownership roots a worker's partitioned indices derive from.
 OWNERSHIP_ROOTS = ("wid", "owned")

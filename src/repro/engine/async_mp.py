@@ -41,7 +41,7 @@ from __future__ import annotations
 import time
 import traceback
 from functools import partial
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 import numpy as np
 
@@ -49,8 +49,11 @@ from repro.engine.mp import (
     WORKER_ERRORS,
     Field,
     MpEngine,
+    PhaseBarrier,
+    SemaphoreBarrier,
     WorkerView,
     fmt_bytes,
+    start_up,
 )
 from repro.engine.problem import DecomposedProblem, EdgePack
 from repro.engine.base import EngineResult
@@ -94,11 +97,13 @@ def _wait_value(array: Field, index: int, threshold: int, timeout: float,
 
 
 def _async_worker_loop(problem: DecomposedProblem, pack: EdgePack, wid: int,
-                       owned: list[int], fields: Mapping[str, Field],
+                       owned: list[int], fields: Arena, barrier: PhaseBarrier,
                        wait: Callable[[Field, int, int, float, str], bool],
                        answer: Any, timeout: float,
                        view: WorkerView) -> None:
-    """Worker body: grant-gated sweeps with per-edge mailbox waits.
+    """Worker body: the start-up step every engine worker runs
+    (:func:`~repro.engine.mp.start_up`, through ``barrier``, timed as
+    ``worker_build``), then grant-gated sweeps with per-edge mailbox waits.
 
     Local iteration ``t`` consumes grant ``t+1``, normalises the previous
     sweep (publishing ``fission_seq``), then per owned domain waits for
@@ -114,10 +119,12 @@ def _async_worker_loop(problem: DecomposedProblem, pack: EdgePack, wid: int,
     (:func:`_wait_value` as shipped) it blocks in.
     """
     timer = StageTimer()
-    cmfd = problem.cmfd
+    accelerated = problem.mesh is not None
     stalls = 0
     overlapped = 0
     try:
+        with timer.stage("worker_build"):
+            start_up(problem, owned, fields, barrier, answer, timeout)
         fields, wait, report = view(fields, wait)
         halo = fields["halo"]
         phi, phi_new = fields["phi"], fields["phi_new"]
@@ -139,11 +146,11 @@ def _async_worker_loop(problem: DecomposedProblem, pack: EdgePack, wid: int,
                     for d in owned:
                         rows = problem.rows(d)
                         block = phi_new[rows] / pnorm
-                        if cmfd is not None:
+                        if accelerated:
                             # CMFD prolongation: same divide-then-multiply
                             # element order as the inproc reference, so the
                             # flux stays bitwise equal with acceleration on.
-                            block *= factors[problem.block(d, cmfd.cellmap)]
+                            block *= factors[problem.cells(d)]
                         phi[rows] = block
                         fission[rows] = problem.fission_source(d, block)
                 fission_seq[wid] = t
@@ -167,7 +174,7 @@ def _async_worker_loop(problem: DecomposedProblem, pack: EdgePack, wid: int,
                             problem.sweeper(d).psi_in[tracks, dirs] = halo[
                                 pack.edge_slots(e, (t - 1) % 2)
                             ]
-                    if cmfd is not None:
+                    if accelerated:
                         # Rescale the stored boundary flux by the grant's
                         # prolongation factors (published before grant t+1,
                         # i.e. the factors of iteration t-1) — after the
@@ -180,12 +187,12 @@ def _async_worker_loop(problem: DecomposedProblem, pack: EdgePack, wid: int,
                             )
                 with timer.stage("worker_sweep"):
                     phi_new[rows] = problem.sweep_domain(d, phi[rows], keff)
-                    if cmfd is not None:
+                    if accelerated:
                         # Publish before worker_seq: the parent reads the
                         # coarse tallies only after every worker_seq >= t+1,
                         # and grants t+2 only after the coarse solve, so
                         # the single buffer is never overwritten early.
-                        cmfd.domain_rows(currents, d)[:] = problem.sweeper(
+                        problem.current_rows(currents, d)[:] = problem.sweeper(
                             d
                         ).current_tally.take()
                     for e in pack.out_edges(d):
@@ -213,6 +220,7 @@ def _async_worker_loop(problem: DecomposedProblem, pack: EdgePack, wid: int,
             "async worker %d failed: %s", wid, exc
         )
         answer.send(("error", traceback.format_exc()))
+        barrier.abort()  # a sibling or the parent may wait in the start-up step
         raise SystemExit(1)
 
 
@@ -264,8 +272,7 @@ class AsyncMpEngine(MpEngine):
         self._prepare_solve(problem, W)
         pack = EdgePack(problem)
         slot = pack.slot_shape if pack.num_routes else problem.slot_shape
-        cmfd = problem.cmfd
-        shapes = {
+        arena = self._arena(problem, {
             "phi": (problem.num_fsrs_total, problem.num_groups),
             "phi_new": (problem.num_fsrs_total, problem.num_groups),
             "halo": (2 * pack.num_slots,) + tuple(slot),
@@ -275,18 +282,13 @@ class AsyncMpEngine(MpEngine):
             "worker_seq": (W,),
             "fission_seq": (W,),
             "grant": (4,),
-        }
-        if cmfd is not None:
-            shapes["currents"] = (max(cmfd.total_pair_rows, 1), problem.num_groups)
-            shapes["factors"] = (cmfd.num_cells, problem.num_groups)
-        arena = Arena(shapes)
+        })
         phi, phi_new = arena["phi"], arena["phi_new"]
         fission, prod = arena["fission"], arena["prod"]
         worker_seq, fission_seq = arena["worker_seq"], arena["fission_seq"]
         grant = arena["grant"]
-        currents = arena["currents"] if cmfd is not None else None
-        factors = arena["factors"] if cmfd is not None else None
-        fields = {name: arena[name] for name in shapes}
+        factors = arena.get("factors")
+        barrier = SemaphoreBarrier(ctx, W + 1)  # the start-up step's only
         answers: list[Any] = []
         owned = [[d for d in range(D) if d % W == w] for w in range(W)]
         procs: list[Any] = []
@@ -299,7 +301,8 @@ class AsyncMpEngine(MpEngine):
             grant[_EPOCH] = float(epoch)
 
         def current_rows():
-            return [cmfd.domain_rows(currents, d) for d in range(D)]
+            currents = arena["currents"]
+            return [problem.current_rows(currents, d) for d in range(D)]
 
         def publish(flux, mult):
             # The parent never touches the flux: workers apply the factors
@@ -317,12 +320,13 @@ class AsyncMpEngine(MpEngine):
                     answers.append(answer)
                     procs.append(start(
                         target=_async_worker_loop,
-                        args=(problem, pack, w, owned[w], fields, _wait_value, send,
-                              self.timeout, partial(self._worker_view, W, w)),
+                        args=(problem, pack, w, owned[w], arena, barrier, _wait_value,
+                              send, self.timeout, partial(self._worker_view, W, w)),
                         name=f"repro-{self.name}-worker-{w}",
                         daemon=True,
                         ends=(send,),
                     ))
+                self._start_up(problem, arena, barrier, answers, procs)
                 phi.fill(1.0)
                 # The grant/harvest schedule is this engine's own; its
                 # steps are the shared power iteration's.
@@ -340,7 +344,7 @@ class AsyncMpEngine(MpEngine):
                     )
                     pack.account_iteration(comm.stats)
                     power.advance(0, new_production)
-                    if cmfd is not None:
+                    if problem.cmfd is not None:
                         # Parent-side work between the harvest and the
                         # next grant.
                         power.accelerate(0, phi_new, phi, new_production)
@@ -366,6 +370,7 @@ class AsyncMpEngine(MpEngine):
             # satisfies every pending grant wait and stops the loop.
             issue(int(grant[_EPOCH]) + problem.max_iterations + 2,
                   float(grant[_KEFF]), float(grant[_PNORM]), HALT)
+            barrier.abort()  # and any still in the start-up step
             reap(procs, asked=True)
             for answer in answers:
                 answer.close()

@@ -44,7 +44,6 @@ class InprocEngine(ExecutionEngine):
 
     def solve(self, problem: DecomposedProblem, comm: SimComm) -> EngineResult:
         timer = StageTimer()
-        cmfd = problem.cmfd
         ranks = range(problem.num_domains)
         phi = np.ones((problem.num_fsrs_total, problem.num_groups))
         swept = np.empty_like(phi)
@@ -61,12 +60,17 @@ class InprocEngine(ExecutionEngine):
             return [problem.sweeper(d).current_tally.take() for d in ranks]
 
         def prolong(flux, factors):
-            flux *= factors[cmfd.cellmap]
+            flux *= factors[problem.mesh.cellmap]
             for d in ranks:
                 sweeper = problem.sweeper(d)
                 sweeper.current_tally.scale_boundary_flux(sweeper.psi_in, factors)
 
         with timer.stage("engine_solve"):
+            # The start-up step: this process sweeps every domain, so it
+            # builds them all; there is no one to wait for.
+            volumes = np.empty(problem.num_fsrs_total)
+            entries = np.empty(len(problem.routes))
+            problem.adopt([problem.build(ranks, volumes, entries, lambda: None)], volumes)
             solved = problem.power_iteration(
                 comm, timer, current_rows, prolong, sweep
             ).run([phi])[0]

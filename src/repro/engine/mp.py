@@ -21,9 +21,13 @@ exactly the simulator's values, and traffic is accounted along the same
 route tables — so the ``mp`` engine reproduces ``inproc`` results
 *bitwise*, while the sweeps really execute on separate cores.
 
-Each worker answers once, up its own one-way pipe: its end-of-run report,
-or the traceback of the error that stopped it (after which it exits
-non-zero, so the parent's liveness checks see it die).
+Before the first sweep, one start-up step builds the subdomains where
+they are swept: each worker builds its own (:func:`start_up`), the
+parent only what needs every subdomain (the route table, the coarse CMFD
+problem). Each worker answers up its own one-way pipe: once with what it
+built, once with its end-of-run report — or with the traceback of the
+error that stopped it (after which it exits non-zero, so the parent's
+liveness checks see it die).
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ import traceback
 from functools import partial
 from threading import BrokenBarrierError
 from typing import Any, Callable, Mapping, NoReturn, Protocol
+
+import numpy as np
 
 from repro.constants import DEFAULT_ENGINE_TIMEOUT
 from repro.engine.base import EngineResult, ExecutionEngine, resolve_engine_timeout
@@ -166,16 +172,42 @@ WorkerView = Callable[
 ]
 
 
+def start_up(problem: DecomposedProblem, owned: list[int], arena: Arena,
+             barrier: PhaseBarrier, answer: Any, timeout: float) -> None:
+    """A worker's half of a solve's one-time start-up step, before its
+    loop: build the ``owned`` domains (:meth:`DecomposedProblem.build`,
+    writing their volumes and received entry cells into the ``arena``; its
+    rendezvous is one barrier passage, after which every worker's entry
+    cells are in), send what it built up the ``answer`` pipe, then wait in
+    the barrier again while the parent lays out the ``currents`` field
+    that answer sized, and map it too (with CMFD on).
+
+    Every engine worker runs this, through the raw barrier: both
+    passages come before the loop's first, whatever the engine's own
+    protocol.
+    """
+    built = problem.build(
+        owned, arena["volumes"], arena["entries"], lambda: barrier.wait(timeout)
+    )
+    answer.send(("built", built))
+    barrier.wait(timeout)
+    if problem.mesh is not None:
+        problem.row_offsets = arena["row_offsets"].astype(np.intp)
+        arena.lay_out("currents", (max(int(problem.row_offsets[-1]), 1), problem.num_groups))
+
+
 def _worker_loop(problem: DecomposedProblem, pack: RoutePack, wid: int,
-                 owned: list[int], fields: Mapping[str, Field],
+                 owned: list[int], fields: Arena,
                  barrier: PhaseBarrier, answer: Any, timeout: float,
                  view: WorkerView) -> None:
-    """Worker body: barrier-phased sweep/exchange until the stop flag.
+    """Worker body: the start-up step (:func:`start_up`, timed as
+    ``worker_build``), then barrier-phased sweep/exchange until the stop
+    flag.
 
     The loop subscripts and waits through whatever ``view`` (the engine's
     :meth:`MpEngine._worker_view`) returns for its ``fields`` and
     ``barrier``, and sends ``view``'s report dict with its timers up its
-    ``answer`` pipe as its one answer.
+    ``answer`` pipe as its last answer.
 
     With CMFD on, a worker's sweep phase also rescales its domains' stored
     boundary flux by the previous iteration's prolongation factors (the
@@ -185,9 +217,11 @@ def _worker_loop(problem: DecomposedProblem, pack: RoutePack, wid: int,
     parent's rank-ordered reduction.
     """
     timer = StageTimer()
-    cmfd = problem.cmfd
+    accelerated = problem.mesh is not None
     iteration = 0
     try:
+        with timer.stage("worker_build"):
+            start_up(problem, owned, fields, barrier, answer, timeout)
         fields, barrier, report = view(fields, barrier)
         phi, phi_new = fields["phi"], fields["phi_new"]
         halo, control = fields["halo"], fields["control"]
@@ -201,13 +235,13 @@ def _worker_loop(problem: DecomposedProblem, pack: RoutePack, wid: int,
                 for d in owned:
                     sweeper = problem.sweeper(d)
                     rows = problem.rows(d)
-                    if cmfd is not None and iteration > 0:
+                    if accelerated and iteration > 0:
                         sweeper.current_tally.scale_boundary_flux(
                             sweeper.psi_in, factors
                         )
                     phi_new[rows] = problem.sweep_domain(d, phi[rows], keff)
-                    if cmfd is not None:
-                        cmfd.domain_rows(currents, d)[:] = (
+                    if accelerated:
+                        problem.current_rows(currents, d)[:] = (
                             sweeper.current_tally.take()
                         )
                     idx, tracks, dirs = pack.outgoing(d)
@@ -274,18 +308,21 @@ class MpEngine(ExecutionEngine):
         requested = self.workers or num_domains
         return max(1, min(int(requested), num_domains))
 
-    def _answers(self, answers, procs) -> dict[int, Any]:
-        """What the workers answered within :data:`GRACE_S`, by worker: a
-        ``(kind, payload)`` message, or ``None`` for a worker that exited
-        without one.
+    def _answers(
+        self, answers, procs, expect: str = "done", within: float = GRACE_S
+    ) -> dict[int, Any]:
+        """What the workers answered next within ``within`` seconds, by
+        worker: a ``(kind, payload)`` message, or ``None`` for a worker
+        that exited without one.
 
         Each round blocks on the first unheard worker's ``[pipe, sentinel]``
         for one :data:`LIVENESS_SLICE_S`, then looks at every unheard
-        worker. Once one has failed, a round with no news ends the wait:
-        a sibling still asleep in a wait would only delay the report.
+        worker. Once one has answered anything but ``expect`` or died, a
+        round with no news ends the wait: a sibling still asleep in a wait
+        would only delay the report.
         """
         heard_from: dict[int, Any] = {}
-        deadline = time.monotonic() + GRACE_S
+        deadline = time.monotonic() + within
         while len(heard_from) < len(procs) and (left := deadline - time.monotonic()) > 0:
             pending = [w for w in range(len(procs)) if w not in heard_from]
             wait(procs[pending[0]], answers[pending[0]], min(left, LIVENESS_SLICE_S))
@@ -296,9 +333,47 @@ class MpEngine(ExecutionEngine):
                     heard_from[w], news = heard(answers[w]), True
                 elif exited:
                     heard_from[w], news = None, True
-            if not news and any(m is None or m[0] != "done" for m in heard_from.values()):
+            if not news and any(m is None or m[0] != expect for m in heard_from.values()):
                 break
         return heard_from
+
+    def _start_up(self, problem: DecomposedProblem, arena: Arena, barrier, answers,
+                  procs) -> None:
+        """The parent's half of the start-up step (the workers' is
+        :func:`start_up`): pass the barrier once every worker's entry cells
+        are in, hear each worker's one start-up answer, adopt what they
+        built (:meth:`DecomposedProblem.adopt`), lay out the ``currents``
+        field at its now known size, and release the workers to map it.
+        A worker that fails or dies meanwhile fails the solve, named."""
+        self._wait(barrier, answers, procs)
+        heard_from = self._answers(answers, procs, expect="built", within=self.timeout)
+        if len(heard_from) < len(procs) or any(
+            m is None or m[0] != "built" for m in heard_from.values()
+        ):
+            self._raise_worker_failure(heard_from, procs)
+        problem.adopt([m[1] for _, m in sorted(heard_from.items())], arena["volumes"])
+        if problem.cmfd is not None:
+            arena["row_offsets"][:] = problem.cmfd.row_offsets
+            arena.lay_out(
+                "currents", (max(problem.cmfd.total_pair_rows, 1), problem.num_groups)
+            )
+        self._wait(barrier, answers, procs)
+
+    def _arena(self, problem: DecomposedProblem, shapes: dict[str, tuple[int, ...]]) -> Arena:
+        """The solve's arena: the engine's own ``shapes`` plus what every
+        engine shares — the start-up step's fixed-size fields and, with
+        CMFD on, the prolongation ``factors`` and the ``currents`` laid
+        out after the start-up step."""
+        shapes = {
+            **shapes,
+            "volumes": (problem.num_fsrs_total,),
+            "entries": (max(len(problem.routes), 1),),
+        }
+        if problem.mesh is None:
+            return Arena(shapes)
+        shapes["factors"] = (problem.mesh.num_cells, problem.num_groups)
+        shapes["row_offsets"] = (problem.num_domains + 1,)
+        return Arena(shapes, later=("currents",))
 
     def _raise_worker_failure(self, heard_from: dict[int, Any], procs) -> NoReturn:
         """Surface the worker error that actually broke the solve.
@@ -362,24 +437,15 @@ class MpEngine(ExecutionEngine):
         self._prepare_solve(problem, W)
         pack = RoutePack(problem)
         slot = pack.slot_shape if pack.num_routes else problem.slot_shape
-        cmfd = problem.cmfd
-        shapes = {
+        arena = self._arena(problem, {
             "phi": (problem.num_fsrs_total, problem.num_groups),
             "phi_new": (problem.num_fsrs_total, problem.num_groups),
             "halo": (max(pack.num_routes, 1),) + tuple(slot),
             "control": (2,),
-        }
-        if cmfd is not None:
-            shapes["currents"] = (
-                max(cmfd.total_pair_rows, 1), problem.num_groups
-            )
-            shapes["factors"] = (cmfd.num_cells, problem.num_groups)
-        arena = Arena(shapes)
-        fields = {name: arena[name] for name in shapes}
+        })
         phi, phi_new = arena["phi"], arena["phi_new"]
         control = arena["control"]
-        currents = arena["currents"] if cmfd is not None else None
-        factors = arena["factors"] if cmfd is not None else None
+        factors = arena.get("factors")
         barrier = SemaphoreBarrier(ctx, W + 1)
         answers: list[Any] = []
         owned = [[d for d in range(D) if d % W == w] for w in range(W)]
@@ -394,12 +460,13 @@ class MpEngine(ExecutionEngine):
             return [phi_new]
 
         def current_rows():
-            return [cmfd.domain_rows(currents, d) for d in range(D)]
+            currents = arena["currents"]
+            return [problem.current_rows(currents, d) for d in range(D)]
 
         def prolong(flux, mult):
             # psi_in is process-private after fork: workers rescale theirs
             # from the published factors at the start of the next sweep.
-            flux *= mult[cmfd.cellmap]
+            flux *= mult[problem.mesh.cellmap]
             factors[:] = mult
 
         self._logger.info(
@@ -413,12 +480,13 @@ class MpEngine(ExecutionEngine):
                     answers.append(answer)
                     procs.append(start(
                         target=_worker_loop,
-                        args=(problem, pack, w, owned[w], fields, barrier, send,
+                        args=(problem, pack, w, owned[w], arena, barrier, send,
                               self.timeout, partial(self._worker_view, W, w)),
                         name=f"repro-{self.name}-worker-{w}",
                         daemon=True,
                         ends=(send,),
                     ))
+                self._start_up(problem, arena, barrier, answers, procs)
                 phi.fill(1.0)
                 solved = problem.power_iteration(
                     comm, timer, current_rows, prolong, sweep

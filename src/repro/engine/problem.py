@@ -22,12 +22,19 @@ actually reads.
 from __future__ import annotations
 
 from collections import Counter
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import DecompositionError
 from repro.parallel.comm import CommStats
-from repro.solver.cmfd import apply_engine_cmfd
+from repro.runtime.cpus import trim_heap
+from repro.solver.cmfd import (
+    apply_engine_cmfd,
+    coarse_problem,
+    domain_current_tally,
+    traversal_entry_cells,
+)
 from repro.solver.power import PowerIteration, Transport
 
 
@@ -36,8 +43,11 @@ class DecomposedProblem:
 
     ``solver.domains`` entries are :class:`~repro.solver.domain.Domain`
     objects — 2D lattice cuts and 3D axial slabs alike — so one adapter
-    serves both drivers, and a slab's storage strategy regenerates its
-    segments inside whichever worker sweeps it.
+    serves both drivers. They arrive with their tracks laid down; the
+    solve's one-time start-up step builds each in the process that sweeps
+    it (:meth:`build`) and hands the solve's parent what it needs of them
+    (:meth:`adopt`), so a slab's storage strategy segments and regenerates
+    inside whichever worker sweeps it.
     """
 
     def __init__(self, solver) -> None:
@@ -46,18 +56,110 @@ class DecomposedProblem:
         self.num_fsrs_total = solver.num_fsrs_total
         self.num_groups = solver.domains[0].terms.num_groups
         self.routes = tuple(solver.routes)
+        #: The route table as columns: source domain, track, direction,
+        #: destination domain, track, direction.
+        self.route_columns = np.array(
+            [
+                (r.src_domain, r.src_track, r.src_dir, r.dst_domain, r.dst_track, r.dst_dir)
+                for r in self.routes
+            ],
+            dtype=np.intp,
+        ).reshape(-1, 6)
         self.max_iterations = solver.max_iterations
         self.keff_tolerance = solver.keff_tolerance
         self.source_tolerance = solver.source_tolerance
+        #: The global coarse mesh when the driver enabled CMFD, else
+        #: ``None``; the coarse problem over it is :attr:`cmfd`.
+        self.mesh = solver.cmfd_mesh
+        self.cmfd_options = solver.cmfd_options
         #: Global coarse CMFD problem
-        #: (:class:`~repro.solver.cmfd.CmfdProblem`) when the driver
-        #: enabled acceleration, else ``None``. Engines that see one run
-        #: the coarse solve between sweeps: per-domain current tallies
-        #: (``sweeper(d).current_tally``) reduce in rank order, the
-        #: prolongation multiplies the normalised flux, and each domain's
-        #: stored boundary flux is rescaled — all deterministic, so every
-        #: engine stays bitwise-equal with CMFD on.
-        self.cmfd = solver.cmfd_problem
+        #: (:class:`~repro.solver.cmfd.CmfdProblem`), built by
+        #: :meth:`adopt` in the process that runs the power iteration;
+        #: ``None`` without acceleration, and in a forked worker. Engines
+        #: that see one run the coarse solve between sweeps: per-domain
+        #: current tallies (``sweeper(d).current_tally``) reduce in rank
+        #: order, the prolongation multiplies the normalised flux, and each
+        #: domain's stored boundary flux is rescaled — all deterministic, so
+        #: every engine stays bitwise-equal with CMFD on.
+        self.cmfd: Any = None
+        #: Per-domain row offsets into a stacked ``currents`` array
+        #: (:meth:`current_rows`): the coarse problem's, or what a worker
+        #: was told of them.
+        self.row_offsets: np.ndarray | None = None
+
+    # ------------------------------------------------------------ start-up
+
+    def build(
+        self,
+        owned: Sequence[int],
+        volumes: np.ndarray,
+        entries: np.ndarray,
+        rendezvous: Callable[[], object],
+    ) -> dict[int, tuple[int, int, np.ndarray | None]]:
+        """The start-up step of whoever sweeps the ``owned`` domains: the
+        caller of an ``inproc`` solve (all of them), or one forked worker.
+
+        Builds each owned domain and writes its volumes into its rows of
+        the global ``volumes``. With CMFD on it also writes, for every
+        route slot an owned domain receives, that slot's entry coarse cell
+        into ``entries`` (one per route), waits in ``rendezvous`` until
+        every domain's are in, then lays out each owned domain's current
+        tally with its interface exits resolved through them. Returns
+        what the parent needs that no shared field of fixed size can
+        carry, per owned domain: its ``segments_3d`` and
+        ``tracks_3d_resident`` counts and its tally's pair table
+        (``None`` without CMFD).
+        """
+        for d in owned:
+            volumes[self.rows(d)] = self.domains[d].build().volumes
+        src_domain, src_track, src_dir, dst_domain, dst_track, dst_dir = self.route_columns.T
+        plans = {d: self.domains[d].plan for d in owned} if self.mesh is not None else {}
+        for d, plan in plans.items():
+            received = np.nonzero(dst_domain == d)[0]
+            first = traversal_entry_cells(plan, self.cells(d))
+            entries[received] = first[dst_track[received], dst_dir[received]]
+        rendezvous()
+        pairs: dict[int, np.ndarray] = {}
+        for d, plan in plans.items():
+            sent = np.nonzero(src_domain == d)[0]
+            exits = (src_track[sent], src_dir[sent], entries[sent].astype(np.int64))
+            tally = domain_current_tally(plan, self.cells(d), self.num_groups, exits)
+            self.sweeper(d).current_tally = tally
+            pairs[d] = tally.pairs
+        trim_heap()  # the build's transients: not under the sweeps' working set
+        return {
+            d: (self.domains[d].segments_3d, self.domains[d].tracks_3d_resident, pairs.get(d))
+            for d in owned
+        }
+
+    def adopt(
+        self, built: Sequence[Mapping[int, tuple[int, int, np.ndarray | None]]],
+        volumes: np.ndarray,
+    ) -> None:
+        """The parent's half of the start-up step: take every domain's
+        volumes (rows of the global ``volumes``) and workload counts, and
+        with CMFD on build the coarse problem from the pair tables of all
+        domains' tallies. ``built`` holds what each :meth:`build` returned."""
+        merged = {d: answer for per_domain in built for d, answer in per_domain.items()}
+        for d, dom in enumerate(self.domains):
+            dom.volumes = np.array(volumes[self.rows(d)])
+            dom.segments_3d, dom.tracks_3d_resident, _ = merged[d]
+        if self.mesh is not None:
+            self.cmfd = coarse_problem(
+                self.mesh, [dom.terms for dom in self.domains], np.array(volumes),
+                self.cmfd_options, [merged[d][2] for d in range(self.num_domains)],
+            )
+            self.row_offsets = self.cmfd.row_offsets
+
+    def cells(self, d: int) -> np.ndarray:
+        """Domain ``d``'s coarse cell per local FSR."""
+        assert self.mesh is not None
+        return self.block(d, self.mesh.cellmap)
+
+    def current_rows(self, flat: Any, d: int) -> Any:
+        """Domain ``d``'s tally rows of a stacked ``currents`` array."""
+        assert self.row_offsets is not None
+        return flat[self.row_offsets[d] : self.row_offsets[d + 1]]
 
     def rows(self, d: int) -> slice:
         """Domain ``d``'s contiguous row range in a global (R_total, ...) array."""
@@ -97,7 +199,7 @@ class DecomposedProblem:
     @property
     def slot_shape(self) -> tuple[int, ...]:
         """Trailing shape of one boundary-flux slot (``psi[track, dir]``)."""
-        return tuple(self.sweeper(0).psi_in.shape[2:])
+        return self.domains[0].slot_shape
 
     def power_iteration(
         self, comm, timer, current_rows, prolong, sweep=None

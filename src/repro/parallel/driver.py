@@ -26,7 +26,7 @@ from repro.errors import DecompositionError, SolverError
 from repro.geometry.decomposition import decompose_lattice_geometry
 from repro.geometry.geometry import Geometry
 from repro.parallel.exchange import InterfaceExchange, match_interface_tracks
-from repro.solver.cmfd import CmfdProblem, coarse_mesh_for, coerce_cmfd, decomposed_cmfd_problem
+from repro.solver.cmfd import coarse_mesh_for, coerce_cmfd
 from repro.solver.domain import Domain
 from repro.solver.expeval import ExponentialEvaluator
 from repro.solver.keff import SolveResult
@@ -40,12 +40,13 @@ if TYPE_CHECKING:
 class DomainDriver:
     """What the two decomposed drivers share once their domains exist:
     the execution engine and its communicator, the iteration limits, the
-    global CMFD overlay and the solver surface the run pipeline reads.
-    A subclass builds ``domains`` (rank order, each a
-    :class:`~repro.solver.domain.Domain` that built itself) and ``routes``
-    over the undecomposed ``geometry`` in its constructor, then calls
-    :meth:`_finish`, which lays the domains out as contiguous global FSR
-    blocks.
+    global CMFD mesh and the solver surface the run pipeline reads.
+    A subclass lays out ``domains`` (rank order, each a
+    :class:`~repro.solver.domain.Domain` with its tracks laid down, not
+    yet built) and ``routes`` over the undecomposed ``geometry`` in its
+    constructor, then calls :meth:`_finish`, which lays the domains out as
+    contiguous global FSR blocks. Whoever sweeps a domain builds it, in a
+    solve's start-up step (:meth:`~repro.engine.problem.DecomposedProblem.build`).
     """
 
     geometry: Any
@@ -68,25 +69,28 @@ class DomainDriver:
         self.keff_tolerance = keff_tolerance
         self.source_tolerance = source_tolerance
         self.max_iterations = int(max_iterations)
-        self.volumes = np.concatenate([d.volumes for d in self.domains])
         self._require_fissile()
-        self.cmfd_problem: CmfdProblem | None = None
-        options = coerce_cmfd(cmfd)
-        if options is not None:
-            self._setup_cmfd(options)
+        #: The CMFD options and the *global* coarse mesh across the
+        #: decomposition (subdomains keep absolute coordinates), ``None``
+        #: without acceleration. The mesh needs only the geometry; the
+        #: coarse problem over it needs every domain's volumes and current
+        #: tally, so each solve's start-up step builds it.
+        self.cmfd_options = coerce_cmfd(cmfd)
+        self.cmfd_mesh = (
+            None if self.cmfd_options is None
+            else coarse_mesh_for(self.geometry, self.cmfd_options, [d.geometry for d in self.domains])
+        )
 
     def _require_fissile(self) -> None:
         if not any(np.any(d.terms.nu_sigma_f > 0) for d in self.domains):
             raise SolverError("no fissile region in any domain")
 
-    def _setup_cmfd(self, options) -> None:
-        """Build the *global* coarse overlay across the decomposition
-        (subdomains keep absolute coordinates); each domain's current
-        tally is laid out once, over its plan."""
-        mesh = coarse_mesh_for(self.geometry, options, [d.geometry for d in self.domains])
-        self.cmfd_problem = decomposed_cmfd_problem(
-            self.domains, self.routes, mesh, self.volumes, options
-        )
+    @property
+    def volumes(self) -> np.ndarray:
+        """Global FSR volumes, in rank order: a radial domain's are known
+        from its laydown, a z-slab's once a solve's start-up step built
+        it."""
+        return np.concatenate([d.volumes for d in self.domains])
 
     @property
     def num_domains(self) -> int:
@@ -167,10 +171,11 @@ class DecomposedSolver(DomainDriver):
 
         ``materials_for(sub_geometry)`` returns the new material list for
         one subdomain (a perturbed scenario state — tracking-invariant by
-        construction). Boundary fluxes and current tallies are reset and
-        the CMFD overlay is rebuilt over the new cross sections, so a
-        subsequent :meth:`solve` is bitwise-equal to a freshly constructed
-        solver over the same materials.
+        construction). A domain built in this process (an ``inproc``
+        solve's) has its boundary flux reset; the next solve's start-up
+        step lays out fresh current tallies and builds the CMFD overlay
+        over the new cross sections, so it is bitwise-equal to a freshly
+        constructed solver over the same materials.
         """
         from repro.solver.source import SourceTerms
 
@@ -182,10 +187,7 @@ class DecomposedSolver(DomainDriver):
                     f"domain {rank} has {dom.num_fsrs} FSRs"
                 )
             dom.terms = terms
-            dom.sweeper.terms = terms
-            dom.sweeper.reset_fluxes()
-            if dom.sweeper.current_tally is not None:
-                dom.sweeper.current_tally.reset()
+            if dom.sweeper is not None:
+                dom.sweeper.terms = terms
+                dom.sweeper.reset_fluxes()
         self._require_fissile()
-        if self.cmfd_problem is not None:
-            self._setup_cmfd(self.cmfd_problem.options)

@@ -10,6 +10,16 @@ angular flux crosses the slab interfaces through the pluggable execution
 engine each iteration (Jacobi, as in the 2D driver) — in-process via the
 simulated communicator, or across real worker processes via shared memory.
 
+The constructor builds only what needs every slab: the shared radial
+laydown, each slab's 3D track table, the interface routes (which read
+only table columns) and the coarse CMFD mesh. A slab's segmentation,
+storage strategy, volumes, sweeper, sweep plan and current tally are
+built by whoever sweeps it, in the solve's start-up step
+(:meth:`~repro.engine.problem.DecomposedProblem.build`): the caller under
+``inproc``, its forked worker under ``mp`` / ``mp-async``, so a worker
+inherits two track tables, not two segmented slabs, and the workers build
+in parallel.
+
 Sharing one radial tracking between slabs is what modular ray tracing
 guarantees on congruent subdomains: every slab sees identical chains, so
 an exit through a z-interface lands exactly on an entry slot of the
@@ -56,6 +66,28 @@ def _slab_meshes(mesh: AxialMesh, num_domains: int) -> list[AxialMesh]:
         AxialMesh(mesh.z_edges[d * per : (d + 1) * per + 1])
         for d in range(num_domains)
     ]
+
+
+def join_last(entry_keys: np.ndarray, exit_keys: np.ndarray) -> np.ndarray:
+    """Per row of ``exit_keys``, the index of the last equal row of
+    ``entry_keys``, or ``-1`` where there is none: a sorted keyed join.
+
+    Both key tables are ``(n, k)`` integer rows. One ``np.unique`` numbers
+    the distinct rows of both; a stable sort of the entries' numbers puts
+    the entries of one key in input order, so the last of each run is the
+    later one, as a dict filled in input order would keep.
+    """
+    keys = np.concatenate([entry_keys, exit_keys])
+    _, ids = np.unique(keys, axis=0, return_inverse=True)
+    ids = ids.reshape(-1)
+    entry_ids, exit_ids = ids[: len(entry_keys)], ids[len(entry_keys) :]
+    order = np.argsort(entry_ids, kind="stable")
+    sorted_ids = entry_ids[order]
+    last = np.ones(len(sorted_ids), dtype=bool)
+    last[:-1] = sorted_ids[1:] != sorted_ids[:-1]
+    winner = np.full(len(keys), -1, dtype=np.int64)
+    winner[sorted_ids[last]] = order[last]
+    return winner[exit_ids]
 
 
 class ZDecomposedSolver(DomainDriver):
@@ -165,19 +197,22 @@ class ZDecomposedSolver(DomainDriver):
     def _match_interfaces(self) -> list[Route3D]:
         """Pair interface exits with neighbour entries at shared z-planes.
 
-        One keyed join per plane and crossing direction over the two
+        One sorted keyed join per plane and crossing direction over the two
         slabs' table columns: each exit slot of the source slab, in uid
         order, takes the destination slab's entry slot with the same
-        (chain, polar, quantised ``s``, traversal direction).
+        (chain, polar, quantised ``s``, traversal direction); of two entries
+        on one key the later uid wins.
         """
         lengths = self.radial.track_table_2d().chain_length
 
         def slots(domain: int, plane: float, up: bool, exits: bool):
             """``(uid, direction, key, s)`` per slot of slab ``domain`` whose
-            flux moves ``up`` (or down) and exits (or enters) on ``plane``.
-            Slot ``(t, k)`` is traversal ``k`` (0 forward, 1 backward) of
-            track ``t``: it enters at end ``k`` of ``(s0, z0) -> (s1, z1)``
-            and exits at the other, like the table's ``(T, 2)`` columns."""
+            flux moves ``up`` (or down) and exits (or enters) on ``plane``,
+            in uid order; ``key`` is one ``(chain, polar, cell, direction)``
+            row per slot. Slot ``(t, k)`` is traversal ``k`` (0 forward, 1
+            backward) of track ``t``: it enters at end ``k`` of
+            ``(s0, z0) -> (s1, z1)`` and exits at the other, like the
+            table's ``(T, 2)`` columns."""
             table = self.domains[domain].trackgen.track_table()
             end = [1, 0] if exits else [0, 1]
             s = np.stack([table.s0, table.s1], axis=1)[:, end]
@@ -193,27 +228,35 @@ class ZDecomposedSolver(DomainDriver):
             s_red = np.mod(s, length)
             s_red[np.abs(s_red - length) < 1e-9 * np.maximum(length, 1.0)] = 0.0
             cell = np.round(s_red / (length * 1e-9 + 1e-12)).astype(np.int64)
-            direction = direction.tolist()
-            keys = zip(chain.tolist(), table.polar[uid].tolist(), cell.tolist(), direction)
-            return zip(uid.tolist(), direction, keys, s.tolist())
+            key = np.stack([chain, table.polar[uid], cell, direction], axis=1).astype(np.int64)
+            return uid, direction, key, s
 
         routes: list[Route3D] = []
         for d in range(self.num_domains - 1):
             plane = self.domains[d].geometry.axial_mesh.zmax
             # Flux moving up leaves slab d for d + 1; moving down, the reverse.
             for src, dst, up in ((d, d + 1, True), (d + 1, d, False)):
-                entries = {  # of two entries on one key the later uid wins
-                    key: (uid, k) for uid, k, key, _ in slots(dst, plane, up, exits=False)
-                }
-                for uid, k, key, s in slots(src, plane, up, exits=True):
-                    if key not in entries:
-                        what = f"backward track {uid}" if k else f"track {uid}"
-                        if up and not k:
-                            what += f" (chain {key[0]}, polar {key[1]}, s={s:.8g})"
-                        raise DecompositionError(
-                            f"z-interface: no {'upper' if up else 'lower'} partner for {what}"
-                        )
-                    routes.append(Route3D(src, uid, k, dst, *entries[key]))
+                entry_uid, entry_dir, entry_key, _ = slots(dst, plane, up, exits=False)
+                exit_uid, exit_dir, exit_key, exit_s = slots(src, plane, up, exits=True)
+                match = join_last(entry_key, exit_key)
+                missing = np.nonzero(match < 0)[0]
+                if missing.size:
+                    i = int(missing[0])
+                    uid, k = int(exit_uid[i]), int(exit_dir[i])
+                    what = f"backward track {uid}" if k else f"track {uid}"
+                    if up and not k:
+                        chain, polar = int(exit_key[i, 0]), int(exit_key[i, 1])
+                        what += f" (chain {chain}, polar {polar}, s={float(exit_s[i]):.8g})"
+                    raise DecompositionError(
+                        f"z-interface: no {'upper' if up else 'lower'} partner for {what}"
+                    )
+                routes.extend(
+                    Route3D(src, uid, k, dst, entry, entry_k)
+                    for uid, k, entry, entry_k in zip(
+                        exit_uid.tolist(), exit_dir.tolist(),
+                        entry_uid[match].tolist(), entry_dir[match].tolist(),
+                    )
+                )
         return routes
 
     # --------------------------------------------------------------- solve

@@ -37,7 +37,7 @@ import signal
 import sys
 import time
 import traceback
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from repro.errors import CommunicationError, ReproError
 from repro.io.logging_utils import get_logger
@@ -167,19 +167,27 @@ def start(
     return process
 
 
-class Arena:
+class Arena(Mapping[str, "np.ndarray"]):
     """Named float64 arrays a parent shares with the children it forks.
 
     One anonymous ``MAP_SHARED`` mapping, carved into fields by name, each
     aligned to :data:`_ALIGN` bytes and zeroed (the kernel hands out zero
     pages); a zero-size field takes no room. Children inherit the mapping
     across ``fork``, so parent and children address the same pages. It
-    has no name, so there is nothing to close, unlink or leak: the memory
-    goes when the last view in the last process does.
+    has no name, so there is nothing to unlink or leak: the memory goes
+    when the last view in the last process does.
+
+    A field whose size is only known after the fork is named in ``later``:
+    it is an anonymous memory file (``memfd``) made here, so the children
+    inherit its descriptor, and :meth:`lay_out` sizes and maps it in each
+    process once that process knows the shape. It is not a key until then.
     """
 
-    def __init__(self, fields: Mapping[str, tuple[int, ...]]) -> None:
+    def __init__(
+        self, fields: Mapping[str, tuple[int, ...]], later: Iterable[str] = ()
+    ) -> None:
         import mmap
+        import weakref
 
         import numpy as np
 
@@ -195,13 +203,52 @@ class Arena:
             name: np.ndarray(shape, np.float64, self._map, offsets[name])
             for name, shape in fields.items()
         }
+        self._later = {
+            name: os.memfd_create(f"repro-arena-{name}", os.MFD_CLOEXEC) for name in later
+        }
+        # The descriptors of fields never laid out close with the arena.
+        weakref.finalize(self, _close_all, self._later)
+
+    def lay_out(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """Map the ``later`` field ``name`` with ``shape`` in this process.
+
+        The first process to lay it out sizes the file; every other maps
+        the same pages. So the parent lays it out first, after the fork,
+        and tells its children the shape, which they pass here in turn.
+        """
+        import mmap
+
+        import numpy as np
+
+        fd = self._later.pop(name)
+        try:
+            nbytes = max(8 * math.prod(shape), _ALIGN)
+            if os.fstat(fd).st_size < nbytes:
+                os.ftruncate(fd, nbytes)
+            view = np.ndarray(shape, np.float64, mmap.mmap(fd, nbytes))
+        finally:
+            os.close(fd)
+        self._views[name] = view
+        return view
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._views[name]
 
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
     @property
     def nbytes(self) -> int:
         return len(self._map)
+
+
+def _close_all(descriptors: dict[str, int]) -> None:
+    for fd in descriptors.values():
+        os.close(fd)
+    descriptors.clear()
 
 
 def wait(process: BaseProcess, conn: Any, timeout: float | None = None) -> bool:
@@ -233,6 +280,19 @@ def died(process: BaseProcess) -> str:
         return f"killed by {signal.Signals(-code).name}"
     except ValueError:
         return f"killed by signal {-code}"
+
+
+def trim_heap() -> None:
+    """Hand the free pages of this process's ``malloc`` heap back to the
+    system (glibc's ``malloc_trim``; nothing where there is none). Large
+    numpy temporaries freed in the middle of the heap stay resident
+    otherwise, so a build followed by a solve would carry the build's
+    transients under the solve's working set."""
+    import ctypes
+
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim(0)
 
 
 def alive(pid: int) -> bool:

@@ -680,11 +680,6 @@ class CmfdProblem:
         )
         return total.reshape(-1, self.num_groups)
 
-    def domain_rows(self, flat: np.ndarray, domain: int) -> np.ndarray:
-        """Slice one domain's tally rows out of a stacked (shm) array."""
-        assert self.row_offsets is not None
-        return flat[self.row_offsets[domain]:self.row_offsets[domain + 1]]
-
     @property
     def total_pair_rows(self) -> int:
         """Stacked per-domain row count (the shm currents field height)."""
@@ -850,36 +845,36 @@ class CmfdProblem:
         return CmfdStep(k, factors, iterations, False, limited)
 
 
-def decomposed_cmfd_problem(
-    domains, routes, mesh: CoarseMesh, volumes: np.ndarray, options: CmfdConfig
+def domain_current_tally(
+    plan, cell_of_fsr: np.ndarray, num_groups: int, interface_exits=None
+) -> CurrentTally:
+    """One domain's current tally, laid out once over its ``plan``: a
+    tally reads only the layout (offsets, FSR ids, track order,
+    topology), which every regenerated segmentation of a storage strategy
+    shares, so it stays valid for the whole solve.
+
+    Interface track ends — locally terminal, hence vacuum to
+    :func:`local_exit_destinations` — go to the entry cell of the matched
+    remote slot, ``interface_exits = (tracks, dirs, cells)`` from the
+    decomposition's route table, which is what keeps the per-face net
+    current (and therefore the coarse solve) identical across engines.
+    """
+    exit_dst = local_exit_destinations(plan, cell_of_fsr)
+    if interface_exits is not None:
+        tracks, dirs, cells = interface_exits
+        exit_dst[tracks, dirs] = cells
+    return CurrentTally(plan, cell_of_fsr, exit_dst, num_groups)
+
+
+def coarse_problem(
+    mesh: CoarseMesh, terms, volumes: np.ndarray, options: CmfdConfig, pair_tables
 ) -> CmfdProblem:
     """The *global* coarse problem across a decomposition (2D lattice
-    cuts, 3D z-slabs, or the one domain and no routes of an undecomposed
-    solve), with one current tally attached per domain — the only place a
-    transport sweeper gets one.
-
-    Subdomains keep absolute coordinates, so ``mesh`` bins every domain's
-    FSRs against the same global spec, concatenated in rank order.
-    Interface track ends — locally terminal, hence vacuum to
-    :func:`local_exit_destinations` — are resolved through the route table
-    into the entry cell of the matched remote slot, which is what keeps
-    the per-face net current (and therefore the coarse solve) identical
-    across engines. Each tally is laid out once, over its domain's
-    ``plan``: a tally reads only the layout (offsets, FSR ids, track
-    order, topology), which every regenerated segmentation of a storage
-    strategy shares, so it stays valid for the whole solve.
-    """
-    plans = [d.plan for d in domains]
-    cells = [mesh.cellmap[d.fsr_offset : d.fsr_offset + d.num_fsrs] for d in domains]
-    entries = [traversal_entry_cells(plan, cell) for plan, cell in zip(plans, cells)]
-    exit_dst = [local_exit_destinations(plan, cell) for plan, cell in zip(plans, cells)]
-    for route in routes:
-        exit_dst[route.src_domain][route.src_track, route.src_dir] = entries[
-            route.dst_domain
-        ][route.dst_track, route.dst_dir]
-    terms = [d.terms for d in domains]
-    for dom, plan, cell, dst in zip(domains, plans, cells, exit_dst):
-        dom.sweeper.current_tally = CurrentTally(plan, cell, dst, terms[0].num_groups)
+    cuts, 3D z-slabs, or the one domain of an undecomposed solve) from
+    its domains' source ``terms``, global ``volumes`` and current-tally
+    ``pair_tables``, all in rank order. Subdomains keep absolute
+    coordinates, so ``mesh`` bins every domain's FSRs against the same
+    global spec, concatenated in rank order."""
     problem = CmfdProblem(
         mesh,
         np.concatenate([t.sigma_t for t in terms]),
@@ -889,7 +884,7 @@ def decomposed_cmfd_problem(
         volumes,
         options,
     )
-    problem.finalize_pairs([d.sweeper.current_tally.pairs for d in domains])
+    problem.finalize_pairs(pair_tables)
     return problem
 
 

@@ -19,8 +19,9 @@ from repro.geometry.geometry import Geometry
 from repro.solver.cmfd import (
     CmfdAccelerator,
     coarse_mesh_for,
+    coarse_problem,
     coerce_cmfd,
-    decomposed_cmfd_problem,
+    domain_current_tally,
 )
 from repro.solver.domain import Domain
 from repro.solver.expeval import ExponentialEvaluator
@@ -157,15 +158,19 @@ class MOCSolver:
     def _assemble(
         cls, domain: Domain, cmfd, keff_tolerance, source_tolerance, max_iterations
     ) -> "MOCSolver":
-        """The tail both builders share: the optional CMFD overlay — the
-        coarse problem of a one-domain, no-route decomposition, so every
-        track end that is not locally linked is vacuum — then the power
-        iteration over the domain's sweep."""
+        """The tail both builders share: the domain's build (the caller
+        sweeps it), the optional CMFD overlay — the coarse problem of a
+        one-domain, no-route decomposition, so every track end that is not
+        locally linked is vacuum — then the power iteration over the
+        domain's sweep."""
+        domain.build()
         accelerator = None
         options = coerce_cmfd(cmfd)
         if options is not None:
             mesh = coarse_mesh_for(domain.geometry, options)
-            problem = decomposed_cmfd_problem([domain], (), mesh, domain.volumes, options)
+            tally = domain_current_tally(domain.plan, mesh.cellmap, domain.terms.num_groups)
+            domain.sweeper.current_tally = tally
+            problem = coarse_problem(mesh, [domain.terms], domain.volumes, options, [tally.pairs])
             accelerator = CmfdAccelerator(problem, domain.sweeper, domain.terms, domain.volumes)
         keff_solver = KeffSolver(
             domain.terms,

@@ -77,8 +77,8 @@ class TransportSweep2D:
         self.psi_in = np.zeros((self.num_tracks, 2, self.num_polar, self.num_groups))
         #: Outgoing flux captured at interface ends during the last sweep.
         self.psi_out_last = np.zeros_like(self.psi_in)
-        #: Optional CMFD coarse-face current tally, attached by
-        #: :func:`~repro.solver.cmfd.decomposed_cmfd_problem`.
+        #: Optional CMFD coarse-face current tally
+        #: (:func:`~repro.solver.cmfd.domain_current_tally`).
         self.current_tally = None
         #: The backward-direction helper of a split solve, installed for
         #: one solve by :func:`~repro.runtime.sweep_split.split_sweep`;

@@ -73,8 +73,8 @@ class TransportSweep3D:
         self.psi_in = np.zeros((self.num_tracks, 2, self.num_groups))
         self.psi_out_last = np.zeros_like(self.psi_in)
         self._plan: SweepPlan | None = None
-        #: Optional CMFD coarse-face current tally, attached by
-        #: :func:`~repro.solver.cmfd.decomposed_cmfd_problem` over the
+        #: Optional CMFD coarse-face current tally
+        #: (:func:`~repro.solver.cmfd.domain_current_tally`) over the
         #: owning domain's plan; regenerated segmentations keep that
         #: plan's layout, so it serves every sweep.
         self.current_tally = None

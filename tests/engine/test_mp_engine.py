@@ -58,8 +58,8 @@ class TestMpMechanics:
         result = solver.solve()
         assert [wid for wid, _ in result.worker_timers] == [0, 1]
         for _wid, payload in result.worker_timers:
-            assert set(payload) == {"worker_sweep", "worker_exchange"}
-            assert payload["worker_sweep"] > 0.0
+            assert set(payload) == {"worker_build", "worker_sweep", "worker_exchange"}
+            assert payload["worker_sweep"] > 0.0 and payload["worker_build"] > 0.0
 
     @needs_fork
     def test_worker_exception_surfaces_as_solver_error(self, grid_2x1):

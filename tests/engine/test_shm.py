@@ -98,3 +98,46 @@ class TestCrossProcess:
         proc.join(timeout=30.0)
         assert proc.exitcode == 0
         assert view[2] == 42.0
+
+
+class TestLateFields:
+    """A field sized after the fork: a memory file the children inherit."""
+
+    def test_not_a_field_until_laid_out(self):
+        arena = Arena({"a": (2,)}, later=("late",))
+        assert "late" not in arena and list(arena) == ["a"]
+        view = arena.lay_out("late", (3, 2))
+        assert view.shape == (3, 2) and not view.any()
+        assert arena["late"] is view and list(arena) == ["a", "late"]
+
+    def test_maps_no_named_segment(self):
+        before = shm_entries()
+        arena = Arena({"a": (1,)}, later=("late",))
+        arena.lay_out("late", (1 << 16,)).fill(1.0)
+        assert shm_entries() == before
+
+    @needs_fork
+    def test_parent_lays_out_after_the_fork_and_the_child_maps_it(self):
+        """The parent sizes the field once the child runs; the child maps
+        the same pages and its write lands in the parent's view."""
+        ctx = multiprocessing.get_context("fork")
+        arena = Arena({"shape": (2,)}, later=("late",))
+        ready, go = ctx.Semaphore(0), ctx.Semaphore(0)
+
+        def child():
+            ready.release()
+            go.acquire()
+            rows, cols = (int(n) for n in arena["shape"])
+            view = arena.lay_out("late", (rows, cols))
+            view[rows - 1, cols - 1] = view[0, 0] + 1.0
+
+        proc = ctx.Process(target=child)
+        proc.start()
+        assert ready.acquire(timeout=30.0)
+        arena["shape"][:] = (5, 3)
+        late = arena.lay_out("late", (5, 3))
+        late[0, 0] = 41.0
+        go.release()
+        proc.join(timeout=30.0)
+        assert proc.exitcode == 0
+        assert late[4, 2] == 42.0

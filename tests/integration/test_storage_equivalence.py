@@ -113,8 +113,9 @@ class TestDecomposedStorageEquivalence:
         rows = {}
         for cmfd in (False, True):
             solver = make_z2("EXP", cmfd=cmfd)
+            result = solver.solve()  # the inproc caller builds every slab
             slab_bytes = [d.strategy.resident_memory_bytes() for d in solver.domains]
-            rows[cmfd] = answer(solver, solver.solve()), min(slab_bytes) // 2
+            rows[cmfd] = answer(solver, result), min(slab_bytes) // 2
         return rows
 
     @pytest.mark.parametrize("cmfd", [False, True], ids=["plain", "cmfd"])
@@ -124,17 +125,28 @@ class TestDecomposedStorageEquivalence:
         expected, budget = oracle[cmfd]
         solver = make_z2(storage, engine, cmfd, budget)
         assert answer(solver, solver.solve()) == expected
-        resident = [d.strategy.num_resident for d in solver.domains]
+        # Each slab's resident count is its builder's: the caller's under
+        # inproc, a worker's start-up answer under mp / mp-async, whose
+        # strategies never exist in the parent.
+        resident = [d.tracks_3d_resident for d in solver.domains]
         assert solver.workload.tracks_3d_resident == sum(resident)
         for dom in solver.domains:
-            strategy = dom.strategy
             if storage == "MANAGER":
-                assert strategy.num_resident > 0 and strategy.num_temporary > 0
+                assert 0 < dom.tracks_3d_resident < dom.tracks_3d
+            elif storage == "OTF":
+                assert dom.tracks_3d_resident == 0
+            else:
+                assert dom.tracks_3d_resident == dom.tracks_3d
+            strategy = dom.strategy
+            if engine != "inproc":
+                assert strategy is None
+                continue
+            assert strategy.num_resident == dom.tracks_3d_resident
+            if storage == "MANAGER":
+                assert strategy.num_temporary > 0
                 assert strategy.resident_memory_bytes() <= budget
             elif storage == "OTF":
-                assert strategy.num_resident == strategy.resident_memory_bytes() == 0
-            else:
-                assert strategy.num_resident == dom.tracks_3d
+                assert strategy.resident_memory_bytes() == 0
 
     def test_otf_slabs_regenerate_every_sweep(self, monkeypatch):
         import repro.tracks.generator as generator
@@ -145,6 +157,8 @@ class TestDecomposedStorageEquivalence:
             generator, "trace_3d_batch", lambda *a, **k: calls.append(a) or batch(*a, **k)
         )
         solver = make_z2("OTF")
+        for dom in solver.domains:  # the start-up step's build, done ahead
+            dom.build()
         built = len(calls)
         result = solver.solve()
         assert len(calls) - built == solver.num_domains * result.num_iterations

@@ -2,7 +2,8 @@
 
 A second function constructing a sweeper, a 3D track generator or a
 storage strategy is a copy of a :class:`~repro.solver.domain.Domain`
-builder growing back — and the copies are how ``storage_method`` came to
+builder (``radial`` / ``extruded`` lay tracks down, ``build`` makes what
+sweeps them) growing back — and the copies are how ``storage_method`` came to
 be ignored at ``nz > 1``. ``repro.baselines`` is an independent method,
 kept apart on purpose.
 """
@@ -32,9 +33,11 @@ def _functions_calling(name):
 
 
 def test_two_builders_construct_everything_a_domain_owns():
-    assert _functions_calling("TransportSweep2D") == {"solver/domain.py:radial"}
-    for name in ("TransportSweep3D", "TrackGenerator3D", "make_strategy"):
-        assert _functions_calling(name) == {"solver/domain.py:extruded"}, name
+    """The builders lay tracks down; ``Domain.build`` — run by whoever
+    sweeps the domain — is the one constructor of what sweeps them."""
+    assert _functions_calling("TrackGenerator3D") == {"solver/domain.py:extruded"}
+    for name in ("TransportSweep2D", "TransportSweep3D", "make_strategy"):
+        assert _functions_calling(name) == {"solver/domain.py:build"}, name
 
 
 def test_the_copies_and_the_override_are_gone():
