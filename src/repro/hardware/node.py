@@ -38,10 +38,6 @@ class SimulatedNode:
         self._host_in_use += size
 
     @property
-    def host_memory_in_use(self) -> int:
-        return self._host_in_use
-
-    @property
     def busy_seconds(self) -> float:
         """Node compute time: its slowest GPU (GPUs run concurrently)."""
         return max(g.busy_seconds for g in self.gpus)

@@ -91,21 +91,6 @@ def greedy_partition(graph: nx.Graph, num_parts: int) -> dict[int, int]:
     return assignment
 
 
-def _cost(
-    graph: nx.Graph, assignment: dict[int, int], num_parts: int
-) -> tuple[float, np.ndarray]:
-    weights = {n: float(graph.nodes[n].get("weight", 1.0)) for n in graph.nodes}
-    loads = np.zeros(num_parts)
-    for node, part in assignment.items():
-        loads[part] += weights[node]
-    cut = 0.0
-    for u, v, data in graph.edges(data=True):
-        if assignment[u] != assignment[v]:
-            cut += float(data.get("weight", 1.0))
-    imbalance = loads.max() - loads.mean()
-    return imbalance + EDGE_CUT_FACTOR * cut, loads
-
-
 def kl_refine(
     graph: nx.Graph,
     assignment: dict[int, int],

@@ -34,10 +34,6 @@ class MappingResult:
     levels: tuple[bool, bool, bool]
 
     @property
-    def gpu_stats(self) -> LoadStats:
-        return LoadStats.from_loads(self.gpu_loads)
-
-    @property
     def effective_stats(self) -> LoadStats:
         return LoadStats.from_loads(self.gpu_effective_loads)
 

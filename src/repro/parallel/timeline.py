@@ -83,10 +83,6 @@ class SimulationReport:
     iteration_seconds: float
     gpu_load_uniformity: float
 
-    @property
-    def total_seconds(self) -> float:
-        return self.iteration_seconds
-
 
 class ClusterTransportSimulator:
     """Simulates decomposed transport iterations on the modelled cluster."""

@@ -8,8 +8,8 @@ forked helper process while the caller sweeps the forward ones.
 
 **Same bits.** The numpy kernel sums each direction's tally with its own
 ``bincount`` and adds ``bins(0)``, then ``bins(1)``, onto zeros
-(:meth:`~repro.solver.backends.numpy_backend.SweepWorkspace.reduce`).
-The helper runs the same per-direction lockstep on the same inputs and
+(:func:`~repro.solver.backends.numpy_backend.sweep_directions`).
+The helper runs the same per-direction sweep on the same inputs and
 hands back its exit flux, its bins and, with CMFD on, its captured
 crossings; the caller adds the bins where it would have added its own.
 Exchange and current fold stay in the caller, unchanged.
@@ -49,6 +49,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
@@ -56,7 +57,8 @@ import numpy as np
 from repro.errors import SolverError
 from repro.io.logging_utils import get_logger
 from repro.runtime.cpus import Arena, cpu_budget, died, is_forked_child, reap, start, wait
-from repro.solver.backends import NumpySweepBackend, SweepWorkspace, lockstep
+from repro.solver.backends import NumpySweepBackend, SweepWorkspace
+from repro.solver.backends.numpy_backend import sweep_direction
 from repro.solver.solver import MOCSolver, TransportSolver
 from repro.solver.sweep2d import TransportSweep2D
 
@@ -69,7 +71,6 @@ THREE_D = "3D"
 BACKEND = "backend"
 NOT_TOP_LEVEL = "not top-level"
 NO_AFFINITY = "affinity not settable"
-MASKED = "masked"
 ONE_SWEEP = "1 sweep"
 
 _LOG = get_logger("repro.solver")
@@ -152,7 +153,6 @@ class DirectionSplit:
         self.sweeper = sweeper
         self.record = record
         self._sweeps = 0
-        self._masked = False
         self._helper: BaseProcess | None = None
         self._mask: set[int] | None = None
         self._pipes: tuple[int, int] | None = None  # go (write end), done (read end)
@@ -163,13 +163,10 @@ class DirectionSplit:
         """The helper's pid, once it is forked."""
         return None if self._helper is None else self._helper.pid
 
-    def remote(self, masked: bool) -> "DirectionSplit | None":
+    def remote(self) -> "DirectionSplit | None":
         """Who sweeps the next sweep's direction 1: the helper (this
         split, forked on the second sweep), or ``None`` — this process —
-        for the first sweep, for a masked one, and when pinning failed."""
-        if masked:
-            self._masked = True
-            return None
+        for the first sweep and when pinning failed."""
         self._sweeps += 1
         if self._pid is None and (
             self._sweeps == 1 or self.record.reason is not None or not self._start()
@@ -262,7 +259,7 @@ class DirectionSplit:
                 record.helper_reduce_seconds = reduce
                 self._shared = None
             elif record.reason is None:  # the helper was never needed
-                record.reason = MASKED if self._masked else ONE_SWEEP
+                record.reason = ONE_SWEEP
         finally:
             if self._mask is not None:
                 os.sched_setaffinity(0, self._mask)
@@ -289,19 +286,12 @@ def _helper_main(split: DirectionSplit, cpu: int, go: int, done: int) -> None:
     num_fsrs = sweeper.terms.num_regions
     capture = None if sweeper.current_tally is None else sweeper.current_tally.capture
     table = plan.pos_expf(sigma_t, evaluator)  # the first sweep's, inherited
-
-    def expf_at(d: int, lo: int, hi: int) -> np.ndarray:
-        return plan.pos_expf_block(sigma_t, evaluator, d, lo, hi)
-
+    expf_at = partial(plan.pos_expf_block, sigma_t, evaluator)
     while os.read(go, 1):
-        entered = time.perf_counter()
-        work.load(plan, 1, psi, source)
-        gathered = time.perf_counter()
-        lockstep(work, 1, table, expf_at, capture)
-        work.store(plan, 1, psi)
+        gather, steps = sweep_direction(work, plan, 1, psi, source, table, expf_at, capture)
         stepped = time.perf_counter()
         bins[...] = work.bins(plan, 1, num_fsrs)
         if capture is not None:
             crossings[...] = capture.out[1]
-        seconds += (gathered - entered, stepped - gathered, time.perf_counter() - stepped)
+        seconds += (gather, steps, time.perf_counter() - stepped)
         os.write(done, b"\1")

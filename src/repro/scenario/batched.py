@@ -13,9 +13,11 @@ over states. Bitwise equality per state is a structural property:
   current folds) are *looped per state* on that state's slice using the
   exact single-state expressions — never summed across the state axis.
 
-The position loop, its buffers and the reduce are the single-state numpy
-kernel's (:func:`~repro.solver.backends.numpy_backend.lockstep` over a
-:class:`~repro.solver.backends.numpy_backend.SweepWorkspace`).
+The direction loop, its buffers and the reduce are the single-state numpy
+kernel's (:func:`~repro.solver.backends.numpy_backend.sweep_directions`
+over a :class:`~repro.solver.backends.numpy_backend.SweepWorkspace`), and
+the boundary exchange and finalisation are every sweep's
+(:class:`~repro.solver.sweep.TransportSweep`).
 
 States may converge at different iterations: a converged state freezes
 (the shared loop stops touching it and its last reduced source is
@@ -32,16 +34,16 @@ import time
 
 import numpy as np
 
-from repro.constants import FOUR_PI
 from repro.errors import ScenarioError, SolverError
 from repro.io.logging_utils import get_logger
-from repro.solver.backends import KernelTimings, SweepWorkspace, lockstep
+from repro.solver.backends.numpy_backend import sweep_directions
 from repro.solver.backends.plan import MAX_EXPF_ELEMENTS
 from repro.solver.expeval import ExponentialEvaluator
 from repro.solver.keff import with_kernel_phases
 from repro.solver.power import SolveResult, solve_local
 from repro.solver.solver import Workload
 from repro.solver.source import SourceTerms
+from repro.solver.sweep import TransportSweep, scalar_flux
 
 
 class _StateView:
@@ -64,7 +66,7 @@ class _StateView:
         return self._batched.psi_in[:, :, self._state]
 
 
-class BatchedSweep2D:
+class BatchedSweep2D(TransportSweep):
     """One-geometry 2D sweep over shared tracks for ``S`` XS states."""
 
     def __init__(
@@ -75,13 +77,10 @@ class BatchedSweep2D:
     ) -> None:
         if not terms_per_state:
             raise ScenarioError("batched sweep needs at least one state")
-        self.trackgen = trackgen
+        super().__init__(trackgen, evaluator)
         self.terms = terms_per_state
-        self.evaluator = evaluator or ExponentialEvaluator.shared()
         self.plan = trackgen.sweep_plan()
-        topology = self.plan.topology
         self.num_states = len(terms_per_state)
-        self.num_tracks = trackgen.num_tracks
         self.num_polar = trackgen.polar.num_polar_half
         self.num_groups = terms_per_state[0].num_groups
         num_fsrs = terms_per_state[0].num_regions
@@ -91,21 +90,13 @@ class BatchedSweep2D:
                     "all scenario states must share the FSR/group layout"
                 )
         self.num_fsrs = num_fsrs
-        self.next_track = topology.next_track
-        self.next_dir = topology.next_dir
-        self.terminal = topology.terminal
-
-        #: Incoming angular flux per (track, dir, state, polar, group).
-        self.psi_in = np.zeros(
-            (self.num_tracks, 2, self.num_states, self.num_polar, self.num_groups)
+        self._bind_boundary(
+            self.plan.topology, (self.num_states, self.num_polar, self.num_groups)
         )
         #: Per-state CMFD current tallies (None until :meth:`enable_cmfd_tally`).
         self.tallies: list | None = None
         self._capture = None
         self._table = self._build_expf_table()
-        self.timings = KernelTimings()
-        #: Lockstep-kernel buffers; filled at the first sweep.
-        self.workspace = SweepWorkspace()
 
     # ------------------------------------------------------------- setup
 
@@ -166,38 +157,31 @@ class BatchedSweep2D:
         numpy kernel's tally for that state's cross sections.
         """
         plan = self.plan
-        capture = self._capture
-        psi = [self.psi_in[:, 0].copy(), self.psi_in[:, 1].copy()]
+        psi = self._entry_flux()
         work = self.workspace.bind(plan, psi[0].shape[1:])
         start = time.perf_counter()
         # The hoisted source lookup wants the FSR axis first: (R, S, G).
         source = np.ascontiguousarray(reduced_stack.transpose(1, 0, 2))
-        for d in (0, 1):
-            work.load(plan, d, psi[d], source)
-        gathered = time.perf_counter()
-        for d in (0, 1):
-            lockstep(work, d, self._table, self._expf_at, capture)
-            work.store(plan, d, psi[d])
-        stepped = time.perf_counter()
         # Reduced per state with the single-state expression, so every
         # state's tally is bitwise the single-state kernel's.
-        tallies = [work.reduce(plan, self.num_fsrs, s) for s in range(self.num_states)]
-        swept = time.perf_counter()
-        self.timings.record_sweep(start, swept, (start, gathered, stepped))
-        if self.tallies is not None:
-            assert capture is not None
-            for s, tally in enumerate(self.tallies):
-                for d in (0, 1):
-                    tally.capture.out[d][...] = capture.out[d][:, s]
-                tally.accumulate([np.ascontiguousarray(p[:, s]) for p in psi])
-            self.timings.record_fold(swept, time.perf_counter())
-        # Exchange: outgoing flux becomes the linked traversal's incoming.
-        new_in = np.zeros_like(self.psi_in)
-        for d in (0, 1):
-            live = ~self.terminal[:, d]
-            new_in[self.next_track[live, d], self.next_dir[live, d]] = psi[d][live]
-        self.psi_in = new_in
+        tallies, marks = sweep_directions(
+            work, plan, psi, source, self._table, self._expf_at, self._capture,
+            self.num_fsrs, states=range(self.num_states),
+        )
+        self._after_kernel(psi, start, marks)
         return tallies
+
+    def _fold(self, psi: list[np.ndarray]) -> bool:
+        """Each state's slice of the widened capture and exit flux into
+        that state's current tally."""
+        if self.tallies is None:
+            return False
+        assert self._capture is not None
+        for s, tally in enumerate(self.tallies):
+            for d in (0, 1):
+                tally.capture.out[d][...] = self._capture.out[d][:, s]
+            tally.accumulate([np.ascontiguousarray(p[:, s]) for p in psi])
+        return True
 
     def finalize_state(
         self,
@@ -206,14 +190,9 @@ class BatchedSweep2D:
         reduced_source: np.ndarray,
         volumes: np.ndarray,
     ) -> np.ndarray:
-        """Single-state scalar-flux finalisation (the exact
-        :meth:`~repro.solver.sweep2d.TransportSweep2D.finalize_scalar_flux`
-        expression against this state's cross sections)."""
-        sigma_t = self.terms[state].sigma_t_safe
-        safe_v = np.where(volumes > 0.0, volumes, 1.0)
-        phi = FOUR_PI * reduced_source + tally / (sigma_t * safe_v[:, None])
-        phi[volumes <= 0.0] = FOUR_PI * reduced_source[volumes <= 0.0]
-        return phi
+        """Single-state scalar-flux finalisation against this state's
+        cross sections (:func:`~repro.solver.sweep.scalar_flux`)."""
+        return scalar_flux(tally, reduced_source, self.terms[state].sigma_t_safe, volumes)
 
 
 class BatchedKeffSolver:

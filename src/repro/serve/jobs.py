@@ -75,6 +75,27 @@ TERMINAL_STATES = frozenset(
 )
 
 
+def request_priority(value: Any) -> int:
+    """A request's ``priority``: an int (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ServeError(f"request priority must be an integer (got {value!r})")
+    return value
+
+
+def request_seconds(key: str, value: Any) -> float | None:
+    """A request's ``key`` in seconds: ``None``, or a positive number a
+    wait can take (at most ``threading.TIMEOUT_MAX``: not NaN or inf)."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        0 < value <= threading.TIMEOUT_MAX
+    ):
+        raise ServeError(
+            f"request {key} must be a positive number of seconds or null (got {value!r})"
+        )
+    return float(value)
+
+
 class SolveJob:
     """One solve request moving through the service.
 
@@ -93,12 +114,10 @@ class SolveJob:
         timeout: float | None = None,
         tag: str | None = None,
     ) -> None:
-        if timeout is not None and not timeout > 0:
-            raise ServeError(f"request timeout must be positive (got {timeout})")
         self.job_id = str(job_id)
         self.config = config
         self.priority = int(priority)
-        self.timeout = None if timeout is None else float(timeout)
+        self.timeout = request_seconds("timeout", timeout)
         self.tag = tag
         self.state = JobState.QUEUED
         self.error: str | None = None

@@ -10,10 +10,12 @@ because it never meets a second encoder.
 Requests carry an ``op``:
 
 * ``solve`` — ``config`` (full run-config mapping) plus optional
-  ``priority``, ``timeout`` (queue deadline, seconds), ``tag``,
-  ``wait_timeout``. The response embeds the job summary, the headline
-  results (``keff``/``keff_hex``/``converged``/``num_iterations``), a
-  SHA-256 of the flux bytes, and the full report payload.
+  ``priority`` (int), ``timeout`` (queue deadline, seconds), ``tag``
+  (string), ``wait_timeout`` (seconds); a wrong-typed one is refused by
+  name and submits nothing. The response embeds the job summary, the
+  headline results (``keff``/``keff_hex``/``converged``/
+  ``num_iterations``), a SHA-256 of the flux bytes, and the full report
+  payload.
 * ``ping`` — liveness; echoes the protocol version.
 * ``stats`` — service totals, queue depth, report-cache stats, and per
   solve slot its pid, solves, busy seconds and restarts.
@@ -53,6 +55,8 @@ def decode(line: str | bytes) -> dict[str, Any]:
         payload = parse_record(line)
     except (ObservabilityError, ValueError) as exc:
         raise ServeError(f"request is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ServeError("request is not valid JSON: nested too deeply") from None
     if not isinstance(payload, dict):
         raise ServeError(
             f"protocol payloads must be JSON objects (got {type(payload).__name__})"

@@ -26,6 +26,7 @@ from typing import Any, Callable
 from repro.errors import ReproError, ServeError
 from repro.io.logging_utils import get_logger
 from repro.serve import protocol
+from repro.serve.jobs import request_seconds
 from repro.serve.service import ServeOptions, SolveService
 
 
@@ -196,12 +197,13 @@ class SolveServer:
         config = request.get("config")
         if not isinstance(config, dict):
             raise ServeError("solve request needs a 'config' object")
+        wait_timeout = request_seconds("wait_timeout", request.get("wait_timeout"))
         job = self.service.submit(
             config,
-            priority=int(request.get("priority", 0)),
+            priority=request.get("priority", 0),
             timeout=request.get("timeout"),
             tag=request.get("tag"),
         )
         if request.get("wait", True) and not job.done:
-            job.wait(request.get("wait_timeout"))
+            job.wait(wait_timeout)
         return protocol.solve_response(job)

@@ -49,7 +49,7 @@ from repro.observability.spans import Span
 from repro.runtime.cpus import cpu_budget
 from repro.runtime.stages import StageName
 from repro.serve.cache import CacheEntry, ReportCache
-from repro.serve.jobs import JobState, SolveJob
+from repro.serve.jobs import JobState, SolveJob, request_priority, request_seconds
 from repro.serve.queue import DEFAULT_MAX_DEPTH, JobQueue
 from repro.serve.slots import (
     SOLVE_ERRORS,
@@ -207,8 +207,14 @@ class SolveService:
 
         A request refused by admission control comes back already
         terminal (``rejected`` state, reason in ``job.error``) — refusal
-        is a normal service answer, not a caller bug.
+        is a normal service answer, not a caller bug. A mistyped
+        ``priority``, ``timeout`` or ``tag`` is a :class:`ServeError` that
+        names it, and submits nothing.
         """
+        priority = request_priority(priority)
+        timeout = request_seconds("timeout", timeout)
+        if tag is not None and not isinstance(tag, str):
+            raise ServeError(f"request tag must be a string or null (got {tag!r})")
         if not isinstance(config, RunConfig):
             config = config_from_dict(config)
         if timeout is None:

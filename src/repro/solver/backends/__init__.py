@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.errors import SolverError
 from repro.solver.backends.base import KernelBackend, KernelTimings, SweepContext
-from repro.solver.backends.numpy_backend import NumpySweepBackend, SweepWorkspace, lockstep
+from repro.solver.backends.numpy_backend import NumpySweepBackend, SweepWorkspace
 from repro.solver.backends.plan import SweepPlan, TrackTopology, build_position_index
 from repro.solver.backends.reference_backend import ReferenceSweepBackend
 
@@ -78,7 +78,6 @@ __all__ = [
     "backend_names",
     "build_position_index",
     "get_backend",
-    "lockstep",
     "register_backend",
     "resolve_backend",
 ]

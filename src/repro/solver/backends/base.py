@@ -30,7 +30,6 @@ class SweepContext:
     sigma_t: np.ndarray
     evaluator: object
     num_fsrs: int
-    track_mask: np.ndarray | None = None
     #: Optional :class:`~repro.solver.cmfd.CurrentCapture`: kernels write
     #: the post-segment angular flux of the listed tracks at each position
     #: into its buffers (coarse-face crossings for the CMFD current tally).
@@ -44,12 +43,11 @@ class SweepContext:
     #: its ``collect(psi_1, capture)`` for direction 1's tally bins);
     #: ``None`` sweeps both directions here.
     remote: Any = None
-    #: Set by a kernel that splits its time: ``marks[1] - marks[0]`` is
-    #: its gather, ``marks[2] - marks[1]`` its lockstep, and the rest of
-    #: the call its reduce. A 2D kernel runs each phase once and sets the
-    #: clock reads taken before the gather, after it and after the
-    #: lockstep loop; the 3D kernel runs them per direction and sets its
-    #: entry clock plus the summed gather, then lockstep, seconds.
+    #: Set by a kernel that splits its time: its entry clock, plus the
+    #: summed gather seconds, plus the summed lockstep seconds of both
+    #: directions, so ``marks[1] - marks[0]`` is its gather,
+    #: ``marks[2] - marks[1]`` its lockstep, and the rest of the call its
+    #: reduce.
     marks: tuple[float, float, float] | None = None
 
 
@@ -123,36 +121,15 @@ class KernelBackend:
         """Whether the backend can run in this process."""
         return True
 
-    def sweep2d(
-        self, plan: SweepPlan, psi: list[np.ndarray], ctx: SweepContext
-    ) -> np.ndarray:
-        """Advance both 2D traversal states through all segments.
+    def sweep(self, plan: SweepPlan, psi: list[np.ndarray], ctx: SweepContext) -> np.ndarray:
+        """Advance both traversal states through all segments.
 
-        ``psi`` holds the forward/backward state arrays ``(T, P, G)``,
-        mutated in place; returns the FSR tally ``(R, G)``.
+        ``psi`` holds the forward/backward state arrays, ``(T, P, G)`` in
+        2D and ``(T, G)`` in 3D, mutated in place; returns the FSR tally
+        ``(R, G)``.
         """
-        raise NotImplementedError
-
-    def sweep3d(
-        self, plan: SweepPlan, psi: list[np.ndarray], ctx: SweepContext
-    ) -> np.ndarray:
-        """Advance both 3D traversal states ``(T, G)``; returns ``(R, G)``."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
 
-
-def tally_from_segments(
-    contrib: np.ndarray, seg_fsr: np.ndarray, num_fsrs: int
-) -> np.ndarray:
-    """Reduce per-segment contributions ``(S, G)`` into a ``(R, G)`` tally.
-
-    One bincount per group replaces the seed's per-position ``np.add.at``
-    scatter — the single most expensive operation of the old inner loop.
-    """
-    num_groups = contrib.shape[1]
-    tally = np.empty((num_fsrs, num_groups))
-    for g in range(num_groups):
-        tally[:, g] = np.bincount(seg_fsr, weights=contrib[:, g], minlength=num_fsrs)
-    return tally

@@ -18,21 +18,25 @@ in the trailing axes of their buffers — ``(P, G)``, ``(G,)``, ``(S, P, G)``.
   track weights in sorted order (the plan's ``pos_weights[d][lo:hi]``,
   value for value). No step allocates. Every operation is elementwise, so
   the two directions are independent to the bit.
-* **Layout.** 2D buffers are segment-major, one set per direction. 3D
-  buffers — ``cur[d]``, ``dpsi``, ``weights`` and the plan's exp table —
-  are group-major (each the transpose of a C-contiguous ``(G, ...)``
-  array): the 3D kernel takes direction 0 through gather, lockstep, store
-  and reduce before direction 1, so one ``dpsi`` serves both, and each
+* **One direction loop.** :func:`sweep_directions` is the kernel of the
+  2D, 3D and widened sweeps: per direction it loads, runs the lockstep,
+  stores the exit fluxes and adds :meth:`SweepWorkspace.bins` to a tally
+  that starts at zeros, so every tally is ``bins(0)``, then ``bins(1)``,
+  added onto zeros.
+* **Layout.** 2D buffers are segment-major, one set per direction (so a
+  direction can move to another process, below). 3D buffers — ``cur[d]``,
+  ``dpsi``, ``weights`` and the plan's exp table — are group-major (each
+  the transpose of a C-contiguous ``(G, ...)`` array): a direction is
+  reduced before the next is swept, so one ``dpsi`` serves both, and each
   group's column is one contiguous run for the loads and the reduce.
-* **Reduce.** ``dpsi`` then holds every segment's delta-psi. 2D: one
-  ``bincount`` per direction over the flat ``fsr * G + g`` index sums it
-  after one polar ``einsum`` contracts it to ``(S, G)``. 3D: one
-  ``bincount`` per group over ``pos_fsr[d]`` (the lockstep left ``dpsi``
-  weighted). Either way it is :meth:`SweepWorkspace.bins`, and the tally
-  adds ``bins(0)``, then ``bins(1)``, onto zeros. ``bincount`` adds a
-  bin's terms in array order — segment order, as the per-group bincount
-  of the pre-fusion kernel — so the tally is bitwise unchanged. The
-  widened sweep reduces per state with the single-state expression on
+* **Reduce.** After a direction's lockstep ``dpsi[d]`` holds every
+  segment's delta-psi. 2D: one polar ``einsum`` contracts it to
+  ``(S, G)`` and one ``bincount`` over the flat ``fsr * G + g`` index
+  sums it. 3D: one ``bincount`` per group over ``pos_fsr[d]`` (the
+  lockstep left ``dpsi`` weighted). ``bincount`` adds a bin's terms in
+  array order — segment order, as the per-group bincount of the
+  pre-fusion kernel — so the tally is bitwise unchanged. The widened
+  sweep reduces per state with the single-state expression on
   ``dpsi[d][:, s]``.
 * **Remote backward direction** (2D). ``SweepContext.remote`` hands
   direction 1 to another process (:mod:`repro.runtime.sweep_split`): the
@@ -47,19 +51,18 @@ in the trailing axes of their buffers — ``(P, G)``, ``(G,)``, ``(S, P, G)``.
   first sweep, after the exp table's blockwise build.
 
 DESIGN.md ("Sweep kernel backends") has the memory plan and the measured
-phase split. Masked 2D sweeps (a track subset) take the plan's per-position
-gather columns instead: the prefix property does not survive a mask.
+phase split.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable
+from functools import partial
+from typing import Any, Sequence
 
 import numpy as np
 
-from repro.errors import SolverError
-from repro.solver.backends.base import KernelBackend, SweepContext, tally_from_segments
+from repro.solver.backends.base import KernelBackend, SweepContext
 from repro.solver.backends.plan import SweepPlan
 
 
@@ -169,22 +172,6 @@ class SweepWorkspace:
         flat = self.flat[d]
         return np.bincount(flat.ravel(), contrib.ravel(), num_fsrs * flat.shape[-1])
 
-    def reduce(
-        self,
-        plan: SweepPlan,
-        num_fsrs: int,
-        state: int | None = None,
-        backward: Callable[[], np.ndarray] | None = None,
-    ) -> np.ndarray:
-        """The 2D ``(R, G)`` tally (of one state of a widened sweep):
-        ``bins(0)``, then ``bins(1)``, added onto zeros. ``backward``
-        returns direction 1's bins when another process swept it."""
-        tally = np.zeros((num_fsrs, self.flat[0].shape[-1]))
-        tally += self.bins(plan, 0, num_fsrs, state).reshape(tally.shape)
-        far = self.bins(plan, 1, num_fsrs, state) if backward is None else backward()
-        tally += far.reshape(tally.shape)
-        return tally
-
 
 def lockstep(
     work: SweepWorkspace, d: int, table: np.ndarray | None, expf_at, capture
@@ -211,30 +198,47 @@ def lockstep(
             out[dest[i]] = view[rows[i]]
 
 
-def _sweep_in_turn(
-    plan: SweepPlan, psi: list[np.ndarray], ctx: SweepContext, work: SweepWorkspace,
-    table: np.ndarray | None, expf_at,
-) -> np.ndarray:
-    """The 3D kernel: direction 0 through gather, lockstep, store and
-    ``bins(0)``, then direction 1 the same way over the same ``dpsi``; the
-    tally adds ``bins(0)``, then ``bins(1)``, onto zeros. The phases
-    interleave, so ``ctx.marks`` are the entry clock plus the summed
-    gather, then lockstep, seconds."""
-    tally = np.zeros((ctx.num_fsrs, psi[0].shape[-1]))
-    gather = steps = 0.0
+def sweep_direction(
+    work: SweepWorkspace, plan: SweepPlan, d: int, psi: np.ndarray,
+    source: np.ndarray, table: np.ndarray | None, expf_at, capture,
+) -> tuple[float, float]:
+    """Direction ``d`` through load, :func:`lockstep` and store, its exit
+    fluxes back in ``psi``; returns its gather and lockstep seconds."""
+    began = time.perf_counter()
+    work.load(plan, d, psi, source)
+    gathered = time.perf_counter()
+    lockstep(work, d, table, expf_at, capture)
+    work.store(plan, d, psi)
+    return gathered - began, time.perf_counter() - gathered
+
+
+def sweep_directions(
+    work: SweepWorkspace, plan: SweepPlan, psi: list[np.ndarray], source: np.ndarray,
+    table: np.ndarray | None, expf_at, capture, num_fsrs: int,
+    states: Sequence[int | None] = (None,), remote: Any = None,
+) -> tuple[list[np.ndarray], tuple[float, float, float]]:
+    """The kernel: each direction in turn through :func:`sweep_direction`,
+    its :meth:`SweepWorkspace.bins` added to an ``(R, G)`` tally of zeros
+    per state (``None``: the one state of a single-state sweep). With
+    ``remote`` set, direction 1 runs on its process and its bins come from
+    ``remote.collect``. Returns the tallies and the ``SweepContext.marks``
+    of the call."""
     entered = time.perf_counter()
+    tallies = [np.zeros((num_fsrs, psi[0].shape[-1])) for _ in states]
+    gather = steps = 0.0
+    if remote is not None:
+        remote.release(psi[1], source)
     for d in (0, 1):
-        began = time.perf_counter()
-        work.load(plan, d, psi[d], ctx.reduced_source)
-        gathered = time.perf_counter()
-        lockstep(work, d, table, expf_at, ctx.capture)
-        work.store(plan, d, psi[d])
-        stepped = time.perf_counter()
-        gather += gathered - began
-        steps += stepped - gathered
-        tally += work.bins(plan, d, ctx.num_fsrs)
-    ctx.marks = (entered, entered + gather, entered + gather + steps)
-    return tally
+        if d == 1 and remote is not None:
+            bins = [remote.collect(psi[1], capture)]
+        else:
+            seconds = sweep_direction(work, plan, d, psi[d], source, table, expf_at, capture)
+            gather += seconds[0]
+            steps += seconds[1]
+            bins = [work.bins(plan, d, num_fsrs, state) for state in states]
+        for tally, add in zip(tallies, bins):
+            tally += add.reshape(tally.shape)
+    return tallies, (entered, entered + gather, entered + gather + steps)
 
 
 class NumpySweepBackend(KernelBackend):
@@ -242,78 +246,14 @@ class NumpySweepBackend(KernelBackend):
 
     name = "numpy"
 
-    def sweep2d(
-        self, plan: SweepPlan, psi: list[np.ndarray], ctx: SweepContext
-    ) -> np.ndarray:
-        if ctx.track_mask is not None:
-            return self._sweep2d_masked(plan, psi, ctx)
-        return self._sweep(plan, psi, ctx)
-
-    def sweep3d(
-        self, plan: SweepPlan, psi: list[np.ndarray], ctx: SweepContext
-    ) -> np.ndarray:
-        return self._sweep(plan, psi, ctx)
-
-    def _sweep(self, plan: SweepPlan, psi: list[np.ndarray], ctx: SweepContext) -> np.ndarray:
-        """The lockstep kernel: 2D and 3D differ only in ``psi``'s trailing
-        axes. With ``ctx.remote`` set (2D), direction 1 runs on its process."""
+    def sweep(self, plan: SweepPlan, psi: list[np.ndarray], ctx: SweepContext) -> np.ndarray:
+        """2D and 3D differ only in ``psi``'s trailing axes. With
+        ``ctx.remote`` set (2D), direction 1 runs on its process."""
         table = plan.pos_expf(ctx.sigma_t, ctx.evaluator)
         work = (ctx.workspace or SweepWorkspace()).bind(plan, psi[0].shape[1:])
-
-        def expf_at(d: int, lo: int, hi: int) -> np.ndarray:
-            return plan.pos_expf_block(ctx.sigma_t, ctx.evaluator, d, lo, hi)
-
-        if work.flat is None:
-            return _sweep_in_turn(plan, psi, ctx, work, table, expf_at)
-        remote = ctx.remote
-        here = (0, 1) if remote is None else (0,)
-        entered = time.perf_counter()
-        if remote is not None:
-            remote.release(psi[1], ctx.reduced_source)
-        for d in here:
-            work.load(plan, d, psi[d], ctx.reduced_source)
-        gathered = time.perf_counter()
-        for d in here:
-            lockstep(work, d, table, expf_at, ctx.capture)
-            work.store(plan, d, psi[d])
-        ctx.marks = (entered, gathered, time.perf_counter())
-        if remote is None:
-            return work.reduce(plan, ctx.num_fsrs)
-        return work.reduce(
-            plan, ctx.num_fsrs, backward=lambda: remote.collect(psi[1], ctx.capture)
+        expf_at = partial(plan.pos_expf_block, ctx.sigma_t, ctx.evaluator)
+        (tally,), ctx.marks = sweep_directions(
+            work, plan, psi, ctx.reduced_source, table, expf_at, ctx.capture,
+            ctx.num_fsrs, remote=ctx.remote,
         )
-
-    def _sweep2d_masked(
-        self, plan: SweepPlan, psi: list[np.ndarray], ctx: SweepContext
-    ) -> np.ndarray:
-        if ctx.remote is not None:
-            raise SolverError("a masked sweep cannot hand a direction to another process")
-        if ctx.capture is not None:
-            raise SolverError("CMFD current capture does not support masked sweeps")
-        expf = plan.segment_expf(ctx.sigma_t, ctx.evaluator)
-        num_polar, num_groups = psi[0].shape[1], psi[0].shape[2]
-        dpsi_seg = np.zeros((2, plan.num_segments, num_polar, num_groups))
-        inv_sin = plan.topology.inv_sin
-        for d in (0, 1):
-            psi_d = psi[d]
-            for rows, sids, fsr in plan.columns[d]:
-                keep = ctx.track_mask[rows]
-                if not keep.any():
-                    continue
-                rows, sids, fsr = rows[keep], sids[keep], fsr[keep]
-                if expf is not None:
-                    e = expf[sids]
-                else:
-                    tau = (
-                        ctx.sigma_t[fsr][:, None, :]
-                        * plan.seg_len[sids][:, None, None]
-                        * inv_sin[None, :, None]
-                    )
-                    e = ctx.evaluator(tau)
-                q = ctx.reduced_source[fsr][:, None, :]
-                cur = psi_d[rows]
-                dpsi = (cur - q) * e
-                psi_d[rows] = cur - dpsi
-                dpsi_seg[d, sids] = dpsi
-        contrib = np.einsum("spg,sp->sg", dpsi_seg[0] + dpsi_seg[1], plan.seg_weights)
-        return tally_from_segments(contrib, plan.seg_fsr, ctx.num_fsrs)
+        return tally

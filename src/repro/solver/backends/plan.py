@@ -12,9 +12,8 @@ Two layers:
 
 * :class:`TrackTopology` — segment-independent link tables and sweep
   weights of one track laydown (cached on the track generator);
-* :class:`SweepPlan` — topology plus the flattened segment buffers, the
-  dense position-index matrices and the per-position gather lists the
-  kernels iterate over.
+* :class:`SweepPlan` — topology plus the flattened segment buffers and
+  the position-major layout the kernels iterate over.
 """
 
 from __future__ import annotations
@@ -129,11 +128,6 @@ class SweepPlan:
     idx_fwd / idx_bwd:
         Dense position-index matrices (lockstep axis layout). Built on
         first access: only the reference backend reads them.
-    columns:
-        ``columns[d][i] = (rows, sids, fsr)`` — the track rows active at
-        lockstep position ``i`` in direction ``d``, their segment ids and
-        the pre-gathered FSR ids. Built on first access: only the masked
-        2D sweep (L2 angle decomposition) reads them.
     seg_weights / pos_weights:
         Per-segment sweep weights — ``(S,)`` for 3D, ``(S, P)`` for 2D — in
         segment order and per direction in position-major order. Built on
@@ -157,7 +151,6 @@ class SweepPlan:
         "offsets",
         "_idx_fwd",
         "_idx_bwd",
-        "_columns",
         "_seg_weights",
         "max_positions",
         "num_segments",
@@ -168,7 +161,6 @@ class SweepPlan:
         "pos_fsr",
         "pos_len",
         "_pos_weights",
-        "_expf_cache",
         "_pos_expf_cache",
     )
 
@@ -184,13 +176,12 @@ class SweepPlan:
         self.seg_len = np.ascontiguousarray(segments.lengths, dtype=np.float64)
         self.seg_fsr = np.ascontiguousarray(segments.fsr_ids, dtype=np.int64)
         self.num_segments = int(self.seg_len.size)
-        self._idx_fwd = self._idx_bwd = self._columns = None
+        self._idx_fwd = self._idx_bwd = None
         self._seg_weights = self._pos_weights = None
         counts = np.diff(self.offsets)
         self.max_positions = int(counts.max()) if counts.size else 0
         self._build_prefix_layout(counts)
         self._bind_pos_segments()
-        self._expf_cache: tuple | None = None
         self._pos_expf_cache: tuple | None = None
 
     def _build_prefix_layout(self, counts: np.ndarray) -> None:
@@ -249,24 +240,6 @@ class SweepPlan:
             self._pos_weights = tuple(self.seg_weights[s] for s in self.pos_order)
         return self._pos_weights
 
-    @property
-    def columns(self) -> tuple:
-        if self._columns is None:
-            self._columns = (
-                self._build_columns(self.idx_fwd),
-                self._build_columns(self.idx_bwd),
-            )
-        return self._columns
-
-    def _build_columns(self, index: np.ndarray):
-        cols = []
-        for i in range(index.shape[1]):
-            idx = index[:, i]
-            rows = np.nonzero(idx >= 0)[0]
-            sids = idx[rows]
-            cols.append((rows, sids, self.seg_fsr[sids]))
-        return cols
-
     # ---------------------------------------------------------------- reuse
 
     def rebind(self, segments) -> "SweepPlan":
@@ -289,7 +262,6 @@ class SweepPlan:
         clone.num_segments = self.num_segments
         clone._idx_fwd = self._idx_fwd
         clone._idx_bwd = self._idx_bwd
-        clone._columns = None
         clone.max_positions = self.max_positions
         clone._seg_weights = self._seg_weights
         clone.track_order = self.track_order
@@ -298,7 +270,6 @@ class SweepPlan:
         clone.pos_order = self.pos_order
         clone._pos_weights = self._pos_weights
         clone._bind_pos_segments()
-        clone._expf_cache = None
         clone._pos_expf_cache = None
         return clone
 
@@ -309,41 +280,15 @@ class SweepPlan:
         polar = self.topology.num_polar if not self.topology.is_3d else 1
         return self.num_segments * max(polar, 1) * num_groups
 
-    def segment_expf(self, sigma_t: np.ndarray, evaluator) -> np.ndarray | None:
-        """Per-segment ``F(tau)`` table, cached per (sigma_t, evaluator).
-
-        Cross sections are constant across power iterations, so the whole
-        exponential evaluation — the transcendental-heavy inner loop of
-        the seed sweep — amortises to a single vectorised pass per solve.
-        Returns ``None`` when the table would exceed
-        :data:`MAX_EXPF_ELEMENTS` (kernels then evaluate per position).
-        """
-        cached = self._expf_cache
-        if (
-            cached is not None
-            and cached[0] is sigma_t
-            and cached[1] is evaluator
-        ):
-            return cached[2]
-        if self.expf_elements(sigma_t.shape[1]) > MAX_EXPF_ELEMENTS:
-            return None
-        if self.topology.is_3d:
-            tau = sigma_t[self.seg_fsr] * self.seg_len[:, None]
-        else:
-            tau = (
-                sigma_t[self.seg_fsr][:, None, :]
-                * self.seg_len[:, None, None]
-                * self.topology.inv_sin[None, :, None]
-            )
-        expf = evaluator(tau)
-        self._expf_cache = (sigma_t, evaluator, expf)
-        return expf
-
     def pos_expf(self, sigma_t: np.ndarray, evaluator) -> np.ndarray | None:
         """Position-major ``F(tau)`` table ``(2, S, ...)``, direction first.
 
-        Same caching and size policy as :meth:`segment_expf` (the guard
-        accounts for holding both directions). ``table[d]`` lines up with
+        Cross sections are constant across power iterations, so the whole
+        exponential evaluation — the transcendental-heavy inner loop of
+        the seed sweep — amortises to one blockwise pass per solve, cached
+        per (``sigma_t``, ``evaluator``). Returns ``None`` when both
+        directions' table would exceed :data:`MAX_EXPF_ELEMENTS` (the
+        kernels then evaluate per position). ``table[d]`` lines up with
         ``pos_fsr[d]``/``pos_len[d]``, so the lockstep kernel reads both
         directions of one position as the slice ``table[:, lo:hi]``. A 3D
         table is group-major (``table[d].T`` is C-contiguous), the layout

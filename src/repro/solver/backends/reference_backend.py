@@ -4,7 +4,9 @@ This backend reproduces the pre-backend sweep loop operation for
 operation: per-position exponential evaluation and a per-position
 ``np.add.at`` tally scatter. It exists so that the cross-backend
 equivalence suite (``tests/solver/test_backends.py``) has a stable
-oracle, and ``--backend reference`` runs the exact seed algorithm.
+oracle, and ``--backend reference`` runs the exact seed algorithm. Its
+two seed bodies stay apart: :meth:`ReferenceSweepBackend.sweep` picks the
+one of the plan's dimension.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ class ReferenceSweepBackend(KernelBackend):
 
     name = "reference"
 
+    def sweep(self, plan: SweepPlan, psi: list[np.ndarray], ctx: SweepContext) -> np.ndarray:
+        body = self.sweep3d if plan.topology.is_3d else self.sweep2d
+        return body(plan, psi, ctx)
+
     def sweep2d(
         self, plan: SweepPlan, psi: list[np.ndarray], ctx: SweepContext
     ) -> np.ndarray:
@@ -33,8 +39,6 @@ class ReferenceSweepBackend(KernelBackend):
             for d in (0, 1):
                 idx = index[d][:, i]
                 valid = idx >= 0
-                if ctx.track_mask is not None:
-                    valid &= ctx.track_mask
                 if not valid.any():
                     continue
                 sid = idx[valid]

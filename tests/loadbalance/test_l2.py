@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import DecompositionError
 from repro.loadbalance import map_angles_to_gpus
+from repro.tracks import TrackGenerator
 
 
 class TestL2Mapping:
@@ -59,3 +60,34 @@ class TestL2Mapping:
             map_angles_to_gpus([], 2)
         with pytest.raises(DecompositionError):
             map_angles_to_gpus(np.ones(4), 0)
+
+
+def angle_masks(tg, num_gpus):
+    """Track masks per simulated GPU from the L2 angle mapping."""
+    mapping = map_angles_to_gpus(
+        np.ones(tg.azimuthal.num_angles), num_gpus, pair_complementary=True
+    )
+    azim = np.array([t.azim for t in tg.tracks])
+    return [np.isin(azim, mapping.angles_of_gpu(gpu)) for gpu in range(num_gpus)]
+
+
+class TestAngleGroupClosure:
+    """Complementary pairing keeps each GPU's angle group closed under
+    the boundary linking, so the groups' sweeps are independent."""
+
+    @pytest.fixture()
+    def tg(self, reflective_box):
+        return TrackGenerator(reflective_box, num_azim=8, azim_spacing=0.5, num_polar=2).generate()
+
+    def test_groups_closed_under_linking(self, tg):
+        for mask in angle_masks(tg, 2):
+            for t in tg.tracks:
+                if mask[t.uid]:
+                    assert mask[t.link_fwd.track]
+                    assert mask[t.link_bwd.track]
+
+    def test_masks_partition_tracks(self, tg):
+        total = np.zeros(tg.num_tracks, dtype=int)
+        for mask in angle_masks(tg, 2):
+            total += mask.astype(int)
+        assert (total == 1).all()

@@ -31,7 +31,6 @@ from repro.runtime.cpus import cpu_budget
 from repro.runtime.sweep_split import (
     BACKEND,
     DECOMPOSED,
-    MASKED,
     NO_AFFINITY,
     NOT_TOP_LEVEL,
     ONE_SWEEP,
@@ -189,16 +188,6 @@ class TestWhyNot:
         assert record.reason == (ONE_SWEEP if SPLITS else "1 usable CPU")
 
     @needs_split
-    def test_masked(self):
-        solver = _solver()
-        sweeper = solver.sweeper
-        source = np.full((sweeper.terms.num_regions, sweeper.num_groups), 0.1)
-        with split_sweep(solver) as record:
-            for _ in range(3):
-                sweeper.sweep(source, track_mask=np.ones(sweeper.num_tracks, dtype=bool))
-        assert (record.processes, record.reason) == (1, MASKED)
-
-    @needs_split
     def test_affinity_not_settable(self, monkeypatch):
         def refuse(pid, mask):
             raise OSError(1, "Operation not permitted")
@@ -235,11 +224,11 @@ def _on_sweep(solver, action):
     sweeper = solver.sweeper
     original = sweeper.sweep
 
-    def sweep(reduced_source, track_mask=None):
+    def sweep(reduced_source):
         split = sweeper.split
         if split is not None and split._pid is not None:
             action(split)
-        return original(reduced_source, track_mask)
+        return original(reduced_source)
 
     sweeper.sweep = sweep
 

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.errors import SolverError
-from repro.loadbalance import map_angles_to_gpus
 from repro.solver import (
     KeffSolver,
     SourceTerms,
@@ -123,24 +122,6 @@ class TestEquivalence:
             np.testing.assert_allclose(t_fast, t_ref, **EQUIV)
         np.testing.assert_allclose(fast.psi_in, ref.psi_in, **EQUIV)
         np.testing.assert_allclose(fast.psi_out_last, ref.psi_out_last, **EQUIV)
-
-    def test_sweep2d_masked(self, reflective_box, two_group_fissile, backend):
-        tg = TrackGenerator(
-            reflective_box, num_azim=8, azim_spacing=0.5, num_polar=2
-        ).generate()
-        terms = SourceTerms([two_group_fissile] * reflective_box.num_fsrs)
-        mapping = map_angles_to_gpus(
-            np.ones(tg.azimuthal.num_angles), 2, pair_complementary=True
-        )
-        azim = np.array([t.azim for t in tg.tracks])
-        mask = np.isin(azim, mapping.angles_of_gpu(0))
-        fast, ref = _pair_2d(tg, terms, backend)
-        q = np.random.default_rng(11).uniform(0.05, 1.0, (terms.num_regions, 2))
-        for _ in range(2):
-            np.testing.assert_allclose(
-                fast.sweep(q, track_mask=mask), ref.sweep(q, track_mask=mask), **EQUIV
-            )
-        np.testing.assert_allclose(fast.psi_in, ref.psi_in, **EQUIV)
 
     def test_sweep3d_tally_and_boundary(self, small_trackgen_3d, two_group_fissile, backend):
         segments = small_trackgen_3d.trace_all_3d()

@@ -1,10 +1,11 @@
-"""The fused lockstep kernel against the per-direction loops it replaced.
+"""The one sweep path against the per-direction loops it replaced.
 
 ``_oracle_sweep`` and ``_oracle_batched`` are the pre-fusion kernels kept
 verbatim as test-only oracles: one position loop per direction, allocating
-expressions, whole-array exp tables, a strided per-group bincount and (for
-the widened sweep) one widened einsum. Every comparison is bitwise
-(``assert_array_equal``) on the tally, the exit ``psi`` and ``capture.out``.
+expressions, whole-array exp tables, a strided per-group bincount
+(``_tally_from_segments``) and (for the widened sweep) one widened
+einsum. Every comparison is bitwise (``assert_array_equal``) on the
+tally, the exit ``psi`` and ``capture.out``.
 ``test_3d_working_set`` pins the 3D kernel's memory: group-major buffers,
 one ``dpsi`` for both directions and no flat tally index.
 """
@@ -21,7 +22,6 @@ from repro.scenario.batched import BatchedSweep2D
 from repro.solver import SourceTerms, TransportSweep2D, TransportSweep3D
 from repro.solver.backends import SweepContext, SweepPlan, SweepWorkspace, TrackTopology
 from repro.solver.backends import plan as plan_module
-from repro.solver.backends.base import tally_from_segments
 from repro.solver.backends.numpy_backend import NumpySweepBackend
 from repro.solver.cmfd import CurrentCapture, CurrentTally, local_exit_destinations
 from repro.solver.expeval import ExponentialEvaluator
@@ -32,6 +32,16 @@ NUM_FSRS = 5
 
 
 # ------------------------------------------------------------------ oracles
+
+
+def _tally_from_segments(contrib, seg_fsr, num_fsrs):
+    """Reduce per-segment contributions ``(S, G)`` into a ``(R, G)`` tally,
+    one bincount per group."""
+    num_groups = contrib.shape[1]
+    tally = np.empty((num_fsrs, num_groups))
+    for g in range(num_groups):
+        tally[:, g] = np.bincount(seg_fsr, weights=contrib[:, g], minlength=num_fsrs)
+    return tally
 
 
 def _oracle_tables(plan, sigma_t, evaluator):
@@ -88,10 +98,10 @@ def _oracle_sweep(plan, psi, reduced_source, sigma_t, evaluator, capture, use_ta
         psi[d][plan.track_order] = cur
         if is_3d:
             np.multiply(dpsi, plan.pos_weights[d][:, None], out=dpsi)
-            tally += tally_from_segments(dpsi, fsr, NUM_FSRS)
+            tally += _tally_from_segments(dpsi, fsr, NUM_FSRS)
         else:
             contrib = np.einsum("spg,sp->sg", dpsi, plan.pos_weights[d])
-            tally += tally_from_segments(contrib, fsr, NUM_FSRS)
+            tally += _tally_from_segments(contrib, fsr, NUM_FSRS)
     return tally
 
 
@@ -140,7 +150,7 @@ def _oracle_batched(plan, psi, reduced_stack, sigmas, evaluator, capture, use_ta
                     capture.out[d][capture.dest[d][i]] = view[rows]
         psi[d][plan.track_order] = cur
         contrib = np.einsum("nspg,np->nsg", dpsi, plan.pos_weights[d])
-        total += tally_from_segments(
+        total += _tally_from_segments(
             contrib.reshape(plan.num_segments, num_states * num_groups), fsr, NUM_FSRS
         ).reshape(NUM_FSRS, num_states, num_groups)
     return [np.ascontiguousarray(total[:, s]) for s in range(num_states)]
@@ -222,9 +232,7 @@ def _check_single(plan, rng, num_groups, with_capture, use_table=True):
     want_capture = _clone_capture(capture)
     want = _oracle_sweep(plan, want_psi, source, sigma_t, EVALUATOR, want_capture, use_table)
     ctx = SweepContext(source, sigma_t, EVALUATOR, NUM_FSRS, capture=capture)
-    backend = NumpySweepBackend()
-    sweep = backend.sweep3d if plan.topology.is_3d else backend.sweep2d
-    got = sweep(plan, psi, ctx)
+    got = NumpySweepBackend().sweep(plan, psi, ctx)
     np.testing.assert_array_equal(got, want)
     for d in (0, 1):
         np.testing.assert_array_equal(psi[d], want_psi[d])

@@ -6,7 +6,7 @@ import pytest
 from repro.constants import FOUR_PI
 from repro.errors import SolverError
 from repro.solver import SourceTerms, TransportSweep2D
-from repro.solver.sweep2d import build_position_index
+from repro.solver.backends import build_position_index
 from repro.tracks import TrackGenerator
 
 

@@ -50,7 +50,7 @@ class TestSweep3D:
         assert plan_other.segments is other
         assert plan_other.pos_order is plan_first.pos_order
         assert plan_other.col_starts is plan_first.col_starts
-        assert plan_first._idx_fwd is None and plan_other._columns is None
+        assert plan_first._idx_fwd is None
 
     def test_track_count_mismatch_rejected(self, sweeper3d):
         from repro.tracks import SegmentData
