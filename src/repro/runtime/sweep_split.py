@@ -22,12 +22,12 @@ CPUs), one that cannot fork, or one with a single usable CPU
 (:func:`~repro.runtime.cpus.cpu_budget`).
 
 **Lifecycle.** The first sweep runs in process, so it builds the plan,
-the exp table and the workspace, which the helper inherits copy-on-write;
-the helper is forked when the second sweep starts, so a one-sweep solve
-never forks. Each process then frees the workspace buffers of the
-direction it no longer sweeps, so the split adds no peak memory (the
-sweeper binds a fresh workspace after the solve). For the solve, the
-helper is pinned to one CPU of the
+the one exp table both directions read and the workspace, which the
+helper inherits copy-on-write; the helper is forked when the second
+sweep starts, so a one-sweep solve never forks. Each process then frees
+the workspace buffers of the direction it no longer sweeps, so the split
+adds no peak memory (the sweeper binds a fresh workspace after the
+solve). For the solve, the helper is pinned to one CPU of the
 caller's affinity mask and the caller keeps the rest — unpinned, a woken
 helper often lands on its waker's CPU — and the caller's mask is restored
 on every exit path. Per sweep the caller publishes the reduced source and

@@ -101,36 +101,32 @@ class BatchedSweep2D(TransportSweep):
     # ------------------------------------------------------------- setup
 
     def _build_expf_table(self):
-        """The ``(2, n_seg, S, P, G)`` exponential table: each state's
+        """The ``(n_seg, S, P, G)`` exponential table: each state's
         slice is filled by the plan's single-state blockwise build
         (bitwise-equal slices), or ``None`` when the widened table would be
         too large — the kernel then evaluates per position, per state."""
         plan = self.plan
-        if 2 * self.num_states * plan.expf_elements(self.num_groups) > MAX_EXPF_ELEMENTS:
+        if self.num_states * plan.expf_elements(self.num_groups) > MAX_EXPF_ELEMENTS:
             get_logger("repro.scenario").info(
                 "batched expf table for %d states exceeds the element cap; "
                 "falling back to per-position evaluation", self.num_states,
             )
             return None
-        table = np.empty(
-            (2, plan.num_segments, self.num_states, self.num_polar, self.num_groups)
-        )
+        table = np.empty((plan.num_segments, self.num_states, self.num_polar, self.num_groups))
         for s, terms in enumerate(self.terms):
-            plan.fill_pos_expf(table[:, :, s], terms.sigma_t_safe, self.evaluator)
+            plan.fill_pos_expf(table[:, s], terms.sigma_t_safe, self.evaluator)
         return table
 
-    def _expf_at(self, d: int, lo: int, hi: int) -> np.ndarray:
+    def _expf_at(self, lo: int, hi: int) -> np.ndarray:
         block = self.plan.pos_expf_block
-        return np.stack(
-            [block(t.sigma_t_safe, self.evaluator, d, lo, hi) for t in self.terms], axis=1
-        )
+        return np.stack([block(t.sigma_t_safe, self.evaluator, lo, hi) for t in self.terms], axis=1)
 
     def enable_cmfd_tally(self, cell_of_fsr: np.ndarray) -> None:
         """Attach per-state current tallies plus one widened in-kernel
         capture. The tally layout is XS-independent, so every state's
         tally is structurally identical; the kernel writes crossings into
         the widened buffers and the per-state folds copy slices out."""
-        from repro.solver.cmfd import CurrentCapture, CurrentTally, local_exit_destinations
+        from repro.solver.cmfd import CurrentTally, local_exit_destinations
 
         exit_dst = local_exit_destinations(self.plan, cell_of_fsr)
         self.tallies = [
@@ -142,7 +138,7 @@ class BatchedSweep2D(TransportSweep):
             np.zeros((base.out[d].shape[0], self.num_states, self.num_polar, self.num_groups))
             for d in (0, 1)
         ]
-        self._capture = CurrentCapture(base.rows, base.track_rows, base.dest, out)
+        self._capture = base.with_out(out)
 
     def state_view(self, state: int) -> _StateView:
         return _StateView(self, state)

@@ -53,6 +53,9 @@ def parse_address(address: str) -> tuple[str, Any]:
     return "tcp", (host or "127.0.0.1", port_number)
 
 
+_LOG = get_logger("repro.serve")
+
+
 class _LineHandler(socketserver.StreamRequestHandler):
     """One thread per connection; one request/response pair per line."""
 
@@ -70,10 +73,20 @@ class _LineHandler(socketserver.StreamRequestHandler):
                 stop_drain = response.pop("_stop_drain", None)
             except (ServeError, ReproError) as exc:
                 response = protocol.error_response(str(exc))
-            self.wfile.write(protocol.encode(response))
-            self.wfile.flush()
+            try:
+                self.wfile.write(protocol.encode(response))
+                self.wfile.flush()
+                departed = False
+            except OSError as exc:  # the client hung up before reading its answer
+                _LOG.info(
+                    "client %s left before its %s answer was written (%s)",
+                    self.client_address or "on the unix socket", response.get("op", "error"),
+                    type(exc).__name__,
+                )
+                departed = True
             if stop_drain is not None:
                 self.server.solve_server.stop_async(drain=stop_drain)  # type: ignore[attr-defined]
+            if departed or stop_drain is not None:
                 return
 
 

@@ -12,38 +12,49 @@ in the trailing axes of their buffers — ``(P, G)``, ``(G,)``, ``(S, P, G)``.
   the pre-sliced ``cur[d, :n]`` and ``dpsi[d, lo:hi]`` views, and a step is
   three in-place ufuncs on the ``dpsi`` slice, which enters holding the
   hoisted source lookup (one ``np.take`` per direction per sweep):
-  ``dp = view - dp``, ``dp *= F(tau)`` from the plan's cached table,
-  ``view -= dp``. A 3D step then weights its slice, still in cache:
-  ``dp *= weights[:n]``, the first ``n`` rows of the workspace's ``(T, G)``
-  track weights in sorted order (the plan's ``pos_weights[d][lo:hi]``,
-  value for value). No step allocates. Every operation is elementwise, so
-  the two directions are independent to the bit.
+  ``dp = view - dp``, ``dp *= F(tau)`` from ``table[lo:hi]``, the plan's
+  cached table, ``view -= dp``. A 3D step then weights its slice, still in
+  cache: ``dp *= weights[:n]``, the first ``n`` rows of the workspace's
+  ``(T, G)`` track weights in sorted order (the plan's
+  ``pos_weights[lo:hi]``, value for value). No step allocates. Every
+  operation is elementwise, so the two directions are independent to the
+  bit.
+* **One layout, two walks.** Both directions read the plan's one
+  position-major layout and exp table. Direction 0's step list is the
+  positions from 0 up, direction 1's the same spans from the last
+  position down: at position ``i`` the active tracks are still the prefix
+  with more than ``i`` segments, and each track meets its own segments
+  last to first, so every step's operands and every per-segment
+  delta-psi are those of a walk along the reversed segments — only their
+  slot in ``dpsi`` is the forward one.
 * **One direction loop.** :func:`sweep_directions` is the kernel of the
   2D, 3D and widened sweeps: per direction it loads, runs the lockstep,
   stores the exit fluxes and adds :meth:`SweepWorkspace.bins` to a tally
   that starts at zeros, so every tally is ``bins(0)``, then ``bins(1)``,
   added onto zeros.
-* **Layout.** 2D buffers are segment-major, one set per direction (so a
-  direction can move to another process, below). 3D buffers — ``cur[d]``,
-  ``dpsi``, ``weights`` and the plan's exp table — are group-major (each
-  the transpose of a C-contiguous ``(G, ...)`` array): a direction is
-  reduced before the next is swept, so one ``dpsi`` serves both, and each
-  group's column is one contiguous run for the loads and the reduce.
+* **Layout.** 2D buffers ``cur[d]`` and ``dpsi[d]`` are segment-major,
+  one per direction (so a direction can move to another process, below),
+  over one flat tally index. 3D buffers — ``cur[d]``, ``dpsi``,
+  ``weights`` and the plan's exp table — are group-major (each the
+  transpose of a C-contiguous ``(G, ...)`` array): a direction is reduced
+  before the next is swept, so one ``dpsi`` serves both, and each group's
+  column is one contiguous run for the loads and the reduce.
 * **Reduce.** After a direction's lockstep ``dpsi[d]`` holds every
-  segment's delta-psi. 2D: one polar ``einsum`` contracts it to
-  ``(S, G)`` and one ``bincount`` over the flat ``fsr * G + g`` index
-  sums it. 3D: one ``bincount`` per group over ``pos_fsr[d]`` (the
-  lockstep left ``dpsi`` weighted). ``bincount`` adds a bin's terms in
-  array order — segment order, as the per-group bincount of the
-  pre-fusion kernel — so the tally is bitwise unchanged. The widened
-  sweep reduces per state with the single-state expression on
+  segment's delta-psi in its position-major slot. 2D: one polar
+  ``einsum`` contracts it to ``(S, G)`` and one ``bincount`` over the flat
+  ``fsr * G + g`` index sums it. 3D: one ``bincount`` per group over
+  ``pos_fsr`` (the lockstep left ``dpsi`` weighted). ``bincount`` adds a
+  bin's terms in array order, so both directions add an FSR's terms in
+  forward-slot order — for direction 1 not the order its walk met them.
+  The widened sweep reduces per state with the single-state expression on
   ``dpsi[d][:, s]``.
 * **Remote backward direction** (2D). ``SweepContext.remote`` hands
   direction 1 to another process (:mod:`repro.runtime.sweep_split`): the
   kernel releases it before its own gather, sweeps direction 0, and adds
   the helper's ``bins(1)`` where it would have added its own — the same
-  bits. Every 2D buffer is per direction, so each process can free the
-  other's (:meth:`SweepWorkspace.drop`).
+  bits. ``cur`` and ``dpsi`` are per direction, so each process can free
+  the other's (:meth:`SweepWorkspace.drop`); both read the one layout,
+  exp table and flat index.
 * **Workspace.** The buffers belong to a :class:`SweepWorkspace` owned by
   the *sweeper* (``SweepContext.workspace``): plans stay immutable and
   shareable between sweepers and threads; buffers are reused across sweeps
@@ -76,13 +87,14 @@ class SweepWorkspace:
     """The lockstep kernel's buffers for one sweeper over one plan layout.
 
     2D (trailing ``(P, G)``, widened ``(S, P, G)``): one of each per
-    direction — ``cur[d] (T, ...)``, ``dpsi[d] (S, ...)``, the pre-sliced
-    step list and the flat tally index ``flat[d]`` — plus the polar
-    contraction's output. 3D (trailing ``(G,)``): group-major ``cur[d]``
-    and sorted track ``weights`` ``(T, G)``, one group-major ``dpsi``
-    ``(S, G)`` serving both directions (``dpsi[0] is dpsi[1]``: the
-    kernel reduces a direction before it sweeps the next), and no flat
-    index (``flat is None``)."""
+    direction — ``cur[d] (T, ...)``, ``dpsi[d] (S, ...)`` and the
+    pre-sliced step list — plus one flat tally index ``flat (S, G)`` and
+    the polar contraction's output. 3D (trailing ``(G,)``): group-major
+    ``cur[d]`` and sorted track ``weights`` ``(T, G)``, one group-major
+    ``dpsi`` ``(S, G)`` serving both directions (``dpsi[0] is dpsi[1]``:
+    the kernel reduces a direction before it sweeps the next), and no
+    flat index (``flat is None``). ``steps[1]`` is ``steps[0]``'s spans
+    reversed, over direction 1's buffers."""
 
     __slots__ = ("cur", "dpsi", "contrib", "weights", "steps", "flat", "_starts", "_fsr")
 
@@ -102,7 +114,7 @@ class SweepWorkspace:
                 self.cur = [np.empty((num_tracks,) + trailing) for _ in (0, 1)]
                 self.dpsi = [np.empty((num_segments,) + trailing) for _ in (0, 1)]
                 self.contrib = np.empty((num_segments, num_groups))
-                self.flat = [np.empty((num_segments, num_groups), dtype=np.int64) for _ in (0, 1)]
+                self.flat = np.empty((num_segments, num_groups), dtype=np.int64)
             else:
                 # 3D has no polar axis to contract: the lockstep weights
                 # dpsi by the track weights in sorted order instead.
@@ -120,14 +132,14 @@ class SweepWorkspace:
                 [
                     (lo, hi, self.cur[d][: hi - lo], self.dpsi[d][lo:hi],
                      None if self.weights is None else self.weights[: hi - lo])
-                    for lo, hi in spans
+                    for lo, hi in walk
                 ]
-                for d in (0, 1)
+                for d, walk in enumerate((spans, spans[::-1]))
             ]
             self._starts, self._fsr = starts, None
         if self.flat is not None and self._fsr is not plan.pos_fsr:
-            for d, fsr in enumerate(plan.pos_fsr):
-                np.add(fsr[:, None] * trailing[-1], np.arange(trailing[-1]), out=self.flat[d])
+            num_groups = trailing[-1]
+            np.add(plan.pos_fsr[:, None] * num_groups, np.arange(num_groups), out=self.flat)
             self._fsr = plan.pos_fsr
         return self
 
@@ -135,7 +147,7 @@ class SweepWorkspace:
         """Free direction ``d``'s 2D buffers: another process sweeps it
         from now on, and this workspace is no longer whole — its sweeper
         binds a fresh one before it sweeps ``d`` here again."""
-        self.cur[d] = self.dpsi[d] = self.flat[d] = None
+        self.cur[d] = self.dpsi[d] = None
         self.steps[d] = []
 
     def load(self, plan: SweepPlan, d: int, psi: np.ndarray, source: np.ndarray) -> None:
@@ -146,13 +158,13 @@ class SweepWorkspace:
         clips: it only skips numpy's defensive copy of ``out``."""
         if self.flat is None:  # 3D: take along the C-contiguous transposes
             np.take(psi.T, plan.track_order, axis=1, out=self.cur[d].T, mode="clip")
-            np.take(source.T, plan.pos_fsr[d], axis=1, out=self.dpsi[d].T, mode="clip")
+            np.take(source.T, plan.pos_fsr, axis=1, out=self.dpsi[d].T, mode="clip")
             return
         source = np.broadcast_to(
             np.expand_dims(source, -2), source.shape[:1] + self.dpsi[d].shape[1:]
         )
         np.take(psi, plan.track_order, axis=0, out=self.cur[d], mode="clip")
-        np.take(source, plan.pos_fsr[d], axis=0, out=self.dpsi[d], mode="clip")
+        np.take(source, plan.pos_fsr, axis=0, out=self.dpsi[d], mode="clip")
 
     def store(self, plan: SweepPlan, d: int, psi: np.ndarray) -> None:
         """Direction ``d``'s exit fluxes back into track order."""
@@ -164,13 +176,11 @@ class SweepWorkspace:
         """Direction ``d``'s share of the tally (of one state of a widened
         sweep): flat ``(R * G,)`` in 2D, ``(R, G)`` in 3D."""
         if self.flat is None:  # 3D: weighted in the lockstep, one bincount per group
-            fsr = plan.pos_fsr[d]
-            by_group = [np.bincount(fsr, column, num_fsrs) for column in self.dpsi[d].T]
+            by_group = [np.bincount(plan.pos_fsr, column, num_fsrs) for column in self.dpsi[d].T]
             return np.stack(by_group, axis=1)
         dpsi = self.dpsi[d] if state is None else self.dpsi[d][:, state]
-        contrib = np.einsum("spg,sp->sg", dpsi, plan.pos_weights[d], out=self.contrib)
-        flat = self.flat[d]
-        return np.bincount(flat.ravel(), contrib.ravel(), num_fsrs * flat.shape[-1])
+        contrib = np.einsum("spg,sp->sg", dpsi, plan.pos_weights, out=self.contrib)
+        return np.bincount(self.flat.ravel(), contrib.ravel(), num_fsrs * self.flat.shape[-1])
 
 
 def lockstep(
@@ -179,22 +189,23 @@ def lockstep(
     """Advance every traversal of direction ``d`` one segment per step,
     leaving exit fluxes in ``work.cur[d]`` and per-segment delta-psi in
     ``work.dpsi[d]`` (which enters holding the source lookup). ``table`` is
-    the ``(2, S, ...)`` exp table; when it was too large to build,
-    ``expf_at(d, lo, hi)`` evaluates one position's factors instead. A 3D
-    step leaves its delta-psi weighted (``weight`` is ``None`` in 2D)."""
-    factors = None if table is None else table[d]
+    the plan's ``(S, ...)`` exp table; when it was too large to build,
+    ``expf_at(lo, hi)`` evaluates one position's factors instead. A 3D
+    step leaves its delta-psi weighted (``weight`` is ``None`` in 2D).
+    ``capture`` is keyed by walk step: direction 1's step ``i`` is
+    position ``max_positions - 1 - i``."""
     rows = dest = out = None
     if capture is not None:
         rows, dest, out = capture.rows[d], capture.dest[d], capture.out[d]
     for i, (lo, hi, view, dp, weight) in enumerate(work.steps[d]):
         np.subtract(view, dp, out=dp)
-        np.multiply(dp, expf_at(d, lo, hi) if factors is None else factors[lo:hi], out=dp)
+        np.multiply(dp, expf_at(lo, hi) if table is None else table[lo:hi], out=dp)
         np.subtract(view, dp, out=view)
         if weight is not None:
             np.multiply(dp, weight, out=dp)
         if rows is not None and rows[i].size:
-            # A crossing after position i implies the track has >= i + 2
-            # segments, so its prefix row is in view.
+            # A crossing after this step implies the track has a segment
+            # at its position, so its prefix row is in view.
             out[dest[i]] = view[rows[i]]
 
 

@@ -12,8 +12,10 @@ Two layers:
 
 * :class:`TrackTopology` — segment-independent link tables and sweep
   weights of one track laydown (cached on the track generator);
-* :class:`SweepPlan` — topology plus the flattened segment buffers and
-  the position-major layout the kernels iterate over.
+* :class:`SweepPlan` — topology plus the flattened segment buffers, the
+  one position-major layout both sweep directions iterate over (direction
+  0 from its first position up, direction 1 from its last position down)
+  and the one exp table that lines up with it.
 """
 
 from __future__ import annotations
@@ -130,17 +132,20 @@ class SweepPlan:
         first access: only the reference backend reads them.
     seg_weights / pos_weights:
         Per-segment sweep weights — ``(S,)`` for 3D, ``(S, P)`` for 2D — in
-        segment order and per direction in position-major order. Built on
-        first access: only the 2D kernels read them (the 3D lockstep
-        weights each position by its prefix of ``topology.weights``).
-    track_order / col_starts / col_counts / pos_fsr / pos_len:
+        segment order and in position-major order. Built on first access:
+        only the 2D kernels read them (the 3D lockstep weights each
+        position by its prefix of ``topology.weights``).
+    track_order / col_starts / col_counts / pos_order / pos_fsr / pos_len:
         The prefix-packed position-major layout: tracks sorted by
         descending segment count make the active set at every lockstep
         position a *prefix* of the sorted order, and segments re-ordered
-        position-major per direction make every per-position buffer a
+        position-major (slot ``col_starts[i] + r`` holds the ``i``-th
+        segment of sorted track ``r``) make every per-position buffer a
         contiguous slice ``[col_starts[i] : col_starts[i] + col_counts[i]]``.
-        The fast kernel therefore runs on views, with the per-sweep source
-        lookup as its only fancy gather.
+        Both directions read this one layout: direction 1 walks its
+        positions from the last down to 0, so each track still meets its
+        own segments last to first. The fast kernel therefore runs on
+        views, with the per-sweep source lookup as its only fancy gather.
     """
 
     __slots__ = (
@@ -199,21 +204,14 @@ class SweepPlan:
         np.cumsum(active, out=starts[1:])
         self.col_starts = starts
         self.col_counts = active
-        pos_order = []
-        for reverse in (False, True):
-            sids = np.empty(self.num_segments, dtype=np.int64)
-            for i in range(self.max_positions):
-                rows = order[: active[i]]
-                if reverse:
-                    sids[starts[i] : starts[i + 1]] = self.offsets[rows + 1] - 1 - i
-                else:
-                    sids[starts[i] : starts[i + 1]] = self.offsets[rows] + i
-            pos_order.append(sids)
-        self.pos_order = tuple(pos_order)
+        first = self.offsets[order]
+        self.pos_order = np.empty(self.num_segments, dtype=np.int64)
+        for i in range(self.max_positions):
+            self.pos_order[starts[i] : starts[i + 1]] = first[: active[i]] + i
 
     def _bind_pos_segments(self) -> None:
-        self.pos_fsr = tuple(self.seg_fsr[s] for s in self.pos_order)
-        self.pos_len = tuple(self.seg_len[s] for s in self.pos_order)
+        self.pos_fsr = self.seg_fsr[self.pos_order]
+        self.pos_len = self.seg_len[self.pos_order]
 
     @property
     def idx_fwd(self) -> np.ndarray:
@@ -235,9 +233,9 @@ class SweepPlan:
         return self._seg_weights
 
     @property
-    def pos_weights(self) -> tuple:
+    def pos_weights(self) -> np.ndarray:
         if self._pos_weights is None:
-            self._pos_weights = tuple(self.seg_weights[s] for s in self.pos_order)
+            self._pos_weights = self.seg_weights[self.pos_order]
         return self._pos_weights
 
     # ---------------------------------------------------------------- reuse
@@ -281,54 +279,48 @@ class SweepPlan:
         return self.num_segments * max(polar, 1) * num_groups
 
     def pos_expf(self, sigma_t: np.ndarray, evaluator) -> np.ndarray | None:
-        """Position-major ``F(tau)`` table ``(2, S, ...)``, direction first.
+        """Position-major ``F(tau)`` table ``(S, ...)``.
 
         Cross sections are constant across power iterations, so the whole
         exponential evaluation — the transcendental-heavy inner loop of
         the seed sweep — amortises to one blockwise pass per solve, cached
-        per (``sigma_t``, ``evaluator``). Returns ``None`` when both
-        directions' table would exceed :data:`MAX_EXPF_ELEMENTS` (the
-        kernels then evaluate per position). ``table[d]`` lines up with
-        ``pos_fsr[d]``/``pos_len[d]``, so the lockstep kernel reads both
-        directions of one position as the slice ``table[:, lo:hi]``. A 3D
-        table is group-major (``table[d].T`` is C-contiguous), the layout
-        of the 3D kernel's ``dpsi``.
+        per (``sigma_t``, ``evaluator``). Returns ``None`` when the table
+        would exceed :data:`MAX_EXPF_ELEMENTS` (the kernels then evaluate
+        per position). The table lines up with ``pos_fsr``/``pos_len``,
+        so both directions read one position's factors as the slice
+        ``table[lo:hi]``. A 3D table is group-major (``table.T`` is
+        C-contiguous), the layout of the 3D kernel's ``dpsi``. A new
+        ``sigma_t`` drops the cached table before the next is allocated,
+        so a rebuild never holds two.
         """
         cached = self._pos_expf_cache
-        if (
-            cached is not None
-            and cached[0] is sigma_t
-            and cached[1] is evaluator
-        ):
+        if cached is not None and cached[0] is sigma_t and cached[1] is evaluator:
             return cached[2]
-        if 2 * self.expf_elements(sigma_t.shape[1]) > MAX_EXPF_ELEMENTS:
+        self._pos_expf_cache = cached = None  # the old table goes before the next is made
+        if self.expf_elements(sigma_t.shape[1]) > MAX_EXPF_ELEMENTS:
             return None
         if self.topology.is_3d:  # group-major, as the 3D kernel's dpsi
-            table = np.empty((2,) + sigma_t.shape[1:] + (self.num_segments,))
-            table = table.transpose(0, 2, 1)
+            table = np.empty(sigma_t.shape[1:] + (self.num_segments,)).T
         else:
-            table = np.empty((2, self.num_segments, self.topology.num_polar) + sigma_t.shape[1:])
+            table = np.empty((self.num_segments, self.topology.num_polar) + sigma_t.shape[1:])
         self.fill_pos_expf(table, sigma_t, evaluator)
         self._pos_expf_cache = (sigma_t, evaluator, table)
         return table
 
     def fill_pos_expf(self, out: np.ndarray, sigma_t: np.ndarray, evaluator) -> None:
-        """Write the position-major table into ``out`` ``(2, S, ...)`` in
+        """Write the position-major table into ``out`` ``(S, ...)`` in
         blocks of :data:`EXPF_BLOCK_SEGMENTS` segments (``out`` may be one
         state's strided slice of a scenario-widened table)."""
-        for d in (0, 1):
-            for lo in range(0, self.num_segments, EXPF_BLOCK_SEGMENTS):
-                hi = min(lo + EXPF_BLOCK_SEGMENTS, self.num_segments)
-                out[d, lo:hi] = self.pos_expf_block(sigma_t, evaluator, d, lo, hi)
+        for lo in range(0, self.num_segments, EXPF_BLOCK_SEGMENTS):
+            hi = min(lo + EXPF_BLOCK_SEGMENTS, self.num_segments)
+            out[lo:hi] = self.pos_expf_block(sigma_t, evaluator, lo, hi)
 
-    def pos_expf_block(
-        self, sigma_t: np.ndarray, evaluator, d: int, lo: int, hi: int
-    ) -> np.ndarray:
-        """``F(tau)`` of direction ``d``'s position-major segments
-        ``[lo, hi)`` — the one tau expression behind the table blocks and
-        the kernels' per-position fallback."""
-        fsr = self.pos_fsr[d][lo:hi]
-        length = self.pos_len[d][lo:hi]
+    def pos_expf_block(self, sigma_t: np.ndarray, evaluator, lo: int, hi: int) -> np.ndarray:
+        """``F(tau)`` of the position-major segments ``[lo, hi)`` — the
+        one tau expression behind the table blocks and the kernels'
+        per-position fallback."""
+        fsr = self.pos_fsr[lo:hi]
+        length = self.pos_len[lo:hi]
         if self.topology.is_3d:
             tau = sigma_t[fsr] * length[:, None]
         else:

@@ -56,7 +56,7 @@ class ReferenceSweepBackend(KernelBackend):
                 if ctx.capture is not None:
                     tracks = ctx.capture.track_rows[d][i]
                     if tracks.size:
-                        ctx.capture.out[d][ctx.capture.dest[d][i]] = psi[d][tracks]
+                        ctx.capture.out[d][ctx.capture.track_dest[d][i]] = psi[d][tracks]
                 contrib = np.einsum("vp,vpg->vg", weights[valid], dpsi)
                 np.add.at(tally, fsr, contrib)
         return tally
@@ -86,7 +86,7 @@ class ReferenceSweepBackend(KernelBackend):
                 if ctx.capture is not None:
                     tracks = ctx.capture.track_rows[d][i]
                     if tracks.size:
-                        ctx.capture.out[d][ctx.capture.dest[d][i]] = psi[d][tracks]
+                        ctx.capture.out[d][ctx.capture.track_dest[d][i]] = psi[d][tracks]
                 contrib = weights[valid][:, None] * dpsi
                 np.add.at(tally, fsr, contrib)
         return tally

@@ -34,6 +34,7 @@ Key structural properties, relied on throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -241,23 +242,32 @@ class CurrentCapture:
     """Per-sweep capture plan handed to the kernel backends via
     ``SweepContext.capture``.
 
-    For each direction ``d`` and prefix position ``i`` the backend writes
-    the post-segment angular flux of the listed tracks into ``out[d]``:
-    the numpy backend indexes its position-major working array with
-    ``rows[d][i]`` (prefix-row indices, valid because a crossing after
-    position ``i`` implies the track has at least ``i + 2`` segments), the
-    reference backend indexes ``psi[d]`` with ``track_rows[d][i]``
-    (absolute track ids, same order). ``dest[d][i]`` is the slice of
-    ``out[d]`` both write into.
+    For each direction ``d`` the backend writes the post-segment angular
+    flux of the tracks that cross a coarse face after a step into
+    ``out[d]``. The numpy backend keys them by walk step ``i`` (direction
+    1 walks the positions from the last down, so its step ``i`` is
+    position ``max_positions - 1 - i``): it indexes its position-major
+    working array with ``rows[d][i]`` (prefix-row indices, valid because a
+    crossing after a step implies the track has a segment at its
+    position) and writes the slice ``dest[d][i]`` of ``out[d]``. The
+    reference backend walks each track's own positions (direction 1 along
+    ``idx_bwd``): at its position ``j`` it indexes ``psi[d]`` with
+    ``track_rows[d][j]`` (absolute track ids) and writes the index array
+    ``track_dest[d][j]`` of ``out[d]``.
     """
 
-    __slots__ = ("rows", "track_rows", "dest", "out")
+    __slots__ = ("rows", "dest", "track_rows", "track_dest", "out")
 
-    def __init__(self, rows, track_rows, dest, out) -> None:
+    def __init__(self, rows, dest, track_rows, track_dest, out) -> None:
         self.rows = rows
-        self.track_rows = track_rows
         self.dest = dest
+        self.track_rows = track_rows
+        self.track_dest = track_dest
         self.out = out
+
+    def with_out(self, out) -> "CurrentCapture":
+        """The same plan writing into other buffers ``out``."""
+        return CurrentCapture(self.rows, self.dest, self.track_rows, self.track_dest, out)
 
 
 class CurrentTally:
@@ -306,15 +316,19 @@ class CurrentTally:
         cell_before = seg_cell[crossing]
         cell_after = seg_cell[crossing + 1]
 
-        # Per-direction internal records: (track, capture position, src, dst).
-        # Forward captures fire after traversal position ``s - offsets[t]``;
-        # backward ones after the position of segment ``s + 1`` in reverse
-        # order, with source/destination swapped.
-        pos_fwd = crossing - offsets[cross_track]
-        pos_bwd = offsets[cross_track + 1] - 2 - crossing
+        # Per-direction internal records: (track, kernel walk step,
+        # reference position, src, dst). A crossing between a track's
+        # segments k and k + 1 fires forward after the step at position k;
+        # backward, with source/destination swapped, after the step at
+        # position k + 1 — walk step M - 2 - k of the numpy kernel, which
+        # walks the M positions from the last down, and position
+        # count - 2 - k of the reference backend's reversed track.
+        num_positions = int(plan.max_positions)
+        pos = crossing - offsets[cross_track]
         internal = (
-            (cross_track, pos_fwd, cell_before, cell_after),
-            (cross_track, pos_bwd, cell_after, cell_before),
+            (cross_track, pos, pos, cell_before, cell_after),
+            (cross_track, num_positions - 2 - pos, counts[cross_track] - 2 - pos,
+             cell_after, cell_before),
         )
         exit_dst = np.asarray(exit_dst, dtype=np.int64)
         if exit_dst.shape != (num_tracks, 2):
@@ -328,32 +342,30 @@ class CurrentTally:
         # Fold layout: [forward crossings | forward exits | backward
         # crossings | backward exits], so one weight contraction and one
         # ordered bincount fold a sweep in the per-direction order.
-        # Crossings are ordered by (position, prefix row) so the kernel
-        # writes contiguous slices per position; exits (last traversal cell
+        # Crossings are ordered by (walk step, prefix row) so the kernel
+        # writes contiguous slices per step; exits (last traversal cell
         # -> destination cell; self pairs, i.e. reflective returns into the
         # same cell, dropped) are copied in from the post-sweep ``psi``.
         rank = np.empty(num_tracks, dtype=np.int64)
         rank[plan.track_order] = np.arange(num_tracks, dtype=np.int64)
         rows: list[list[np.ndarray]] = []
-        track_rows: list[list[np.ndarray]] = []
         dest: list[list[slice]] = []
+        track_rows: list[list[np.ndarray]] = []
+        track_dest: list[list[np.ndarray]] = []
         blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        n_crossing_groups = int(plan.max_positions)
+        positions = np.arange(num_positions + 1)
         for d in (0, 1):
-            track, pos, src, dst = internal[d]
+            track, step, ref, src, dst = internal[d]
             prow = rank[track]
-            order = np.lexsort((prow, pos))
-            track, pos, prow = track[order], pos[order], prow[order]
-            starts = np.searchsorted(pos, np.arange(n_crossing_groups + 1))
-            rows.append(
-                [prow[starts[i]:starts[i + 1]] for i in range(n_crossing_groups)]
-            )
-            track_rows.append(
-                [track[starts[i]:starts[i + 1]] for i in range(n_crossing_groups)]
-            )
-            dest.append(
-                [slice(starts[i], starts[i + 1]) for i in range(n_crossing_groups)]
-            )
+            order = np.lexsort((prow, step))
+            track, prow, ref = track[order], prow[order], ref[order]
+            runs = list(pairwise(np.searchsorted(step[order], positions).tolist()))
+            rows.append([prow[lo:hi] for lo, hi in runs])
+            dest.append([slice(lo, hi) for lo, hi in runs])
+            by_ref = np.argsort(ref, kind="stable")
+            runs = list(pairwise(np.searchsorted(ref[by_ref], positions).tolist()))
+            track_rows.append([track[by_ref[lo:hi]] for lo, hi in runs])
+            track_dest.append([by_ref[lo:hi] for lo, hi in runs])
             exit_to = exit_dst[ended, d]
             keep = exit_to != exit_src[d]
             blocks += [
@@ -386,7 +398,7 @@ class CurrentTally:
         self._exit_tracks = (blocks[1][0], blocks[3][0])
         self._exit_spans = (spans[1], spans[3])
         self.capture = CurrentCapture(
-            rows, track_rows, dest, [self._fold[spans[0]], self._fold[spans[2]]]
+            rows, dest, track_rows, track_dest, [self._fold[spans[0]], self._fold[spans[2]]]
         )
 
         #: Coarse cell each traversal enters first — used to rescale the

@@ -174,6 +174,57 @@ class TestShutdown:
             ServeClient(server.address, timeout=0.5).ping()
 
 
+class TestDepartedClients:
+    """A client that hangs up before reading its answer: the write fails,
+    the server logs one INFO line naming it and carries on — a solve's
+    answer still lands in the report cache, a shutdown still stops the
+    server — and no traceback reaches stderr."""
+
+    def test_solve_and_shutdown_from_clients_that_hang_up(self, tmp_path, capfd):
+        import logging
+        import time
+
+        from repro.serve import protocol
+
+        records: list[logging.LogRecord] = []
+        handler = logging.Handler()
+        handler.emit = records.append  # type: ignore[method-assign]
+        logger = logging.getLogger("repro.serve")
+        logger.addHandler(handler)
+        path = tmp_path / "serve.sock"
+        server = SolveServer(f"unix:{path}", options=ServeOptions(solver_threads=1))
+        stopped = threading.Event()
+        server.on_stop = stopped.set
+        server.start()
+
+        def send_and_hang_up(request):
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                sock.connect(str(path))
+                sock.sendall(protocol.encode(request))
+
+        def departed(op):
+            return [r for r in records if "left before its " + op in r.getMessage()]
+
+        try:
+            send_and_hang_up({"op": "solve", "config": solve_payload()})
+            deadline = time.monotonic() + 60.0
+            while not departed("solve") and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert len(departed("solve")) == 1
+            assert departed("solve")[0].levelno == logging.INFO
+            with ServeClient(server.address) as client:
+                assert client.solve(solve_payload())["cache_hit"] is True
+            send_and_hang_up({"op": "shutdown"})
+            assert stopped.wait(timeout=30.0)  # the shutdown was honoured
+        finally:
+            logger.removeHandler(handler)
+            server.stop()
+        assert len(departed("shutdown")) == 1
+        assert not path.exists()
+        err = capfd.readouterr().err
+        assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 class TestSubprocessServer:
     def test_python_dash_m_repro_serve(self):
         """The server as an operator starts it: ``python -m repro.serve``."""

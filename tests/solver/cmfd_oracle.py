@@ -309,16 +309,22 @@ class ScalarCurrentTally:
         cell_before = seg_cell[crossing]
         cell_after = seg_cell[crossing + 1] if crossing.size else crossing
 
-        # Per-direction internal records: (track, capture position, src, dst).
-        # Forward captures fire after traversal position ``s - offsets[t]``;
-        # backward ones after the position of segment ``s + 1`` in reverse
-        # order, with source/destination swapped.
+        # Per-direction internal records: (track, kernel walk step, src,
+        # dst). Forward captures fire after traversal position
+        # ``s - offsets[t]``. The numpy kernel walks direction 1 over the
+        # forward positions from the last down, so a backward capture fires
+        # after the step at the position of segment ``s + 1`` — walk step
+        # ``max_positions - 1 - (s + 1 - offsets[t])`` — with
+        # source/destination swapped. The reference backend walks the
+        # reversed track: ``ref_pos`` is the capture's position there.
         pos_fwd = crossing - offsets[cross_track]
+        step_bwd = plan.max_positions - 2 - pos_fwd
         pos_bwd = offsets[cross_track + 1] - 2 - crossing
         internal = {
             0: (cross_track, pos_fwd, cell_before, cell_after),
-            1: (cross_track, pos_bwd, cell_after, cell_before),
+            1: (cross_track, step_bwd, cell_after, cell_before),
         }
+        ref_pos = {0: pos_fwd, 1: pos_bwd}
 
         # Track-end exits: last traversal cell -> destination cell (self
         # pairs — reflective returns into the same cell — are dropped).
@@ -352,13 +358,16 @@ class ScalarCurrentTally:
         ).astype(np.int64)
         self.num_pairs = int(unique_keys.size)
 
-        # Capture plan: per direction, crossings ordered by (position,
-        # prefix row) so the kernel writes contiguous slices per position.
+        # Capture plan: per direction, crossings ordered by (walk step,
+        # prefix row) so the kernel writes contiguous slices per step; the
+        # reference backend writes each of its positions' crossings to
+        # wherever they landed in that order.
         rank = np.empty(num_tracks, dtype=np.int64)
         rank[plan.track_order] = np.arange(num_tracks, dtype=np.int64)
         rows: list[list[np.ndarray]] = []
-        track_rows: list[list[np.ndarray]] = []
         dest: list[list[slice]] = []
+        track_rows: list[list[np.ndarray]] = []
+        track_dest: list[list[np.ndarray]] = []
         out: list[np.ndarray] = []
         self._cap_slots: list[np.ndarray] = []
         self._cap_weights: list[np.ndarray] = []
@@ -369,17 +378,17 @@ class ScalarCurrentTally:
             prow = rank[track]
             order = np.lexsort((prow, pos))
             track, pos, prow = track[order], pos[order], prow[order]
+            ref = ref_pos[d][order]
             slot = np.searchsorted(unique_keys, src[order] * stride + (dst[order] + 1))
             starts = np.searchsorted(pos, np.arange(n_crossing_groups + 1))
             rows.append(
                 [prow[starts[i]:starts[i + 1]] for i in range(n_crossing_groups)]
             )
-            track_rows.append(
-                [track[starts[i]:starts[i + 1]] for i in range(n_crossing_groups)]
-            )
             dest.append(
                 [slice(starts[i], starts[i + 1]) for i in range(n_crossing_groups)]
             )
+            track_rows.append([track[ref == j] for j in range(n_crossing_groups)])
+            track_dest.append([np.nonzero(ref == j)[0] for j in range(n_crossing_groups)])
             if self.is_3d:
                 out.append(np.zeros((track.size, self.num_groups)))
                 self._cap_weights.append(weights[track])
@@ -388,7 +397,7 @@ class ScalarCurrentTally:
                 out.append(np.zeros((track.size, num_polar, self.num_groups)))
                 self._cap_weights.append(weights[track])
             self._cap_slots.append(slot)
-        self.capture = CurrentCapture(rows, track_rows, dest, out)
+        self.capture = CurrentCapture(rows, dest, track_rows, track_dest, out)
 
         self._exit_tracks: list[np.ndarray] = []
         self._exit_slots: list[np.ndarray] = []

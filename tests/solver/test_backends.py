@@ -76,21 +76,23 @@ class TestPlanLayout:
         assert small_trackgen.sweep_topology() is small_trackgen.sweep_topology()
 
     def test_prefix_layout_consistent(self, small_trackgen):
-        """The position-major order is a permutation consistent with the
-        dense index matrices, and column widths only shrink."""
+        """The one position-major order is a permutation consistent with
+        the forward index matrix (and, read from the last position down,
+        with the backward one), and column widths only shrink."""
         plan = small_trackgen.sweep_plan()
         counts = np.diff(plan.offsets)
+        order = plan.pos_order
         assert (np.diff(plan.col_counts) <= 0).all()
         assert plan.col_starts[-1] == plan.num_segments
-        for d, index in enumerate((plan.idx_fwd, plan.idx_bwd)):
-            order = plan.pos_order[d]
-            assert np.array_equal(np.sort(order), np.arange(plan.num_segments))
-            for i in range(plan.max_positions):
-                lo, hi = plan.col_starts[i], plan.col_starts[i + 1]
-                rows = plan.track_order[: hi - lo]
-                assert (counts[rows] > i).all()
-                assert np.array_equal(order[lo:hi], index[rows, i])
-            np.testing.assert_array_equal(plan.pos_fsr[d], plan.seg_fsr[order])
+        assert np.array_equal(np.sort(order), np.arange(plan.num_segments))
+        for i in range(plan.max_positions):
+            lo, hi = plan.col_starts[i], plan.col_starts[i + 1]
+            rows = plan.track_order[: hi - lo]
+            assert (counts[rows] > i).all()
+            assert np.array_equal(order[lo:hi], plan.idx_fwd[rows, i])
+            assert np.array_equal(order[lo:hi], plan.idx_bwd[rows, counts[rows] - 1 - i])
+        np.testing.assert_array_equal(plan.pos_fsr, plan.seg_fsr[order])
+        np.testing.assert_array_equal(plan.pos_len, plan.seg_len[order])
 
     def test_sweepers_share_one_plan(self, small_trackgen, two_group_fissile):
         terms = SourceTerms([two_group_fissile] * small_trackgen.geometry.num_fsrs)

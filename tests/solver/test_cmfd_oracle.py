@@ -264,6 +264,9 @@ def test_current_tally_matches_scalar_oracle(counts, num_polar, num_groups, seed
         for got, want in zip(tally.capture.rows[d], oracle.capture.rows[d]):
             np.testing.assert_array_equal(got, want)
         assert tally.capture.dest[d] == oracle.capture.dest[d]
+        for name in ("track_rows", "track_dest"):
+            for got, want in zip(getattr(tally.capture, name)[d], getattr(oracle.capture, name)[d]):
+                np.testing.assert_array_equal(got, want)
     psi_shape = (num_polar, num_groups) if num_polar else (num_groups,)
     for sweep in range(2):
         for d in (0, 1):

@@ -1,13 +1,15 @@
 """The one sweep path against the per-direction loops it replaced.
 
 ``_oracle_sweep`` and ``_oracle_batched`` are the pre-fusion kernels kept
-verbatim as test-only oracles: one position loop per direction, allocating
-expressions, whole-array exp tables, a strided per-group bincount
+as test-only oracles: one position loop per direction over the plan's one
+layout (direction 1 from the last position down), allocating expressions,
+a whole-array exp table, a strided per-group bincount
 (``_tally_from_segments``) and (for the widened sweep) one widened
 einsum. Every comparison is bitwise (``assert_array_equal``) on the
 tally, the exit ``psi`` and ``capture.out``.
 ``test_3d_working_set`` pins the 3D kernel's memory: group-major buffers,
-one ``dpsi`` for both directions and no flat tally index.
+one ``dpsi`` and one exp table for both directions and no flat tally
+index; ``test_2d_working_set`` pins 2D's one table and one flat index.
 """
 
 import threading
@@ -23,7 +25,7 @@ from repro.solver import SourceTerms, TransportSweep2D, TransportSweep3D
 from repro.solver.backends import SweepContext, SweepPlan, SweepWorkspace, TrackTopology
 from repro.solver.backends import plan as plan_module
 from repro.solver.backends.numpy_backend import NumpySweepBackend
-from repro.solver.cmfd import CurrentCapture, CurrentTally, local_exit_destinations
+from repro.solver.cmfd import CurrentTally, local_exit_destinations
 from repro.solver.expeval import ExponentialEvaluator
 from repro.tracks.segments import SegmentData
 
@@ -44,46 +46,49 @@ def _tally_from_segments(contrib, seg_fsr, num_fsrs):
     return tally
 
 
-def _oracle_tables(plan, sigma_t, evaluator):
-    """Whole-array exp tables, one per direction (the pre-block build)."""
-    tables = []
-    for fsr, length in zip(plan.pos_fsr, plan.pos_len):
-        if plan.topology.is_3d:
-            tau = sigma_t[fsr] * length[:, None]
-        else:
-            tau = (
-                sigma_t[fsr][:, None, :]
-                * length[:, None, None]
-                * plan.topology.inv_sin[None, :, None]
-            )
-        tables.append(evaluator(tau))
-    return tables
+def _oracle_table(plan, sigma_t, evaluator):
+    """The whole-array exp table of the one layout (the pre-block build)."""
+    fsr, length = plan.pos_fsr, plan.pos_len
+    if plan.topology.is_3d:
+        tau = sigma_t[fsr] * length[:, None]
+    else:
+        tau = (
+            sigma_t[fsr][:, None, :]
+            * length[:, None, None]
+            * plan.topology.inv_sin[None, :, None]
+        )
+    return evaluator(tau)
+
+
+def _walk(plan, d):
+    """Direction ``d``'s positions in walk order: up from 0, or down from
+    the last."""
+    positions = range(plan.max_positions)
+    return positions if d == 0 else positions[::-1]
 
 
 def _oracle_sweep(plan, psi, reduced_source, sigma_t, evaluator, capture, use_table=True):
     """The single-state numpy kernels before fusion (2D and 3D)."""
     is_3d = plan.topology.is_3d
-    expf = _oracle_tables(plan, sigma_t, evaluator) if use_table else None
+    expf = _oracle_table(plan, sigma_t, evaluator) if use_table else None
     starts = plan.col_starts
     inv_sin = plan.topology.inv_sin
+    fsr = plan.pos_fsr
     tally = np.zeros((NUM_FSRS, psi[0].shape[-1]))
     for d in (0, 1):
         cur = psi[d][plan.track_order]
-        fsr = plan.pos_fsr[d]
         dpsi = np.empty((plan.num_segments,) + psi[0].shape[1:])
-        for i in range(plan.max_positions):
-            lo, hi = starts[i], starts[i + 1]
-            if lo == hi:
-                break
+        for i, p in enumerate(_walk(plan, d)):
+            lo, hi = starts[p], starts[p + 1]
             f = fsr[lo:hi]
             if expf is not None:
-                e = expf[d][lo:hi]
+                e = expf[lo:hi]
             elif is_3d:
-                e = evaluator(sigma_t[f] * plan.pos_len[d][lo:hi, None])
+                e = evaluator(sigma_t[f] * plan.pos_len[lo:hi, None])
             else:
                 e = evaluator(
                     sigma_t[f][:, None, :]
-                    * plan.pos_len[d][lo:hi, None, None]
+                    * plan.pos_len[lo:hi, None, None]
                     * inv_sin[None, :, None]
                 )
             view = cur[: hi - lo]
@@ -97,10 +102,10 @@ def _oracle_sweep(plan, psi, reduced_source, sigma_t, evaluator, capture, use_ta
                     capture.out[d][capture.dest[d][i]] = view[rows]
         psi[d][plan.track_order] = cur
         if is_3d:
-            np.multiply(dpsi, plan.pos_weights[d][:, None], out=dpsi)
+            np.multiply(dpsi, plan.pos_weights[:, None], out=dpsi)
             tally += _tally_from_segments(dpsi, fsr, NUM_FSRS)
         else:
-            contrib = np.einsum("spg,sp->sg", dpsi, plan.pos_weights[d])
+            contrib = np.einsum("spg,sp->sg", dpsi, plan.pos_weights)
             tally += _tally_from_segments(contrib, fsr, NUM_FSRS)
     return tally
 
@@ -111,29 +116,26 @@ def _oracle_batched(plan, psi, reduced_stack, sigmas, evaluator, capture, use_ta
     num_polar, num_groups = psi[0].shape[2:]
     starts = plan.col_starts
     inv_sin = plan.topology.inv_sin
-    tables = None
+    table = None
     if use_table:
-        per_state = [_oracle_tables(plan, sigma, evaluator) for sigma in sigmas]
-        tables = [np.stack([t[d] for t in per_state], axis=1) for d in (0, 1)]
+        table = np.stack([_oracle_table(plan, sigma, evaluator) for sigma in sigmas], axis=1)
+    fsr = plan.pos_fsr
+    source = np.ascontiguousarray(reduced_stack[:, fsr].transpose(1, 0, 2))[:, :, None, :]
     total = np.zeros((NUM_FSRS, num_states, num_groups))
     for d in (0, 1):
         cur = psi[d][plan.track_order]
-        fsr = plan.pos_fsr[d]
-        source = np.ascontiguousarray(reduced_stack[:, fsr].transpose(1, 0, 2))[:, :, None, :]
         dpsi = np.empty((plan.num_segments, num_states, num_polar, num_groups))
-        for i in range(plan.max_positions):
-            lo, hi = starts[i], starts[i + 1]
-            if lo == hi:
-                break
-            if tables is not None:
-                e = tables[d][lo:hi]
+        for i, p in enumerate(_walk(plan, d)):
+            lo, hi = starts[p], starts[p + 1]
+            if table is not None:
+                e = table[lo:hi]
             else:
                 f = fsr[lo:hi]
                 e = np.stack(
                     [
                         evaluator(
                             sigma[f][:, None, :]
-                            * plan.pos_len[d][lo:hi, None, None]
+                            * plan.pos_len[lo:hi, None, None]
                             * inv_sin[None, :, None]
                         )
                         for sigma in sigmas
@@ -149,7 +151,7 @@ def _oracle_batched(plan, psi, reduced_stack, sigmas, evaluator, capture, use_ta
                 if rows.size:
                     capture.out[d][capture.dest[d][i]] = view[rows]
         psi[d][plan.track_order] = cur
-        contrib = np.einsum("nspg,np->nsg", dpsi, plan.pos_weights[d])
+        contrib = np.einsum("nspg,np->nsg", dpsi, plan.pos_weights)
         total += _tally_from_segments(
             contrib.reshape(plan.num_segments, num_states * num_groups), fsr, NUM_FSRS
         ).reshape(NUM_FSRS, num_states, num_groups)
@@ -193,15 +195,13 @@ def _capture_for(plan, rng, num_groups, widen=None):
     out = [
         np.zeros((base.out[d].shape[0], widen) + base.out[d].shape[1:]) for d in (0, 1)
     ]
-    return CurrentCapture(base.rows, base.track_rows, base.dest, out)
+    return base.with_out(out)
 
 
 def _clone_capture(capture):
     if capture is None:
         return None
-    return CurrentCapture(
-        capture.rows, capture.track_rows, capture.dest, [o.copy() for o in capture.out]
-    )
+    return capture.with_out([o.copy() for o in capture.out])
 
 
 def _fake_batched(plan, sigmas, num_polar, num_groups):
@@ -363,11 +363,37 @@ def test_blockwise_table_equals_whole_array(monkeypatch, num_polar, block):
     plan, rng = _make_plan([9, 1, 4, 4, 6, 2, 8], num_polar, 5)
     sigma_t = rng.uniform(0.1, 2.0, (NUM_FSRS, 7))
     table = plan.pos_expf(sigma_t, EVALUATOR)
-    whole = _oracle_tables(plan, sigma_t, EVALUATOR)
-    assert table.shape == (2,) + whole[0].shape
-    for d in (0, 1):
-        np.testing.assert_array_equal(table[d], whole[d])
+    whole = _oracle_table(plan, sigma_t, EVALUATOR)
+    assert table.shape == whole.shape
+    np.testing.assert_array_equal(table, whole)
     assert plan.pos_expf(sigma_t, EVALUATOR) is table  # cached per (sigma_t, evaluator)
+
+
+@pytest.mark.parametrize("num_polar", [0, 3])
+def test_rebuilt_table_is_held_once(monkeypatch, num_polar):
+    """A new sigma_t drops the cached table before the next is allocated:
+    the rebuild peaks at one table plus one block's temporaries."""
+    import tracemalloc
+
+    block = 64
+    monkeypatch.setattr(plan_module, "EXPF_BLOCK_SEGMENTS", block)
+    plan, rng = _make_plan([40, 7, 33, 1, 25] * 40, num_polar, 6)
+    sigmas = [rng.uniform(0.1, 2.0, (NUM_FSRS, 7)) for _ in range(2)]
+    table_bytes = plan.expf_elements(7) * 8
+    # tau, the evaluator's index and interpolation arrays, its result
+    temporaries = 8 * table_bytes * block // plan.num_segments
+    assert table_bytes > 4 * temporaries
+    tracemalloc.start()
+    try:
+        plan.pos_expf(sigmas[0], EVALUATOR)
+        held = tracemalloc.get_traced_memory()[0] - table_bytes
+        tracemalloc.reset_peak()
+        rebuilt = plan.pos_expf(sigmas[1], EVALUATOR)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rebuilt.nbytes == table_bytes
+    assert peak - held <= table_bytes + temporaries
 
 
 # ------------------------------------------------------------ workspace reuse
@@ -440,17 +466,19 @@ def test_workspace_survives_otf_rebind(small_trackgen_3d, two_group_fissile):
 
 
 def _assert_3d_working_set(sweeper, plan):
-    """Group-major buffers, one dpsi for both directions, no flat tally
-    index: table + workspace fit in 3 (S, G) and 3 (T, G) arrays."""
+    """Group-major buffers, one dpsi and one exp table for both
+    directions, no flat tally index: table + workspace fit in 2 (S, G) and
+    3 (T, G) arrays."""
     work = sweeper.workspace
     table = plan.pos_expf(sweeper.terms.sigma_t_safe, sweeper.evaluator)
     assert work.flat is None and work.contrib is None
     assert work.dpsi[0] is work.dpsi[1]
-    for array in (*work.cur, work.dpsi[0], work.weights, table[0], table[1]):
+    assert table.shape == (plan.num_segments, sweeper.num_groups)
+    for array in (*work.cur, work.dpsi[0], work.weights, table):
         assert array.T.flags.c_contiguous
     held = (table, *work.cur, work.dpsi[0], work.weights)
     num_groups = sweeper.num_groups
-    bound = 3 * plan.num_segments * num_groups * 8 + 3 * plan.topology.num_tracks * num_groups * 8
+    bound = 2 * plan.num_segments * num_groups * 8 + 3 * plan.topology.num_tracks * num_groups * 8
     assert sum(array.nbytes for array in held) <= bound
 
 
@@ -468,6 +496,50 @@ def test_3d_working_set(small_trackgen_3d, two_group_fissile):
     rebound = sweeper.plan_for(regenerated)
     assert rebound is not plan and rebound.col_starts is plan.col_starts
     _assert_3d_working_set(sweeper, rebound)
+
+
+def test_2d_working_set(small_trackgen, two_group_fissile):
+    """2D holds one exp table of ``expf_elements`` elements and one flat
+    tally index; only ``cur`` and ``dpsi`` are per direction."""
+    terms = _terms_for(small_trackgen, two_group_fissile)
+    sweeper = TransportSweep2D(small_trackgen, terms)
+    sweeper.sweep(_sources(terms, 1)[0])
+    plan, work = sweeper.plan, sweeper.workspace
+    table = plan.pos_expf(terms.sigma_t_safe, sweeper.evaluator)
+    num_polar, num_groups = plan.topology.num_polar, terms.num_groups
+    assert table.shape == (plan.num_segments, num_polar, num_groups)
+    assert table.size == plan.expf_elements(num_groups)
+    assert isinstance(work.flat, np.ndarray) and work.flat.shape == (plan.num_segments, num_groups)
+    np.testing.assert_array_equal(work.flat // num_groups, np.repeat(plan.pos_fsr[:, None], num_groups, 1))
+    assert work.dpsi[0] is not work.dpsi[1] and work.cur[0] is not work.cur[1]
+
+
+# ------------------------------------------------------------------ walks
+
+walk_counts = st.lists(
+    st.one_of(st.just(0), st.just(1), st.integers(2, 12)), min_size=1, max_size=14
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=walk_counts, num_polar=st.sampled_from([0, 2]))
+def test_walks_visit_each_track_in_its_order_once(counts, num_polar):
+    """Over ragged layouts (tracks of 0, 1 and many segments) direction
+    0's walk visits each track's segments first to last and direction 1's
+    walk of the same layout last to first, each exactly once."""
+    plan, _ = _make_plan(counts, num_polar, 0)
+    trailing = (num_polar, 1) if num_polar else (1,)
+    work = SweepWorkspace().bind(plan, trailing)
+    for d in (0, 1):
+        visits: list[list[int]] = [[] for _ in counts]
+        for lo, hi, view, dp, _weight in work.steps[d]:
+            assert view.shape[0] == dp.shape[0] == hi - lo
+            for row in range(hi - lo):
+                visits[plan.track_order[row]].append(int(plan.pos_order[lo + row]))
+        for track, seen in enumerate(visits):
+            first, end = int(plan.offsets[track]), int(plan.offsets[track + 1])
+            own = list(range(first, end))
+            assert seen == (own if d == 0 else own[::-1])
 
 
 def _solo(trackgen, terms, sources):
