@@ -65,6 +65,11 @@ COUNTER_SCHEMA: dict[str, str] = {
         "face-groups whose D-hat the CMFD flux limiter capped at D-tilde, "
         "summed over coarse solves"
     ),
+    "cmfd_unpinned": (
+        "coarse-mesh solves whose BLAS ran unpinned, on however many threads "
+        "its pool had, because no OpenBLAS thread-count handle was found "
+        "(0 where numpy loads OpenBLAS)"
+    ),
     "num_domains": "spatial subdomains in the decomposition (1 if undecomposed)",
     "num_workers": "OS processes that executed sweeps (1 for inproc)",
     "halo_wait_ns": (

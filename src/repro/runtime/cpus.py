@@ -19,6 +19,14 @@ children end (:func:`reap`: those asked to stop get :data:`GRACE_S`, the
 rest are killed, all are joined). :func:`alive` answers whether a process
 named by its ID still exists (the tracking cache's writer locks ask).
 
+**Threads beside the children.** A process that solves while its
+children sweep keeps its own BLAS work on one thread:
+:func:`blas_threads` sets the thread count of the OpenBLAS numpy loaded
+for the length of a block (the CMFD coarse solve runs under
+``blas_threads(1)``), so no pool spins beside the children and no result
+follows the number of CPUs. This module is the one importer of
+``ctypes`` (``prctl``, ``malloc_trim``, the BLAS thread count).
+
 **The orphan rule.** A child that serves one solve dies with the thread
 that forked it (``PR_SET_PDEATHSIG``, then a ``getppid`` check for a
 parent already gone), well within one :data:`LIVENESS_SLICE_S`. Solve
@@ -30,11 +38,13 @@ pays for neither.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
 import signal
 import sys
+import threading
 import time
 import traceback
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -43,6 +53,7 @@ from repro.errors import CommunicationError, ReproError
 from repro.io.logging_utils import get_logger
 
 if TYPE_CHECKING:
+    import ctypes
     from multiprocessing.process import BaseProcess
 
     import numpy as np
@@ -293,6 +304,82 @@ def trim_heap() -> None:
     trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
     if trim is not None:
         trim(0)
+
+
+#: Thread-count getters of the OpenBLAS builds numpy loads, in the order
+#: they are looked for.
+BLAS_THREAD_GETTERS = (
+    "scipy_openblas_get_num_threads64_",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
+#: Held while the thread count is changed, so two threads' blocks cannot
+#: restore each other's count mid-block; re-entrant for a nested block.
+_BLAS_LOCK = threading.RLock()
+
+
+@functools.cache
+def blas_pool() -> ctypes.c_int | None:
+    """The thread count of the OpenBLAS mapped into this process (numpy's)
+    as a writable C ``int``, or ``None`` where there is none to write.
+
+    It is the library's ``blas_cpu_number``, taken only once one of
+    :data:`BLAS_THREAD_GETTERS` is seen to read back a 1 written to it.
+    It is written directly, not through ``openblas_set_num_threads``: a
+    fork shuts the pool down in parent and child alike (OpenBLAS's fork
+    handler), and the setter starts it again, a thread that spins about
+    0.1 s of CPU beside the siblings, once per fork. At a count of one
+    every call runs on the calling thread and nothing starts the pool.
+    Looked up once per process, by the first caller."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            rows = [line.split() for line in maps]
+    except OSError:  # no procfs: nothing to find
+        return None
+    paths = dict.fromkeys(
+        row[-1] for row in rows if len(row) >= 6 and "openblas" in row[-1].rsplit("/", 1)[-1]
+    )
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+            count = ctypes.c_int.in_dll(library, "blas_cpu_number")
+        except (OSError, ValueError):  # not loadable, or no such symbol
+            continue
+        for name in BLAS_THREAD_GETTERS:
+            get = getattr(library, name, None)
+            if get is None:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            with _BLAS_LOCK:  # probe with 1: never more threads than exist
+                before = count.value
+                count.value = 1
+                reads = get()
+                count.value = before
+            if reads == 1 and get() == before:
+                return count
+    return None
+
+
+@contextlib.contextmanager
+def blas_threads(count: int) -> Iterator[bool]:
+    """Run the block with OpenBLAS on at most ``count`` threads
+    (:func:`blas_pool`) and restore its count after: never more than it
+    had, since only the setter starts the threads a higher count needs.
+    Yields whether it could: without a count to write the block runs on
+    whatever threads BLAS has."""
+    pool = blas_pool()
+    if pool is None:
+        yield False
+        return
+    with _BLAS_LOCK:
+        before = pool.value
+        pool.value = min(count, before)
+        try:
+            yield True
+        finally:
+            pool.value = before
 
 
 def alive(pid: int) -> bool:

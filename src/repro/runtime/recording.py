@@ -153,6 +153,7 @@ def record_solve(
     obs.count("cmfd_iterations", int(stats.get("cmfd_iterations", 0)))
     obs.count("cmfd_skips", int(stats.get("cmfd_skips", 0)))
     obs.count("cmfd_limited", int(stats.get("cmfd_limited", 0)))
+    obs.count("cmfd_unpinned", int(stats.get("cmfd_unpinned", 0)))
     cmfd_seconds = float(stats.get("cmfd_seconds", 0.0))
     if cmfd_seconds > 0.0:
         obs.record(f"{parent}/cmfd", cmfd_seconds)

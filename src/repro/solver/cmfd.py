@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import pairwise
+from typing import NamedTuple
 
 import numpy as np
 
@@ -511,13 +512,28 @@ def local_exit_destinations(plan, cell_of_fsr: np.ndarray) -> np.ndarray:
 class CmfdStep:
     """Outcome of one coarse solve: the eigenvalue (``None`` when the
     solve was skipped), per-cell prolongation factors (ones on skip), the
-    inner iteration count, and how many face-groups the D-hat limiter
-    capped while assembling the operator."""
+    inner iteration count, how many face-groups the D-hat limiter capped
+    while assembling the operator, and whether the solve's BLAS ran on one
+    thread (``False`` where no OpenBLAS thread count was found to set)."""
 
     keff: float | None
     factors: np.ndarray
     inner_iterations: int
     skipped: bool
+    limited: int
+    pinned: bool = True
+
+
+class CoarseOperator(NamedTuple):
+    """One solve's assembled coarse problem: the ``(n, n)`` loss operator
+    ``A`` (``n = cells x groups``, cell-major), the fission operator as its
+    per-cell production coefficients and emission split ``(cells, G)``,
+    the restricted flux ``x0`` and the count of limited face-groups."""
+
+    matrix: np.ndarray
+    fission_coef: np.ndarray
+    chi_bar: np.ndarray
+    x0: np.ndarray
     limited: int
 
 
@@ -529,6 +545,7 @@ class CmfdStats:
     inner_iterations: int = 0
     skips: int = 0
     limited: int = 0
+    unpinned: int = 0
     seconds: float = 0.0
 
     def record(self, step: CmfdStep, seconds: float) -> None:
@@ -536,6 +553,7 @@ class CmfdStats:
         self.inner_iterations += step.inner_iterations
         self.skips += int(step.skipped)
         self.limited += step.limited
+        self.unpinned += int(not step.pinned)
         self.seconds += seconds
 
     def as_dict(self) -> dict:
@@ -544,6 +562,7 @@ class CmfdStats:
             "cmfd_iterations": self.inner_iterations,
             "cmfd_skips": self.skips,
             "cmfd_limited": self.limited,
+            "cmfd_unpinned": self.unpinned,
             "cmfd_seconds": self.seconds,
         }
 
@@ -555,10 +574,12 @@ class CmfdProblem:
 
     Everything between two sweeps is whole-array code over index arrays
     built once (here and in :meth:`finalize_pairs`); the one Python loop
-    per solve is the inner power iteration. Every sum keeps a fixed
-    per-element order — ``np.bincount`` and ``np.add.at`` both add a bin's
-    terms in input order — so the results are bitwise those of the
-    per-cell / per-face loops kept in ``tests/solver/cmfd_oracle.py``.
+    per solve is the inner power iteration. Every sum of the assembly
+    keeps a fixed per-element order — ``np.bincount`` and ``np.add.at``
+    both add a bin's terms in input order — so the operator is bitwise
+    that of the per-cell / per-face loops kept in
+    ``tests/solver/cmfd_oracle.py``; the solve agrees with the
+    dense-inverse solve kept there to rounding.
     """
 
     def __init__(
@@ -745,18 +766,11 @@ class CmfdProblem:
             d_hat = np.where(over, np.where(outward, -lim, lim), d_hat)
         return d_tilde, d_hat, int(np.count_nonzero(over))
 
-    def solve(self, phi: np.ndarray, currents: np.ndarray, keff: float) -> CmfdStep:
-        """One coarse eigenvalue solve from the (raw, unnormalised) fine
-        flux and the net face currents of the same sweep.
-
-        Every guard that can skip the acceleration (singular matrix,
-        non-convergence, loss of positivity) is evaluated from reduced,
-        rank-ordered data only, so the skip decision is identical across
-        engines; a skipped step returns unit factors and no eigenvalue.
-        """
+    def _assemble(self, phi: np.ndarray, currents: np.ndarray) -> CoarseOperator:
+        """The coarse operator of one solve from the (raw, unnormalised)
+        fine flux and the net face currents of the same sweep."""
         if self.pairs is None:
             raise SolverError("CmfdProblem.solve before finalize_pairs")
-        options = self.options
         num_cells, num_groups = self.num_cells, self.num_groups
         weight = phi * self.volumes[:, None]
         fine_production = np.einsum("rg,rg->r", self.nu_sigma_f, weight)
@@ -804,48 +818,76 @@ class CmfdProblem:
         )
 
         # Fission operator, factored: production per cell then chi split.
-        fission_coef = production_g * inv_x0
         total_emission = production_g.sum(axis=1)[:, None]
         emits = total_emission > 0.0
         chi_bar = np.where(emits, emission / np.where(emits, total_emission, 1.0), 0.0)
+        return CoarseOperator(matrix, production_g * inv_x0, chi_bar, x0, limited)
 
-        def apply_fission(x: np.ndarray) -> tuple[np.ndarray, float]:
-            source = np.einsum("ig,ig->i", fission_coef, x)
-            return chi_bar * source[:, None], float(source.sum())
+    def solve(self, phi: np.ndarray, currents: np.ndarray, keff: float) -> CmfdStep:
+        """One coarse eigenvalue solve from the (raw, unnormalised) fine
+        flux and the net face currents of the same sweep.
+
+        The fission operator has rank ``num_cells``: ``F x = chi_bar s``
+        with ``s_i = sum_g fission_coef[i, g] x[i, g]``. So one LU solve
+        against the emission columns ``E`` (column ``i`` holds
+        ``chi_bar[i]`` on cell ``i``'s rows) gives ``R = A^-1 E``, and each
+        inner iteration is ``y = R s``; ``A^-1`` is never formed. The BLAS
+        work runs on one thread, so its bits do not follow the CPUs this
+        process may use.
+
+        Every guard that can skip the acceleration (singular matrix,
+        non-convergence, loss of positivity) is evaluated from reduced,
+        rank-ordered data only, so the skip decision is identical across
+        engines; a skipped step returns unit factors and no eigenvalue.
+        """
+        from repro.runtime.cpus import blas_threads  # repro.runtime imports this module
+
+        options = self.options
+        num_cells, num_groups = self.num_cells, self.num_groups
+        matrix, fission_coef, chi_bar, x0, limited = self._assemble(phi, currents)
+        cells = np.arange(num_cells)
+        emission = np.zeros((num_cells, num_groups, num_cells))
+        emission[cells, :, cells] = chi_bar
 
         def skip(iterations: int) -> CmfdStep:
-            return CmfdStep(None, np.ones((num_cells, num_groups)), iterations, True, limited)
+            return CmfdStep(
+                None, np.ones((num_cells, num_groups)), iterations, True, limited, pinned
+            )
 
-        x = x0.copy()
-        fission, produced = apply_fission(x)
-        if not produced > 0.0:
-            return skip(0)
-        try:
-            inverse = np.linalg.inv(matrix)
-        except np.linalg.LinAlgError:
-            return skip(0)
+        with blas_threads(1) as pinned:
+            x = x0
+            source = np.einsum("ig,ig->i", fission_coef, x)
+            produced = float(source.sum())
+            if not produced > 0.0:
+                return skip(0)
+            try:
+                response = np.linalg.solve(matrix, emission.reshape(-1, num_cells))
+            except np.linalg.LinAlgError:
+                return skip(0)
 
-        k = float(keff)
-        for iterations in range(1, options.max_inner_iterations + 1):
-            y = (inverse @ fission.ravel()).reshape(num_cells, num_groups)
-            fission_y, produced_y = apply_fission(y)
-            if not np.isfinite(produced_y) or not produced_y > 0.0:
+            k = float(keff)
+            for iterations in range(1, options.max_inner_iterations + 1):
+                y = (response @ source).reshape(num_cells, num_groups)
+                source_y = np.einsum("ig,ig->i", fission_coef, y)
+                produced_y = float(source_y.sum())
+                if not np.isfinite(produced_y) or not produced_y > 0.0:
+                    return skip(iterations)
+                k_new = produced_y / produced
+                x_new = y / k_new
+                scale = float(np.abs(x_new).max())
+                delta_x = float(np.abs(x_new - x).max()) / scale if scale > 0.0 else 0.0
+                delta_k = abs(k_new - k)
+                x = x_new
+                source = source_y / k_new
+                produced = produced_y / k_new
+                k = k_new
+                if delta_k < options.tolerance * max(1.0, abs(k)) and (
+                    delta_x < options.tolerance
+                ):
+                    break
+            else:
                 return skip(iterations)
-            k_new = produced_y / produced
-            x_new = y / k_new
-            scale = float(np.abs(x_new).max())
-            delta_x = float(np.abs(x_new - x).max()) / scale if scale > 0.0 else 0.0
-            delta_k = abs(k_new - k)
-            x = x_new
-            fission = fission_y / k_new
-            produced = produced_y / k_new
-            k = k_new
-            if delta_k < options.tolerance * max(1.0, abs(k)) and (
-                delta_x < options.tolerance
-            ):
-                break
-        else:
-            return skip(iterations)
+        positive = x0 > 0.0
         if not np.isfinite(k) or not k > 0.0 or not np.all(np.isfinite(x)):
             return skip(iterations)
         if np.any(x[positive] <= 0.0):
@@ -854,7 +896,7 @@ class CmfdProblem:
         factors[positive] = 1.0 + options.relaxation * (
             x[positive] / x0[positive] - 1.0
         )
-        return CmfdStep(k, factors, iterations, False, limited)
+        return CmfdStep(k, factors, iterations, False, limited, pinned)
 
 
 def domain_current_tally(

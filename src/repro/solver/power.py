@@ -51,8 +51,8 @@ class SolveResult:
     #: setup/kernel split lives in the sweeper's own ``timings``.
     phase_seconds: dict = field(default_factory=dict)
     #: Accelerator bookkeeping (``cmfd_solves``/``cmfd_iterations``/
-    #: ``cmfd_skips``/``cmfd_limited``/``cmfd_seconds``); empty when no
-    #: accelerator ran.
+    #: ``cmfd_skips``/``cmfd_limited``/``cmfd_unpinned``/``cmfd_seconds``);
+    #: empty when no accelerator ran.
     cmfd_stats: dict = field(default_factory=dict)
 
     def fission_rates(self, terms: SourceTerms, volumes: np.ndarray) -> np.ndarray:

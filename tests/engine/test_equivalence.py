@@ -67,7 +67,9 @@ def assert_equivalent(oracle_pair, candidate_pair):
     assert result.comm_bytes == oracle.comm_bytes
     assert result.comm_messages == oracle.comm_messages
     assert solver.comm.stats.per_pair_bytes == oracle_solver.comm.stats.per_pair_bytes
-    for key in ("cmfd_solves", "cmfd_iterations", "cmfd_skips", "cmfd_limited"):
+    for key in (
+        "cmfd_solves", "cmfd_iterations", "cmfd_skips", "cmfd_limited", "cmfd_unpinned"
+    ):
         assert result.cmfd_stats.get(key) == oracle.cmfd_stats.get(key)
 
 

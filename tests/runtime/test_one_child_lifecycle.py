@@ -9,7 +9,9 @@ shared their exit-naming helper. Sharing memory with a child
 (``multiprocessing.shared_memory``, ``mmap.mmap``) or hearing it through
 a ``multiprocessing`` queue anywhere else is a second way to share: a
 named segment needs a resource tracker and can leak, a queue is a second
-answer protocol beside the one-answer pipe.
+answer protocol beside the one-answer pipe. ``ctypes`` is imported there
+alone too: the process-level calls it reaches (``prctl``,
+``malloc_trim``, the BLAS pool size) have one owner.
 """
 
 import ast
@@ -31,10 +33,14 @@ def _offences(tree: ast.AST):
             for alias in node.names:
                 if alias.name == "multiprocessing.shared_memory":
                     yield node.lineno, "imports multiprocessing.shared_memory"
+                elif alias.name.split(".")[0] == "ctypes":
+                    yield node.lineno, "imports ctypes"
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 name = f"{node.module}.{alias.name}"
-                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                if (node.module or "").split(".")[0] == "ctypes":
+                    yield node.lineno, "imports ctypes"
+                elif alias.name.startswith("_") and not alias.name.startswith("__"):
                     yield node.lineno, f"imports private {name}"
                 elif name.startswith("multiprocessing.shared_memory"):
                     yield node.lineno, "imports multiprocessing.shared_memory"
@@ -90,6 +96,9 @@ def test_guard_sees_every_way_back():
         "queue = ctx.Queue()": "builds a multiprocessing queue",
         "queue = multiprocessing.SimpleQueue()": "builds a multiprocessing queue",
         "from multiprocessing import Queue": "imports a multiprocessing queue",
+        "import ctypes": "imports ctypes",
+        "import ctypes.util": "imports ctypes",
+        "from ctypes import CDLL": "imports ctypes",
     }
     for source, want in snippets.items():
         assert [what for _, what in _offences(ast.parse(source))] == [want], source
@@ -100,4 +109,4 @@ def test_guard_sees_every_way_back():
 def test_the_home_holds_what_it_guards():
     home = ast.parse((SRC / HOME).read_text(encoding="utf-8"))
     kinds = {what for _, what in _offences(home)}
-    assert kinds == {"calls os.kill", "calls .kill()", "calls mmap.mmap"}
+    assert kinds == {"calls os.kill", "calls .kill()", "calls mmap.mmap", "imports ctypes"}

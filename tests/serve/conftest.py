@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.errors import SolverError
 from repro.serve import ServeOptions, SolveService
 from repro.serve.slots import run_job
 
@@ -76,6 +77,34 @@ class HeldBody:
             self._began.recv()
             count += 1
         return count
+
+
+class FailFirst(HeldBody):
+    """A held body whose first solve fails as it starts: its slot SIGKILLs
+    itself (``"sigkill"``) or the solve raises (``"raises"``). Every later
+    solve, in any slot, runs :func:`run_job` untouched.
+
+    The one failure is a byte in an inherited pipe, taken by the solve
+    that fails, so a slot forked again after the kill finds none left.
+    """
+
+    def __init__(self, kind: str) -> None:
+        super().__init__()
+        ctx = multiprocessing.get_context("fork")
+        self._token, self._arm = ctx.Pipe(duplex=False)
+        self._arm.send_bytes(b"fail")
+        self.kind = kind
+
+    def __call__(self, cfg, announce):
+        def fail_first(stage):
+            if self._token.poll(0):
+                self._token.recv_bytes()
+                if self.kind == "sigkill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise SolverError("the first solve failed on purpose")
+            announce(stage)
+
+        return super().__call__(cfg, fail_first)
 
 
 class KillFirstEngineWorker:

@@ -13,7 +13,7 @@ from repro.errors import ServeError
 from repro.observability.counters import SERVICE_ONLY_COUNTERS
 from repro.serve import JobState, ServeOptions, SolveService
 
-from .conftest import assert_reaped, solve_payload, wait_until
+from .conftest import FailFirst, assert_reaped, solve_payload, wait_until
 
 
 class TestSolvePath:
@@ -200,6 +200,50 @@ class TestSingleFlight:
         assert not jobs[0].cache_hit and not jobs[1].cache_hit
         assert held.solves_begun() == 1  # the follower's own solve
         assert np.array_equal(jobs[0].scalar_flux, jobs[1].scalar_flux)
+
+
+class TestNoCachePoisoning:
+    """A served solve that fails — its slot SIGKILLed, or the solve
+    raising — stores no report-cache entry, so nothing later reads its
+    failure as an answer (DESIGN "Fault model")."""
+
+    FAILURES = {
+        "sigkill": "died (killed by SIGKILL)",
+        "raises": "SolverError: the first solve failed on purpose",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(FAILURES))
+    def test_the_same_request_solves_again(self, kind, payload):
+        body = FailFirst(kind)
+        body.release()
+        options = ServeOptions(solver_threads=1, report_cache_size=8)
+        with SolveService(options, slot_body=body) as service:
+            failed = service.submit(payload)
+            assert failed.wait(timeout=60.0) is JobState.FAILED
+            assert self.FAILURES[kind] in failed.error
+            assert len(service.report_cache) == 0
+            again = service.solve(payload)
+            assert service.stats()["totals"]["failed"] == 1
+        assert not again.cache_hit
+        assert again.report.counters["report_cache_misses"] == 1
+        assert body.solves_begun() == 2
+
+    @pytest.mark.parametrize("kind", sorted(FAILURES))
+    def test_a_follower_of_the_failed_leader_solves_for_itself(self, kind, payload):
+        body = FailFirst(kind)
+        options = ServeOptions(solver_threads=2, report_cache_size=8)
+        with SolveService(options, slot_body=body) as service:
+            leader = service.submit(payload)
+            follower = service.submit(payload)
+            body.entered()
+            wait_until(lambda: follower.state is JobState.ADMITTED)  # following
+            body.release()
+            assert leader.wait(timeout=60.0) is JobState.FAILED
+            assert follower.wait(timeout=60.0) is JobState.DONE
+        assert self.FAILURES[kind] in leader.error
+        assert not follower.cache_hit
+        assert follower.report.counters["report_cache_misses"] == 1
+        assert body.solves_begun() == 1  # the follower's own solve
 
 
 class TestJobRegistry:

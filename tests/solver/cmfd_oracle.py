@@ -12,6 +12,13 @@ Those bodies live on here so the array code can be compared with them
 bit for bit (``tests/solver/test_cmfd_oracle.py``). The only edit is
 that :class:`ScalarCmfdProblem` also counts the face-groups its limiter
 caps, the number the array code reports as ``CmfdStep.limited``.
+
+Both solved the coarse eigenproblem through the dense inverse of the
+operator. :class:`InverseCmfdProblem` keeps that solve, over the shipped
+array assembly (``CmfdProblem._assemble``), which is what the scalar
+loops are compared with bit for bit. The shipped solve factorises
+instead and agrees with the inverse to rounding, not bit for bit
+(``tests/solver/test_cmfd_solve.py``).
 """
 
 from __future__ import annotations
@@ -258,6 +265,66 @@ class ScalarCmfdProblem(CmfdProblem):
             return CmfdStep(None, ones, iterations, True, limited)
         if np.any(x[positive] <= 0.0):
             return CmfdStep(None, ones, iterations, True, limited)
+        factors = np.ones((num_cells, num_groups))
+        factors[positive] = 1.0 + options.relaxation * (
+            x[positive] / x0[positive] - 1.0
+        )
+        return CmfdStep(k, factors, iterations, False, limited)
+
+
+class InverseCmfdProblem(CmfdProblem):
+    """:class:`~repro.solver.cmfd.CmfdProblem` with the coarse solve it
+    replaced: over the shipped assembly, the dense inverse of the operator
+    (``np.linalg.inv``, on however many threads OpenBLAS runs) applied to
+    the fission source once per inner iteration."""
+
+    def solve(self, phi: np.ndarray, currents: np.ndarray, keff: float) -> CmfdStep:
+        options = self.options
+        num_cells, num_groups = self.num_cells, self.num_groups
+        matrix, fission_coef, chi_bar, x0, limited = self._assemble(phi, currents)
+        positive = x0 > 0.0
+
+        def apply_fission(x: np.ndarray) -> tuple[np.ndarray, float]:
+            source = np.einsum("ig,ig->i", fission_coef, x)
+            return chi_bar * source[:, None], float(source.sum())
+
+        def skip(iterations: int) -> CmfdStep:
+            return CmfdStep(None, np.ones((num_cells, num_groups)), iterations, True, limited)
+
+        x = x0.copy()
+        fission, produced = apply_fission(x)
+        if not produced > 0.0:
+            return skip(0)
+        try:
+            inverse = np.linalg.inv(matrix)
+        except np.linalg.LinAlgError:
+            return skip(0)
+
+        k = float(keff)
+        for iterations in range(1, options.max_inner_iterations + 1):
+            y = (inverse @ fission.ravel()).reshape(num_cells, num_groups)
+            fission_y, produced_y = apply_fission(y)
+            if not np.isfinite(produced_y) or not produced_y > 0.0:
+                return skip(iterations)
+            k_new = produced_y / produced
+            x_new = y / k_new
+            scale = float(np.abs(x_new).max())
+            delta_x = float(np.abs(x_new - x).max()) / scale if scale > 0.0 else 0.0
+            delta_k = abs(k_new - k)
+            x = x_new
+            fission = fission_y / k_new
+            produced = produced_y / k_new
+            k = k_new
+            if delta_k < options.tolerance * max(1.0, abs(k)) and (
+                delta_x < options.tolerance
+            ):
+                break
+        else:
+            return skip(iterations)
+        if not np.isfinite(k) or not k > 0.0 or not np.all(np.isfinite(x)):
+            return skip(iterations)
+        if np.any(x[positive] <= 0.0):
+            return skip(iterations)
         factors = np.ones((num_cells, num_groups))
         factors[positive] = 1.0 + options.relaxation * (
             x[positive] / x0[positive] - 1.0

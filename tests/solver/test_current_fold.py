@@ -152,7 +152,7 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 ALLOWED_ADD_AT = {
     ("solver/backends/reference_backend.py", "ReferenceSweepBackend.sweep2d"),
     ("solver/backends/reference_backend.py", "ReferenceSweepBackend.sweep3d"),
-    ("solver/cmfd.py", "CmfdProblem.solve"),
+    ("solver/cmfd.py", "CmfdProblem._assemble"),
 }
 
 
