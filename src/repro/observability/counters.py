@@ -134,8 +134,8 @@ COUNTER_SCHEMA: dict[str, str] = {
         "matched their manifest (service-only key)"
     ),
     "report_cache_evictions": (
-        "LRU evictions this request caused when its report was stored "
-        "(service-only key)"
+        "report-cache entries evicted (LIRS: the oldest resident HIR "
+        "entries) when this request's report was stored (service-only key)"
     ),
     "serve_slot": (
         "index of the solve slot (forked solver process) that ran this "

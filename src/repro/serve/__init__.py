@@ -6,10 +6,11 @@ long-lived service, the same shape as an inference server in an ML stack:
 * :class:`~repro.serve.service.SolveService` — the in-process API. Holds
   an admission-controlled priority queue
   (:class:`~repro.serve.queue.JobQueue`) drained by a fixed set of solver
-  threads, and a manifest-keyed LRU report cache
+  threads, and a manifest-keyed LIRS report cache
   (:class:`~repro.serve.cache.ReportCache`) that answers an
   exact-repeat request without sweeping — bitwise-identical to a fresh
-  solve.
+  solve. LIRS keeps the manifests that recur over ones seen once, so a
+  working set larger than the cache keeps most of its hits.
 * :mod:`repro.serve.slots` — where the solving happens: one long-lived
   forked solver process per solver thread (ANT-MOC's "one rank per
   device", applied to the farm), each running a job exactly as the CLI

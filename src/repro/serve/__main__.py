@@ -47,8 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-size",
         type=int,
         default=defaults.report_cache_size,
-        help="manifest-keyed report cache capacity, 0 disables "
-        "(default: %(default)s)",
+        help="manifest-keyed report cache capacity (LIRS: keeps the "
+        "manifests that recur), 0 disables (default: %(default)s)",
     )
     parser.add_argument(
         "--timeout",

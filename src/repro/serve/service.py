@@ -15,9 +15,10 @@ network layer does is a thin protocol skin over this class:
   otherwise (DESIGN.md, "Solve slots");
 * a manifest's first touch is single-flight: requests racing for one key
   elect a leader under the service lock, the others wait for its
-  terminal transition (that wait is queueing) and are answered as hits;
+  terminal transition (that wait is queueing) and are answered as hits
+  from the entry the leader produced — each request is one cache access;
 * a finished solve comes back in wire form — pristine report payload and
-  flux — and lands in the manifest-keyed
+  flux — and lands in the manifest-keyed LIRS
   :class:`~repro.serve.cache.ReportCache`; an exact-manifest repeat is
   answered from it without sweeping, bitwise-equal to a fresh solve;
 * a slot that dies mid-job fails that job with a named reason and is
@@ -66,6 +67,15 @@ _STAGE_STATES = {
 }
 
 
+@dataclass
+class _Flight:
+    """A key's first solve in progress: its leading job and, once the
+    leader has solved, the entry its single-flight followers get."""
+
+    leader: SolveJob
+    entry: CacheEntry | None = None
+
+
 @dataclass(frozen=True)
 class ServeOptions:
     """Service sizing and policy knobs."""
@@ -77,7 +87,7 @@ class ServeOptions:
     #: Admission bound on undispatched requests (also how many finished
     #: jobs stay addressable by id).
     max_queue_depth: int = DEFAULT_MAX_DEPTH
-    #: LRU capacity of the manifest-keyed report cache (0 disables reuse).
+    #: Capacity of the manifest-keyed LIRS report cache (0 disables reuse).
     report_cache_size: int = 32
     #: Default per-request queue deadline in seconds (``None``: no limit).
     default_timeout: float | None = None
@@ -119,8 +129,8 @@ class SolveService:
         #: recently finished ones (``_terminal``, oldest first).
         self._jobs: dict[str, SolveJob] = {}
         self._terminal: deque[str] = deque()
-        #: Job key -> the job solving it right now (single-flight).
-        self._in_flight: dict[str, SolveJob] = {}
+        #: Job key -> the flight solving it right now (single-flight).
+        self._in_flight: dict[str, _Flight] = {}
         self._seq = 0
         self._totals = {
             "submitted": 0,
@@ -276,27 +286,33 @@ class SolveService:
         job.transition(JobState.ADMITTED)
         key = self._job_key(job.config)
         with self._lock:
-            # Lookup and claim are one step: an entry is stored before its
-            # leader leaves the table, so a miss here finds the leader.
+            # One cache access per request, and lookup and claim are one
+            # step: a miss finds the key's flight, or starts it.
             entry = self.report_cache.get(key)
-            leader = job if entry is not None else self._in_flight.setdefault(key, job)
-        if leader is not job:
+            flight = None if entry is not None else self._in_flight.setdefault(
+                key, _Flight(job)
+            )
+        if flight is None:
+            self._answer_hit(job, key, entry)
+            return
+        if flight.leader is not job:
             # Single-flight: wait for the leading solve (queueing, not
-            # execution), then read what it stored. If it stored nothing
-            # (it failed, reuse is off, the entry was evicted) solve anyway.
-            leader.wait()
+            # execution), then take the entry it produced — not a second
+            # lookup, which could find it already evicted. If it produced
+            # none (it failed, reuse is off) solve anyway.
+            flight.leader.wait()
             if self._timed_out(job):
                 return
-            entry = self.report_cache.get(key)
-        try:
-            if entry is not None:
-                self._answer_hit(job, key, entry)
+            if flight.entry is not None:
+                self._answer_hit(job, key, flight.entry)
             else:
                 self._solve(job, key, slot)
+            return
+        try:
+            self._solve(job, key, slot, flight)
         finally:
             with self._lock:
-                if self._in_flight.get(key) is job:
-                    del self._in_flight[key]
+                del self._in_flight[key]
 
     def _timed_out(self, job: SolveJob) -> bool:
         """Close the job's queueing interval now; finish it ``timed-out``
@@ -325,9 +341,13 @@ class SolveService:
         )
         self._logger.info("job %s: report-cache hit for %s", job.job_id, key[:12])
 
-    def _solve(self, job: SolveJob, key: str, slot: int) -> None:
+    def _solve(
+        self, job: SolveJob, key: str, slot: int, flight: _Flight | None = None
+    ) -> None:
         """Run the job in ``slot``, replaying the slot's stage
-        announcements as lifecycle transitions, and settle the outcome."""
+        announcements as lifecycle transitions, and settle the outcome.
+        A leader hands its ``flight`` the entry its followers are answered
+        from before it finishes (none when reuse is off)."""
 
         def on_stage(stage: str) -> None:
             state = _STAGE_STATES.get(stage)
@@ -347,6 +367,8 @@ class SolveService:
         # the response report is rebuilt from the payload like a hit's.
         evictions = self._store(key, result)
         first = result.states[0][1]
+        if flight is not None and self.report_cache.capacity:
+            flight.entry = first
         report = first.report()
         self._annotate(report, job, hit=False, evictions=evictions, slot=slot)
         self._finish(
@@ -443,7 +465,10 @@ class SolveService:
         return {
             "totals": totals,
             "queue_depth": len(self.queue),
-            "report_cache": self.report_cache.stats(),
+            "report_cache": {
+                **self.report_cache.stats(),
+                **self.report_cache.policy_stats(),
+            },
             "slots": slots,
             "solver_threads": self.options.solver_threads,
         }

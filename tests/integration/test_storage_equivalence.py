@@ -148,6 +148,21 @@ class TestDecomposedStorageEquivalence:
             elif storage == "OTF":
                 assert strategy.resident_memory_bytes() == 0
 
+    def test_manager_at_the_default_budget_keeps_every_slab_resident(self):
+        """At the default budget every track of each slab fits: nothing is
+        regenerated between sweeps, so each slab's sweeper builds its plan
+        (and exp table) once."""
+        solver = make_z2("MANAGER", cmfd=True)
+        result = solver.solve()
+        assert result.num_iterations == 5
+        for dom in solver.domains:
+            strategy = dom.strategy
+            assert strategy.num_temporary == 0
+            assert strategy.num_resident == dom.tracks_3d
+            assert strategy.regenerated_tracks_total == 0
+            assert strategy.sweeps_served == result.num_iterations
+            assert dom.sweeper.timings.num_plan_builds == 1
+
     def test_otf_slabs_regenerate_every_sweep(self, monkeypatch):
         import repro.tracks.generator as generator
 

@@ -11,7 +11,7 @@ import pytest
 
 from repro.errors import ServeError
 from repro.observability.counters import SERVICE_ONLY_COUNTERS
-from repro.serve import JobState, ServeOptions, SolveService
+from repro.serve import JobState, ReportCache, ServeOptions, SolveService
 
 from .conftest import FailFirst, assert_reaped, solve_payload, wait_until
 
@@ -200,6 +200,78 @@ class TestSingleFlight:
         assert not jobs[0].cache_hit and not jobs[1].cache_hit
         assert held.solves_begun() == 1  # the follower's own solve
         assert np.array_equal(jobs[0].scalar_flux, jobs[1].scalar_flux)
+
+
+class Forgetful(ReportCache):
+    """A cache that loses every entry as soon as it is stored — what a
+    fresh entry in LIRS's one-entry HIR queue risks when another solve
+    stores right after it."""
+
+    def put(self, key, entry):
+        evicted = super().put(key, entry)
+        self.clear()
+        return evicted
+
+
+class TestFollowerHandoff:
+    """A single-flight follower is answered from the entry its leader
+    produced, and every request is exactly one cache access."""
+
+    def test_follower_is_answered_from_the_leaders_entry(self, held_service, held, payload):
+        held_service.report_cache = Forgetful(8)
+        leader = held_service.submit(payload)
+        follower = held_service.submit(payload)
+        held.entered()
+        wait_until(lambda: follower.state is JobState.ADMITTED)  # following
+        held.release()
+        assert leader.wait(timeout=60.0) is JobState.DONE
+        assert follower.wait(timeout=60.0) is JobState.DONE
+        assert len(held_service.report_cache) == 0  # nothing left to look up
+        assert held.solves_begun() == 0  # the leader's solve only
+        assert not leader.cache_hit and follower.cache_hit
+        assert follower.report.counters["report_cache_hits"] == 1
+        assert np.array_equal(leader.scalar_flux, follower.scalar_flux)
+        assert leader.report.to_dict()["results"] == follower.report.to_dict()["results"]
+
+    def test_hits_plus_misses_count_each_request_once(self, held_service, held, payload):
+        leader = held_service.submit(payload)
+        follower = held_service.submit(payload)
+        held.entered()
+        wait_until(lambda: follower.state is JobState.ADMITTED)  # following
+        held.release()
+        assert leader.wait(timeout=60.0) is JobState.DONE
+        assert follower.wait(timeout=60.0) is JobState.DONE
+        repeat = held_service.solve(payload)
+        assert follower.cache_hit and repeat.cache_hit
+        cache = held_service.stats()["report_cache"]
+        # The leader and its follower each missed once; the repeat hit.
+        assert (cache["misses"], cache["hits"]) == (2, 1)
+        assert cache["hits"] + cache["misses"] == held_service.stats()["totals"]["done"]
+        assert {k: cache[k] for k in ("lir", "hir", "nonresident")} == {
+            "lir": 1, "hir": 0, "nonresident": 0,
+        }
+
+    def test_stress_one_access_per_request(self, held):
+        """More solver threads than cores on a short switch interval: a
+        lost update in the cache's counters or a follower that looked the
+        cache up twice would break ``hits + misses == requests``."""
+        held.release()
+        requests = [varied(n) for n in (2, 3, 4)] * 10
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with SolveService(
+                ServeOptions(solver_threads=3, report_cache_size=2), slot_body=held
+            ) as service:
+                jobs = [service.submit(request) for request in requests]
+                assert [job.wait(timeout=60.0) for job in jobs] == [JobState.DONE] * 30
+                cache = service.stats()["report_cache"]
+        finally:
+            sys.setswitchinterval(interval)
+        assert cache["hits"] + cache["misses"] == 30
+        assert cache["misses"] == held.solves_begun() + sum(
+            job.cache_hit for job in jobs
+        ) - cache["hits"]
 
 
 class TestNoCachePoisoning:
