@@ -10,7 +10,7 @@ curve the fixed threshold is a point on.
 
 import pytest
 
-from repro.parallel import ClusterTransportSimulator
+from repro.parallel.timeline import ClusterTransportSimulator
 
 TOTAL_TRACKS = 100e9
 GPUS = 1000

@@ -12,7 +12,7 @@ workload (54,581,544 tracks/GPU at 1000 GPUs).
 
 import pytest
 
-from repro.parallel import ClusterTransportSimulator, ScalingStudy
+from repro.parallel.timeline import ClusterTransportSimulator, ScalingStudy
 
 GPU_COUNTS = [1000, 2000, 4000, 8000, 16000]
 TOTAL_TRACKS = 54_581_544 * 1000

@@ -25,7 +25,8 @@ from repro.geometry import BoundaryCondition, Geometry, Lattice
 from repro.geometry.extruded import AxialMesh, ExtrudedGeometry
 from repro.geometry.universe import make_homogeneous_universe
 from repro.materials import c5g7_library
-from repro.parallel import ClusterTransportSimulator, ZDecomposedSolver
+from repro.parallel import ZDecomposedSolver
+from repro.parallel.timeline import ClusterTransportSimulator
 from repro.solver import MOCSolver
 from repro.trackmgmt.strategy import BYTES_PER_SEGMENT
 

@@ -7,7 +7,7 @@ decomposition introduces, and the load mapping strategy alleviating it.
 
 import pytest
 
-from repro.parallel import ClusterTransportSimulator, ScalingStudy
+from repro.parallel.timeline import ClusterTransportSimulator, ScalingStudy
 
 GPU_COUNTS = [1000, 2000, 4000, 8000, 16000]
 TRACKS_PER_GPU = 5_124_596

@@ -8,7 +8,7 @@ and without the three-level load mapping.
 Run:  python examples/scaling_study.py
 """
 
-from repro.parallel import ClusterTransportSimulator, ScalingStudy
+from repro.parallel.timeline import ClusterTransportSimulator, ScalingStudy
 
 GPU_COUNTS = [1000, 2000, 4000, 8000, 16000]
 

@@ -18,7 +18,7 @@ from repro import MOCSolver, c5g7_library
 from repro.geometry import BoundaryCondition, Geometry, Lattice
 from repro.geometry.extruded import AxialMesh, ExtrudedGeometry
 from repro.geometry.universe import make_homogeneous_universe
-from repro.parallel import ClusterTransportSimulator
+from repro.parallel.timeline import ClusterTransportSimulator
 
 
 def build_problem() -> ExtrudedGeometry:

@@ -30,7 +30,6 @@ from repro.errors import (
     DecompositionError,
     HardwareModelError,
     CommunicationError,
-    OutOfMemoryError,
 )
 from repro.materials import Material, MaterialLibrary, c5g7_library
 from repro.geometry import (
@@ -47,7 +46,7 @@ from repro.geometry import (
 )
 from repro.tracks import TrackGenerator, TrackGenerator3D
 from repro.solver import MOCSolver, SolveResult
-from repro.parallel import DecomposedSolver, ClusterTransportSimulator, ScalingStudy
+from repro.parallel import DecomposedSolver
 from repro.runtime import AntMocApplication
 from repro.io import RunConfig, load_config
 
@@ -62,7 +61,6 @@ __all__ = [
     "DecompositionError",
     "HardwareModelError",
     "CommunicationError",
-    "OutOfMemoryError",
     "Material",
     "MaterialLibrary",
     "c5g7_library",
@@ -81,8 +79,6 @@ __all__ = [
     "MOCSolver",
     "SolveResult",
     "DecomposedSolver",
-    "ClusterTransportSimulator",
-    "ScalingStudy",
     "AntMocApplication",
     "RunConfig",
     "load_config",

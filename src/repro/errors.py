@@ -37,8 +37,9 @@ class DecompositionError(ReproError):
 
 
 class HardwareModelError(ReproError):
-    """The simulated cluster was configured or used inconsistently
-    (out-of-memory on a simulated GPU, unknown rank, bad topology)."""
+    """The modelled cluster was configured or used inconsistently (a
+    non-positive device figure, an empty partition, an unknown storage
+    strategy)."""
 
 
 class CommunicationError(ReproError):
@@ -77,21 +78,3 @@ class AdmissionError(ServeError):
     """A solve request was refused admission (queue at capacity, service
     draining or shut down). The request was never executed."""
 
-
-class OutOfMemoryError(HardwareModelError):
-    """A simulated allocation exceeded a device's memory capacity.
-
-    This is the error the EXP track-storage strategy hits at large track
-    counts (paper Fig. 9), which the OTF and Manager strategies avoid.
-    """
-
-    def __init__(self, requested: int, capacity: int, in_use: int, what: str = "") -> None:
-        self.requested = int(requested)
-        self.capacity = int(capacity)
-        self.in_use = int(in_use)
-        self.what = what
-        super().__init__(
-            f"simulated GPU out of memory: requested {requested} B for "
-            f"{what or 'allocation'} with {capacity - in_use} B free "
-            f"({in_use}/{capacity} B in use)"
-        )

@@ -1,21 +1,14 @@
-"""Simulated multi-GPU cluster modelling the paper's testbed.
+"""Specifications of the paper's multi-GPU testbed.
 
-The evaluation machine (Sec. 5): >4,000 nodes, each with one 32-core AMD
-Zen CPU (4 NUMA domains), four AMD Instinct MI60 GPUs (64 CUs, 16 GB), and
-HDR InfiniBand at 200 Gb/s. No such hardware is available here, so these
-classes reproduce its *behaviourally relevant* properties: memory
-capacities (the EXP OOM wall), CU-level work scheduling (the L3 mapping
-target), DMA vs network transfer costs (the L2/L1 mapping targets), and a
-deterministic kernel/link timing model driven by the Sec. 3.3 performance
-model.
+The evaluation machine (Sec. 5): >4,000 nodes, each with four AMD
+Instinct MI60 GPUs (64 CUs, 16 GB) and HDR InfiniBand at 200 Gb/s. No
+such hardware is available here, so these frozen dataclasses carry the
+figures the paper-scale models read: device memory and throughput
+(:mod:`repro.parallel.timeline`, Figs. 9, 11, 12) and the GPU side of the
+Sec. 5.1 CPU comparison (:mod:`repro.baselines.openmoc_like`).
 """
 
 from repro.hardware.spec import GPUSpec, NodeSpec, ClusterSpec, MI60, V100, TESTBED_NODE, TESTBED_CLUSTER
-from repro.hardware.gpu import SimulatedGPU
-from repro.hardware.node import SimulatedNode
-from repro.hardware.cluster import SimulatedCluster
-from repro.hardware.network import LinkModel, InterconnectModel
-from repro.hardware.kernels import KernelCostModel
 
 __all__ = [
     "GPUSpec",
@@ -25,10 +18,4 @@ __all__ = [
     "V100",
     "TESTBED_NODE",
     "TESTBED_CLUSTER",
-    "SimulatedGPU",
-    "SimulatedNode",
-    "SimulatedCluster",
-    "LinkModel",
-    "InterconnectModel",
-    "KernelCostModel",
 ]

@@ -1,4 +1,4 @@
-"""Hardware specifications of the simulated machine."""
+"""Hardware specifications of the paper's testbed."""
 
 from __future__ import annotations
 
@@ -23,17 +23,12 @@ class GPUSpec:
     num_cus: int
     memory_bytes: int
     work_units_per_second: float
-    kernel_launch_overhead_s: float = 20.0e-6
 
     def __post_init__(self) -> None:
         if self.num_cus < 1:
             raise HardwareModelError("a GPU needs at least one CU")
         if self.memory_bytes <= 0 or self.work_units_per_second <= 0:
             raise HardwareModelError("memory and throughput must be positive")
-
-    @property
-    def work_units_per_second_per_cu(self) -> float:
-        return self.work_units_per_second / self.num_cus
 
 
 @dataclass(frozen=True)
@@ -42,18 +37,14 @@ class NodeSpec:
 
     gpus_per_node: int
     gpu: GPUSpec
-    cpu_cores: int
-    host_memory_bytes: int
-    numa_domains: int
-    #: Intra-node GPU-GPU DMA bandwidth (bytes/s) and latency (s).
+    #: Intra-node GPU-GPU DMA bandwidth (bytes/s).
     dma_bandwidth_bytes_per_s: float
-    dma_latency_s: float
 
     def __post_init__(self) -> None:
-        if self.gpus_per_node < 1 or self.cpu_cores < 1 or self.numa_domains < 1:
+        if self.gpus_per_node < 1:
             raise HardwareModelError("invalid node composition")
-        if self.host_memory_bytes <= 0 or self.dma_bandwidth_bytes_per_s <= 0:
-            raise HardwareModelError("invalid node memory/bandwidth")
+        if self.dma_bandwidth_bytes_per_s <= 0:
+            raise HardwareModelError("invalid node bandwidth")
 
 
 @dataclass(frozen=True)
@@ -105,15 +96,11 @@ V100 = GPUSpec(
     work_units_per_second=2.1e9,
 )
 
-#: The paper's node: 32-core Zen, 4 NUMA domains, 4x MI60, 128 GB.
+#: The paper's node: 4x MI60 beside one 32-core Zen CPU.
 TESTBED_NODE = NodeSpec(
     gpus_per_node=4,
     gpu=MI60,
-    cpu_cores=32,
-    host_memory_bytes=128 * 1024**3,
-    numa_domains=4,
     dma_bandwidth_bytes_per_s=64.0e9,
-    dma_latency_s=5.0e-6,
 )
 
 #: The paper's cluster: >4,000 nodes on 200 Gb/s HDR InfiniBand.

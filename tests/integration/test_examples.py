@@ -18,6 +18,7 @@ FAST_EXAMPLES = [
     "quickstart.py",
     "scaling_study.py",
     "load_balancing.py",
+    "track_management.py",
 ]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import HardwareModelError
-from repro.parallel import ClusterTransportSimulator, ScalingStudy
+from repro.parallel.timeline import ClusterTransportSimulator, ScalingStudy
 from repro.parallel.timeline import block_assign, lpt_assign
 
 

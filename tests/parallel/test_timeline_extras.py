@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.parallel import ClusterTransportSimulator
+from repro.parallel.timeline import ClusterTransportSimulator
 
 
 class TestWeakScalingOverhead:

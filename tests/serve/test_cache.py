@@ -1,4 +1,7 @@
-"""The manifest-keyed report cache: LRU bounds and pristine payloads."""
+"""The manifest-keyed report cache: capacity bounds and pristine payloads.
+
+The cache evicts by LIRS; its policy is tested in ``test_cache_policy.py``.
+"""
 
 from __future__ import annotations
 
@@ -33,6 +36,9 @@ def make_entry(keff=1.25):
 
 
 class TestLru:
+    """Bounds every policy must keep. The class and test names predate the
+    move from LRU to LIRS and are kept as test ids."""
+
     def test_miss_then_hit(self):
         cache = ReportCache(capacity=4)
         assert cache.get("k1") is None
@@ -43,10 +49,13 @@ class TestLru:
         }
 
     def test_capacity_evicts_least_recently_used(self):
+        """A full cache evicts one key per new key. At capacity 2 the LIRS
+        victim is the one resident HIR key, here also LRU's (see
+        ``test_cache_policy.py::TestLirs::test_capacity_two_victim``)."""
         cache = ReportCache(capacity=2)
-        cache.put("a", make_entry())
-        cache.put("b", make_entry())
-        assert cache.get("a") is not None  # refresh a; b is now LRU
+        cache.put("a", make_entry())  # the LIR key
+        cache.put("b", make_entry())  # the resident HIR key
+        assert cache.get("a") is not None
         evicted = cache.put("c", make_entry())
         assert evicted == 1
         assert "b" not in cache

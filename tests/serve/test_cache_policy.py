@@ -135,6 +135,27 @@ class TestLirs:
         assert state["nonresident"] == 3
         assert state["lir"] + state["hir"] == len(cache) == 3
 
+    def test_capacity_two_victim(self):
+        """At capacity 2 the LIR set holds one key, the first put, and the
+        queue one resident HIR key; a new key always evicts that HIR key.
+        When the LIR key was used after the HIR key was stored, the HIR
+        key is also LRU's victim; when it was not, the policies part."""
+        cache = ReportCache(capacity=2)
+        cache.put("a", make_entry())
+        cache.put("b", make_entry())
+        assert cache.policy_stats() == {"lir": 1, "hir": 1, "nonresident": 0}
+        assert cache.get("a") is not None  # a used last: LRU's victim is b
+        assert cache.put("c", make_entry()) == 1
+        assert "b" not in cache and "a" in cache and "c" in cache
+        assert lru_misses(["a", "b", "a", "c", "b"], capacity=2) == 4
+
+        cache = ReportCache(capacity=2)
+        for key in "abc":  # no use of a: LRU would evict a, LIRS keeps it
+            cache.put(key, make_entry())
+        assert "a" in cache and "b" not in cache and "c" in cache
+        assert cache.policy_stats() == {"lir": 1, "hir": 1, "nonresident": 1}
+        assert lru_misses(["a", "b", "c", "a"], capacity=2) == 4
+
     def test_clear_forgets_the_policy_state(self):
         cache = ReportCache(capacity=4)
         for key in "abcdef":

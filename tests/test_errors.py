@@ -13,8 +13,6 @@ from repro.engine.registry import engine_names, resolve_engine
 from repro.errors import (
     AnalysisError,
     ConfigError,
-    HardwareModelError,
-    OutOfMemoryError,
     ReproError,
     SanitizerError,
     SolverError,
@@ -52,13 +50,6 @@ class TestHierarchy:
             raise AnalysisError("lint framework failure")
         with pytest.raises(ReproError):
             raise SanitizerError("bad fault spec")
-
-    def test_out_of_memory_error_carries_accounting(self):
-        exc = OutOfMemoryError(requested=100, capacity=80, in_use=30, what="tracks")
-        assert isinstance(exc, HardwareModelError)
-        assert (exc.requested, exc.capacity, exc.in_use) == (100, 80, 30)
-        assert "tracks" in str(exc)
-        assert "50 B free" in str(exc)
 
 
 class TestUnknownEngineKeys:
