@@ -18,7 +18,7 @@ import numpy as np
 
 from repro import MOCSolver, c5g7_library
 from repro.geometry import C5G7Spec, build_c5g7_3d
-from repro.parallel import ZDecomposedSolver
+from repro.parallel.driver3d import ZDecomposedSolver
 
 TRACKING = dict(num_azim=4, azim_spacing=0.5, polar_spacing=0.8, num_polar=2)
 TOLS = dict(keff_tolerance=1e-5, source_tolerance=1e-4, max_iterations=250)

@@ -46,7 +46,6 @@ from repro.geometry import (
 )
 from repro.tracks import TrackGenerator, TrackGenerator3D
 from repro.solver import MOCSolver, SolveResult
-from repro.parallel import DecomposedSolver
 from repro.runtime import AntMocApplication
 from repro.io import RunConfig, load_config
 
@@ -78,7 +77,6 @@ __all__ = [
     "TrackGenerator3D",
     "MOCSolver",
     "SolveResult",
-    "DecomposedSolver",
     "AntMocApplication",
     "RunConfig",
     "load_config",

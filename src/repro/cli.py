@@ -8,7 +8,7 @@ the same entry point for the reproduction:
 A config with a ``scenarios:`` block is solved through the batched
 multi-state driver instead:
 
-    python -m repro solve-batch --config config.yaml [--serial] ...
+    python -m repro solve-batch --config config.yaml [--report-dir DIR] ...
 
 The run log mirrors the artifact's: per-stage timings and storage figures
 that the paper's appendix analyses from log fragments.
@@ -79,8 +79,8 @@ def build_batch_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro solve-batch",
         description="Solve every scenario state of a config over ONE shared "
-        "track laydown (batched on the numpy backend, per-state sequential "
-        "fallback elsewhere). The states of a single-domain batch are "
+        "track laydown, one state at a time through the single-state "
+        "solver. The states of a single-domain batch are "
         "independent solves and run on one process per CPU this process "
         "may run on (at most one per state); restrict the CPU affinity, "
         "e.g. with taskset, to use fewer. Each state's report says which "
@@ -90,13 +90,6 @@ def build_batch_parser() -> argparse.ArgumentParser:
         "--config",
         required=True,
         help="Path to a run configuration with a non-empty scenarios: block.",
-    )
-    parser.add_argument(
-        "--serial",
-        action="store_true",
-        help="Force the per-state sequential fallback (the equivalence "
-        "oracle) even where the widened scenario-axis kernel applies; it "
-        "names the kernel, not the process count.",
     )
     parser.add_argument(
         "--report-dir",
@@ -230,9 +223,7 @@ def batch_main(argv: list[str] | None = None) -> int:
         config = _apply_overrides(args, load_config(args.config))
         from repro.scenario import run_scenario_batch
 
-        result = run_scenario_batch(
-            config, mode="sequential" if args.serial else "auto"
-        )
+        result = run_scenario_batch(config)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

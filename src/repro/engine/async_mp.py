@@ -247,6 +247,7 @@ class AsyncMpEngine(MpEngine):
     def _parent_wait_all(self, array, threshold: int, answers, procs,
                          desc: str) -> None:
         """Poll ``all(array >= threshold)``; a dead worker fails fast."""
+        self._raise_orphaned()
         if np.all(array >= threshold):
             return
         deadline = time.monotonic() + self.timeout

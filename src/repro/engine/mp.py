@@ -53,6 +53,7 @@ from repro.runtime.cpus import (
     died,
     fork_context,
     heard,
+    orphaned,
     reap,
     start,
     wait,
@@ -415,10 +416,20 @@ class MpEngine(ExecutionEngine):
 
     def _wait(self, barrier, answers, procs) -> None:
         """The parent's barrier wait; a worker that died breaks it at once."""
+        self._raise_orphaned()
         try:
             barrier.wait(self.timeout, alive=lambda: not any(p.exitcode for p in procs))
         except BrokenBarrierError:
             self._raise_worker_failure(self._answers(answers, procs), procs)
+
+    def _raise_orphaned(self) -> None:
+        """Stop before a wait when the process that forked this one is gone
+        (:func:`~repro.runtime.cpus.orphaned`): a solve slot hears nothing
+        on its pipe mid-job, and no server is left to take the answer."""
+        if orphaned():
+            raise SolverError(
+                f"{self.name} engine stopped: the process that forked this one is gone"
+            )
 
     def _pool_result(self, solved, comm, timer, payloads, num_workers):
         """The result of a worker-pool solve: ``solved`` plus the workers'

@@ -99,7 +99,7 @@ COUNTER_SCHEMA: dict[str, str] = {
     ),
     "scenarios_batched": (
         "states swept through the widened scenario-axis kernel (0 when "
-        "the per-state sequential fallback ran)"
+        "the states were solved one at a time, the default)"
     ),
     "laydowns_shared": (
         "states that reused the batch's shared track laydown instead of "
@@ -109,7 +109,8 @@ COUNTER_SCHEMA: dict[str, str] = {
         "widened multi-state transport sweeps on the batch's critical "
         "path — the most any share executed, i.e. the iterations of the "
         "slowest state, however the states were cut into shares (each one "
-        "replaces one single-state sweep per state of its share)"
+        "replaces one single-state sweep per state of its share); 0 when "
+        "the states were solved one at a time"
     ),
     "scenario_shares": (
         "processes the batch's states were solved on: one per usable CPU, "

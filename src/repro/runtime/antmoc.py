@@ -33,8 +33,6 @@ from repro.io.config import RunConfig, load_config
 from repro.io.logging_utils import StageTimer, get_logger
 from repro.materials.c5g7 import c5g7_library
 from repro.observability import Observation, RunManifest, RunReport
-from repro.parallel.driver import DecomposedSolver
-from repro.parallel.driver3d import ZDecomposedSolver
 from repro.runtime.output import ascii_heatmap, pin_power_map, write_fission_rates_csv, write_vtk_structured_points
 from repro.runtime.recording import record_solve, record_tracking
 from repro.runtime.stages import PipelineState, StageName
@@ -136,7 +134,9 @@ def build_solver(
 
     ``trackgen`` and ``materials`` inject an already generated laydown and
     a perturbed per-FSR material list into the single-domain radial
-    solver (scenario batches trace once and solve many states).
+    solver (scenario batches trace once and solve many states). A
+    decomposed driver is imported where it is built: a single-domain run
+    does not load one.
     """
     tracking, limits, sweep = solver_keywords(cfg, cache)
     decomposition = cfg.decomposition
@@ -159,12 +159,16 @@ def build_solver(
             resident_memory_bytes=cfg.solver.resident_memory_bytes,
         )
         if decomposition.nz > 1:
+            from repro.parallel.driver3d import ZDecomposedSolver
+
             return ZDecomposedSolver(
                 geometry, num_domains=decomposition.nz,
                 **tracking, **limits, **sweep, **parallel,
             )
         return MOCSolver.for_3d(geometry, **tracking, **limits, **sweep)
     if decomposition.nx * decomposition.ny > 1:
+        from repro.parallel.driver import DecomposedSolver
+
         return DecomposedSolver(
             geometry, decomposition.nx, decomposition.ny,
             **tracking, **limits, **sweep, **parallel,

@@ -31,9 +31,11 @@ follows the number of CPUs. This module is the one importer of
 that forked it (``PR_SET_PDEATHSIG``, then a ``getppid`` check for a
 parent already gone), well within one :data:`LIVENESS_SLICE_S`. Solve
 slots keep their pipe-EOF rule instead: a slot is respawned from a solver
-thread that may exit before it. ``multiprocessing`` is imported by the
-first fork and ``mmap`` by the first arena, so a CLI run that never forks
-pays for neither.
+thread that may exit before it. A slot that waits on children of its own
+(an ``mp`` job's workers) also asks :func:`orphaned` before each wait,
+so a dead server stops it mid-job, not at its next pipe write. ``multiprocessing`` is imported by the first fork and
+``mmap`` by the first arena, so a CLI run that never forks pays for
+neither.
 """
 
 from __future__ import annotations
@@ -105,6 +107,14 @@ def why_no_fork() -> str | None:
     if not hasattr(os, "fork") or (mp is not None and "fork" not in mp.get_all_start_methods()):
         return NO_FORK
     return DAEMONIC if mp is not None and mp.current_process().daemon else None
+
+
+def orphaned() -> bool:
+    """Whether this process is a forked child whose parent has exited (it
+    was re-parented): a solve slot outliving its server."""
+    mp = sys.modules.get("multiprocessing")
+    parent = None if mp is None else getattr(mp.current_process(), "parent", None)
+    return parent is not None and os.getppid() != parent
 
 
 def is_forked_child() -> bool:

@@ -14,24 +14,24 @@ hands back its exit flux, its bins and, with CMFD on, its captured
 crossings; the caller adds the bins where it would have added its own.
 Exchange and current fold stay in the caller, unchanged.
 
-**When.** :func:`split_sweep` decides once per solve and records why not
-(:attr:`SplitRecord.reason`): a decomposed, 3D or non-numpy solve never
-splits, and neither does a process that is not top-level (serve slots,
-scenario shares and engine workers run where a parent already spends the
-CPUs), one that cannot fork, or one with a single usable CPU
-(:func:`~repro.runtime.cpus.cpu_budget`).
+**When.** :func:`split_sweep` decides once per solve, before it starts,
+and records why not (:attr:`SplitRecord.reason`): a decomposed, 3D or
+non-numpy solve never splits, and neither does a process that is not
+top-level (serve slots, scenario shares and engine workers run where a
+parent already spends the CPUs), one that cannot fork, one with a single
+usable CPU (:func:`~repro.runtime.cpus.cpu_budget`) or a solve whose
+iteration budget is one sweep.
 
-**Lifecycle.** The first sweep runs in process, so it builds the plan,
-the one exp table both directions read and the workspace, which the
-helper inherits copy-on-write; the helper is forked when the second
-sweep starts, so a one-sweep solve never forks. Each process then frees
-the workspace buffers of the direction it no longer sweeps, so the split
-adds no peak memory (the sweeper binds a fresh workspace after the
-solve). For the solve, the helper is pinned to one CPU of the
-caller's affinity mask and the caller keeps the rest — unpinned, a woken
-helper often lands on its waker's CPU — and the caller's mask is restored
-on every exit path. Per sweep the caller publishes the reduced source and
-its direction-1 entry flux into a shared
+**Lifecycle.** The helper is forked at the first sweep, once the plan and
+the one exp table both directions read exist and before the sweeper's
+workspace is bound: caller and helper each bind their own
+:class:`~repro.solver.backends.SweepWorkspace` and write only their own
+direction's buffers, so neither process touches the other's and no
+bound workspace is shared copy-on-write. For the solve, the helper is
+pinned to one CPU of the caller's affinity mask and the caller keeps the
+rest — unpinned, a woken helper often lands on its waker's CPU — and the
+caller's mask is restored on every exit path. Per sweep the caller
+publishes the reduced source and its direction-1 entry flux into a shared
 :class:`~repro.runtime.cpus.Arena`, writes one byte down the *go* pipe
 and sweeps direction 0; the helper answers with one byte up the *done*
 pipe. The helper is a child like every other the program forks
@@ -118,7 +118,10 @@ def why_not_split(solver: TransportSolver) -> str | None:
         return BACKEND
     if is_forked_child():
         return NOT_TOP_LEVEL
-    return cpu_budget().why_one
+    why = cpu_budget().why_one
+    if why is None and solver.keff_solver.max_iterations <= 1:
+        return ONE_SWEEP
+    return why
 
 
 @contextmanager
@@ -152,7 +155,6 @@ class DirectionSplit:
     def __init__(self, sweeper: TransportSweep2D, record: SplitRecord) -> None:
         self.sweeper = sweeper
         self.record = record
-        self._sweeps = 0
         self._helper: BaseProcess | None = None
         self._mask: set[int] | None = None
         self._pipes: tuple[int, int] | None = None  # go (write end), done (read end)
@@ -165,18 +167,16 @@ class DirectionSplit:
 
     def remote(self) -> "DirectionSplit | None":
         """Who sweeps the next sweep's direction 1: the helper (this
-        split, forked on the second sweep), or ``None`` — this process —
-        for the first sweep and when pinning failed."""
-        self._sweeps += 1
-        if self._pid is None and (
-            self._sweeps == 1 or self.record.reason is not None or not self._start()
-        ):
+        split, forked at the first sweep), or ``None`` — this process —
+        when pinning failed."""
+        if self._pid is None and (self.record.reason is not None or not self._start()):
             return None
         return self
 
     def _start(self) -> bool:
-        """Pin, then fork the helper; ``False`` (with the reason recorded)
-        when the affinity mask cannot be set."""
+        """Pin, build the exp table, then fork the helper over an unbound
+        workspace; ``False`` (with the reason recorded) when the affinity
+        mask cannot be set."""
         try:
             mask = os.sched_getaffinity(0)
             cpu = max(mask)
@@ -187,6 +187,8 @@ class DirectionSplit:
             return False
         self._mask = mask
         sweeper = self.sweeper
+        sweeper.plan.pos_expf(sweeper.terms.sigma_t_safe, sweeper.evaluator)  # inherited, read-only
+        sweeper.workspace = SweepWorkspace()  # each process binds its own
         capture = None if sweeper.current_tally is None else sweeper.current_tally.capture
         self._shared = Arena({  # what caller and helper exchange
             "source": (sweeper.terms.num_regions, sweeper.num_groups),  # reduced source
@@ -202,7 +204,6 @@ class DirectionSplit:
             _helper_main, (self, cpu, go_read, done_write),
             name="repro-sweep-helper", ends=(go_read, done_write),
         )
-        self.sweeper.workspace.drop(1)  # the helper's copy is the live one
         return True
 
     def release(self, psi: np.ndarray, source: np.ndarray) -> None:
@@ -250,16 +251,13 @@ class DirectionSplit:
                 os.close(fd)
             if self._helper is not None:
                 reap([self._helper], asked=clean)
-                self.sweeper.workspace = SweepWorkspace()  # direction 1's went with it
-            record = self.record
             if self._shared is not None:
+                record = self.record
                 gather, steps, reduce = self._shared["seconds"].tolist()
                 record.helper_gather_seconds = gather
                 record.helper_lockstep_seconds = steps
                 record.helper_reduce_seconds = reduce
                 self._shared = None
-            elif record.reason is None:  # the helper was never needed
-                record.reason = ONE_SWEEP
         finally:
             if self._mask is not None:
                 os.sched_setaffinity(0, self._mask)
@@ -280,12 +278,12 @@ def _helper_main(split: DirectionSplit, cpu: int, go: int, done: int) -> None:
     source, psi, bins, crossings, seconds = (
         shared[name] for name in ("source", "psi", "bins", "crossings", "seconds")
     )
-    plan, work = sweeper.plan, sweeper.workspace
-    work.drop(0)
+    plan = sweeper.plan
+    work = sweeper.workspace.bind(plan, psi.shape[1:])
     sigma_t, evaluator = sweeper.terms.sigma_t_safe, sweeper.evaluator
     num_fsrs = sweeper.terms.num_regions
     capture = None if sweeper.current_tally is None else sweeper.current_tally.capture
-    table = plan.pos_expf(sigma_t, evaluator)  # the first sweep's, inherited
+    table = plan.pos_expf(sigma_t, evaluator)  # built before the fork, inherited
     expf_at = partial(plan.pos_expf_block, sigma_t, evaluator)
     while os.read(go, 1):
         gather, steps = sweep_direction(work, plan, 1, psi, source, table, expf_at, capture)

@@ -4,14 +4,19 @@
 against ONE shared track laydown. The expensive phases are amortised:
 
 * **tracking** happens exactly once (``laydowns_shared == S - 1``);
-* on the single-domain numpy backend all states sweep through the
-  widened scenario-axis kernel (:mod:`repro.scenario.batched`);
-* on every other backend/engine — and always for decomposed solves — a
-  per-state sequential fallback reuses the same laydown (single-domain:
-  the shared :class:`~repro.tracks.generator.TrackGenerator`; decomposed:
-  one :class:`~repro.parallel.driver.DecomposedSolver` rebound to each
-  state's materials). The fallback is the equivalence oracle: batched
-  results are bitwise-equal to it per state.
+* every state is solved through the single-state solver
+  (:func:`~repro.runtime.antmoc.build_solver`) over that laydown, one at
+  a time per share — single-domain: the shared
+  :class:`~repro.tracks.generator.TrackGenerator`; decomposed: one
+  :class:`~repro.parallel.driver.DecomposedSolver` rebound to each
+  state's materials. A process then holds one state's sweep buffers at
+  a time.
+
+``mode="batched"`` instead sweeps each share's states through the
+widened scenario-axis kernel (:mod:`repro.scenario.batched`;
+single-domain numpy only), bitwise equal per state to the per-state
+path. It is faster only where per-call overhead dominates (DESIGN.md,
+"Scenario batching"); nothing selects it but that argument.
 
 **States fan out over cores.** The states of a single-domain batch are
 independent eigenproblems — nothing is exchanged until the reports are
@@ -69,10 +74,10 @@ from repro.solver.solver import Workload, unit_fissile_mean
 from repro.solver.source import SourceTerms
 from repro.tracks.generator import TrackGenerator
 
-#: Scenario-batch execution modes: ``auto`` batches when the resolved
-#: backend supports the scenario axis (single-domain numpy), ``batched``
-#: demands it, ``sequential`` forces the per-state oracle path.
-BATCH_MODES = ("auto", "batched", "sequential")
+#: Scenario-batch execution modes: ``auto`` solves the states one at a
+#: time through the single-state solver, ``batched`` sweeps a share's
+#: states together through the widened scenario-axis kernel.
+BATCH_MODES = ("auto", "batched")
 
 
 @dataclass
@@ -99,7 +104,7 @@ class BatchRunResult:
     #: True when the widened scenario-axis kernel swept the states.
     batched: bool
     #: Widened sweeps on the critical path — the most any share executed
-    #: (0 on the sequential fallback).
+    #: (0 on the per-state path).
     num_sweeps: int
 
     def state(self, name: str) -> ScenarioState:
@@ -197,7 +202,7 @@ def run_scenario_batch(
     if decomposed and mode == "batched":
         raise ScenarioError(
             "the widened scenario-axis kernel is single-domain only; "
-            "decomposed batches run the per-state sequential path"
+            "decomposed batches solve state by state"
         )
     cache = resolve_tracking_cache(cfg)
     logger.info(
@@ -281,8 +286,8 @@ def _run_single_domain(cfg, geometry, scenarios, library, cache, mode, hook, sta
     stage_seconds[StageName.TRACK_GENERATION.value] = time.perf_counter() - t0
 
     backend_name = resolve_backend(sweep["backend"]).name
-    use_batched = mode != "sequential" and backend_name == "numpy"
-    if mode == "batched" and not use_batched:
+    use_batched = mode == "batched"
+    if use_batched and backend_name != "numpy":
         raise ScenarioError(
             "the widened scenario-axis kernel needs the numpy backend "
             f"(resolved backend: {backend_name!r})"

@@ -52,9 +52,10 @@ in the trailing axes of their buffers — ``(P, G)``, ``(G,)``, ``(S, P, G)``.
   direction 1 to another process (:mod:`repro.runtime.sweep_split`): the
   kernel releases it before its own gather, sweeps direction 0, and adds
   the helper's ``bins(1)`` where it would have added its own — the same
-  bits. ``cur`` and ``dpsi`` are per direction, so each process can free
-  the other's (:meth:`SweepWorkspace.drop`); both read the one layout,
-  exp table and flat index.
+  bits. ``cur`` and ``dpsi`` are per direction, and each process binds
+  its own workspace after the fork, so each writes — and so holds in
+  memory — only its own direction's; both read the one layout and exp
+  table.
 * **Workspace.** The buffers belong to a :class:`SweepWorkspace` owned by
   the *sweeper* (``SweepContext.workspace``): plans stay immutable and
   shareable between sweepers and threads; buffers are reused across sweeps
@@ -142,13 +143,6 @@ class SweepWorkspace:
             np.add(plan.pos_fsr[:, None] * num_groups, np.arange(num_groups), out=self.flat)
             self._fsr = plan.pos_fsr
         return self
-
-    def drop(self, d: int) -> None:
-        """Free direction ``d``'s 2D buffers: another process sweeps it
-        from now on, and this workspace is no longer whole — its sweeper
-        binds a fresh one before it sweeps ``d`` here again."""
-        self.cur[d] = self.dpsi[d] = None
-        self.steps[d] = []
 
     def load(self, plan: SweepPlan, d: int, psi: np.ndarray, source: np.ndarray) -> None:
         """Direction ``d``'s boundary flux ``psi`` into prefix order and

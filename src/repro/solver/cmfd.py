@@ -285,10 +285,11 @@ class CurrentTally:
     exactly (DESIGN.md).
 
     A fold *writes* the sweep's currents — one ordered ``np.bincount``
-    over the flat ``slot * G + g`` index, which adds a bin's terms in fold
-    order onto zero — and :meth:`take` hands that array over. Every solve
-    path takes exactly once per fold, so what it reads is bitwise a
-    running sum of the folds since its last read.
+    per group over the fold rows' pair slots (:func:`fold_by_slot`), which
+    adds a bin's terms in fold order onto zero — and :meth:`take` hands
+    that array over. Every solve path takes exactly once per fold, so
+    what it reads is bitwise a running sum of the folds since its last
+    read.
     """
 
     def __init__(
@@ -388,14 +389,12 @@ class CurrentTally:
         self.num_pairs = int(unique_keys.size)
 
         weights = topology.weights
-        self._fold = np.zeros(
-            (fold_tracks.size,) + weights.shape[1:] + (self.num_groups,)
-        )
+        if self.is_3d:  # group-major, as the 3D kernel's dpsi: each group's rows are contiguous
+            self._fold = np.zeros((self.num_groups, fold_tracks.size)).T
+        else:
+            self._fold = np.zeros((fold_tracks.size,) + weights.shape[1:] + (self.num_groups,))
         self._fold_weights = weights[fold_tracks]
         self._fold_slots = np.searchsorted(unique_keys, keys)
-        #: Flat ``slot * G + g`` fold index, built by the first fold — in a
-        #: forked engine that is the worker sweeping this domain.
-        self._fold_index: np.ndarray | None = None
         self._exit_tracks = (blocks[1][0], blocks[3][0])
         self._exit_spans = (spans[1], spans[3])
         self.capture = CurrentCapture(
@@ -429,13 +428,10 @@ class CurrentTally:
         fold[self._exit_spans[1]] = psi[1][self._exit_tracks[1]]
         if self.is_3d:  # weighted in place: the next sweep rewrites every row
             contrib = np.multiply(fold, self._fold_weights[:, None], out=fold)
-        else:
-            contrib = np.einsum("kpg,kp->kg", fold, self._fold_weights)
-        pairs, groups = self.num_pairs, self.num_groups
-        if self._fold_index is None:
-            self._fold_index = (self._fold_slots[:, None] * groups + np.arange(groups)).ravel()
-        currents = np.bincount(self._fold_index, contrib.ravel(), pairs * groups)
-        self._currents = currents.reshape(pairs, groups)
+        else:  # into a group-major array, for fold_by_slot's per-group reads
+            contrib = np.empty((self.num_groups, len(fold))).T
+            np.einsum("kpg,kp->kg", fold, self._fold_weights, out=contrib)
+        self._currents = fold_by_slot(self._fold_slots, contrib, self.num_pairs)
 
     def take(self) -> np.ndarray:
         """The last sweep's ``(num_pairs, G)`` currents, handed over: the
@@ -448,6 +444,20 @@ class CurrentTally:
         XS-independent and reused, the folded values are not."""
         self._currents = np.zeros((self.num_pairs, self.num_groups))
         self._fold[:] = 0.0
+
+
+def fold_by_slot(slots: np.ndarray, contrib: np.ndarray, num_slots: int) -> np.ndarray:
+    """``(num_slots, G)`` sums of the ``(K, G)`` rows of ``contrib`` by
+    their ``slots``: one ``bincount`` per group, as the 3D sweep reduces,
+    so each bin adds its group's terms in row order onto zero — the bits
+    of one ``bincount`` over a flat ``slot * G + g`` index, without that
+    ``K x G`` index. A slot no row names reads zero. ``contrib`` is
+    group-major (``contrib.T`` C-contiguous) on the solve path: a strided
+    column would cost ``bincount`` a gather per group."""
+    currents = np.empty((num_slots, contrib.shape[1]))
+    for g, column in enumerate(contrib.T):
+        currents[:, g] = np.bincount(slots, column, num_slots)
+    return currents
 
 
 def _validate_link_weights(topology) -> None:

@@ -20,7 +20,7 @@ from repro.engine import AsyncMpEngine, EdgePack, MpEngine, DecomposedProblem, R
 from repro.errors import SolverError
 from repro.geometry import Geometry, Lattice
 from repro.geometry.universe import make_homogeneous_universe
-from repro.parallel import DecomposedSolver
+from repro.parallel.driver import DecomposedSolver
 from repro.runtime.cpus import GRACE_S
 from tests.engine.test_equivalence import pin_lattice, solve_2d
 

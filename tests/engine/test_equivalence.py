@@ -17,7 +17,8 @@ import pytest
 from repro.geometry import BoundaryCondition, Geometry, Lattice
 from repro.geometry.extruded import AxialMesh, ExtrudedGeometry, reflector_layer_map
 from repro.geometry.universe import make_homogeneous_universe, make_pin_cell_universe
-from repro.parallel import DecomposedSolver, ZDecomposedSolver
+from repro.parallel.driver import DecomposedSolver
+from repro.parallel.driver3d import ZDecomposedSolver
 
 
 def extruded(material, layers=4, height=4.0, bc_top=BoundaryCondition.REFLECTIVE,

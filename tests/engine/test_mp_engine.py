@@ -14,7 +14,7 @@ from repro.engine.mp import SemaphoreBarrier
 from repro.errors import CommunicationError, SolverError
 from repro.geometry import Geometry, Lattice
 from repro.geometry.universe import make_homogeneous_universe
-from repro.parallel import DecomposedSolver
+from repro.parallel.driver import DecomposedSolver
 from repro.runtime.cpus import GRACE_S
 from tests.processes import killed_caller, survivors_after
 

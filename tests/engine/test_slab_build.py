@@ -27,7 +27,7 @@ import repro.trackmgmt
 import repro.trackmgmt.manager as manager
 import repro.tracks.generator as generator
 from repro.errors import SolverError, TrackingError
-from repro.parallel import ZDecomposedSolver
+from repro.parallel.driver3d import ZDecomposedSolver
 from repro.runtime import AntMocApplication
 from repro.runtime.antmoc import GEOMETRY_BUILDERS
 from repro.runtime.cpus import GRACE_S

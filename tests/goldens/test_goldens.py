@@ -69,9 +69,9 @@ CASES = {
 }
 
 #: Scenario-batch goldens: each pins ONE perturbed state of a two-state
-#: batch (nominal + branch) solved through the widened scenario-axis
-#: kernel. The backend is pinned to numpy because the ``scenarios_batched``
-#: counter is mode-dependent (other backends run the sequential fallback).
+#: batch (nominal + branch), solved state by state over the shared
+#: laydown (so ``scenarios_batched`` and ``sweeps_batched`` read 0). The
+#: backend is pinned to numpy, the one the widened kernel also runs on.
 SCENARIO_CASES = {
     "c5g7-mini-fission95": (
         "fission-95",

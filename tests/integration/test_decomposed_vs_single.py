@@ -6,7 +6,7 @@ import pytest
 from repro.geometry import BoundaryCondition, Geometry, Lattice
 from repro.geometry.universe import make_homogeneous_universe
 from repro.materials import infinite_medium_keff
-from repro.parallel import DecomposedSolver
+from repro.parallel.driver import DecomposedSolver
 from repro.solver import MOCSolver
 
 

@@ -14,7 +14,7 @@ import pytest
 from repro.geometry import BoundaryCondition, Geometry, Lattice
 from repro.geometry.extruded import AxialMesh, ExtrudedGeometry
 from repro.geometry.universe import make_homogeneous_universe
-from repro.parallel import ZDecomposedSolver
+from repro.parallel.driver3d import ZDecomposedSolver
 from repro.runtime.antmoc import GEOMETRY_BUILDERS
 from repro.solver import MOCSolver
 from tests.engine.test_async_engine import needs_fork

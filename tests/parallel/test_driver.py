@@ -7,7 +7,7 @@ from repro.errors import DecompositionError
 from repro.geometry import Geometry, Lattice
 from repro.geometry.universe import make_homogeneous_universe
 from repro.materials import infinite_medium_keff
-from repro.parallel import DecomposedSolver
+from repro.parallel.driver import DecomposedSolver
 
 
 @pytest.fixture()

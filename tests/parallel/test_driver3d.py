@@ -8,7 +8,7 @@ from repro.geometry import BoundaryCondition, Geometry, Lattice
 from repro.geometry.extruded import AxialMesh, ExtrudedGeometry, reflector_layer_map
 from repro.geometry.universe import make_homogeneous_universe
 from repro.materials import infinite_medium_keff
-from repro.parallel import ZDecomposedSolver
+from repro.parallel.driver3d import ZDecomposedSolver
 from repro.solver import MOCSolver
 
 

@@ -6,7 +6,7 @@ from repro.errors import DecompositionError
 from repro.geometry import Geometry, Lattice
 from repro.geometry.decomposition import decompose_lattice_geometry
 from repro.geometry.universe import make_homogeneous_universe
-from repro.parallel import match_interface_tracks
+from repro.parallel.exchange import match_interface_tracks
 from repro.tracks import TrackGenerator
 
 

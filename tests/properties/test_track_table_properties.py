@@ -15,7 +15,8 @@ from repro.geometry import BoundaryCondition, Geometry, Lattice
 from repro.geometry.extruded import AxialMesh, ExtrudedGeometry
 from repro.geometry.universe import make_homogeneous_universe
 from repro.materials import Material
-from repro.parallel import DecomposedSolver, ZDecomposedSolver
+from repro.parallel.driver import DecomposedSolver
+from repro.parallel.driver3d import ZDecomposedSolver
 from repro.tracks import TrackGenerator, TrackGenerator3D, lay_tracks
 from tests.tracks import stack3d_oracle as oracle
 from tests.tracks import tracks2d_oracle as oracle2d

@@ -8,6 +8,11 @@ the figure benches and examples. No run entry point may load them: each
 process compiles what it imports, so every module here is start-up time
 on every CLI run, served solve and forked child.
 
+Nor may a single-domain entry point, or a single-domain solve, load
+the decomposed drivers or their interface exchange
+(``repro.parallel.driver*``, ``repro.parallel.exchange``): the run
+builds one solver and imports only that one.
+
 Each entry point is imported in a fresh interpreter and its
 ``sys.modules`` read. The assertion is on the module set, not on
 seconds, so it does not depend on the host's speed.
@@ -35,6 +40,17 @@ ENTRY_POINTS = [
     "repro.engine",
 ]
 
+#: The entry points a single-domain run starts from.
+SINGLE_DOMAIN_ENTRY_POINTS = [
+    "repro.cli",
+    "repro.serve.__main__",
+    "repro.runtime.antmoc",
+    "repro.scenario",
+]
+
+#: The decomposed solvers' modules.
+DECOMPOSED = ("repro.parallel.driver", "repro.parallel.driver3d", "repro.parallel.exchange")
+
 #: Package prefixes no entry point may load.
 PAPER_MODEL = (
     "repro.hardware",
@@ -45,15 +61,16 @@ PAPER_MODEL = (
 )
 
 
-def loaded_modules(entry_point: str) -> list[str]:
+def loaded_modules(entry_point: str, then: str = "") -> list[str]:
     """The ``repro`` modules a fresh interpreter holds after importing
-    ``entry_point``."""
+    ``entry_point`` and running the statements ``then``."""
     script = (
         "import importlib, json, sys\n"
         f"importlib.import_module({entry_point!r})\n"
+        f"{then}"
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'repro')))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]))
     result = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True, text=True, env=env, cwd=ROOT, timeout=60,
@@ -71,3 +88,23 @@ def test_a_solve_imports_only_the_solver(entry_point):
         if any(name == prefix or name.startswith(prefix + ".") for prefix in PAPER_MODEL)
     ]
     assert paper_model == []
+
+
+@pytest.mark.parametrize("entry_point", SINGLE_DOMAIN_ENTRY_POINTS)
+def test_a_single_domain_entry_point_loads_no_decomposed_driver(entry_point):
+    modules = loaded_modules(entry_point)
+    assert entry_point in modules
+    assert [name for name in modules if name.startswith(DECOMPOSED)] == []
+
+
+def test_a_single_domain_solve_loads_no_decomposed_driver():
+    """Through the whole pipeline: a c5g7-mini solve builds and runs its
+    one solver without loading a decomposed one."""
+    solve = (
+        "from tests.observability.conftest import mini_2d_config\n"
+        "from repro.runtime.antmoc import AntMocApplication\n"
+        "AntMocApplication(mini_2d_config(solver={'max_iterations': 2})).run()\n"
+    )
+    modules = loaded_modules("repro.runtime.antmoc", then=solve)
+    assert "repro.solver.keff" in modules
+    assert [name for name in modules if name.startswith(DECOMPOSED)] == []

@@ -4,8 +4,9 @@ The acceptance gate of the batching subsystem: a 4-state perturbation
 batch on c5g7-mini must be bitwise-equal per state — k-eff through
 ``float.hex``, group flux and fission rates through ``array_equal`` — to
 four completely independent solves, while tracing tracks exactly once.
-Covered on the single-domain numpy path (widened kernel), the inproc
-decomposed path and the mp-async decomposed path (both rebind-based).
+Covered on the single-domain path (state by state, the default, and the
+widened kernel of ``mode="batched"``), the inproc decomposed path and
+the mp-async decomposed path (both rebind-based).
 """
 
 from __future__ import annotations
@@ -61,22 +62,22 @@ def independent_single_domain(cfg):
 
 class TestSingleDomain:
     def test_batched_matches_independent_solves(self, four_state_config):
-        batch = run_scenario_batch(four_state_config)
+        batch = run_scenario_batch(four_state_config, mode="batched")
         assert batch.batched
         oracle = independent_single_domain(four_state_config)
         for state, (keff, flux, rates) in zip(batch.states, oracle):
             assert_states_equal(state, keff, flux, rates)
 
     def test_sequential_fallback_matches_batched(self, four_state_config):
-        batched = run_scenario_batch(four_state_config)
-        serial = run_scenario_batch(four_state_config, mode="sequential")
+        batched = run_scenario_batch(four_state_config, mode="batched")
+        serial = run_scenario_batch(four_state_config)
         assert batched.batched and not serial.batched
         for b, s in zip(batched.states, serial.states):
             assert_states_equal(b, s.keff, s.scalar_flux, s.fission_rates)
 
     def test_cmfd_accelerated_batch_matches_independent(self):
         cfg = batch_config(solver={"cmfd": {"enabled": True}, "max_iterations": 8})
-        batch = run_scenario_batch(cfg)
+        batch = run_scenario_batch(cfg, mode="batched")
         assert batch.batched
         for state, (keff, flux, rates) in zip(
             batch.states, independent_single_domain(cfg)
@@ -115,7 +116,7 @@ class TestSingleDomain:
         assert len(calls) == 1
 
     def test_laydown_sharing_counters(self, four_state_config):
-        batch = run_scenario_batch(four_state_config)
+        batch = run_scenario_batch(four_state_config, mode="batched")
         for state in batch.states:
             counters = state.run_report.counters.to_dict()
             assert counters["scenarios_total"] == 4
@@ -124,7 +125,7 @@ class TestSingleDomain:
             assert counters["sweeps_batched"] == batch.num_sweeps > 0
 
     def test_sequential_mode_reports_zero_batched(self, four_state_config):
-        batch = run_scenario_batch(four_state_config, mode="sequential")
+        batch = run_scenario_batch(four_state_config)
         counters = batch.states[0].run_report.counters.to_dict()
         assert counters["scenarios_batched"] == 0
         assert counters["sweeps_batched"] == 0

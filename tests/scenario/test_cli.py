@@ -7,6 +7,8 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.io.config import load_config
+from repro.scenario import run_scenario_batch
 
 CONFIG = """\
 geometry: c5g7-mini
@@ -37,12 +39,12 @@ class TestSolveBatch:
         code = main(["solve-batch", "--config", config_path])
         out = capsys.readouterr().out
         assert code == 2  # deliberately unconverged (tolerances at 1e-14)
-        assert "2 state(s), batched sweeps" in out
+        assert "2 state(s), sequential sweeps" in out
         assert "nominal" in out and "fission-95" in out
-
-    def test_serial_flag_forces_the_fallback(self, config_path, capsys):
-        main(["solve-batch", "--config", config_path, "--serial"])
-        assert "sequential sweeps" in capsys.readouterr().out
+        # The widened kernel prints the same lines under its own header.
+        widened = run_scenario_batch(load_config(config_path), mode="batched").report()
+        assert "2 state(s), batched sweeps" in widened
+        assert widened.splitlines()[1:] == out.splitlines()[1:3]
 
     def test_report_dir_writes_one_report_per_state(self, config_path, tmp_path):
         directory = tmp_path / "reports"
@@ -58,18 +60,15 @@ class TestSolveBatch:
     def test_serial_reports_are_bitwise_equal_to_batched(
         self, config_path, tmp_path
     ):
-        batched_dir, serial_dir = tmp_path / "b", tmp_path / "s"
-        main(["solve-batch", "--config", config_path, "--report-dir", str(batched_dir)])
-        main(
-            [
-                "solve-batch", "--config", config_path,
-                "--serial", "--report-dir", str(serial_dir),
-            ]
-        )
-        for name in ("nominal.json", "fission-95.json"):
-            batched = json.loads((batched_dir / name).read_text())
-            serial = json.loads((serial_dir / name).read_text())
-            assert batched["results"]["keff"] == serial["results"]["keff"]  # repro: ignore[float-eq] — bitwise equivalence is the contract
+        """The CLI solves state by state; its reports carry the widened
+        kernel's bits."""
+        serial_dir = tmp_path / "s"
+        main(["solve-batch", "--config", config_path, "--report-dir", str(serial_dir)])
+        batch = run_scenario_batch(load_config(config_path), mode="batched")
+        for state in batch.states:
+            batched = state.run_report.to_dict()
+            serial = json.loads((serial_dir / f"{state.scenario.name}.json").read_text())
+            assert batched["results"]["keff_hex"] == serial["results"]["keff_hex"]
 
     def test_scenario_config_through_the_plain_verb_fails_loudly(
         self, config_path, capsys

@@ -8,7 +8,7 @@ the same way: ``one_cpu_affinity()`` for a single share, the host's own
 mask (two CPUs or more) for several.
 
 Pinned here: bitwise equality across share counts and against the
-sequential oracle, the cut, when nothing forks, what a dead or failing
+per-state oracle, the cut, when nothing forks, what a dead or failing
 share turns into (DESIGN.md "Fault model"), and that no exit path leaves
 a child process or a ``/dev/shm`` entry behind.
 """
@@ -138,11 +138,11 @@ class TestSameBitsOnEveryShareCount:
                 "source_tolerance": 1e-4 if cmfd else 1e-14,
             }
         )
-        fanned = run_scenario_batch(cfg)
+        fanned = run_scenario_batch(cfg, mode="batched")
         assert len(forks) == 1
         with one_cpu_affinity():
-            inline = run_scenario_batch(cfg)
-            oracle = run_scenario_batch(cfg, mode="sequential")
+            inline = run_scenario_batch(cfg, mode="batched")
+            oracle = run_scenario_batch(cfg)
         assert len(forks) == 1
         assert shares_of(fanned) == [0, 0, 1, 1] and shares_of(inline) == [0, 0, 0, 0]
         assert_same_bits(fanned, inline)
@@ -155,10 +155,10 @@ class TestSameBitsOnEveryShareCount:
 
     def test_the_sequential_oracle_fans_out_too(self, forks, leak_check):
         cfg = batch_config()
-        fanned = run_scenario_batch(cfg, mode="sequential")
+        fanned = run_scenario_batch(cfg)
         assert len(forks) == 1 and not fanned.batched and fanned.num_sweeps == 0
         with one_cpu_affinity():
-            inline = run_scenario_batch(cfg, mode="sequential")
+            inline = run_scenario_batch(cfg)
         assert_same_bits(fanned, inline)
         for a, b in zip(fanned.states, inline.states):
             assert untimed(a.run_report) == untimed(b.run_report)

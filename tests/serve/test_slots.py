@@ -283,3 +283,33 @@ class TestServerDeath:
                 os.kill(pid, signal.SIGKILL)
             proc.stdout.close()
             proc.wait()
+
+    def test_a_slot_mid_job_notices_its_dead_server(self, tmp_path):
+        """A job far longer than the grace (it cannot converge): the slot
+        hears nothing on its pipe while its ``mp`` solve runs, so it must
+        notice the dead server in its own waits on its workers."""
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "--address", "unix:s.sock", "--threads", "1"],
+            stdout=subprocess.PIPE, text=True, env=env, cwd=tmp_path,
+            start_new_session=True,
+        )
+        try:
+            assert proc.stdout.readline().startswith("repro-serve listening on ")
+            with ServeClient(f"unix:{tmp_path / 's.sock'}") as client:
+                endless = solve_payload(decomposition=MP_DECOMPOSED)
+                endless["solver"].update(
+                    max_iterations=100_000, keff_tolerance=1e-15, source_tolerance=1e-15
+                )
+                client.solve(endless, wait=False)
+                # The server, its slot and the slot's two engine workers.
+                wait_until(lambda: len(session_members(proc.pid)) >= 4)
+                members = session_members(proc.pid)
+                proc.kill()
+            proc.wait(timeout=60)
+            assert survivors_after(members, grace=2.0) == []
+        finally:
+            for pid in session_members(proc.pid):
+                os.kill(pid, signal.SIGKILL)
+            proc.stdout.close()
+            proc.wait()

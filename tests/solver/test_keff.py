@@ -29,7 +29,7 @@ def build_path(path, material, geometry_3d, **limits):
     """A zero-argument solve over ``path`` on a tiny homogeneous problem."""
     from repro.geometry import Geometry, Lattice
     from repro.geometry.universe import make_homogeneous_universe
-    from repro.parallel import DecomposedSolver
+    from repro.parallel.driver import DecomposedSolver
     from repro.scenario import BatchedKeffSolver, BatchedSweep2D
     from repro.solver import MOCSolver
     from repro.tracks import TrackGenerator

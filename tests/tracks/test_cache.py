@@ -5,7 +5,7 @@ import pytest
 
 from repro.geometry import Geometry, Lattice
 from repro.geometry.universe import make_pin_cell_universe
-from repro.parallel import ZDecomposedSolver
+from repro.parallel.driver3d import ZDecomposedSolver
 from repro.solver import MOCSolver
 from repro.tracks import TrackGenerator, TrackGenerator3D, TrackTable2D, TrackTable3D
 from repro.tracks.cache import (

@@ -16,7 +16,7 @@ from repro.geometry import BoundaryCondition, Geometry, Lattice
 from repro.geometry.extruded import AxialMesh, ExtrudedGeometry
 from repro.geometry.universe import make_homogeneous_universe
 from repro.materials import Material
-from repro.parallel import ZDecomposedSolver
+from repro.parallel.driver3d import ZDecomposedSolver
 from repro.solver import MOCSolver
 from repro.trackmgmt.manager import estimate_segments_batch, estimate_track_segments
 from repro.tracks import TrackGenerator, TrackGenerator3D

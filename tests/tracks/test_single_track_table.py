@@ -15,7 +15,8 @@ import pytest
 
 from repro.geometry import Geometry, Lattice
 from repro.geometry.universe import make_homogeneous_universe
-from repro.parallel import DecomposedSolver, ZDecomposedSolver
+from repro.parallel.driver import DecomposedSolver
+from repro.parallel.driver3d import ZDecomposedSolver
 from repro.scenario import run_scenario_batch
 from repro.solver import MOCSolver
 from repro.tracks import TrackingCache
