@@ -1,12 +1,14 @@
 """Registry-hygiene checker: pluggable components fail fast, by name.
 
-Backends, engines, tracers and checkers are all selected through string
-registries (``register_engine("mp", ...)``, ``--backend=numpy``). The
-registry contract the equivalence suite leans on: registration keys are
-literal constants (grep-able, stable across refactors), every registrable
-class declares its ``name`` as a string-literal class attribute, and
-lookups raise a :mod:`repro.errors` type on unknown keys instead of
-``dict.get``-ing their way into a silent default. Three rules:
+Backends, engines, exporters and checkers are all selected by string
+name (``--backend=numpy``, ``--engine mp``) from name tables: the first
+three literal ``_REGISTRY`` dicts, the checkers filled by
+``register_checker``. The contract the equivalence suite leans on:
+registration keys are literal constants (grep-able, stable across
+refactors), every registrable class declares its ``name`` as a
+string-literal class attribute, and lookups raise a :mod:`repro.errors`
+type on unknown keys instead of ``dict.get``-ing their way into a silent
+default. Three rules:
 
 * ``registry-key-literal`` — ``register_*("name", ...)`` calls must pass
   a string literal key;
@@ -95,7 +97,7 @@ class RegistryHygieneChecker(VisitorChecker):
         func = name.split(".")[-1] if name else ""
         if func.startswith(REGISTER_PREFIX) and node.args:
             key = node.args[0]
-            # Object-style registration (register_backend(NumpyBackend()))
+            # Object-style registration (register_checker(SomeChecker()))
             # carries its key as the object's ``name`` attribute; only
             # explicit key arguments must be literals.
             if isinstance(key, (ast.Call, ast.Name, ast.Attribute)):

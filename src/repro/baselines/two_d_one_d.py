@@ -33,7 +33,6 @@ from repro.errors import SolverError
 from repro.geometry.extruded import ExtrudedGeometry
 from repro.geometry.geometry import BoundaryCondition
 from repro.solver.convergence import ConvergenceMonitor
-from repro.solver.expeval import ExponentialEvaluator
 from repro.solver.source import SourceTerms
 from repro.solver.sweep2d import TransportSweep2D
 from repro.tracks.generator import TrackGenerator
@@ -66,9 +65,7 @@ class TwoDOneDSolver:
         source_tolerance: float = 1e-5,
         max_iterations: int = 500,
         leakage_relaxation: float = 0.7,
-        evaluator: "ExponentialEvaluator | None" = None,
         backend: str | None = None,
-        tracer: str | None = None,
         cache=None,
     ) -> None:
         self.geometry3d = geometry3d
@@ -77,13 +74,12 @@ class TwoDOneDSolver:
         # One shared radial tracking (the 2D/1D hallmark: 2D data only).
         self.trackgen = TrackGenerator(
             radial, num_azim=num_azim, azim_spacing=azim_spacing,
-            num_polar=num_polar, tracer=tracer, cache=cache,
+            num_polar=num_polar, cache=cache,
         ).generate()
         self.volumes_2d = self.trackgen.fsr_volumes
         self.heights = geometry3d.axial_mesh.heights
         # Per-layer source terms and sweeps (materials differ by layer).
         # All layer sweeps share the radial tracking, hence one sweep plan.
-        evaluator = evaluator or ExponentialEvaluator.shared()
         self.layer_terms: list[SourceTerms] = []
         self.layer_sweeps: list[TransportSweep2D] = []
         nz = self.num_layers
@@ -95,7 +91,7 @@ class TwoDOneDSolver:
             terms = SourceTerms(materials)
             self.layer_terms.append(terms)
             self.layer_sweeps.append(
-                TransportSweep2D(self.trackgen, terms, evaluator, backend=backend)
+                TransportSweep2D(self.trackgen, terms, backend=backend)
             )
         self.num_groups = self.layer_terms[0].num_groups
         self.keff_tolerance = keff_tolerance

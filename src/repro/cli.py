@@ -21,7 +21,7 @@ import dataclasses
 import sys
 
 from repro.errors import ReproError
-from repro.io.config import ENGINES, REPORT_FORMATS, SWEEP_BACKENDS, TRACERS, load_config
+from repro.io.config import ENGINES, REPORT_FORMATS, SWEEP_BACKENDS, load_config
 from repro.observability.exporters import resolve_report_spec, write_report
 from repro.runtime.antmoc import AntMocApplication
 
@@ -109,11 +109,6 @@ def _add_override_arguments(parser: argparse.ArgumentParser) -> None:
         help="Sweep-kernel backend, overriding the config's solver.sweep_backend.",
     )
     parser.add_argument(
-        "--tracer",
-        choices=TRACERS,
-        help="2D tracer, overriding the config's tracking.tracer.",
-    )
-    parser.add_argument(
         "--engine",
         choices=ENGINES,
         help="Execution engine for decomposed solves, overriding the config's "
@@ -158,11 +153,6 @@ def _apply_overrides(args: argparse.Namespace, config):
         config = dataclasses.replace(
             config,
             solver=dataclasses.replace(config.solver, sweep_backend=args.backend),
-        )
-    if args.tracer:
-        config = dataclasses.replace(
-            config,
-            tracking=dataclasses.replace(config.tracking, tracer=args.tracer),
         )
     if args.engine or args.workers is not None or args.engine_timeout is not None:
         decomposition = dataclasses.replace(

@@ -31,7 +31,6 @@ from repro.engine.problem import (
 from repro.engine.registry import (
     DEFAULT_ENGINE,
     engine_names,
-    register_engine,
     resolve_engine,
 )
 from repro.engine.sanitize import (
@@ -58,7 +57,6 @@ __all__ = [
     "SanitizerReport",
     "analyze_events",
     "engine_names",
-    "register_engine",
     "resolve_engine",
     "resolve_engine_timeout",
 ]

@@ -53,6 +53,7 @@ from repro.engine.mp import (
     SemaphoreBarrier,
     WorkerView,
     fmt_bytes,
+    log_worker_exit,
     start_up,
 )
 from repro.engine.problem import DecomposedProblem, EdgePack
@@ -216,9 +217,7 @@ def _async_worker_loop(problem: DecomposedProblem, pack: EdgePack, wid: int,
         report["timers"] = timer.as_dict()
         answer.send(("done", report))
     except WORKER_ERRORS as exc:
-        get_logger("repro.engine.async_mp").error(
-            "async worker %d failed: %s", wid, exc
-        )
+        log_worker_exit(get_logger("repro.engine.async_mp"), f"async worker {wid}", exc)
         answer.send(("error", traceback.format_exc()))
         barrier.abort()  # a sibling or the parent may wait in the start-up step
         raise SystemExit(1)

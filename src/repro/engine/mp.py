@@ -77,6 +77,18 @@ WORKER_ERRORS = (
 )
 
 
+def log_worker_exit(logger: Any, worker: str, exc: BaseException) -> None:
+    """Log why ``worker`` left its loop on ``exc``. A bare
+    ``BrokenBarrierError`` means another process — the parent or a
+    sibling worker — broke the barrier, so it is logged as a stop, not as
+    this worker's failure; any other error names its class."""
+    if isinstance(exc, BrokenBarrierError) and not str(exc):
+        logger.info("%s stopped: the parent or a sibling worker broke the barrier", worker)
+    else:
+        detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        logger.error("%s failed: %s", worker, detail)
+
+
 class Field(Protocol):
     """What a worker loop subscripts: an ndarray, or something that
     subscripts like one."""
@@ -129,7 +141,7 @@ class SemaphoreBarrier:
         :data:`~repro.runtime.cpus.LIVENESS_SLICE_S` while the wait blocks."""
         state = self._state
         if not self._lock.acquire(True, timeout):
-            self._break()
+            self._break(f"barrier lock not acquired within {timeout} s")
         try:
             if state[_BROKEN]:
                 raise BrokenBarrierError
@@ -146,12 +158,12 @@ class SemaphoreBarrier:
             self._lock.release()
         deadline = None if timeout is None else time.monotonic() + timeout
         while not turnstile.acquire(True, timeout if alive is None else LIVENESS_SLICE_S):
-            if alive is None or not alive() or (
-                deadline is not None and time.monotonic() >= deadline
-            ):
-                self._break()
+            if alive is not None and not alive():
+                self._break("a party died while the barrier waited")
+            if alive is None or (deadline is not None and time.monotonic() >= deadline):
+                self._break(f"barrier wait timed out after {timeout} s")
         if state[_BROKEN]:
-            self._break()
+            raise BrokenBarrierError
         return index
 
     def abort(self) -> None:
@@ -161,9 +173,11 @@ class SemaphoreBarrier:
             for _ in range(self.parties):
                 turnstile.release()
 
-    def _break(self) -> NoReturn:
+    def _break(self, reason: str) -> NoReturn:
+        """Break the barrier for every party and raise ``reason`` here;
+        the others raise a bare ``BrokenBarrierError``."""
         self.abort()
-        raise BrokenBarrierError
+        raise BrokenBarrierError(reason)
 
 
 #: ``MpEngine._worker_view`` with the worker bound: (fields, sync) ->
@@ -258,7 +272,7 @@ def _worker_loop(problem: DecomposedProblem, pack: RoutePack, wid: int,
         report["timers"] = timer.as_dict()
         answer.send(("done", report))
     except WORKER_ERRORS as exc:
-        get_logger("repro.engine.mp").error("worker %d failed: %s", wid, exc)
+        log_worker_exit(get_logger("repro.engine.mp"), f"worker {wid}", exc)
         answer.send(("error", traceback.format_exc()))
         barrier.abort()  # siblings and the parent stop waiting at once
         raise SystemExit(1)

@@ -1,12 +1,11 @@
-"""Execution-engine registry and selection.
+"""Execution-engine table and selection.
 
-Mirrors the sweep-backend and tracer registries: engines register by name
-and are selected by that name alone (the config's
-``decomposition.engine``, default ``inproc``). Unlike the sweep backends
-there is no silent fallback — asking for an engine the platform cannot
-run (``mp`` without ``fork``) fails loudly at solve time, because the
-execution semantics the user asked for (real parallel processes) cannot
-be substituted quietly.
+Like the sweep backends, an engine is selected by name alone (the
+config's ``decomposition.engine``, default ``inproc``) from one literal
+name -> factory table. There is no silent fallback — asking for an engine
+the platform cannot run (``mp`` without ``fork``) fails loudly at solve
+time, because the execution semantics the user asked for (real parallel
+processes) cannot be substituted quietly.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from repro.errors import ConfigError
 __all__ = [
     "DEFAULT_ENGINE",
     "engine_names",
-    "register_engine",
     "resolve_engine",
     "resolve_engine_timeout",
 ]
@@ -32,28 +30,20 @@ __all__ = [
 #: The engine of a config that names none.
 DEFAULT_ENGINE = "inproc"
 
-_REGISTRY: dict[str, Callable[..., ExecutionEngine]] = {}
-
-
-def register_engine(name: str, factory: Callable[..., ExecutionEngine]) -> None:
-    """Add an engine factory to the registry (last registration wins).
-
-    Factories accept the keyword arguments ``workers`` and ``timeout``
-    (engines that have no use for one simply ignore it — ``inproc`` has no
-    worker pool to time out).
-    """
-    _REGISTRY[name] = factory
-
-
-register_engine("inproc", lambda workers=None, timeout=None: InprocEngine())
-register_engine("mp", MpEngine)
-register_engine("mp-sanitize", SanitizedMpEngine)
-register_engine("mp-async", AsyncMpEngine)
-register_engine("mp-async-sanitize", SanitizedAsyncMpEngine)
+#: Every engine factory, by name. Factories accept the keyword arguments
+#: ``workers`` and ``timeout`` (``inproc`` has no worker pool and ignores
+#: both).
+_REGISTRY: dict[str, Callable[..., ExecutionEngine]] = {
+    "inproc": lambda workers=None, timeout=None: InprocEngine(),
+    "mp": MpEngine,
+    "mp-sanitize": SanitizedMpEngine,
+    "mp-async": AsyncMpEngine,
+    "mp-async-sanitize": SanitizedAsyncMpEngine,
+}
 
 
 def engine_names() -> tuple[str, ...]:
-    """Registered engine names, ``inproc`` (the default/oracle) first."""
+    """The engine names, ``inproc`` (the default/oracle) first."""
     return tuple(sorted(_REGISTRY, key=lambda n: (n != DEFAULT_ENGINE, n)))
 
 
@@ -62,8 +52,8 @@ def resolve_engine(
     workers: int | None = None,
     timeout: float = DEFAULT_ENGINE_TIMEOUT,
 ) -> ExecutionEngine:
-    """The execution engine registered as ``requested`` (an engine
-    instance passes through), built with the process options."""
+    """The execution engine named ``requested`` (an engine instance
+    passes through), built with the process options."""
     if isinstance(requested, ExecutionEngine):
         return requested
     name = requested.strip().lower()
@@ -71,6 +61,6 @@ def resolve_engine(
         factory = _REGISTRY[name]
     except KeyError:
         raise ConfigError(
-            f"unknown execution engine {name!r}; registered: {sorted(_REGISTRY)}"
+            f"unknown execution engine {name!r}; known: {sorted(_REGISTRY)}"
         ) from None
     return factory(workers=workers, timeout=timeout)

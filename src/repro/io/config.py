@@ -36,10 +36,6 @@ TRACK_STORAGE_METHODS = ("EXP", "OTF", "MANAGER", "CCM")
 #: oracle.
 SWEEP_BACKENDS = ("numpy", "reference")
 
-#: 2D tracers: the wavefront ``batch`` tracer and the scalar ``reference``
-#: walker.
-TRACERS = ("batch", "reference")
-
 #: Execution engines for decomposed solves (:mod:`repro.engine`):
 #: ``inproc`` is the deterministic single-process simulator, ``mp`` runs
 #: subdomains on real OS worker processes over shared memory with
@@ -49,9 +45,6 @@ TRACERS = ("batch", "reference")
 #: schedules under the shm race sanitizer (identical results, every shared
 #: access audited against the protocol).
 ENGINES = ("inproc", "mp", "mp-sanitize", "mp-async", "mp-async-sanitize")
-
-#: Exponential-kernel evaluation modes.
-EXP_MODES = ("table", "exact")
 
 #: Run-report exporter formats (:mod:`repro.observability.exporters`).
 #: A report spec is a bare format, ``format:path``, or a bare path whose
@@ -75,8 +68,6 @@ class TrackingConfig:
     num_polar: int = 4
     azim_spacing: float = 0.5
     polar_spacing: float = 0.1
-    #: 2D tracer (see :data:`TRACERS`).
-    tracer: str = "batch"
     #: Reuse tracking products from the content-addressed cache.
     tracking_cache: bool = False
     #: Cache directory override (default: ``REPRO_CACHE_DIR`` or ``~/.cache/repro``).
@@ -98,8 +89,6 @@ class TrackingConfig:
             raise ConfigError(f"azim_spacing must be positive (got {self.azim_spacing})")
         if self.polar_spacing <= 0.0:
             raise ConfigError(f"polar_spacing must be positive (got {self.polar_spacing})")
-        if self.tracer not in TRACERS:
-            raise ConfigError(f"tracer must be one of {TRACERS} (got {self.tracer!r})")
         if not self.cache_lock_timeout > 0:
             raise ConfigError(
                 "tracking.cache_lock_timeout must be positive "
@@ -183,10 +172,6 @@ class SolverConfig:
     resident_memory_bytes: int = DEFAULT_RESIDENT_MEMORY_BYTES
     #: Sweep-kernel backend (see :data:`SWEEP_BACKENDS`).
     sweep_backend: str = "numpy"
-    #: Exponential kernel: interpolation ``table`` or ``exact`` expm1.
-    exp_mode: str = "table"
-    #: Maximum absolute interpolation error of the exponential table.
-    exp_table_max_error: float = 1.0e-8
     #: CMFD acceleration block (see :class:`CmfdConfig`); also accepts a
     #: bare boolean in config files as shorthand for ``{enabled: ...}``.
     cmfd: CmfdConfig = field(default_factory=CmfdConfig)
@@ -206,12 +191,6 @@ class SolverConfig:
         if self.sweep_backend not in SWEEP_BACKENDS:
             raise ConfigError(
                 f"sweep_backend must be one of {SWEEP_BACKENDS} (got {self.sweep_backend!r})"
-            )
-        if self.exp_mode not in EXP_MODES:
-            raise ConfigError(f"exp_mode must be one of {EXP_MODES} (got {self.exp_mode!r})")
-        if self.exp_table_max_error <= 0.0:
-            raise ConfigError(
-                f"exp_table_max_error must be positive (got {self.exp_table_max_error})"
             )
 
 

@@ -7,14 +7,14 @@ experiment. This package is the single structured channel every layer
 reports through:
 
 * :class:`~repro.observability.manifest.RunManifest` — what ran (config
-  hash, git revision, engine/backend/tracer selections, host info);
+  hash, git revision, engine/backend selections, host info);
 * :class:`~repro.observability.spans.SpanRecorder` — nested monotone-clock
   spans with parent/child integrity (subsuming the flat ``StageTimer``
   rows, which remain the collection mechanism);
 * :class:`~repro.observability.counters.CounterSet` — typed counters for
   the paper's workload terms (tracks laid down, segments swept, halo
   bytes, allreduce calls, ...), with associative/commutative merge;
-* :mod:`~repro.observability.exporters` — the registry of report writers
+* :mod:`~repro.observability.exporters` — the table of report writers
   (``json`` file, ``jsonl`` event stream, human ``text`` table) and the
   *only* module allowed to serialise run metrics to JSON (enforced by the
   ``raw-metrics-dump`` rule of :mod:`repro.analysis`);

@@ -9,8 +9,8 @@ serialisation is what makes the golden-record suite trustworthy: there is
 exactly one spelling of every report, so a diff between two files is a
 diff between two runs.
 
-Three exporters register here, obeying the registry-hygiene rules
-(literal keys, literal ``name`` attributes, fail-fast lookup):
+Three exporters sit in one literal name table, obeying the
+registry-hygiene rules (literal ``name`` attributes, fail-fast lookup):
 
 * ``json``  — the canonical single-document report (goldens, diffs);
 * ``jsonl`` — an append-friendly event stream (one event per line);
@@ -74,7 +74,7 @@ def write_record(path: str | Path, record: Mapping[str, Any] | list) -> Path:
 class Exporter(ABC):
     """Writes a :class:`RunReport` to a path in one concrete format."""
 
-    #: Registry key; concrete exporters declare a string literal.
+    #: Exporter-table key; concrete exporters declare a string literal.
     name: str = ""
 
     #: Suffix used when the report spec names a format but no path.
@@ -151,7 +151,6 @@ class TextExporter(Exporter):
             f"geometry     : {manifest.geometry}",
             f"engine       : {manifest.engine}",
             f"backend      : {manifest.backend}",
-            f"tracer       : {manifest.tracer}",
             f"storage      : {manifest.storage_method}",
             f"config hash  : {manifest.config_hash[:16]}",
             f"git revision : {manifest.git_rev[:16]}",
@@ -177,24 +176,15 @@ class TextExporter(Exporter):
 
 
 # ---------------------------------------------------------------------------
-# Registry.
+# Exporter table.
 # ---------------------------------------------------------------------------
 
-_REGISTRY: dict[str, Exporter] = {}
-
-
-def register_exporter(exporter: Exporter) -> None:
-    """Add an exporter under its declared literal ``name``."""
-    if not exporter.name:
-        raise ObservabilityError(
-            f"exporter {type(exporter).__name__} declares no name"
-        )
-    _REGISTRY[exporter.name] = exporter
-
-
-register_exporter(JsonExporter())
-register_exporter(JsonlExporter())
-register_exporter(TextExporter())
+#: Every exporter, by its ``name``.
+_REGISTRY: dict[str, Exporter] = {
+    "json": JsonExporter(),
+    "jsonl": JsonlExporter(),
+    "text": TextExporter(),
+}
 
 
 def exporter_names() -> tuple[str, ...]:
@@ -206,7 +196,7 @@ def resolve_exporter(name: str) -> Exporter:
         return _REGISTRY[name]
     except KeyError:
         raise ConfigError(
-            f"unknown report format {name!r}; registered: {sorted(_REGISTRY)}"
+            f"unknown report format {name!r}; known: {sorted(_REGISTRY)}"
         ) from None
 
 

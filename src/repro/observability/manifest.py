@@ -3,7 +3,7 @@
 The paper's tables only mean something next to the configuration that
 produced them; a :class:`RunManifest` pins exactly that — a content hash
 of the validated configuration, the git revision of the tree, the
-engine/backend/tracer selections and enough host information to interpret
+engine/backend selections and enough host information to interpret
 timings. Manifests are deliberately timestamp-free: two runs of the same
 configuration on the same tree produce identical manifests, so a report
 diff only surfaces *meaningful* provenance drift.
@@ -103,7 +103,6 @@ class RunManifest:
     geometry: str
     engine: str
     backend: str
-    tracer: str
     storage_method: str
     seed: int | None = None
     host: dict[str, Any] = field(default_factory=host_info)
@@ -118,7 +117,6 @@ class RunManifest:
             geometry=str(config.geometry),
             engine=str(config.decomposition.engine),
             backend=str(config.solver.sweep_backend),
-            tracer=str(config.tracking.tracer),
             storage_method=str(config.solver.storage_method),
             seed=seed,
         )
@@ -130,7 +128,6 @@ class RunManifest:
             "geometry": self.geometry,
             "engine": self.engine,
             "backend": self.backend,
-            "tracer": self.tracer,
             "storage_method": self.storage_method,
             "seed": self.seed,
             "host": dict(self.host),
@@ -138,6 +135,9 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "RunManifest":
+        """The manifest of a saved report. Keys it does not name are
+        ignored, so a report that still records the ``tracer`` of an older
+        tree loads."""
         try:
             return cls(
                 config_hash=str(payload["config_hash"]),
@@ -145,7 +145,6 @@ class RunManifest:
                 geometry=str(payload["geometry"]),
                 engine=str(payload["engine"]),
                 backend=str(payload["backend"]),
-                tracer=str(payload["tracer"]),
                 storage_method=str(payload["storage_method"]),
                 seed=payload.get("seed"),
                 host=dict(payload.get("host", {})),

@@ -120,21 +120,22 @@ class DecomposedSolver(DomainDriver):
         keff_tolerance: float = DEFAULT_KEFF_TOL,
         source_tolerance: float = DEFAULT_SOURCE_TOL,
         max_iterations: int = 500,
-        evaluator: ExponentialEvaluator | None = None,
         backend: str | None = None,
-        tracer: str | None = None,
         cache=None,
         engine: str = "inproc",
         workers: int | None = None,
         timeout: float = DEFAULT_ENGINE_TIMEOUT,
         cmfd=None,
     ) -> None:
+        # The one exponential table, built before the laydown: a process
+        # engine's workers inherit it, and a table built after the
+        # laydown leaves each worker's peak ~1.5 MB higher on c3d-z2-mp.
+        ExponentialEvaluator.shared()
         self.geometry = geometry
-        evaluator = evaluator or ExponentialEvaluator.shared()
         self.domains = [
             Domain.radial(
                 sub, num_azim=num_azim, azim_spacing=azim_spacing, num_polar=num_polar,
-                tracer=tracer, cache=cache, evaluator=evaluator, backend=backend,
+                cache=cache, backend=backend,
             )
             for sub in decompose_lattice_geometry(geometry, domains_x, domains_y)
         ]

@@ -106,9 +106,7 @@ class ZDecomposedSolver(DomainDriver):
         keff_tolerance: float = DEFAULT_KEFF_TOL,
         source_tolerance: float = DEFAULT_SOURCE_TOL,
         max_iterations: int = 500,
-        evaluator: ExponentialEvaluator | None = None,
         backend: str | None = None,
-        tracer: str | None = None,
         cache=None,
         engine: str = "inproc",
         workers: int | None = None,
@@ -117,6 +115,7 @@ class ZDecomposedSolver(DomainDriver):
     ) -> None:
         if num_domains < 1:
             raise DecompositionError("need at least one z-domain")
+        ExponentialEvaluator.shared()  # before the laydown, as DecomposedSolver
         self.geometry = geometry3d
         slabs = _slab_meshes(geometry3d.axial_mesh, num_domains)
         layers_per = geometry3d.num_layers // num_domains
@@ -124,10 +123,9 @@ class ZDecomposedSolver(DomainDriver):
         # One shared radial tracking for every slab.
         radial = TrackGenerator(
             geometry3d.radial, num_azim=num_azim, azim_spacing=azim_spacing,
-            num_polar=num_polar, tracer=tracer, cache=cache,
+            num_polar=num_polar, cache=cache,
         ).generate()
         self.radial = radial
-        evaluator = evaluator or ExponentialEvaluator.shared()
 
         self.domains = []
         for d in range(num_domains):
@@ -152,8 +150,8 @@ class ZDecomposedSolver(DomainDriver):
                 Domain.extruded(
                     slab_geom, num_azim=num_azim, azim_spacing=azim_spacing,
                     polar_spacing=polar_spacing, num_polar=num_polar, storage=storage,
-                    resident_memory_bytes=resident_memory_bytes, tracer=tracer,
-                    evaluator=evaluator, backend=backend, radial=radial,
+                    resident_memory_bytes=resident_memory_bytes,
+                    backend=backend, radial=radial,
                 )
             )
         self.num_groups = self.domains[0].terms.num_groups

@@ -36,7 +36,6 @@ from repro.observability import Observation, RunManifest, RunReport
 from repro.runtime.output import ascii_heatmap, pin_power_map, write_fission_rates_csv, write_vtk_structured_points
 from repro.runtime.recording import record_solve, record_tracking
 from repro.runtime.stages import PipelineState, StageName
-from repro.solver.expeval import evaluator_from_config
 from repro.solver.solver import MOCSolver, TransportSolver
 from repro.tracks.cache import TrackingCache, resolve_cache
 
@@ -93,17 +92,16 @@ def solver_keywords(
     """A run configuration as solver constructor keywords, in the three
     groups every solver kind shares: ``tracking`` (exactly the radial
     :class:`~repro.tracks.generator.TrackGenerator` keywords), iteration
-    ``limits``, and ``sweep`` — the one shared exponential evaluator, the
-    kernel backend, and the ``solver.cmfd`` block (its ``enabled`` switch
-    decides; :func:`~repro.solver.cmfd.coerce_cmfd`). :func:`build_solver`
-    is the consumer; the widened scenario
-    sweep, which it cannot build (``repro.runtime`` does not import
-    ``repro.scenario``), reads the same groups."""
+    ``limits``, and ``sweep`` — the kernel backend and the ``solver.cmfd``
+    block (its ``enabled`` switch decides;
+    :func:`~repro.solver.cmfd.coerce_cmfd`). :func:`build_solver` is the
+    consumer; the widened scenario sweep, which it cannot build
+    (``repro.runtime`` does not import ``repro.scenario``), reads the same
+    groups."""
     tracking = dict(
         num_azim=cfg.tracking.num_azim,
         azim_spacing=cfg.tracking.azim_spacing,
         num_polar=cfg.tracking.num_polar,
-        tracer=cfg.tracking.tracer,
         cache=cache,
     )
     limits = dict(
@@ -112,7 +110,6 @@ def solver_keywords(
         max_iterations=cfg.solver.max_iterations,
     )
     sweep = dict(
-        evaluator=evaluator_from_config(cfg.solver),
         backend=cfg.solver.sweep_backend,
         cmfd=cfg.solver.cmfd,
     )

@@ -338,7 +338,7 @@ def _solve_share(
     t0 = time.perf_counter()
     volumes = trackgen.fsr_volumes
     terms_list = [SourceTerms(list(mats)) for mats in materials]
-    sweeper = BatchedSweep2D(trackgen, terms_list, sweep["evaluator"])
+    sweeper = BatchedSweep2D(trackgen, terms_list)
     accelerators = None
     options = coerce_cmfd(sweep["cmfd"])
     if options is not None:

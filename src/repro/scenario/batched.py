@@ -38,7 +38,6 @@ from repro.errors import ScenarioError, SolverError
 from repro.io.logging_utils import get_logger
 from repro.solver.backends.numpy_backend import sweep_directions
 from repro.solver.backends.plan import MAX_EXPF_ELEMENTS
-from repro.solver.expeval import ExponentialEvaluator
 from repro.solver.keff import with_kernel_phases
 from repro.solver.power import SolveResult, solve_local
 from repro.solver.solver import Workload
@@ -73,11 +72,10 @@ class BatchedSweep2D(TransportSweep):
         self,
         trackgen,
         terms_per_state: list[SourceTerms],
-        evaluator: ExponentialEvaluator | None = None,
     ) -> None:
         if not terms_per_state:
             raise ScenarioError("batched sweep needs at least one state")
-        super().__init__(trackgen, evaluator)
+        super().__init__(trackgen)
         self.terms = terms_per_state
         self.plan = trackgen.sweep_plan()
         self.num_states = len(terms_per_state)

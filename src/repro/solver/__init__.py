@@ -5,11 +5,10 @@ from repro.solver.backends import (
     KernelTimings,
     SweepPlan,
     TrackTopology,
-    available_backends,
     get_backend,
     resolve_backend,
 )
-from repro.solver.expeval import ExponentialEvaluator, evaluator_from_config
+from repro.solver.expeval import ExponentialEvaluator
 from repro.solver.source import SourceTerms
 from repro.solver.sweep2d import TransportSweep2D
 from repro.solver.sweep3d import TransportSweep3D
@@ -25,8 +24,6 @@ __all__ = [
     "KernelTimings",
     "SweepPlan",
     "TrackTopology",
-    "available_backends",
-    "evaluator_from_config",
     "get_backend",
     "resolve_backend",
     "SourceTerms",

@@ -1,7 +1,7 @@
-"""Pluggable sweep-kernel backends (registry + selection policy).
+"""Sweep-kernel backends (name table + selection policy).
 
 The transport sweeps dispatch their inner segment loop through one of the
-registered :class:`~repro.solver.backends.base.KernelBackend` objects:
+:class:`~repro.solver.backends.base.KernelBackend` objects of the table:
 
 * ``numpy`` — the default vectorised kernel over precompiled sweep plans;
 * ``reference`` — the seed lockstep loop, kept as equivalence oracle and
@@ -23,27 +23,16 @@ from repro.solver.backends.reference_backend import ReferenceSweepBackend
 #: The backend of a solver built without one.
 DEFAULT_BACKEND = "numpy"
 
-_REGISTRY: dict[str, KernelBackend] = {}
-
-
-def register_backend(backend: KernelBackend) -> KernelBackend:
-    """Add a backend to the registry (last registration wins per name)."""
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
-register_backend(NumpySweepBackend())
-register_backend(ReferenceSweepBackend())
+#: Every backend, by its ``name``.
+_REGISTRY: dict[str, KernelBackend] = {
+    "numpy": NumpySweepBackend(),
+    "reference": ReferenceSweepBackend(),
+}
 
 
 def backend_names() -> tuple[str, ...]:
-    """Registered backend names."""
+    """The backend names."""
     return tuple(sorted(_REGISTRY))
-
-
-def available_backends() -> dict[str, bool]:
-    """Name -> importable/runnable in this process."""
-    return {name: b.is_available() for name, b in sorted(_REGISTRY.items())}
 
 
 def get_backend(name: str) -> KernelBackend:
@@ -52,7 +41,7 @@ def get_backend(name: str) -> KernelBackend:
         return _REGISTRY[name]
     except KeyError:
         raise SolverError(
-            f"unknown sweep backend {name!r}; registered: {sorted(_REGISTRY)}"
+            f"unknown sweep backend {name!r}; known: {sorted(_REGISTRY)}"
         ) from None
 
 
@@ -74,10 +63,8 @@ __all__ = [
     "SweepPlan",
     "SweepWorkspace",
     "TrackTopology",
-    "available_backends",
     "backend_names",
     "build_position_index",
     "get_backend",
-    "register_backend",
     "resolve_backend",
 ]

@@ -114,12 +114,8 @@ class KernelTimings:
 class KernelBackend:
     """One sweep-kernel implementation."""
 
-    #: Registry key (config value, CLI flag, env var).
+    #: Backend-table key (config value, CLI flag).
     name: str = "abstract"
-
-    def is_available(self) -> bool:
-        """Whether the backend can run in this process."""
-        return True
 
     def sweep(self, plan: SweepPlan, psi: list[np.ndarray], ctx: SweepContext) -> np.ndarray:
         """Advance both traversal states through all segments.

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.geometry.extruded import ExtrudedGeometry
 from repro.geometry.geometry import Geometry
-from repro.solver.expeval import ExponentialEvaluator
 from repro.solver.source import SourceTerms
 from repro.solver.sweep2d import TransportSweep2D
 from repro.solver.sweep3d import TransportSweep3D
@@ -55,7 +54,6 @@ class Domain:
         trackgen: TrackGenerator,
         terms: SourceTerms,
         *,
-        evaluator: ExponentialEvaluator | None,
         backend: str | None,
         storage: str | None = None,
         resident_memory_bytes: int | None = None,
@@ -70,7 +68,7 @@ class Domain:
         self.tracks_3d = 0
         self.segments_3d = 0
         self.tracks_3d_resident = 0
-        self._sweep_settings = (evaluator, backend, storage, resident_memory_bytes)
+        self._sweep_settings = (backend, storage, resident_memory_bytes)
 
     @classmethod
     def radial(
@@ -80,9 +78,7 @@ class Domain:
         num_azim: int,
         azim_spacing: float,
         num_polar: int,
-        tracer: str | None = None,
         cache=None,
-        evaluator: ExponentialEvaluator | None = None,
         backend: str | None = None,
         trackgen: TrackGenerator | None = None,
         materials=None,
@@ -96,10 +92,10 @@ class Domain:
         if trackgen is None:
             trackgen = TrackGenerator(
                 geometry, num_azim=num_azim, azim_spacing=azim_spacing,
-                num_polar=num_polar, tracer=tracer, cache=cache,
+                num_polar=num_polar, cache=cache,
             ).generate()
         terms = SourceTerms(list(geometry.fsr_materials if materials is None else materials))
-        domain = cls(geometry, trackgen, terms, evaluator=evaluator, backend=backend)
+        domain = cls(geometry, trackgen, terms, backend=backend)
         domain.volumes = trackgen.fsr_volumes
         return domain
 
@@ -114,9 +110,7 @@ class Domain:
         num_polar: int,
         storage: str,
         resident_memory_bytes: int | None,
-        tracer: str | None = None,
         cache=None,
-        evaluator: ExponentialEvaluator | None = None,
         backend: str | None = None,
         radial: TrackGenerator | None = None,
     ) -> "Domain":
@@ -128,14 +122,14 @@ class Domain:
         """
         trackgen = TrackGenerator3D(
             geometry3d, num_azim=num_azim, azim_spacing=azim_spacing,
-            polar_spacing=polar_spacing, num_polar=num_polar, tracer=tracer, cache=cache,
+            polar_spacing=polar_spacing, num_polar=num_polar, cache=cache,
         )
         if radial is not None:
             trackgen.adopt_radial(radial)
         trackgen.generate()
         domain = cls(
             geometry3d, trackgen, SourceTerms(list(geometry3d.fsr_materials)),
-            evaluator=evaluator, backend=backend, storage=storage,
+            backend=backend, storage=storage,
             resident_memory_bytes=resident_memory_bytes,
         )
         domain.tracks_3d = trackgen.num_tracks_3d
@@ -149,16 +143,16 @@ class Domain:
         segmentation alive."""
         if self.sweeper is not None:
             return self
-        evaluator, backend, storage, budget = self._sweep_settings
+        backend, storage, budget = self._sweep_settings
         trackgen = self.trackgen
         if not isinstance(trackgen, TrackGenerator3D):
-            self.sweeper = TransportSweep2D(trackgen, self.terms, evaluator, backend=backend)
+            self.sweeper = TransportSweep2D(trackgen, self.terms, backend=backend)
             return self
         # repro.trackmgmt.strategy imports repro.solver.sweep3d.
         from repro.trackmgmt import make_strategy
 
         assert storage is not None
-        self.sweeper = TransportSweep3D(trackgen, self.terms, evaluator, backend=backend)
+        self.sweeper = TransportSweep3D(trackgen, self.terms, backend=backend)
         self.strategy = make_strategy(storage, trackgen, resident_memory_bytes=budget)
         reference = self.strategy.reference_segments()
         self.volumes = trackgen.fsr_volumes_3d(reference)

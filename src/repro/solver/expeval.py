@@ -4,15 +4,13 @@ GPU MOC codes replace ``exp`` with a linear-interpolation table to trade a
 transcendental for two fused multiply-adds; ANT-MOC inherits the same
 device idiom. The table is built so the maximum interpolation error is
 bounded by ``max_error`` (absolute) and, when requested, by
-``max_relative_error`` down to the ``tau -> 0`` limit; callers can also
-request exact evaluation (``mode="exact"``) as a drop-in replacement.
+``max_relative_error`` down to the ``tau -> 0`` limit.
 
 ``F`` is evaluated with ``expm1`` near zero for full relative accuracy.
 
-Every sweep call site shares one evaluator per (resolution, range, mode)
-via :meth:`ExponentialEvaluator.shared` /
-:func:`evaluator_from_config`, so the table resolution is configured in
-exactly one place (the solver config) instead of ad hoc per constructor.
+Every sweeper takes the one process-wide table,
+:meth:`ExponentialEvaluator.shared` at its defaults (88 390 points,
+1.4 MB): no configuration chooses another resolution or an exact mode.
 """
 
 from __future__ import annotations
@@ -23,9 +21,6 @@ import numpy as np
 
 from repro.constants import MAX_TABULATED_TAU
 from repro.errors import SolverError
-
-#: Evaluation modes: linear-interpolated table vs exact ``expm1``.
-EXP_MODES = ("table", "exact")
 
 _SHARED: dict[tuple, "ExponentialEvaluator"] = {}
 
@@ -48,9 +43,6 @@ class ExponentialEvaluator:
     ``h <= 2 r``, making the table accurate in relative terms all the way
     into the ``tau -> 0`` limit. Arguments beyond ``tau_max`` clamp to
     ``F = 1`` (already within 1e-11 of exact at the default cutoff).
-
-    ``mode="exact"`` bypasses the table and evaluates ``expm1`` directly —
-    the drop-in exact variant both sweeps accept.
     """
 
     def __init__(
@@ -58,12 +50,9 @@ class ExponentialEvaluator:
         max_error: float = 1.0e-8,
         tau_max: float = MAX_TABULATED_TAU,
         max_relative_error: float | None = None,
-        mode: str = "table",
     ) -> None:
         if max_error <= 0.0 or tau_max <= 0.0:
             raise SolverError("max_error and tau_max must be positive")
-        if mode not in EXP_MODES:
-            raise SolverError(f"mode must be one of {EXP_MODES} (got {mode!r})")
         if max_relative_error is not None and max_relative_error <= 0.0:
             raise SolverError("max_relative_error must be positive")
         self.max_error = float(max_error)
@@ -71,7 +60,6 @@ class ExponentialEvaluator:
             None if max_relative_error is None else float(max_relative_error)
         )
         self.tau_max = float(tau_max)
-        self.mode = mode
         h = math.sqrt(8.0 * max_error)
         if self.max_relative_error is not None:
             h = min(h, 2.0 * self.max_relative_error)
@@ -95,22 +83,20 @@ class ExponentialEvaluator:
         max_error: float = 1.0e-8,
         tau_max: float = MAX_TABULATED_TAU,
         max_relative_error: float | None = None,
-        mode: str = "table",
     ) -> "ExponentialEvaluator":
         """One process-wide evaluator per parameter set.
 
-        Sweep constructors default to this instead of building private
-        tables, so every solver component sees the same table object —
+        Every sweeper takes the default one instead of building a private
+        table, so every solver component sees the same table object —
         which also keys the plans' cached per-segment exponential buffers.
         """
-        key = (float(max_error), float(tau_max), max_relative_error, mode)
+        key = (float(max_error), float(tau_max), max_relative_error)
         evaluator = _SHARED.get(key)
         if evaluator is None:
             evaluator = cls(
                 max_error=max_error,
                 tau_max=tau_max,
                 max_relative_error=max_relative_error,
-                mode=mode,
             )
             _SHARED[key] = evaluator
         return evaluator
@@ -120,8 +106,6 @@ class ExponentialEvaluator:
     def __call__(self, tau: np.ndarray) -> np.ndarray:
         """``F(tau)`` for non-negative ``tau`` (vectorised)."""
         tau = np.asarray(tau, dtype=np.float64)
-        if self.mode == "exact":
-            return -np.expm1(-tau)
         idx = (tau * (1.0 / self.spacing)).astype(np.int64)
         np.clip(idx, 0, self.num_points - 1, out=idx)
         return self._slope[idx] * tau + self._intercept[idx]
@@ -138,18 +122,6 @@ class ExponentialEvaluator:
         )
         return (
             f"ExponentialEvaluator(points={self.num_points}, "
-            f"max_error={self.max_error:g}{rel}, tau_max={self.tau_max:g}, "
-            f"mode={self.mode!r})"
+            f"max_error={self.max_error:g}{rel}, tau_max={self.tau_max:g})"
         )
 
-
-def evaluator_from_config(solver_config) -> ExponentialEvaluator:
-    """The one shared evaluator a run configuration describes.
-
-    Reads ``exp_mode`` and ``exp_table_max_error`` of a
-    :class:`~repro.io.config.SolverConfig`; this is the
-    single point where table resolution enters the solver stack.
-    """
-    return ExponentialEvaluator.shared(
-        max_error=solver_config.exp_table_max_error, mode=solver_config.exp_mode
-    )

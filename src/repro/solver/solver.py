@@ -24,7 +24,6 @@ from repro.solver.cmfd import (
     domain_current_tally,
 )
 from repro.solver.domain import Domain
-from repro.solver.expeval import ExponentialEvaluator
 from repro.solver.keff import KeffSolver, SolveResult, with_kernel_phases
 from repro.tracks.generator import TrackGenerator, TrackingTimings
 
@@ -106,9 +105,7 @@ class MOCSolver:
         keff_tolerance: float = 1.0e-6,
         source_tolerance: float = 1.0e-5,
         max_iterations: int = 500,
-        evaluator: ExponentialEvaluator | None = None,
         backend: str | None = None,
-        tracer: str | None = None,
         cache=None,
         cmfd=None,
         trackgen: TrackGenerator | None = None,
@@ -119,8 +116,7 @@ class MOCSolver:
         and ``materials``) under the power iteration."""
         domain = Domain.radial(
             geometry, num_azim=num_azim, azim_spacing=azim_spacing, num_polar=num_polar,
-            tracer=tracer, cache=cache, evaluator=evaluator, backend=backend,
-            trackgen=trackgen, materials=materials,
+            cache=cache, backend=backend, trackgen=trackgen, materials=materials,
         )
         return cls._assemble(domain, cmfd, keff_tolerance, source_tolerance, max_iterations)
 
@@ -137,9 +133,7 @@ class MOCSolver:
         keff_tolerance: float = 1.0e-6,
         source_tolerance: float = 1.0e-5,
         max_iterations: int = 500,
-        evaluator: ExponentialEvaluator | None = None,
         backend: str | None = None,
-        tracer: str | None = None,
         cache=None,
         cmfd=None,
     ) -> "MOCSolver":
@@ -149,8 +143,7 @@ class MOCSolver:
         domain = Domain.extruded(
             geometry3d, num_azim=num_azim, azim_spacing=azim_spacing,
             polar_spacing=polar_spacing, num_polar=num_polar, storage=storage,
-            resident_memory_bytes=resident_memory_bytes, tracer=tracer, cache=cache,
-            evaluator=evaluator, backend=backend,
+            resident_memory_bytes=resident_memory_bytes, cache=cache, backend=backend,
         )
         return cls._assemble(domain, cmfd, keff_tolerance, source_tolerance, max_iterations)
 

@@ -55,9 +55,10 @@ class TransportSweep:
     #: (:func:`~repro.solver.cmfd.domain_current_tally`).
     current_tally: Any = None
 
-    def __init__(self, trackgen, evaluator: ExponentialEvaluator | None) -> None:
+    def __init__(self, trackgen) -> None:
         self.trackgen = trackgen
-        self.evaluator = evaluator or ExponentialEvaluator.shared()
+        #: The one process-wide exponential table.
+        self.evaluator = ExponentialEvaluator.shared()
         self.timings = KernelTimings()
         #: Lockstep-kernel buffers; filled by the kernel at the first sweep.
         self.workspace = SweepWorkspace()

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.errors import SolverError
 from repro.solver.backends import KernelBackend, resolve_backend
-from repro.solver.expeval import ExponentialEvaluator
 from repro.solver.source import SourceTerms
 from repro.solver.sweep import TransportSweep, scalar_flux
 from repro.tracks.generator import TrackGenerator
@@ -37,10 +36,9 @@ class TransportSweep2D(TransportSweep):
         self,
         trackgen: TrackGenerator,
         source_terms: SourceTerms,
-        evaluator: ExponentialEvaluator | None = None,
         backend: str | KernelBackend | None = None,
     ) -> None:
-        super().__init__(trackgen, evaluator)
+        super().__init__(trackgen)
         self.terms = source_terms
         self.backend = resolve_backend(backend)
         geometry = trackgen.geometry

@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.errors import SolverError
 from repro.solver.backends import KernelBackend, SweepPlan, resolve_backend
-from repro.solver.expeval import ExponentialEvaluator
 from repro.solver.source import SourceTerms
 from repro.solver.sweep import TransportSweep, scalar_flux
 from repro.tracks.generator import TrackGenerator3D
@@ -35,10 +34,9 @@ class TransportSweep3D(TransportSweep):
         self,
         trackgen: TrackGenerator3D,
         source_terms: SourceTerms,
-        evaluator: ExponentialEvaluator | None = None,
         backend: str | KernelBackend | None = None,
     ) -> None:
-        super().__init__(trackgen, evaluator)
+        super().__init__(trackgen)
         self.terms = source_terms
         self.backend = resolve_backend(backend)
         if source_terms.num_regions != trackgen.geometry3d.num_fsrs:

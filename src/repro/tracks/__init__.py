@@ -29,7 +29,6 @@ from repro.tracks.raytrace3d import (
     trace_3d_track,
 )
 from repro.tracks.table2d import TrackTable2D
-from repro.tracks.tracers import get_tracer, register_tracer, resolve_tracer, tracer_names
 from repro.tracks.cache import TrackingCache, resolve_cache
 from repro.tracks.generator import TrackGenerator, TrackGenerator3D, TrackingTimings
 
@@ -56,9 +55,5 @@ __all__ = [
     "TrackGenerator3D",
     "TrackingCache",
     "TrackingTimings",
-    "get_tracer",
-    "register_tracer",
     "resolve_cache",
-    "resolve_tracer",
-    "tracer_names",
 ]

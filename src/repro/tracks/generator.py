@@ -78,7 +78,6 @@ class TrackGenerator:
         azim_spacing: float,
         polar: PolarQuadrature | None = None,
         num_polar: int = 4,
-        tracer: str | None = None,
         cache=None,
     ) -> None:
         self.geometry = geometry
@@ -87,7 +86,6 @@ class TrackGenerator:
         )
         self.polar = polar if polar is not None else tabuchi_yamamoto(num_polar)
         self.quadrature = ProductQuadrature(self.azimuthal, self.polar)
-        self.tracer = tracer
         self.cache = cache
         self.timings = TrackingTimings()
         self._table2d: TrackTable2D | None = None
@@ -116,7 +114,7 @@ class TrackGenerator:
         self._table2d = TrackTable2D(**laydown, **links, **build_chains(laydown, links))
         t2 = time.perf_counter()
         timings.chain_seconds += t2 - t1
-        self._segments = trace_all(self.geometry, self._table2d, tracer=self.tracer)
+        self._segments = trace_all(self.geometry, self._table2d)
         self._volumes = self._tracked_volumes()
         t3 = time.perf_counter()
         timings.trace2d_seconds += t3 - t2
@@ -143,7 +141,7 @@ class TrackGenerator:
     @property
     def tracks(self) -> list[Track2D]:
         """Object view of the table's tracks, built on first access (for
-        tests, examples and the reference tracer / sweep; no solve path
+        tests, examples and the oracle tracer / reference sweep; no solve path
         reads it)."""
         return self.track_table_2d().tracks
 
@@ -233,7 +231,6 @@ class TrackGenerator3D(TrackGenerator):
         polar_spacing: float,
         polar: PolarQuadrature | None = None,
         num_polar: int = 4,
-        tracer: str | None = None,
         cache=None,
     ) -> None:
         super().__init__(
@@ -242,7 +239,6 @@ class TrackGenerator3D(TrackGenerator):
             azim_spacing,
             polar=polar,
             num_polar=num_polar,
-            tracer=tracer,
             cache=cache,
         )
         self.geometry3d = geometry3d

@@ -6,14 +6,16 @@ consecutive steps in the same FSR are merged. The invariant that segment
 lengths sum to the track's chord length is enforced here and property-
 tested in ``tests/tracks/test_raytrace2d.py``.
 
-Two tracers implement identical semantics (see ``repro.tracks.tracers``):
+Two tracers implement identical semantics:
 
-* :func:`trace_track` / the ``reference`` tracer — the original scalar
-  walker, one geometry query per crossing;
-* :func:`trace_all_wavefront` — the ``batch`` tracer: every unfinished
-  track advances one crossing per iteration through the flat geometry
-  view's batched kernels, so the Python interpreter runs once per
-  *wavefront* instead of once per crossing.
+* :func:`trace_all` (:func:`trace_all_wavefront`) — the tracer every
+  track generator runs: every unfinished track advances one crossing per
+  iteration through the flat geometry view's batched kernels, so the
+  Python interpreter runs once per *wavefront* instead of once per
+  crossing;
+* :func:`trace_track` / :func:`trace_all_reference` — the original
+  scalar walker, one geometry query per crossing, kept as the test
+  oracle.
 
 When a step lands closer than :data:`~repro.constants.MIN_SEGMENT_LENGTH`
 to the next surface (a "sliver", typically a cluster of tangent surfaces)
@@ -113,14 +115,14 @@ def trace_track(geometry: Geometry, track: Track2D) -> list[tuple[int, float]]:
 
 
 def trace_all_reference(geometry: Geometry, table) -> SegmentData:
-    """The ``reference`` tracer: scalar :func:`trace_track` per track of
-    the table's object view."""
+    """The oracle tracer: scalar :func:`trace_track` per track of the
+    table's object view."""
     return SegmentData.from_lists([trace_track(geometry, t) for t in table.tracks])
 
 
 def trace_all_wavefront(geometry: Geometry, table) -> SegmentData:
-    """The ``batch`` tracer: advance all unfinished tracks one crossing per
-    iteration over the batched geometry kernels.
+    """The wavefront tracer: advance all unfinished tracks one crossing
+    per iteration over the batched geometry kernels.
 
     Reads the ``xyxy``, ``direction`` and ``length`` columns of ``table``
     (a :class:`~repro.tracks.table2d.TrackTable2D`; uids are row numbers).
@@ -233,12 +235,7 @@ def trace_all_wavefront(geometry: Geometry, table) -> SegmentData:
     )
 
 
-def trace_all(geometry: Geometry, table, tracer: str | None = None) -> SegmentData:
-    """Segment every track of ``table`` into a :class:`SegmentData` container.
 
-    ``tracer`` names the implementation in the registry of
-    :mod:`repro.tracks.tracers`; ``None`` means its default.
-    """
-    from repro.tracks.tracers import get_tracer, resolve_tracer
-
-    return get_tracer(resolve_tracer(tracer))(geometry, table)
+#: Segment every track of a table into a :class:`SegmentData` container:
+#: the tracer of every :class:`~repro.tracks.generator.TrackGenerator`.
+trace_all = trace_all_wavefront

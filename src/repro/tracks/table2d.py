@@ -34,7 +34,7 @@ class TrackTable2D:
     ``np.hypot`` / ``np.cos`` and a pairwise sum are not bitwise the same.
 
     :attr:`tracks` / :attr:`chains` are an object view built on first
-    access — for tests, examples, the ``reference`` tracer and the
+    access — for tests, examples, the oracle tracer and the
     reference sweep; no solve path reads it.
     """
 

@@ -212,11 +212,12 @@ class TestRealSchema:
         schema = _extract_schema(src)
         assert schema is not None
         assert {
-            "tracking.tracer",
+            "tracking.tracking_cache",
             "decomposition.timeout",
             "solver.cmfd.enabled",
             "output.report",
         } <= schema.admissible
+        assert not {"tracking.tracer", "solver.exp_mode"} & schema.admissible
         # Against an empty README every schema key is undocumented.
         (tmp_path / "README.md").write_text("")
         undocumented = {

@@ -62,7 +62,7 @@ class TestMpMechanics:
             assert payload["worker_sweep"] > 0.0 and payload["worker_build"] > 0.0
 
     @needs_fork
-    def test_worker_exception_surfaces_as_solver_error(self, grid_2x1):
+    def test_worker_exception_surfaces_as_solver_error(self, grid_2x1, worker_log):
         """A sweep crash in a forked worker must reach the parent as a
         SolverError carrying the worker traceback, not a hang. A
         ``TypeError`` is outside ``WORKER_ERRORS``: that worker dies
@@ -87,6 +87,12 @@ class TestMpMechanics:
             with pytest.raises(SolverError, match=match):
                 engine.solve(ExplodingProblem(solver), engine.create_communicator(2))
             assert time.monotonic() - started < GRACE_S + 2.0
+            # The raising worker names its exception class; a worker the
+            # broken barrier stopped is not logged as a failure.
+            err = worker_log.readouterr().err
+            assert "Logging error" not in err
+            assert f"{error.__name__}: injected sweep failure" in err
+            assert not [line for line in err.splitlines() if line.endswith("failed: ")]
 
     @needs_fork
     def test_traceback_ordered_before_barrier_noise(self, grid_2x1):

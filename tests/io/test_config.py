@@ -42,7 +42,6 @@ class TestTrackingConfig:
 
     def test_defaults_are_concrete(self):
         cfg = TrackingConfig()
-        assert cfg.tracer == "batch"
         assert cfg.cache_lock_timeout == LOCK_STALE_SECONDS
 
 
@@ -214,23 +213,31 @@ class TestConfigFromDict:
             ({"solver": {"num_groups": 7}}, "num_groups"),
             ({"load_balance": {"subdomains_per_node": 10}}, "load_balance"),
             ({"decomposition": {"pin_workers": True}}, "pin_workers"),
+            ({"tracking": {"tracer": "reference"}}, "tracer"),
+            ({"solver": {"exp_mode": "exact"}}, "exp_mode"),
+            ({"solver": {"exp_table_max_error": 1e-8}}, "exp_table_max_error"),
         ],
-        ids=["axial_method", "num_groups", "load_balance", "pin_workers"],
+        ids=[
+            "axial_method", "num_groups", "load_balance", "pin_workers",
+            "tracer", "exp_mode", "exp_table_max_error",
+        ],
     )
     def test_removed_keys_are_unknown(self, data, key):
         with pytest.raises(ConfigError, match=f"unknown .*{key}"):
             config_from_dict(data)
 
     @pytest.mark.parametrize(
-        "section,key",
+        "section,key,message",
         [
-            ("decomposition", "engine"),
-            ("solver", "sweep_backend"),
-            ("tracking", "tracer"),
+            ("decomposition", "engine", "engine must be one of .*'auto'"),
+            ("solver", "sweep_backend", "sweep_backend must be one of .*'auto'"),
+            # One tracer runs; naming it at all is an unknown key.
+            ("tracking", "tracer", r"unknown keys in section 'tracking': \['tracer'\]"),
         ],
+        ids=["decomposition-engine", "solver-sweep_backend", "tracking-tracer"],
     )
-    def test_auto_is_not_a_selection(self, section, key):
-        with pytest.raises(ConfigError, match=f"{key} must be one of .*'auto'"):
+    def test_auto_is_not_a_selection(self, section, key, message):
+        with pytest.raises(ConfigError, match=message):
             config_from_dict({section: {key: "auto"}})
 
     def test_to_dict_roundtrip_keys(self):

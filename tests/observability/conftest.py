@@ -52,6 +52,5 @@ def manifest():
         geometry="unit-box",
         engine="inproc",
         backend="numpy",
-        tracer="batch",
         storage_method="EXP",
     )

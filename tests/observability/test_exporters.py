@@ -1,22 +1,23 @@
-"""Unit tests for exporters: registry, spec parsing, render/load round trips."""
+"""Unit tests for exporters: name table, spec parsing, render/load round trips."""
+
+import json
 
 import pytest
 
 from repro.errors import ConfigError, ObservabilityError
 from repro.observability.exporters import (
-    Exporter,
     dump_record,
     exporter_names,
     load_report,
     parse_record,
     parse_report_spec,
     read_record,
-    register_exporter,
     resolve_exporter,
     resolve_report_spec,
     write_record,
     write_report,
 )
+from repro.observability.manifest import RunManifest
 from tests.observability.test_record import make_report
 
 
@@ -47,13 +48,9 @@ class TestRegistry:
         with pytest.raises(ConfigError, match="unknown report format"):
             resolve_exporter("xml")
 
-    def test_nameless_exporter_rejected(self):
-        class Nameless(Exporter):
-            def render(self, report):
-                return ""
-
-        with pytest.raises(ObservabilityError, match="declares no name"):
-            register_exporter(Nameless())
+    def test_table_keys_are_exporter_names(self):
+        for name in exporter_names():
+            assert resolve_exporter(name).name == name
 
 
 class TestReportSpec:
@@ -103,6 +100,17 @@ class TestRoundTrips:
         assert "k-effective" in text
         assert "=== run manifest ===" in text
         assert "fsr_count" in text
+
+    def test_report_naming_a_tracer_loads(self, tmp_path, manifest):
+        """A report written while a 2D tracer was still selectable carries
+        ``manifest.tracer``; it loads, and the key is dropped."""
+        path = write_report(make_report(manifest), f"json:{tmp_path}/old.json")
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["manifest"]["tracer"] = "batch"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        loaded = load_report(path)
+        assert loaded.manifest == manifest
+        assert RunManifest.from_dict(payload["manifest"]) == manifest
 
     def test_text_report_cannot_load_back(self, tmp_path, manifest):
         path = write_report(make_report(manifest), f"text:{tmp_path}/run.log")

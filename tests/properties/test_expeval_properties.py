@@ -68,10 +68,3 @@ def test_relative_error_bounded_into_tau_zero(rel, tau):
         assert approx == 0.0
     else:
         assert abs(approx - exact) <= rel * exact * 1.05
-
-
-@settings(max_examples=50, deadline=None)
-@given(tau=st.floats(min_value=0.0, max_value=50.0, allow_nan=False))
-def test_exact_mode_is_expm1(tau):
-    evaluator = ExponentialEvaluator.shared(mode="exact")
-    assert float(evaluator(np.array([tau]))[0]) == -np.expm1(-tau)

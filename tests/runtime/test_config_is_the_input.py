@@ -6,7 +6,7 @@ under the CLI and the config as a third source of settings, and the first
 five changed a solve's numbers without its manifest showing it. With all
 six set to non-default values, a CLI run must return the clean
 environment's bits, iteration count, ``config_hash`` and manifest, its
-manifest must name the engine, backend and tracer that ran, and no report
+manifest must name the engine and backend that ran, and no report
 file may appear unless the CLI or the config asks for one.
 """
 
@@ -76,9 +76,7 @@ def test_environment_cannot_change_a_solve(case, tmp_path, monkeypatch, capsys):
     assert dirty.manifest.config_hash == clean.manifest.config_hash
     assert dirty.manifest.to_dict() == clean.manifest.to_dict()
     manifest = dirty.manifest
-    assert (manifest.backend, manifest.tracer, manifest.engine) == (
-        "numpy", "batch", "inproc",
-    )
+    assert (manifest.backend, manifest.engine) == ("numpy", "inproc")
 
     # Without --report (and no output.report) nothing is written.
     assert main(["--config", str(config)]) == 2

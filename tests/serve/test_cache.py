@@ -22,7 +22,6 @@ def make_entry(keff=1.25):
             geometry="c5g7-mini",
             engine="inproc",
             backend="numpy",
-            tracer="batch",
             storage_method="EXP",
         ),
         results=RunResults(keff=keff, converged=True, num_iterations=5),

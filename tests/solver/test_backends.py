@@ -1,7 +1,7 @@
-"""Sweep-kernel backend layer: registry, selection policy, plan reuse and
+"""Sweep-kernel backend layer: name table, selection policy, plan reuse and
 cross-backend numerical equivalence.
 
-The equivalence tests pin every registered backend to the ``reference``
+The equivalence tests pin every backend to the ``reference``
 kernel (the seed lockstep loop kept verbatim): identical tallies, boundary
 fluxes and k-eff at fixed iteration counts.
 """
@@ -17,7 +17,6 @@ from repro.solver import (
     SourceTerms,
     TransportSweep2D,
     TransportSweep3D,
-    available_backends,
     get_backend,
     resolve_backend,
 )
@@ -38,11 +37,6 @@ class TestRegistry:
                 get_backend(name)
             with pytest.raises(SolverError, match="unknown sweep backend"):
                 resolve_backend(name)
-
-    def test_availability_map(self):
-        avail = available_backends()
-        assert avail["numpy"] is True
-        assert avail["reference"] is True
 
     def test_resolve_explicit(self):
         assert resolve_backend("reference").name == "reference"

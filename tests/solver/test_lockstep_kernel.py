@@ -216,7 +216,7 @@ def _fake_batched(plan, sigmas, num_polar, num_groups):
         SimpleNamespace(sigma_t_safe=sigma, num_groups=num_groups, num_regions=NUM_FSRS)
         for sigma in sigmas
     ]
-    return BatchedSweep2D(trackgen, terms, EVALUATOR)
+    return BatchedSweep2D(trackgen, terms)
 
 
 def _check_single(plan, rng, num_groups, with_capture, use_table=True):

@@ -2,8 +2,8 @@
 
 Two contracts: every library failure mode derives from ``ReproError`` (so
 callers can catch library errors without masking programming errors), and
-unknown registry/config keys raise *documented* error types — never a raw
-``KeyError`` escaping a registry dict.
+unknown name-table/config keys raise *documented* error types — never a
+raw ``KeyError`` escaping a name table.
 """
 
 import pytest
@@ -16,11 +16,9 @@ from repro.errors import (
     ReproError,
     SanitizerError,
     SolverError,
-    TrackingError,
 )
-from repro.io.config import DecompositionConfig, ENGINES, TrackingConfig
+from repro.io.config import DecompositionConfig, ENGINES, config_from_dict
 from repro.solver.backends import get_backend
-from repro.tracks.tracers import get_tracer
 
 LEAF_ERRORS = [
     errors.ConfigError,
@@ -76,11 +74,9 @@ class TestUnknownBackendKeys:
 
 
 class TestUnknownTracerKeys:
-    def test_get_tracer_raises_tracking_error_not_keyerror(self):
-        with pytest.raises(TrackingError, match="nonsuch"):
-            get_tracer("nonsuch")
-
     def test_tracking_config_rejects_unknown_tracer(self):
-        cfg = TrackingConfig(tracer="nonsuch")
-        with pytest.raises(ConfigError, match="tracer must be one of"):
-            cfg.validate()
+        """One 2D tracer runs: a config naming any tracer names an
+        unknown key."""
+        message = r"unknown keys in section 'tracking': \['tracer'\]"
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict({"tracking": {"tracer": "nonsuch"}})

@@ -33,7 +33,7 @@ VIEWS = ("tracks", "chains", "tracks3d")
 
 #: Every construction and every view read ``src/repro`` may contain: one
 #: construction site per class (both view builders get their ``TrackLink`` s
-#: from ``link_objects``), the generator's view accessors, the ``reference``
+#: from ``link_objects``), the generator's view accessors, the oracle
 #: tracer (``trace_track`` takes a ``Track2D``) and the reference sweep.
 ALLOWED = {
     ("tracks/table2d.py", "objects", "constructs Track2D"),

@@ -1,20 +1,19 @@
-"""Tests for the tracer registry, selection policy and tracer equivalence."""
+"""The 2D tracer every generator runs against the scalar oracle tracer,
+segment for segment."""
 
 import numpy as np
 import pytest
 
-from repro.errors import TrackingError
 from repro.geometry import Geometry, Lattice
 from repro.geometry.cell import Cell
 from repro.geometry.region import Halfspace, Intersection
 from repro.geometry.surfaces import ZCylinder
 from repro.geometry.universe import Universe, make_pin_cell_universe
-from repro.io.config import config_from_dict
 from repro.quadrature import AzimuthalQuadrature
 from repro.tracks import TrackGenerator, lay_tracks
+from repro.tracks import raytrace2d
 from repro.tracks.raytrace2d import trace_all, trace_all_reference, trace_all_wavefront
 from repro.tracks.track import Track2D
-from repro.tracks import tracers
 from tests.tracks.tracks2d_oracle import table_of, unlinked_table
 
 
@@ -28,49 +27,19 @@ def tracked(geometry, num_azim=8, spacing=0.2):
     return unlinked_table(lay_tracks(geometry, quad))
 
 
-class TestRegistry:
-    def test_registered_names(self):
-        assert tracers.tracer_names() == ("batch", "reference")
-
-    def test_get_unknown_tracer_raises(self):
-        with pytest.raises(TrackingError, match="unknown tracer"):
-            tracers.get_tracer("does-not-exist")
-
-    def test_register_and_select(self):
-        calls = []
-
-        def sentinel(geometry, tracks):
-            calls.append(tracks.num_tracks)
-            return trace_all_reference(geometry, tracks)
-
-        tracers.register_tracer("sentinel", sentinel)
-        try:
-            assert tracers.resolve_tracer("sentinel") == "sentinel"
-        finally:
-            tracers._REGISTRY.pop("sentinel")
-
-
 class TestSelectionPolicy:
-    def test_default_is_batch(self):
-        assert tracers.resolve_tracer() == "batch"
+    def test_default_is_batch(self, uo2, moderator, monkeypatch):
+        """The generator runs the wavefront tracer, never the scalar
+        walker, whatever the environment says."""
 
-    def test_argument_beats_env(self, monkeypatch):
-        """``REPRO_TRACER`` selects nothing: the argument alone does."""
+        def walker(*args):
+            raise AssertionError("a generator ran the scalar walker")
+
+        monkeypatch.setattr(raytrace2d, "trace_track", walker)
         monkeypatch.setenv("REPRO_TRACER", "reference")
-        assert tracers.resolve_tracer("batch") == "batch"
-        assert tracers.resolve_tracer() == tracers.DEFAULT_TRACER
-
-    def test_config_default_applies(self):
-        assert config_from_dict({}).tracking.tracer == tracers.DEFAULT_TRACER
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(TrackingError, match="unknown tracer"):
-            tracers.resolve_tracer("walker")
-
-    def test_auto_is_an_unknown_name(self):
-        """``auto`` no longer defers to the default tracer: it names none."""
-        with pytest.raises(TrackingError, match="unknown tracer"):
-            tracers.resolve_tracer("auto")
+        g = make_pin_geometry(uo2, moderator)
+        gen = TrackGenerator(g, num_azim=4, azim_spacing=0.3).generate()
+        assert gen.segments.num_segments > 0
 
 
 class TestCrossTracerEquivalence:
@@ -83,27 +52,22 @@ class TestCrossTracerEquivalence:
         assert np.array_equal(ref.fsr_ids, batch.fsr_ids)
         assert np.array_equal(ref.lengths, batch.lengths)
 
-    def test_trace_all_dispatches_by_name(self, uo2, moderator):
+    def test_trace_all_equals_reference(self, uo2, moderator):
         g = make_pin_geometry(uo2, moderator, num_rings=1, num_sectors=1)
         tracks = tracked(g, num_azim=4, spacing=0.4)
-        ref = trace_all(g, tracks, tracer="reference")
-        batch = trace_all(g, tracks, tracer="batch")
+        ref = trace_all_reference(g, tracks)
+        batch = trace_all(g, tracks)
+        assert np.array_equal(ref.offsets, batch.offsets)
         assert np.array_equal(ref.lengths, batch.lengths)
         assert np.array_equal(ref.fsr_ids, batch.fsr_ids)
 
-    def test_generator_tracer_selection(self, uo2, moderator):
+    def test_generator_segments_equal_reference(self, uo2, moderator):
         g = make_pin_geometry(uo2, moderator)
-        ref = TrackGenerator(g, num_azim=4, azim_spacing=0.3, tracer="reference").generate()
-        batch = TrackGenerator(g, num_azim=4, azim_spacing=0.3, tracer="batch").generate()
-        assert np.array_equal(ref.segments.offsets, batch.segments.offsets)
-        assert np.array_equal(ref.segments.fsr_ids, batch.segments.fsr_ids)
-        assert np.array_equal(ref.segments.lengths, batch.segments.lengths)
-        np.testing.assert_array_equal(ref.fsr_volumes, batch.fsr_volumes)
-
-    def test_generator_rejects_unknown_tracer(self, uo2, moderator):
-        g = make_pin_geometry(uo2, moderator)
-        with pytest.raises(TrackingError, match="unknown tracer"):
-            TrackGenerator(g, num_azim=4, azim_spacing=0.3, tracer="walker").generate()
+        gen = TrackGenerator(g, num_azim=4, azim_spacing=0.3).generate()
+        ref = trace_all_reference(g, gen.track_table_2d())
+        assert np.array_equal(ref.offsets, gen.segments.offsets)
+        assert np.array_equal(ref.fsr_ids, gen.segments.fsr_ids)
+        assert np.array_equal(ref.lengths, gen.segments.lengths)
 
 
 class TestSliverFallback:
