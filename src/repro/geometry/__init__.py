@@ -13,7 +13,7 @@ from repro.geometry.cell import Cell
 from repro.geometry.universe import Universe, make_pin_cell_universe
 from repro.geometry.lattice import Lattice
 from repro.geometry.geometry import Geometry, BoundaryCondition
-from repro.geometry.flat import FlatGeometry, FlatCompileError, compile_flat
+from repro.geometry.flat import FlatGeometry, compile_flat
 from repro.geometry.extruded import ExtrudedGeometry, AxialMesh
 from repro.geometry.decomposition import CuboidDecomposition, Subdomain
 from repro.geometry.fusion import FusionGeometry
@@ -42,7 +42,6 @@ __all__ = [
     "Geometry",
     "BoundaryCondition",
     "FlatGeometry",
-    "FlatCompileError",
     "compile_flat",
     "ExtrudedGeometry",
     "AxialMesh",

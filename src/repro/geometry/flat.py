@@ -1,10 +1,9 @@
 """Flattened structure-of-arrays view of a CSG geometry.
 
-The scalar :meth:`~repro.geometry.geometry.Geometry.find_fsr` and
-:meth:`~repro.geometry.geometry.Geometry.distance_to_boundary` walk the
-CSG tree object by object — exactly the pointer-chasing access pattern
-ANT-MOC streams as flat arrays on the GPU (paper Sec. 4.1, Fig. 3). This
-module compiles the tree **once** into numpy arrays:
+The CSG tree is the pointer-chasing structure ANT-MOC streams to the GPU
+as flat arrays (paper Sec. 4.1, Fig. 3). Every
+:class:`~repro.geometry.geometry.Geometry` compiles its tree **once**, at
+construction, into numpy arrays:
 
 * surface coefficients per universe (plane ``a, b, c`` rows, cylinder
   ``x0, y0, r^2`` rows);
@@ -17,38 +16,39 @@ module compiles the tree **once** into numpy arrays:
 
 and exposes the two queries as batched kernels, :meth:`find_fsr_batch`
 and :meth:`distance_to_boundary_batch`, that advance an entire wavefront
-of points per numpy call. Every arithmetic operation replicates the
-scalar walk's expression order, so results are bitwise identical to the
-tree walk — property-tested in ``tests/properties/test_flat_properties``.
+of points per numpy call. This view is the geometry's only query path and
+its identity (:attr:`FlatGeometry.digest` keys the tracking cache). Every
+arithmetic operation replicates the scalar tree walk's expression order,
+so results are bitwise identical to it — the walk is kept only as the
+oracle, property-tested in ``tests/properties/test_flat_properties``.
 
-Geometries using surface or region types the compiler does not know are
-not an error: :func:`compile_flat` raises :class:`FlatCompileError` and
-the owning :class:`~repro.geometry.geometry.Geometry` silently keeps the
-tree walk. (One caveat of the DNF lowering: negating a halfspace flips
-which side a point *exactly on* the surface belongs to. The tracker never
-samples points on surfaces — midpoints are nudged off them — and none of
-the shipped geometries use :class:`~repro.geometry.region.Complement`.)
+A tree using a surface or region type the compiler does not know is a
+:class:`~repro.errors.GeometryError` naming the type. (One caveat of the
+DNF lowering: negating a halfspace flips which side a point *exactly on*
+the surface belongs to. The tracker never samples points on surfaces —
+midpoints are nudged off them — and none of the shipped geometries use
+:class:`~repro.geometry.region.Complement`.)
 """
 
 from __future__ import annotations
+
+import hashlib
+from functools import cached_property
 
 import numpy as np
 
 from repro.constants import ON_SURFACE_TOL, RAY_NUDGE
 from repro.errors import GeometryError
+from repro.geometry.lattice import Lattice
 from repro.geometry.region import Complement, Halfspace, Intersection, Region, Union
 from repro.geometry.surfaces import Plane2D, Surface, ZCylinder
 
 #: Safety valve on the DNF lowering: a single cell expanding past this
-#: many conjunctions indicates a pathological region; fall back instead.
+#: many conjunctions indicates a pathological region, refused at build.
 _MAX_CONJUNCTIONS = 4096
 
 #: Maximum hierarchy depth, mirroring the scalar walk's cycle guard.
 _MAX_DEPTH = 64
-
-
-class FlatCompileError(GeometryError):
-    """The geometry uses constructs the flat compiler cannot lower."""
 
 
 # --------------------------------------------------------------------- DNF
@@ -76,7 +76,7 @@ def _region_dnf(region: Region, negate: bool) -> list[list[tuple[Surface, int]]]
         for part in parts:
             out = [a + b for a in out for b in part]
             if len(out) > _MAX_CONJUNCTIONS:
-                raise FlatCompileError(
+                raise GeometryError(
                     f"region {region!r} expands past {_MAX_CONJUNCTIONS} conjunctions"
                 )
         return out
@@ -87,7 +87,7 @@ def _region_dnf(region: Region, negate: bool) -> list[list[tuple[Surface, int]]]
         if negate:
             inside = not inside
         return [[]] if inside else []
-    raise FlatCompileError(f"cannot lower region type {type(region).__name__}")
+    raise GeometryError(f"cannot lower region type {type(region).__name__}")
 
 
 # ------------------------------------------------------------- node tables
@@ -123,8 +123,9 @@ class _FlatUniverse:
             elif isinstance(surf, ZCylinder):
                 cyls.append(surf)
             else:
-                raise FlatCompileError(
-                    f"cannot lower surface type {type(surf).__name__}"
+                raise GeometryError(
+                    f"cannot lower surface type {type(surf).__name__} "
+                    f"in universe {universe.name!r}"
                 )
         self.num_planes = len(planes)
         self.plane_abc = np.array(
@@ -289,8 +290,6 @@ class _FlatLattice:
 
 def _fsr_count(node, memo: dict[int, int]) -> int:
     """FSRs under a structural node (path independent, memoised)."""
-    from repro.geometry.lattice import Lattice
-
     key = id(node)
     if key in memo:
         return memo[key]
@@ -314,11 +313,11 @@ def _fsr_count(node, memo: dict[int, int]) -> int:
 def compile_flat(geometry) -> "FlatGeometry":
     """Compile a geometry's CSG tree into a :class:`FlatGeometry`.
 
-    Raises :class:`FlatCompileError` when the tree uses surface or region
-    types the compiler cannot lower; callers fall back to the tree walk.
+    Called once, by the :class:`~repro.geometry.geometry.Geometry`
+    constructor. Raises :class:`~repro.errors.GeometryError`, naming the
+    construct, when the tree uses a surface or region type the compiler
+    cannot lower.
     """
-    from repro.geometry.lattice import Lattice
-
     counts: dict[int, int] = {}
     nodes: list[_FlatUniverse | _FlatLattice] = []
     built: dict[int, int] = {}
@@ -354,7 +353,7 @@ def compile_flat(geometry) -> "FlatGeometry":
     root_id = build(geometry.root)
     total = _fsr_count(geometry.root, counts)
     if total != geometry.num_fsrs:
-        raise FlatCompileError(
+        raise GeometryError(
             f"flat FSR count {total} != enumerated {geometry.num_fsrs}"
         )
     return FlatGeometry(geometry, nodes, root_id)
@@ -394,12 +393,13 @@ def _box_distance(
 class FlatGeometry:
     """Batched point/ray kernels over a compiled CSG tree.
 
-    Obtained from :attr:`Geometry.flat <repro.geometry.geometry.Geometry.flat>`;
-    the owning geometry's scalar queries delegate here once compiled.
+    Built by the :class:`~repro.geometry.geometry.Geometry` constructor
+    (:attr:`Geometry.flat <repro.geometry.geometry.Geometry.flat>`); the
+    geometry's scalar queries delegate here.
     """
 
     def __init__(self, geometry, nodes, root_id: int) -> None:
-        self._geometry = geometry
+        self.name = geometry.name
         self._nodes = nodes
         self._root = root_id
         self.xmin = geometry.xmin
@@ -410,6 +410,25 @@ class FlatGeometry:
     @property
     def num_nodes(self) -> int:
         return len(self._nodes)
+
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 over what the kernels read: the root and every node's
+        fields in build order, arrays with their dtype and shape. Universe
+        names are left out, so two builds of one structure agree."""
+        h = hashlib.sha256(f"root={self._root}".encode())
+        for node in self._nodes:
+            h.update(type(node).__name__.encode())
+            for field in node.__slots__:
+                if field == "name":
+                    continue
+                value = getattr(node, field)
+                if isinstance(value, np.ndarray):
+                    h.update(f"{field}:{value.dtype.str}{value.shape}".encode())
+                    h.update(np.ascontiguousarray(value).tobytes())
+                else:
+                    h.update(f"{field}={value!r}".encode())
+        return h.hexdigest()
 
     # -------------------------------------------------------------- points
 
@@ -530,4 +549,4 @@ class FlatGeometry:
         )
 
     def __repr__(self) -> str:
-        return f"FlatGeometry({self._geometry.name!r}, nodes={self.num_nodes})"
+        return f"FlatGeometry({self.name!r}, nodes={self.num_nodes})"

@@ -9,6 +9,12 @@ two queries the tracker needs:
   point before crossing any surface of the local cell, lattice walls, or
   the domain boundary.
 
+Both are answered by the flat view :attr:`Geometry.flat`, compiled once at
+construction (:mod:`repro.geometry.flat`); a tree it cannot lower is a
+:class:`~repro.errors.GeometryError` there. The object-by-object tree walks
+(:meth:`Geometry._find_fsr_tree`, :meth:`Geometry._distance_to_boundary_tree`)
+are kept only as the oracle the flat view is tested against.
+
 Flat source regions are enumerated eagerly from the hierarchy, keyed by the
 traversal path (lattice indices and cell ids), so FSR ids are dense, stable
 and independent of tracking parameters.
@@ -21,6 +27,7 @@ from enum import Enum
 from typing import Union as TypingUnion
 
 from repro.errors import GeometryError
+from repro.geometry.flat import FlatGeometry, compile_flat
 from repro.geometry.lattice import Lattice
 from repro.geometry.universe import Universe
 from repro.materials.material import Material
@@ -96,8 +103,8 @@ class Geometry:
         self._fsr_materials: list[Material] = []
         self._fsr_names: list[str] = []
         self._enumerate_fsrs(root, ())
-        self._flat: object | None = None
-        self._flat_failed = False
+        #: The compiled query view (the only one after construction).
+        self.flat: FlatGeometry = compile_flat(self)
 
     # ------------------------------------------------------------------ FSRs
 
@@ -149,51 +156,13 @@ class Geometry:
     def contains(self, x: float, y: float) -> bool:
         return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax
 
-    @property
-    def flat(self):
-        """The compiled :class:`~repro.geometry.flat.FlatGeometry` view, or
-        ``None`` when the hierarchy uses constructs the flat compiler cannot
-        lower (the tree walk then serves every query). Compiled lazily on
-        first use and cached."""
-        if self._flat is None and not self._flat_failed:
-            from repro.geometry.flat import FlatCompileError, compile_flat
-
-            try:
-                self._flat = compile_flat(self)
-            except FlatCompileError:
-                self._flat_failed = True
-        return self._flat
-
     def find_fsr(self, x: float, y: float) -> int:
-        """FSR id at a point strictly inside the bounding box.
-
-        Delegates to the flat view's batched kernel when available so the
-        scalar and batch paths can never disagree."""
-        flat = self.flat
-        if flat is not None:
-            return flat.find_fsr(x, y)
-        return self._find_fsr_tree(x, y)
-
-    def find_fsr_batch(self, xs, ys):
-        """FSR id per point, vectorised over numpy arrays.
-
-        Uses the flat SoA view when compiled; falls back to the scalar tree
-        walk per point otherwise (same answers, one Python loop slower)."""
-        import numpy as np
-
-        flat = self.flat
-        if flat is not None:
-            return flat.find_fsr_batch(xs, ys)
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
-        return np.array(
-            [self._find_fsr_tree(float(x), float(y)) for x, y in zip(xs, ys)],
-            dtype=np.int64,
-        ).reshape(xs.shape)
+        """FSR id at a point strictly inside the bounding box."""
+        return self.flat.find_fsr(x, y)
 
     def _find_fsr_tree(self, x: float, y: float) -> int:
-        """The original object-by-object tree walk (kept as the oracle the
-        flat view is property-tested against)."""
+        """The object-by-object tree walk: the oracle the flat view is
+        tested against, never a query path."""
         if not self.contains(x, y):
             raise GeometryError(f"point ({x:.6g}, {y:.6g}) outside geometry bounds")
         node: Node = self.root
@@ -225,36 +194,8 @@ class Geometry:
 
     def distance_to_boundary(self, x: float, y: float, ux: float, uy: float) -> float:
         """Distance a ray may advance before any surface crossing (see
-        :meth:`_distance_to_boundary_tree` for the full semantics).
-
-        Delegates to the flat view's batched kernel when available so the
-        scalar and batch paths can never disagree."""
-        flat = self.flat
-        if flat is not None:
-            return flat.distance_to_boundary(x, y, ux, uy)
-        return self._distance_to_boundary_tree(x, y, ux, uy)
-
-    def distance_to_boundary_batch(self, xs, ys, uxs, uys):
-        """Crossing distance per ray, vectorised over numpy arrays.
-
-        Uses the flat SoA view when compiled; falls back to the scalar tree
-        walk per ray otherwise (same answers, one Python loop slower)."""
-        import numpy as np
-
-        flat = self.flat
-        if flat is not None:
-            return flat.distance_to_boundary_batch(xs, ys, uxs, uys)
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
-        uxs = np.asarray(uxs, dtype=np.float64)
-        uys = np.asarray(uys, dtype=np.float64)
-        return np.array(
-            [
-                self._distance_to_boundary_tree(float(x), float(y), float(ux), float(uy))
-                for x, y, ux, uy in zip(xs, ys, uxs, uys)
-            ],
-            dtype=np.float64,
-        ).reshape(xs.shape)
+        :meth:`_distance_to_boundary_tree` for the full semantics)."""
+        return self.flat.distance_to_boundary(x, y, ux, uy)
 
     def _distance_to_boundary_tree(self, x: float, y: float, ux: float, uy: float) -> float:
         """Distance a ray may advance before any surface crossing.

@@ -142,8 +142,10 @@ class CmfdConfig:
     max_inner_iterations: int = 20000
     #: Prolongation under-relaxation in (0, 1]: factors become
     #: ``1 + relaxation (f - 1)``. Undamped CMFD overcorrects on optically
-    #: thick coarse cells (the classic period-2 divergence); 0.5 is stable
-    #: on every profile here, including assembly-sized coarse cells.
+    #: thick coarse cells (the classic period-2 divergence). With one
+    #: coarse cell per assembly on the C5G7 quarter core, 0.5 was measured
+    #: converging at 3 and 5 pins per assembly but diverging at 9 and 17,
+    #: where 0.25 converges; see ROADMAP item 1.
     relaxation: float = 0.5
 
     def validate(self) -> None:

@@ -8,16 +8,27 @@ per pipeline stage and can render the same kind of log fragment.
 from __future__ import annotations
 
 import logging
+import sys
 import time
 from contextlib import contextmanager
 from typing import Iterator, Mapping
+
+
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to whatever ``sys.stderr`` is when it is emitted,
+    so a redirect made after the logger was built
+    (``contextlib.redirect_stderr``, a test's capture) receives its lines."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.stream = sys.stderr  # under the handler lock (Handler.handle)
+        super().emit(record)
 
 
 def get_logger(name: str = "repro", level: str = "INFO") -> logging.Logger:
     """Return a configured library logger (idempotent)."""
     logger = logging.getLogger(name)
     if not logger.handlers:
-        handler = logging.StreamHandler()
+        handler = _StderrHandler()
         handler.setFormatter(logging.Formatter("[%(levelname)s] %(name)s: %(message)s"))
         logger.addHandler(handler)
         logger.propagate = False

@@ -46,14 +46,12 @@ def pin_power_map(
     if flux.shape[0] != geometry.num_fsrs:
         raise SolverError("flux does not match geometry FSR count")
     density = np.einsum("rg,rg->r", terms.sigma_f, flux)
-    grid = np.zeros((ny, nx))
     dx = geometry.width / nx
     dy = geometry.height / ny
-    for j in range(ny):
-        for i in range(nx):
-            x = geometry.xmin + (i + 0.5) * dx
-            y = geometry.ymin + (j + 0.5) * dy
-            grid[j, i] = density[geometry.find_fsr(x, y)]
+    j, i = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
+    x = geometry.xmin + (i + 0.5) * dx
+    y = geometry.ymin + (j + 0.5) * dy
+    grid = density[geometry.flat.find_fsr_batch(x.ravel(), y.ravel())].reshape(ny, nx)
     positive = grid[grid > 0]
     if positive.size:
         grid = grid / positive.mean()

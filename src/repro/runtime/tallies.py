@@ -75,16 +75,18 @@ def pin_fission_rates(
     pitch_y = geometry.height / pins_y
     sub = samples_per_pin
     cell_area = (pitch_x / sub) * (pitch_y / sub)
-    rates = np.zeros((pins_y, pins_x))
-    for j in range(pins_y):
-        for i in range(pins_x):
-            total = 0.0
-            for sj in range(sub):
-                for si in range(sub):
-                    x = geometry.xmin + i * pitch_x + (si + 0.5) * pitch_x / sub
-                    y = geometry.ymin + j * pitch_y + (sj + 0.5) * pitch_y / sub
-                    total += density[geometry.find_fsr(x, y)]
-            rates[j, i] = total * cell_area
+    # Axes (sj, si, j, i): sample (sj, si) of pin (j, i), all in one query.
+    sj, si, j, i = np.meshgrid(
+        np.arange(sub), np.arange(sub), np.arange(pins_y), np.arange(pins_x), indexing="ij"
+    )
+    x = geometry.xmin + i * pitch_x + (si + 0.5) * pitch_x / sub
+    y = geometry.ymin + j * pitch_y + (sj + 0.5) * pitch_y / sub
+    sampled = density[geometry.flat.find_fsr_batch(x.ravel(), y.ravel())]
+    # Each pin adds its samples in the scalar loop's order (sj, then si).
+    total = np.zeros((pins_y, pins_x))
+    for sample in sampled.reshape(sub * sub, pins_y, pins_x):
+        total += sample
+    rates = total * cell_area
     return PinRates(rates=rates, pin_pitch_x=pitch_x, pin_pitch_y=pitch_y)
 
 

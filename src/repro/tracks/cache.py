@@ -8,11 +8,13 @@ the radial pipeline. This module keys the archives written by
 :mod:`repro.tracks.io` — the radial laydown, nothing else — by a SHA-256
 fingerprint of everything that laydown depends on:
 
-* the geometry's *structure* — surface parameters, region trees, cell
-  order, lattice layouts, bounds and boundary conditions. Object ids and
-  names are deliberately excluded (they are process-global counters), and
-  so are materials: tracking never looks at a material, so geometries
-  differing only in composition share cache entries;
+* the geometry as the tracer reads it — the digest of its compiled flat
+  view (:attr:`~repro.geometry.flat.FlatGeometry.digest`: surface
+  coefficients, cell sign matrices, lattice tables), its bounds, boundary
+  conditions and FSR count. Object ids and names are not in the flat
+  arrays (they are process-global counters), and neither are materials:
+  tracking never looks at a material, so geometries differing only in
+  composition share cache entries;
 * the azimuthal parameters — count and requested spacing. The polar
   quadrature and a 3D generator's polar spacing, axial mesh and axial
   boundary conditions are not in the key: the radial laydown never reads
@@ -39,10 +41,6 @@ import time
 from pathlib import Path
 
 from repro.constants import LOCK_STALE_SECONDS
-from repro.geometry.cell import Cell
-from repro.geometry.lattice import Lattice
-from repro.geometry.region import Complement, Halfspace, Intersection, Region, Union
-from repro.geometry.surfaces import Plane2D, Surface, ZCylinder
 from repro.io.logging_utils import get_logger
 from repro.tracks.io import FORMAT_VERSION, load_tracking, save_tracking
 
@@ -62,79 +60,16 @@ def _f(value: float) -> str:
     return float(value).hex()
 
 
-def _surface_fingerprint(surface: Surface) -> str:
-    if isinstance(surface, Plane2D):
-        return f"P({_f(surface.a)},{_f(surface.b)},{_f(surface.c)})"
-    if isinstance(surface, ZCylinder):
-        return f"C({_f(surface.x0)},{_f(surface.y0)},{_f(surface.r)})"
-    # Unknown surface types fingerprint by type name and repr; collisions
-    # would only share entries between identically-printed surfaces.
-    return f"S[{type(surface).__name__}:{surface!r}]"
-
-
-def _region_fingerprint(region: Region) -> str:
-    if isinstance(region, Halfspace):
-        sign = "-" if region.halfspace_side < 0 else "+"
-        return sign + _surface_fingerprint(region.surface)
-    if isinstance(region, Intersection):
-        return "&(" + ",".join(_region_fingerprint(c) for c in region.children) + ")"
-    if isinstance(region, Union):
-        return "|(" + ",".join(_region_fingerprint(c) for c in region.children) + ")"
-    if isinstance(region, Complement):
-        return "~(" + _region_fingerprint(region.child) + ")"
-    surfaces = ",".join(_surface_fingerprint(s) for s in region.surfaces())
-    return f"R[{type(region).__name__}:{surfaces}]"
-
-
-def _node_fingerprint(node, memo: dict[int, str], counter: list[int]) -> str:
-    """Canonical structural spelling of a universe/lattice subtree.
-
-    Shared nodes are emitted once and referenced by a deterministic local
-    index thereafter (structure-derived, never the process-global ids).
-    """
-    key = id(node)
-    if key in memo:
-        return memo[key]
-    ref = f"#{counter[0]}"
-    counter[0] += 1
-    if isinstance(node, Lattice):
-        grid = ";".join(
-            _node_fingerprint(node.universes[j][i], memo, counter)
-            for j in range(node.ny)
-            for i in range(node.nx)
-        )
-        text = (
-            f"L({node.nx}x{node.ny},{_f(node.pitch_x)},{_f(node.pitch_y)},"
-            f"{_f(node.x0)},{_f(node.y0)},[{grid}])"
-        )
-    else:
-        cells = ";".join(_cell_fingerprint(cell, memo, counter) for cell in node.cells)
-        text = f"U([{cells}])"
-    memo[key] = ref
-    return ref + "=" + text
-
-
-def _cell_fingerprint(cell: Cell, memo: dict[int, str], counter: list[int]) -> str:
-    region = _region_fingerprint(cell.region)
-    if cell.is_material_cell:
-        return f"M({region})"  # materials intentionally excluded
-    return f"F({region},{_node_fingerprint(cell.fill, memo, counter)})"
-
-
-def geometry_fingerprint(geometry) -> str:
-    """Structural fingerprint of a radial geometry (bounds, BCs, tree)."""
-    bcs = ",".join(f"{side}={geometry.boundary[side].value}" for side in sorted(geometry.boundary))
-    bounds = ",".join(_f(v) for v in geometry.bounds)
-    tree = _node_fingerprint(geometry.root, {}, [0])
-    return f"geometry(bounds=[{bounds}],bc=[{bcs}],fsrs={geometry.num_fsrs},{tree})"
-
-
 def tracking_fingerprint(trackgen) -> str:
     """Full cache-key text for a track generator's radial laydown (2D or
     3D generator alike)."""
+    geometry = trackgen.geometry
     azim = trackgen.azimuthal
+    bcs = ",".join(f"{side}={geometry.boundary[side].value}" for side in sorted(geometry.boundary))
+    bounds = ",".join(_f(v) for v in geometry.bounds)
     return (
-        f"format={FORMAT_VERSION}|{geometry_fingerprint(trackgen.geometry)}"
+        f"format={FORMAT_VERSION}|geometry(bounds=[{bounds}],bc=[{bcs}],"
+        f"fsrs={geometry.num_fsrs},flat={geometry.flat.digest})"
         f"|azim({azim.num_azim},{_f(azim.requested_spacing)})"
     )
 

@@ -45,24 +45,17 @@ _SLIVER_STEP = MIN_SEGMENT_LENGTH * 10.0
 _MAX_STEPS = 1_000_000
 
 
-def _tree_kernels(geometry):
-    """Scalar point/ray kernels, preferring the original tree walk so the
-    reference tracer behaves (and times) exactly like the seed walker."""
-    find = getattr(geometry, "_find_fsr_tree", None) or geometry.find_fsr
-    dist = (
-        getattr(geometry, "_distance_to_boundary_tree", None)
-        or geometry.distance_to_boundary
-    )
-    return find, dist
-
-
 def trace_track(geometry: Geometry, track: Track2D) -> list[tuple[int, float]]:
-    """Segment one track; returns ``[(fsr_id, length), ...]`` in order."""
+    """Segment one track; returns ``[(fsr_id, length), ...]`` in order.
+
+    Queries the geometry's tree walk, not its flat view, so the oracle
+    shares no kernel with :func:`trace_all_wavefront`."""
     total = track.length
     if total <= 0.0:
         raise TrackingError(f"track {track.uid} has zero length")
     ux, uy = track.direction
-    find_fsr, distance_to_boundary = _tree_kernels(geometry)
+    find_fsr = geometry._find_fsr_tree
+    distance_to_boundary = geometry._distance_to_boundary_tree
     segments: list[tuple[int, float]] = []
 
     def emit(fsr: int, length: float) -> None:
@@ -122,7 +115,7 @@ def trace_all_reference(geometry: Geometry, table) -> SegmentData:
 
 def trace_all_wavefront(geometry: Geometry, table) -> SegmentData:
     """The wavefront tracer: advance all unfinished tracks one crossing
-    per iteration over the batched geometry kernels.
+    per iteration over the flat geometry view's batched kernels.
 
     Reads the ``xyxy``, ``direction`` and ``length`` columns of ``table``
     (a :class:`~repro.tracks.table2d.TrackTable2D`; uids are row numbers).
@@ -138,6 +131,7 @@ def trace_all_wavefront(geometry: Geometry, table) -> SegmentData:
         return SegmentData(
             np.empty(0), np.empty(0, dtype=np.int32), np.zeros(1, dtype=np.int64)
         )
+    flat = geometry.flat
     x0, y0 = table.xyxy[:, 0], table.xyxy[:, 1]
     ux, uy = table.direction.T
     total = table.length
@@ -176,7 +170,7 @@ def trace_all_wavefront(geometry: Geometry, table) -> SegmentData:
         sa = s[active]
         aux, auy = ux[active], uy[active]
         probe = sa + _EDGE_NUDGE
-        step = geometry.distance_to_boundary_batch(
+        step = flat.distance_to_boundary_batch(
             x0[active] + probe * aux, y0[active] + probe * auy, aux, auy
         )
         np.minimum(step, total[active] - sa, out=step)
@@ -186,7 +180,7 @@ def trace_all_wavefront(geometry: Geometry, table) -> SegmentData:
         normal = ~sliver
         if normal.any():
             mid = sa[normal] + 0.5 * step[normal]
-            fsr[normal] = geometry.find_fsr_batch(
+            fsr[normal] = flat.find_fsr_batch(
                 x0[active][normal] + mid * aux[normal],
                 y0[active][normal] + mid * auy[normal],
             )
@@ -197,12 +191,12 @@ def trace_all_wavefront(geometry: Geometry, table) -> SegmentData:
             forced = np.minimum(_SLIVER_STEP, (total[active] - sa)[sliver])
             step[sliver] = forced
             q1 = sa[sliver] + 0.25 * forced
-            f1 = geometry.find_fsr_batch(
+            f1 = flat.find_fsr_batch(
                 x0[active][sliver] + q1 * aux[sliver],
                 y0[active][sliver] + q1 * auy[sliver],
             )
             q3 = sa[sliver] + 0.75 * forced
-            f2 = geometry.find_fsr_batch(
+            f2 = flat.find_fsr_batch(
                 x0[active][sliver] + q3 * aux[sliver],
                 y0[active][sliver] + q3 * auy[sliver],
             )

@@ -139,7 +139,7 @@ class TestAsyncMechanics:
 
 class TestAsyncFailures:
     @needs_fork
-    def test_worker_exception_surfaces_as_solver_error(self, grid_2x1, worker_log):
+    def test_worker_exception_surfaces_as_solver_error(self, grid_2x1, capfd):
         """A ``TypeError`` is outside ``WORKER_ERRORS``: that worker dies
         unreported, and the parent still names it within the grace."""
         for error, match in (
@@ -161,7 +161,7 @@ class TestAsyncFailures:
             assert time.monotonic() - started < GRACE_S + 2.0
             # The raising worker names its exception class; a worker the
             # broken barrier stopped is not logged as a failure.
-            err = worker_log.readouterr().err
+            err = capfd.readouterr().err
             assert "Logging error" not in err
             assert f"{error.__name__}: injected sweep failure" in err
             assert not [line for line in err.splitlines() if line.endswith("failed: ")]

@@ -62,7 +62,7 @@ class TestMpMechanics:
             assert payload["worker_sweep"] > 0.0 and payload["worker_build"] > 0.0
 
     @needs_fork
-    def test_worker_exception_surfaces_as_solver_error(self, grid_2x1, worker_log):
+    def test_worker_exception_surfaces_as_solver_error(self, grid_2x1, capfd):
         """A sweep crash in a forked worker must reach the parent as a
         SolverError carrying the worker traceback, not a hang. A
         ``TypeError`` is outside ``WORKER_ERRORS``: that worker dies
@@ -89,7 +89,7 @@ class TestMpMechanics:
             assert time.monotonic() - started < GRACE_S + 2.0
             # The raising worker names its exception class; a worker the
             # broken barrier stopped is not logged as a failure.
-            err = worker_log.readouterr().err
+            err = capfd.readouterr().err
             assert "Logging error" not in err
             assert f"{error.__name__}: injected sweep failure" in err
             assert not [line for line in err.splitlines() if line.endswith("failed: ")]

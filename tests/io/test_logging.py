@@ -1,5 +1,7 @@
 """Tests for the stage timer / logging helpers."""
 
+import contextlib
+import io
 import time
 
 import pytest
@@ -163,3 +165,17 @@ class TestLogger:
     def test_level_applied(self):
         logger = get_logger("repro.test-level", level="WARNING")
         assert logger.level == 30
+
+    def test_lines_follow_the_current_stderr(self):
+        """A redirect made after the logger was built receives its lines,
+        and closing an earlier target does not break a later line."""
+        logger = get_logger("repro.test-redirect")
+        first = io.StringIO()
+        with contextlib.redirect_stderr(first):
+            logger.warning("first line")
+        assert first.getvalue() == "[WARNING] repro.test-redirect: first line\n"
+        first.close()
+        second = io.StringIO()
+        with contextlib.redirect_stderr(second):
+            logger.warning("second line")
+        assert second.getvalue() == "[WARNING] repro.test-redirect: second line\n"
