@@ -57,7 +57,7 @@ def main() -> None:
     print(" track correction on its own rectangle — the paper's caveat)")
 
     solver = app_dec.pipeline.artifacts[list(app_dec.pipeline.artifacts)[2]]
-    routes = solver.exchange.num_routes
+    routes = len(solver.routes)
     polar_half = 1  # num_polar=2 -> one hemisphere angle
     groups = 7
     per_iter = routes * polar_half * groups * 8  # float64 host payloads

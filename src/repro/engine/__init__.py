@@ -10,7 +10,7 @@ The communicator/engine layer behind the decomposed drivers
 * ``mp-async`` — the same worker pool under per-edge epoch-tagged halo
   mailboxes (dependency-driven, no global barriers).
 
-All engines execute the same ``Route``/``InterfaceExchange`` tables and
+All engines execute the same route table (:mod:`repro.parallel.exchange`) and
 produce identical results and :class:`~repro.parallel.comm.CommStats`
 traffic, so every accounting test runs unchanged against any of them.
 """

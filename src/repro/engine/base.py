@@ -2,8 +2,8 @@
 
 An :class:`ExecutionEngine` runs the stage-4 eigenvalue iteration of a
 spatially decomposed problem (2D lattice cuts or 3D axial slabs) and
-carries boundary angular flux along the precomputed
-``Route``/``InterfaceExchange`` tables. Engines differ only in *how* the
+carries boundary angular flux along the precomputed route table
+(:mod:`repro.parallel.exchange`). Engines differ only in *how* the
 subdomain sweeps execute and how the halo moves:
 
 * ``inproc`` — the deterministic single-process simulator (the historical

@@ -24,23 +24,20 @@ class InprocEngine(ExecutionEngine):
     name = "inproc"
 
     def _exchange(self, problem: DecomposedProblem, comm: SimComm) -> None:
-        """Route every interface slot's outgoing flux via the communicator."""
-        for route in problem.routes:
+        """Route every interface slot's outgoing flux via the communicator,
+        one message per row of the route table: the oracle the vectorised
+        halo packs of the process engines are held to."""
+        rows = problem.route_columns.tolist()
+        for src, src_track, src_dir, dst, dst_track, dst_dir in rows:
             comm.send(
-                route.src_domain,
-                route.dst_domain,
-                problem.sweeper(route.src_domain)
-                .psi_out_last[route.src_track, route.src_dir].copy(),
-                tag=(route.dst_track, route.dst_dir),
+                src, dst,
+                problem.sweeper(src).psi_out_last[src_track, src_dir].copy(),
+                tag=(dst_track, dst_dir),
             )
         comm.deliver()
-        for route in problem.routes:
-            flux = comm.recv(
-                route.dst_domain, route.src_domain, tag=(route.dst_track, route.dst_dir)
-            )
-            problem.sweeper(route.dst_domain).set_interface_flux(
-                route.dst_track, route.dst_dir, flux
-            )
+        for src, _, _, dst, dst_track, dst_dir in rows:
+            flux = comm.recv(dst, src, tag=(dst_track, dst_dir))
+            problem.sweeper(dst).set_interface_flux(dst_track, dst_dir, flux)
 
     def solve(self, problem: DecomposedProblem, comm: SimComm) -> EngineResult:
         timer = StageTimer()
@@ -69,7 +66,7 @@ class InprocEngine(ExecutionEngine):
             # The start-up step: this process sweeps every domain, so it
             # builds them all; there is no one to wait for.
             volumes = np.empty(problem.num_fsrs_total)
-            entries = np.empty(len(problem.routes))
+            entries = np.empty(len(problem.route_columns))
             problem.adopt([problem.build(ranks, volumes, entries, lambda: None)], volumes)
             solved = problem.power_iteration(
                 comm, timer, current_rows, prolong, sweep

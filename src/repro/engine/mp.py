@@ -382,7 +382,7 @@ class MpEngine(ExecutionEngine):
         shapes = {
             **shapes,
             "volumes": (problem.num_fsrs_total,),
-            "entries": (max(len(problem.routes), 1),),
+            "entries": (max(len(problem.route_columns), 1),),
         }
         if problem.mesh is None:
             return Arena(shapes)

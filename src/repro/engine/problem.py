@@ -9,11 +9,12 @@ hooks that put an engine's schedule under the one power iteration
 (:mod:`repro.solver.power`) — so one engine implementation serves both
 drivers.
 
-:class:`RoutePack` precompiles the route table into per-domain index
-arrays for vectorised halo packing/unpacking, plus the per-pair traffic
-totals that keep the ``mp`` engine's :class:`~repro.parallel.comm.CommStats`
-bitwise identical to the ``inproc`` simulator's. :class:`EdgePack` refines
-the same table down to directed domain-to-domain *edges* — the dependency
+:class:`RoutePack` groups the columns of the route table
+(:mod:`repro.parallel.exchange`) into per-domain index arrays for
+vectorised halo packing/unpacking, plus the per-pair traffic totals that
+keep the ``mp`` engine's :class:`~repro.parallel.comm.CommStats` bitwise
+identical to the ``inproc`` simulator's. :class:`EdgePack` refines the
+same columns down to directed domain-to-domain *edges* — the dependency
 granularity of the ``mp-async`` mailbox protocol, where each edge carries
 its own epoch sequence number and a consumer only waits for the edges it
 actually reads.
@@ -21,7 +22,6 @@ actually reads.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -55,16 +55,9 @@ class DecomposedProblem:
         self.num_domains = len(solver.domains)
         self.num_fsrs_total = solver.num_fsrs_total
         self.num_groups = solver.domains[0].terms.num_groups
-        self.routes = tuple(solver.routes)
-        #: The route table as columns: source domain, track, direction,
-        #: destination domain, track, direction.
-        self.route_columns = np.array(
-            [
-                (r.src_domain, r.src_track, r.src_dir, r.dst_domain, r.dst_track, r.dst_dir)
-                for r in self.routes
-            ],
-            dtype=np.intp,
-        ).reshape(-1, 6)
+        #: The driver's route table, ``(N, 6)``: source domain, track,
+        #: direction, destination domain, track, direction.
+        self.route_columns: np.ndarray = solver.routes
         self.max_iterations = solver.max_iterations
         self.keff_tolerance = solver.keff_tolerance
         self.source_tolerance = solver.source_tolerance
@@ -249,31 +242,28 @@ class RoutePack:
     """
 
     def __init__(self, problem: DecomposedProblem) -> None:
-        routes = problem.routes
+        routes = problem.route_columns
         self.num_routes = len(routes)
-        self.slot_shape = problem.slot_shape if routes else ()
-        self.slot_bytes = int(8 * np.prod(self.slot_shape)) if routes else 0
+        self.slot_shape = problem.slot_shape if self.num_routes else ()
+        self.slot_bytes = int(8 * np.prod(self.slot_shape)) if self.num_routes else 0
+        src_domain, src_track, src_dir, dst_domain, dst_track, dst_dir = routes.T
 
-        targets = [(r.dst_domain, r.dst_track, r.dst_dir) for r in routes]
-        if len(set(targets)) != len(targets):
+        targets = (dst_domain * (dst_track.max(initial=0) + 1) + dst_track) * 2 + dst_dir
+        if np.unique(targets).size != self.num_routes:
             raise DecompositionError(
                 "route table has duplicate destination slots; the vectorised "
                 "halo exchange requires one writer per (domain, track, dir)"
             )
-
-        def _pack(selector):
-            by_domain: dict[int, list[tuple[int, int, int]]] = {}
-            for i, r in enumerate(routes):
-                dom, track, dirn = selector(i, r)
-                by_domain.setdefault(dom, []).append((i, track, dirn))
-            return {
-                dom: tuple(np.array(col, dtype=np.intp) for col in zip(*rows))
-                for dom, rows in by_domain.items()
-            }
-
-        self._out = _pack(lambda i, r: (r.src_domain, r.src_track, r.src_dir))
-        self._in = _pack(lambda i, r: (r.dst_domain, r.dst_track, r.dst_dir))
-        self.pair_counts = Counter((r.src_domain, r.dst_domain) for r in routes)
+        self._out = _by_domain(src_domain, src_track, src_dir)
+        self._in = _by_domain(dst_domain, dst_track, dst_dir)
+        #: Per route, its ``(src, dst)`` domain pair encoded as one key,
+        #: and the route count per pair in sorted ``(src, dst)`` order.
+        self._pair_key = src_domain * problem.num_domains + dst_domain
+        keys, counts = np.unique(self._pair_key, return_counts=True)
+        self.pair_counts = {
+            divmod(key, problem.num_domains): n
+            for key, n in zip(keys.tolist(), counts.tolist())
+        }
         self._empty = (
             np.empty(0, dtype=np.intp),
             np.empty(0, dtype=np.intp),
@@ -301,6 +291,18 @@ class RoutePack:
             stats.per_pair_bytes[pair] += n * self.slot_bytes
 
 
+def _by_domain(
+    domain: np.ndarray, track: np.ndarray, direction: np.ndarray
+) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per domain named in ``domain``, the ``(route_idx, tracks, dirs)`` of
+    its slots in route order."""
+    packs: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    for d in np.unique(domain).tolist():
+        idx = np.flatnonzero(domain == d)
+        packs[d] = (idx, track[idx], direction[idx])
+    return packs
+
+
 class EdgePack(RoutePack):
     """Route table grouped by directed domain-to-domain edge.
 
@@ -321,37 +323,23 @@ class EdgePack(RoutePack):
 
     def __init__(self, problem: DecomposedProblem) -> None:
         super().__init__(problem)
-        by_edge: dict[tuple[int, int], list[int]] = {}
-        for i, r in enumerate(problem.routes):
-            by_edge.setdefault((r.src_domain, r.dst_domain), []).append(i)
-        self.edge_pairs: tuple[tuple[int, int], ...] = tuple(sorted(by_edge))
+        self.edge_pairs: tuple[tuple[int, int], ...] = tuple(self.pair_counts)
         self.num_edges = len(self.edge_pairs)
         #: Slots per halo parity (never zero, so the arena field exists).
         self.num_slots = max(self.num_routes, 1)
-        routes = problem.routes
+        _, src_track, src_dir, _, dst_track, dst_dir = problem.route_columns.T
         self._edge_slots: list[tuple[np.ndarray, np.ndarray]] = []
         self._edge_src: list[tuple[np.ndarray, np.ndarray]] = []
         self._edge_dst: list[tuple[np.ndarray, np.ndarray]] = []
         out_edges: dict[int, list[int]] = {}
         in_edges: dict[int, list[int]] = {}
-        for e, pair in enumerate(self.edge_pairs):
-            idx = by_edge[pair]
-            edge_routes = np.array(idx, dtype=np.intp)
-            self._edge_slots.append((edge_routes, edge_routes + self.num_slots))
-            self._edge_src.append(
-                (
-                    np.array([routes[i].src_track for i in idx], dtype=np.intp),
-                    np.array([routes[i].src_dir for i in idx], dtype=np.intp),
-                )
-            )
-            self._edge_dst.append(
-                (
-                    np.array([routes[i].dst_track for i in idx], dtype=np.intp),
-                    np.array([routes[i].dst_dir for i in idx], dtype=np.intp),
-                )
-            )
-            out_edges.setdefault(pair[0], []).append(e)
-            in_edges.setdefault(pair[1], []).append(e)
+        for e, (src, dst) in enumerate(self.edge_pairs):
+            idx = np.flatnonzero(self._pair_key == src * problem.num_domains + dst)
+            self._edge_slots.append((idx, idx + self.num_slots))
+            self._edge_src.append((src_track[idx], src_dir[idx]))
+            self._edge_dst.append((dst_track[idx], dst_dir[idx]))
+            out_edges.setdefault(src, []).append(e)
+            in_edges.setdefault(dst, []).append(e)
         self._out_edges = {d: tuple(es) for d, es in out_edges.items()}
         self._in_edges = {d: tuple(es) for d, es in in_edges.items()}
 

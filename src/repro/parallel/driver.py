@@ -25,7 +25,7 @@ from repro.constants import DEFAULT_ENGINE_TIMEOUT, DEFAULT_KEFF_TOL, DEFAULT_SO
 from repro.errors import DecompositionError, SolverError
 from repro.geometry.decomposition import decompose_lattice_geometry
 from repro.geometry.geometry import Geometry
-from repro.parallel.exchange import InterfaceExchange, match_interface_tracks
+from repro.parallel.exchange import match_interface_tracks
 from repro.solver.cmfd import coarse_mesh_for, coerce_cmfd
 from repro.solver.domain import Domain
 from repro.solver.expeval import ExponentialEvaluator
@@ -43,15 +43,16 @@ class DomainDriver:
     global CMFD mesh and the solver surface the run pipeline reads.
     A subclass lays out ``domains`` (rank order, each a
     :class:`~repro.solver.domain.Domain` with its tracks laid down, not
-    yet built) and ``routes`` over the undecomposed ``geometry`` in its
-    constructor, then calls :meth:`_finish`, which lays the domains out as
+    yet built) and ``routes`` (the route table,
+    :mod:`repro.parallel.exchange`) over the undecomposed ``geometry`` in
+    its constructor, then calls :meth:`_finish`, which lays the domains out as
     contiguous global FSR blocks. Whoever sweeps a domain builds it, in a
     solve's start-up step (:meth:`~repro.engine.problem.DecomposedProblem.build`).
     """
 
     geometry: Any
     domains: Sequence[Domain]
-    routes: Sequence[Any]
+    routes: np.ndarray
 
     def _finish(
         self, engine, workers, timeout,
@@ -139,10 +140,7 @@ class DecomposedSolver(DomainDriver):
             )
             for sub in decompose_lattice_geometry(geometry, domains_x, domains_y)
         ]
-        self.exchange: InterfaceExchange = match_interface_tracks(
-            [d.trackgen for d in self.domains]
-        )
-        self.routes = self.exchange.routes
+        self.routes = match_interface_tracks([d.trackgen for d in self.domains])
         self._finish(
             engine, workers, timeout,
             keff_tolerance, source_tolerance, max_iterations, cmfd,

@@ -39,7 +39,6 @@ from repro.errors import DecompositionError
 from repro.geometry.extruded import AxialMesh, ExtrudedGeometry
 from repro.geometry.geometry import BoundaryCondition
 from repro.parallel.driver import DomainDriver
-from repro.parallel.exchange import Route
 from repro.solver.domain import Domain
 from repro.solver.expeval import ExponentialEvaluator
 from repro.solver.solver import Workload
@@ -47,11 +46,6 @@ from repro.tracks.generator import TrackGenerator, TrackingTimings
 
 if TYPE_CHECKING:
     from repro.engine import EngineResult
-
-
-#: A z-interface route is the radial drivers' (domain, track, direction)
-#: slot pair; the engines read both through one route table.
-Route3D = Route
 
 
 def _slab_meshes(mesh: AxialMesh, num_domains: int) -> list[AxialMesh]:
@@ -72,14 +66,15 @@ def join_last(entry_keys: np.ndarray, exit_keys: np.ndarray) -> np.ndarray:
     """Per row of ``exit_keys``, the index of the last equal row of
     ``entry_keys``, or ``-1`` where there is none: a sorted keyed join.
 
-    Both key tables are ``(n, k)`` integer rows. One ``np.unique`` numbers
-    the distinct rows of both; a stable sort of the entries' numbers puts
-    the entries of one key in input order, so the last of each run is the
-    later one, as a dict filled in input order would keep.
+    Both key tables are ``(n, k)`` integer rows. One ``np.unique`` over
+    the rows viewed as opaque byte strings numbers the distinct rows of
+    both (equal rows are equal bytes); a stable sort of the entries'
+    numbers puts the entries of one key in input order, so the last of
+    each run is the later one, as a dict filled in input order would keep.
     """
-    keys = np.concatenate([entry_keys, exit_keys])
-    _, ids = np.unique(keys, axis=0, return_inverse=True)
-    ids = ids.reshape(-1)
+    keys = np.ascontiguousarray(np.concatenate([entry_keys, exit_keys]))
+    rows = keys.view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1])))
+    _, ids = np.unique(rows.reshape(-1), return_inverse=True)
     entry_ids, exit_ids = ids[: len(entry_keys)], ids[len(entry_keys) :]
     order = np.argsort(entry_ids, kind="stable")
     sorted_ids = entry_ids[order]
@@ -192,8 +187,9 @@ class ZDecomposedSolver(DomainDriver):
 
     # ------------------------------------------------------------ matching
 
-    def _match_interfaces(self) -> list[Route3D]:
-        """Pair interface exits with neighbour entries at shared z-planes.
+    def _match_interfaces(self) -> np.ndarray:
+        """The route table (:mod:`repro.parallel.exchange`): interface exits
+        paired with neighbour entries at shared z-planes.
 
         One sorted keyed join per plane and crossing direction over the two
         slabs' table columns: each exit slot of the source slab, in uid
@@ -229,7 +225,7 @@ class ZDecomposedSolver(DomainDriver):
             key = np.stack([chain, table.polar[uid], cell, direction], axis=1).astype(np.int64)
             return uid, direction, key, s
 
-        routes: list[Route3D] = []
+        blocks = [np.empty((0, 6), dtype=np.intp)]
         for d in range(self.num_domains - 1):
             plane = self.domains[d].geometry.axial_mesh.zmax
             # Flux moving up leaves slab d for d + 1; moving down, the reverse.
@@ -248,14 +244,12 @@ class ZDecomposedSolver(DomainDriver):
                     raise DecompositionError(
                         f"z-interface: no {'upper' if up else 'lower'} partner for {what}"
                     )
-                routes.extend(
-                    Route3D(src, uid, k, dst, entry, entry_k)
-                    for uid, k, entry, entry_k in zip(
-                        exit_uid.tolist(), exit_dir.tolist(),
-                        entry_uid[match].tolist(), entry_dir[match].tolist(),
-                    )
-                )
-        return routes
+                n = len(match)
+                blocks.append(np.column_stack([
+                    np.full(n, src), exit_uid, exit_dir,
+                    np.full(n, dst), entry_uid[match], entry_dir[match],
+                ]))
+        return np.concatenate(blocks).astype(np.intp, copy=False)
 
     # --------------------------------------------------------------- solve
 

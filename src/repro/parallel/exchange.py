@@ -6,11 +6,17 @@ exactly as a track of the neighbour. This module computes that routing
 table once; the driver then moves boundary angular flux along it every
 sweep (paper Sec. 3.1 stage 4: "the tail fluxes of tracks are transmitted
 through the adjacent domains of MPI").
+
+A route table is one ``(N, 6)`` ``intp`` array, one row per route, its
+columns named by :data:`ROUTE_COLUMNS`: the source ``(domain, track,
+direction)`` slot and the destination slot its flux enters. ``direction``
+is 0 for forward, 1 for backward, matching the sweep's psi array layout.
+Both decomposed drivers build one (:func:`match_interface_tracks`, and
+:meth:`~repro.parallel.driver3d.ZDecomposedSolver._match_interfaces` for
+z-slabs); the execution engines read its columns.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,39 +24,8 @@ from repro.errors import DecompositionError
 from repro.tracks.chains import match_entries
 from repro.tracks.generator import TrackGenerator
 
-
-@dataclass(frozen=True)
-class Route:
-    """One interface flux route between (domain, track, direction) slots.
-
-    ``direction`` is 0 for forward, 1 for backward, matching the sweep's
-    psi array layout.
-    """
-
-    src_domain: int
-    src_track: int
-    src_dir: int
-    dst_domain: int
-    dst_track: int
-    dst_dir: int
-
-
-class InterfaceExchange:
-    """The full routing table of a decomposed run."""
-
-    def __init__(self, routes: list[Route], num_domains: int) -> None:
-        self.routes = tuple(routes)
-        self.num_domains = num_domains
-
-    def routes_from(self, domain: int) -> list[Route]:
-        return [r for r in self.routes if r.src_domain == domain]
-
-    @property
-    def num_routes(self) -> int:
-        return len(self.routes)
-
-    def neighbor_pairs(self) -> set[tuple[int, int]]:
-        return {(r.src_domain, r.dst_domain) for r in self.routes}
+#: The columns of a route table, in order.
+ROUTE_COLUMNS = ("src_domain", "src_track", "src_dir", "dst_domain", "dst_track", "dst_dir")
 
 
 def _interface_slots(
@@ -80,8 +55,8 @@ def _interface_slots(
     return np.concatenate(slots), np.concatenate(rays)
 
 
-def match_interface_tracks(trackgens: list[TrackGenerator]) -> InterfaceExchange:
-    """Build the routing table over all domains' interface track ends.
+def match_interface_tracks(trackgens: list[TrackGenerator]) -> np.ndarray:
+    """The route table over all domains' interface track ends.
 
     Every interface exit must find exactly one entry in a neighbouring
     domain (one :func:`~repro.tracks.chains.match_entries` join over every
@@ -104,11 +79,10 @@ def match_interface_tracks(trackgens: list[TrackGenerator]) -> InterfaceExchange
         raise DecompositionError(
             f"domain {dom} track {track}: no interface partner at ({x:.8g}, {y:.8g})"
         )
-    routes = [
-        Route(*src, *dst) for src, dst in zip(exit_slots.tolist(), entry_slots[best].tolist())
-    ]
+    routes = np.concatenate([exit_slots, entry_slots[best]], axis=1).astype(np.intp, copy=False)
     # Sanity: routes must never point a slot at itself.
-    for r in routes:
-        if (r.src_domain, r.src_track, r.src_dir) == (r.dst_domain, r.dst_track, r.dst_dir):
-            raise DecompositionError(f"self-route detected: {r}")
-    return InterfaceExchange(routes, len(trackgens))
+    looped = np.flatnonzero((routes[:, :3] == routes[:, 3:]).all(axis=1))
+    if looped.size:
+        fields = ", ".join(map("{}={}".format, ROUTE_COLUMNS, routes[looped[0]].tolist()))
+        raise DecompositionError(f"self-route detected: Route({fields})")
+    return routes

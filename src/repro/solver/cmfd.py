@@ -506,7 +506,7 @@ def local_exit_destinations(plan, cell_of_fsr: np.ndarray) -> np.ndarray:
     """Destination coarse cell per traversal end, ``(T, 2)``: linked ends
     land in the linked traversal's entry cell, terminal ends (vacuum *and*
     domain interfaces) start as ``-1`` — drivers overwrite interface ends
-    from their Route tables."""
+    from their route table."""
     topology = plan.topology
     entry = traversal_entry_cells(plan, cell_of_fsr)
     live = ~topology.terminal

@@ -107,7 +107,7 @@ class TestAsyncMechanics:
         u = make_homogeneous_universe(two_group_fissile)
         geometry = Geometry(Lattice([[u]], 1.5, 1.5))
         solver = make_solver(geometry, 1, 1, max_iterations=15, engine="mp-async")
-        assert solver.exchange.num_routes == 0
+        assert solver.routes.shape == (0, 6)
         result = solver.solve()
         assert result.num_workers == 1
         assert result.keff > 0

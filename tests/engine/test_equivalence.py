@@ -1,7 +1,7 @@
 """Cross-engine equivalence: the mp engines must reproduce ``inproc`` bitwise.
 
 The inproc simulator is the correctness oracle; the ``mp`` engine executes
-the same Route/InterfaceExchange tables on real worker processes over
+the same route table on real worker processes over
 shared memory, and the ``mp-async`` engine re-executes them again under
 the relaxed mailbox/epoch protocol (no global barriers, workers normalise
 their own flux). Every configuration here asserts *bitwise* agreement —

@@ -44,7 +44,7 @@ class TestMpMechanics:
             geometry, 1, 1, num_azim=4, azim_spacing=0.5, num_polar=2,
             max_iterations=15, engine="mp",
         )
-        assert solver.exchange.num_routes == 0
+        assert solver.routes.shape == (0, 6)
         result = solver.solve()
         assert result.num_workers == 1
         assert result.keff > 0

@@ -108,8 +108,8 @@ class TestCommunication:
             g3, num_domains=4, num_azim=4, azim_spacing=0.7,
             polar_spacing=0.7, num_polar=2, max_iterations=1,
         )
-        targets = [(r.dst_domain, r.dst_track, r.dst_dir) for r in solver.routes]
-        assert len(set(targets)) == len(targets)
+        targets = np.unique(solver.routes[:, 3:], axis=0)
+        assert len(targets) == len(solver.routes)
 
     def test_routes_cross_adjacent_domains_only(self, two_group_fissile):
         g3 = extruded(two_group_fissile, layers=4)
@@ -117,8 +117,8 @@ class TestCommunication:
             g3, num_domains=4, num_azim=4, azim_spacing=0.7,
             polar_spacing=0.7, num_polar=2, max_iterations=1,
         )
-        for route in solver.routes:
-            assert abs(route.src_domain - route.dst_domain) == 1
+        src_domain, dst_domain = solver.routes[:, [0, 3]].T
+        assert np.all(np.abs(src_domain - dst_domain) == 1)
 
 
 class TestValidation:
@@ -134,5 +134,5 @@ class TestValidation:
             polar_spacing=0.7, num_polar=2, max_iterations=30,
         )
         result = solver.solve()
-        assert solver.routes == []
+        assert solver.routes.shape == (0, 6)
         assert result.keff > 0

@@ -1,12 +1,15 @@
 """Tests for interface track matching across subdomains."""
 
+import numpy as np
 import pytest
+
+import repro.parallel.exchange as exchange
 
 from repro.errors import DecompositionError
 from repro.geometry import Geometry, Lattice
 from repro.geometry.decomposition import decompose_lattice_geometry
 from repro.geometry.universe import make_homogeneous_universe
-from repro.parallel.exchange import match_interface_tracks
+from repro.parallel.exchange import ROUTE_COLUMNS, match_interface_tracks
 from repro.tracks import TrackGenerator
 
 
@@ -21,39 +24,39 @@ def two_domains(moderator):
     ]
 
 
+def domain_pairs(routes):
+    return set(map(tuple, routes[:, [0, 3]].tolist()))
+
+
 class TestMatching:
     def test_every_interface_end_routed(self, two_domains):
-        exchange = match_interface_tracks(two_domains)
+        routes = match_interface_tracks(two_domains)
         interface_ends = sum(
-            t.interface_start + t.interface_end
-            for tg in two_domains
-            for t in tg.tracks
+            int(tg.track_table_2d().interface.sum()) for tg in two_domains
         )
-        assert exchange.num_routes == interface_ends
-        assert exchange.num_routes > 0
+        assert routes.shape == (interface_ends, len(ROUTE_COLUMNS))
+        assert routes.dtype == np.intp
+        assert len(routes) > 0
 
     def test_routes_cross_domains(self, two_domains):
-        exchange = match_interface_tracks(two_domains)
-        for route in exchange.routes:
-            assert route.src_domain != route.dst_domain
+        routes = match_interface_tracks(two_domains)
+        assert np.all(routes[:, 0] != routes[:, 3])
 
     def test_routes_target_distinct_slots(self, two_domains):
-        exchange = match_interface_tracks(two_domains)
-        targets = [(r.dst_domain, r.dst_track, r.dst_dir) for r in exchange.routes]
-        assert len(set(targets)) == len(targets)
+        routes = match_interface_tracks(two_domains)
+        assert len(np.unique(routes[:, 3:], axis=0)) == len(routes)
 
     def test_neighbor_pairs(self, two_domains):
-        exchange = match_interface_tracks(two_domains)
-        assert exchange.neighbor_pairs() == {(0, 1), (1, 0)}
+        assert domain_pairs(match_interface_tracks(two_domains)) == {(0, 1), (1, 0)}
 
     def test_routes_geometrically_consistent(self, two_domains):
         """Route endpoints coincide in global coordinates."""
-        exchange = match_interface_tracks(two_domains)
-        for r in exchange.routes:
-            src = two_domains[r.src_domain].tracks[r.src_track]
-            dst = two_domains[r.dst_domain].tracks[r.dst_track]
-            exit_point = (src.x1, src.y1) if r.src_dir == 0 else (src.x0, src.y0)
-            entry_point = (dst.x0, dst.y0) if r.dst_dir == 0 else (dst.x1, dst.y1)
+        routes = match_interface_tracks(two_domains)
+        for src, src_track, src_dir, dst, dst_track, dst_dir in routes.tolist():
+            x0, y0, x1, y1 = two_domains[src].track_table_2d().xyxy[src_track]
+            exit_point = (x1, y1) if src_dir == 0 else (x0, y0)
+            x0, y0, x1, y1 = two_domains[dst].track_table_2d().xyxy[dst_track]
+            entry_point = (x0, y0) if dst_dir == 0 else (x1, y1)
             assert exit_point[0] == pytest.approx(entry_point[0], abs=1e-8)
             assert exit_point[1] == pytest.approx(entry_point[1], abs=1e-8)
 
@@ -65,8 +68,7 @@ class TestMatching:
             TrackGenerator(s, num_azim=4, azim_spacing=0.4, num_polar=2).generate()
             for s in subs
         ]
-        exchange = match_interface_tracks(gens)
-        pairs = exchange.neighbor_pairs()
+        pairs = domain_pairs(match_interface_tracks(gens))
         # only face neighbours exchange: (0,1), (0,2), (1,3), (2,3) + reverses
         assert pairs == {(0, 1), (1, 0), (0, 2), (2, 0), (1, 3), (3, 1), (2, 3), (3, 2)}
 
@@ -75,7 +77,22 @@ class TestMatching:
             match_interface_tracks([])
 
     def test_routes_from_filter(self, two_domains):
-        exchange = match_interface_tracks(two_domains)
-        from0 = exchange.routes_from(0)
-        assert all(r.src_domain == 0 for r in from0)
-        assert len(from0) + len(exchange.routes_from(1)) == exchange.num_routes
+        """The rows of one source domain partition the table by its column."""
+        routes = match_interface_tracks(two_domains)
+        from0 = routes[routes[:, 0] == 0]
+        assert len(from0) > 0
+        assert len(from0) + np.count_nonzero(routes[:, 0] == 1) == len(routes)
+
+
+def test_a_self_route_is_refused(two_domains, monkeypatch):
+    """Entries that are the exit slots themselves route each slot onto
+    itself: refused, naming the route's six columns."""
+    slots = exchange._interface_slots
+    monkeypatch.setattr(
+        exchange, "_interface_slots", lambda gens, entering: slots(gens, entering=False)
+    )
+    with pytest.raises(DecompositionError, match=(
+        r"^self-route detected: Route\(src_domain=(\d+), src_track=(\d+), src_dir=([01]), "
+        r"dst_domain=\1, dst_track=\2, dst_dir=\3\)$"
+    )):
+        match_interface_tracks(two_domains)

@@ -4,9 +4,14 @@
 with the neighbour's entry slot of equal (chain, polar, quantised ``s``,
 direction) through one sorted keyed join (:func:`join_last`). The dict
 join it replaced is kept below, unchanged, and the two must give the same
-route list element for element — and the same error when a partner is
-missing. The routes read only track-table columns, so the storage
-method must not move them.
+routes row for row — and the same error when a partner is missing. The
+routes read only track-table columns, so the storage method must not move
+them.
+
+The lattice cuts' route table (:func:`match_interface_tracks`) is array
+code too; the per-track walk it replaced
+(``tests/tracks/tracks2d_oracle.py``) must give the same rows on every
+2D decomposition the suite solves.
 """
 
 import numpy as np
@@ -15,8 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DecompositionError
-from repro.parallel.driver3d import Route3D, ZDecomposedSolver, join_last
+from repro.geometry import Geometry, Lattice
+from repro.geometry.decomposition import decompose_lattice_geometry
+from repro.geometry.universe import make_homogeneous_universe, make_pin_cell_universe
+from repro.parallel.driver3d import ZDecomposedSolver, join_last
+from repro.parallel.exchange import match_interface_tracks
 from repro.runtime.antmoc import GEOMETRY_BUILDERS
+from repro.tracks import TrackGenerator
+from tests.tracks import tracks2d_oracle
+from tests.tracks.tracks2d_oracle import Route as Route3D
+from tests.tracks.tracks2d_oracle import route_rows
 
 
 def dict_routes(solver):
@@ -75,7 +88,7 @@ def c5g7_slabs(nz, storage="EXP"):
 def test_routes_equal_the_dict_join(nz, storage):
     solver = c5g7_slabs(nz, storage)
     assert len(solver.routes) > 1000
-    assert solver.routes == dict_routes(solver)
+    assert route_rows(solver.routes) == dict_routes(solver)
 
 
 def test_a_missing_partner_is_the_same_error():
@@ -103,3 +116,46 @@ def test_join_keeps_the_later_entry(entries, exits):
         np.array(exits, dtype=np.int64).reshape(-1, 2),
     )
     assert got.tolist() == [table.get(key, -1) for key in exits]
+
+
+def homogeneous(material, nx, ny, pitch):
+    u = make_homogeneous_universe(material)
+    return Geometry(Lattice([[u] * nx] * ny, pitch, pitch))
+
+
+def pin_lattice(library):
+    pin = make_pin_cell_universe(
+        0.54, library["UO2"], library["Moderator"], num_rings=2, num_sectors=4
+    )
+    return Geometry(Lattice([[pin, pin], [pin, pin]], 1.26, 1.26))
+
+
+#: The 2D decompositions the suite builds (``test_exchange``,
+#: ``test_driver``, the engine tests, ``configs/c5g7-decomposed.yaml``):
+#: (geometry from the fixtures, nx, ny, num_azim, azim_spacing).
+RADIAL = {
+    "exchange-2x1": (lambda f: homogeneous(f["moderator"], 2, 1, 2.0), 2, 1, 4, 0.5),
+    "exchange-2x2": (lambda f: homogeneous(f["moderator"], 2, 2, 1.5), 2, 2, 4, 0.4),
+    "engine-2x1": (lambda f: homogeneous(f["two_group_fissile"], 2, 1, 1.5), 2, 1, 4, 0.5),
+    "driver-2x1": (lambda f: homogeneous(f["two_group_fissile"], 2, 2, 1.5), 2, 1, 4, 0.5),
+    "driver-2x2": (lambda f: homogeneous(f["two_group_fissile"], 2, 2, 1.5), 2, 2, 4, 0.5),
+    "pin-2x2": (lambda f: pin_lattice(f["library"]), 2, 2, 4, 0.5),
+    "single-domain": (lambda f: homogeneous(f["two_group_fissile"], 1, 1, 1.5), 1, 1, 4, 0.5),
+    "c5g7-decomposed": (lambda f: GEOMETRY_BUILDERS["c5g7-mini"](), 3, 3, 4, 0.4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RADIAL))
+def test_radial_routes_equal_the_object_walk(case, request):
+    build, nx, ny, num_azim, spacing = RADIAL[case]
+    fixtures = {
+        name: request.getfixturevalue(name)
+        for name in ("moderator", "two_group_fissile", "library")
+    }
+    trackgens = [
+        TrackGenerator(sub, num_azim=num_azim, azim_spacing=spacing, num_polar=2).generate()
+        for sub in decompose_lattice_geometry(build(fixtures), nx, ny)
+    ]
+    routes = match_interface_tracks(trackgens)
+    assert (len(routes) > 0) == (nx * ny > 1)
+    assert route_rows(routes) == tracks2d_oracle.match_interface_tracks(trackgens)

@@ -142,8 +142,8 @@ def test_routes_equal_the_oracle_loops(
         )
     except TrackingError:
         assume(False)
-    assert solver.routes
-    assert solver.routes == oracle.match_interfaces(solver.domains)
+    assert len(solver.routes)
+    assert oracle2d.route_rows(solver.routes) == oracle.match_interfaces(solver.domains)
 
 
 # ---------------------------------------------------------------- radial
@@ -242,5 +242,5 @@ def test_radial_routes_equal_the_oracle_loops(
     except TrackingError:
         assume(False)
     trackgens = [d.trackgen for d in solver.domains]
-    assert solver.routes
-    assert solver.routes == oracle2d.match_interface_tracks(trackgens).routes
+    assert len(solver.routes)
+    assert oracle2d.route_rows(solver.routes) == oracle2d.match_interface_tracks(trackgens)

@@ -79,6 +79,23 @@ class HeldBody:
         return count
 
 
+class HeldWhileSweeping(HeldBody):
+    """A held body that lets its solve start and holds it at the
+    ``transport_solving`` announcement, after forwarding it: the job is
+    ``SWEEPING`` (once the service has read the announcement) while the
+    solve waits at the gate."""
+
+    def __call__(self, cfg, announce):
+        def on_stage(stage):
+            announce(stage)
+            if stage == "transport_solving":
+                self._begin.send(os.getpid())
+                if not self._gate.poll(60.0):
+                    raise RuntimeError("held slot body was never released")
+
+        return run_job(cfg, on_stage)
+
+
 class FailFirst(HeldBody):
     """A held body whose first solve fails as it starts: its slot SIGKILLs
     itself (``"sigkill"``) or the solve raises (``"raises"``). Every later

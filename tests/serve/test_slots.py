@@ -36,6 +36,7 @@ from tests.scenario.conftest import batch_config
 
 from .conftest import (
     HeldBody,
+    HeldWhileSweeping,
     KillFirstEngineWorker,
     assert_reaped,
     solve_payload,
@@ -172,6 +173,37 @@ class TestSlotDeath:
             job = service.submit(payload)
             assert job.wait(timeout=60.0) is JobState.FAILED
             assert job.error == "solve slot 0 died (exit code 3)"
+
+
+class TestDeadlineMidSweep:
+    def test_a_deadline_passing_while_sweeping_does_not_cancel_the_solve(self, payload):
+        """A request's ``timeout`` is a queue deadline: once its job is
+        admitted, the solve runs to completion and is answered ``done``."""
+        held = HeldWhileSweeping()
+        service = SolveService(ServeOptions(solver_threads=1), slot_body=held).start()
+        try:
+            job = service.submit(payload, timeout=1.0)
+            held.entered()
+            wait_until(lambda: job.state is JobState.SWEEPING)
+            wait_until(lambda: time.monotonic() > job.deadline + 0.05)
+            held.release()
+            assert job.wait(timeout=60.0) is JobState.DONE
+            assert job.error is None and not job.cache_hit
+            assert_equals_direct(job, payload)
+            stats = service.stats()
+            assert stats["totals"]["timed_out"] == 0
+            assert stats["totals"]["slot_restarts"] == 0
+            # The slot's next request solves normally, bit for bit.
+            other = solve_payload()
+            other["solver"]["max_iterations"] = 3
+            again = service.solve(other)
+            assert not again.cache_hit
+            assert_equals_direct(again, other)
+            pids = [slot["pid"] for slot in service.stats()["slots"]]
+        finally:
+            held.release()
+            service.close()
+        assert_reaped(pids)
 
 
 class TestEngineWorkerDeath:

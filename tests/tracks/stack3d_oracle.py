@@ -18,10 +18,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.errors import DecompositionError
-from repro.parallel.exchange import Route as Route3D
 from repro.tracks.chains import Chain
 from repro.tracks.stack3d import Stack3D, _correct_closed, _correct_open, link_3d_stacks
 from repro.tracks.track import Track3D, TrackLink
+from tests.tracks.tracks2d_oracle import Route as Route3D
 
 
 def _stack_tracks_open(

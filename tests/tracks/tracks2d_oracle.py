@@ -9,7 +9,9 @@ vectorised linker (``_link_tracks_scalar`` over ``_PointMatcher``),
 track objects and the generator filled per-segment weights track by track.
 Those bodies live on here, unchanged, so the column code can be compared
 with them attribute for attribute
-(``tests/properties/test_track_table_properties.py``).
+(``tests/properties/test_track_table_properties.py``). The interface
+walk still builds one :class:`Route` per route, a test-local row type
+that compares equal to a row of the shipped ``(N, 6)`` route table.
 
 :func:`unlinked_table` / :func:`radial_table` build tables for tests from
 the shipped column functions; :func:`table_of` goes the other way —
@@ -20,12 +22,12 @@ hand.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import DecompositionError, TrackingError
 from repro.geometry.geometry import SIDES, BoundaryCondition, Geometry
-from repro.parallel.exchange import InterfaceExchange, Route
 from repro.solver.backends.plan import TrackTopology
 from repro.tracks.chains import Chain, build_chains, link_tracks
 from repro.tracks.laydown import lay_tracks
@@ -33,6 +35,23 @@ from repro.tracks.raytrace3d import ChainSegments
 from repro.tracks.segments import SegmentData
 from repro.tracks.table2d import TrackTable2D
 from repro.tracks.track import Track2D, TrackLink
+
+class Route(NamedTuple):
+    """One interface flux route between (domain, track, direction) slots,
+    as the objects the route table replaced: a row of the table."""
+
+    src_domain: int
+    src_track: int
+    src_dir: int
+    dst_domain: int
+    dst_track: int
+    dst_dir: int
+
+
+def route_rows(routes: np.ndarray) -> list[Route]:
+    """The rows of a shipped ``(N, 6)`` route table, as :class:`Route` s."""
+    return [Route(*row) for row in routes.tolist()]
+
 
 #: Quantisation used when matching boundary points, relative to domain size.
 _MATCH_REL_TOL = 1e-9
@@ -349,7 +368,7 @@ def segment_angles(trackgen) -> np.ndarray:
     return azim
 
 
-def match_interface_tracks(trackgens) -> InterfaceExchange:
+def match_interface_tracks(trackgens) -> list[Route]:
     """Build the routing table over all domains' interface track ends.
 
     Every interface exit must find exactly one entry in a neighbouring
@@ -399,4 +418,4 @@ def match_interface_tracks(trackgens) -> InterfaceExchange:
     for r in routes:
         if (r.src_domain, r.src_track, r.src_dir) == (r.dst_domain, r.dst_track, r.dst_dir):
             raise DecompositionError(f"self-route detected: {r}")
-    return InterfaceExchange(routes, len(trackgens))
+    return routes
