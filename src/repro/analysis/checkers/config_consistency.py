@@ -18,10 +18,9 @@ the contract users read. This cross-file checker ties the three together:
 
 Name-based matching is deliberately coarse (a field called ``enabled``
 is "read" if *any* attribute access spells ``.enabled``); the rules err
-toward silence, and the interesting drift — a freshly added knob like
-``tracking.cache_lock_timeout`` with no doc trail — is exactly what they
-catch. Intentionally internal keys carry rationale'd suppressions on
-their schema line.
+toward silence, and the interesting drift — a freshly added knob with
+no doc trail — is exactly what they catch. Intentionally internal keys
+carry rationale'd suppressions on their schema line.
 """
 
 from __future__ import annotations

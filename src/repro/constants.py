@@ -40,10 +40,6 @@ DEFAULT_SOURCE_TOL: float = 1.0e-5
 #: and mailbox waits.
 DEFAULT_ENGINE_TIMEOUT: float = 600.0
 
-#: Default tracking-cache writer-lock window (seconds): both how long a
-#: store waits for a peer's lock and when a lock counts as stale.
-LOCK_STALE_SECONDS: float = 60.0
-
 #: Bytes per single-precision float; track fluxes are single precision on
 #: the GPU (paper Sec. 3.3: "Single precision is used for flux memory").
 SIZEOF_FLOAT32: int = 4

@@ -24,7 +24,6 @@ from repro.constants import (
     DEFAULT_KEFF_TOL,
     DEFAULT_RESIDENT_MEMORY_BYTES,
     DEFAULT_SOURCE_TOL,
-    LOCK_STALE_SECONDS,
 )
 from repro.errors import ConfigError
 from repro.io import yamlish
@@ -72,10 +71,6 @@ class TrackingConfig:
     tracking_cache: bool = False
     #: Cache directory override (default: ``REPRO_CACHE_DIR`` or ``~/.cache/repro``).
     cache_dir: str | None = None
-    #: Writer-lock window in seconds for the tracking cache: both the
-    #: stale-break threshold and the store wait budget; long-lived server
-    #: processes should raise it.
-    cache_lock_timeout: float = LOCK_STALE_SECONDS
 
     def validate(self) -> None:
         if self.num_azim < 4 or self.num_azim % 4 != 0:
@@ -89,11 +84,6 @@ class TrackingConfig:
             raise ConfigError(f"azim_spacing must be positive (got {self.azim_spacing})")
         if self.polar_spacing <= 0.0:
             raise ConfigError(f"polar_spacing must be positive (got {self.polar_spacing})")
-        if not self.cache_lock_timeout > 0:
-            raise ConfigError(
-                "tracking.cache_lock_timeout must be positive "
-                f"(got {self.cache_lock_timeout})"
-            )
 
 
 @dataclass(frozen=True)

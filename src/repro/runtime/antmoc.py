@@ -78,12 +78,7 @@ def build_geometry(cfg: RunConfig) -> Geometry | ExtrudedGeometry:
 
 def resolve_tracking_cache(cfg: RunConfig) -> TrackingCache | None:
     """The tracking cache a configuration enables, or ``None``."""
-    tracking = cfg.tracking
-    return resolve_cache(
-        tracking.tracking_cache,
-        tracking.cache_dir,
-        lock_timeout=tracking.cache_lock_timeout,
-    )
+    return resolve_cache(cfg.tracking.tracking_cache, cfg.tracking.cache_dir)
 
 
 def solver_keywords(

@@ -16,8 +16,7 @@ no ``/dev/shm`` name), how its answer is heard and its death named
 the one answer, :func:`died` reaps and names a death; :func:`answer` /
 :func:`receive` for a child whose answer is a return value) and how
 children end (:func:`reap`: those asked to stop get :data:`GRACE_S`, the
-rest are killed, all are joined). :func:`alive` answers whether a process
-named by its ID still exists (the tracking cache's writer locks ask).
+rest are killed, all are joined).
 
 **Threads beside the children.** A process that solves while its
 children sweep keeps its own BLAS work on one thread:
@@ -390,17 +389,6 @@ def blas_threads(count: int) -> Iterator[bool]:
             yield True
         finally:
             pool.value = before
-
-
-def alive(pid: int) -> bool:
-    """Whether process ``pid`` exists (an unreaped zombie still does)."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # another user's process
-        pass
-    return True
 
 
 def reap(processes: Iterable[BaseProcess], asked: bool) -> None:

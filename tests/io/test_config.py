@@ -1,10 +1,11 @@
 """Tests for the validated run configuration."""
 
 import re
+from dataclasses import fields
 
 import pytest
 
-from repro.constants import DEFAULT_ENGINE_TIMEOUT, LOCK_STALE_SECONDS
+from repro.constants import DEFAULT_ENGINE_TIMEOUT
 from repro.errors import ConfigError
 from repro.io.config import (
     CmfdConfig,
@@ -41,8 +42,11 @@ class TestTrackingConfig:
             TrackingConfig(azim_spacing=-0.1).validate()
 
     def test_defaults_are_concrete(self):
+        """No default defers its value; ``cache_dir`` alone is ``None``,
+        which names ``REPRO_CACHE_DIR`` or ``~/.cache/repro``."""
         cfg = TrackingConfig()
-        assert cfg.cache_lock_timeout == LOCK_STALE_SECONDS
+        deferred = [f.name for f in fields(cfg) if getattr(cfg, f.name) is None]
+        assert deferred == ["cache_dir"]
 
 
 class TestDecompositionConfig:
@@ -216,10 +220,11 @@ class TestConfigFromDict:
             ({"tracking": {"tracer": "reference"}}, "tracer"),
             ({"solver": {"exp_mode": "exact"}}, "exp_mode"),
             ({"solver": {"exp_table_max_error": 1e-8}}, "exp_table_max_error"),
+            ({"tracking": {"cache_lock_timeout": 10}}, "cache_lock_timeout"),
         ],
         ids=[
             "axial_method", "num_groups", "load_balance", "pin_workers",
-            "tracer", "exp_mode", "exp_table_max_error",
+            "tracer", "exp_mode", "exp_table_max_error", "cache_lock_timeout",
         ],
     )
     def test_removed_keys_are_unknown(self, data, key):

@@ -1,5 +1,8 @@
 """Tests for the decomposed transport driver."""
 
+import math
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -50,22 +53,32 @@ class TestDecomposedSolver:
         assert result.comm_messages > 0
         assert result.comm_bytes > 0
 
-    def test_comm_traffic_scales_with_eq7(self, reflective_grid):
+    def test_comm_traffic_scales_with_eq7(self, reflective_grid, two_group_fissile):
         """Per iteration, boundary-flux traffic equals
-        routes x polar x groups x 8 bytes (float64 in the host-side
-        simulation; the paper's Eq. 7 uses float32 on device)."""
-        solver = DecomposedSolver(
-            reflective_grid, 2, 1, num_azim=4, azim_spacing=0.5, num_polar=2,
-            max_iterations=3,
-        )
-        result = solver.solve()
-        iterations = result.num_iterations
-        expected_p2p = len(solver.routes) * iterations
-        # allreduce messages also counted; p2p share must match exactly
-        p2p_bytes = sum(
-            v for (s, d), v in solver.comm.stats.per_pair_bytes.items()
-        )
-        assert result.comm_messages >= expected_p2p
+        routes x (polar / 2) x groups x 8 bytes (float64 in the host-side
+        simulation; the paper's Eq. 7 uses float32 on device), and the
+        rest is ``SimComm.allreduce``'s recursive-doubling model — on the
+        simulated and the process engine alike."""
+        num_polar, groups = 2, two_group_fissile.num_groups
+        engines = ["inproc"]
+        if "fork" in multiprocessing.get_all_start_methods():
+            engines.append("mp")
+        for engine in engines:
+            solver = DecomposedSolver(
+                reflective_grid, 2, 1, num_azim=4, azim_spacing=0.5,
+                num_polar=num_polar, max_iterations=3, engine=engine,
+            )
+            result = solver.solve()
+            stats, size = solver.comm.stats, len(solver.domains)
+            # One production allreduce to start, then one per iteration,
+            # each log2(size) rounds of one 8-byte message per rank.
+            assert stats.allreduce_calls == result.num_iterations + 1, engine
+            collective_messages = stats.allreduce_calls * size * int(math.log2(size))
+            # One message per route per iteration.
+            halo_messages = len(solver.routes) * result.num_iterations
+            halo = halo_messages * (num_polar // 2) * groups * 8
+            assert stats.messages_sent == halo_messages + collective_messages, engine
+            assert sum(stats.per_pair_bytes.values()) == halo + collective_messages * 8, engine
 
     def test_global_volumes_match(self, reflective_grid):
         solver = DecomposedSolver(reflective_grid, 2, 2, num_azim=4,

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, SolverError
-from repro.geometry import BoundaryCondition, Geometry, Lattice
+from repro.geometry import BoundaryCondition, C5G7Spec, Geometry, Lattice, build_c5g7_geometry
 from repro.geometry.extruded import AxialMesh, ExtrudedGeometry, reflector_layer_map
 from repro.geometry.universe import make_homogeneous_universe, make_pin_cell_universe
 from repro.io.config import CmfdConfig, config_from_dict
@@ -358,3 +358,45 @@ def test_on_off_agreement_scales_with_tolerance(
     plain, fast = solve(None), solve(True)
     assert plain.converged and fast.converged
     assert abs(fast.keff - plain.keff) <= AGREEMENT_C * tolerance
+
+
+# ---------------------------------------- the paper's own core, coarsened
+
+#: Plain power iteration's fixed point on the 9-pin quarter core below,
+#: stopped at ``keff_tolerance 1e-8`` / ``source_tolerance 1e-7`` (566
+#: iterations). CMFD at ``relaxation 0.25`` converges to 1.0278780.
+PLAIN_FIXED_POINT_9_PIN = 1.0278714
+
+#: How far a converged accelerated solve at ``keff_tolerance 1e-5`` may sit
+#: from that fixed point.
+FIXED_POINT_BAND = 5e-5
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: the default CMFD block (one coarse cell per "
+    "assembly, relaxation 0.5) does not converge at 9 pins per assembly",
+)
+def test_default_block_converges_on_a_9_pin_quarter_core(library):
+    """The C5G7 quarter core at 9 pins per assembly (693 FSRs) with the
+    default ``cmfd: true`` block converges to the plain fixed point.
+
+    Today it ends unconverged at k = 0.94347 after 200 iterations. The
+    reference regenerates with::
+
+        PYTHONPATH=src python -c "from repro import MOCSolver, c5g7_library; \\
+        from repro.geometry import C5G7Spec, build_c5g7_geometry; \\
+        g = build_c5g7_geometry(c5g7_library(), C5G7Spec(9, reflector_refinement=3)); \\
+        print(MOCSolver.for_2d(g, num_azim=8, azim_spacing=0.3, num_polar=2, \\
+        keff_tolerance=1e-8, source_tolerance=1e-7, max_iterations=3000).solve().keff)"
+    """
+    geometry = build_c5g7_geometry(
+        library, C5G7Spec(pins_per_assembly=9, reflector_refinement=3)
+    )
+    result = MOCSolver.for_2d(
+        geometry, num_azim=8, azim_spacing=0.3, num_polar=2,
+        keff_tolerance=1e-5, source_tolerance=1e-4, max_iterations=200, cmfd=True,
+    ).solve()
+    assert result.converged
+    assert abs(result.keff - PLAIN_FIXED_POINT_9_PIN) <= FIXED_POINT_BAND

@@ -2,16 +2,15 @@
 
 N forked processes hammer one content-addressed key; the invariants are
 that exactly one valid entry survives, it stays loadable throughout, and
-no temp files or lockfiles are left behind. :class:`TestFaults` holds the
+no temp files are left behind. :class:`TestFaults` holds the
 tracking-cache rows of DESIGN.md's fault model: a torn entry under
-concurrent readers, and a killed writer's lock.
+concurrent readers, a truncated entry, and a lock file some other writer
+left in the directory.
 """
 
 import logging
 import multiprocessing
 import os
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -68,28 +67,6 @@ class TestConcurrentStore:
         assert second == first
         assert os.stat(first).st_mtime_ns == stamp  # first wins, no rewrite
 
-    def test_stale_lock_broken(self, cache, small_trackgen):
-        path = cache.path_for(small_trackgen)
-        cache.cache_dir.mkdir(parents=True, exist_ok=True)
-        lock = path.with_suffix(".lock")
-        lock.write_text("999999\n")
-        ancient = 10_000
-        os.utime(lock, (ancient, ancient))
-        stored = cache.store(small_trackgen)
-        assert stored.exists()
-        assert not lock.exists()
-
-    def test_fresh_lock_times_out_but_store_succeeds(self, cache, small_trackgen):
-        """A held (fresh) lock delays, then the writer proceeds locklessly;
-        the atomic rename keeps that correct."""
-        path = cache.path_for(small_trackgen)
-        cache.cache_dir.mkdir(parents=True, exist_ok=True)
-        lock = path.with_suffix(".lock")
-        lock.write_text("1\n")  # held by a "live" process that never releases
-        stored = cache.store(small_trackgen, lock_timeout=0.1)
-        assert stored.exists()
-        assert lock.exists()  # not ours to remove
-        lock.unlink()
 
 
 def _same_laydown(got, want) -> bool:
@@ -178,15 +155,18 @@ class TestFaults:
         hit = fresh()
         assert cache.load(hit) and _same_laydown(hit, small_trackgen)
 
-    def test_killed_writers_lock_does_not_stall_the_store(self, cache, small_trackgen):
-        """A lock naming a process that has exited is broken at once, not
-        after ``lock_timeout`` (60 s here)."""
-        writer = subprocess.Popen([sys.executable, "-c", ""])
-        writer.wait()
+    def test_leftover_lock_file_is_ignored(self, cache, small_trackgen):
+        """A fresh ``<key>.lock`` naming a live process — as a writer that
+        still takes per-key locks would leave it on a shared directory —
+        neither delays the store nor is touched by it."""
         lock = cache.path_for(small_trackgen).with_suffix(".lock")
         cache.cache_dir.mkdir(parents=True)
-        lock.write_text(f"{writer.pid}\n")
+        lock.write_text(f"{os.getpid()}\n")
+        before = lock.stat()
         started = time.monotonic()
         path = cache.store(small_trackgen)
         assert time.monotonic() - started < 1.0
-        assert path.exists() and not lock.exists()
+        assert path.exists()
+        after = lock.stat()
+        assert lock.read_text() == f"{os.getpid()}\n"
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
